@@ -15,9 +15,10 @@ over graph size:
 
 The headline claims pinned here: cold open performs **zero** triple-record
 reads, and the LIMIT-ed scan touches well under a tenth of the stored
-records.  Disk scans are expected to be slower than memory (they pay
-``os.pread`` plus struct decoding per chunk); the sweep records by how
-much so regressions in either backend show up in the perf job.
+records.  Disk scans are expected to be slower than memory (they bisect
+every segment's memory-mapped run by byte comparison and decode rows
+with ``struct`` a chunk at a time); the sweep records by how much so
+regressions in either backend show up in the perf job.
 """
 
 from __future__ import annotations

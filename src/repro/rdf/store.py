@@ -23,13 +23,13 @@ Two implementations ship:
   interned ids, entirely in RAM.  This is the historical ``Graph``
   behaviour, now behind the contract.
 * :class:`SegmentStore` — a persistent store: immutable sorted SPO/POS/OSP
-  index segments on disk (24-byte fixed-width records, binary-searched
-  with positional reads so a query never loads a full segment), an
-  append-only interned term dictionary, a small in-memory write buffer
-  flushed to new segments, tombstone-based deletes and segment-merge
-  compaction.  Exact per-segment statistics are persisted next to each
-  segment so a cold open rebuilds the planner's counters without scanning
-  any data.
+  index segments on disk (24-byte fixed-width records, memory-mapped
+  and binary-searched by byte comparison so a query never loads a full
+  segment), an append-only interned term dictionary, a small in-memory
+  write buffer flushed to new segments, tombstone-based deletes and
+  segment-merge compaction.  Exact per-segment statistics are persisted
+  next to each segment so a cold open rebuilds the planner's counters
+  without scanning any data.
 
 :func:`open_graph` is the user-facing factory: ``open_graph(None)`` gives
 an in-memory graph, ``open_graph(path)`` opens (or creates) a persistent
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import mmap
 import os
 import struct
 import threading
@@ -491,7 +492,8 @@ class MemoryStore(Store):
                 return self._stats.subject_counts.get(s, 0)
             if p is not None:
                 return self._stats.predicate_counts.get(p, 0)
-            return self._stats.object_counts.get(o, 0)
+            if o is not None:
+                return self._stats.object_counts.get(o, 0)
         ids = self._pattern_ids(s, p, o)
         if ids is None:
             return 0
@@ -506,7 +508,9 @@ class MemoryStore(Store):
 # --------------------------------------------------------------------------- #
 _RECORD = struct.Struct(">QQQ")
 _RECORD_SIZE = _RECORD.size
-#: Records fetched per positional read while range-scanning a segment.
+#: Packers for search keys of 0-3 leading ids, indexed by prefix length.
+_PREFIX = tuple(struct.Struct(">" + "Q" * terms) for terms in range(4))
+#: Records decoded per slice while range-scanning a segment.
 _SCAN_CHUNK = 256
 _MANIFEST = "MANIFEST.json"
 _TERMS_LOG = "terms.jsonl"
@@ -516,7 +520,7 @@ _FORMAT_VERSION = 1
 
 def _encode_term(term: Term) -> str:
     if isinstance(term, URIRef):
-        payload = ["u", term.value]
+        payload: list[str | None] = ["u", term.value]
     elif isinstance(term, BNode):
         payload = ["b", term.value]
     elif isinstance(term, Literal):
@@ -561,7 +565,7 @@ class _PersistentTermDictionary(TermDictionary):
 class _IoCounters:
     """Cheap read-traffic accounting for one :class:`SegmentStore`.
 
-    ``records_read`` counts index records actually fetched from disk —
+    ``records_read`` counts index records examined or decoded —
     the E14 benchmark asserts that a LIMIT-ed query reads a small multiple
     of its answer size, not the whole dataset.
     """
@@ -584,67 +588,100 @@ class _IoCounters:
 class _TripleFile:
     """One immutable sorted run of 24-byte ``(a, b, c)`` id records.
 
-    Reads are positional (``os.pread``) so concurrent readers never race
-    on a shared file offset; binary search touches O(log n) records and
-    range scans stream in small chunks — a query never materialises the
-    file.
+    The run is mapped read-only when its segment is opened (no triple
+    page is read, and no descriptor is kept).  Records are big-endian, so
+    a packed id prefix orders bytewise exactly as the id tuple does:
+    searches compare slices of the mapping and never unpack, and range
+    scans decode a small slice at a time — a query never materialises the
+    file.  Slices are copies; concurrent readers share only the mapping.
     """
 
-    __slots__ = ("path", "count", "_fd", "io")
+    __slots__ = ("path", "count", "mapped", "io")
 
     def __init__(self, path: Path, io: _IoCounters) -> None:
         self.path = path
-        self.count = path.stat().st_size // _RECORD_SIZE
-        self._fd: int | None = None
         self.io = io
-
-    def _fileno(self) -> int:
-        if self._fd is None:
-            self._fd = os.open(self.path, os.O_RDONLY)
-        return self._fd
+        with open(path, "rb") as source:
+            self.count = os.fstat(source.fileno()).st_size // _RECORD_SIZE
+            # ``mmap`` refuses a zero-length file (a compaction that kept
+            # nothing writes one); empty bytes search the same way.
+            self.mapped: mmap.mmap | bytes | None = mmap.mmap(
+                source.fileno(), 0, access=mmap.ACCESS_READ) if self.count else b""
 
     def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        # Dropped, not ``close()``d: a search in flight on another thread
+        # finishes on its own reference; the last reference unmaps.
+        self.mapped = None
 
-    def record(self, index: int) -> tuple[int, int, int]:
-        self.io.records_read += 1
-        data = os.pread(self._fileno(), _RECORD_SIZE, index * _RECORD_SIZE)
-        return _RECORD.unpack(data)  # type: ignore[return-value]
+    def _bytes(self) -> mmap.mmap | bytes:
+        data = self.mapped
+        if data is None:
+            raise StoreError(f"{self.path} was closed (store closed, cleared or compacted)")
+        return data
 
-    def lower_bound(self, key: tuple[int, ...]) -> int:
-        """Index of the first record ``>= key`` (tuple-prefix comparison)."""
-        lo, hi = 0, self.count
+    def lower_bound(self, key: bytes) -> int:
+        """Index of the first record whose leading ``len(key)`` bytes are ``>= key``."""
+        data, count, width = self._bytes(), self.count, len(key)
+        if not count:
+            return 0
+        # The first and last record fence most absent keys out unbisected.
+        last = (count - 1) * _RECORD_SIZE
+        if key <= data[:width]:
+            lo, hi, examined = 0, 0, 1
+        elif data[last:last + width] < key:
+            lo, hi, examined = count, count, 2
+        else:
+            lo, hi, examined = 1, count - 1, 2
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.record(mid) < key:
+            offset = mid * _RECORD_SIZE
+            examined += 1
+            if data[offset:offset + width] < key:
                 lo = mid + 1
             else:
                 hi = mid
+        self.io.records_read += examined
         return lo
+
+    def contains(self, record: tuple[int, int, int]) -> bool:
+        key = _RECORD.pack(*record)
+        offset = self.lower_bound(key) * _RECORD_SIZE
+        return self._bytes()[offset:offset + _RECORD_SIZE] == key
 
     def prefix_range(self, prefix: tuple[int, ...]) -> tuple[int, int]:
         """The ``[lo, hi)`` record range whose tuples start with ``prefix``."""
         self.io.lookups += 1
+        data, count = self._bytes(), self.count
         if not prefix:
-            return 0, self.count
-        lo = self.lower_bound(prefix)
-        upper = prefix[:-1] + (prefix[-1] + 1,)
-        hi = self.lower_bound(upper)
+            return 0, count
+        key = _PREFIX[len(prefix)].pack(*prefix)
+        width = len(key)
+        lo = self.lower_bound(key)
+        # Records from ``lo`` on are ``>= key``, so only a leading stretch
+        # starts with it: gallop over that (a few records for the probes
+        # joins issue; at most one for a full key), bisecting once a stride
+        # overshoots.  No ``prefix[-1] + 1`` is formed, so 2**64 - 1 is fine.
+        end = count if width < _RECORD_SIZE else min(count, lo + 1)
+        hi, stride, examined = lo, 1, 0
+        while hi < end:
+            probe = min(hi + stride - 1, (hi + end) // 2)
+            offset = probe * _RECORD_SIZE
+            examined += 1
+            if data[offset:offset + width] == key:
+                hi, stride = probe + 1, stride * 2
+            else:
+                end = probe
+        self.io.records_read += examined
         return lo, hi
 
     def scan(self, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-        """Stream records ``[lo, hi)`` in chunked positional reads."""
+        """Stream records ``[lo, hi)``, decoding one chunk-sized slice at a time."""
         self.io.range_scans += 1
-        fd = self._fileno()
-        index = lo
-        while index < hi:
-            take = min(_SCAN_CHUNK, hi - index)
-            data = os.pread(fd, take * _RECORD_SIZE, index * _RECORD_SIZE)
-            self.io.records_read += take
-            yield from _RECORD.iter_unpack(data)  # type: ignore[misc]
-            index += take
+        for start in range(lo, hi, _SCAN_CHUNK):
+            stop = min(start + _SCAN_CHUNK, hi)
+            self.io.records_read += stop - start
+            yield from _RECORD.iter_unpack(
+                self._bytes()[start * _RECORD_SIZE:stop * _RECORD_SIZE])
 
 
 #: Permutation metadata: ordering name -> (store-order of the record
@@ -703,6 +740,8 @@ class _Segment:
         lo, hi = handle.prefix_range(prefix)
         restore = _ORDERINGS[ordering][1]
         for record in handle.scan(lo, hi):
+            if handle.mapped is None:  # per row: a resumed generator must not finish its chunk
+                raise StoreError(f"{handle.path} was closed during a scan")
             yield restore(record)
 
     def range_count(self, s: int, p: int, o: int) -> int:
@@ -711,9 +750,7 @@ class _Segment:
         return hi - lo
 
     def contains(self, s: int, p: int, o: int) -> bool:
-        handle = self.files["spo"]
-        index = handle.lower_bound((s, p, o))
-        return index < handle.count and handle.record(index) == (s, p, o)
+        return self.files["spo"].contains((s, p, o))
 
 
 def _write_sorted_run(path: Path, records: Iterable[tuple[int, int, int]]) -> None:
@@ -760,8 +797,14 @@ class SegmentStore(Store):
     metadata on open — a cold open never scans triple data.
 
     Mutations are serialised by an internal lock; concurrent *reads* are
-    safe against each other (positional I/O, no shared offsets), matching
+    safe against each other (a segment run is one immutable read-only
+    mapping; readers copy slices out of it and share no cursor), matching
     the read-mostly usage of :class:`repro.federation.LocalSparqlEndpoint`.
+    Mapped pages are page cache — in RSS only while resident, dropped by
+    the kernel at will — so the store's own memory stays the write buffer,
+    tombstones, dictionary and statistics.  Reads after :meth:`close`
+    raise :class:`StoreError`, as does a scan generator resumed after
+    :meth:`close`, :meth:`clear` or :meth:`compact` retired its segment.
     """
 
     DEFAULT_BUFFER_LIMIT = 50_000
@@ -954,7 +997,7 @@ class SegmentStore(Store):
         with self._lock:
             self._check_open()
             self._buffer.clear()
-            self._tombstones.clear()
+            self._tombstones = set()
             self._tombstones_dirty = False
             for segment in self._segments:
                 segment.close()
@@ -970,6 +1013,7 @@ class SegmentStore(Store):
     def triples_ids(
         self, s: int = UNBOUND_ID, p: int = UNBOUND_ID, o: int = UNBOUND_ID
     ) -> Iterator[tuple[int, int, int]]:
+        self._check_open()
         yield from self._buffer.scan(s, p, o)
         tombstones = self._tombstones
         for segment in self._segments:
@@ -983,6 +1027,7 @@ class SegmentStore(Store):
     def cardinality(
         self, s: Term | None = None, p: Term | None = None, o: Term | None = None
     ) -> int:
+        self._check_open()
         bound = sum(term is not None for term in (s, p, o))
         if bound == 0:
             return len(self)
@@ -1114,14 +1159,15 @@ class SegmentStore(Store):
                     for role, counts in self._stats_ids.items()
                 },
             })
-            for segment in old_segments:
-                segment.close()
+            # Swapped in, never mutated: a scan in flight keeps filtering the
+            # retired segments by the tombstones it started with.
             self._segments = [_Segment(self.directory, name, self.io)]
             self._segment_count = survivors
-            self._tombstones.clear()
+            self._tombstones = set()
             self._write_tombstones()
             self._write_manifest()
             for segment in old_segments:
+                segment.close()
                 self._delete_segment_files(segment.name)
             return True
 

@@ -6,14 +6,19 @@ Three layers of coverage:
   exact cardinalities, statistics and version semantics must be identical
   whether triples live in nested dicts or in on-disk segments;
 * SegmentStore specifics — durability across reopen, write-buffer flushes,
-  tombstoned deletes, compaction, corruption handling, and the I/O
-  accounting that proves queries don't read the whole file;
+  tombstoned deletes, compaction, corruption handling, the I/O
+  accounting that proves queries don't read the whole file, and the
+  mapped read path (byte-key search differential, reads after close,
+  concurrent readers);
 * the redesigned construction API — ``Graph(store=...)``, ``Graph.load``,
   ``open_graph``/``open_store`` and the ``ReadOnlyGraphView`` shim.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+from bisect import bisect_left
 from collections import Counter
 from itertools import product
 
@@ -35,6 +40,8 @@ from repro.rdf import (
     open_graph,
     open_store,
 )
+from repro.rdf.store import _ORDERINGS, _Segment
+from repro.sparql import QueryEvaluator
 
 EX = "http://example.org/"
 
@@ -360,6 +367,76 @@ class TestSegmentStore:
             store.add(u("a"), u("p"), u("b"))
         store.close()  # idempotent
 
+    def test_closed_store_rejects_reads(self, tmp_path):
+        store = SegmentStore(tmp_path, buffer_limit=2)
+        graph = Graph(store=store)
+        graph.add_all(sample_triples())
+        knows = store.dictionary.lookup(u("knows"))
+        store.close()
+        with pytest.raises(StoreError):
+            list(store.triples_ids())
+        with pytest.raises(StoreError):
+            list(store.triples_ids(0, knows, 0))
+        with pytest.raises(StoreError):
+            store.cardinality(None, u("knows"), None)
+        with pytest.raises(StoreError):
+            store.cardinality(u("alice"), u("knows"), None)
+        with pytest.raises(StoreError):
+            store.contains(*sample_triples()[0].as_tuple())
+
+    @pytest.mark.parametrize("retire", ["close", "compact", "clear"])
+    def test_suspended_scan_raises_once_its_segment_is_retired(self, tmp_path, retire):
+        store = SegmentStore(tmp_path, buffer_limit=3)
+        graph = Graph(store=store)
+        graph.add_all(sample_triples())
+        graph.flush()
+        graph.discard(sample_triples()[-1])   # compact() has work to do
+        scan = store.triples_ids()
+        assert next(scan) is not None         # suspended inside a decoded chunk
+        getattr(store, retire)()
+        with pytest.raises(StoreError):
+            next(scan)
+        if retire != "close":
+            assert len(list(store.triples_ids())) == len(store)
+            store.close()
+
+    def test_compacting_a_fully_tombstoned_store_leaves_a_usable_empty_run(self, tmp_path):
+        store = SegmentStore(tmp_path, buffer_limit=4)
+        graph = Graph(store=store)
+        graph.add_all(sample_triples())
+        graph.flush()
+        for triple in sample_triples():
+            graph.discard(triple)
+        assert store.compact()
+        (name,) = store.segment_names
+        assert (tmp_path / f"{name}.spo").stat().st_size == 0
+        assert len(graph) == 0 and list(graph.triples()) == []
+        assert graph.cardinality(u("alice"), u("knows"), None) == 0
+        assert sample_triples()[0] not in graph
+        graph.add(sample_triples()[0])        # duplicate check probes the empty run
+        graph.close()
+
+        reopened = open_graph(tmp_path)
+        assert set(reopened.triples()) == {sample_triples()[0]}
+        reopened.close()
+
+    def test_prefix_ending_in_the_largest_id_has_an_upper_bound(self, tmp_path):
+        top = 2**64 - 1
+        records = sorted({(5, top, 1), (5, top, top), (6, 1, 1), (top, top, top - 1),
+                          (top, top, top)})
+        store = SegmentStore(tmp_path)
+        store._write_segment("seg-top", records)
+        segment = _Segment(tmp_path, "seg-top", store.io)
+        assert segment.files["spo"].prefix_range((5, top)) == (0, 2)
+        assert segment.files["spo"].prefix_range((top,)) == (3, 5)
+        assert segment.files["spo"].prefix_range((top, top, top)) == (4, 5)
+        assert sorted(segment.scan(0, top, 0)) == [r for r in records if r[1] == top]
+        assert sorted(segment.scan(0, 0, top)) == [r for r in records if r[2] == top]
+        assert segment.range_count(top, top, 0) == 2
+        assert segment.contains(top, top, top) and not segment.contains(top, top, 1)
+        segment.close()
+        store.close()
+
     def test_unsupported_manifest_format_raises(self, tmp_path):
         (tmp_path / "MANIFEST.json").write_text('{"format": 99, "segments": []}')
         with pytest.raises(StoreError):
@@ -388,6 +465,196 @@ class TestSegmentStore:
     def test_buffer_limit_validation(self, tmp_path):
         with pytest.raises(ValueError):
             SegmentStore(tmp_path, buffer_limit=0)
+
+
+# --------------------------------------------------------------------------- #
+# Mapped read path: byte-key search == brute force over the unpacked tuples
+# --------------------------------------------------------------------------- #
+_TOP = 2**64 - 1
+#: A small id alphabet so random records share prefixes; it spans the byte
+#: widths where a little-endian or signed comparison would misorder.
+_IDS = [1, 2, 3, 255, 256, 2**32, _TOP - 1, _TOP]
+#: Probe ids: the alphabet plus values below, between and above it.
+_PROBES = [*_IDS, 4, 2**40]
+_id = st.sampled_from(_IDS)
+
+
+@st.composite
+def _runs(draw):
+    """Unique records: a random handful plus, sometimes, one long stretch
+    sharing an ``(a, b)`` prefix that crosses the 256-record scan chunk."""
+    records = draw(st.sets(st.tuples(_id, _id, _id), max_size=12))
+    stretch = draw(st.sampled_from([0, 0, 1, 255, 256, 257, 600]))
+    a, b = draw(_id), draw(_id)
+    return sorted(records | {(a, b, c) for c in range(1, stretch + 1)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(records=_runs(),
+       prefixes=st.lists(st.lists(st.sampled_from([0, *_PROBES]), max_size=3), max_size=8),
+       shapes=st.lists(st.tuples(*[st.sampled_from([0, 0, *_PROBES])] * 3), max_size=8))
+def test_byte_search_equals_brute_force(records, prefixes, shapes, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("search")
+    store = SegmentStore(directory)
+    store._write_segment("seg-under-test", records)
+    segment = _Segment(directory, "seg-under-test", store.io)
+    try:
+        for ordering, (permute, _) in _ORDERINGS.items():
+            handle = segment.files[ordering]
+            run = sorted(permute(*record) for record in records)
+            assert list(handle.scan(0, handle.count)) == run
+            for prefix in map(tuple, [[], *prefixes, *(r[:n] for r in run[:3] for n in (1, 2, 3))]):
+                want = [r for r in run if r[:len(prefix)] == prefix]
+                lo, hi = handle.prefix_range(prefix)
+                assert hi - lo == len(want), f"{ordering} prefix {prefix}"
+                assert list(handle.scan(lo, hi)) == want
+                if want:
+                    assert lo == bisect_left(run, prefix)
+                if len(prefix) == 3:
+                    assert handle.contains(prefix) == bool(want)
+        for s, p, o in [*shapes, *records[:3]]:
+            want = sorted(r for r in records
+                          if (not s or r[0] == s) and (not p or r[1] == p) and (not o or r[2] == o))
+            assert sorted(segment.scan(s, p, o)) == want, f"pattern ({s}, {p}, {o})"
+            assert segment.range_count(s, p, o) == len(want)
+            if s and p and o:
+                assert segment.contains(s, p, o) == ((s, p, o) in records)
+    finally:
+        segment.close()
+        store.close()
+
+
+# --------------------------------------------------------------------------- #
+# Mapped read path: concurrent readers
+# --------------------------------------------------------------------------- #
+_STAR = ("SELECT ?e ?n WHERE {{ ?e <{ex}group> <{ex}g{g}> . "
+         "?e <{ex}rank> <{ex}r{r}> . ?e <{ex}name> ?n }}")
+_PATH = ("SELECT ?a ?b ?n WHERE {{ ?a <{ex}group> <{ex}g{g}> . "
+         "?a <{ex}knows> ?b . ?b <{ex}name> ?n }}")
+_LOOKUP = "SELECT ?p ?o WHERE {{ <{ex}e{e}> ?p ?o }}"
+
+
+def _entity_store(directory, entities: int = 120) -> SegmentStore:
+    """The E15 entity graph in miniature: six segments, tombstones, resurrections."""
+    store = SegmentStore(directory, buffer_limit=entities * 4 // 6)
+    graph = Graph(store=store)
+    triples = []
+    for i in range(entities):
+        entity = u(f"e{i}")
+        triples += [
+            Triple(entity, u("group"), u(f"g{i % 5}")),
+            Triple(entity, u("rank"), u(f"r{i % 3}")),
+            Triple(entity, u("knows"), u(f"e{(i * 7 + 1) % entities}")),
+            Triple(entity, u("name"), Literal(f"entity {i}")),
+        ]
+    graph.add_all(triples)
+    graph.flush()
+    for triple in triples[::9]:
+        graph.discard(triple)
+    for triple in triples[::18]:
+        graph.add(triple)
+    assert len(store.segment_names) == 6 and store.tombstoned and not store.buffered
+    return store
+
+
+def _e15_shapes(entities: int = 120) -> list[str]:
+    return ([_STAR.format(ex=EX, g=g, r=r) for g in range(5) for r in range(3)]
+            + [_PATH.format(ex=EX, g=g) for g in range(5)]
+            + [_LOOKUP.format(ex=EX, e=e) for e in range(0, entities, 11)])
+
+
+def _answers(graph: Graph, texts: list[str]) -> list[list[str]]:
+    evaluator = QueryEvaluator(graph, engine="planner")
+    return [sorted(map(repr, evaluator.select(text))) for text in texts]
+
+
+def test_concurrent_readers_return_the_single_threaded_rows(tmp_path):
+    store = _entity_store(tmp_path)
+    graph = Graph(store=store)
+    texts = _e15_shapes()
+    want = _answers(graph, texts)
+    assert any(want[0]) and any(want[-1])
+
+    results: dict[int, object] = {}
+
+    def reader(slot: int) -> None:
+        try:
+            results[slot] = [_answers(graph, texts) for _ in range(3)]
+        except BaseException as exc:  # reported by the assertion below
+            results[slot] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for slot in range(4):
+        assert results[slot] == [want] * 3, f"reader {slot}"
+    graph.close()
+
+
+def test_lookup_counter_deltas_are_exact_with_one_thread(tmp_path):
+    store = _entity_store(tmp_path)
+    entity = store.dictionary.lookup(u("e7"))
+    name = store.dictionary.lookup(u("name"))
+    for pattern in ((entity, 0, 0), (entity, name, 0), (0, name, 0)):
+        deltas = []
+        for _ in range(2):
+            before = store.io.as_dict()
+            rows = list(store.triples_ids(*pattern))
+            after = store.io.as_dict()
+            deltas.append({key: after[key] - before[key] for key in after})
+            assert rows
+        # One range lookup and one range scan per segment, and the same
+        # number of records examined every time.
+        assert deltas[0]["lookups"] == deltas[0]["range_scans"] == len(store.segment_names)
+        assert deltas[0] == deltas[1]
+    store.close()
+
+
+def test_compact_racing_scans_ends_in_rows_or_store_error(tmp_path):
+    store = _entity_store(tmp_path)
+    want = sorted(store.triples_ids())
+    outcomes: list[object] = []
+    stop = threading.Event()
+
+    def scanner() -> None:
+        while not stop.is_set():
+            try:
+                outcomes.append(sorted(store.triples_ids()))
+            except StoreError:
+                outcomes.append(None)
+            except BaseException as exc:  # anything else is the bug
+                outcomes.append(exc)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=scanner) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        suspended = store.triples_ids()
+        head = [next(suspended) for _ in range(5)]
+        assert store.compact()
+        with pytest.raises(StoreError):
+            head += list(suspended)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert outcomes and all(outcome is None or outcome == want for outcome in outcomes)
+    assert sorted(store.triples_ids()) == want and len(store.segment_names) == 1
+    store.close()
 
 
 # --------------------------------------------------------------------------- #
