@@ -228,7 +228,8 @@ def main_federate(argv: Sequence[str] | None = None) -> int:
                         help="let source selection issue ASK probes for patterns the "
                              "VoID statistics cannot settle")
     parser.add_argument("--bind-join-batch", type=int, default=None, metavar="ROWS",
-                        help="left rows shipped per bound-join VALUES batch")
+                        help="ceiling on left rows shipped per bound-join VALUES block "
+                             "(default 256)")
     parser.add_argument("--explain", action="store_true",
                         help="print the federated plan (per-dataset sub-queries) "
                              "instead of executing")

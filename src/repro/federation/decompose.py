@@ -19,10 +19,13 @@ FedX-style alternative:
    shipped to that dataset as *one* sub-query, so the endpoint evaluates
    the group's joins locally.
 3. **Bound joins** — cross-source joins run at the mediator: the rows
-   produced so far are shipped to the next unit's sources in configurable
-   batches, injected as ``VALUES`` blocks, so endpoints only evaluate the
-   pattern against bindings that can still join (instead of shipping their
-   full extension).
+   produced so far are shipped to the next unit's sources as ``VALUES``
+   blocks (as few as :data:`DEFAULT_BIND_JOIN_BATCH` allows), so endpoints
+   only evaluate the pattern against bindings that can still join (instead
+   of shipping their full extension; the endpoint's planner probes its
+   indexes with a small block rather than scanning the pattern).  The
+   translated sub-query is built once per unit and source, and every round
+   runs on the engine's one worker pool.
 
 Decomposed execution preserves the fan-out semantics on the scenarios the
 experiments cover (per-dataset URI spaces, sameAs-linked replicas): the
@@ -104,8 +107,14 @@ __all__ = [
     "execute_decomposed",
 ]
 
-#: Default number of left rows shipped per bound-join batch.
-DEFAULT_BIND_JOIN_BATCH = 32
+#: Default ceiling on the left rows shipped per bound-join ``VALUES`` block.
+#: A sub-request costs the mediator and the endpoint ~1 ms of CPU before its
+#: first row (thread hand-off, HTTP framing, parse, plan) and ~35 us per
+#: VALUES row after that, so a unit ships its whole left side in one block
+#: whenever it fits; 256 rows of IRIs stay two orders of magnitude under the
+#: server's 1 MiB request-body limit.  A smaller ``bind_join_batch`` trades
+#: rounds for an earlier LIMIT exit.
+DEFAULT_BIND_JOIN_BATCH = 256
 
 #: Filters are evaluated at the mediator against no graph at all; only
 #: EXISTS expressions would need one, and those force the fan-out fallback.
@@ -576,9 +585,8 @@ def decompose_query(
                     continue
                 if unit.join_variables:
                     marker = " ".join(f"?{v.name}" for v in unit.join_variables)
-                    executable.where.elements.insert(
-                        0,
-                        InlineData(list(unit.join_variables), []),
+                    executable = _with_bindings(
+                        executable, InlineData(list(unit.join_variables), [])
                     )
                     unit.sub_queries[uri] = executable.serialize().replace(
                         f"VALUES ({marker}) {{\n  }}",
@@ -695,6 +703,15 @@ def _unit_query(
         Prologue(),
         projection,
         GroupGraphPattern([TriplesBlock(list(translated))]),
+    )
+
+
+def _with_bindings(sub_query: SelectQuery, inline: InlineData) -> SelectQuery:
+    """``sub_query`` behind a leading ``VALUES`` block (shares its patterns)."""
+    return SelectQuery(
+        sub_query.prologue,
+        sub_query.projection,
+        GroupGraphPattern([inline, *sub_query.where.elements]),
     )
 
 
@@ -830,7 +847,7 @@ class _VecUnitOp(VecOperator):
     """One decomposed unit as a batched operator at the mediator.
 
     With join variables, left rows are shipped to the unit's sources in
-    ``bind_join_batch``-row ``VALUES`` blocks and merged back by interned
+    ``VALUES`` blocks of at most ``bind_join_batch`` rows and merged back by interned
     key tuples; without them the unit is fetched once per execution and
     cross-joined.  Fetched terms are interned into the mediator's own term
     dictionary, so the merge is integer-tuple work like every other join.
@@ -1041,6 +1058,9 @@ class _PlanExecutor:
         self._selector = selector
         self._traffic = traffic
         self.bind_join_batch = plan.bind_join_batch
+        #: Translated sub-query per (unit, source): built for the first
+        #: block, reused by every later one.
+        self._sub_queries: dict[tuple[int, URIRef], SelectQuery] = {}
         self.root: VecOperator | None = None
         self.ctx: ExecContext | None = None
         self._elapsed = 0.0
@@ -1054,17 +1074,21 @@ class _PlanExecutor:
     ) -> list[Binding]:
         """Run one sub-query on one source, under its policy and breaker."""
         entry = self._traffic[target.uri]
-        try:
-            executable = _unit_query(
-                self._engine, unit, target,
-                self._source_ontology, self._source_dataset, self._mode,
-                self._selector,
-            )
-        except (KeyError, ValueError) as exc:
-            entry.errors.append(str(exc))
-            return []
+        key = (id(unit), target.uri)
+        executable = self._sub_queries.get(key)
+        if executable is None:
+            try:
+                executable = _unit_query(
+                    self._engine, unit, target,
+                    self._source_ontology, self._source_dataset, self._mode,
+                    self._selector,
+                )
+            except (KeyError, ValueError) as exc:
+                entry.errors.append(str(exc))
+                return []
+            self._sub_queries[key] = executable
         if inline is not None:
-            executable.where.elements.insert(0, inline)
+            executable = _with_bindings(executable, inline)
         entry.requests += 1
         result, attempts, error = self._engine.call_endpoint(target, executable)
         entry.attempts += attempts
@@ -1083,22 +1107,17 @@ class _PlanExecutor:
         """
         sources = unit.sources
         if len(sources) > 1 and self._engine.parallel:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                max_workers=min(len(sources), self._engine.max_workers),
-                thread_name_prefix="decompose",
-            ) as pool:
-                # copy_context() per task: per-source endpoint spans keep
-                # the submitting thread's span (the request) as parent.
-                futures = [
-                    pool.submit(
-                        contextvars.copy_context().run,
-                        self._fetch, unit, self._targets[uri], inline,
-                    )
-                    for uri in sources
-                ]
-                per_source = [future.result() for future in futures]
+            pool = self._engine.worker_pool()
+            # copy_context() per task: per-source endpoint spans keep
+            # the submitting thread's span (the request) as parent.
+            futures = [
+                pool.submit(
+                    contextvars.copy_context().run,
+                    self._fetch, unit, self._targets[uri], inline,
+                )
+                for uri in sources
+            ]
+            per_source = [future.result() for future in futures]
         else:
             per_source = [
                 self._fetch(unit, self._targets[uri], inline) for uri in sources

@@ -166,7 +166,8 @@ class FederatedQueryEngine:
         query endpoints one after another (``False``).  Either way the
         merged output is identical; per-call ``parallel=`` overrides.
     max_workers:
-        Upper bound on concurrent endpoint requests.
+        Upper bound on the engine's concurrent endpoint requests (the size
+        of its worker pool, fixed when the first parallel round runs).
     strategy:
         Default execution strategy: ``"fanout"`` ships the whole rewritten
         query to every dataset; ``"decompose"`` runs per-pattern source
@@ -177,7 +178,8 @@ class FederatedQueryEngine:
         Whether source selection may issue ``ASK`` probes for patterns the
         VoID statistics cannot settle, and the per-probe time budget.
     bind_join_batch:
-        Left rows shipped per bound-join batch (decompose strategy).
+        Ceiling on the left rows shipped per bound-join ``VALUES`` block
+        (decompose strategy; default ``DEFAULT_BIND_JOIN_BATCH``).
     """
 
     def __init__(
@@ -206,6 +208,8 @@ class FederatedQueryEngine:
         self.probe_timeout = probe_timeout
         self.bind_join_batch = bind_join_batch or DEFAULT_BIND_JOIN_BATCH
         self._selector = None
+        self._pool: ThreadPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
 
     @property
     def source_selector(self):
@@ -225,6 +229,29 @@ class FederatedQueryEngine:
             self._selector.ask_probes = self.ask_probes
             self._selector.probe_timeout = self.probe_timeout
         return self._selector
+
+    def worker_pool(self) -> ThreadPoolExecutor:
+        """The engine's one pool of endpoint-request workers.
+
+        Shared by every fan-out and every bound-join round of every query,
+        so a round costs task hand-offs, not thread starts, and
+        ``max_workers`` bounds the engine's concurrent endpoint requests as
+        a whole.  Created on first use, with the ``max_workers`` of that
+        moment; idle workers exit when the engine is closed or collected.
+        """
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.max_workers, thread_name_prefix="federate"
+                )
+            return self._pool
+
+    def close(self) -> None:
+        """Stop the worker pool (a later query starts a fresh one)."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -531,25 +558,19 @@ class FederatedQueryEngine:
                 self._run_on_dataset(query, target, source_ontology, source_dataset, mode)
                 for target in targets
             ]
-        results: list[DatasetResult | None] = [None] * len(targets)
-        with ThreadPoolExecutor(
-            max_workers=min(len(targets), self.max_workers),
-            thread_name_prefix="federate",
-        ) as pool:
-            # copy_context() per task (a Context cannot be entered by two
-            # threads at once): each worker sees the submitting thread's
-            # active span, so per-dataset spans nest under the request.
-            futures = {
-                pool.submit(
-                    contextvars.copy_context().run,
-                    self._run_on_dataset, query, target,
-                    source_ontology, source_dataset, mode,
-                ): index
-                for index, target in enumerate(targets)
-            }
-            for future, index in futures.items():
-                results[index] = future.result()
-        return [entry for entry in results if entry is not None]
+        pool = self.worker_pool()
+        # copy_context() per task (a Context cannot be entered by two
+        # threads at once): each worker sees the submitting thread's
+        # active span, so per-dataset spans nest under the request.
+        futures = [
+            pool.submit(
+                contextvars.copy_context().run,
+                self._run_on_dataset, query, target,
+                source_ontology, source_dataset, mode,
+            )
+            for target in targets
+        ]
+        return [future.result() for future in futures]
 
     def _run_on_dataset(
         self,

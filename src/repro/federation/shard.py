@@ -9,11 +9,19 @@ treats the shards as ordinary sources — routing each triple pattern to the
 shards that can match it and joining across shards with bound joins.
 
 Hashing on the *subject* keeps every triple about one resource on one
-shard, so star-shaped queries (the common SPARQL shape) join locally; only
-path-shaped joins cross shards.  The hash is content-stable (CRC-32 of the
-term's lexical form), never Python's salted ``hash()``, so a dataset shards
-identically across processes and restarts — a requirement for pointing
-shard endpoints at persistent :class:`~repro.rdf.SegmentStore` directories.
+shard, but the decomposer does not exploit that yet: every shard holds
+every predicate, so each pattern is relevant to every shard, no exclusive
+group forms, and a star-shaped query is bound-joined at the mediator
+pattern by pattern exactly like a path-shaped one (a four-pattern star
+over three shards costs 12 sub-requests: one seed scan and three bound
+units, each on every shard).  Grouping patterns that share a subject into
+one sub-query per shard — subject-co-located grouping, which would make
+stars join locally in 3 sub-requests — is the follow-up.
+
+The hash is content-stable (CRC-32 of the term's lexical form), never
+Python's salted ``hash()``, so a dataset shards identically across
+processes and restarts — a requirement for pointing shard endpoints at
+persistent :class:`~repro.rdf.SegmentStore` directories.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ loops with **one** operator layer:
 
 * solution rows are fixed-width tuples of integers — RDF terms are
   interned per graph by :class:`repro.rdf.TermDictionary`, and
-  ``UNBOUND_ID`` (0) marks an unbound column,
+  ``UNBOUND_ID`` (0) marks an unbound column; terms only the query
+  mentions (VALUES cells) get plan-private ids, so evaluation never
+  mutates the store's dictionary,
 * operators consume and produce :class:`Batch` objects (a schema of
   variables plus a list of row tuples), amortising per-operator overhead
   and making joins integer-tuple comparisons instead of dict merges,
@@ -97,6 +99,11 @@ __all__ = [
 #: :data:`repro.rdf.UNBOUND_ID`; kept falsy for cheap hot-loop tests).
 UNBOUND = 0
 
+#: First id of the plan-private range handed to terms only the *query*
+#: mentions (see :meth:`ExecContext.query_term_id`); no store assigns ids
+#: this high, and it still packs into a segment's unsigned 64-bit key.
+_QUERY_ID_BASE = 1 << 62
+
 #: Name prefix of the synthetic ordinal columns used to correlate
 #: OPTIONAL/UNION sub-plan output with its input rows.
 _ORD_PREFIX = "__ord_"
@@ -182,7 +189,10 @@ class OpMetrics:
 class ExecContext:
     """Shared execution state: the graph, its term dictionary, decisions."""
 
-    __slots__ = ("graph", "dictionary", "config", "decisions")
+    __slots__ = (
+        "graph", "dictionary", "config", "decisions",
+        "_store_owned", "_query_ids", "_query_terms",
+    )
 
     def __init__(
         self,
@@ -191,16 +201,49 @@ class ExecContext:
         dictionary: TermDictionary | None = None,
     ) -> None:
         self.graph = graph
+        store_dictionary = getattr(graph, "dictionary", None)
         if dictionary is None:
-            dictionary = getattr(graph, "dictionary", None)
+            dictionary = store_dictionary
         if dictionary is None:
             # Graph-likes without an interning dictionary (test doubles,
             # bare wrappers) get a private one for the plan's lifetime.
             dictionary = TermDictionary()
         self.dictionary = dictionary
+        #: Whether ``dictionary`` belongs to the graph's store (and so
+        #: outlives, and is shared beyond, this plan).
+        self._store_owned = dictionary is store_dictionary
         self.config = config or ExecConfig()
         #: Adaptivity decisions recorded during execution.
         self.decisions: list[dict[str, Any]] = []
+        self._query_ids: dict[Term, int] = {}
+        self._query_terms: list[Term] = []
+
+    def query_term_id(self, term: Term) -> int:
+        """The id of a term the *query* supplies (a VALUES cell).
+
+        The store's own id when it has one, otherwise an id private to this
+        plan.  Evaluating a query must not grow the store's dictionary (a
+        persistent one would write to disk on a read, and every client
+        could grow it without bound), and a term the store never interned
+        can match no triple anyway.  A dictionary that is itself private to
+        the plan interns data terms on sight, so query terms join them.
+        """
+        if not self._store_owned:
+            return self.dictionary.intern(term)
+        value = self.dictionary.lookup(term)
+        if not value:
+            value = self._query_ids.get(term, UNBOUND)
+            if not value:
+                value = _QUERY_ID_BASE + len(self._query_terms)
+                self._query_ids[term] = value
+                self._query_terms.append(term)
+        return value
+
+    def term(self, value: int) -> Term:
+        """The term behind a (bound) row value."""
+        if value < _QUERY_ID_BASE:
+            return self.dictionary.terms[value]
+        return self._query_terms[value - _QUERY_ID_BASE]
 
     def decode_binding(self, schema: Schema, row: Row) -> Binding:
         """Decode a row into a :class:`Binding`, dropping internal columns."""
@@ -209,7 +252,7 @@ class ExecContext:
         for index, variable in _external_columns(schema):
             value = row[index]
             if value:
-                data[variable] = terms[value]
+                data[variable] = terms[value] if value < _QUERY_ID_BASE else self.term(value)
         return Binding(data)
 
     def decode_expression_binding(self, schema: Schema, row: Row) -> Binding:
@@ -220,7 +263,7 @@ class ExecContext:
         for index, variable in enumerate(schema):
             value = row[index]
             if value and not variable.name.startswith(_ORD_PREFIX):
-                data[variable] = terms[value]
+                data[variable] = terms[value] if value < _QUERY_ID_BASE else self.term(value)
         return Binding(data)
 
 
@@ -518,7 +561,7 @@ class VecBGPOp(VecOperator):
         # Fallback for graph-likes without id indexes (test doubles, proxies
         # wrapping only ``triples``): scan on terms, interning matches.
         intern = dictionary.intern
-        terms = dictionary.terms
+        term_of = ctx.term
 
         def scan() -> Iterator[Row]:
             for row in rows:
@@ -526,7 +569,7 @@ class VecBGPOp(VecOperator):
                 for position, index in lookup_cols:
                     value = row[index]
                     if value:
-                        lookup[position] = terms[value]
+                        lookup[position] = term_of(value)
                 padded = row + (UNBOUND,) * pad if pad else row
                 for triple in graph.triples(lookup[0], lookup[1], lookup[2]):
                     data = (triple.subject, triple.predicate, triple.object)
@@ -556,7 +599,7 @@ class VecBGPOp(VecOperator):
         cardinality = getattr(self.ctx.graph, "cardinality", None)
         if cardinality is None or not rows:
             return float("inf")
-        terms = self.ctx.dictionary.terms
+        term_of = self.ctx.term
         column = {variable: index for index, variable in enumerate(layout)}
         total = 0.0
         for row in rows:
@@ -571,7 +614,7 @@ class VecBGPOp(VecOperator):
                     continue
                 index = column.get(anchor)
                 if index is not None and row[index]:
-                    lookup[position] = terms[row[index]]
+                    lookup[position] = term_of(row[index])
             total += float(cardinality(lookup[0], lookup[1], lookup[2]))
         return total / len(rows)
 
@@ -722,9 +765,9 @@ class VecTableOp(VecOperator):
         self.in_schema = in_schema
         self.columns = list(columns)
         self.schema = extend_schema(in_schema, self.columns)
-        intern = ctx.dictionary.intern
+        term_id = ctx.query_term_id
         self._rows: list[Row] = [
-            tuple(intern(term) if term is not None else UNBOUND for term in row)
+            tuple(term_id(term) if term is not None else UNBOUND for term in row)
             for row in rows
         ]
         self.est = float(len(self._rows))

@@ -10,10 +10,18 @@ a query into a tree of *physical operators* instead:
   graph's incrementally maintained statistics
   (:meth:`repro.rdf.Graph.cardinality`),
 * :class:`HashJoinOp` — a hash join on the shared variables of two
-  independent sub-plans (build on the smaller/right side, probe streaming),
-* :class:`PipelineJoinOp` — the streaming nested-loop (bind-join) fallback:
-  left solutions flow into the right sub-plan as input bindings, so the
-  right side's index scans are correlated lookups,
+  independent sub-plans (build on the right side, probe streaming),
+* :class:`PipelineJoinOp` — the streaming nested-loop (bind) join: left
+  solutions flow into the right sub-plan as input bindings, so the right
+  side's index scans are correlated lookups.  One cost rule picks between
+  the two (:meth:`QueryPlanner._compile_join`): the right side is compiled
+  both alone and bound to the left's certain variables, and the hash join
+  is kept only when it is safe (shared variables certainly bound on both
+  sides) and scanning the right side's whole extension to build the table
+  costs less than probing it once per left row —
+  ``alone.est <= left.est * max(1, bound.est) * _PROBE_COST``.  A small
+  ``VALUES`` table therefore drives index lookups; a large one still
+  builds once,
 * :class:`LeftJoinOp` / :class:`UnionOp` — OPTIONAL and UNION with the same
   correlated streaming discipline,
 * :class:`FilterOp` — FILTERs pushed down to the earliest operator at which
@@ -93,6 +101,15 @@ __all__ = [
 #: many estimated build rows the correlated bind-join (which exploits the
 #: left bindings as index lookups) is preferred.
 _HASH_BUILD_CEILING = 250_000.0
+
+#: Cost of one correlated index probe beyond a hash-table probe, in units of
+#: one scanned-and-hashed build row.  Measured break-even (pattern rows per
+#: VALUES key at which both joins take equally long; 200-10 000-row patterns
+#: x 1-4096 keys): 0.5 on a ``MemoryStore``, 4 on a compacted ``SegmentStore``,
+#: 8 on a six-segment one.  2 is the geometric midpoint of that range: inside
+#: it the wrong join costs at most 1.4x in memory and 2.1x on six segments,
+#: outside it every constant in the range picks the same join.
+_PROBE_COST = 2.0
 
 
 def _binding_variables(pattern: Triple) -> set[Variable]:
@@ -767,33 +784,32 @@ class QueryPlanner:
             and shared <= left_certain
             and shared <= right_certain_static
         )
+        right_op, right_certain, right_possible = self._compile(
+            node.right, left_certain, left_possible, rest
+        )
         if hash_safe:
-            right_alone, _, _ = self._compile(node.right, frozenset(), frozenset(), [])
-            hash_worthwhile = (
-                left_op.est > 1.5
-                and right_alone.est <= _HASH_BUILD_CEILING
-                and right_alone.est <= max(10_000.0, left_op.est * 100.0)
+            push_right = [
+                expr for expr in rest if expr.variables() <= right_certain_static
+            ]
+            right_alone, alone_certain, alone_possible = self._compile(
+                node.right, frozenset(), frozenset(), push_right
             )
-            if hash_worthwhile:
-                push_right = [
-                    expr for expr in rest if expr.variables() <= right_certain_static
-                ]
+            # Building scans the right side's whole extension once; probing
+            # runs the bound right side once per left row.
+            probing = left_op.est * max(1.0, right_op.est) * _PROBE_COST
+            if right_alone.est <= min(probing, _HASH_BUILD_CEILING):
                 leftover = [expr for expr in rest if expr not in push_right]
-                right_op, right_certain, right_possible = self._compile(
-                    node.right, frozenset(), frozenset(), push_right
+                op: PhysicalOperator = HashJoinOp(
+                    left_op, right_alone, sorted(shared, key=str)
                 )
-                op: PhysicalOperator = HashJoinOp(left_op, right_op, sorted(shared, key=str))
                 if leftover:
                     op = FilterOp(leftover, op, self._graph)
                 return (
                     op,
-                    left_certain | right_certain,
-                    left_possible | right_possible,
+                    left_certain | alone_certain,
+                    left_possible | alone_possible,
                 )
 
-        right_op, right_certain, right_possible = self._compile(
-            node.right, left_certain, left_possible, rest
-        )
         return PipelineJoinOp(left_op, right_op), right_certain, right_possible
 
     def _compile_leftjoin(

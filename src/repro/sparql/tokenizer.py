@@ -90,48 +90,54 @@ KEYWORDS = {
 }
 
 _TOKEN_PATTERNS = [
-    ("COMMENT", re.compile(r"#[^\n]*")),
-    ("IRIREF", re.compile(r"<[^<>\"{}|^`\\\x00-\x20]*>")),
-    ("VAR", re.compile(r"[?$][A-Za-z0-9_]+")),
-    ("STRING_LONG", re.compile(r'"""(?:[^"\\]|\\.|"(?!""))*"""', re.DOTALL)),
-    ("STRING", re.compile(r'"(?:[^"\\\n]|\\.)*"')),
-    ("STRING_LONG_SQ", re.compile(r"'''(?:[^'\\]|\\.|'(?!''))*'''", re.DOTALL)),
-    ("STRING_SQ", re.compile(r"'(?:[^'\\\n]|\\.)*'")),
-    ("LANGTAG", re.compile(r"@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")),
-    ("DATATYPE_MARKER", re.compile(r"\^\^")),
-    ("BLANK_NODE", re.compile(r"_:[A-Za-z0-9_][A-Za-z0-9_.-]*")),
-    ("DOUBLE", re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.?\d+[eE][+-]?\d+)")),
-    ("DECIMAL", re.compile(r"[+-]?\d*\.\d+")),
-    ("INTEGER", re.compile(r"[+-]?\d+")),
-    ("NEQ", re.compile(r"!=")),
-    ("LE", re.compile(r"<=")),
-    ("GE", re.compile(r">=")),
-    ("AND", re.compile(r"&&")),
-    ("OR", re.compile(r"\|\|")),
-    ("EQ", re.compile(r"=")),
-    ("BANG", re.compile(r"!")),
-    ("LT", re.compile(r"<")),
-    ("GT", re.compile(r">")),
-    ("PLUS", re.compile(r"\+")),
-    ("MINUS", re.compile(r"-")),
-    ("STAR", re.compile(r"\*")),
-    ("SLASH", re.compile(r"/")),
-    ("LBRACE", re.compile(r"\{")),
-    ("RBRACE", re.compile(r"\}")),
-    ("LPAREN", re.compile(r"\(")),
-    ("RPAREN", re.compile(r"\)")),
-    ("LBRACKET", re.compile(r"\[")),
-    ("RBRACKET", re.compile(r"\]")),
-    ("SEMICOLON", re.compile(r";")),
-    ("COMMA", re.compile(r",")),
-    ("DOT", re.compile(r"\.")),
+    ("COMMENT", r"#[^\n]*"),
+    ("IRIREF", r"<[^<>\"{}|^`\\\x00-\x20]*>"),
+    ("VAR", r"[?$][A-Za-z0-9_]+"),
+    # Only the two long-string forms may span lines, so only they are DOTALL.
+    ("STRING_LONG", r'(?s:"""(?:[^"\\]|\\.|"(?!""))*""")'),
+    ("STRING", r'"(?:[^"\\\n]|\\.)*"'),
+    ("STRING_LONG_SQ", r"(?s:'''(?:[^'\\]|\\.|'(?!''))*''')"),
+    ("STRING_SQ", r"'(?:[^'\\\n]|\\.)*'"),
+    ("LANGTAG", r"@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"),
+    ("DATATYPE_MARKER", r"\^\^"),
+    ("BLANK_NODE", r"_:[A-Za-z0-9_][A-Za-z0-9_.-]*"),
+    ("DOUBLE", r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.?\d+[eE][+-]?\d+)"),
+    ("DECIMAL", r"[+-]?\d*\.\d+"),
+    ("INTEGER", r"[+-]?\d+"),
+    ("NEQ", r"!="),
+    ("LE", r"<="),
+    ("GE", r">="),
+    ("AND", r"&&"),
+    ("OR", r"\|\|"),
+    ("EQ", r"="),
+    ("BANG", r"!"),
+    ("LT", r"<"),
+    ("GT", r">"),
+    ("PLUS", r"\+"),
+    ("MINUS", r"-"),
+    ("STAR", r"\*"),
+    ("SLASH", r"/"),
+    ("LBRACE", r"\{"),
+    ("RBRACE", r"\}"),
+    ("LPAREN", r"\("),
+    ("RPAREN", r"\)"),
+    ("LBRACKET", r"\["),
+    ("RBRACKET", r"\]"),
+    ("SEMICOLON", r";"),
+    ("COMMA", r","),
+    ("DOT", r"\."),
     # Prefixed names and bare keywords share word-ish shapes; keywords are
     # disambiguated after the match (a PNAME always contains ':').
-    ("PNAME", re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z0-9_]?[A-Za-z0-9_.\-%]*|:[A-Za-z0-9_][A-Za-z0-9_.\-%]*|[A-Za-z_][A-Za-z0-9_.-]*:")),
-    ("WORD", re.compile(r"[A-Za-z_][A-Za-z0-9_]*")),
+    ("PNAME", r"[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z0-9_]?[A-Za-z0-9_.\-%]*|:[A-Za-z0-9_][A-Za-z0-9_.\-%]*|[A-Za-z_][A-Za-z0-9_.-]*:"),
+    ("WORD", r"[A-Za-z_][A-Za-z0-9_]*"),
 ]
 
-_STRING_KINDS = {"STRING_LONG", "STRING_SQ", "STRING_LONG_SQ"}
+#: One ordered alternation: the first alternative that matches at a position
+#: wins, exactly as trying the patterns one by one would, and
+#: ``match.lastgroup`` names it (the patterns hold no capturing groups).
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_PATTERNS))
+
+_LONG_STRING_KINDS = {"STRING_LONG", "STRING_LONG_SQ"}
 
 
 def tokenize_sparql(text: str) -> list[SparqlToken]:
@@ -141,6 +147,7 @@ def tokenize_sparql(text: str) -> list[SparqlToken]:
     line = 1
     line_start = 0
     length = len(text)
+    match_token = _TOKEN_RE.match
 
     while position < length:
         ch = text[position]
@@ -154,43 +161,37 @@ def tokenize_sparql(text: str) -> list[SparqlToken]:
             continue
 
         column = position - line_start + 1
-        for kind, pattern in _TOKEN_PATTERNS:
-            match = pattern.match(text, position)
-            if not match:
-                continue
-            value = match.group(0)
-            if kind == "COMMENT":
-                position = match.end()
-                break
-            if kind == "PNAME" and value.endswith("."):
+        match = match_token(text, position)
+        if match is None or match.lastgroup is None:
+            raise SparqlLexError(f"unexpected character {ch!r}", line, column)
+        kind = match.lastgroup
+        end = match.end()
+        if kind == "COMMENT":
+            position = end
+            continue
+        value = match.group()
+        end_line = line
+        if kind == "WORD":
+            upper = value.upper()
+            if upper in KEYWORDS:
+                kind, value = "KEYWORD", upper
+        elif kind == "PNAME":
+            if value.endswith("."):
                 value = value.rstrip(".")
-            end = position + len(value) if kind == "PNAME" else match.end()
-            # Multi-line tokens (long strings) advance the line counter.
-            newlines = text.count("\n", position, end)
+                end = position + len(value)
+        elif kind in _LONG_STRING_KINDS:
+            kind = "STRING"
+            newlines = value.count("\n")
             if newlines:
                 end_line = line + newlines
-                end_line_start = text.rindex("\n", position, end) + 1
-            else:
-                end_line = line
-                end_line_start = line_start
-            end_column = end - end_line_start + 1
-            if kind == "WORD":
-                upper = value.upper()
-                token_kind = "KEYWORD" if upper in KEYWORDS else "WORD"
-                token_value = upper if upper in KEYWORDS else value
-            elif kind in _STRING_KINDS:
-                token_kind, token_value = "STRING", value
-            else:
-                token_kind, token_value = kind, value
-            tokens.append(
-                SparqlToken(token_kind, token_value, line, column, end_line, end_column)
-            )
-            line = end_line
-            line_start = end_line_start
-            position = end
-            break
-        else:
-            raise SparqlLexError(f"unexpected character {ch!r}", line, column)
+                line_start = position + value.rindex("\n") + 1
+        elif kind == "STRING_SQ":
+            kind = "STRING"
+        tokens.append(
+            SparqlToken(kind, value, line, column, end_line, end - line_start + 1)
+        )
+        line = end_line
+        position = end
 
     tokens.append(SparqlToken("EOF", "", line, 1, line, 2))
     return tokens

@@ -5,6 +5,7 @@ because they mutate endpoint health — latency, injected failures, breaker
 state — and must not leak that into other tests.
 """
 
+import sys
 import threading
 
 import pytest
@@ -239,6 +240,59 @@ class TestThreadSafetySmoke:
         assert not errors
         info = mediator.cache_info()
         assert info["hits"] + info["misses"] >= 8 * 25
+
+    @pytest.mark.parametrize("strategy", ["fanout", "decompose"])
+    def test_one_worker_pool_serves_concurrent_queries(self, scenario, strategy):
+        """Eight request threads share a two-worker pool: every answer is
+        the sequential one, one pool object serves them all, and closing
+        the engine leaves no worker behind."""
+        engine = scenario.service.federation
+        engine.max_workers = 2
+        query = _coauthor_query(scenario)
+        kwargs = dict(
+            source_ontology=scenario.source_ontology,
+            source_dataset=scenario.rkb_dataset,
+            mode="filter-aware",
+            strategy=strategy,
+        )
+        expected = scenario.service.federate(query, parallel=False, **kwargs).merged_bindings
+        assert expected
+        pools, mismatches, errors = set(), [], []
+        barrier = threading.Barrier(8)
+        before = set(threading.enumerate())
+
+        def worker() -> None:
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(6):
+                    got = scenario.service.federate(query, parallel=True, **kwargs)
+                    if got.merged_bindings != expected or got.failed_datasets():
+                        mismatches.append(got)
+                    pools.add(id(engine.worker_pool()))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and not mismatches
+        assert len(pools) == 1
+        workers = [
+            thread for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("federate")
+        ]
+        # (Decomposed units with a single source never leave the caller.)
+        assert len(workers) <= 2 and (workers or strategy == "decompose")
+        engine.close()
+        assert not any(thread.is_alive() for thread in workers)
 
     def test_sameas_service_concurrent_lookups_and_mutations(self, scenario):
         service = scenario.sameas_service

@@ -16,6 +16,7 @@ from repro.alignment import AlignmentStore
 from repro.coreference import SameAsService
 from repro.datasets import build_resist_scenario
 from repro.federation import (
+    DEFAULT_BIND_JOIN_BATCH,
     DatasetDescription,
     DatasetRegistry,
     LocalSparqlEndpoint,
@@ -111,7 +112,7 @@ class TestE6Differential:
         decomposed = scenario.service.federate(query, strategy="decompose", **kwargs)
         assert _multiset(decomposed) == _multiset(fanout)
 
-    @pytest.mark.parametrize("batch", [1, 3, 32])
+    @pytest.mark.parametrize("batch", [1, 3, 32, DEFAULT_BIND_JOIN_BATCH])
     def test_batch_size_never_changes_results(self, scenario, batch):
         person_uri = scenario.akt_person_uri(_subjects(scenario, 1)[0])
         query = f"""

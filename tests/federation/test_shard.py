@@ -11,16 +11,23 @@ join whose two legs live on different shards.
 
 from __future__ import annotations
 
+import contextlib
+import math
+
 import pytest
 
 from repro.alignment import AlignmentStore
 from repro.coreference import SameAsService
 from repro.federation import (
+    DatasetRegistry,
+    HttpSparqlEndpoint,
     MediatorService,
+    RegisteredDataset,
     shard_for_subject,
     shard_graph,
 )
 from repro.rdf import Graph, Literal, RDF, SegmentStore, Triple, URIRef, open_graph
+from repro.server import EndpointBackend, SparqlHttpServer
 from repro.sparql import QueryEvaluator, parse_query
 
 EX = "http://shard.example/"
@@ -139,6 +146,76 @@ class TestFederatedEquality:
         assert plan.empty_reason is not None or all(
             not sources.relevant_uris() for sources in plan.pattern_sources
         )
+
+
+class TestBoundJoinRoundsOverLoopback:
+    """What a bound join costs on the wire: sub-requests per bound unit."""
+
+    MEMBERS = 38  # under the default ceiling: one block per bound unit
+    SHARDS = 3
+
+    @staticmethod
+    def _source() -> Graph:
+        graph = Graph()
+        for i in range(120):
+            for predicate in ("name", "age", "city"):
+                graph.add(Triple(u(f"e{i}"), u(predicate), Literal(f"{predicate} {i}")))
+        # Only the members carry ex:member, so it is the cheapest pattern
+        # and seeds every plan with exactly MEMBERS left rows.
+        for i in range(TestBoundJoinRoundsOverLoopback.MEMBERS):
+            graph.add(Triple(u(f"e{i * 3}"), u("member"), u("g0")))
+        return graph
+
+    @pytest.fixture()
+    def service(self):
+        sharded = shard_graph(self._source(), self.SHARDS)
+        with contextlib.ExitStack() as stack:
+            datasets = []
+            for endpoint, description in zip(sharded.endpoints, sharded.descriptions,
+                                             strict=True):
+                server = stack.enter_context(
+                    SparqlHttpServer(EndpointBackend(endpoint), cache_size=0)
+                )
+                remote = HttpSparqlEndpoint(description.uri, url=server.query_url, timeout=10)
+                datasets.append(RegisteredDataset(description, remote))
+            service = MediatorService(
+                AlignmentStore(), DatasetRegistry(datasets), SameAsService(),
+                strategy="decompose",
+            )
+            stack.callback(service.federation.close)
+            yield service
+
+    STAR = (f"SELECT ?e ?n ?a ?c WHERE {{ ?e <{EX}member> <{EX}g0> . ?e <{EX}name> ?n . "
+            f"?e <{EX}age> ?a . ?e <{EX}city> ?c }}")
+    PAIR = f"SELECT ?e ?n WHERE {{ ?e <{EX}member> <{EX}g0> . ?e <{EX}name> ?n }}"
+
+    @staticmethod
+    def _rows(outcome, names):
+        return {
+            tuple(str(binding.get_term(name)) for name in names)
+            for binding in outcome.merged()
+        }
+
+    def _expected(self, query, names):
+        return TestFederatedEquality._local_rows(self._source(), query, names)
+
+    def test_default_ships_the_left_side_in_one_block_per_unit(self, service):
+        outcome = service.federate(self.STAR)
+        assert self._rows(outcome, "enac") == self._expected(self.STAR, "enac")
+        assert len(outcome.merged()) == self.MEMBERS
+        # Seed scan: one request per shard.  Each of the three bound units
+        # then ships all 38 left rows as one VALUES block: one request per
+        # shard per unit, 9 in all.
+        assert outcome.total_requests == self.SHARDS + 3 * self.SHARDS
+        assert [entry.requests for entry in outcome.per_dataset] == [4, 4, 4]
+        assert outcome.failed_datasets() == []
+
+    def test_explicit_batch_keeps_its_meaning(self, service):
+        service.federation.bind_join_batch = 5
+        outcome = service.federate(self.PAIR)
+        assert self._rows(outcome, "en") == self._expected(self.PAIR, "en")
+        rounds = math.ceil(self.MEMBERS / 5)
+        assert outcome.total_requests == self.SHARDS + rounds * self.SHARDS
 
 
 class TestPersistentShards:

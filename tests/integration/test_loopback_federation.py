@@ -12,6 +12,7 @@ import pytest
 
 from repro.datasets import build_resist_scenario
 from repro.federation import (
+    DEFAULT_BIND_JOIN_BATCH,
     DatasetRegistry,
     ExecutionPolicy,
     HttpSparqlEndpoint,
@@ -130,8 +131,10 @@ class TestDecomposeLoopbackEquivalence:
             for b in outcome.merged_bindings
         )
 
-    def test_decomposed_over_http_matches_in_process_fanout(self, scenario, loopback):
+    @pytest.mark.parametrize("batch", [1, 32, DEFAULT_BIND_JOIN_BATCH])
+    def test_decomposed_over_http_matches_in_process_fanout(self, scenario, loopback, batch):
         _, http_service = loopback
+        http_service.federation.bind_join_batch = batch
         for person_key in _subjects(scenario):
             query = _coauthor_query(scenario, person_key)
             in_process = _federate(scenario, scenario.service, query)

@@ -8,7 +8,7 @@ same solutions under the naive evaluator and the planner.
 
 import pytest
 
-from repro.rdf import Graph, Literal, Triple, URIRef, Variable, XSD
+from repro.rdf import Graph, Literal, SegmentStore, Triple, URIRef, Variable, XSD
 from repro.sparql import (
     InlineData,
     QueryEvaluator,
@@ -174,3 +174,53 @@ class TestEvaluation:
             planned = QueryEvaluator(graph, use_planner=True).evaluate(parse_query(text))
             naive = QueryEvaluator(graph, use_planner=False).evaluate(parse_query(text))
             assert _rows(planned) == _rows(naive), text
+
+
+class TestQueryTermsStayOutOfTheStore:
+    """Terms only a VALUES block mentions get plan-private ids: evaluating
+    a query never grows (or, for a persistent store, writes) the store's
+    term dictionary, and the terms still flow through every operator."""
+
+    #: Unknown IRI and literal next to a known subject; the unknown row
+    #: survives the OPTIONAL, the FILTER, the DISTINCT and the ORDER BY.
+    QUERY = (
+        "PREFIX ex: <http://ex.org/>\n"
+        "SELECT DISTINCT ?s ?tag ?o WHERE {\n"
+        "  VALUES (?s ?tag) { (ex:s1 \"known\") (ex:nowhere \"fresh\") (ex:nowhere \"fresh\") }\n"
+        "  OPTIONAL { ?s ex:p ?o }\n"
+        "  FILTER (?tag != \"other\")\n"
+        "} ORDER BY DESC(?s)"
+    )
+    EXPECTED = [
+        (("o", f"{EX}o1"), ("s", f"{EX}s1"), ("tag", "known")),
+        (("s", f"{EX}nowhere"), ("tag", "fresh")),
+    ]
+
+    @pytest.mark.parametrize("engine", ["planner", "naive"])
+    def test_memory_store_dictionary_is_untouched(self, engine):
+        graph = _graph()
+        before = len(graph.dictionary)
+        result = QueryEvaluator(graph, engine=engine).evaluate(parse_query(self.QUERY))
+        assert _rows(result) == self.EXPECTED
+        assert [str(b.get_term("s")) for b in result] == [f"{EX}s1", f"{EX}nowhere"]
+        assert len(graph.dictionary) == before
+
+    @pytest.mark.parametrize("engine", ["planner", "naive"])
+    def test_persistent_store_is_not_written_by_a_read(self, engine, tmp_path):
+        graph = Graph(store=SegmentStore(tmp_path / "store", buffer_limit=4))
+        graph.add_all(_graph().triples())
+        graph.flush()
+
+        def files():
+            return {
+                path.name: path.stat().st_size for path in (tmp_path / "store").iterdir()
+            }
+
+        before = files()
+        try:
+            result = QueryEvaluator(graph, engine=engine).evaluate(parse_query(self.QUERY))
+            assert _rows(result) == self.EXPECTED
+            graph.flush()
+            assert files() == before
+        finally:
+            graph.close()

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rdf import Graph, Literal, Triple, URIRef, Variable
 from repro.sparql import (
+    GroupGraphPattern,
+    InlineData,
+    Prologue,
     QueryEvaluator,
+    SelectQuery,
+    TriplesBlock,
     explain_query,
     ordered_bgp_patterns,
     parse_query,
@@ -220,6 +228,89 @@ def test_hash_join_builds_once_across_correlated_runs(graph: Graph) -> None:
     join.reset()
     list(join.run(iter((Binding(),))))
     assert counting.lookups == after_first + 5 + 2
+
+
+def _named_entities(count: int) -> Graph:
+    g = Graph()
+    for i in range(count):
+        g.add(Triple(u(f"entity{i}"), u("name"), Literal(f"name {i}")))
+    return g
+
+
+def _values_join(keys: int) -> str:
+    rows = " ".join(f"(ex:entity{i})" for i in range(keys))
+    return PREFIX + f"SELECT ?e ?n WHERE {{ VALUES (?e) {{ {rows} }} ?e ex:name ?n }}"
+
+
+def test_small_values_table_probes_the_index() -> None:
+    # 6 keys against a 600-row pattern: scanning the pattern's whole
+    # extension to build a hash table costs far more than 6 index probes.
+    g = _named_entities(600)
+    text = explain_query(_values_join(6), g)
+    assert "BindJoin" in text and "HashJoin" not in text, text
+    assert "Table (?e) 6 rows" in text
+    counting = CountingGraph(g)
+    rows = QueryEvaluator(counting).select(_values_join(6))
+    assert len(rows) == 6
+    assert counting.lookups == 6  # one probe per key, no scan of the 600
+
+
+def test_large_values_table_still_hash_joins() -> None:
+    # 500 keys against the same 600 rows: one scan-and-build is cheaper
+    # than 500 correlated probes.
+    g = _named_entities(600)
+    text = explain_query(_values_join(500), g)
+    assert "HashJoin on (?e)" in text, text
+    counting = CountingGraph(g)
+    rows = QueryEvaluator(counting).select(_values_join(500))
+    assert len(rows) == 500
+    assert counting.lookups == 1  # the build scan
+
+
+#: Subjects ``entity0..7`` exist in the graph, ``entity8..11`` never match.
+_KEYS = st.one_of(
+    st.none(), st.integers(min_value=0, max_value=11).map(lambda i: u(f"entity{i}"))
+)
+_NAMES = st.one_of(
+    st.none(), st.integers(min_value=0, max_value=3).map(lambda i: Literal(f"name {i}"))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # Table shape: 0, 1 and many rows, UNDEF cells, duplicate rows, one or
+    # two columns; sizes straddle the hash/bind threshold for the patterns.
+    rows=st.lists(st.tuples(_KEYS, _NAMES), max_size=40),
+    two_columns=st.booleans(),
+    # Pattern selectivity: names per subject (a probe matches 0..3 rows) and
+    # how many subjects carry the predicate at all.
+    fan_out=st.integers(min_value=0, max_value=3),
+    subjects=st.integers(min_value=1, max_value=8),
+    table_first=st.booleans(),
+)
+def test_values_join_agrees_across_engines(
+    rows, two_columns, fan_out, subjects, table_first
+) -> None:
+    g = Graph()
+    for i in range(subjects):
+        g.add(Triple(u(f"entity{i}"), u("kind"), u("Thing")))
+        for k in range(fan_out):
+            g.add(Triple(u(f"entity{i}"), u("name"), Literal(f"name {k}")))
+    e, n = Variable("e"), Variable("n")
+    table = (
+        InlineData([e, n], rows) if two_columns else InlineData([e], [row[:1] for row in rows])
+    )
+    block = TriplesBlock([Triple(e, u("name"), n)])
+    elements = [table, block] if table_first else [block, table]
+    query = SelectQuery(Prologue(), [], GroupGraphPattern(elements))
+
+    def solutions(engine: str) -> Counter:
+        result = QueryEvaluator(g, engine=engine).select(query)
+        return Counter(frozenset(binding.as_dict().items()) for binding in result.bindings)
+
+    expected = solutions("reference")
+    assert solutions("planner") == expected
+    assert solutions("naive") == expected
 
 
 def test_adjacent_bgps_coalesce_into_one_scan_chain(graph: Graph) -> None:

@@ -74,6 +74,21 @@ class TestTokenKinds:
         assert where.line == 2
         assert where.column == 1
 
+    def test_only_long_strings_span_lines(self):
+        # The long forms carry the line count across their newlines ...
+        tokens = tokenize_sparql('?a """one\ntwo\n  three""" ?b\n\'\'\'x\ny\'\'\' ?c')
+        long, after, single, last = tokens[1], tokens[2], tokens[3], tokens[4]
+        assert (long.kind, long.line, long.column) == ("STRING", 1, 4)
+        assert (long.end_line, long.end_column) == (3, 11)
+        assert (after.value, after.line, after.column) == ("?b", 3, 12)
+        assert (single.kind, single.line, single.end_line, single.end_column) == ("STRING", 4, 5, 5)
+        assert (last.value, last.line, last.column) == ("?c", 5, 6)
+        # ... the short forms stop at the end of the line, escapes included.
+        for text in ('?a "one\ntwo"', "?a 'one\ntwo'", '?a "one\\\ntwo"'):
+            with pytest.raises(SparqlLexError) as error:
+                tokenize_sparql(text)
+            assert (error.value.line, error.value.column) == (1, 4)
+
     def test_eof_always_last(self):
         assert tokenize_sparql("")[-1].kind == "EOF"
         assert tokenize_sparql("SELECT")[-1].kind == "EOF"
