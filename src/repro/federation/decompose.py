@@ -15,17 +15,30 @@ FedX-style alternative:
    back to an ``ASK`` probe for patterns the statistics cannot settle.
    Decisions are cached per alignment-KB generation (a KB edit changes the
    translations, hence the decisions).
-2. **Exclusive groups** — patterns whose sole relevant source coincides are
-   shipped to that dataset as *one* sub-query, so the endpoint evaluates
-   the group's joins locally.
+2. **Groups** — patterns that one source can join by itself are shipped
+   to it as *one* sub-query, so the endpoint evaluates the group's joins
+   locally.  Two facts about the sources allow that.  *Exclusive groups*:
+   patterns whose sole relevant source coincides.  *Co-located groups*:
+   patterns that share a subject and whose relevant sources are all
+   members of one subject-hash partition
+   (:class:`~repro.federation.void.SubjectPartition`, declared by
+   :func:`~repro.federation.shard.shard_graph`) — every triple about one
+   subject sits on one member, so each member joins the star over its own
+   subjects; the group runs on the members relevant to all of its patterns,
+   and on the owning member alone when the subject is ground.  Everything
+   else (a relevant source outside the partition, members of different
+   partitions, a translation that moves the subject) stands alone as a
+   one-pattern unit.
 3. **Bound joins** — cross-source joins run at the mediator: the rows
    produced so far are shipped to the next unit's sources as ``VALUES``
    blocks (as few as :data:`DEFAULT_BIND_JOIN_BATCH` allows), so endpoints
    only evaluate the pattern against bindings that can still join (instead
    of shipping their full extension; the endpoint's planner probes its
-   indexes with a small block rather than scanning the pattern).  The
-   translated sub-query is built once per unit and source, and every round
-   runs on the engine's one worker pool.
+   indexes with a small block rather than scanning the pattern).  When the
+   join binds the subject of a co-located unit, each key is sent only to
+   the member it hashes to rather than to all of them.  The translated
+   sub-query is built once per unit and source, and every round runs on the
+   engine's one worker pool.
 
 Decomposed execution preserves the fan-out semantics on the scenarios the
 experiments cover (per-dataset URI spaces, sameAs-linked replicas): the
@@ -51,12 +64,12 @@ from __future__ import annotations
 
 import contextvars
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
 from ..obs.trace import get_tracer
-from ..rdf import BNode, Graph, RDF, TermDictionary, Triple, URIRef, Variable
+from ..rdf import BNode, Graph, RDF, Term, TermDictionary, Triple, URIRef, Variable
 from ..sparql import (
     AskQuery,
     Binding,
@@ -75,6 +88,7 @@ from ..sparql.ast import (
     FunctionCall,
     UnaryExpression,
 )
+from ..sparql.evaluator import pattern_text
 from ..sparql.exec import (
     UNBOUND,
     Batch,
@@ -92,6 +106,8 @@ from ..sparql.exec import (
     seed_batches,
 )
 from .registry import RegisteredDataset
+from .shard import SUBJECT_HASH_SCHEME, shard_for_subject
+from .void import SubjectPartition
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .federator import FederatedQueryEngine, FederatedResult
@@ -133,6 +149,9 @@ class SourceDecision:
     reason: str
     #: Cardinality estimate for the pattern on this dataset (for ordering).
     estimate: float = 0.0
+    #: Whether every pattern of the translation still has the source
+    #: pattern's subject as its subject (co-located grouping needs it).
+    subject_kept: bool = False
 
 
 @dataclass
@@ -165,6 +184,10 @@ class QueryUnit:
     estimate: float = 0.0
     #: Rendered sub-query text per source (for EXPLAIN).
     sub_queries: dict[URIRef, str] = field(default_factory=dict)
+    #: Co-located units only: the subject every pattern shares, and the
+    #: partition membership of each source.
+    subject: Term | None = None
+    members: dict[URIRef, SubjectPartition] = field(default_factory=dict)
 
     def variables(self) -> set[Variable]:
         result: set[Variable] = set()
@@ -209,16 +232,10 @@ class DecomposedPlan:
             lines.append("  no endpoint is contacted")
         for index, unit in enumerate(self.units):
             kind = _unit_kind(unit)
-            if index == 0:
-                join = "seed scan"
-            elif unit.join_variables:
-                rendered = " ".join(f"?{v.name}" for v in unit.join_variables)
-                join = f"bound join on ({rendered})"
-            else:
-                join = "cross join"
+            join = _join_label(unit, seed=index == 0)
             lines.append(f"  unit {index + 1} [{kind}; {join}; est={unit.estimate:.1f}]")
             for pattern in unit.patterns:
-                lines.append(f"    pattern {_pattern_text(pattern)}")
+                lines.append(f"    pattern {pattern_text(pattern)}")
             for uri in unit.sources:
                 lines.append(f"    source {uri}")
                 sub_query = unit.sub_queries.get(uri)
@@ -233,18 +250,28 @@ class DecomposedPlan:
         return "\n".join(lines)
 
 
-def _pattern_text(pattern: Triple) -> str:
-    return " ".join(term.n3() for term in pattern)
-
-
 def _unit_kind(unit: QueryUnit) -> str:
-    """Human label for a unit: only multi-pattern sole-source units are
-    *groups* in the FedX sense; a lone pattern is just exclusive."""
+    """Human label for a unit: only multi-pattern units are *groups*
+    (sole-source ones in the FedX sense, co-located ones per partition
+    member); a lone pattern is just a pattern."""
+    if unit.subject is not None and len(unit.patterns) > 1:
+        return "co-located group"
     if unit.exclusive and len(unit.patterns) > 1:
         return "exclusive group"
     if unit.exclusive:
         return "exclusive pattern"
     return "pattern"
+
+
+def _join_label(unit: QueryUnit, seed: bool) -> str:
+    """How a unit meets the rows produced before it."""
+    if seed:
+        return "seed scan"
+    if not unit.join_variables:
+        return "cross join"
+    rendered = " ".join(f"?{v.name}" for v in unit.join_variables)
+    routed = ", keys routed by subject hash" if unit.subject in unit.join_variables else ""
+    return f"bound join on ({rendered}){routed}"
 
 
 # --------------------------------------------------------------------------- #
@@ -320,7 +347,7 @@ class SourceSelector:
         return (
             target.uri,
             version,
-            _pattern_text(pattern),
+            pattern_text(pattern),
             source_ontology,
             source_dataset == target.uri,
             mode,
@@ -460,10 +487,15 @@ class SourceSelector:
                 unknown.append(candidate)
         estimate = self._estimate(target, translated)
         if not unknown:
-            return SourceDecision(target.uri, True, "vocabulary", estimate)
-        if not self.ask_probes:
-            return SourceDecision(target.uri, True, "broadcast (probes disabled)", estimate)
-        return self._probe(target, translated, estimate)
+            decision = SourceDecision(target.uri, True, "vocabulary", estimate)
+        elif not self.ask_probes:
+            decision = SourceDecision(
+                target.uri, True, "broadcast (probes disabled)", estimate
+            )
+        else:
+            decision = self._probe(target, translated, estimate)
+        subject_kept = all(candidate.subject == pattern.subject for candidate in translated)
+        return replace(decision, subject_kept=subject_kept)
 
     def _probe(
         self,
@@ -566,7 +598,15 @@ def decompose_query(
         return plan
 
     targets_by_uri = {target.uri: target for target in usable}
-    units = _build_units(plan.pattern_sources)
+    units = _build_units(plan.pattern_sources, targets_by_uri)
+    for unit in units:
+        if not unit.sources:
+            # The members relevant to each pattern do not overlap (or a
+            # ground subject's owner is not among them): no subject can
+            # match the whole group.
+            rendered = " . ".join(pattern_text(pattern) for pattern in unit.patterns)
+            plan.empty_reason = f"no partition member can match all of {rendered}"
+            return plan
     plan.units = _order_units(units, targets_by_uri, plan.pattern_sources)
 
     if render_sub_queries:
@@ -622,13 +662,58 @@ def _supported_shape(
     return patterns, filters, None
 
 
-def _build_units(pattern_sources: Sequence[PatternSources]) -> list[QueryUnit]:
-    """Group exclusive (single-source) patterns per dataset; rest stand alone."""
+def _partition_members(
+    sources: PatternSources, targets_by_uri: dict[URIRef, RegisteredDataset]
+) -> dict[URIRef, SubjectPartition]:
+    """The partition membership of each relevant source of a pattern.
+
+    Empty unless all of them are members of the same partition, hashed the
+    way :func:`shard_for_subject` hashes, with translations that keep the
+    pattern's subject — only then is every match of the pattern on the
+    member its subject hashes to.
+    """
+    members: dict[URIRef, SubjectPartition] = {}
+    for decision in sources.decisions:
+        if not decision.relevant:
+            continue
+        member = targets_by_uri[decision.dataset_uri].description.partition
+        if member is None or member.scheme != SUBJECT_HASH_SCHEME or not decision.subject_kept:
+            return {}
+        members[decision.dataset_uri] = member
+    if len({(member.id, member.count) for member in members.values()}) > 1:
+        return {}
+    return members
+
+
+def _build_units(
+    pattern_sources: Sequence[PatternSources],
+    targets_by_uri: dict[URIRef, RegisteredDataset],
+) -> list[QueryUnit]:
+    """Co-located groups per partition and subject, exclusive groups per
+    dataset; the rest stand alone."""
+    colocated: dict[tuple, QueryUnit] = {}
     exclusive: dict[URIRef, QueryUnit] = {}
     units: list[QueryUnit] = []
     for sources in pattern_sources:
         relevant = sources.relevant_uris()
-        if len(relevant) == 1:
+        members = _partition_members(sources, targets_by_uri)
+        if members:
+            subject = sources.pattern.subject
+            partition = next(iter(members.values()))
+            if not isinstance(subject, Variable):
+                owner = shard_for_subject(subject, partition.count)
+                relevant = [uri for uri in relevant if members[uri].index == owner]
+            key = (partition.id, partition.count, subject)
+            unit = colocated.get(key)
+            if unit is None:
+                unit = QueryUnit([], relevant, subject=subject)
+                colocated[key] = unit
+                units.append(unit)
+            else:
+                unit.sources = [uri for uri in unit.sources if uri in relevant]
+            unit.members.update(members)
+            unit.patterns.append(sources.pattern)
+        elif len(relevant) == 1:
             unit = exclusive.get(relevant[0])
             if unit is None:
                 unit = QueryUnit([], [relevant[0]], exclusive=True)
@@ -651,21 +736,21 @@ def _order_units(
         for decision in sources.decisions:
             if decision.relevant:
                 estimates.setdefault(decision.dataset_uri, {})[
-                    _pattern_text(sources.pattern)
+                    pattern_text(sources.pattern)
                 ] = decision.estimate
 
     for unit in units:
         total = 0.0
         for uri in unit.sources:
             per_pattern = [
-                estimates.get(uri, {}).get(_pattern_text(pattern), 1000.0)
+                estimates.get(uri, {}).get(pattern_text(pattern), 1000.0)
                 for pattern in unit.patterns
             ]
             total += min(per_pattern) if per_pattern else 0.0
         unit.estimate = total
 
     def sort_key(unit: QueryUnit) -> tuple:
-        return (unit.estimate, " | ".join(sorted(_pattern_text(p) for p in unit.patterns)))
+        return (unit.estimate, " | ".join(sorted(pattern_text(p) for p in unit.patterns)))
 
     remaining = list(units)
     ordered: list[QueryUnit] = []
@@ -967,11 +1052,7 @@ class _VecUnitOp(VecOperator):
 
     def describe(self) -> str:
         kind = _unit_kind(self.unit)
-        if self._join_vars:
-            rendered = " ".join(f"?{v.name}" for v in self._join_vars)
-            join = f"bound join on ({rendered})"
-        else:
-            join = "cross join" if self.in_schema else "seed scan"
+        join = _join_label(self.unit, seed=not self.in_schema)
         sources = ", ".join(str(uri) for uri in self.unit.sources)
         return f"Unit [{kind}; {join}; est={self.est:.1f}] <- {sources}"
 
@@ -1098,29 +1179,56 @@ class _PlanExecutor:
         entry.rows += len(result)
         return list(result)
 
+    @staticmethod
+    def _blocks(
+        unit: QueryUnit, inline: InlineData | None
+    ) -> list[tuple[URIRef, InlineData | None]]:
+        """The ``VALUES`` block each source of ``unit`` is sent this round.
+
+        Every source gets the whole block — unless the block binds the
+        subject of a co-located unit: then a row goes only to the member
+        its subject key hashes to (to every member when that key is
+        ``UNDEF``), and a member left with no row is not contacted.
+        """
+        subject = unit.subject
+        if inline is None or not isinstance(subject, Variable) or subject not in inline.columns:
+            return [(uri, inline) for uri in unit.sources]
+        column = inline.columns.index(subject)
+        blocks: list[tuple[URIRef, InlineData | None]] = []
+        for uri in unit.sources:
+            member = unit.members[uri]
+            rows = [
+                row for row in inline.rows
+                if row[column] is None
+                or shard_for_subject(row[column], member.count) == member.index
+            ]
+            if rows:
+                blocks.append((uri, InlineData(inline.columns, rows)))
+        return blocks
+
     def _unit_rows(self, unit: QueryUnit, inline: InlineData | None) -> list[Binding]:
-        """One round of a unit: every source answers, results in source order.
+        """One round of a unit: its sources answer, results in source order.
 
         Sources are independent, so (like the fan-out path) they are
         queried concurrently when the engine is parallel — a bound-join
         batch over k high-latency endpoints costs one round trip, not k.
         """
-        sources = unit.sources
-        if len(sources) > 1 and self._engine.parallel:
+        blocks = self._blocks(unit, inline)
+        if len(blocks) > 1 and self._engine.parallel:
             pool = self._engine.worker_pool()
             # copy_context() per task: per-source endpoint spans keep
             # the submitting thread's span (the request) as parent.
             futures = [
                 pool.submit(
                     contextvars.copy_context().run,
-                    self._fetch, unit, self._targets[uri], inline,
+                    self._fetch, unit, self._targets[uri], block,
                 )
-                for uri in sources
+                for uri, block in blocks
             ]
             per_source = [future.result() for future in futures]
         else:
             per_source = [
-                self._fetch(unit, self._targets[uri], inline) for uri in sources
+                self._fetch(unit, self._targets[uri], block) for uri, block in blocks
             ]
         rows: list[Binding] = []
         for fetched in per_source:

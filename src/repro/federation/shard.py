@@ -9,14 +9,23 @@ treats the shards as ordinary sources — routing each triple pattern to the
 shards that can match it and joining across shards with bound joins.
 
 Hashing on the *subject* keeps every triple about one resource on one
-shard, but the decomposer does not exploit that yet: every shard holds
-every predicate, so each pattern is relevant to every shard, no exclusive
-group forms, and a star-shaped query is bound-joined at the mediator
-pattern by pattern exactly like a path-shaped one (a four-pattern star
-over three shards costs 12 sub-requests: one seed scan and three bound
-units, each on every shard).  Grouping patterns that share a subject into
-one sub-query per shard — subject-co-located grouping, which would make
-stars join locally in 3 sub-requests — is the follow-up.
+shard, and every shard's description says so: :func:`shard_graph` declares
+each shard member *i* of *N* of one subject-hash partition
+(:class:`~repro.federation.void.SubjectPartition`).  The decomposer reads
+that declaration like any other voiD fact.  Patterns that share a subject
+become one *co-located group*, shipped as one sub-query per shard so the
+star joins locally (a four-pattern star over three shards costs 3
+sub-requests, not 12); a ground subject goes to its owning shard only; and
+a bound join on a unit's subject variable sends each ``VALUES`` key to the
+one shard :func:`shard_for_subject` names instead of broadcasting it (a
+two-hop path costs 3 + at most 3 sub-requests).
+
+The declaration is a statement about the data, so the data has to stay
+that way: write to a sharded graph through :meth:`ShardedGraph.add` and
+:meth:`ShardedGraph.discard`, which route by the same hash.  The shard
+graphs themselves remain reachable (endpoints serve them); a triple added
+to one directly may sit on the wrong shard, where the routed plan will not
+look for it.  :meth:`ShardedGraph.misplaced` counts such triples.
 
 The hash is content-stable (CRC-32 of the term's lexical form), never
 Python's salted ``hash()``, so a dataset shards identically across
@@ -30,12 +39,17 @@ import zlib
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from ..rdf import BNode, Graph, Literal, Store, Term, URIRef
+from ..rdf import BNode, Graph, Literal, Store, Term, Triple, URIRef
 from .endpoint import LocalSparqlEndpoint
 from .registry import DatasetRegistry
-from .void import DatasetDescription
+from .void import DatasetDescription, SubjectPartition
 
-__all__ = ["ShardedGraph", "shard_for_subject", "shard_graph"]
+__all__ = ["SUBJECT_HASH_SCHEME", "ShardedGraph", "shard_for_subject", "shard_graph"]
+
+#: Name of the hash :func:`shard_for_subject` computes, as published in a
+#: :class:`SubjectPartition`: CRC-32 of the term's tagged lexical form,
+#: modulo the member count.
+SUBJECT_HASH_SCHEME = "crc32-lexical"
 
 
 def _stable_key(term: Term) -> bytes:
@@ -72,6 +86,27 @@ class ShardedGraph:
     def __len__(self) -> int:
         return sum(len(graph) for graph in self.graphs)
 
+    def add(self, triple: Triple) -> None:
+        """Add ``triple`` to the shard its subject hashes to."""
+        self.graphs[shard_for_subject(triple.subject, self.shards)].add(triple)
+
+    def discard(self, triple: Triple) -> None:
+        """Remove ``triple`` from the shard its subject hashes to, if present."""
+        self.graphs[shard_for_subject(triple.subject, self.shards)].discard(triple)
+
+    def misplaced(self) -> int:
+        """Triples sitting on a shard their subject does not hash to.
+
+        Zero as long as every write went through :meth:`add` /
+        :meth:`discard`; anything else means the shards' partition
+        declarations no longer describe the data.
+        """
+        return sum(
+            shard_for_subject(triple.subject, self.shards) != index
+            for index, graph in enumerate(self.graphs)
+            for triple in graph
+        )
+
 
 def shard_graph(
     source: Iterable,
@@ -88,7 +123,10 @@ def shard_graph(
     (``void:propertyPartition`` / ``void:classPartition``), emitted via
     :meth:`DatasetDescription.with_statistics` — so the federation
     decomposer prunes shards per triple pattern exactly as it prunes
-    unrelated datasets.  All shards are registered into ``registry`` (a
+    unrelated datasets — and declares the shard member ``index`` of
+    ``shards`` of the subject-hash partition ``base_uri``, which is what
+    lets the decomposer group co-located patterns and route bound-join keys.
+    All shards are registered into ``registry`` (a
     fresh one by default) and the populated registry is returned alongside
     the endpoints, ready to hand to :class:`FederatedQueryEngine` — use
     ``strategy="decompose"`` so cross-shard joins are executed as bound
@@ -118,6 +156,7 @@ def shard_graph(
             uri=URIRef(f"{base_uri}/{index}/void"),
             endpoint_uri=URIRef(f"{base_uri}/{index}/sparql"),
             title=f"{label} {index}/{shards}",
+            partition=SubjectPartition(URIRef(base_uri), index, shards, SUBJECT_HASH_SCHEME),
         ).with_statistics(graph)
         endpoint = LocalSparqlEndpoint(
             description.endpoint_uri, graph, name=f"{label}-{index}"

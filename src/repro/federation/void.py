@@ -17,6 +17,15 @@ nothing there, so the endpoint need not be contacted at all.
 :meth:`DatasetDescription.with_statistics` derives the partitions from a
 graph's incrementally maintained :class:`~repro.rdf.GraphStatistics`, so
 republishing after a data change is O(distinct predicates + classes).
+
+A description may also declare that its dataset is one member of a
+*subject-hash partition* of a larger logical graph
+(:class:`SubjectPartition`): every triple of that graph sits on the member
+its subject hashes to.  voiD has no terms for this, so the declaration is
+written under this repository's own namespace (:data:`REPRO`).  The
+decomposer uses it to ship patterns that share a subject as one sub-query
+per member and to send each bound-join key only to the member that can hold
+it (:mod:`repro.federation.decompose`).
 """
 
 from __future__ import annotations
@@ -28,7 +37,9 @@ from ..rdf import (
     DC,
     Graph,
     Literal,
+    Namespace,
     RDF,
+    Term,
     Triple,
     URIRef,
     VOID,
@@ -36,11 +47,36 @@ from ..rdf import (
     fresh_bnode,
 )
 
-__all__ = ["DatasetDescription", "descriptions_to_graph", "descriptions_from_graph"]
+__all__ = [
+    "DatasetDescription",
+    "SubjectPartition",
+    "descriptions_to_graph",
+    "descriptions_from_graph",
+]
 
 #: Property linking a dataset to the regular expression of its URI space.
 #: voiD has ``void:uriRegexPattern`` for exactly this purpose.
 URI_PATTERN_PROPERTY = VOID.uriRegexPattern
+
+#: This repository's own vocabulary, for what voiD has no term for.
+REPRO = Namespace("http://repro.example/ns/void-ext#")
+
+
+@dataclass(frozen=True)
+class SubjectPartition:
+    """Membership in a subject-hash partition of one logical graph.
+
+    Member ``index`` of ``count`` holds exactly the triples of the logical
+    graph ``id`` whose subject hashes to ``index`` under ``scheme`` (the name
+    of the hash; :data:`repro.federation.shard.SUBJECT_HASH_SCHEME` is the
+    one this repository implements).  Members of one partition share ``id``,
+    ``count`` and ``scheme``.
+    """
+
+    id: URIRef
+    index: int
+    count: int
+    scheme: str
 
 
 @dataclass(frozen=True)
@@ -66,6 +102,20 @@ class DatasetDescription:
         ``(predicate, triple count)`` pairs (``void:propertyPartition``).
     class_partitions:
         ``(class, entity count)`` pairs (``void:classPartition``).
+    partition:
+        The subject-hash partition this dataset is a member of, if any.
+
+    The partition statistics and the partition membership are statements
+    about the data that the decomposer trusts without checking: a predicate
+    missing from ``property_partitions`` is never asked for, and a key whose
+    subject hashes to another member is never sent here.  Whoever changes
+    the data keeps them true — republish the statistics
+    (:meth:`with_statistics`), and write to a partitioned graph only through
+    :meth:`repro.federation.shard.ShardedGraph.add` /
+    :meth:`~repro.federation.shard.ShardedGraph.discard`, which route by the
+    same hash.  A triple on the wrong member makes the routed plan drop rows
+    silently; :meth:`~repro.federation.shard.ShardedGraph.misplaced` counts
+    such triples.
     """
 
     uri: URIRef
@@ -76,6 +126,7 @@ class DatasetDescription:
     triple_count: int | None = None
     property_partitions: tuple[tuple[URIRef, int], ...] = ()
     class_partitions: tuple[tuple[URIRef, int], ...] = ()
+    partition: SubjectPartition | None = None
 
     # ------------------------------------------------------------------ #
     # Vocabulary statistics
@@ -158,6 +209,16 @@ class DatasetDescription:
             triples.append(Triple(self.uri, VOID.classPartition, partition))
             triples.append(Triple(partition, VOID["class"], cls))
             triples.append(Triple(partition, VOID.entities, Literal(count, datatype=XSD.integer)))
+        if self.partition is not None:
+            member = self.partition
+            triples.append(Triple(self.uri, REPRO.partitionOf, member.id))
+            triples.append(
+                Triple(self.uri, REPRO.partitionIndex, Literal(member.index, datatype=XSD.integer))
+            )
+            triples.append(
+                Triple(self.uri, REPRO.partitionCount, Literal(member.count, datatype=XSD.integer))
+            )
+            triples.append(Triple(self.uri, REPRO.partitionHash, Literal(member.scheme)))
         return triples
 
     @classmethod
@@ -174,12 +235,7 @@ class DatasetDescription:
         )
         pattern_term = graph.value(uri, URI_PATTERN_PROPERTY, None)
         title_term = graph.value(uri, DC.title, None)
-        count_term = graph.value(uri, VOID.triples, None)
-        triple_count = None
-        if isinstance(count_term, Literal):
-            value = count_term.to_python()
-            if isinstance(value, int):
-                triple_count = value
+        triple_count = _int_value(graph, uri, VOID.triples)
         return cls(
             uri=uri,
             endpoint_uri=endpoint,  # type: ignore[arg-type]
@@ -193,7 +249,25 @@ class DatasetDescription:
             class_partitions=cls._read_partitions(
                 graph, uri, VOID.classPartition, VOID["class"], VOID.entities
             ),
+            partition=cls._read_partition(graph, uri),
         )
+
+    @staticmethod
+    def _read_partition(graph: Graph, uri: URIRef) -> SubjectPartition | None:
+        """The partition declaration on ``uri``; ``None`` unless it is complete."""
+        partition_id = graph.value(uri, REPRO.partitionOf, None)
+        index = _int_value(graph, uri, REPRO.partitionIndex)
+        count = _int_value(graph, uri, REPRO.partitionCount)
+        scheme = graph.value(uri, REPRO.partitionHash, None)
+        if (
+            not isinstance(partition_id, URIRef)
+            or not isinstance(scheme, Literal)
+            or index is None
+            or count is None
+            or not 0 <= index < count
+        ):
+            return None
+        return SubjectPartition(partition_id, index, count, scheme.lexical)
 
     @staticmethod
     def _read_partitions(
@@ -209,10 +283,15 @@ class DatasetDescription:
             key = graph.value(node, key_property, None)
             if not isinstance(key, URIRef):
                 continue
-            count_term = graph.value(node, count_property, None)
-            count = count_term.to_python() if isinstance(count_term, Literal) else None
-            partitions[key] = count if isinstance(count, int) else 0
+            partitions[key] = _int_value(graph, node, count_property) or 0
         return tuple(sorted(partitions.items(), key=lambda item: str(item[0])))
+
+
+def _int_value(graph: Graph, subject: Term, predicate: URIRef) -> int | None:
+    """The integer literal at ``(subject, predicate)``, if there is one."""
+    term = graph.value(subject, predicate, None)
+    value = term.to_python() if isinstance(term, Literal) else None
+    return value if isinstance(value, int) else None
 
 
 def descriptions_to_graph(descriptions: Iterable[DatasetDescription]) -> Graph:

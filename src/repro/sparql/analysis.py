@@ -60,6 +60,7 @@ from .ast import (
     UnaryExpression,
     UnionPattern,
 )
+from .evaluator import pattern_text
 from .expressions import ExpressionError, effective_boolean_value, evaluate_expression
 from .results import Binding
 from .tokenizer import SourceSpan
@@ -854,7 +855,7 @@ def analyze_federation(
     When ``analysis`` (the local analysis of the same query) proves the
     query empty, source selection is skipped entirely — zero ASK probes.
     """
-    from ..federation.decompose import PatternSources, _pattern_text, _supported_shape
+    from ..federation.decompose import PatternSources, _supported_shape
 
     outcome = FederationAnalysis()
     if analysis is not None and analysis.provably_empty:
@@ -893,7 +894,7 @@ def analyze_federation(
                 Diagnostic(
                     "SQA201",
                     DIAGNOSTIC_CODES["SQA201"][0],
-                    f"pattern {_pattern_text(pattern)} matches no registered "
+                    f"pattern {pattern_text(pattern)} matches no registered "
                     f"dataset: the federated result is provably empty",
                     span_by_pattern.get(pattern) or query.span or _FALLBACK_SPAN,
                     hint=reasons or None,
@@ -901,7 +902,7 @@ def analyze_federation(
             )
             if outcome.empty_reason is None:
                 outcome.empty_reason = (
-                    f"pattern {_pattern_text(pattern)} matches no registered dataset"
+                    f"pattern {pattern_text(pattern)} matches no registered dataset"
                 )
     outcome.probes = getattr(selector, "probes_issued", 0) - probes_before
     return outcome

@@ -46,6 +46,7 @@ __all__ = [
     "evaluate_group",
     "match_bgp",
     "ordered_bgp_patterns",
+    "pattern_text",
 ]
 
 
@@ -61,6 +62,11 @@ BNODE_ANCHOR_PREFIX = "__bnode_"
 def bnode_anchor(term: BNode) -> Variable:
     """The internal variable standing in for a query blank node."""
     return Variable(f"{BNODE_ANCHOR_PREFIX}{term.value}")
+
+
+def pattern_text(pattern: Triple) -> str:
+    """A pattern's N3 text: EXPLAIN rendering and deterministic tie-break key."""
+    return " ".join(term.n3() for term in pattern)
 
 
 def _pattern_selectivity(pattern: Triple, bound_vars: set) -> int:
@@ -111,7 +117,7 @@ def ordered_bgp_patterns(
             remaining,
             key=lambda item: (
                 _pattern_selectivity(item[1], bound_vars),
-                " ".join(term.n3() for term in item[1]),
+                pattern_text(item[1]),
                 item[0],
             ),
         )

@@ -62,6 +62,7 @@ from .evaluator import (
     _orderable,
     bnode_anchor,
     ordered_bgp_patterns,
+    pattern_text,
 )
 from .expressions import ExpressionError, evaluate_expression, expression_satisfied
 from .results import Binding
@@ -290,10 +291,6 @@ def pattern_variables(pattern: Triple) -> list[Variable]:
             if anchor not in result:
                 result.append(anchor)
     return result
-
-
-def _pattern_text(pattern: Triple) -> str:
-    return " ".join(term.n3() for term in pattern)
 
 
 # --------------------------------------------------------------------------- #
@@ -634,7 +631,7 @@ class VecBGPOp(VecOperator):
         }
         reordered = sorted(
             remaining,
-            key=lambda step: (sampled[id(step)], _pattern_text(step.pattern)),
+            key=lambda step: (sampled[id(step)], pattern_text(step.pattern)),
         )
         # Re-attach the pending filters at the earliest step where all of
         # their variables are bound (same rule the planner applies).
@@ -650,12 +647,12 @@ class VecBGPOp(VecOperator):
             rebuilt[-1].filters.extend(pending)
         if [id(s) for s in remaining] != [id(s) for s in reordered]:
             self.ctx.decisions.append({
-                "after": _pattern_text(after.pattern),
+                "after": pattern_text(after.pattern),
                 "estimated": after.est,
                 "observed": observed,
                 "observed_is_exact": exhausted,
-                "old_order": [_pattern_text(s.pattern) for s in remaining],
-                "new_order": [_pattern_text(s.pattern) for s in rebuilt],
+                "old_order": [pattern_text(s.pattern) for s in remaining],
+                "new_order": [pattern_text(s.pattern) for s in rebuilt],
             })
         return rebuilt
 
@@ -740,7 +737,7 @@ class VecBGPOp(VecOperator):
             if step.filters:
                 rendered = ", ".join(serialize_expression(expr) for expr in step.filters)
                 suffix = f" [filter {rendered}]"
-            lines.append(f"{pad}scan ({_pattern_text(step.pattern)}) est={step.est:.1f}{suffix}")
+            lines.append(f"{pad}scan ({pattern_text(step.pattern)}) est={step.est:.1f}{suffix}")
         for expr in self.tail_filters:
             lines.append(f"{pad}filter {serialize_expression(expr)}")
         return lines

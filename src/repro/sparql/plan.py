@@ -71,6 +71,7 @@ from .evaluator import (
     _match_triple,
     _order,
     bnode_anchor,
+    pattern_text,
 )
 from .expressions import expression_satisfied
 from .results import Binding
@@ -121,11 +122,6 @@ def _binding_variables(pattern: Triple) -> set[Variable]:
         elif isinstance(term, BNode):
             result.add(bnode_anchor(term))
     return result
-
-
-def _pattern_text(pattern: Triple) -> str:
-    """Deterministic tie-break key for pattern ordering."""
-    return " ".join(term.n3() for term in pattern)
 
 
 # --------------------------------------------------------------------------- #
@@ -201,7 +197,7 @@ def order_patterns(
         candidates = connected if connected and seen_vars else remaining
 
         def sort_key(pattern: Triple) -> tuple[float, str]:
-            return (estimator.pattern_estimate(pattern, seen_vars), _pattern_text(pattern))
+            return (estimator.pattern_estimate(pattern, seen_vars), pattern_text(pattern))
 
         best = min(candidates, key=sort_key)
         remaining.remove(best)
@@ -357,7 +353,7 @@ class BGPScanOp(PhysicalOperator):
             if step.filters:
                 rendered = ", ".join(serialize_expression(expr) for expr in step.filters)
                 suffix = f" [filter {rendered}]"
-            lines.append(f"{pad}scan ({_pattern_text(step.pattern)}) est={step.est:.1f}{suffix}")
+            lines.append(f"{pad}scan ({pattern_text(step.pattern)}) est={step.est:.1f}{suffix}")
         for expr in self.tail_filters:
             lines.append(f"{pad}filter {serialize_expression(expr)}")
         return lines

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.federation import DatasetDescription, descriptions_from_graph, descriptions_to_graph
-from repro.rdf import Graph, RDF, Triple, URIRef, VOID
+from repro.federation.void import REPRO, SubjectPartition
+from repro.rdf import Graph, Literal, RDF, Triple, URIRef, VOID
 
 
 def make_description(**overrides) -> DatasetDescription:
@@ -62,3 +63,36 @@ class TestVoidEncoding:
         ))
         restored = descriptions_from_graph(descriptions_to_graph([description]))
         assert list(restored[0].ontologies) == sorted(restored[0].ontologies, key=str)
+
+
+class TestPartitionDeclaration:
+    PARTITION = SubjectPartition(
+        URIRef("http://kisti.rkbexplorer.com/graph"), 1, 3, "crc32-lexical"
+    )
+
+    def test_roundtrip_under_the_repo_namespace(self):
+        original = make_description(partition=self.PARTITION)
+        graph = descriptions_to_graph([original])
+        assert graph.value(original.uri, REPRO.partitionOf, None) == self.PARTITION.id
+        assert graph.value(original.uri, REPRO.partitionIndex, None).to_python() == 1
+        assert graph.value(original.uri, REPRO.partitionCount, None).to_python() == 3
+        assert graph.value(original.uri, REPRO.partitionHash, None) == Literal("crc32-lexical")
+        assert descriptions_from_graph(graph) == [original]
+
+    def test_undeclared_description_writes_no_partition_triples(self):
+        graph = descriptions_to_graph([make_description()])
+        assert not [t for t in graph if str(t.predicate).startswith(str(REPRO["partition"]))]
+
+    @pytest.mark.parametrize("dropped", ["partitionOf", "partitionIndex", "partitionCount",
+                                         "partitionHash"])
+    def test_incomplete_declaration_reads_as_none(self, dropped):
+        original = make_description(partition=self.PARTITION)
+        graph = descriptions_to_graph([original])
+        graph.remove_pattern(original.uri, REPRO[dropped], None)
+        [restored] = descriptions_from_graph(graph)
+        assert restored.partition is None
+
+    def test_index_outside_the_count_reads_as_none(self):
+        original = make_description(partition=SubjectPartition(self.PARTITION.id, 3, 3, "x"))
+        [restored] = descriptions_from_graph(descriptions_to_graph([original]))
+        assert restored.partition is None
