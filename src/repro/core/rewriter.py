@@ -22,7 +22,6 @@ Three layers are provided:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
@@ -316,8 +315,9 @@ class GraphPatternRewriter:
 # Query-level rewriting
 # --------------------------------------------------------------------------- #
 def clone_query(query: Query) -> Query:
-    """Deep-copy a query AST so rewriting never mutates the input query."""
-    return copy.deepcopy(query)
+    """Copy a query AST so rewriting never mutates the input query
+    (see :meth:`repro.sparql.ast.Query.copy` for what is shared)."""
+    return query.copy()
 
 
 class QueryRewriter:

@@ -223,8 +223,8 @@ class NamespaceManager:
     def copy(self) -> NamespaceManager:
         """Return an independent copy of this manager."""
         clone = NamespaceManager(install_defaults=False)
-        for prefix, base in self._prefix_to_ns.items():
-            clone.bind(prefix, base)
+        clone._prefix_to_ns = dict(self._prefix_to_ns)
+        clone._ns_to_prefix = dict(self._ns_to_prefix)
         return clone
 
     def __len__(self) -> int:

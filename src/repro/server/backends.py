@@ -32,7 +32,7 @@ from ..sparql import (
     SelectQuery,
     parse_query,
 )
-from ..federation.endpoint import SparqlEndpoint
+from ..federation.endpoint import LocalSparqlEndpoint, SparqlEndpoint
 from ..federation.federator import FederatedQueryEngine
 from ..federation.service import MediatorService
 
@@ -141,7 +141,13 @@ class EndpointBackend(QueryBackend):
 
     def execute(self, query_text: str) -> QueryResult:
         query = self._parse(query_text)
-        analysis = self._analyze_static(query)
+        # Strict mode must refuse before anything runs.  Otherwise a local
+        # endpoint's evaluator analyses the query itself, against its graph,
+        # and attaches what it finds; only an endpoint that evaluates
+        # elsewhere leaves the analysis to this process.
+        analysis = None
+        if self.strict or not isinstance(self.endpoint, LocalSparqlEndpoint):
+            analysis = self._analyze_static(query)
         if isinstance(query, SelectQuery):
             return self._attach_diagnostics(self.endpoint.select(query), analysis)
         if isinstance(query, AskQuery):

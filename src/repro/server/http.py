@@ -299,7 +299,7 @@ class _SparqlRequestHandler(BaseHTTPRequestHandler):
             # the client and mis-train its circuit breaker.
             raise _HttpError(500, f"internal error: {type(exc).__name__}: {exc}") from exc
 
-        format_name, content_type, text = self._render(result, accept)
+        format_name, content_type, body = self._render(result, accept)
         elapsed = time.perf_counter() - started
         if elapsed >= SLOW_LOG.threshold:
             span = get_tracer().current_span()
@@ -310,7 +310,6 @@ class _SparqlRequestHandler(BaseHTTPRequestHandler):
                 layer="http",
                 trace_id=span.trace_id if span is not None and span.recording else None,
             )
-        body = text.encode("utf-8")
         self.server.cache.put((generation, query_text, format_name), content_type, body)
         self._send(200, content_type, body)
 
@@ -374,24 +373,27 @@ class _SparqlRequestHandler(BaseHTTPRequestHandler):
             candidates.append(graph_format)
         return tuple(candidates)
 
-    def _render(self, result, accept: str | None) -> tuple[str, str, str]:
-        """(format name, content type, document) for a backend result."""
+    def _render(self, result, accept: str | None) -> tuple[str, str, bytes]:
+        """(format name, content type, encoded document) for a backend result."""
         if isinstance(result, Graph):
             format_name = negotiate_graph(accept)
-            if format_name is None:
-                raise _HttpError(406, self._not_acceptable(accept, GRAPH_MEDIA_TYPES))
-            return format_name, GRAPH_MEDIA_TYPES[format_name], write_graph(result, format_name)
-        if isinstance(result, AskResult):
+            media_types = GRAPH_MEDIA_TYPES
+            write = write_graph
+        elif isinstance(result, AskResult):
             format_name = negotiate(accept, allowed=tuple(ASK_MEDIA_TYPES))
-            if format_name is None:
-                raise _HttpError(406, self._not_acceptable(accept, ASK_MEDIA_TYPES))
-            return format_name, ASK_MEDIA_TYPES[format_name], write_results(result, format_name)
-        if isinstance(result, ResultSet):
+            media_types = ASK_MEDIA_TYPES
+            write = write_results
+        elif isinstance(result, ResultSet):
             format_name = negotiate(accept)
-            if format_name is None:
-                raise _HttpError(406, self._not_acceptable(accept, RESULT_MEDIA_TYPES))
-            return format_name, RESULT_MEDIA_TYPES[format_name], write_results(result, format_name)
-        raise _HttpError(500, f"backend produced an unservable result: {type(result).__name__}")
+            media_types = RESULT_MEDIA_TYPES
+            write = write_results
+        else:
+            raise _HttpError(
+                500, f"backend produced an unservable result: {type(result).__name__}"
+            )
+        if format_name is None:
+            raise _HttpError(406, self._not_acceptable(accept, media_types))
+        return format_name, media_types[format_name], write(result, format_name).encode("utf-8")
 
     @staticmethod
     def _not_acceptable(accept: str | None, supported: dict[str, str]) -> str:

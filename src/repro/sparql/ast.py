@@ -144,10 +144,18 @@ class ExistsExpression(Expression):
 # Graph patterns
 # --------------------------------------------------------------------------- #
 class PatternElement:
-    """Base class for the elements of a group graph pattern."""
+    """Base class for the elements of a group graph pattern.
+
+    ``copy()`` gives a structurally independent element: every mutable
+    shell (groups, blocks, lists) is new, while terms, triples and
+    expressions — frozen values — are shared with the original.
+    """
 
     def variables(self) -> set[Variable]:
         return set()
+
+    def copy(self) -> PatternElement:
+        raise NotImplementedError
 
 
 class TriplesBlock(PatternElement):
@@ -170,6 +178,12 @@ class TriplesBlock(PatternElement):
         self.patterns.append(pattern)
         self.pattern_spans.append(span)
         return self
+
+    def copy(self) -> TriplesBlock:
+        clone = TriplesBlock(self.patterns)
+        clone.pattern_spans = list(self.pattern_spans)
+        clone.span = self.span
+        return clone
 
     def span_of(self, index: int) -> SourceSpan | None:
         """The source extent of pattern ``index``, if the block was parsed."""
@@ -209,6 +223,9 @@ class Filter(PatternElement):
     def variables(self) -> set[Variable]:
         return self.expression.variables()
 
+    def copy(self) -> Filter:
+        return Filter(self.expression, self.span)
+
 
 @dataclass
 class OptionalPattern(PatternElement):
@@ -219,6 +236,9 @@ class OptionalPattern(PatternElement):
 
     def variables(self) -> set[Variable]:
         return self.group.variables()
+
+    def copy(self) -> OptionalPattern:
+        return OptionalPattern(self.group.copy(), self.span)
 
 
 @dataclass
@@ -233,6 +253,9 @@ class UnionPattern(PatternElement):
         for alternative in self.alternatives:
             result |= alternative.variables()
         return result
+
+    def copy(self) -> UnionPattern:
+        return UnionPattern([group.copy() for group in self.alternatives], self.span)
 
 
 class InlineData(PatternElement):
@@ -260,6 +283,12 @@ class InlineData(PatternElement):
                     f"VALUES row width {len(row)} does not match "
                     f"{len(self.columns)} variables"
                 )
+
+    def copy(self) -> InlineData:
+        clone = InlineData(self.columns)
+        clone.rows = list(self.rows)
+        clone.span = self.span
+        return clone
 
     def add_row(self, row: Sequence[Term | None]) -> InlineData:
         if len(row) != len(self.columns):
@@ -300,6 +329,11 @@ class GroupGraphPattern(PatternElement):
     def add(self, element: PatternElement) -> GroupGraphPattern:
         self.elements.append(element)
         return self
+
+    def copy(self) -> GroupGraphPattern:
+        clone = GroupGraphPattern([element.copy() for element in self.elements])
+        clone.span = self.span
+        return clone
 
     def variables(self) -> set[Variable]:
         result: set[Variable] = set()
@@ -398,7 +432,10 @@ class SolutionModifiers:
         return SolutionModifiers(
             distinct=self.distinct,
             reduced=self.reduced,
-            order_by=list(self.order_by),
+            order_by=[
+                OrderCondition(condition.expression, condition.descending, condition.span)
+                for condition in self.order_by
+            ],
             limit=self.limit,
             offset=self.offset,
         )
@@ -429,6 +466,22 @@ class Query:
 
     def variables(self) -> set[Variable]:
         return self.where.variables()
+
+    def copy(self) -> Query:
+        """A query that shares no mutable part with this one.
+
+        Prologue, modifiers, every group, block and list are new; terms,
+        triples and expressions are frozen values and stay shared (an
+        ``EXISTS`` body belongs to its expression, so it is shared too).
+        """
+        clone = self._copy_form(self.prologue.copy(), self.where.copy(), self.modifiers.copy())
+        clone.span = self.span
+        return clone
+
+    def _copy_form(
+        self, prologue: Prologue, where: GroupGraphPattern, modifiers: SolutionModifiers
+    ) -> Query:
+        return type(self)(prologue, where, modifiers)
 
     def serialize(self) -> str:
         """Render the query back to SPARQL text."""
@@ -465,6 +518,11 @@ class SelectQuery(Query):
             else [None] * len(self.projection)
         )
 
+    def _copy_form(
+        self, prologue: Prologue, where: GroupGraphPattern, modifiers: SolutionModifiers
+    ) -> SelectQuery:
+        return SelectQuery(prologue, self.projection, where, modifiers, self.projection_spans)
+
     @property
     def select_all(self) -> bool:
         """True for ``SELECT *``."""
@@ -493,3 +551,8 @@ class ConstructQuery(Query):
     ) -> None:
         super().__init__(prologue, where, modifiers)
         self.template: list[Triple] = list(template)
+
+    def _copy_form(
+        self, prologue: Prologue, where: GroupGraphPattern, modifiers: SolutionModifiers
+    ) -> ConstructQuery:
+        return ConstructQuery(prologue, self.template, where, modifiers)

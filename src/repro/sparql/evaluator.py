@@ -331,8 +331,11 @@ class QueryEvaluator:
 
         if not self.analysis_enabled:
             return None, query
-        if self._prepared is not None and self._prepared[0] is query:
-            analysis, effective = self._prepared[1], self._prepared[2]
+        # One evaluator serves every handler thread of an endpoint: read
+        # the memo once, so the three parts come from the same write.
+        prepared = self._prepared
+        if prepared is not None and prepared[0] is query:
+            _, analysis, effective = prepared
         else:
             analysis = analyze_query(query, self._graph)
             effective = prune_query(query, analysis)
@@ -414,9 +417,9 @@ class QueryEvaluator:
         else:
             plan = self._compile(effective)
         if isinstance(query, SelectQuery):
-            rows = list(plan.bindings())
-            result: ResultSet | AskResult | Graph = ResultSet(
-                query.effective_projection(), rows
+            projection = query.effective_projection()
+            result: ResultSet | AskResult | Graph = ResultSet.from_rows(
+                projection, plan.term_rows(projection)
             )
         elif isinstance(query, AskQuery):
             result = AskResult(plan.first_binding() is not None)
@@ -498,7 +501,7 @@ class QueryEvaluator:
             solutions = self._apply_modifiers(query, solutions, project)
             return ResultSet(projection, solutions)
         plan = self._compile(query)
-        result = ResultSet(projection, plan.bindings())
+        result = ResultSet.from_rows(projection, plan.term_rows(projection))
         self._finish(plan, query)
         return result
 

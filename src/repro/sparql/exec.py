@@ -13,12 +13,17 @@ loops with **one** operator layer:
 * operators consume and produce :class:`Batch` objects (a schema of
   variables plus a list of row tuples), amortising per-operator overhead
   and making joins integer-tuple comparisons instead of dict merges,
-* batches start small and grow (``4 -> 32 -> ... -> 2048`` rows), so a
-  ``LIMIT``/``ASK`` query still terminates after a handful of index
-  lookups while bulk queries run at full batch width,
+* batches start small and grow (``4 -> 32 -> ... -> 2048`` rows), so an
+  ``ASK`` query still terminates after a handful of index lookups while
+  bulk queries run at full batch width,
+* ``OFFSET``/``LIMIT`` hand their row budget down to the producing scan
+  (:meth:`VecOperator.limit_rows`), which stops at exactly that many rows
+  and, for a lone filter-free pattern, drops the offset on the id
+  iterator before a row exists,
 * terms are only decoded back at the result boundary
-  (:meth:`ExecPlan.bindings`) and inside expression evaluation, the one
-  place that genuinely needs term values.
+  (:meth:`ExecPlan.term_rows`: the surviving rows, once, as term tuples)
+  and inside expression evaluation, the one place that genuinely needs
+  term values.
 
 The three engines survive as *planners* over this executor:
 
@@ -326,6 +331,19 @@ class VecOperator:
     def describe(self) -> str:
         return type(self).__name__
 
+    def limit_rows(self, skip: int, budget: int | None) -> int:
+        """A parent slice wants only rows ``skip .. budget`` of each run.
+
+        Called at compile time.  An operator that maps input rows to
+        output rows one to one passes the call to its child; a producer
+        may stop after ``budget`` rows (``None``: no limit).  Returns how
+        many of the ``skip`` leading rows the subtree drops itself — the
+        slice then skips only the rest.  The default takes nothing over,
+        which is the right answer for every operator that filters,
+        reorders, deduplicates or multiplies rows.
+        """
+        return 0
+
     # -- shared machinery --------------------------------------------------- #
     def execute(self, batches: Iterator[Batch]) -> Iterator[Batch]:
         """Run with instrumentation (row/batch counters, inclusive time)."""
@@ -437,6 +455,68 @@ class VecBGPOp(VecOperator):
         for step in steps:
             est *= max(step.est, 0.0)
         self.est = est
+        #: Set by a parent slice (:meth:`limit_rows`): stop after this many
+        #: rows per run; the first ``_skip`` of them are dropped as store
+        #: ids, whose triple positions ``_id_columns`` become the row.
+        self._budget: int | None = None
+        self._skip = 0
+        self._id_columns: list[int] | None = None
+
+    # -- row budget of a parent slice --------------------------------------- #
+    def limit_rows(self, skip: int, budget: int | None) -> int:
+        self._budget = budget
+        self._id_columns = self._lone_pattern_columns() if skip else None
+        self._skip = skip if self._id_columns is not None else 0
+        return self._skip
+
+    def _lone_pattern_columns(self) -> list[int] | None:
+        """Triple positions of the output columns when every match of the
+        store's id iterator *is* one output row, ``None`` otherwise.
+
+        That holds for a single filter-free pattern over distinct plain
+        variables, fed the seed row, on a graph scanned by id: nothing
+        between the index and the output can drop, repeat or reorder a
+        match, so a slice may count matches instead of rows.
+        """
+        ctx = self.ctx
+        if (
+            self.in_schema
+            or len(self.steps) != 1
+            or self.steps[0].filters
+            or self.tail_filters
+            or getattr(ctx.graph, "triples_ids", None) is None
+            or getattr(ctx.graph, "dictionary", None) is not ctx.dictionary
+        ):
+            return None
+        pattern = self.steps[0].pattern
+        if any(isinstance(term, BNode) for term in pattern):
+            return None
+        columns = [
+            position for position, term in enumerate(pattern)
+            if isinstance(term, Variable)
+        ]
+        if len({pattern[position] for position in columns}) != len(columns):
+            return None
+        return columns
+
+    def _sliced_id_rows(self, batches: Iterator[Batch], columns: list[int]) -> Iterator[Row]:
+        """The lone pattern's rows, sliced on the store's id iterator:
+        a skipped match never becomes a row tuple."""
+        ctx = self.ctx
+        lookup = [UNBOUND, UNBOUND, UNBOUND]
+        for position, term in enumerate(self.steps[0].pattern):
+            if position not in columns:
+                lookup[position] = ctx.dictionary.lookup(term)
+                if not lookup[position]:
+                    return iter(())  # never interned, so in no triple
+        triples_ids = ctx.graph.triples_ids
+        matches = _iter_chain.from_iterable(
+            triples_ids(*lookup) for batch in batches for _ in batch.rows
+        )
+        return (
+            tuple([data[position] for position in columns])
+            for data in islice(matches, self._skip, self._budget)
+        )
 
     # -- single-step scan --------------------------------------------------- #
     def _scan_rows(
@@ -657,7 +737,8 @@ class VecBGPOp(VecOperator):
         return rebuilt
 
     # -- the chain ----------------------------------------------------------- #
-    def _run(self, batches: Iterator[Batch]) -> Iterator[Batch]:
+    def _chain_rows(self, batches: Iterator[Batch]) -> Iterator[Row]:
+        """Rows of the whole scan chain, under the declared schema."""
         config = self.ctx.config
         layout: list[Variable] = list(self.in_schema)
 
@@ -713,6 +794,17 @@ class VecBGPOp(VecOperator):
                     yield tuple(row[index] for index in permutation)
 
             stream = permuted(stream)
+        return stream
+
+    def _run(self, batches: Iterator[Batch]) -> Iterator[Batch]:
+        config = self.ctx.config
+        declared = self.schema
+        if self._id_columns is not None:
+            stream = self._sliced_id_rows(batches, self._id_columns)
+        else:
+            stream = self._chain_rows(batches)
+            if self._budget is not None:
+                stream = islice(stream, self._budget)
 
         cap = config.initial_batch_rows
         buffer: list[Row] = []
@@ -727,6 +819,13 @@ class VecBGPOp(VecOperator):
 
     def describe(self) -> str:
         suffix = " adaptive" if self.adaptive else ""
+        notes = []
+        if self._budget is not None:
+            notes.append(f"row budget {self._budget}")
+        if self._skip:
+            notes.append(f"first {self._skip} skipped on ids")
+        if notes:
+            suffix += f" [{', '.join(notes)}]"
         return f"BGPScan est={self.est:.1f}{suffix}"
 
     def report_lines(self, indent: int = 0) -> list[str]:
@@ -1135,6 +1234,9 @@ class VecProjectOp(VecOperator):
             ]
             yield Batch(schema, rows)
 
+    def limit_rows(self, skip: int, budget: int | None) -> int:
+        return self._child.limit_rows(skip, budget)  # one row out per row in
+
     def children(self) -> Sequence[VecOperator]:
         return (self._child,)
 
@@ -1222,7 +1324,8 @@ class VecOrderByOp(VecOperator):
 
 
 class VecSliceOp(VecOperator):
-    """OFFSET/LIMIT with early termination across batch boundaries."""
+    """OFFSET/LIMIT: stops pulling once full, and tells the subtree below
+    how many rows it will ever need (:meth:`VecOperator.limit_rows`)."""
 
     span_name = "exec.slice"
 
@@ -1239,11 +1342,17 @@ class VecSliceOp(VecOperator):
         self._limit = limit
         self.schema = child.schema
         self.est = min(child.est, float(limit)) if limit is not None else child.est
+        #: Leading rows the subtree drops itself, so not skipped again here.
+        self._skipped_below = child.limit_rows(
+            self._offset, None if limit is None else self._offset + limit
+        )
 
     def _run(self, batches: Iterator[Batch]) -> Iterator[Batch]:
-        to_skip = self._offset
+        to_skip = self._offset - self._skipped_below
         remaining = self._limit
         schema = self.schema
+        if remaining is not None and remaining <= 0:
+            return
         for batch in self._child.execute(batches):
             rows = batch.rows
             if to_skip:
@@ -1358,12 +1467,38 @@ class ExecPlan:
         self._elapsed = time.perf_counter() - started
 
     def bindings(self) -> Iterator[Binding]:
-        """Stream decoded solutions (the term-decode boundary)."""
+        """Stream decoded solutions (CONSTRUCT templates and ASK)."""
         ctx = self.ctx
         for batch in self.execute():
             schema = batch.schema
             for row in batch.rows:
                 yield ctx.decode_binding(schema, row)
+
+    def term_rows(self, variables: Sequence[Variable]) -> list[tuple[Term | None, ...]]:
+        """The SELECT decode boundary: every surviving row, decoded once
+        into a tuple of terms aligned with ``variables`` (``None`` where
+        a cell is unbound or the plan never binds the variable)."""
+        ctx = self.ctx
+        schema = self.root.schema
+        positions = {variable: index for index, variable in enumerate(schema)}
+        sources = [positions.get(variable) for variable in variables]
+        aligned = sources == list(range(len(schema)))
+        rows: list[tuple[Term | None, ...]] = []
+        for batch in self.execute():
+            # Plan-private ids (VALUES cells) need ctx.term; either way the
+            # unbound id decodes to None, slot 0 of the dictionary's table.
+            decode = ctx.term if ctx._query_terms else ctx.dictionary.terms.__getitem__
+            if aligned:
+                rows.extend([tuple(map(decode, row)) for row in batch.rows])
+            else:
+                rows.extend([
+                    tuple([
+                        None if index is None else decode(row[index])
+                        for index in sources
+                    ])
+                    for row in batch.rows
+                ])
+        return rows
 
     def first_binding(self) -> Binding | None:
         """The first solution, pulling as little as possible (ASK)."""

@@ -280,21 +280,110 @@ def parse_n3_term(text: str) -> Term:
 # --------------------------------------------------------------------------- #
 # Writers
 # --------------------------------------------------------------------------- #
+#: The C string escaper ``json.dumps(..., ensure_ascii=False)`` itself uses.
+_json_string = json.encoder.encode_basestring
+
+# The pieces of one term object as ``json.dumps(..., indent=2)`` lays it
+# out at its depth in a results document (a value of a row object, which
+# is an element of ``results.bindings``).
+_JSON_URI = '{\n          "type": "uri",\n          "value": '
+_JSON_BNODE = '{\n          "type": "bnode",\n          "value": '
+_JSON_LITERAL = '{\n          "type": "literal",\n          "value": '
+_JSON_LANG = ',\n          "xml:lang": '
+_JSON_DATATYPE = ',\n          "datatype": '
+_JSON_TERM_END = "\n        }"
+
+
+def _json_term(term: Term) -> str:
+    """One term as the text of its SPARQL-results-JSON object."""
+    if isinstance(term, URIRef):
+        return _JSON_URI + _json_string(str(term)) + _JSON_TERM_END
+    if isinstance(term, Literal):
+        text = _JSON_LITERAL + _json_string(term.lexical)
+        if term.lang:
+            text += _JSON_LANG + _json_string(term.lang)
+        elif term.datatype is not None:
+            text += _JSON_DATATYPE + _json_string(str(term.datatype))
+        return text + _JSON_TERM_END
+    if isinstance(term, BNode):
+        return _JSON_BNODE + _json_string(str(term)) + _JSON_TERM_END
+    _require_protocol_term(term)
+    raise AssertionError("unreachable")  # pragma: no cover
+
+
+def _json_value(value: object, indent: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` prints it at ``indent``.
+
+    For the small, fixed-shape parts of a document (the variable list,
+    attached diagnostics): strings, integers, booleans, ``None`` and
+    lists/dicts of those.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [
+            f"{inner}{_json_string(key)}: {_json_value(item, inner)}"
+            for key, item in value.items()
+        ]
+        opening, closing = "{", "}"
+    elif isinstance(value, list):
+        items = [inner + _json_value(item, inner) for item in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} into a results document")
+    if not items:
+        return opening + closing
+    return f"{opening}\n" + ",\n".join(items) + f"\n{indent}{closing}"
+
+
 def write_json(result: ResultSet | AskResult) -> str:
     """SPARQL 1.1 Query Results JSON document.
 
     When the evaluator attached static-analysis diagnostics, they ride
     along under a top-level ``diagnostics`` key (a spec-tolerated
     extension; parsers ignore unknown keys).
+
+    The document is what ``json.dumps(result.to_json_dict(), indent=2,
+    ensure_ascii=False)`` prints, byte for byte, assembled from per-term
+    fragments instead: ``indent=`` would route every cell through the
+    pure-Python encoder.
     """
     if isinstance(result, AskResult):
-        payload: dict[str, object] = {"head": {}, "boolean": result.value}
+        body = '{\n  "head": {},\n  "boolean": ' + ("true" if result.value else "false")
     else:
-        payload = result.to_json_dict()
-    diagnostics = getattr(result, "diagnostics", None)
-    if diagnostics:
-        payload["diagnostics"] = [d.to_json_dict() for d in diagnostics]
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+        names = [variable.name for variable in result.variables]
+        # A row object has one key per distinct name, at its first position.
+        columns: dict[str, int] = {}
+        for index, name in enumerate(names):
+            columns.setdefault(name, index)
+        keys = [
+            (index, f"        {_json_string(name)}: ") for name, index in columns.items()
+        ]
+        objects = []
+        for row in result.rows:
+            cells = [
+                key + _json_term(row[index]) for index, key in keys if row[index] is not None
+            ]
+            objects.append(
+                "      {\n" + ",\n".join(cells) + "\n      }" if cells else "      {}"
+            )
+        bindings = "[\n" + ",\n".join(objects) + "\n    ]" if objects else "[]"
+        body = (
+            '{\n  "head": {\n    "vars": ' + _json_value(names, "    ")
+            + '\n  },\n  "results": {\n    "bindings": ' + bindings + "\n  }"
+        )
+    if result.diagnostics:
+        body += ',\n  "diagnostics": ' + _json_value(
+            [diagnostic.to_json_dict() for diagnostic in result.diagnostics], "  "
+        )
+    return body + "\n}\n"
 
 
 def _xml_escape(text: str) -> str:
@@ -316,21 +405,19 @@ def write_xml(result: ResultSet | AskResult) -> str:
         lines.append("  <head/>")
         lines.append(f"  <boolean>{'true' if result.value else 'false'}</boolean>")
     else:
+        names = [_xml_escape(variable.name) for variable in result.variables]
         lines.append("  <head>")
-        for variable in result.variables:
-            lines.append(f'    <variable name="{_xml_escape(variable.name)}"/>')
+        lines.extend(f'    <variable name="{name}"/>' for name in names)
         lines.append("  </head>")
         lines.append("  <results>")
-        for binding in result.bindings:
+        openings = [f'      <binding name="{name}">' for name in names]
+        for row in result.rows:
             lines.append("    <result>")
-            for variable in result.variables:
-                term = binding.get_term(variable)
-                if term is None:
-                    continue
-                lines.append(
-                    f'      <binding name="{_xml_escape(variable.name)}">'
-                    f"{_xml_term(term)}</binding>"
-                )
+            lines.extend(
+                f"{opening}{_xml_term(term)}</binding>"
+                for opening, term in zip(openings, row, strict=True)
+                if term is not None
+            )
             lines.append("    </result>")
         lines.append("  </results>")
     lines.append("</sparql>")
@@ -353,6 +440,13 @@ def _xml_term(term: Term) -> str:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+def _csv_cell(term: Term | None) -> str:
+    if term is None:
+        return ""
+    _require_protocol_term(term)
+    return term.n3() if isinstance(term, BNode) else str(term)
+
+
 def write_csv(result: ResultSet | AskResult) -> str:
     """SPARQL 1.1 CSV results: header of variable names, plain value cells."""
     if isinstance(result, AskResult):
@@ -360,16 +454,7 @@ def write_csv(result: ResultSet | AskResult) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow([variable.name for variable in result.variables])
-    for binding in result.bindings:
-        row = []
-        for variable in result.variables:
-            term = binding.get_term(variable)
-            if term is None:
-                row.append("")
-                continue
-            _require_protocol_term(term)
-            row.append(term.n3() if isinstance(term, BNode) else str(term))
-        writer.writerow(row)
+    writer.writerows([_csv_cell(term) for term in row] for row in result.rows)
     return buffer.getvalue()
 
 
@@ -378,12 +463,10 @@ def write_tsv(result: ResultSet | AskResult) -> str:
     if isinstance(result, AskResult):
         raise FormatError("ASK results have no TSV encoding; use json or xml")
     lines = ["\t".join(f"?{variable.name}" for variable in result.variables)]
-    for binding in result.bindings:
-        cells = []
-        for variable in result.variables:
-            term = binding.get_term(variable)
-            cells.append("" if term is None else _term_to_n3(term))
-        lines.append("\t".join(cells))
+    lines.extend(
+        "\t".join(["" if term is None else _term_to_n3(term) for term in row])
+        for row in result.rows
+    )
     return "\n".join(lines) + "\n"
 
 

@@ -117,23 +117,70 @@ class Binding(Mapping[Variable, Term]):
 
 
 class ResultSet:
-    """The result of a SELECT query: variables + a list of bindings."""
+    """The result of a SELECT query: variables + one solution per row.
+
+    Solutions are held in one of two forms, never both: the
+    :class:`Binding` objects a caller passed in, or — as the batched
+    engines deliver them (:meth:`from_rows`) — plain term tuples aligned
+    with :attr:`variables`.  The writers and the tabular accessors read
+    :attr:`rows`; :attr:`bindings` turns a row-backed set into bindings
+    the first time it is read and keeps only those from then on.
+    """
 
     def __init__(self, variables: Sequence[Variable], bindings: Iterable[Binding]) -> None:
         self.variables: list[Variable] = list(variables)
-        self.bindings: list[Binding] = list(bindings)
+        self._bindings: list[Binding] | None = list(bindings)
+        self._rows: list[tuple[Term | None, ...]] | None = None
         #: Static-analysis diagnostics attached by the evaluator
         #: (``repro.sparql.analysis.Diagnostic`` objects; empty by default).
         self.diagnostics: list = []
 
+    @classmethod
+    def from_rows(
+        cls, variables: Sequence[Variable], rows: list[tuple[Term | None, ...]]
+    ) -> ResultSet:
+        """A result set over term tuples aligned with ``variables``
+        (``None`` marks an unbound cell); the list is kept, not copied."""
+        result = cls(variables, ())
+        result._bindings = None
+        result._rows = rows
+        return result
+
+    @property
+    def bindings(self) -> list[Binding]:
+        """The solutions as :class:`Binding` objects, in order."""
+        if self._bindings is None:
+            variables = self.variables
+            self._bindings = [
+                Binding({
+                    variable: term
+                    for variable, term in zip(variables, row, strict=True)
+                    if term is not None
+                })
+                for row in self._rows or ()
+            ]
+            self._rows = None
+        return self._bindings
+
+    @property
+    def rows(self) -> list[tuple[Term | None, ...]]:
+        """The solutions as term tuples aligned with :attr:`variables`."""
+        if self._rows is not None:
+            return self._rows
+        variables = self.variables
+        return [
+            tuple([binding.get_term(variable) for variable in variables])
+            for binding in self.bindings
+        ]
+
     def __len__(self) -> int:
-        return len(self.bindings)
+        return len(self._rows if self._rows is not None else self.bindings)
 
     def __iter__(self) -> Iterator[Binding]:
         return iter(self.bindings)
 
     def __bool__(self) -> bool:
-        return bool(self.bindings)
+        return len(self) > 0
 
     def column(self, variable: Variable | str) -> list[Term | None]:
         """All values of one variable, aligned with the binding order."""
@@ -145,39 +192,37 @@ class ResultSet:
 
     def to_dicts(self) -> list[dict[str, str]]:
         """Rows as ``{variable-name: n3-string}`` dictionaries."""
-        rows = []
-        for binding in self.bindings:
-            row = {}
-            for variable in self.variables:
-                term = binding.get_term(variable)
-                row[variable.name] = term.n3() if term is not None else ""
-            rows.append(row)
-        return rows
+        names = [variable.name for variable in self.variables]
+        return [
+            {
+                name: term.n3() if term is not None else ""
+                for name, term in zip(names, row, strict=True)
+            }
+            for row in self.rows
+        ]
 
     def to_json_dict(self) -> dict[str, Any]:
         """Export following the layout of the SPARQL 1.1 JSON results format."""
-        bindings_json = []
-        for binding in self.bindings:
-            row: dict[str, Any] = {}
-            for variable in self.variables:
-                term = binding.get_term(variable)
-                if term is None:
-                    continue
-                row[variable.name] = _term_to_json(term)
-            bindings_json.append(row)
+        names = [variable.name for variable in self.variables]
         return {
-            "head": {"vars": [v.name for v in self.variables]},
-            "results": {"bindings": bindings_json},
+            "head": {"vars": names},
+            "results": {"bindings": [
+                {
+                    name: _term_to_json(term)
+                    for name, term in zip(names, row, strict=True)
+                    if term is not None
+                }
+                for row in self.rows
+            ]},
         }
 
     def to_table(self, max_width: int = 60) -> str:
         """Human-readable fixed-width table (used by the CLI and examples)."""
         headers = [f"?{v.name}" for v in self.variables]
         rows = []
-        for binding in self.bindings:
+        for terms in self.rows:
             row = []
-            for variable in self.variables:
-                term = binding.get_term(variable)
+            for term in terms:
                 text = term.n3() if term is not None else ""
                 if len(text) > max_width:
                     text = text[: max_width - 3] + "..."
@@ -196,7 +241,7 @@ class ResultSet:
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ResultSet {len(self.bindings)} rows x {len(self.variables)} vars>"
+        return f"<ResultSet {len(self)} rows x {len(self.variables)} vars>"
 
 
 class AskResult:

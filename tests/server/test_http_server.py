@@ -524,3 +524,52 @@ class TestStrictMode:
         assert status == 200
         payload = json.loads(body)
         assert any(d["code"] == "SQA108" for d in payload["diagnostics"])
+
+
+# --------------------------------------------------------------------------- #
+# The request path analyses a query once
+# --------------------------------------------------------------------------- #
+class TestAnalysisRunsOnce:
+    WARNING = "SELECT ?s WHERE { ?s ?p ?o FILTER(1 = 2) }"
+
+    @pytest.fixture()
+    def analyses(self, monkeypatch):
+        """Every ``analyze_query`` call made while the test runs."""
+        from repro.sparql import analysis
+
+        calls = []
+        original = analysis.analyze_query
+
+        def counting(query, graph=None):
+            calls.append(graph is not None)
+            return original(query, graph)
+
+        monkeypatch.setattr(analysis, "analyze_query", counting)
+        return calls
+
+    def test_local_endpoint_is_analysed_by_its_evaluator_only(self, endpoint, analyses):
+        result = EndpointBackend(endpoint).execute(self.WARNING)
+        assert analyses == [True]  # once, against the graph
+        assert "SQA108" in [d.code for d in result.diagnostics]
+
+    def test_strict_mode_still_refuses_before_executing(self, endpoint, analyses):
+        from repro.server import RejectedQuery
+
+        with pytest.raises(RejectedQuery):
+            EndpointBackend(endpoint, strict=True).execute("SELECT ?nope WHERE { ?s ?p ?o }")
+        assert analyses == [False]
+        assert endpoint.statistics.select_queries == 0
+
+    def test_an_endpoint_that_evaluates_elsewhere_is_analysed_here(self, analyses):
+        from repro.federation import SparqlEndpoint
+        from repro.sparql import ResultSet
+
+        class Remote(SparqlEndpoint):
+            uri = URIRef("http://example.org/remote")
+
+            def select(self, query):
+                return ResultSet([], [])
+
+        result = EndpointBackend(Remote()).execute(self.WARNING)
+        assert analyses == [False]
+        assert "SQA108" in [d.code for d in result.diagnostics]

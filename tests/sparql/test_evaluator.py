@@ -239,3 +239,52 @@ class TestResultSet:
         assert binding.substitute(Variable("x")) == uri("a")
         assert binding.substitute(Variable("unbound")) == Variable("unbound")
         assert binding.substitute(uri("c")) == uri("c")
+
+
+class TestSharedEvaluator:
+    """One evaluator serves every handler thread of an endpoint."""
+
+    def test_prepare_reads_its_memo_once(self, graph, evaluator):
+        """Another thread may replace the memo between any two reads of it;
+        a query must never be paired with another query's analysis."""
+        first, second = (
+            parse_query(PREFIX + f"SELECT ?n WHERE {{ ex:{who} ex:name ?n }}")
+            for who in ("alice", "bob")
+        )
+        memos = [(query, *evaluator._prepare(query)) for query in (first, second)]
+
+        class Raced(QueryEvaluator):
+            reads = 0
+
+            @property
+            def _prepared(self):
+                # The memo is ``first``'s while it is checked, and
+                # ``second``'s by the time a third read would fetch its parts.
+                Raced.reads += 1
+                return memos[0] if Raced.reads <= 2 else memos[1]
+
+            @_prepared.setter
+            def _prepared(self, value):
+                pass
+
+        analysis, effective = Raced(graph)._prepare(first)
+        assert analysis is memos[0][1]
+        assert effective is memos[0][2]
+
+
+class TestDecodeBoundary:
+    """SELECT rows are decoded straight onto the projection."""
+
+    @pytest.mark.parametrize("select", [
+        "?n ?n",           # a repeated variable: two cells from one column
+        "?zz ?n",          # never bound anywhere in the plan
+        "?__bnode_who ?n",  # named like the anchor the projection strips
+    ])
+    def test_projection_the_plan_schema_does_not_mirror(self, graph, select):
+        text = PREFIX + f"SELECT {select} WHERE {{ _:who ex:name ?n }}"
+        expected = sorted(QueryEvaluator(graph, engine="reference").evaluate(text).rows)
+        assert len(expected) == 3
+        for engine in ("planner", "naive"):
+            result = QueryEvaluator(graph, engine=engine).evaluate(text)
+            assert sorted(result.rows) == expected
+            assert [len(binding) for binding in result.bindings] == [1, 1, 1]

@@ -1,0 +1,66 @@
+"""``tools/check_invariants.py``: seeded violations are reported."""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location(
+    "check_invariants", REPO_ROOT / "tools" / "check_invariants.py"
+)
+lints = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(lints)
+
+SEEDED = """\
+import copy
+import json
+from copy import deepcopy
+
+def clone(query):
+    return copy.deepcopy(query)
+
+def clone_again(query):
+    return deepcopy(query)
+
+def render(payload):
+    compact = json.dumps(payload, ensure_ascii=False)
+    return json.dumps(payload, indent=2)
+"""
+
+
+def _findings(relative: str) -> list[str]:
+    path = REPO_ROOT / relative
+    return [
+        finding.render()
+        for finding in lints.check_result_path_encoders(ast.parse(SEEDED), path)
+    ]
+
+
+def test_inv006_reports_deepcopy_and_indented_dumps_under_sparql():
+    deepcopy = (
+        "[INV006] copy.deepcopy() call: copy the mutable shells with the AST's "
+        "copy() methods and share the frozen values"
+    )
+    assert _findings("src/repro/sparql/seeded.py") == [
+        f"src/repro/sparql/seeded.py:6: {deepcopy}",
+        f"src/repro/sparql/seeded.py:9: {deepcopy}",
+        "src/repro/sparql/seeded.py:13: [INV006] json.dumps(..., indent=...) in "
+        "sparql/: indent= selects the pure-Python encoder; assemble the document "
+        "from fragments",
+    ]
+
+
+def test_inv006_scope():
+    # Elsewhere in src/repro/ a pretty-printed body is fine; deepcopy is not.
+    server = _findings("src/repro/server/seeded.py")
+    assert [line.split(": ")[0] for line in server] == [
+        "src/repro/server/seeded.py:6", "src/repro/server/seeded.py:9",
+    ]
+    # Tests, benchmarks and tools may use both (the old writer is a test oracle).
+    assert _findings("tests/sparql/seeded.py") == []
+
+
+def test_the_repository_is_clean():
+    assert lints.main() == 0

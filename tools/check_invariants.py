@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant lints, run as a hard CI gate.
 
-Four structural invariants that ordinary linters do not express, checked
+Six structural invariants that ordinary linters do not express, checked
 with nothing but the stdlib ``ast`` module:
 
 1. **Hot-loop allocation ban** — inside the batched executor
@@ -36,6 +36,15 @@ with nothing but the stdlib ``ast`` module:
    ``triples_ids()``, ``cardinality()``, ``stats``, ``dictionary``.
    (``_pos`` is deliberately not on the list: tokenizer/parser classes
    legitimately use ``self._pos`` for their cursor position.)
+
+6. **Result path stays off the slow encoders** — no ``copy.deepcopy``
+   call anywhere under ``src/repro/`` (query ASTs are copied by their
+   ``copy()`` methods, which share the frozen values), and no
+   ``json.dumps(..., indent=...)`` under ``src/repro/sparql/``: ``indent``
+   switches CPython to its pure-Python encoder, and result documents are
+   assembled from per-term fragments instead.  Pretty-printed bodies
+   outside ``sparql/`` (``/metrics``, ``/health``, error payloads, the
+   store manifest) are small and stay as they are.
 
 Exit status is non-zero when any violation is found.  Findings are printed
 one per line as ``path:line: [INVxxx] message`` so CI logs read like
@@ -322,6 +331,45 @@ def check_store_boundary(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
+# INV006 — no deepcopy in src/repro/, no json.dumps(indent=) in src/repro/sparql/
+# --------------------------------------------------------------------------- #
+
+SRC_PACKAGE = REPO_ROOT / "src" / "repro"
+SPARQL_PACKAGE = SRC_PACKAGE / "sparql"
+
+
+def _called_name(node: ast.Call) -> str | None:
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def check_result_path_encoders(tree: ast.Module, path: Path) -> list[Finding]:
+    if SRC_PACKAGE not in path.parents:
+        return []
+    findings: list[Finding] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _called_name(node)
+        if name == "deepcopy":
+            findings.append(Finding(
+                path, node.lineno, "INV006",
+                "copy.deepcopy() call: copy the mutable shells with the AST's "
+                "copy() methods and share the frozen values",
+            ))
+        elif (name in {"dumps", "dump"} and SPARQL_PACKAGE in path.parents
+                and any(keyword.arg == "indent" for keyword in node.keywords)):
+            findings.append(Finding(
+                path, node.lineno, "INV006",
+                "json.dumps(..., indent=...) in sparql/: indent= selects the "
+                "pure-Python encoder; assemble the document from fragments",
+            ))
+    return findings
+
+
+# --------------------------------------------------------------------------- #
 
 def main() -> int:
     findings: list[Finding] = []
@@ -340,6 +388,7 @@ def main() -> int:
             findings.extend(check_lock_discipline(tree, path))
             findings.extend(check_span_names(tree, path))
             findings.extend(check_store_boundary(tree, path))
+            findings.extend(check_result_path_encoders(tree, path))
             if path == EXEC_PATH:
                 findings.extend(check_hot_loops(tree, path))
     for finding in findings:
