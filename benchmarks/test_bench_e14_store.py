@@ -11,14 +11,18 @@ over graph size:
   dictionary and segment metadata, never the triples themselves,
 * bounded I/O under LIMIT — a disk-backed ``LIMIT``-ed BGP query must
   complete after reading a small prefix of one segment range, not the
-  full dataset.
+  full dataset,
+* segment pruning — on a six-segment store, a star join's subject probes
+  search only the segments whose id maps hold the subject.
 
 The headline claims pinned here: cold open performs **zero** triple-record
-reads, and the LIMIT-ed scan touches well under a tenth of the stored
-records.  Disk scans are expected to be slower than memory (they bisect
-every segment's memory-mapped run by byte comparison and decode rows
-with ``struct`` a chunk at a time); the sweep records by how much so
-regressions in either backend show up in the perf job.
+reads, the LIMIT-ed scan touches well under a tenth of the stored
+records, and a subject probe searches one or two segments, not six.
+Disk scans are expected to be slower than memory (they bisect each
+memory-mapped run that may hold the pattern's bound ids by byte
+comparison and decode rows with ``struct`` a chunk at a time); the sweep
+records by how much so regressions in either backend show up in the perf
+job.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ JOIN_QUERY = parse_query(
     f"SELECT ?s ?g ?r WHERE {{ ?s <{BENCH}group> ?g . ?s <{BENCH}rank> ?r }}")
 LIMIT_QUERY = parse_query(
     f"SELECT ?s ?g WHERE {{ ?s <{BENCH}group> ?g }} LIMIT 10")
+STAR_QUERY = parse_query(
+    f"SELECT ?s ?r ?k WHERE {{ ?s <{BENCH}group> <{BENCH}g7> . "
+    f"?s <{BENCH}rank> ?r . ?s <{BENCH}knows> ?k }}")
 
 
 def _time(evaluator: QueryEvaluator, query, repetitions: int = 3) -> float:
@@ -112,6 +119,33 @@ def test_bench_e14_store_sweep(benchmark, tmp_path):
         benchmark(lambda: disk_eval.select(JOIN_QUERY))
     finally:
         disk.close()
+
+
+def test_bench_e14_multi_segment_star(benchmark, tmp_path):
+    """A star join over six segments: each subject probe searches its own."""
+    entities = SWEEP_ENTITIES[-1]
+    disk = fill(Graph(store=SegmentStore(tmp_path / "six", buffer_limit=5_000)), entities)
+    disk.flush()
+    store, triples = disk.store, len(disk)
+    disk_eval = QueryEvaluator(disk, engine="planner")
+    want = sorted(map(repr, QueryEvaluator(fill(Graph(), entities)).select(STAR_QUERY)))
+    before = store.io.lookups
+    assert sorted(map(repr, disk_eval.select(STAR_QUERY))) == want
+    lookups = store.io.lookups - before
+    segments = len(store.segment_names)
+    assert segments == 6
+    # An entity's triples span at most two adjacent segments, so a subject
+    # probe searches one or two of the six, never all of them.
+    assert lookups < 3 * len(want) + 2 * segments, f"{lookups} lookups for {len(want)} rows"
+    try:
+        benchmark(lambda: disk_eval.select(STAR_QUERY))
+    finally:
+        disk.close()
+    report(
+        "E14: star join over a six-segment store",
+        [(triples, segments, len(want), lookups)],
+        headers=("triples", "segments", "rows", "lookups"),
+    )
 
 
 def test_bench_e14_cold_open_reads_no_records(benchmark, tmp_path):

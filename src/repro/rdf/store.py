@@ -29,7 +29,8 @@ Two implementations ship:
   write buffer flushed to new segments, tombstone-based deletes and
   segment-merge compaction.  Exact per-segment statistics are persisted
   next to each segment so a cold open rebuilds the planner's counters
-  without scanning any data.
+  without scanning any data, and a read searches only the segments whose
+  id maps hold the pattern's bound ids.
 
 :func:`open_graph` is the user-facing factory: ``open_graph(None)`` gives
 an in-memory graph, ``open_graph(path)`` opens (or creates) a persistent
@@ -44,8 +45,9 @@ import mmap
 import os
 import struct
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator
 from pathlib import Path
+from typing import TypeVar
 
 from .namespace import RDF
 from .terms import BNode, Literal, Term, URIRef
@@ -516,6 +518,7 @@ _MANIFEST = "MANIFEST.json"
 _TERMS_LOG = "terms.jsonl"
 _TOMBSTONES = "tombstones.bin"
 _FORMAT_VERSION = 1
+_Key = TypeVar("_Key", bound=Hashable)
 
 
 def _encode_term(term: Term) -> str:
@@ -602,7 +605,11 @@ class _TripleFile:
         self.path = path
         self.io = io
         with open(path, "rb") as source:
-            self.count = os.fstat(source.fileno()).st_size // _RECORD_SIZE
+            size = os.fstat(source.fileno()).st_size
+            if size % _RECORD_SIZE:
+                raise StoreError(f"{path}: {size} bytes is not a whole number of "
+                                 f"{_RECORD_SIZE}-byte records")
+            self.count = size // _RECORD_SIZE
             # ``mmap`` refuses a zero-length file (a compaction that kept
             # nothing writes one); empty bytes search the same way.
             self.mapped: mmap.mmap | bytes | None = mmap.mmap(
@@ -694,7 +701,17 @@ _ORDERINGS = {
 
 
 class _Segment:
-    """One immutable on-disk segment: three sorted runs plus statistics."""
+    """One immutable on-disk segment: three sorted runs plus exact id maps.
+
+    The per-role id -> count maps in ``meta.json`` decide correctness, not
+    just estimates: :meth:`SegmentStore.triples_ids`, ``cardinality`` and
+    the duplicate check behind ``add`` skip a segment whose map lacks a
+    bound id of the pattern (:meth:`may_hold`), so a map that missed an id
+    would silently lose that id's triples.  Opening therefore checks all
+    it can without reading a record — each of the three runs holds exactly
+    ``triples`` whole records, and the subject, predicate and object maps
+    each sum to ``triples`` — and raises :class:`StoreError` otherwise.
+    """
 
     __slots__ = ("name", "files", "count", "stats_ids")
 
@@ -706,16 +723,30 @@ class _Segment:
         }
         meta = json.loads((directory / f"{name}.meta.json").read_text(encoding="utf-8"))
         self.count = int(meta["triples"])
-        if self.files["spo"].count != self.count:
-            raise StoreError(
-                f"segment {name}: index holds {self.files['spo'].count} records "
-                f"but metadata claims {self.count}"
-            )
+        for ordering, handle in self.files.items():
+            if handle.count != self.count:
+                raise StoreError(
+                    f"segment {name}: {ordering} run holds {handle.count} records "
+                    f"but metadata claims {self.count}"
+                )
         #: Per-role id -> count maps persisted at segment-write time.
         self.stats_ids = {
             role: {int(key): value for key, value in meta["stats"][role].items()}
             for role in ("subjects", "predicates", "objects", "classes")
         }
+        for role in ("subjects", "predicates", "objects"):
+            total = sum(self.stats_ids[role].values())
+            if total != self.count:
+                raise StoreError(
+                    f"segment {name}: {role} map counts {total} triples "
+                    f"but metadata claims {self.count}"
+                )
+
+    def may_hold(self, s: int, p: int, o: int) -> bool:
+        """False when the id maps rule out every match of the id pattern."""
+        ids = self.stats_ids
+        return ((not s or s in ids["subjects"]) and (not p or p in ids["predicates"])
+                and (not o or o in ids["objects"]))
 
     def close(self) -> None:
         for handle in self.files.values():
@@ -766,12 +797,53 @@ def _atomic_json(path: Path, payload: dict) -> None:
     os.replace(scratch, path)
 
 
-def _bump(counts: dict[int, int], key: int, delta: int) -> None:
+def _bump(counts: dict[_Key, int], key: _Key, delta: int) -> None:
     updated = counts.get(key, 0) + delta
     if updated > 0:
         counts[key] = updated
     else:
         counts.pop(key, None)
+
+
+class _Tombstones:
+    """Deletes against segment-resident triples, countable by pattern shape.
+
+    ``members`` is the set a scan tests each segment row against.  Beside
+    it sit exact counts per two-bound pattern, keyed by the pattern itself
+    with the unbound position zeroed, so :meth:`SegmentStore.cardinality`
+    subtracts tombstones with one lookup instead of walking them all.
+    Only :meth:`add` and :meth:`discard` mutate, so the two cannot drift.
+    """
+
+    __slots__ = ("members", "_pairs")
+
+    def __init__(self) -> None:
+        self.members: set[tuple[int, int, int]] = set()
+        self._pairs: dict[tuple[int, int, int], int] = {}
+
+    def _shift(self, triple: tuple[int, int, int], delta: int) -> None:
+        s, p, o = triple
+        for key in ((s, p, UNBOUND_ID), (UNBOUND_ID, p, o), (s, UNBOUND_ID, o)):
+            _bump(self._pairs, key, delta)
+
+    def add(self, triple: tuple[int, int, int]) -> None:
+        if triple not in self.members:
+            self.members.add(triple)
+            self._shift(triple, +1)
+
+    def discard(self, triple: tuple[int, int, int]) -> None:
+        if triple in self.members:
+            self.members.remove(triple)
+            self._shift(triple, -1)
+
+    def count(self, s: int, p: int, o: int) -> int:
+        """Tombstones matching an id pattern with two or three bound positions."""
+        if s and p and o:
+            return 1 if (s, p, o) in self.members else 0
+        return self._pairs.get((s, p, o), 0)
+
+    def __len__(self) -> int:
+        return len(self.members)
 
 
 # --------------------------------------------------------------------------- #
@@ -796,6 +868,13 @@ class SegmentStore(Store):
     every segment into one.  Statistics are summed from the per-segment
     metadata on open — a cold open never scans triple data.
 
+    The same per-segment metadata prunes reads: a pattern scan, a
+    cardinality count or an ``add`` duplicate check searches only the
+    segments whose exact id maps hold every bound id of the pattern, so a
+    subject-bound probe typically searches one segment however many
+    there are.  Skipped segments contribute no rows, so row order is
+    unchanged.  A pattern with no bound id searches every segment.
+
     Mutations are serialised by an internal lock; concurrent *reads* are
     safe against each other (a segment run is one immutable read-only
     mapping; readers copy slices out of it and share no cursor), matching
@@ -819,7 +898,7 @@ class SegmentStore(Store):
         self._lock = threading.RLock()
         self._closed = False
         self._buffer = _IdIndex()
-        self._tombstones: set[tuple[int, int, int]] = set()
+        self._tombstones = _Tombstones()
         self._tombstones_dirty = False
         self._segments: list[_Segment] = []
         self._segment_count = 0
@@ -846,15 +925,19 @@ class SegmentStore(Store):
         self._dictionary = self._open_dictionary()
         self._rdf_type_id = self._dictionary.intern(RDF.type)
         self._next_segment = int(manifest.get("next_segment", 1))
-        for name in manifest["segments"]:
-            segment = _Segment(self.directory, name, self.io)
-            self._segments.append(segment)
-            self._segment_count += segment.count
-            for role, counts in segment.stats_ids.items():
-                merged = self._stats_ids[role]
-                for key, value in counts.items():
-                    merged[key] = merged.get(key, 0) + value
-        self._load_tombstones()
+        try:
+            for name in manifest["segments"]:
+                segment = _Segment(self.directory, name, self.io)
+                self._segments.append(segment)
+                self._segment_count += segment.count
+                for role, counts in segment.stats_ids.items():
+                    merged = self._stats_ids[role]
+                    for key, value in counts.items():
+                        merged[key] = merged.get(key, 0) + value
+            self._load_tombstones()
+        except BaseException:
+            self._dictionary._sink.close()  # opening failed: no handle outlives it
+            raise
 
     # ------------------------------------------------------------------ #
     # Opening helpers
@@ -952,7 +1035,8 @@ class SegmentStore(Store):
         return len(self._tombstones)
 
     def _in_segments(self, s: int, p: int, o: int) -> bool:
-        return any(segment.contains(s, p, o) for segment in self._segments)
+        return any(segment.contains(s, p, o) for segment in self._segments
+                   if segment.may_hold(s, p, o))
 
     def add(self, s: Term, p: Term, o: Term) -> bool:
         with self._lock:
@@ -962,7 +1046,7 @@ class SegmentStore(Store):
             if self._buffer.contains(si, pi, oi):
                 return False
             if self._in_segments(si, pi, oi):
-                if (si, pi, oi) not in self._tombstones:
+                if (si, pi, oi) not in self._tombstones.members:
                     return False
                 # Re-assertion of a tombstoned triple: the segment copy
                 # becomes visible again, no buffer entry needed.
@@ -984,7 +1068,7 @@ class SegmentStore(Store):
                 return False
             if self._buffer.discard(*ids):
                 pass
-            elif self._in_segments(*ids) and ids not in self._tombstones:
+            elif self._in_segments(*ids) and ids not in self._tombstones.members:
                 self._tombstones.add(ids)
                 self._tombstones_dirty = True
             else:
@@ -997,7 +1081,7 @@ class SegmentStore(Store):
         with self._lock:
             self._check_open()
             self._buffer.clear()
-            self._tombstones = set()
+            self._tombstones = _Tombstones()
             self._tombstones_dirty = False
             for segment in self._segments:
                 segment.close()
@@ -1015,8 +1099,10 @@ class SegmentStore(Store):
     ) -> Iterator[tuple[int, int, int]]:
         self._check_open()
         yield from self._buffer.scan(s, p, o)
-        tombstones = self._tombstones
+        tombstones = self._tombstones.members
         for segment in self._segments:
+            if not segment.may_hold(s, p, o):
+                continue
             if tombstones:
                 for triple in segment.scan(s, p, o):
                     if triple not in tombstones:
@@ -1040,12 +1126,9 @@ class SegmentStore(Store):
             key = ids[0] if s is not None else (ids[1] if p is not None else ids[2])
             return self._stats_ids[role].get(key, 0)
         total = self._buffer.count(*ids)
-        total += sum(segment.range_count(*ids) for segment in self._segments)
-        si, pi, oi = ids
-        for ts, tp, to in self._tombstones:
-            if (not si or ts == si) and (not pi or tp == pi) and (not oi or to == oi):
-                total -= 1
-        return total
+        total += sum(segment.range_count(*ids) for segment in self._segments
+                     if segment.may_hold(*ids))
+        return total - self._tombstones.count(*ids)
 
     # ------------------------------------------------------------------ #
     # Durability
@@ -1098,7 +1181,7 @@ class SegmentStore(Store):
         path = self.directory / _TOMBSTONES
         scratch = path.with_suffix(".tmp")
         with open(scratch, "wb") as sink:
-            for record in sorted(self._tombstones):
+            for record in sorted(self._tombstones.members):
                 sink.write(_RECORD.pack(*record))
         os.replace(scratch, path)
         self._tombstones_dirty = False
@@ -1138,7 +1221,7 @@ class SegmentStore(Store):
                 ]
                 merged = (
                     record for record in heapq.merge(*runs)
-                    if restore(record) not in self._tombstones
+                    if restore(record) not in self._tombstones.members
                 )
                 path = self.directory / f"{name}.{ordering}"
                 if ordering == "spo":
@@ -1163,7 +1246,7 @@ class SegmentStore(Store):
             # retired segments by the tombstones it started with.
             self._segments = [_Segment(self.directory, name, self.io)]
             self._segment_count = survivors
-            self._tombstones = set()
+            self._tombstones = _Tombstones()
             self._write_tombstones()
             self._write_manifest()
             for segment in old_segments:

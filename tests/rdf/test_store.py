@@ -16,6 +16,7 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from bisect import bisect_left
@@ -23,7 +24,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.rdf import (
     RDF,
@@ -189,16 +190,26 @@ class TestStoreContract:
 _TERMS = [URIRef(f"{EX}t{i}") for i in range(3)]
 _PREDS = [URIRef(f"{EX}p{i}") for i in range(2)] + [RDF.type]
 _OBJS = _TERMS + [Literal("x")]
+#: No operation ever interns it: a bound id no segment map can hold.
+_NEVER = u("never-interned")
 
 _operations = st.lists(
     st.tuples(
-        st.sampled_from(["add", "remove"]),
+        st.sampled_from(["add", "add", "remove", "flush", "compact", "reopen"]),
         st.sampled_from(_TERMS),
         st.sampled_from(_PREDS),
         st.sampled_from(_OBJS),
     ),
     max_size=40,
 )
+
+_t0, _t1, _t2 = _TERMS
+_p0, _p1, _type = _PREDS
+_x = _OBJS[-1]
+
+
+def _op(action: str, s=_t0, p=_p0, o=_t1) -> tuple:
+    return (action, s, p, o)
 
 
 def _recount(model: set[Triple]):
@@ -212,8 +223,22 @@ def _recount(model: set[Triple]):
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=60, deadline=None)
 @given(operations=_operations)
+# Three segments and the buffer, a tombstone in the middle segment.
+@example(operations=[_op("add"), _op("flush"), _op("add", _t2, _p1, _x), _op("flush"),
+                     _op("add", _t1, _type, _t0), _op("flush"), _op("add", _t0, _p1, _t2),
+                     _op("remove", _t2, _p1, _x)])
+# Ids held only by tombstoned triples (their segment maps still list them).
+@example(operations=[_op("add"), _op("add", _t2, _p1, _x), _op("flush"), _op("remove")])
+# A resurrected triple stays visible across a reopen (its tombstone is gone).
+@example(operations=[_op("add"), _op("flush"), _op("remove"), _op("add", _t2, _type, _t0),
+                     _op("flush"), _op("add"), _op("reopen")])
+# A compacted segment, whose id maps are written from the live statistics.
+@example(operations=[_op("add"), _op("add", _t1, _p1, _x), _op("add", _t2, _type, _t0),
+                     _op("flush"), _op("add", _t0, _p1, _t2), _op("remove", _t1, _p1, _x),
+                     _op("compact"), _op("add", _t1, _p0, _t1), _op("reopen")])
 def test_stats_equal_recount_after_interleaving(backend, operations, tmp_path_factory):
-    graph = Graph(store=make_store(backend, tmp_path_factory.mktemp("interleave")))
+    directory = tmp_path_factory.mktemp("interleave")
+    graph = Graph(store=make_store(backend, directory))
     model: set[Triple] = set()
     try:
         for action, s, p, o in operations:
@@ -221,9 +246,18 @@ def test_stats_equal_recount_after_interleaving(backend, operations, tmp_path_fa
             if action == "add":
                 graph.add(triple)
                 model.add(triple)
-            else:
+            elif action == "remove":
                 graph.discard(triple)
                 model.discard(triple)
+            elif backend == "memory":
+                continue            # flush/compact/reopen: nothing to do in RAM
+            elif action == "flush":
+                graph.flush()
+            elif action == "compact":
+                graph.store.compact()
+            else:
+                graph.close()
+                graph = Graph(store=make_store(backend, directory))
         assert len(graph) == len(model)
         assert set(graph.triples()) == model
         subjects, predicates, objects, classes = _recount(model)
@@ -232,14 +266,19 @@ def test_stats_equal_recount_after_interleaving(backend, operations, tmp_path_fa
         assert stats.predicate_counts == dict(predicates)
         assert stats.object_counts == dict(objects)
         assert stats.class_counts == dict(classes)
-        for s, p, o in product(_TERMS + [None], _PREDS + [None], _OBJS + [None]):
-            want = sum(
-                (s is None or t.subject == s)
+        for s, p, o in product(_TERMS + [_NEVER, None], _PREDS + [_NEVER, None],
+                               _OBJS + [_NEVER, None]):
+            want = {
+                t for t in model
+                if (s is None or t.subject == s)
                 and (p is None or t.predicate == p)
                 and (o is None or t.object == o)
-                for t in model
-            )
-            assert graph.cardinality(s, p, o) == want, f"pattern ({s}, {p}, {o})"
+            }
+            assert set(graph.triples(s, p, o)) == want, f"pattern ({s}, {p}, {o})"
+            assert graph.cardinality(s, p, o) == len(want), f"pattern ({s}, {p}, {o})"
+            if None not in (s, p, o):
+                assert (Triple(s, p, o) in graph) == bool(want), f"triple ({s}, {p}, {o})"
+        assert graph.dictionary.lookup(_NEVER) == 0
     finally:
         graph.close()
 
@@ -437,6 +476,28 @@ class TestSegmentStore:
         segment.close()
         store.close()
 
+    @pytest.mark.parametrize("damage", ["pos-truncated", "osp-truncated", "spo-trailing-bytes",
+                                        "subjects", "predicates", "objects"])
+    def test_open_rejects_a_segment_its_metadata_does_not_describe(self, tmp_path, damage):
+        store = SegmentStore(tmp_path)
+        Graph(store=store).add_all(sample_triples())
+        store.close()
+        (name,) = store.segment_names
+        ordering, _, kind = damage.partition("-")
+        if kind:
+            run = tmp_path / f"{name}.{ordering}"
+            data = run.read_bytes()
+            # Trailing bytes leave ``size // 24`` equal to the claimed count.
+            run.write_bytes(data[:-24] if kind == "truncated" else data + b"\0" * 7)
+        else:
+            # A map missing an id: pruning would skip that id's triples.
+            meta_path = tmp_path / f"{name}.meta.json"
+            meta = json.loads(meta_path.read_text())
+            meta["stats"][damage].popitem()
+            meta_path.write_text(json.dumps(meta))
+        with pytest.raises(StoreError, match=name):
+            SegmentStore(tmp_path)
+
     def test_unsupported_manifest_format_raises(self, tmp_path):
         (tmp_path / "MANIFEST.json").write_text('{"format": 99, "segments": []}')
         with pytest.raises(StoreError):
@@ -603,7 +664,12 @@ def test_lookup_counter_deltas_are_exact_with_one_thread(tmp_path):
     store = _entity_store(tmp_path)
     entity = store.dictionary.lookup(u("e7"))
     name = store.dictionary.lookup(u("name"))
-    for pattern in ((entity, 0, 0), (entity, name, 0), (0, name, 0)):
+    segments = len(store.segment_names)
+    # An entity's triples sit in one segment, so the id maps rule out the
+    # other five; every segment holds ``name``, so a predicate scan
+    # searches them all.
+    for pattern, searched in (((entity, 0, 0), 1), ((entity, name, 0), 1),
+                              ((0, name, 0), segments)):
         deltas = []
         for _ in range(2):
             before = store.io.as_dict()
@@ -611,10 +677,18 @@ def test_lookup_counter_deltas_are_exact_with_one_thread(tmp_path):
             after = store.io.as_dict()
             deltas.append({key: after[key] - before[key] for key in after})
             assert rows
-        # One range lookup and one range scan per segment, and the same
-        # number of records examined every time.
-        assert deltas[0]["lookups"] == deltas[0]["range_scans"] == len(store.segment_names)
+        # One range lookup and one range scan per searched segment, and the
+        # same number of records examined every time.
+        assert deltas[0]["lookups"] == deltas[0]["range_scans"] == searched
         assert deltas[0] == deltas[1]
+    before = store.io.lookups
+    assert store.cardinality(u("e7"), u("name"), None) == 1
+    assert store.contains(u("e7"), u("name"), Literal("entity 7"))
+    assert store.io.lookups - before == 2
+    # The duplicate check behind add() searches no segment for a new subject.
+    before = store.io.lookups
+    assert store.add(u("newcomer"), u("name"), Literal("entity 7"))
+    assert store.io.lookups == before
     store.close()
 
 
