@@ -1,21 +1,21 @@
-"""E11 — the query planner: statistics-driven ordering + streaming wins.
+"""E11 — the query planner: statistics-driven ordering + early termination.
 
 Every rewritten query of the mediation pipeline — and every per-endpoint
 query of a federation fan-out — is executed by the local SPARQL substrate,
 so its evaluation cost multiplies through the whole system.  This
-experiment quantifies what the cost-based streaming planner buys over
-the dict-at-a-time reference evaluator with a sweep over
+experiment quantifies what the cost-based planner buys over the
+dict-at-a-time reference evaluator with a sweep over
 
 * graph size (number of triples),
 * BGP size (number of triple patterns in the WHERE clause),
 * LIMIT (present or absent),
 
 and pins the headline claim: on a LIMIT-ed query over a >= 50k-triple
-graph the streaming plan must be at least 5x faster than the reference
+graph the planned execution must be at least 5x faster than the reference
 materialising evaluation, because it stops scanning as soon as the limit
 is satisfied while the reference path enumerates every solution first.
-(The batched *naive* engine streams as well now — see E13 for the
-batched-vs-reference comparison on unrestricted multi-joins.)
+(See E13 for the batched-vs-reference comparison on unrestricted
+multi-joins.)
 """
 
 from __future__ import annotations
@@ -77,12 +77,12 @@ def _time(evaluator: QueryEvaluator, query, repetitions: int = 3) -> float:
 
 
 def test_bench_e11_planner_sweep(benchmark):
-    """Sweep graph size x BGP size x LIMIT; check the streaming win."""
+    """Sweep graph size x BGP size x LIMIT; check the early-termination win."""
     rows = []
     headline_speedup = None
     for n_entities in GRAPH_ENTITIES:
         graph = build_graph(n_entities)
-        planner = QueryEvaluator(graph, use_planner=True)
+        planner = QueryEvaluator(graph)
         reference = QueryEvaluator(graph, engine="reference")
         for bgp_size, text in QUERIES_BY_BGP_SIZE.items():
             for limit in (5, None):
@@ -100,19 +100,19 @@ def test_bench_e11_planner_sweep(benchmark):
                     headline_speedup = speedup
 
     report(
-        "E11: reference evaluator vs. cost-based streaming planner",
+        "E11: reference evaluator vs. cost-based planner",
         rows,
         headers=("triples", "BGP size", "LIMIT", "reference", "planner", "speedup"),
     )
 
     # Headline claim: LIMIT-ed BGP over the 50k-triple graph is >= 5x
-    # faster because the plan streams and stops early.
+    # faster because the planned execution stops early.
     assert headline_speedup is not None
     assert headline_speedup >= 5.0, f"expected >= 5x, measured {headline_speedup:.1f}x"
 
     # Register the headline measurement with pytest-benchmark.
     graph = build_graph(GRAPH_ENTITIES[-1])
-    planner = QueryEvaluator(graph, use_planner=True)
+    planner = QueryEvaluator(graph)
     query = _parse(QUERIES_BY_BGP_SIZE[2], 5)
     benchmark(lambda: planner.evaluate(query))
 
@@ -120,19 +120,19 @@ def test_bench_e11_planner_sweep(benchmark):
 def test_bench_e11_results_equivalent():
     """Both engines agree on every sweep query (sorted-row comparison)."""
     graph = build_graph(500)
-    planner = QueryEvaluator(graph, use_planner=True)
-    naive = QueryEvaluator(graph, use_planner=False)
+    planner = QueryEvaluator(graph)
+    reference = QueryEvaluator(graph, engine="reference")
     for text in QUERIES_BY_BGP_SIZE.values():
         query = parse_query(text)
         planned_rows = sorted(map(repr, planner.select(query)))
-        naive_rows = sorted(map(repr, naive.select(query)))
-        assert planned_rows == naive_rows
+        reference_rows = sorted(map(repr, reference.select(query)))
+        assert planned_rows == reference_rows
 
 
 def test_bench_e11_ask_constant_time():
     """ASK over a large graph answers without enumerating solutions."""
     graph = build_graph(GRAPH_ENTITIES[-1])
-    planner = QueryEvaluator(graph, use_planner=True)
+    planner = QueryEvaluator(graph)
     reference = QueryEvaluator(graph, engine="reference")
     query = parse_query(PREFIX + "ASK { ?p rdf:type ex:Person . ?p ex:name ?n }")
     planner_time = _time(planner, query)

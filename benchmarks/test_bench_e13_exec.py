@@ -1,6 +1,6 @@
 """E13 — the batched execution core: the dict-overhead win on multi-joins.
 
-Every engine (naive, planner, decomposer) now funnels through the batched
+The planner and the federation decomposer both run on the batched
 operator layer of :mod:`repro.sparql.exec`: solution rows are fixed-width
 tuples of dictionary ids and scans run against the graph's id-level
 permutation indexes, so the join hot loop never hashes a term, never
@@ -114,9 +114,8 @@ def test_bench_e13_results_equivalent():
         graph = build_graph(fan_in)
         query = star_query(fan_in)
         reference = sorted(map(repr, QueryEvaluator(graph, engine="reference").select(query)))
-        for engine in ("planner", "naive"):
-            batched = sorted(map(repr, QueryEvaluator(graph, engine=engine).select(query)))
-            assert batched == reference
+        batched = sorted(map(repr, QueryEvaluator(graph).select(query)))
+        assert batched == reference
 
 
 def test_bench_e13_adaptivity_costs_nothing_when_estimates_hold():

@@ -140,9 +140,9 @@ def main_query(argv: Sequence[str] | None = None) -> int:
                         help="execute the query and print the EXPLAIN ANALYZE report "
                              "(per-operator rows, batches and wall time)")
     parser.add_argument("--engine", choices=list(ENGINES), default="planner",
-                        help="evaluation engine: the cost-based planner or the "
-                             "syntax-ordered naive path (both on the batched "
-                             "executor), or the reference/streaming oracles")
+                        help="evaluation engine: the cost-based planner on the "
+                             "batched executor, or the dict-at-a-time reference "
+                             "oracle")
     parser.add_argument("--lint", action="store_true",
                         help="print the static analyzer's diagnostics instead of "
                              "executing (exit 1 on error-severity findings)")
@@ -163,13 +163,13 @@ def main_query(argv: Sequence[str] | None = None) -> int:
             print(diagnostic.render(arguments.query))
         failed = analysis.has_errors or (arguments.strict and analysis.warnings)
         return 1 if failed else 0
-    if arguments.explain:
-        print(evaluator.explain(query))
-        return 0
     try:
+        if arguments.explain:
+            print(evaluator.explain(query))
+            return 0
         if arguments.analyze:
-            # The reference/streaming oracles analyze through their batched
-            # equivalent (see QueryEvaluator.analyze).
+            # The reference oracle analyzes through the planner (see
+            # QueryEvaluator.analyze).
             _, event = evaluator.analyze(query)
             print(event.render())
             return 0

@@ -19,7 +19,6 @@ while the store answers id-level scans, counts and statistics.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -38,7 +37,6 @@ __all__ = [
     "Graph",
     "GraphView",
     "GraphStatistics",
-    "ReadOnlyGraphView",
     "TermDictionary",
     "UNBOUND_ID",
 ]
@@ -510,15 +508,3 @@ class GraphView:
     @property
     def namespace_manager(self) -> NamespaceManager:
         return self._graph.namespace_manager
-
-
-class ReadOnlyGraphView(GraphView):
-    """Deprecated alias of :class:`GraphView` (renamed in the Store redesign)."""
-
-    def __init__(self, graph: Graph) -> None:
-        warnings.warn(
-            "ReadOnlyGraphView is deprecated; use GraphView",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(graph)

@@ -58,7 +58,6 @@ from .exec import (
     RUN_EVENTS_ENV,
     ExecConfig,
     QueryRunEvent,
-    compile_naive_query,
     compile_planner_query,
 )
 from .plan import (
@@ -124,7 +123,7 @@ __all__ = [
     "ordered_bgp_patterns",
     # batched execution core
     "ExecConfig", "QueryRunEvent", "RUN_EVENTS_ENV",
-    "compile_planner_query", "compile_naive_query",
+    "compile_planner_query",
     "ExpressionError", "evaluate_expression", "expression_satisfied",
     "effective_boolean_value",
     # planning

@@ -54,7 +54,7 @@ __all__ = [
 # BGP matching
 # --------------------------------------------------------------------------- #
 #: Name prefix of the internal variables standing in for query blank nodes.
-#: Shared by the naive evaluator and the planner (both must bind and hide
+#: Shared by the reference evaluator and the planner (both must bind and hide
 #: blank-node positions identically).
 BNODE_ANCHOR_PREFIX = "__bnode_"
 
@@ -266,14 +266,10 @@ def _apply_element(element, solutions: list[Binding], graph) -> list[Binding]:
 #: Engines accepted by :class:`QueryEvaluator`.
 #:
 #: * ``planner`` — cost-based plan, batched (vectorized) execution
-#: * ``naive`` — bottom-up group semantics, batched execution
-#: * ``reference`` — the original dict-at-a-time bottom-up evaluator
-#: * ``streaming`` — the original one-binding-at-a-time physical operators
-#:
-#: ``planner``/``naive`` share one operator layer (:mod:`repro.sparql.exec`);
-#: ``reference``/``streaming`` are kept as independently-implemented oracles
-#: for the differential tests.
-ENGINES = ("planner", "naive", "reference", "streaming")
+#:   (:mod:`repro.sparql.plan` compiled onto :mod:`repro.sparql.exec`)
+#: * ``reference`` — the dict-at-a-time bottom-up evaluator of this module,
+#:   kept as the independently-implemented oracle of the differential tests
+ENGINES = ("planner", "reference")
 
 
 class QueryEvaluator:
@@ -282,31 +278,25 @@ class QueryEvaluator:
     By default queries run through the cost-based planner compiled onto the
     batched execution core (:mod:`repro.sparql.exec`): statistics-ordered
     index scans, pushed-down FILTERs, adaptive join reordering and
-    early-terminating modifiers.  Pass ``use_planner=False`` (or
-    ``engine="naive"``) for bottom-up group semantics on the same core, or
-    pick the pre-refactor oracles with ``engine="reference"`` /
-    ``engine="streaming"`` — the differential tests execute all engines and
-    require identical solution multisets.
+    early-terminating modifiers.  ``engine="reference"`` picks the
+    dict-at-a-time oracle instead — the differential tests execute both
+    engines and require identical solution multisets.
     """
 
     def __init__(
         self,
         graph: Graph,
-        use_planner: bool = True,
-        engine: str | None = None,
+        engine: str = "planner",
         exec_config=None,
         strict: bool = False,
         analysis: bool = True,
     ) -> None:
         self._graph = graph
-        if engine is None:
-            engine = "planner" if use_planner else "naive"
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
             )
         self.engine = engine
-        self.use_planner = engine in ("planner", "streaming")
         self._exec_config = exec_config
         #: ``strict=True`` refuses queries with error-severity diagnostics
         #: (raising :class:`repro.sparql.analysis.QueryAnalysisError`);
@@ -386,10 +376,21 @@ class QueryEvaluator:
         raise TypeError(f"unsupported query form: {type(query).__name__}")
 
     def explain(self, query: Query | str) -> str:
-        """EXPLAIN-style rendering of the physical plan for ``query``."""
-        from .plan import explain_query
+        """EXPLAIN-style rendering of the plan :meth:`evaluate` runs.
 
-        return explain_query(query, self._graph)
+        Like evaluation, it plans the analyzer's pruned query; a query the
+        analyzer proved empty renders as the single ``AnalysisPrune``
+        operator that :meth:`analyze` reports.
+        """
+        from .plan import explain_header, plan_query
+
+        if isinstance(query, str):
+            query = parse_query(query)
+        analysis, effective = self._prepare(query)
+        if analysis is not None and analysis.provably_empty:
+            root = self._empty_plan(query, analysis).root
+            return "\n".join([explain_header(query, self._graph), root.describe()])
+        return plan_query(effective, self._graph).explain()
 
     def analyze(self, query: Query | str):
         """EXPLAIN ANALYZE: evaluate ``query`` and return ``(result, event)``.
@@ -397,23 +398,15 @@ class QueryEvaluator:
         The event is a :class:`repro.sparql.exec.QueryRunEvent` with
         per-operator rows/batches/wall-time and any adaptivity decisions;
         ``event.render()`` gives the human-readable report.  The reference
-        and streaming oracles have no batched instrumentation, so they
-        analyze through their batched equivalent (naive / planner).
+        oracle has no batched instrumentation, so it analyzes through the
+        planner.
         """
         text = query if isinstance(query, str) else None
         if isinstance(query, str):
             query = parse_query(query)
         analysis, effective = self._prepare(query)
         if analysis is not None and analysis.provably_empty:
-            from .exec import compile_empty_query
-
-            plan = compile_empty_query(
-                query,
-                self._graph,
-                analysis.empty_reason or "analysis proved the query empty",
-                self._exec_config,
-                engine=self.engine,
-            )
+            plan = self._empty_plan(query, analysis)
         else:
             plan = self._compile(effective)
         if isinstance(query, SelectQuery):
@@ -440,19 +433,28 @@ class QueryEvaluator:
 
     # -- batched compilation --------------------------------------------------- #
     def _compile(self, query: Query):
-        """Compile ``query`` onto the batched execution core."""
-        from .exec import compile_naive_query, compile_planner_query
+        """Plan ``query`` and compile it onto the batched execution core."""
+        from .exec import compile_planner_query
 
         with get_tracer().start_span(
             "planner.compile", {"engine": self.engine, "layer": "planner"}
         ) as span:
-            if self.engine in ("planner", "streaming"):
-                plan = compile_planner_query(query, self._graph, self._exec_config)
-            else:
-                plan = compile_naive_query(query, self._graph, self._exec_config)
+            plan = compile_planner_query(query, self._graph, self._exec_config)
             if span.recording:
                 span.set_attribute("operators", len(plan.root.operator_stats()))
         return plan
+
+    def _empty_plan(self, query: Query, analysis):
+        """The zero-lookup plan of a query the analyzer proved empty."""
+        from .exec import compile_empty_query
+
+        return compile_empty_query(
+            query,
+            self._graph,
+            analysis.empty_reason or "analysis proved the query empty",
+            self._exec_config,
+            engine=self.engine,
+        )
 
     def _finish(self, plan, query: Query) -> None:
         """Post-execution hooks: run-event JSONL, operator spans, slow log.
@@ -486,10 +488,6 @@ class QueryEvaluator:
     # -- SELECT -------------------------------------------------------------- #
     def _evaluate_select(self, query: SelectQuery) -> ResultSet:
         projection = query.effective_projection()
-        if self.engine == "streaming":
-            from .plan import plan_query
-
-            return ResultSet(projection, plan_query(query, self._graph).execute())
         if self.engine == "reference":
             solutions = evaluate_group(query.where, self._graph)
 
@@ -535,17 +533,11 @@ class QueryEvaluator:
 
     # -- ASK ------------------------------------------------------------------ #
     def _evaluate_ask(self, query: AskQuery) -> AskResult:
-        if self.engine == "streaming":
-            from .plan import plan_query
-
-            # Streaming pays off most here: stop at the first solution.
-            first = next(plan_query(query, self._graph).execute(), None)
-            return AskResult(first is not None)
         if self.engine == "reference":
             solutions = evaluate_group(query.where, self._graph)
             return AskResult(bool(solutions))
-        # Batched engines stop at the first solution too: the scan chain
-        # emits tiny initial batches, so only a handful of index lookups run.
+        # Stop at the first solution: the scan chain emits tiny initial
+        # batches, so only a handful of index lookups run.
         plan = self._compile(query)
         result = AskResult(plan.first_binding() is not None)
         self._finish(plan, query)
@@ -553,20 +545,15 @@ class QueryEvaluator:
 
     # -- CONSTRUCT ------------------------------------------------------------ #
     def _evaluate_construct(self, query: ConstructQuery) -> Graph:
-        if self.engine == "streaming":
-            from .plan import plan_query
-
-            solutions: Iterable[Binding] = plan_query(query, self._graph).execute()
-        elif self.engine == "reference":
+        if self.engine == "reference":
             solutions = self._apply_modifiers(
                 query, evaluate_group(query.where, self._graph)
             )
-        else:
-            plan = self._compile(query)
-            output = _construct_graph(query, plan.bindings())
-            self._finish(plan, query)
-            return output
-        return _construct_graph(query, solutions)
+            return _construct_graph(query, solutions)
+        plan = self._compile(query)
+        output = _construct_graph(query, plan.bindings())
+        self._finish(plan, query)
+        return output
 
 
 def _construct_graph(query: ConstructQuery, solutions: Iterable[Binding]) -> Graph:

@@ -1,9 +1,8 @@
-"""Batched (vectorized) execution core shared by all three engines.
+"""Batched (vectorized) execution core: the one executor.
 
-The naive evaluator, the cost-based planner and the federation decomposer
-used to each stream one ``Binding`` (a dict) at a time; per-row dict
-copies dominated join cost.  This module replaces all three execution
-loops with **one** operator layer:
+The cost-based planner and the federation decomposer both run on **one**
+operator layer (the dict-at-a-time reference evaluator stays outside it,
+as the differential-testing oracle):
 
 * solution rows are fixed-width tuples of integers — RDF terms are
   interned per graph by :class:`repro.rdf.TermDictionary`, and
@@ -25,14 +24,12 @@ loops with **one** operator layer:
   and inside expression evaluation, the one place that genuinely needs
   term values.
 
-The three engines survive as *planners* over this executor:
+Two front ends build operator trees:
 
-* :func:`compile_planner_query` converts the cost-based physical plan of
-  :mod:`repro.sparql.plan` (which keeps its estimator, join ordering,
-  hash/bind join selection and filter pushdown) into batched operators,
-* :func:`compile_naive_query` compiles the AST group structure with the
-  naive evaluator's semantics (element order, group-scoped filters,
-  ``ordered_bgp_patterns`` scan order) onto the same operators,
+* :func:`compile_planner_query` compiles the inert plan tree of
+  :mod:`repro.sparql.plan` (estimator, join ordering, hash/bind join
+  selection and filter pushdown all decided there) onto batched
+  operators, node by node,
 * the federation decomposer builds its mediator-side join pipeline from
   these operators (see :mod:`repro.federation.decompose`).
 
@@ -44,7 +41,7 @@ into the remaining patterns and ask the graph), and the decision is
 recorded for ``EXPLAIN ANALYZE``.
 
 **EXPLAIN ANALYZE**: every operator counts rows/batches in and out and
-its (inclusive) wall time; :meth:`ExecPlan.analyze` renders the operator
+its (inclusive) wall time; :meth:`ExecPlan.report` renders the operator
 tree with those numbers and :meth:`ExecPlan.run_event` packages them as a
 structured per-query event consumable by ``benchmarks/compare.py
 --events``.
@@ -61,15 +58,11 @@ from typing import Any
 
 from ..obs.export import RUN_EVENTS_ENV, SINK
 from ..rdf import BNode, Term, TermDictionary, Triple, Variable
-from .ast import AskQuery, ConstructQuery, Expression, OrderCondition, Query, SelectQuery
-from .evaluator import (
-    BNODE_ANCHOR_PREFIX,
-    _orderable,
-    bnode_anchor,
-    ordered_bgp_patterns,
-    pattern_text,
-)
+from . import plan as _plan
+from .ast import Expression, OrderCondition, Query, SelectQuery
+from .evaluator import BNODE_ANCHOR_PREFIX, _orderable, bnode_anchor, pattern_text
 from .expressions import ExpressionError, evaluate_expression, expression_satisfied
+from .plan import ScanStep
 from .results import Binding
 from .serializer import serialize_expression
 
@@ -95,7 +88,6 @@ __all__ = [
     "ExecPlan",
     "QueryRunEvent",
     "compile_planner_query",
-    "compile_naive_query",
     "compile_empty_query",
     "maybe_emit_event",
     "RUN_EVENTS_ENV",
@@ -166,7 +158,7 @@ class ExecConfig:
     #: Batches grow by this factor up to :attr:`max_batch_rows`.
     batch_growth: int = 8
     max_batch_rows: int = 2048
-    #: Adaptive join ordering on/off (planner engine only).
+    #: Adaptive join ordering of planned BGP scan chains on/off.
     adaptive: bool = True
     #: A step whose actual cardinality is off from its estimate by more
     #: than this factor triggers reordering of the remaining steps.
@@ -411,17 +403,6 @@ def seed_batches() -> Iterator[Batch]:
 # --------------------------------------------------------------------------- #
 # Scans (BGP chains with adaptive reordering)
 # --------------------------------------------------------------------------- #
-class _VecStep:
-    """One scan of a BGP chain plus the filters applied right after it."""
-
-    __slots__ = ("pattern", "filters", "est")
-
-    def __init__(self, pattern: Triple, filters: list[Expression], est: float) -> None:
-        self.pattern = pattern
-        self.filters = filters
-        self.est = est
-
-
 class VecBGPOp(VecOperator):
     """A chain of index scans producing batches of interned-id rows.
 
@@ -438,7 +419,7 @@ class VecBGPOp(VecOperator):
         self,
         ctx: ExecContext,
         in_schema: Schema,
-        steps: list[_VecStep],
+        steps: list[ScanStep],
         tail_filters: list[Expression],
         adaptive: bool = False,
     ) -> None:
@@ -520,7 +501,7 @@ class VecBGPOp(VecOperator):
 
     # -- single-step scan --------------------------------------------------- #
     def _scan_rows(
-        self, step: _VecStep, rows: Iterator[Row], layout: list[Variable]
+        self, step: ScanStep, rows: Iterator[Row], layout: list[Variable]
     ) -> Iterator[Row]:
         """Extend every row with the matches of ``step`` (then filter)."""
         ctx = self.ctx
@@ -697,13 +678,13 @@ class VecBGPOp(VecOperator):
 
     def _reorder(
         self,
-        remaining: list[_VecStep],
+        remaining: list[ScanStep],
         sample: Sequence[Row],
         layout: Sequence[Variable],
-        after: _VecStep,
+        after: ScanStep,
         observed: int,
         exhausted: bool,
-    ) -> list[_VecStep]:
+    ) -> list[ScanStep]:
         """Reorder ``remaining`` by estimates sampled from actual rows."""
         sampled = {
             id(step): self._sampled_estimate(step.pattern, sample, layout)
@@ -717,12 +698,12 @@ class VecBGPOp(VecOperator):
         # their variables are bound (same rule the planner applies).
         pending = [expr for step in remaining for expr in step.filters]
         bound: set[Variable] = set(layout)
-        rebuilt: list[_VecStep] = []
+        rebuilt: list[ScanStep] = []
         for step in reordered:
             bound |= set(pattern_variables(step.pattern))
             attached = [expr for expr in pending if expr.variables() <= bound]
             pending = [expr for expr in pending if expr not in attached]
-            rebuilt.append(_VecStep(step.pattern, attached, sampled[id(step)]))
+            rebuilt.append(ScanStep(step.pattern, attached, sampled[id(step)]))
         if pending:  # pragma: no cover - planner never leaves these dangling
             rebuilt[-1].filters.extend(pending)
         if [id(s) for s in remaining] != [id(s) for s in reordered]:
@@ -1527,184 +1508,77 @@ class ExecPlan:
 
 
 # --------------------------------------------------------------------------- #
-# Compilation: the cost-based planner engine
+# Compilation: plan tree -> batched operators
 # --------------------------------------------------------------------------- #
 def _fresh_ord(counter: list[int]) -> Variable:
     counter[0] += 1
     return Variable(f"{_ORD_PREFIX}{counter[0]}")
 
 
-def _convert_physical(
-    op: Any, in_schema: Schema, ctx: ExecContext, counter: list[int]
+def _compile_node(
+    node: _plan.PhysicalOperator, in_schema: Schema, ctx: ExecContext, counter: list[int]
 ) -> VecOperator:
-    """Convert one streaming physical operator (``repro.sparql.plan``) into
-    its batched counterpart, preserving every planning decision."""
-    from . import plan as _plan
-
-    if isinstance(op, _plan.BGPScanOp):
-        steps = [_VecStep(step.pattern, list(step.filters), step.est) for step in op.steps]
+    """Compile one plan node (:mod:`repro.sparql.plan`), fed rows of
+    ``in_schema``, into its batched operator, keeping every planning
+    decision."""
+    if isinstance(node, _plan.BGPScanOp):
         return VecBGPOp(
-            ctx, in_schema, steps, list(op.tail_filters),
-            adaptive=ctx.config.adaptive,
+            ctx, in_schema, node.steps, node.tail_filters, adaptive=ctx.config.adaptive
         )
-    if isinstance(op, _plan.TableOp):
-        columns = list(op.columns)
-        rows = [
-            tuple(binding.get_term(column) for column in columns)
-            for binding in op._rows
-        ]
-        return VecTableOp(ctx, in_schema, columns, rows)
-    if isinstance(op, _plan.PipelineJoinOp):
-        left = _convert_physical(op._left, in_schema, ctx, counter)
-        right = _convert_physical(op._right, left.schema, ctx, counter)
+    if isinstance(node, _plan.TableOp):
+        return VecTableOp(ctx, in_schema, node.columns, node.rows)
+    if isinstance(node, _plan.PipelineJoinOp):
+        left = _compile_node(node.left, in_schema, ctx, counter)
+        right = _compile_node(node.right, left.schema, ctx, counter)
         return VecBindJoinOp(ctx, left, right)
-    if isinstance(op, _plan.HashJoinOp):
-        left = _convert_physical(op._left, in_schema, ctx, counter)
-        right = _convert_physical(op._right, (), ctx, counter)
-        return VecHashJoinOp(ctx, left, right, list(op.key))
-    if isinstance(op, _plan.LeftJoinOp):
-        left = _convert_physical(op._left, in_schema, ctx, counter)
+    if isinstance(node, _plan.HashJoinOp):
+        left = _compile_node(node.left, in_schema, ctx, counter)
+        right = _compile_node(node.right, (), ctx, counter)
+        return VecHashJoinOp(ctx, left, right, node.key)
+    if isinstance(node, _plan.LeftJoinOp):
+        left = _compile_node(node.left, in_schema, ctx, counter)
         ord_var = _fresh_ord(counter)
-        right = _convert_physical(op._right, left.schema + (ord_var,), ctx, counter)
-        left_join = VecLeftJoinOp(ctx, left.schema, right, op._expression, ord_var)
+        right = _compile_node(node.right, left.schema + (ord_var,), ctx, counter)
+        left_join = VecLeftJoinOp(ctx, left.schema, right, node.expression, ord_var)
         return VecBindJoinOp(ctx, left, left_join)
-    if isinstance(op, _plan.UnionOp):
+    if isinstance(node, _plan.UnionOp):
         ord_var = _fresh_ord(counter)
         branches = [
-            _convert_physical(branch, in_schema + (ord_var,), ctx, counter)
-            for branch in op._branches
+            _compile_node(branch, in_schema + (ord_var,), ctx, counter)
+            for branch in node.branches
         ]
         return VecUnionOp(ctx, in_schema, branches, ord_var)
-    if isinstance(op, _plan.FilterOp):
-        child = _convert_physical(op._child, in_schema, ctx, counter)
-        return VecFilterOp(ctx, child, list(op._expressions))
-    if isinstance(op, _plan.ProjectOp):
-        child = _convert_physical(op._child, in_schema, ctx, counter)
-        return VecProjectOp(ctx, child, list(op._projection))
-    if isinstance(op, _plan.DistinctOp):
-        child = _convert_physical(op._child, in_schema, ctx, counter)
+    if isinstance(node, _plan.FilterOp):
+        child = _compile_node(node.child, in_schema, ctx, counter)
+        return VecFilterOp(ctx, child, node.expressions)
+    if isinstance(node, _plan.ProjectOp):
+        child = _compile_node(node.child, in_schema, ctx, counter)
+        return VecProjectOp(ctx, child, node.projection)
+    if isinstance(node, _plan.DistinctOp):
+        child = _compile_node(node.child, in_schema, ctx, counter)
         return VecDistinctOp(ctx, child)
-    if isinstance(op, _plan.OrderByOp):
-        child = _convert_physical(op._child, in_schema, ctx, counter)
-        return VecOrderByOp(ctx, child, list(op._conditions))
-    if isinstance(op, _plan.SliceOp):
-        child = _convert_physical(op._child, in_schema, ctx, counter)
-        return VecSliceOp(ctx, child, op._offset, op._limit)
-    raise TypeError(f"cannot vectorize physical operator: {op!r}")
+    if isinstance(node, _plan.OrderByOp):
+        child = _compile_node(node.child, in_schema, ctx, counter)
+        return VecOrderByOp(ctx, child, node.conditions)
+    if isinstance(node, _plan.SliceOp):
+        child = _compile_node(node.child, in_schema, ctx, counter)
+        return VecSliceOp(ctx, child, node.offset, node.limit)
+    raise TypeError(f"cannot compile plan node: {node!r}")
 
 
 def compile_planner_query(
     query: Query, graph: Any, config: ExecConfig | None = None
 ) -> ExecPlan:
-    """Compile ``query`` with the cost-based planner onto batched operators.
+    """Plan ``query`` with the cost-based planner and compile the plan onto
+    batched operators.
 
     All planning (statistics-driven join order, hash vs. bind join
     selection, filter pushdown) comes from :class:`~repro.sparql.plan.
-    QueryPlanner`; only the execution layer changes.
+    QueryPlanner`; this only builds the executor for it.
     """
-    from .plan import plan_query
-
     ctx = ExecContext(graph, config)
-    streaming = plan_query(query, graph)
-    root = _convert_physical(streaming.root, (), ctx, [0])
+    root = _compile_node(_plan.plan_query(query, graph).root, (), ctx, [0])
     return ExecPlan(query, root, ctx, engine="planner")
-
-
-# --------------------------------------------------------------------------- #
-# Compilation: the naive engine (bottom-up group semantics)
-# --------------------------------------------------------------------------- #
-def compile_naive_query(
-    query: Query, graph: Any, config: ExecConfig | None = None
-) -> ExecPlan:
-    """Compile ``query`` with the naive evaluator's semantics onto batched
-    operators: elements in group order, group-scoped filters at the end of
-    their group, ``ordered_bgp_patterns`` scan order, modifiers in the
-    standard ORDER BY -> project -> DISTINCT -> OFFSET/LIMIT sequence."""
-    from .ast import (
-        Filter,
-        GroupGraphPattern,
-        InlineData,
-        OptionalPattern,
-        TriplesBlock,
-        UnionPattern,
-    )
-
-    ctx = ExecContext(graph, config)
-    counter = [0]
-
-    def compile_group(group: GroupGraphPattern, in_schema: Schema) -> VecOperator:
-        chain: list[VecOperator] = []
-        schema = in_schema
-        filters: list[Expression] = []
-        for element in group.elements:
-            if isinstance(element, Filter):
-                filters.append(element.expression)
-                continue
-            if isinstance(element, TriplesBlock):
-                ordered = ordered_bgp_patterns(element.patterns, frozenset(schema))
-                steps = [_VecStep(pattern, [], 0.0) for pattern in ordered]
-                op: VecOperator = VecBGPOp(ctx, schema, steps, [], adaptive=False)
-            elif isinstance(element, GroupGraphPattern):
-                op = compile_group(element, schema)
-            elif isinstance(element, OptionalPattern):
-                ord_var = _fresh_ord(counter)
-                inner = compile_group(element.group, schema + (ord_var,))
-                op = VecLeftJoinOp(ctx, schema, inner, None, ord_var)
-            elif isinstance(element, UnionPattern):
-                ord_var = _fresh_ord(counter)
-                branches = [
-                    compile_group(alternative, schema + (ord_var,))
-                    for alternative in element.alternatives
-                ]
-                op = VecUnionOp(ctx, schema, branches, ord_var)
-            elif isinstance(element, InlineData):
-                op = VecTableOp(ctx, schema, element.columns, element.rows)
-            else:
-                raise TypeError(f"unsupported pattern element: {element!r}")
-            chain.append(op)
-            schema = op.schema
-        root = _compose(chain, schema)
-        if filters:
-            root = VecFilterOp(ctx, root, filters)
-        return root
-
-    def _compose(chain: list[VecOperator], schema: Schema) -> VecOperator:
-        if not chain:
-            return _VecIdentityOp(ctx, schema)
-        root = chain[0]
-        for op in chain[1:]:
-            root = VecBindJoinOp(ctx, root, op)
-        return root
-
-    root = compile_group(query.where, ())
-    modifiers = query.modifiers
-    if isinstance(query, AskQuery):
-        return ExecPlan(query, root, ctx, engine="naive")
-    if modifiers.order_by:
-        root = VecOrderByOp(ctx, root, modifiers.order_by)
-    if isinstance(query, SelectQuery):
-        root = VecProjectOp(ctx, root, query.effective_projection())
-    if modifiers.distinct:
-        root = VecDistinctOp(ctx, root)
-    if modifiers.limit is not None or modifiers.offset is not None:
-        root = VecSliceOp(ctx, root, modifiers.offset, modifiers.limit)
-    return ExecPlan(query, root, ctx, engine="naive")
-
-
-class _VecIdentityOp(VecOperator):
-    """Pass-through (an empty group matches every input row once)."""
-
-    span_name = "exec.identity"
-
-    def __init__(self, ctx: ExecContext, schema: Schema) -> None:
-        super().__init__(ctx)
-        self.schema = schema
-
-    def _run(self, batches: Iterator[Batch]) -> Iterator[Batch]:
-        return batches
-
-    def describe(self) -> str:
-        return "Identity"
 
 
 # --------------------------------------------------------------------------- #

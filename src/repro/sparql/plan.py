@@ -1,19 +1,19 @@
-"""Cost-based query planning and streaming execution.
+"""Cost-based query planning.
 
-The naive evaluator (:mod:`repro.sparql.evaluator`) materialises the full
-binding list at every step and defers FILTERs to the end of their group.
-This module compiles the :class:`~repro.sparql.algebra.AlgebraNode` tree of
-a query into a tree of *physical operators* instead:
+The reference evaluator (:mod:`repro.sparql.evaluator`) materialises the
+full binding list at every step and defers FILTERs to the end of their
+group.  This module compiles the :class:`~repro.sparql.algebra.AlgebraNode`
+tree of a query into a tree of *plan nodes* instead:
 
 * :class:`BGPScanOp` — a chain of index scans over the triple patterns of a
   BGP, ordered greedily by exact cardinality estimates drawn from the
   graph's incrementally maintained statistics
   (:meth:`repro.rdf.Graph.cardinality`),
 * :class:`HashJoinOp` — a hash join on the shared variables of two
-  independent sub-plans (build on the right side, probe streaming),
-* :class:`PipelineJoinOp` — the streaming nested-loop (bind) join: left
-  solutions flow into the right sub-plan as input bindings, so the right
-  side's index scans are correlated lookups.  One cost rule picks between
+  independent sub-plans (build on the right side, probe the left),
+* :class:`PipelineJoinOp` — the nested-loop (bind) join: left solutions
+  flow into the right sub-plan as input rows, so the right side's index
+  scans are correlated lookups.  One cost rule picks between
   the two (:meth:`QueryPlanner._compile_join`): the right side is compiled
   both alone and bound to the left's certain variables, and the hash join
   is kept only when it is safe (shared variables certainly bound on both
@@ -22,24 +22,22 @@ a query into a tree of *physical operators* instead:
   ``alone.est <= left.est * max(1, bound.est) * _PROBE_COST``.  A small
   ``VALUES`` table therefore drives index lookups; a large one still
   builds once,
-* :class:`LeftJoinOp` / :class:`UnionOp` — OPTIONAL and UNION with the same
-  correlated streaming discipline,
+* :class:`LeftJoinOp` / :class:`UnionOp` — OPTIONAL and UNION, correlated
+  with their input the same way,
 * :class:`FilterOp` — FILTERs pushed down to the earliest operator at which
   every variable of the expression is *certainly* bound (which is exactly
   the point from which their verdict can no longer change),
 * :class:`ProjectOp` / :class:`DistinctOp` / :class:`OrderByOp` /
-  :class:`SliceOp` — the solution-modifier pipeline, streaming except for
-  the unavoidable ORDER BY materialisation.
+  :class:`SliceOp` — the solution-modifier pipeline.
 
-Every operator consumes and produces *iterators* of
-:class:`~repro.sparql.results.Binding`, so a ``LIMIT``-ed query stops
-scanning as soon as enough solutions have been produced and an ``ASK``
-stops at the first solution, instead of enumerating every solution the way
-the naive evaluator does.
+The plan tree is inert data: nodes hold their planning decisions as public
+fields and estimates, and never touch the graph.  The batched executor
+compiles a plan onto its ``Vec*`` operators once per execution
+(:func:`repro.sparql.exec.compile_planner_query`).
 
 Plans render as an ``EXPLAIN``-style operator tree via
 :meth:`QueryPlan.explain` (exposed on the CLI as ``repro-query
---explain``).  Planned execution is solution-equivalent to the naive
+--explain``).  Planned execution is solution-equivalent to the reference
 evaluator: the same multiset of solutions, in the same order whenever the
 query constrains order (ORDER BY); the conformance corpus and the
 hypothesis differential test pin this down.
@@ -47,7 +45,7 @@ hypothesis differential test pin this down.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from ..rdf import BNode, Triple, Variable
 from .algebra import (
@@ -66,20 +64,13 @@ from .algebra import (
     translate_query,
 )
 from .ast import AskQuery, Expression, OrderCondition, Query
-from .evaluator import (
-    BNODE_ANCHOR_PREFIX,
-    _match_triple,
-    _order,
-    bnode_anchor,
-    pattern_text,
-)
-from .expressions import expression_satisfied
-from .results import Binding
+from .evaluator import BNODE_ANCHOR_PREFIX, bnode_anchor, pattern_text
 from .serializer import serialize_expression
 
 __all__ = [
     "CardinalityEstimator",
     "PhysicalOperator",
+    "ScanStep",
     "BGPScanOp",
     "TableOp",
     "PipelineJoinOp",
@@ -95,6 +86,7 @@ __all__ = [
     "QueryPlanner",
     "plan_query",
     "explain_query",
+    "explain_header",
     "order_patterns",
 ]
 
@@ -257,33 +249,19 @@ def possible_variables(node: AlgebraNode) -> set[Variable]:
 
 
 # --------------------------------------------------------------------------- #
-# Physical operators
+# Plan nodes
 # --------------------------------------------------------------------------- #
 class PhysicalOperator:
-    """Base class: a pull-based operator over streams of bindings.
+    """Base class of the plan tree: inert data describing one operator.
 
-    ``run`` must be restartable — every call creates fresh iteration state,
-    because correlated operators (bind-join, OPTIONAL, UNION) re-run their
-    inner sub-plan once per outer binding.
+    Nodes carry only what the executor needs to build their batched
+    counterpart (:func:`repro.sparql.exec.compile_planner_query`) and what
+    EXPLAIN renders; they never touch the graph.
     """
 
     #: Estimated output rows for one empty input binding (used for display
     #: and join-strategy choice; never a correctness input).
     est: float = 1.0
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Drop any state cached across ``run`` calls (new plan execution).
-
-        Correlated parents re-run their sub-plans once per outer binding
-        *within* one execution, and operators may cache invariant state
-        (e.g. a hash table) across those re-runs; a fresh execution against
-        possibly mutated data must start clean.
-        """
-        for child in self.children():
-            child.reset()
 
     def children(self) -> Sequence[PhysicalOperator]:
         return ()
@@ -298,7 +276,29 @@ class PhysicalOperator:
         return lines
 
 
-class _ScanStep:
+class _UnaryOp(PhysicalOperator):
+    """A node over one child plan."""
+
+    def __init__(self, child: PhysicalOperator) -> None:
+        self.child = child
+        self.est = child.est
+
+    def children(self) -> Sequence[PhysicalOperator]:
+        return (self.child,)
+
+
+class _BinaryOp(PhysicalOperator):
+    """A join of a left and a right child plan."""
+
+    def __init__(self, left: PhysicalOperator, right: PhysicalOperator) -> None:
+        self.left = left
+        self.right = right
+
+    def children(self) -> Sequence[PhysicalOperator]:
+        return (self.left, self.right)
+
+
+class ScanStep:
     """One index scan of a BGP chain plus the filters applied right after."""
 
     __slots__ = ("pattern", "filters", "est")
@@ -312,35 +312,13 @@ class _ScanStep:
 class BGPScanOp(PhysicalOperator):
     """A statistics-ordered chain of index scans with inlined filters."""
 
-    def __init__(self, graph, steps: list[_ScanStep], tail_filters: list[Expression]) -> None:
-        self._graph = graph
+    def __init__(self, steps: list[ScanStep], tail_filters: list[Expression]) -> None:
         self.steps = steps
         self.tail_filters = tail_filters
         est = 1.0
         for step in steps:
             est *= max(step.est, 0.0)
         self.est = est
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        stream = bindings
-        for step in self.steps:
-            stream = self._scan(step, stream)
-        if self.tail_filters:
-            stream = self._filter_tail(stream)
-        return stream
-
-    def _scan(self, step: _ScanStep, stream: Iterator[Binding]) -> Iterator[Binding]:
-        graph = self._graph
-        for binding in stream:
-            for extended in _match_triple(step.pattern, binding, graph):
-                if all(expression_satisfied(expr, extended, graph) for expr in step.filters):
-                    yield extended
-
-    def _filter_tail(self, stream: Iterator[Binding]) -> Iterator[Binding]:
-        graph = self._graph
-        for binding in stream:
-            if all(expression_satisfied(expr, binding, graph) for expr in self.tail_filters):
-                yield binding
 
     def describe(self) -> str:
         return f"BGPScan est={self.est:.1f}"
@@ -360,52 +338,37 @@ class BGPScanOp(PhysicalOperator):
 
 
 class TableOp(PhysicalOperator):
-    """An inline solution table (VALUES): joins each input binding with
-    every compatible table row."""
+    """An inline solution table (VALUES): term tuples aligned with
+    ``columns``, ``None`` for UNDEF."""
 
     def __init__(self, columns: Sequence[Variable], rows: Sequence[tuple]) -> None:
         self.columns = list(columns)
-        self._rows = [
-            Binding({
-                variable: term
-                for variable, term in zip(self.columns, row, strict=True)
-                if term is not None
-            })
-            for row in rows
-        ]
-        self.est = float(len(self._rows))
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        for binding in bindings:
-            for row in self._rows:
-                if binding.compatible(row):
-                    yield binding.merge(row)
+        self.rows = [tuple(row) for row in rows]
+        self.est = float(len(self.rows))
 
     def describe(self) -> str:
         rendered = " ".join(f"?{variable.name}" for variable in self.columns)
-        return f"Table ({rendered}) {len(self._rows)} rows"
+        return f"Table ({rendered}) {len(self.rows)} rows"
 
 
-class PipelineJoinOp(PhysicalOperator):
-    """Streaming nested-loop (bind) join: left solutions feed the right plan."""
+class PipelineJoinOp(_BinaryOp):
+    """Nested-loop (bind) join: left solutions feed the right plan."""
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator) -> None:
-        self._left = left
-        self._right = right
+        super().__init__(left, right)
         self.est = max(left.est, 0.0) * max(right.est, 0.0)
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        return self._right.run(self._left.run(bindings))
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._left, self._right)
 
     def describe(self) -> str:
         return f"BindJoin est={self.est:.1f}"
 
 
-class HashJoinOp(PhysicalOperator):
-    """Hash join on shared variables: build right once, probe left streaming."""
+class HashJoinOp(_BinaryOp):
+    """Hash join on shared variables: build the right side once, probe left.
+
+    The right side is planned against an empty input (that is what makes
+    the hash join safe), so the executor may build its table once per
+    execution.
+    """
 
     def __init__(
         self,
@@ -413,40 +376,16 @@ class HashJoinOp(PhysicalOperator):
         right: PhysicalOperator,
         key: Sequence[Variable],
     ) -> None:
-        self._left = left
-        self._right = right
+        super().__init__(left, right)
         self.key = tuple(sorted(key, key=lambda v: v.name))
         self.est = max(left.est, 0.0) * max(right.est, 0.0) * 0.1
-        # The build side is compiled against an empty input (that is what
-        # makes the hash join safe), so its result cannot vary between runs
-        # of one execution: build once, reuse under correlated parents.
-        self._table: dict[tuple, list[Binding]] | None = None
-
-    def reset(self) -> None:
-        self._table = None
-        super().reset()
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        if self._table is None:
-            self._table = {}
-            for row in self._right.run(iter((Binding(),))):
-                key = tuple(row.get_term(variable) for variable in self.key)
-                self._table.setdefault(key, []).append(row)
-        table = self._table
-        for binding in self._left.run(bindings):
-            key = tuple(binding.get_term(variable) for variable in self.key)
-            for row in table.get(key, ()):
-                yield binding.merge(row)
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._left, self._right)
 
     def describe(self) -> str:
         rendered = " ".join(f"?{variable.name}" for variable in self.key)
         return f"HashJoin on ({rendered}) est={self.est:.1f}"
 
 
-class LeftJoinOp(PhysicalOperator):
+class LeftJoinOp(_BinaryOp):
     """OPTIONAL: correlated left-outer join with an optional join condition."""
 
     def __init__(
@@ -454,34 +393,15 @@ class LeftJoinOp(PhysicalOperator):
         left: PhysicalOperator,
         right: PhysicalOperator,
         expression: Expression | None,
-        graph,
     ) -> None:
-        self._left = left
-        self._right = right
-        self._expression = expression
-        self._graph = graph
+        super().__init__(left, right)
+        self.expression = expression
         self.est = max(left.est, 1.0)
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        graph = self._graph
-        for binding in self._left.run(bindings):
-            matched = False
-            for extended in self._right.run(iter((binding,))):
-                if self._expression is None or expression_satisfied(
-                    self._expression, extended, graph
-                ):
-                    matched = True
-                    yield extended
-            if not matched:
-                yield binding
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._left, self._right)
 
     def describe(self) -> str:
         condition = (
-            f" on [{serialize_expression(self._expression)}]"
-            if self._expression is not None
+            f" on [{serialize_expression(self.expression)}]"
+            if self.expression is not None
             else ""
         )
         return f"LeftJoin{condition} est={self.est:.1f}"
@@ -491,138 +411,75 @@ class UnionOp(PhysicalOperator):
     """UNION: each input binding flows through every branch, in branch order."""
 
     def __init__(self, branches: Sequence[PhysicalOperator]) -> None:
-        self._branches = list(branches)
-        self.est = sum(max(branch.est, 0.0) for branch in self._branches)
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        for binding in bindings:
-            for branch in self._branches:
-                yield from branch.run(iter((binding,)))
+        self.branches = list(branches)
+        self.est = sum(max(branch.est, 0.0) for branch in self.branches)
 
     def children(self) -> Sequence[PhysicalOperator]:
-        return tuple(self._branches)
+        return tuple(self.branches)
 
     def describe(self) -> str:
         return f"Union est={self.est:.1f}"
 
 
-class FilterOp(PhysicalOperator):
+class FilterOp(_UnaryOp):
     """A FILTER that could not be pushed further down."""
 
-    def __init__(self, expressions: Sequence[Expression], child: PhysicalOperator, graph) -> None:
-        self._expressions = list(expressions)
-        self._child = child
-        self._graph = graph
-        self.est = max(child.est, 0.0) * (0.5 ** len(self._expressions))
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        graph = self._graph
-        for binding in self._child.run(bindings):
-            if all(expression_satisfied(expr, binding, graph) for expr in self._expressions):
-                yield binding
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._child,)
+    def __init__(self, expressions: Sequence[Expression], child: PhysicalOperator) -> None:
+        super().__init__(child)
+        self.expressions = list(expressions)
+        self.est = max(child.est, 0.0) * (0.5 ** len(self.expressions))
 
     def describe(self) -> str:
-        rendered = ", ".join(serialize_expression(expr) for expr in self._expressions)
+        rendered = ", ".join(serialize_expression(expr) for expr in self.expressions)
         return f"Filter [{rendered}] est={self.est:.1f}"
 
 
-class ProjectOp(PhysicalOperator):
-    """Project each solution onto the requested variables (streaming)."""
+class ProjectOp(_UnaryOp):
+    """Project each solution onto the requested variables."""
 
     def __init__(self, projection: Sequence[Variable], child: PhysicalOperator) -> None:
-        # Blank-node anchor variables are internal and never projected,
-        # matching the naive evaluator's projection rule.
-        self._projection = [
+        super().__init__(child)
+        # Blank-node anchor variables are internal and never projected.
+        self.projection = [
             variable for variable in projection
             if not variable.name.startswith(BNODE_ANCHOR_PREFIX)
         ]
-        self._child = child
-        self.est = child.est
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        for binding in self._child.run(bindings):
-            yield binding.project(self._projection)
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._child,)
 
     def describe(self) -> str:
-        rendered = " ".join(f"?{variable.name}" for variable in self._projection)
+        rendered = " ".join(f"?{variable.name}" for variable in self.projection)
         return f"Project ({rendered})"
 
 
-class DistinctOp(PhysicalOperator):
-    """Streaming duplicate elimination (first occurrence wins)."""
-
-    def __init__(self, child: PhysicalOperator) -> None:
-        self._child = child
-        self.est = child.est
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        seen: set[frozenset] = set()
-        for binding in self._child.run(bindings):
-            key = frozenset(binding.as_dict().items())
-            if key not in seen:
-                seen.add(key)
-                yield binding
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._child,)
+class DistinctOp(_UnaryOp):
+    """Duplicate elimination (first occurrence wins)."""
 
     def describe(self) -> str:
         return "Distinct"
 
 
-class OrderByOp(PhysicalOperator):
+class OrderByOp(_UnaryOp):
     """ORDER BY: the one blocking operator (must materialise to sort)."""
 
-    def __init__(self, conditions: Sequence[OrderCondition], child: PhysicalOperator, graph) -> None:
-        self._conditions = list(conditions)
-        self._child = child
-        self._graph = graph
-        self.est = child.est
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        return iter(_order(list(self._child.run(bindings)), self._conditions, self._graph))
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._child,)
+    def __init__(self, conditions: Sequence[OrderCondition], child: PhysicalOperator) -> None:
+        super().__init__(child)
+        self.conditions = list(conditions)
 
     def describe(self) -> str:
-        return f"OrderBy ({len(self._conditions)} conditions, blocking)"
+        return f"OrderBy ({len(self.conditions)} conditions, blocking)"
 
 
-class SliceOp(PhysicalOperator):
-    """OFFSET/LIMIT with early termination: stop pulling once satisfied."""
+class SliceOp(_UnaryOp):
+    """OFFSET/LIMIT: the executor stops pulling once satisfied."""
 
     def __init__(self, offset: int | None, limit: int | None, child: PhysicalOperator) -> None:
-        self._offset = offset or 0
-        self._limit = limit
-        self._child = child
-        self.est = min(child.est, float(limit)) if limit is not None else child.est
-
-    def run(self, bindings: Iterator[Binding]) -> Iterator[Binding]:
-        skipped = 0
-        emitted = 0
-        for binding in self._child.run(bindings):
-            if skipped < self._offset:
-                skipped += 1
-                continue
-            if self._limit is not None and emitted >= self._limit:
-                return
-            emitted += 1
-            yield binding
-            if self._limit is not None and emitted >= self._limit:
-                return
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self._child,)
+        super().__init__(child)
+        self.offset = offset or 0
+        self.limit = limit
+        if limit is not None:
+            self.est = min(child.est, float(limit))
 
     def describe(self) -> str:
-        return f"Slice (offset={self._offset}, limit={self._limit})"
+        return f"Slice (offset={self.offset}, limit={self.limit})"
 
 
 # --------------------------------------------------------------------------- #
@@ -689,7 +546,7 @@ class QueryPlanner:
             if pending:
                 # FILTERs run at their original position, after the join
                 # with the inline table.
-                op = FilterOp(pending, op, self._graph)
+                op = FilterOp(pending, op)
             return op, certain | table_certain, possible | table_possible
         if isinstance(node, AlgebraJoin):
             return self._compile_join(node, certain, possible, pending)
@@ -723,7 +580,7 @@ class QueryPlanner:
             return DistinctOp(child), c_out, p_out
         if isinstance(node, AlgebraOrderBy):
             child, c_out, p_out = self._compile(node.child, certain, possible, pending)
-            return OrderByOp(node.conditions, child, self._graph), c_out, p_out
+            return OrderByOp(node.conditions, child), c_out, p_out
         if isinstance(node, AlgebraSlice):
             child, c_out, p_out = self._compile(node.child, certain, possible, pending)
             return SliceOp(node.offset, node.limit, child), c_out, p_out
@@ -739,7 +596,7 @@ class QueryPlanner:
         ordered = order_patterns(node.patterns, set(certain), self._estimator)
         bound = set(certain)
         remaining = list(pending)
-        steps: list[_ScanStep] = []
+        steps: list[ScanStep] = []
         for pattern in ordered:
             est = self._estimator.pattern_estimate(pattern, bound)
             bound |= _binding_variables(pattern)
@@ -751,10 +608,10 @@ class QueryPlanner:
                 else:
                     still_pending.append(expr)
             remaining = still_pending
-            steps.append(_ScanStep(pattern, attached, est))
+            steps.append(ScanStep(pattern, attached, est))
         # Whatever could not be pushed runs at the end of the chain — the
         # original FILTER position, so semantics are unchanged.
-        op = BGPScanOp(self._graph, steps, remaining)
+        op = BGPScanOp(steps, remaining)
         bgp_vars = frozenset(bound) - certain
         return op, certain | bgp_vars, possible | bgp_vars
 
@@ -799,7 +656,7 @@ class QueryPlanner:
                     left_op, right_alone, sorted(shared, key=str)
                 )
                 if leftover:
-                    op = FilterOp(leftover, op, self._graph)
+                    op = FilterOp(leftover, op)
                 return (
                     op,
                     left_certain | alone_certain,
@@ -824,33 +681,32 @@ class QueryPlanner:
         right_op, _, right_possible = self._compile(
             node.right, left_certain, left_possible, []
         )
-        op: PhysicalOperator = LeftJoinOp(left_op, right_op, node.expression, self._graph)
+        op: PhysicalOperator = LeftJoinOp(left_op, right_op, node.expression)
         if rest:
             # A FILTER above an OPTIONAL also constrains the unextended
             # fallback rows, so it cannot move below the left join.
-            op = FilterOp(rest, op, self._graph)
+            op = FilterOp(rest, op)
         return op, left_certain, left_possible | right_possible
 
 
 class QueryPlan:
-    """A compiled physical plan, ready for streaming execution."""
+    """A planned query: the plan tree plus what EXPLAIN's header names."""
 
     def __init__(self, query: Query, root: PhysicalOperator, graph) -> None:
         self.query = query
         self.root = root
-        self._graph = graph
-
-    def execute(self) -> Iterator[Binding]:
-        """Stream the plan's solutions (top-level evaluation, empty input)."""
-        self.root.reset()
-        return self.root.run(iter((Binding(),)))
+        self.graph = graph
 
     def explain(self) -> str:
         """EXPLAIN-style rendering of the operator tree with estimates."""
-        form = type(self.query).__name__.replace("Query", "").upper()
-        size = len(self._graph) if hasattr(self._graph, "__len__") else "?"
-        header = f"plan for {form} query over graph with {size} triples"
-        return "\n".join([header] + self.root.explain_lines(0))
+        return "\n".join([explain_header(self.query, self.graph)] + self.root.explain_lines(0))
+
+
+def explain_header(query: Query, graph) -> str:
+    """The first line of every EXPLAIN text for ``query`` over ``graph``."""
+    form = type(query).__name__.replace("Query", "").upper()
+    size = len(graph) if hasattr(graph, "__len__") else "?"
+    return f"plan for {form} query over graph with {size} triples"
 
 
 def plan_query(query: Query, graph) -> QueryPlan:

@@ -7,9 +7,9 @@ fixture next to it:
 * ``<name>.expected.ttl`` for CONSTRUCT queries (compared up to blank-node
   isomorphism).
 
-Every case executes through EVERY evaluation engine — the batched naive
-and planner paths plus the dict-at-a-time reference evaluator and the
-legacy streaming planner operators — and each must match the fixture.
+Every case executes through EVERY evaluation engine — the batched
+planner and the dict-at-a-time reference evaluator — and each must match
+the fixture.
 The queried data is ``data/default.ttl`` unless the case ships a
 ``<name>.data.ttl`` override.
 
@@ -21,11 +21,15 @@ row pool: the shape for LIMIT-without-ORDER-BY, where any n rows of the
 full result are conformant and the two engines may legitimately pick
 different ones.  Blank-node values are compared as anonymous markers (the
 label is an implementation artefact).
+
+Each case also runs with the static analyzer disabled, and through
+EXPLAIN / EXPLAIN ANALYZE, whose plan texts are pinned in ``plans.json``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -127,6 +131,65 @@ def test_conformance_case(name: str, engine: str, backend: str, tmp_path: Path) 
     query = parse_query((CASES_DIR / f"{name}.rq").read_text(encoding="utf-8"))
     evaluator = QueryEvaluator(graph, engine=engine)
     _check(evaluator.evaluate(query), _expected_fixture(name))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_conformance_case_without_analysis(
+    name: str, engine: str, backend: str, tmp_path: Path
+) -> None:
+    """With the static analyzer off, the unpruned query answers the same.
+
+    The analyzer folds constant FILTERs and prunes provably-empty queries
+    before evaluation; running every case on the raw query as well shows
+    that rewriting never changes an answer.
+    """
+    graph = _load_case_graph(name, backend, tmp_path)
+    query = parse_query((CASES_DIR / f"{name}.rq").read_text(encoding="utf-8"))
+    evaluator = QueryEvaluator(graph, engine=engine, analysis=False)
+    _check(evaluator.evaluate(query), _expected_fixture(name))
+
+
+#: ``{case: {"explain": lines, "analyze": lines}}``: the EXPLAIN text and
+#: the EXPLAIN ANALYZE operator tree (timings stripped) of every case.
+PLANS = json.loads((Path(__file__).parent / "plans.json").read_text(encoding="utf-8"))
+
+
+def _plan_lines(text: str) -> list[str]:
+    # Parser-assigned blank-node labels depend on how many queries were
+    # parsed before; wall-clock timings depend on the machine.
+    text = re.sub(r"_:anon\d+", "_:anon", text)
+    return re.sub(r", [0-9.]+ ms\)", ")", text).split("\n")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_explain_text_is_pinned(name: str, backend: str, tmp_path: Path) -> None:
+    """EXPLAIN renders the pinned plan, on either store."""
+    graph = _load_case_graph(name, backend, tmp_path)
+    query = parse_query((CASES_DIR / f"{name}.rq").read_text(encoding="utf-8"))
+    explain = QueryEvaluator(graph).explain(query)
+    assert _plan_lines(explain) == PLANS[name]["explain"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_analyze_answers_and_runs_the_pinned_tree(
+    name: str, backend: str, tmp_path: Path
+) -> None:
+    """EXPLAIN ANALYZE assembles its own result from the compiled plan: it
+    must match the fixture, and the executed operator tree, with its row
+    and batch counters, must match the pinned one."""
+    graph = _load_case_graph(name, backend, tmp_path)
+    query = parse_query((CASES_DIR / f"{name}.rq").read_text(encoding="utf-8"))
+    result, event = QueryEvaluator(graph).analyze(query)
+    _check(result, _expected_fixture(name))
+    assert _plan_lines(event.plan) == PLANS[name]["analyze"]
+
+
+def test_every_case_has_pinned_plans() -> None:
+    assert sorted(PLANS) == CASE_NAMES
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)

@@ -351,6 +351,28 @@ class TestEvaluatorIntegration:
         assert not any("Scan" in op["operator"] for op in event.operators)
         assert event.rows == 0
 
+    def test_explain_describes_the_pruned_query_that_runs(self, graph):
+        text = "SELECT ?s WHERE { ?s <http://ex.org/name> ?o FILTER(1 = 1) }"
+        evaluator = QueryEvaluator(graph)
+        explained = evaluator.explain(text)
+        _, event = evaluator.analyze(text)
+        # The constant-true FILTER is pruned before planning, so neither
+        # the explained nor the executed scan carries it.
+        assert "scan (?s <http://ex.org/name> ?o) est=2.0" in explained
+        assert "filter" not in explained.lower()
+        assert "filter" not in event.plan.lower()
+
+    def test_explain_of_a_provably_empty_query_is_the_prune(self, graph):
+        evaluator = QueryEvaluator(graph)
+        explained = evaluator.explain(self.EMPTY_SELECT)
+        _, event = evaluator.analyze(self.EMPTY_SELECT)
+        [executed] = event.operators
+        assert explained.splitlines() == [
+            "plan for SELECT query over graph with 3 triples",
+            executed["operator"],
+        ]
+        assert executed["operator"].startswith("AnalysisPrune[")
+
     def test_strict_mode_raises_on_errors(self, graph):
         evaluator = QueryEvaluator(graph, strict=True)
         with pytest.raises(QueryAnalysisError) as excinfo:

@@ -284,7 +284,6 @@ class TestDecodeBoundary:
         text = PREFIX + f"SELECT {select} WHERE {{ _:who ex:name ?n }}"
         expected = sorted(QueryEvaluator(graph, engine="reference").evaluate(text).rows)
         assert len(expected) == 3
-        for engine in ("planner", "naive"):
-            result = QueryEvaluator(graph, engine=engine).evaluate(text)
-            assert sorted(result.rows) == expected
-            assert [len(binding) for binding in result.bindings] == [1, 1, 1]
+        result = QueryEvaluator(graph).evaluate(text)
+        assert sorted(result.rows) == expected
+        assert [len(binding) for binding in result.bindings] == [1, 1, 1]

@@ -18,7 +18,6 @@ from repro.sparql import (
     ENGINES,
     ExecConfig,
     QueryEvaluator,
-    compile_naive_query,
     compile_planner_query,
     parse_query,
 )
@@ -28,9 +27,9 @@ from repro.sparql.exec import (
     Batch,
     ExecContext,
     VecBGPOp,
-    _VecStep,
     seed_batches,
 )
+from repro.sparql.plan import ScanStep
 
 EX = "http://example.org/"
 
@@ -128,7 +127,7 @@ class TestBatching:
         value = Literal("hello", lang="en")
         graph = _graph(("a", "p", value))
         query = parse_query("SELECT ?o WHERE { ?s <http://example.org/p> ?o }")
-        plan = compile_naive_query(query, graph, ExecConfig())
+        plan = compile_planner_query(query, graph, ExecConfig())
         bindings = list(plan.bindings())
         assert len(bindings) == 1
         assert bindings[0][Variable("o")] == value
@@ -155,9 +154,9 @@ def _lying_steps():
     and whose remaining order is the wrong way round (s before r)."""
     a, b, c, d = (Variable(name) for name in "abcd")
     return [
-        _VecStep(Triple(a, URIRef(EX + "p"), b), [], 0.1),
-        _VecStep(Triple(b, URIRef(EX + "s"), d), [], 1.0),
-        _VecStep(Triple(b, URIRef(EX + "r"), c), [], 5.0),
+        ScanStep(Triple(a, URIRef(EX + "p"), b), [], 0.1),
+        ScanStep(Triple(b, URIRef(EX + "s"), d), [], 1.0),
+        ScanStep(Triple(b, URIRef(EX + "r"), c), [], 5.0),
     ]
 
 
@@ -251,11 +250,11 @@ class TestAnalyze:
 
     def test_render_mentions_rows_and_engine(self):
         graph = _chain_graph(3)
-        _, event = QueryEvaluator(graph, engine="naive").analyze(
+        _, event = QueryEvaluator(graph).analyze(
             "SELECT ?s WHERE { ?s <http://example.org/next> ?o }"
         )
         text = event.render()
-        assert "naive" in text
+        assert "planner" in text
         assert "3 rows" in text
 
     def test_event_round_trips_through_json(self):
@@ -267,17 +266,14 @@ class TestAnalyze:
         assert payload["engine"] == "planner"
         assert payload["rows"] == 3
 
-    @pytest.mark.parametrize(("engine", "batched"), [
-        ("reference", "naive"),
-        ("streaming", "planner"),
-    ])
-    def test_legacy_engines_analyze_via_batched_equivalent(self, engine, batched):
-        # The oracles have no batched instrumentation; analyze falls back
-        # to the batched engine that mirrors their plan shape.
-        evaluator = QueryEvaluator(_chain_graph(2), engine=engine)
+    def test_reference_engine_analyzes_via_the_planner(self):
+        # The oracle has no batched instrumentation; analyze reports the
+        # planner's plan instead.
+        evaluator = QueryEvaluator(_chain_graph(2), engine="reference")
         result, event = evaluator.analyze("SELECT ?s WHERE { ?s ?p ?o }")
         assert len(result) == 2
-        assert event.engine == batched
+        assert event.engine == "planner"
+        assert "BGPScan" in event.plan
 
 
 # --------------------------------------------------------------------------- #
@@ -314,9 +310,14 @@ class TestEngineSelection:
         with pytest.raises(ValueError):
             QueryEvaluator(Graph(), engine="turbo")
 
-    def test_use_planner_flag_maps_onto_engines(self):
-        assert QueryEvaluator(Graph(), use_planner=True).engine == "planner"
-        assert QueryEvaluator(Graph(), use_planner=False).engine == "naive"
+    @pytest.mark.parametrize("engine", ["naive", "streaming"])
+    def test_deleted_engines_are_rejected(self, engine):
+        with pytest.raises(ValueError, match="planner, reference"):
+            QueryEvaluator(Graph(), engine=engine)
+
+    def test_use_planner_flag_is_gone(self):
+        with pytest.raises(TypeError):
+            QueryEvaluator(Graph(), use_planner=True)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_every_engine_answers_a_basic_query(self, engine):

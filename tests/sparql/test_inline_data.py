@@ -3,13 +3,14 @@
 The federation decomposer ships bound-join batches as ``VALUES`` blocks,
 which must survive serialisation to text and re-parsing on the remote side
 (the loopback servers re-parse every sub-query), and must evaluate to the
-same solutions under the naive evaluator and the planner.
+same solutions under the planner and the reference evaluator.
 """
 
 import pytest
 
 from repro.rdf import Graph, Literal, SegmentStore, Triple, URIRef, Variable, XSD
 from repro.sparql import (
+    ENGINES,
     InlineData,
     QueryEvaluator,
     SparqlParseError,
@@ -94,9 +95,9 @@ class TestRoundTrip:
 
 
 class TestEvaluation:
-    @pytest.mark.parametrize("use_planner", [True, False])
-    def test_values_restricts_bgp(self, use_planner):
-        result = QueryEvaluator(_graph(), use_planner=use_planner).evaluate(
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_values_restricts_bgp(self, engine):
+        result = QueryEvaluator(_graph(), engine=engine).evaluate(
             parse_query(
                 "PREFIX ex: <http://ex.org/>\n"
                 "SELECT ?s ?o WHERE { VALUES ?s { ex:s1 ex:s3 } ?s ex:p ?o }"
@@ -107,9 +108,9 @@ class TestEvaluation:
             (("o", f"{EX}o3"), ("s", f"{EX}s3")),
         ]
 
-    @pytest.mark.parametrize("use_planner", [True, False])
-    def test_undef_leaves_column_unconstrained(self, use_planner):
-        result = QueryEvaluator(_graph(3), use_planner=use_planner).evaluate(
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_undef_leaves_column_unconstrained(self, engine):
+        result = QueryEvaluator(_graph(3), engine=engine).evaluate(
             parse_query(
                 "PREFIX ex: <http://ex.org/>\n"
                 "SELECT ?s ?o WHERE {"
@@ -124,15 +125,15 @@ class TestEvaluation:
             (("o", f"{EX}o2"), ("s", f"{EX}s2")),
         ]
 
-    @pytest.mark.parametrize("use_planner", [True, False])
-    def test_values_after_patterns_joins_identically(self, use_planner):
-        before = QueryEvaluator(_graph(), use_planner=use_planner).evaluate(
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_values_after_patterns_joins_identically(self, engine):
+        before = QueryEvaluator(_graph(), engine=engine).evaluate(
             parse_query(
                 "PREFIX ex: <http://ex.org/>\n"
                 "SELECT ?s ?o WHERE { VALUES ?s { ex:s2 } ?s ex:p ?o }"
             )
         )
-        after = QueryEvaluator(_graph(), use_planner=use_planner).evaluate(
+        after = QueryEvaluator(_graph(), engine=engine).evaluate(
             parse_query(
                 "PREFIX ex: <http://ex.org/>\n"
                 "SELECT ?s ?o WHERE { ?s ex:p ?o VALUES ?s { ex:s2 } }"
@@ -140,9 +141,9 @@ class TestEvaluation:
         )
         assert _rows(before) == _rows(after)
 
-    @pytest.mark.parametrize("use_planner", [True, False])
-    def test_values_with_filter(self, use_planner):
-        result = QueryEvaluator(_graph(), use_planner=use_planner).evaluate(
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_values_with_filter(self, engine):
+        result = QueryEvaluator(_graph(), engine=engine).evaluate(
             parse_query(
                 "PREFIX ex: <http://ex.org/>\n"
                 "SELECT ?s ?n WHERE {"
@@ -153,9 +154,9 @@ class TestEvaluation:
         assert [b.get_term("n").lexical for b in result] is not None
         assert {str(b.get_term("s")) for b in result} == {f"{EX}s2", f"{EX}s4"}
 
-    @pytest.mark.parametrize("use_planner", [True, False])
-    def test_empty_table_produces_no_solutions(self, use_planner):
-        result = QueryEvaluator(_graph(), use_planner=use_planner).evaluate(
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_empty_table_produces_no_solutions(self, engine):
+        result = QueryEvaluator(_graph(), engine=engine).evaluate(
             parse_query(
                 "PREFIX ex: <http://ex.org/>\n"
                 "SELECT ?s WHERE { VALUES ?s { } ?s ex:p ?o }"
@@ -171,9 +172,9 @@ class TestEvaluation:
             "PREFIX ex: <http://ex.org/>\nSELECT ?s ?n WHERE { VALUES ?n { 1 3 } ?s ex:size ?n } ORDER BY ?s",
         ]
         for text in queries:
-            planned = QueryEvaluator(graph, use_planner=True).evaluate(parse_query(text))
-            naive = QueryEvaluator(graph, use_planner=False).evaluate(parse_query(text))
-            assert _rows(planned) == _rows(naive), text
+            planned = QueryEvaluator(graph).evaluate(parse_query(text))
+            reference = QueryEvaluator(graph, engine="reference").evaluate(parse_query(text))
+            assert _rows(planned) == _rows(reference), text
 
 
 class TestQueryTermsStayOutOfTheStore:
@@ -196,17 +197,15 @@ class TestQueryTermsStayOutOfTheStore:
         (("s", f"{EX}nowhere"), ("tag", "fresh")),
     ]
 
-    @pytest.mark.parametrize("engine", ["planner", "naive"])
-    def test_memory_store_dictionary_is_untouched(self, engine):
+    def test_memory_store_dictionary_is_untouched(self):
         graph = _graph()
         before = len(graph.dictionary)
-        result = QueryEvaluator(graph, engine=engine).evaluate(parse_query(self.QUERY))
+        result = QueryEvaluator(graph).evaluate(parse_query(self.QUERY))
         assert _rows(result) == self.EXPECTED
         assert [str(b.get_term("s")) for b in result] == [f"{EX}s1", f"{EX}nowhere"]
         assert len(graph.dictionary) == before
 
-    @pytest.mark.parametrize("engine", ["planner", "naive"])
-    def test_persistent_store_is_not_written_by_a_read(self, engine, tmp_path):
+    def test_persistent_store_is_not_written_by_a_read(self, tmp_path):
         graph = Graph(store=SegmentStore(tmp_path / "store", buffer_limit=4))
         graph.add_all(_graph().triples())
         graph.flush()
@@ -218,7 +217,7 @@ class TestQueryTermsStayOutOfTheStore:
 
         before = files()
         try:
-            result = QueryEvaluator(graph, engine=engine).evaluate(parse_query(self.QUERY))
+            result = QueryEvaluator(graph).evaluate(parse_query(self.QUERY))
             assert _rows(result) == self.EXPECTED
             graph.flush()
             assert files() == before

@@ -1,4 +1,4 @@
-"""Unit tests for the cost-based planner and streaming execution."""
+"""Unit tests for the cost-based planner and its execution."""
 
 from __future__ import annotations
 
@@ -18,9 +18,9 @@ from repro.sparql import (
     explain_query,
     ordered_bgp_patterns,
     parse_query,
-    plan_query,
 )
-from repro.sparql.plan import CardinalityEstimator, order_patterns
+from repro.sparql.exec import ExecContext, VecBGPOp, VecHashJoinOp, seed_batches
+from repro.sparql.plan import CardinalityEstimator, ScanStep, order_patterns
 from repro.sparql.results import Binding
 
 
@@ -92,7 +92,7 @@ def test_order_patterns_is_deterministic(graph: Graph) -> None:
 
 
 def test_ordered_bgp_patterns_deterministic_under_permutation() -> None:
-    """The naive evaluator's pattern order no longer depends on input order."""
+    """The reference evaluator's pattern order does not depend on input order."""
     patterns = [
         Triple(Variable("a"), u("p"), Variable("b")),
         Triple(Variable("b"), u("q"), Variable("c")),
@@ -158,22 +158,22 @@ def test_unbound_filter_not_pushed_below_optional(graph: Graph) -> None:
     # The !BOUND filter must sit above the LeftJoin, not inside a scan.
     assert "Filter [!BOUND(?t)]" in text, text
     result = QueryEvaluator(graph).select(query)
-    naive = QueryEvaluator(graph, use_planner=False).select(query)
-    assert sorted(b["p"] for b in result) == sorted(b["p"] for b in naive)
+    reference = QueryEvaluator(graph, engine="reference").select(query)
+    assert sorted(b["p"] for b in result) == sorted(b["p"] for b in reference)
     assert len(result) == 97
 
 
 # --------------------------------------------------------------------------- #
-# Streaming / early termination
+# Early termination
 # --------------------------------------------------------------------------- #
 def test_limit_stops_scanning_early(graph: Graph) -> None:
     counting = CountingGraph(graph)
     query = parse_query(PREFIX + "SELECT ?p ?n WHERE { ?p ex:type ex:Person . ?p ex:name ?n } LIMIT 2")
-    rows = list(plan_query(query, counting).execute())
+    rows = QueryEvaluator(counting).select(query)
     assert len(rows) == 2
     # 100 persons in the graph; a materialising evaluator would do >= 101
-    # index lookups (one enumeration + one per person).  The streaming plan
-    # pulls only what LIMIT needs.
+    # index lookups (one enumeration + one per person).  The planned
+    # execution pulls only what LIMIT needs.
     assert counting.lookups <= 10
 
 
@@ -200,33 +200,37 @@ def test_hash_join_used_for_safe_shared_variable_join(graph: Graph) -> None:
     text = explain_query(query, graph)
     assert "HashJoin on (?p)" in text, text
     planned = QueryEvaluator(graph).select(query)
-    naive = QueryEvaluator(graph, use_planner=False).select(query)
-    assert sorted(map(repr, planned)) == sorted(map(repr, naive))
+    reference = QueryEvaluator(graph, engine="reference").select(query)
+    assert sorted(map(repr, planned)) == sorted(map(repr, reference))
     assert len(planned) == 3
 
 
 def test_hash_join_builds_once_across_correlated_runs(graph: Graph) -> None:
-    from repro.sparql.plan import BGPScanOp, HashJoinOp, _ScanStep
-
     counting = CountingGraph(graph)
-    left = BGPScanOp(counting, [_ScanStep(Triple(Variable("p"), u("name"), Variable("n")), [], 100.0)], [])
-    right = BGPScanOp(counting, [_ScanStep(Triple(Variable("p"), u("leads"), Variable("t")), [], 3.0)], [])
-    join = HashJoinOp(left, right, [Variable("p")])
+    ctx = ExecContext(counting)
+    p = Variable("p")
+    left = VecBGPOp(ctx, (), [ScanStep(Triple(p, u("name"), Variable("n")), [], 100.0)], [])
+    right = VecBGPOp(ctx, (), [ScanStep(Triple(p, u("leads"), Variable("t")), [], 3.0)], [])
+    join = VecHashJoinOp(ctx, left, right, [p])
+
+    def run() -> list[tuple]:
+        return [row for batch in join.execute(seed_batches()) for row in batch.rows]
 
     join.reset()
     baseline = counting.lookups
-    # A correlated parent re-runs the join once per outer binding; the
+    # A correlated parent re-runs the join once per input batch; the
     # build side must be scanned only on the first run.
-    first = list(join.run(iter((Binding(),))))
+    first = run()
+    assert len(first) == 3
     after_first = counting.lookups
     for _ in range(5):
-        assert list(join.run(iter((Binding(),)))) == first
+        assert run() == first
     assert counting.lookups == after_first + 5  # one probe-side lookup per run
     assert after_first - baseline == 2  # probe + one-time build
 
     # A new execution (reset) rebuilds against possibly mutated data.
     join.reset()
-    list(join.run(iter((Binding(),))))
+    run()
     assert counting.lookups == after_first + 5 + 2
 
 
@@ -308,9 +312,7 @@ def test_values_join_agrees_across_engines(
         result = QueryEvaluator(g, engine=engine).select(query)
         return Counter(frozenset(binding.as_dict().items()) for binding in result.bindings)
 
-    expected = solutions("reference")
-    assert solutions("planner") == expected
-    assert solutions("naive") == expected
+    assert solutions("planner") == solutions("reference")
 
 
 def test_adjacent_bgps_coalesce_into_one_scan_chain(graph: Graph) -> None:
@@ -345,5 +347,5 @@ def test_plans_work_without_statistics() -> None:
     g.add(Triple(u("a"), u("p"), u("b")))
     bare = BareGraph(g)
     query = parse_query(PREFIX + "SELECT ?x WHERE { ex:a ex:p ?x }")
-    rows = list(plan_query(query, bare).execute())
+    rows = QueryEvaluator(bare).select(query)
     assert len(rows) == 1

@@ -20,7 +20,8 @@ import pytest
 
 from repro.rdf import Graph, Literal, SegmentStore, Triple, URIRef, Variable
 from repro.sparql import QueryEvaluator
-from repro.sparql.exec import ExecContext, VecBGPOp, _VecStep
+from repro.sparql.exec import ExecContext, VecBGPOp
+from repro.sparql.plan import ScanStep
 
 EX = "http://example.org/"
 PREFIX = f"PREFIX ex: <{EX}>\n"
@@ -98,11 +99,10 @@ SLICEABLE = {
 }
 
 
-@pytest.mark.parametrize("engine", ["planner", "naive"])
 @pytest.mark.parametrize("shape", sorted(SLICEABLE))
-def test_sliced_answers_match_the_reference_engine(graph, engine, shape):
+def test_sliced_answers_match_the_reference_engine(graph, shape):
     body = PREFIX + SLICEABLE[shape]
-    batched = QueryEvaluator(graph, engine=engine)
+    batched = QueryEvaluator(graph)
     reference = QueryEvaluator(graph, engine="reference")
     unsliced = Counter(_rows(reference.evaluate(body)))
     total = sum(unsliced.values())
@@ -131,9 +131,9 @@ def test_pages_tile_the_unsliced_answer(graph):
 # ---------------------------------------------------------------------- #
 # Where the push-down stops
 # ---------------------------------------------------------------------- #
-def _scans(graph: Graph, engine: str, text: str):
+def _scans(graph: Graph, text: str):
     """``(result, operator stats of every scan, event)`` of an analyzed query."""
-    result, event = QueryEvaluator(graph, engine=engine).analyze(PREFIX + text)
+    result, event = QueryEvaluator(graph).analyze(PREFIX + text)
     scans = [op for op in event.operators if op["operator"].startswith("BGPScan")]
     assert scans
     return result, scans, event
@@ -152,11 +152,10 @@ NOT_ROW_PRESERVING = {
 }
 
 
-@pytest.mark.parametrize("engine", ["planner", "naive"])
 @pytest.mark.parametrize("case", sorted(NOT_ROW_PRESERVING))
-def test_no_budget_through_operators_that_change_the_row_count(graph, engine, case):
+def test_no_budget_through_operators_that_change_the_row_count(graph, case):
     text = NOT_ROW_PRESERVING[case]
-    result, scans, _ = _scans(graph, engine, text)
+    result, scans, _ = _scans(graph, text)
     for scan in scans:
         assert "row budget" not in scan["operator"], scan
         assert "skipped on ids" not in scan["operator"], scan
@@ -181,7 +180,7 @@ BUDGET_ONLY = {
 @pytest.mark.parametrize("case", sorted(BUDGET_ONLY))
 def test_no_id_skip_unless_a_match_is_a_row(graph, case):
     text = BUDGET_ONLY[case]
-    result, scans, _ = _scans(graph, "planner", text)
+    result, scans, _ = _scans(graph, text)
     [scan] = scans
     assert "skipped on ids" not in scan["operator"], scan
     reference = QueryEvaluator(graph, engine="reference")
@@ -193,7 +192,7 @@ def test_no_id_skip_unless_a_match_is_a_row(graph, case):
 
 
 def test_offset_zero_needs_no_skip_but_keeps_the_budget(graph):
-    _, [scan], _ = _scans(graph, "planner", "SELECT ?s ?o WHERE { ?s ex:knows ?o } LIMIT 3")
+    _, [scan], _ = _scans(graph, "SELECT ?s ?o WHERE { ?s ex:knows ?o } LIMIT 3")
     assert "row budget 3" in scan["operator"]
     assert "skipped on ids" not in scan["operator"]
     assert scan["rows_out"] == 3
@@ -204,10 +203,10 @@ def test_a_scan_fed_by_another_operator_keeps_its_offset(graph):
     matches are no longer the rows of the output, in order."""
     ctx = ExecContext(graph)
     pattern = Triple(Variable("s"), KNOWS, Variable("o"))
-    fed = VecBGPOp(ctx, (Variable("s"),), [_VecStep(pattern, [], 1.0)], [])
+    fed = VecBGPOp(ctx, (Variable("s"),), [ScanStep(pattern, [], 1.0)], [])
     assert fed.limit_rows(4, 9) == 0
     assert "row budget 9" in fed.describe() and "skipped" not in fed.describe()
-    seeded = VecBGPOp(ctx, (), [_VecStep(pattern, [], 1.0)], [])
+    seeded = VecBGPOp(ctx, (), [ScanStep(pattern, [], 1.0)], [])
     assert seeded.limit_rows(4, 9) == 4
     assert "first 4 skipped on ids" in seeded.describe()
 
@@ -215,12 +214,11 @@ def test_a_scan_fed_by_another_operator_keeps_its_offset(graph):
 # ---------------------------------------------------------------------- #
 # EXPLAIN ANALYZE of the fused case
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("engine", ["planner", "naive"])
-def test_explain_analyze_shows_the_fused_slice(graph, engine):
+def test_explain_analyze_shows_the_fused_slice(graph):
     total = len(QueryEvaluator(graph).evaluate(PREFIX + SLICEABLE["pattern"]))
     offset, limit = total - 8, PAGE
     result, [scan], event = _scans(
-        graph, engine, f"{SLICEABLE['pattern']} LIMIT {limit} OFFSET {offset}"
+        graph, f"{SLICEABLE['pattern']} LIMIT {limit} OFFSET {offset}"
     )
     assert len(result) == limit
     assert f"row budget {offset + limit}" in scan["operator"]
@@ -233,5 +231,5 @@ def test_explain_analyze_shows_the_fused_slice(graph, engine):
 
 def test_budget_stops_a_scan_between_batch_boundaries(graph):
     """Batches grow 4 -> 32 -> ...: without the budget a LIMIT 6 pulls 36 rows."""
-    _, [scan], _ = _scans(graph, "planner", "SELECT ?o WHERE { ?s ex:knows ?o } LIMIT 6")
+    _, [scan], _ = _scans(graph, "SELECT ?o WHERE { ?s ex:knows ?o } LIMIT 6")
     assert scan["rows_out"] == 6

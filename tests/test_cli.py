@@ -101,7 +101,7 @@ class TestQueryCommand:
         assert captured.out.startswith("plan for SELECT query")
         assert "scan (" in captured.out
 
-    def test_query_naive_engine_matches_planner(self, capsys, tmp_path):
+    def test_query_reference_engine_matches_planner(self, capsys, tmp_path):
         data = tmp_path / "data.ttl"
         data.write_text("""
             @prefix akt: <http://www.aktors.org/ontology/portal#> .
@@ -110,11 +110,11 @@ class TestQueryCommand:
         """, encoding="utf-8")
         query = tmp_path / "query.rq"
         query.write_text(FIGURE_1_QUERY, encoding="utf-8")
-        assert main_query([str(query), str(data), "--engine", "naive"]) == 0
-        naive_out = capsys.readouterr().out
+        assert main_query([str(query), str(data), "--engine", "reference"]) == 0
+        reference_out = capsys.readouterr().out
         assert main_query([str(query), str(data), "--engine", "planner"]) == 0
         planner_out = capsys.readouterr().out
-        assert naive_out == planner_out
+        assert reference_out == planner_out
 
 
 class TestFederateCommand:

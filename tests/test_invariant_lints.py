@@ -62,5 +62,51 @@ def test_inv006_scope():
     assert _findings("tests/sparql/seeded.py") == []
 
 
+SEEDED_PLAN = """\
+from .results import Binding
+from . import expressions
+from .serializer import serialize_expression
+
+class ScanOp:
+    def run(self, bindings):
+        return bindings
+
+    def reset(self):
+        pass
+
+    def describe(self):
+        return "Scan"
+
+def execute(plan):
+    return plan
+"""
+
+
+def test_inv007_reports_executor_code_in_the_planner():
+    path = REPO_ROOT / "src/repro/sparql/plan.py"
+    findings = [
+        finding.render()
+        for finding in lints.check_plan_is_inert(ast.parse(SEEDED_PLAN), path)
+    ]
+    imports = (
+        "[INV007] planner imports from .results/.expressions: only an executor "
+        "needs bindings or expression evaluation"
+    )
+
+    def defined(name: str) -> str:
+        return (
+            f"[INV007] {name}() defined in the planner: plan nodes are inert "
+            "data, execution belongs to exec.py's Vec* operators"
+        )
+
+    assert findings == [
+        f"src/repro/sparql/plan.py:1: {imports}",
+        f"src/repro/sparql/plan.py:2: {imports}",
+        f"src/repro/sparql/plan.py:6: {defined('run')}",
+        f"src/repro/sparql/plan.py:9: {defined('reset')}",
+        f"src/repro/sparql/plan.py:15: {defined('execute')}",
+    ]
+
+
 def test_the_repository_is_clean():
     assert lints.main() == 0

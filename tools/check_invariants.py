@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant lints, run as a hard CI gate.
 
-Six structural invariants that ordinary linters do not express, checked
+Seven structural invariants that ordinary linters do not express, checked
 with nothing but the stdlib ``ast`` module:
 
 1. **Hot-loop allocation ban** — inside the batched executor
@@ -46,6 +46,12 @@ with nothing but the stdlib ``ast`` module:
    outside ``sparql/`` (``/metrics``, ``/health``, error payloads, the
    store manifest) are small and stay as they are.
 
+7. **The plan tree stays inert** — ``src/repro/sparql/plan.py`` defines
+   no ``run``/``execute``/``reset`` function or method and imports
+   nothing from ``.results`` or ``.expressions``.  Plans are data that
+   ``exec.py`` compiles onto its ``Vec*`` operators; binding-level
+   execution code in the planner would be a second executor.
+
 Exit status is non-zero when any violation is found.  Findings are printed
 one per line as ``path:line: [INVxxx] message`` so CI logs read like
 compiler output.
@@ -60,6 +66,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCAN_ROOTS = ("src", "tests", "benchmarks", "tools")
 EXEC_PATH = REPO_ROOT / "src" / "repro" / "sparql" / "exec.py"
+PLAN_PATH = REPO_ROOT / "src" / "repro" / "sparql" / "plan.py"
 
 #: Operator methods that run once per batch (or per row) and therefore
 #: must stay allocation-free.
@@ -370,6 +377,47 @@ def check_result_path_encoders(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
+# INV007 — plan.py holds inert plan nodes, not a second executor
+# --------------------------------------------------------------------------- #
+
+#: Names of the execution entry points a plan node must not grow.
+EXECUTOR_FUNCTIONS = {"run", "execute", "reset"}
+#: Modules only binding-level execution needs.
+EXECUTOR_MODULES = {"results", "expressions"}
+
+
+def _imported_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """Dotted names an import statement binds or reads from."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    module = node.module or ""
+    return [module] + [
+        f"{module}.{alias.name}" if module else alias.name for alias in node.names
+    ]
+
+
+def check_plan_is_inert(tree: ast.Module, path: Path) -> list[Finding]:
+    findings: list[Finding] = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in EXECUTOR_FUNCTIONS):
+            findings.append(Finding(
+                path, node.lineno, "INV007",
+                f"{node.name}() defined in the planner: plan nodes are inert "
+                "data, execution belongs to exec.py's Vec* operators",
+            ))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            name.split(".")[-1] in EXECUTOR_MODULES for name in _imported_names(node)
+        ):
+            findings.append(Finding(
+                path, node.lineno, "INV007",
+                "planner imports from .results/.expressions: only an executor "
+                "needs bindings or expression evaluation",
+            ))
+    return sorted(findings, key=lambda finding: finding.line)
+
+
+# --------------------------------------------------------------------------- #
 
 def main() -> int:
     findings: list[Finding] = []
@@ -391,6 +439,8 @@ def main() -> int:
             findings.extend(check_result_path_encoders(tree, path))
             if path == EXEC_PATH:
                 findings.extend(check_hot_loops(tree, path))
+            if path == PLAN_PATH:
+                findings.extend(check_plan_is_inert(tree, path))
     for finding in findings:
         print(finding.render())
     if findings:
