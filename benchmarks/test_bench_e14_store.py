@@ -19,10 +19,9 @@ The headline claims pinned here: cold open performs **zero** triple-record
 reads, the LIMIT-ed scan touches well under a tenth of the stored
 records, and a subject probe searches one or two segments, not six.
 Disk scans are expected to be slower than memory (they bisect each
-memory-mapped run that may hold the pattern's bound ids by byte
-comparison and decode rows with ``struct`` a chunk at a time); the sweep
-records by how much so regressions in either backend show up in the perf
-job.
+memory-mapped run that may hold the pattern's bound ids as an integer
+array and decode rows a chunk at a time); the sweep records by how much
+so regressions in either backend show up in the perf job.
 """
 
 from __future__ import annotations

@@ -597,8 +597,11 @@ def main_store(argv: Sequence[str] | None = None) -> int:
       to immutable index segments;
     * ``repro-store compact DIR`` — merge all segments into one and drop
       tombstoned deletes;
-    * ``repro-store stats DIR`` — print size, layout and vocabulary
-      statistics without loading any triple data.
+    * ``repro-store stats DIR`` — print the format, size, layout and
+      vocabulary statistics without loading any triple data.
+
+    ``compact`` and ``stats`` need an existing store: a ``DIR`` without
+    one exits 2 and creates nothing.
     """
     from .rdf import Graph, SegmentStore, StoreError
 
@@ -626,6 +629,9 @@ def main_store(argv: Sequence[str] | None = None) -> int:
                        help="show the N most frequent predicates and classes")
 
     arguments = parser.parse_args(argv)
+    if arguments.command != "build" and not (Path(arguments.store) / "MANIFEST.json").is_file():
+        print(f"error: no store at {arguments.store}", file=sys.stderr)
+        return 2
     try:
         if arguments.command == "build":
             store = SegmentStore(arguments.store, buffer_limit=arguments.buffer_limit)
@@ -661,6 +667,7 @@ def main_store(argv: Sequence[str] | None = None) -> int:
         store = SegmentStore(arguments.store)
         statistics = store.stats
         print(f"store:      {arguments.store}")
+        print(f"format:     {store.FORMAT_VERSION}")
         print(f"triples:    {len(store)}")
         print(f"segments:   {len(store.segment_names)}"
               + (f" ({', '.join(store.segment_names)})" if store.segment_names else ""))

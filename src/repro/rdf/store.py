@@ -23,8 +23,8 @@ Two implementations ship:
   interned ids, entirely in RAM.  This is the historical ``Graph``
   behaviour, now behind the contract.
 * :class:`SegmentStore` — a persistent store: immutable sorted SPO/POS/OSP
-  index segments on disk (24-byte fixed-width records, memory-mapped
-  and binary-searched by byte comparison so a query never loads a full
+  index segments on disk (24-byte little-endian records, memory-mapped
+  and bisected in place as integer arrays so a query never loads a full
   segment), an append-only interned term dictionary, a small in-memory
   write buffer flushed to new segments, tombstone-based deletes and
   segment-merge compaction.  Exact per-segment statistics are persisted
@@ -44,10 +44,14 @@ import json
 import mmap
 import os
 import struct
+import sys
 import threading
-from collections.abc import Hashable, Iterable, Iterator
+from bisect import bisect_left, bisect_right
+from collections.abc import Hashable, Iterable, Iterator, Sequence
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .namespace import RDF
 from .terms import BNode, Literal, Term, URIRef
@@ -508,16 +512,18 @@ class MemoryStore(Store):
 # --------------------------------------------------------------------------- #
 # SegmentStore: on-disk layout helpers
 # --------------------------------------------------------------------------- #
-_RECORD = struct.Struct(">QQQ")
+#: Little-endian, so a mapped run reads as the native ``Q`` array it is
+#: searched as; opening refuses a big-endian host.
+_RECORD = struct.Struct("<QQQ")
 _RECORD_SIZE = _RECORD.size
-#: Packers for search keys of 0-3 leading ids, indexed by prefix length.
-_PREFIX = tuple(struct.Struct(">" + "Q" * terms) for terms in range(4))
-#: Records decoded per slice while range-scanning a segment.
+#: Records decoded per call while range-scanning a run.
 _SCAN_CHUNK = 256
 _MANIFEST = "MANIFEST.json"
 _TERMS_LOG = "terms.jsonl"
 _TOMBSTONES = "tombstones.bin"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+#: The id -> count maps in a segment's metadata; the first three prune reads.
+_ROLES = ("subjects", "predicates", "objects", "classes")
 _Key = TypeVar("_Key", bound=Hashable)
 
 
@@ -568,9 +574,9 @@ class _PersistentTermDictionary(TermDictionary):
 class _IoCounters:
     """Cheap read-traffic accounting for one :class:`SegmentStore`.
 
-    ``records_read`` counts index records examined or decoded —
-    the E14 benchmark asserts that a LIMIT-ed query reads a small multiple
-    of its answer size, not the whole dataset.
+    ``records_read`` counts index records decoded plus the most a
+    bisection can examine — the E14 benchmark asserts that a LIMIT-ed
+    query reads a small multiple of its answer size, not the whole dataset.
     """
 
     __slots__ = ("records_read", "range_scans", "lookups")
@@ -592,14 +598,16 @@ class _TripleFile:
     """One immutable sorted run of 24-byte ``(a, b, c)`` id records.
 
     The run is mapped read-only when its segment is opened (no triple
-    page is read, and no descriptor is kept).  Records are big-endian, so
-    a packed id prefix orders bytewise exactly as the id tuple does:
-    searches compare slices of the mapping and never unpack, and range
-    scans decode a small slice at a time — a query never materialises the
-    file.  Slices are copies; concurrent readers share only the mapping.
+    page is read, and no descriptor is kept) and viewed in place, with no
+    copy, as a flat array of unsigned 64-bit ids (``flat``) plus one
+    strided view per record column (``columns``).  A search is C
+    ``bisect`` calls on the column views, each column inside the range
+    the previous one left; a range decodes ``_SCAN_CHUNK`` records per
+    ``tolist`` call — a query never materialises the file, and concurrent
+    readers share only the mapping.
     """
 
-    __slots__ = ("path", "count", "mapped", "io")
+    __slots__ = ("path", "count", "flat", "columns", "io")
 
     def __init__(self, path: Path, io: _IoCounters) -> None:
         self.path = path
@@ -612,183 +620,157 @@ class _TripleFile:
             self.count = size // _RECORD_SIZE
             # ``mmap`` refuses a zero-length file (a compaction that kept
             # nothing writes one); empty bytes search the same way.
-            self.mapped: mmap.mmap | bytes | None = mmap.mmap(
-                source.fileno(), 0, access=mmap.ACCESS_READ) if self.count else b""
+            mapped = mmap.mmap(source.fileno(), 0, access=mmap.ACCESS_READ) if self.count else b""
+        flat = memoryview(mapped).cast("Q")
+        self.flat: memoryview | None = flat
+        self.columns: tuple[memoryview, ...] | None = (flat[0::3], flat[1::3], flat[2::3])
 
     def close(self) -> None:
-        # Dropped, not ``close()``d: a search in flight on another thread
-        # finishes on its own reference; the last reference unmaps.
-        self.mapped = None
+        # Dropped, not released: a search in flight on another thread
+        # finishes on its own views; the last view gone unmaps the run.
+        self.flat = self.columns = None
 
-    def _bytes(self) -> mmap.mmap | bytes:
-        data = self.mapped
-        if data is None:
-            raise StoreError(f"{self.path} was closed (store closed, cleared or compacted)")
-        return data
-
-    def lower_bound(self, key: bytes) -> int:
-        """Index of the first record whose leading ``len(key)`` bytes are ``>= key``."""
-        data, count, width = self._bytes(), self.count, len(key)
-        if not count:
-            return 0
-        # The first and last record fence most absent keys out unbisected.
-        last = (count - 1) * _RECORD_SIZE
-        if key <= data[:width]:
-            lo, hi, examined = 0, 0, 1
-        elif data[last:last + width] < key:
-            lo, hi, examined = count, count, 2
-        else:
-            lo, hi, examined = 1, count - 1, 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            offset = mid * _RECORD_SIZE
-            examined += 1
-            if data[offset:offset + width] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.io.records_read += examined
-        return lo
-
-    def contains(self, record: tuple[int, int, int]) -> bool:
-        key = _RECORD.pack(*record)
-        offset = self.lower_bound(key) * _RECORD_SIZE
-        return self._bytes()[offset:offset + _RECORD_SIZE] == key
+    def _closed(self) -> StoreError:
+        return StoreError(f"{self.path} was closed (store closed, cleared or compacted)")
 
     def prefix_range(self, prefix: tuple[int, ...]) -> tuple[int, int]:
         """The ``[lo, hi)`` record range whose tuples start with ``prefix``."""
+        columns = self.columns
+        if columns is None:
+            raise self._closed()
         self.io.lookups += 1
-        data, count = self._bytes(), self.count
-        if not prefix:
-            return 0, count
-        key = _PREFIX[len(prefix)].pack(*prefix)
-        width = len(key)
-        lo = self.lower_bound(key)
-        # Records from ``lo`` on are ``>= key``, so only a leading stretch
-        # starts with it: gallop over that (a few records for the probes
-        # joins issue; at most one for a full key), bisecting once a stride
-        # overshoots.  No ``prefix[-1] + 1`` is formed, so 2**64 - 1 is fine.
-        end = count if width < _RECORD_SIZE else min(count, lo + 1)
-        hi, stride, examined = lo, 1, 0
-        while hi < end:
-            probe = min(hi + stride - 1, (hi + end) // 2)
-            offset = probe * _RECORD_SIZE
-            examined += 1
-            if data[offset:offset + width] == key:
-                hi, stride = probe + 1, stride * 2
-            else:
-                end = probe
+        lo, hi, examined = 0, self.count, 0
+        for column, value in zip(columns, prefix, strict=False):
+            examined += 2 * (hi - lo).bit_length()   # at most, for the two bisections
+            lo = bisect_left(column, value, lo, hi)
+            hi = bisect_right(column, value, lo, hi)
         self.io.records_read += examined
         return lo, hi
 
-    def scan(self, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-        """Stream records ``[lo, hi)``, decoding one chunk-sized slice at a time."""
-        self.io.range_scans += 1
-        for start in range(lo, hi, _SCAN_CHUNK):
-            stop = min(start + _SCAN_CHUNK, hi)
-            self.io.records_read += stop - start
-            yield from _RECORD.iter_unpack(
-                self._bytes()[start * _RECORD_SIZE:stop * _RECORD_SIZE])
+    def rows(self, lo: int, hi: int, order: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
+        """Records ``[lo, hi)`` decoded in one call, their columns emitted in ``order``."""
+        flat = self.flat
+        if flat is None:
+            raise self._closed()
+        self.io.records_read += hi - lo
+        ids = flat[3 * lo:3 * hi].tolist()
+        a, b, c = order
+        return zip(ids[a::3], ids[b::3], ids[c::3], strict=True)
+
+    def records(self) -> Iterator[tuple[int, int, int]]:
+        """Every record in run order, decoded by :meth:`rows` a chunk at a time."""
+        return chain.from_iterable(
+            self.rows(start, min(start + _SCAN_CHUNK, self.count), (0, 1, 2))
+            for start in range(0, self.count, _SCAN_CHUNK))
 
 
-#: Permutation metadata: ordering name -> (store-order of the record
-#: tuple, function mapping a record back to (s, p, o)).
-_ORDERINGS = {
-    "spo": (lambda s, p, o: (s, p, o), lambda t: (t[0], t[1], t[2])),
-    "pos": (lambda s, p, o: (p, o, s), lambda t: (t[2], t[0], t[1])),
-    "osp": (lambda s, p, o: (o, s, p), lambda t: (t[1], t[2], t[0])),
-}
+#: Ordering name -> the (s, p, o) position each record column holds.
+_ORDERINGS = {"spo": (0, 1, 2), "pos": (1, 2, 0), "osp": (2, 0, 1)}
+#: Ordering name -> the record columns that read back as (s, p, o).
+_RESTORE = {name: tuple(map(columns.index, range(3))) for name, columns in _ORDERINGS.items()}
 
 
-class _Segment:
-    """One immutable on-disk segment: three sorted runs plus exact id maps.
+def _plan(s: int, p: int, o: int) -> tuple[str, tuple[int, ...]]:
+    """Pick the ordering whose sort prefix covers the bound positions."""
+    if s and p:
+        return "spo", (s, p, o) if o else (s, p)
+    if p:
+        return "pos", (p, o) if o else (p,)
+    if o:
+        return "osp", (o, s) if s else (o,)
+    if s:
+        return "spo", (s,)
+    return "spo", ()
 
-    The per-role id -> count maps in ``meta.json`` decide correctness, not
-    just estimates: :meth:`SegmentStore.triples_ids`, ``cardinality`` and
-    the duplicate check behind ``add`` skip a segment whose map lacks a
-    bound id of the pattern (:meth:`may_hold`), so a map that missed an id
-    would silently lose that id's triples.  Opening therefore checks all
-    it can without reading a record — each of the three runs holds exactly
-    ``triples`` whole records, and the subject, predicate and object maps
-    each sum to ``triples`` — and raises :class:`StoreError` otherwise.
-    """
 
-    __slots__ = ("name", "files", "count", "stats_ids")
+class _Segment(NamedTuple):
+    """One immutable on-disk segment: its three sorted runs by ordering."""
 
-    def __init__(self, directory: Path, name: str, io: _IoCounters) -> None:
-        self.name = name
-        self.files = {
-            ordering: _TripleFile(directory / f"{name}.{ordering}", io)
-            for ordering in _ORDERINGS
-        }
-        meta = json.loads((directory / f"{name}.meta.json").read_text(encoding="utf-8"))
-        self.count = int(meta["triples"])
-        for ordering, handle in self.files.items():
-            if handle.count != self.count:
-                raise StoreError(
-                    f"segment {name}: {ordering} run holds {handle.count} records "
-                    f"but metadata claims {self.count}"
-                )
-        #: Per-role id -> count maps persisted at segment-write time.
-        self.stats_ids = {
-            role: {int(key): value for key, value in meta["stats"][role].items()}
-            for role in ("subjects", "predicates", "objects", "classes")
-        }
-        for role in ("subjects", "predicates", "objects"):
-            total = sum(self.stats_ids[role].values())
-            if total != self.count:
-                raise StoreError(
-                    f"segment {name}: {role} map counts {total} triples "
-                    f"but metadata claims {self.count}"
-                )
-
-    def may_hold(self, s: int, p: int, o: int) -> bool:
-        """False when the id maps rule out every match of the id pattern."""
-        ids = self.stats_ids
-        return ((not s or s in ids["subjects"]) and (not p or p in ids["predicates"])
-                and (not o or o in ids["objects"]))
+    name: str
+    files: dict[str, _TripleFile]
+    triples: int
 
     def close(self) -> None:
-        for handle in self.files.values():
-            handle.close()
-
-    @staticmethod
-    def _plan(s: int, p: int, o: int) -> tuple[str, tuple[int, ...]]:
-        """Pick the ordering whose sort prefix covers the bound positions."""
-        if s and p:
-            return "spo", (s, p, o) if o else (s, p)
-        if p:
-            return "pos", (p, o) if o else (p,)
-        if o:
-            return "osp", (o, s) if s else (o,)
-        if s:
-            return "spo", (s,)
-        return "spo", ()
-
-    def scan(self, s: int, p: int, o: int) -> Iterator[tuple[int, int, int]]:
-        ordering, prefix = self._plan(s, p, o)
-        handle = self.files[ordering]
-        lo, hi = handle.prefix_range(prefix)
-        restore = _ORDERINGS[ordering][1]
-        for record in handle.scan(lo, hi):
-            if handle.mapped is None:  # per row: a resumed generator must not finish its chunk
-                raise StoreError(f"{handle.path} was closed during a scan")
-            yield restore(record)
-
-    def range_count(self, s: int, p: int, o: int) -> int:
-        ordering, prefix = self._plan(s, p, o)
-        lo, hi = self.files[ordering].prefix_range(prefix)
-        return hi - lo
-
-    def contains(self, s: int, p: int, o: int) -> bool:
-        return self.files["spo"].contains((s, p, o))
+        for run in self.files.values():
+            run.close()
 
 
-def _write_sorted_run(path: Path, records: Iterable[tuple[int, int, int]]) -> None:
+def _open_segment(directory: Path, name: str,
+                  io: _IoCounters) -> tuple[_Segment, dict[str, dict[int, int]]]:
+    """Map segment ``name`` and read its exact per-role id -> count maps.
+
+    The maps decide correctness, not just estimates: the store folds them
+    into the masks that prune :meth:`SegmentStore.triples_ids`,
+    ``cardinality`` and the duplicate check behind ``add``, so a map that
+    missed an id would silently lose that id's triples.  Opening therefore
+    checks all it can without reading a record — each of the three runs
+    holds exactly ``triples`` whole records, and the subject, predicate
+    and object maps each sum to ``triples`` — and raises
+    :class:`StoreError` otherwise.  The segment itself keeps no map.
+    """
+    files = {ordering: _TripleFile(directory / f"{name}.{ordering}", io)
+             for ordering in _ORDERINGS}
+    meta = json.loads((directory / f"{name}.meta.json").read_text(encoding="utf-8"))
+    count = int(meta["triples"])
+    for ordering, run in files.items():
+        if run.count != count:
+            raise StoreError(f"segment {name}: {ordering} run holds {run.count} records "
+                             f"but metadata claims {count}")
+    maps = {role: {int(key): value for key, value in meta["stats"][role].items()}
+            for role in _ROLES}
+    for role in _ROLES[:3]:
+        total = sum(maps[role].values())
+        if total != count:
+            raise StoreError(f"segment {name}: {role} map counts {total} triples "
+                             f"but metadata claims {count}")
+    return _Segment(name, files, count), maps
+
+
+#: Per role (s, p, o): id -> bitmask of the segments whose runs hold it.
+_Masks = tuple[dict[int, int], dict[int, int], dict[int, int]]
+
+
+def _fold(masks: _Masks, maps: dict[str, dict[int, int]], bit: int) -> None:
+    """Set ``bit`` in ``masks`` for every id a segment's ``maps`` hold."""
+    for ids, role in zip(masks, _ROLES, strict=False):
+        for key in maps[role]:
+            ids[key] = ids.get(key, 0) | bit
+
+
+class _Layout(NamedTuple):
+    """The live segments and their masks, published by one assignment.
+
+    Never mutated once published, so a scan that read one layout never
+    pairs its masks with another layout's segments across a flush,
+    :meth:`SegmentStore.compact` or :meth:`SegmentStore.clear`.
+    """
+
+    segments: tuple[_Segment, ...]
+    masks: _Masks
+
+    def holding(self, s: int, p: int, o: int) -> Sequence[_Segment]:
+        """The segments whose runs hold every bound id of the pattern, in order."""
+        subjects, predicates, objects = self.masks
+        mask = ((subjects.get(s, 0) if s else -1) & (predicates.get(p, 0) if p else -1)
+                & (objects.get(o, 0) if o else -1))
+        if mask == -1:  # nothing bound
+            return self.segments
+        found: list[_Segment] = []
+        while mask:  # set bits, lowest (oldest segment) first
+            low = mask & -mask
+            found.append(self.segments[low.bit_length() - 1])
+            mask ^= low
+        return found
+
+
+def _write_sorted_run(path: Path, records: Iterable[tuple[int, ...]]) -> int:
+    """Write ``records`` as one run; returns how many were written."""
+    written = 0
     with open(path, "wb") as sink:
         pack = _RECORD.pack
-        for record in records:
+        for written, record in enumerate(records, 1):
             sink.write(pack(*record))
+    return written
 
 
 def _atomic_json(path: Path, payload: dict) -> None:
@@ -856,7 +838,7 @@ class SegmentStore(Store):
 
         MANIFEST.json     commit point: format version + live segment names
         terms.jsonl       append-only term dictionary log (id = line order)
-        seg-N.spo/.pos/.osp   sorted 24-byte id-record runs (one per ordering)
+        seg-N.spo/.pos/.osp   sorted runs of 24-byte little-endian id records
         seg-N.meta.json   triple count + exact per-id role statistics
         tombstones.bin    deletes against segment-resident triples
 
@@ -868,30 +850,38 @@ class SegmentStore(Store):
     every segment into one.  Statistics are summed from the per-segment
     metadata on open — a cold open never scans triple data.
 
-    The same per-segment metadata prunes reads: a pattern scan, a
-    cardinality count or an ``add`` duplicate check searches only the
-    segments whose exact id maps hold every bound id of the pattern, so a
-    subject-bound probe typically searches one segment however many
-    there are.  Skipped segments contribute no rows, so row order is
+    The same metadata prunes reads.  Its exact id maps are folded, per
+    role, into one id -> bitmask of the segments holding that id, so a
+    pattern scan, a cardinality count or an ``add`` duplicate check
+    searches only the segments whose bits every bound id of the pattern
+    sets: a subject-bound probe typically searches one segment however
+    many there are.  Skipped segments contribute no rows, so row order is
     unchanged.  A pattern with no bound id searches every segment.
 
     Mutations are serialised by an internal lock; concurrent *reads* are
     safe against each other (a segment run is one immutable read-only
-    mapping; readers copy slices out of it and share no cursor), matching
-    the read-mostly usage of :class:`repro.federation.LocalSparqlEndpoint`.
-    Mapped pages are page cache — in RSS only while resident, dropped by
-    the kernel at will — so the store's own memory stays the write buffer,
-    tombstones, dictionary and statistics.  Reads after :meth:`close`
-    raise :class:`StoreError`, as does a scan generator resumed after
+    mapping that readers bisect and decode in place, sharing no cursor),
+    matching the read-mostly usage of
+    :class:`repro.federation.LocalSparqlEndpoint`.  Mapped pages are page
+    cache — in RSS only while resident, dropped by the kernel at will —
+    so the store's own memory stays the write buffer, tombstones,
+    dictionary, statistics and masks.  Reads after :meth:`close` raise
+    :class:`StoreError`, as does a scan generator resumed after
     :meth:`close`, :meth:`clear` or :meth:`compact` retired its segment.
+    A directory written in another format, or a big-endian host, is a
+    :class:`StoreError` at open, before any run is mapped.
     """
 
     DEFAULT_BUFFER_LIMIT = 50_000
+    FORMAT_VERSION = _FORMAT_VERSION
 
     def __init__(self, directory: str | os.PathLike,
                  buffer_limit: int = DEFAULT_BUFFER_LIMIT) -> None:
         if buffer_limit < 1:
             raise ValueError("buffer_limit must be >= 1")
+        if sys.byteorder != "little":
+            raise StoreError(f"{directory}: segment runs are searched as little-endian "
+                             f"arrays, which this {sys.byteorder}-endian host cannot read")
         self.directory = Path(directory)
         self.buffer_limit = buffer_limit
         self.io = _IoCounters()
@@ -900,12 +890,10 @@ class SegmentStore(Store):
         self._buffer = _IdIndex()
         self._tombstones = _Tombstones()
         self._tombstones_dirty = False
-        self._segments: list[_Segment] = []
+        self._layout = _Layout((), ({}, {}, {}))
         self._segment_count = 0
         self._next_segment = 1
-        self._stats_ids: dict[str, dict[int, int]] = {
-            "subjects": {}, "predicates": {}, "objects": {}, "classes": {},
-        }
+        self._stats_ids: dict[str, dict[int, int]] = {role: {} for role in _ROLES}
         self._stats_cache: tuple[int, GraphStatistics] | None = None
         self._version = 0
 
@@ -915,8 +903,9 @@ class SegmentStore(Store):
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
             if manifest.get("format") != _FORMAT_VERSION:
                 raise StoreError(
-                    f"{manifest_path}: unsupported store format "
-                    f"{manifest.get('format')!r} (expected {_FORMAT_VERSION})"
+                    f"{manifest_path}: store format {manifest.get('format')!r} cannot be "
+                    f"read by this version, which reads format {_FORMAT_VERSION}; rebuild "
+                    f"the store from its RDF source with `repro-store build`"
                 )
         else:
             manifest = {"format": _FORMAT_VERSION, "segments": [], "next_segment": 1}
@@ -926,14 +915,18 @@ class SegmentStore(Store):
         self._rdf_type_id = self._dictionary.intern(RDF.type)
         self._next_segment = int(manifest.get("next_segment", 1))
         try:
+            segments: list[_Segment] = []
+            masks: _Masks = ({}, {}, {})
             for name in manifest["segments"]:
-                segment = _Segment(self.directory, name, self.io)
-                self._segments.append(segment)
-                self._segment_count += segment.count
-                for role, counts in segment.stats_ids.items():
+                segment, maps = _open_segment(self.directory, name, self.io)
+                _fold(masks, maps, 1 << len(segments))
+                segments.append(segment)
+                self._segment_count += segment.triples
+                for role, counts in maps.items():
                     merged = self._stats_ids[role]
                     for key, value in counts.items():
                         merged[key] = merged.get(key, 0) + value
+            self._layout = _Layout(tuple(segments), masks)
             self._load_tombstones()
         except BaseException:
             self._dictionary._sink.close()  # opening failed: no handle outlives it
@@ -1022,7 +1015,7 @@ class SegmentStore(Store):
 
     @property
     def segment_names(self) -> list[str]:
-        return [segment.name for segment in self._segments]
+        return [segment.name for segment in self._layout.segments]
 
     @property
     def buffered(self) -> int:
@@ -1035,8 +1028,8 @@ class SegmentStore(Store):
         return len(self._tombstones)
 
     def _in_segments(self, s: int, p: int, o: int) -> bool:
-        return any(segment.contains(s, p, o) for segment in self._segments
-                   if segment.may_hold(s, p, o))
+        return any(lo < hi for lo, hi in (segment.files["spo"].prefix_range((s, p, o))
+                                          for segment in self._layout.holding(s, p, o)))
 
     def add(self, s: Term, p: Term, o: Term) -> bool:
         with self._lock:
@@ -1080,13 +1073,15 @@ class SegmentStore(Store):
     def clear(self) -> None:
         with self._lock:
             self._check_open()
+            retired = self._layout.segments
             self._buffer.clear()
+            # The layout before the tombstones, as in compact().
+            self._layout = _Layout((), ({}, {}, {}))
             self._tombstones = _Tombstones()
             self._tombstones_dirty = False
-            for segment in self._segments:
+            for segment in retired:
                 segment.close()
                 self._delete_segment_files(segment.name)
-            self._segments.clear()
             self._segment_count = 0
             for counts in self._stats_ids.values():
                 counts.clear()
@@ -1098,17 +1093,27 @@ class SegmentStore(Store):
         self, s: int = UNBOUND_ID, p: int = UNBOUND_ID, o: int = UNBOUND_ID
     ) -> Iterator[tuple[int, int, int]]:
         self._check_open()
-        yield from self._buffer.scan(s, p, o)
+        if self._buffer.size:
+            yield from self._buffer.scan(s, p, o)
+        # Tombstones before the layout: compact() and clear() publish the
+        # layout first, so retired segments are never read unfiltered.
         tombstones = self._tombstones.members
-        for segment in self._segments:
-            if not segment.may_hold(s, p, o):
-                continue
-            if tombstones:
-                for triple in segment.scan(s, p, o):
-                    if triple not in tombstones:
-                        yield triple
-            else:
-                yield from segment.scan(s, p, o)
+        segments = self._layout.holding(s, p, o)
+        ordering, prefix = _plan(s, p, o)
+        restore = _RESTORE[ordering]
+        for segment in segments:
+            run = segment.files[ordering]
+            lo, hi = run.prefix_range(prefix)
+            self.io.range_scans += 1
+            for start in range(lo, hi, _SCAN_CHUNK):
+                rows: Iterable[tuple[int, int, int]] = run.rows(
+                    start, min(start + _SCAN_CHUNK, hi), restore)
+                if tombstones:
+                    rows = [row for row in rows if row not in tombstones]
+                for row in rows:
+                    if run.flat is None:  # per row: a resumed generator must not finish its chunk
+                        raise StoreError(f"{run.path} was closed during a scan")
+                    yield row
 
     def cardinality(
         self, s: Term | None = None, p: Term | None = None, o: Term | None = None
@@ -1125,9 +1130,11 @@ class SegmentStore(Store):
                 "predicates" if p is not None else "objects")
             key = ids[0] if s is not None else (ids[1] if p is not None else ids[2])
             return self._stats_ids[role].get(key, 0)
+        ordering, prefix = _plan(*ids)
         total = self._buffer.count(*ids)
-        total += sum(segment.range_count(*ids) for segment in self._segments
-                     if segment.may_hold(*ids))
+        for segment in self._layout.holding(*ids):
+            lo, hi = segment.files[ordering].prefix_range(prefix)
+            total += hi - lo
         return total - self._tombstones.count(*ids)
 
     # ------------------------------------------------------------------ #
@@ -1146,29 +1153,26 @@ class SegmentStore(Store):
             self._next_segment += 1
             self._write_segment(name, sorted(self._buffer.scan(0, 0, 0)))
             self._buffer = _IdIndex()
-            segment = _Segment(self.directory, name, self.io)
-            self._segments.append(segment)
-            self._segment_count += segment.count
+            segment, maps = _open_segment(self.directory, name, self.io)
+            layout = self._layout
+            masks: _Masks = (dict(layout.masks[0]), dict(layout.masks[1]), dict(layout.masks[2]))
+            _fold(masks, maps, 1 << len(layout.segments))
+            self._layout = _Layout(layout.segments + (segment,), masks)
+            self._segment_count += segment.triples
             self._write_manifest()
 
     def _write_segment(self, name: str, spo_sorted: list[tuple[int, int, int]]) -> None:
         """Write one segment (three runs + metadata) from sorted triples."""
-        stats: dict[str, dict[int, int]] = {
-            "subjects": {}, "predicates": {}, "objects": {}, "classes": {},
-        }
+        stats: dict[str, dict[int, int]] = {role: {} for role in _ROLES}
         for s, p, o in spo_sorted:
             _bump(stats["subjects"], s, +1)
             _bump(stats["predicates"], p, +1)
             _bump(stats["objects"], o, +1)
             if p == self._rdf_type_id:
                 _bump(stats["classes"], o, +1)
-        _write_sorted_run(self.directory / f"{name}.spo", spo_sorted)
-        for ordering in ("pos", "osp"):
-            permute = _ORDERINGS[ordering][0]
-            _write_sorted_run(
-                self.directory / f"{name}.{ordering}",
-                sorted(permute(s, p, o) for s, p, o in spo_sorted),
-            )
+        for ordering, columns in _ORDERINGS.items():
+            _write_sorted_run(self.directory / f"{name}.{ordering}",
+                              sorted(map(itemgetter(*columns), spo_sorted)))
         _atomic_json(self.directory / f"{name}.meta.json", {
             "triples": len(spo_sorted),
             "stats": {
@@ -1189,7 +1193,7 @@ class SegmentStore(Store):
     def _write_manifest(self) -> None:
         _atomic_json(self.directory / _MANIFEST, {
             "format": _FORMAT_VERSION,
-            "segments": [segment.name for segment in self._segments],
+            "segments": self.segment_names,
             "next_segment": self._next_segment,
         })
 
@@ -1200,39 +1204,26 @@ class SegmentStore(Store):
     def compact(self) -> bool:
         """Merge every segment into one, physically dropping tombstones.
 
-        Runs of each ordering are merged with :func:`heapq.merge`, so
-        compaction streams — it never holds the full dataset in memory.
-        Returns True when anything was rewritten.
+        Runs of each ordering are merged with :func:`heapq.merge` from the
+        scan's chunk decoder, so compaction streams — it never holds the
+        full dataset in memory.  Returns True when anything was rewritten.
         """
         with self._lock:
             self._check_open()
             self.flush()
-            if len(self._segments) <= 1 and not self._tombstones:
+            retired = self._layout.segments
+            if len(retired) <= 1 and not self._tombstones:
                 return False
-            old_segments = list(self._segments)
             name = f"seg-{self._next_segment:06d}"
             self._next_segment += 1
             survivors = 0
-            for ordering in ("spo", "pos", "osp"):
-                restore = _ORDERINGS[ordering][1]
-                runs = [
-                    segment.files[ordering].scan(0, segment.files[ordering].count)
-                    for segment in old_segments
-                ]
-                merged = (
-                    record for record in heapq.merge(*runs)
-                    if restore(record) not in self._tombstones.members
-                )
-                path = self.directory / f"{name}.{ordering}"
-                if ordering == "spo":
-                    count = 0
-                    with open(path, "wb") as sink:
-                        for record in merged:
-                            sink.write(_RECORD.pack(*record))
-                            count += 1
-                    survivors = count
-                else:
-                    _write_sorted_run(path, merged)
+            for ordering, columns in _ORDERINGS.items():
+                # Tombstones in this run's column order: records are never restored.
+                dropped = set(map(itemgetter(*columns), self._tombstones.members))
+                merged = heapq.merge(*(segment.files[ordering].records() for segment in retired))
+                survivors = _write_sorted_run(
+                    self.directory / f"{name}.{ordering}",
+                    (record for record in merged if record not in dropped))
             # Post-flush the store's live id-statistics describe exactly
             # the surviving segment triples, so they become its metadata.
             _atomic_json(self.directory / f"{name}.meta.json", {
@@ -1242,16 +1233,19 @@ class SegmentStore(Store):
                     for role, counts in self._stats_ids.items()
                 },
             })
-            # Swapped in, never mutated: a scan in flight keeps filtering the
-            # retired segments by the tombstones it started with.
-            self._segments = [_Segment(self.directory, name, self.io)]
+            segment, maps = _open_segment(self.directory, name, self.io)
+            masks: _Masks = ({}, {}, {})
+            _fold(masks, maps, 1)
+            # The layout before the tombstones: a scan in flight keeps
+            # filtering the retired segments by the tombstones it started with.
+            self._layout = _Layout((segment,), masks)
             self._segment_count = survivors
             self._tombstones = _Tombstones()
             self._write_tombstones()
             self._write_manifest()
-            for segment in old_segments:
-                segment.close()
-                self._delete_segment_files(segment.name)
+            for retiree in retired:
+                retiree.close()
+                self._delete_segment_files(retiree.name)
             return True
 
     def close(self) -> None:
@@ -1261,7 +1255,7 @@ class SegmentStore(Store):
             self.flush()
             self._closed = True
             self._dictionary._sink.close()
-            for segment in self._segments:
+            for segment in self._layout.segments:
                 segment.close()
 
     def _check_open(self) -> None:
@@ -1270,7 +1264,7 @@ class SegmentStore(Store):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SegmentStore {self.directory} {len(self)} triples, "
-                f"{len(self._segments)} segments, {self._buffer.size} buffered>")
+                f"{len(self._layout.segments)} segments, {self._buffer.size} buffered>")
 
 
 # --------------------------------------------------------------------------- #

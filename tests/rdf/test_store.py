@@ -17,11 +17,14 @@ Three layers of coverage:
 from __future__ import annotations
 
 import json
+import mmap
+import struct
 import sys
 import threading
 from bisect import bisect_left
 from collections import Counter
 from itertools import product
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,7 +43,7 @@ from repro.rdf import (
     open_graph,
     open_store,
 )
-from repro.rdf.store import _ORDERINGS, _Segment
+from repro.rdf.store import _ORDERINGS
 from repro.sparql import QueryEvaluator
 
 EX = "http://example.org/"
@@ -58,6 +61,16 @@ def make_store(backend: str, tmp_path, **options) -> Store:
         return MemoryStore()
     options.setdefault("buffer_limit", 4)  # force multi-segment layouts
     return SegmentStore(tmp_path / "store", **options)
+
+
+def store_of_records(directory, records) -> SegmentStore:
+    """A store over one segment written straight from id ``records``."""
+    store = SegmentStore(directory)
+    store._write_segment("seg-records", sorted(records))
+    store.close()
+    (directory / "MANIFEST.json").write_text(json.dumps(
+        {"format": SegmentStore.FORMAT_VERSION, "segments": ["seg-records"], "next_segment": 1}))
+    return SegmentStore(directory)
 
 
 def sample_triples() -> list[Triple]:
@@ -194,7 +207,7 @@ _NEVER = u("never-interned")
 
 _operations = st.lists(
     st.tuples(
-        st.sampled_from(["add", "add", "remove", "flush", "compact", "reopen"]),
+        st.sampled_from(["add", "add", "add", "remove", "flush", "compact", "reopen", "clear"]),
         st.sampled_from(_TERMS),
         st.sampled_from(_PREDS),
         st.sampled_from(_OBJS),
@@ -235,6 +248,10 @@ def _recount(model: set[Triple]):
 @example(operations=[_op("add"), _op("add", _t1, _p1, _x), _op("add", _t2, _type, _t0),
                      _op("flush"), _op("add", _t0, _p1, _t2), _op("remove", _t1, _p1, _x),
                      _op("compact"), _op("add", _t1, _p0, _t1), _op("reopen")])
+# Segments cleared away, then new ones: no mask may keep a retired bit.
+@example(operations=[_op("add"), _op("flush"), _op("add", _t2, _p1, _x), _op("flush"),
+                     _op("clear"), _op("add", _t2, _p1, _x), _op("flush"), _op("add"),
+                     _op("flush")])
 def test_stats_equal_recount_after_interleaving(backend, operations, tmp_path_factory):
     directory = tmp_path_factory.mktemp("interleave")
     graph = Graph(store=make_store(backend, directory))
@@ -248,6 +265,9 @@ def test_stats_equal_recount_after_interleaving(backend, operations, tmp_path_fa
             elif action == "remove":
                 graph.discard(triple)
                 model.discard(triple)
+            elif action == "clear":
+                graph.clear()
+                model.clear()
             elif backend == "memory":
                 continue            # flush/compact/reopen: nothing to do in RAM
             elif action == "flush":
@@ -265,6 +285,14 @@ def test_stats_equal_recount_after_interleaving(backend, operations, tmp_path_fa
         assert stats.predicate_counts == dict(predicates)
         assert stats.object_counts == dict(objects)
         assert stats.class_counts == dict(classes)
+        # Per live segment, the ids each column of its spo run holds, read
+        # from disk: what the store's masks must prune by.
+        held = []
+        for name in getattr(graph.store, "segment_names", ()):
+            data = (directory / "store" / f"{name}.spo").read_bytes()
+            records = struct.iter_unpack("<QQQ", data)
+            held.append([set(column) for column in zip(*records, strict=True)]
+                        or [set(), set(), set()])
         for s, p, o in product(_TERMS + [_NEVER, None], _PREDS + [_NEVER, None],
                                _OBJS + [_NEVER, None]):
             want = {
@@ -273,7 +301,15 @@ def test_stats_equal_recount_after_interleaving(backend, operations, tmp_path_fa
                 and (p is None or t.predicate == p)
                 and (o is None or t.object == o)
             }
+            io = getattr(graph.store, "io", None)
+            before = io.lookups if io else 0
             assert set(graph.triples(s, p, o)) == want, f"pattern ({s}, {p}, {o})"
+            if io:
+                bound = [(column, graph.dictionary.lookup(term) or -1)
+                         for column, term in enumerate((s, p, o)) if term is not None]
+                searched = sum(all(key in columns[column] for column, key in bound)
+                               for columns in held)
+                assert io.lookups - before == searched, f"pattern ({s}, {p}, {o})"
             assert graph.cardinality(s, p, o) == len(want), f"pattern ({s}, {p}, {o})"
             if None not in (s, p, o):
                 assert (Triple(s, p, o) in graph) == bool(want), f"triple ({s}, {p}, {o})"
@@ -462,17 +498,15 @@ class TestSegmentStore:
         top = 2**64 - 1
         records = sorted({(5, top, 1), (5, top, top), (6, 1, 1), (top, top, top - 1),
                           (top, top, top)})
-        store = SegmentStore(tmp_path)
-        store._write_segment("seg-top", records)
-        segment = _Segment(tmp_path, "seg-top", store.io)
-        assert segment.files["spo"].prefix_range((5, top)) == (0, 2)
-        assert segment.files["spo"].prefix_range((top,)) == (3, 5)
-        assert segment.files["spo"].prefix_range((top, top, top)) == (4, 5)
-        assert sorted(segment.scan(0, top, 0)) == [r for r in records if r[1] == top]
-        assert sorted(segment.scan(0, 0, top)) == [r for r in records if r[2] == top]
-        assert segment.range_count(top, top, 0) == 2
-        assert segment.contains(top, top, top) and not segment.contains(top, top, 1)
-        segment.close()
+        store = store_of_records(tmp_path, records)
+        spo = store._layout.segments[0].files["spo"]
+        assert spo.prefix_range((5, top)) == (0, 2)
+        assert spo.prefix_range((top,)) == (3, 5)
+        assert spo.prefix_range((top, top, top)) == (4, 5)
+        assert sorted(store.triples_ids(0, top, 0)) == [r for r in records if r[1] == top]
+        assert sorted(store.triples_ids(0, 0, top)) == [r for r in records if r[2] == top]
+        assert len(list(store.triples_ids(top, top, 0))) == 2
+        assert store._in_segments(top, top, top) and not store._in_segments(top, top, 1)
         store.close()
 
     @pytest.mark.parametrize("damage", ["pos-truncated", "osp-truncated", "spo-trailing-bytes",
@@ -502,6 +536,37 @@ class TestSegmentStore:
         with pytest.raises(StoreError):
             SegmentStore(tmp_path)
 
+    def test_format_1_store_is_refused_before_any_run_is_mapped(self, tmp_path, monkeypatch):
+        # A complete format-1 directory: big-endian runs and tombstones.
+        big = struct.Struct(">QQQ")
+        records = [(2, 3, 4), (2, 3, 5)]
+        (tmp_path / "terms.jsonl").write_text("".join(
+            json.dumps(["u", uri]) + "\n"
+            for uri in (str(RDF.type), EX + "s", EX + "p", EX + "o1", EX + "o2")),
+            encoding="utf-8")
+        for ordering, columns in _ORDERINGS.items():
+            (tmp_path / f"seg-000001.{ordering}").write_bytes(
+                b"".join(big.pack(*itemgetter(*columns)(r)) for r in sorted(records)))
+        (tmp_path / "seg-000001.meta.json").write_text(json.dumps({"triples": 2, "stats": {
+            "subjects": {"2": 2}, "predicates": {"3": 2}, "objects": {"4": 1, "5": 1},
+            "classes": {}}}))
+        (tmp_path / "tombstones.bin").write_bytes(big.pack(2, 3, 5))
+        (tmp_path / "MANIFEST.json").write_text(json.dumps(
+            {"format": 1, "segments": ["seg-000001"], "next_segment": 2}))
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        mapped = []
+        monkeypatch.setattr(mmap, "mmap", lambda *args, **kwargs: mapped.append(args))
+        with pytest.raises(StoreError, match="format 1.*format 2.*repro-store build"):
+            SegmentStore(tmp_path)
+        assert mapped == []
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+    def test_big_endian_host_is_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "byteorder", "big")
+        with pytest.raises(StoreError, match="little-endian"):
+            SegmentStore(tmp_path / "store")
+        assert not (tmp_path / "store").exists()
+
     def test_corrupt_term_log_raises(self, tmp_path):
         store = SegmentStore(tmp_path)
         Graph(store=store).add(sample_triples()[0])
@@ -528,14 +593,14 @@ class TestSegmentStore:
 
 
 # --------------------------------------------------------------------------- #
-# Mapped read path: byte-key search == brute force over the unpacked tuples
+# Mapped read path: int-array search == brute force over the unpacked tuples
 # --------------------------------------------------------------------------- #
 _TOP = 2**64 - 1
-#: A small id alphabet so random records share prefixes; it spans the byte
-#: widths where a little-endian or signed comparison would misorder.
-_IDS = [1, 2, 3, 255, 256, 2**32, _TOP - 1, _TOP]
+#: A small id alphabet so random records share prefixes; it spans the
+#: widths where a byte-wise or signed 64-bit comparison would misorder.
+_IDS = [1, 2, 3, 255, 256, 2**32, 2**63 - 1, 2**63, _TOP - 1, _TOP]
 #: Probe ids: the alphabet plus values below, between and above it.
-_PROBES = [*_IDS, 4, 2**40]
+_PROBES = [*_IDS, 4, 2**40, 2**63 + 1]
 _id = st.sampled_from(_IDS)
 
 
@@ -553,34 +618,31 @@ def _runs(draw):
 @given(records=_runs(),
        prefixes=st.lists(st.lists(st.sampled_from([0, *_PROBES]), max_size=3), max_size=8),
        shapes=st.lists(st.tuples(*[st.sampled_from([0, 0, *_PROBES])] * 3), max_size=8))
-def test_byte_search_equals_brute_force(records, prefixes, shapes, tmp_path_factory):
+def test_int_array_search_equals_brute_force(records, prefixes, shapes, tmp_path_factory):
     directory = tmp_path_factory.mktemp("search")
-    store = SegmentStore(directory)
-    store._write_segment("seg-under-test", records)
-    segment = _Segment(directory, "seg-under-test", store.io)
+    store = store_of_records(directory, records)
+    (segment,) = store._layout.segments
     try:
-        for ordering, (permute, _) in _ORDERINGS.items():
+        for ordering, columns in _ORDERINGS.items():
             handle = segment.files[ordering]
-            run = sorted(permute(*record) for record in records)
-            assert list(handle.scan(0, handle.count)) == run
-            for prefix in map(tuple, [[], *prefixes, *(r[:n] for r in run[:3] for n in (1, 2, 3))]):
+            run = sorted(map(itemgetter(*columns), records))
+            assert list(handle.records()) == run
+            # Every prefix length, from the random probes and from records
+            # at both ends of the run (where the largest ids sort).
+            for prefix in map(tuple, [[], *prefixes,
+                                      *(r[:n] for r in run[:3] + run[-3:] for n in (1, 2, 3))]):
                 want = [r for r in run if r[:len(prefix)] == prefix]
                 lo, hi = handle.prefix_range(prefix)
                 assert hi - lo == len(want), f"{ordering} prefix {prefix}"
-                assert list(handle.scan(lo, hi)) == want
-                if want:
-                    assert lo == bisect_left(run, prefix)
-                if len(prefix) == 3:
-                    assert handle.contains(prefix) == bool(want)
-        for s, p, o in [*shapes, *records[:3]]:
+                assert list(handle.rows(lo, hi, (0, 1, 2))) == want
+                assert lo == bisect_left(run, prefix)
+        for s, p, o in [*shapes, *records[:3], *records[-3:]]:
             want = sorted(r for r in records
                           if (not s or r[0] == s) and (not p or r[1] == p) and (not o or r[2] == o))
-            assert sorted(segment.scan(s, p, o)) == want, f"pattern ({s}, {p}, {o})"
-            assert segment.range_count(s, p, o) == len(want)
+            assert sorted(store.triples_ids(s, p, o)) == want, f"pattern ({s}, {p}, {o})"
             if s and p and o:
-                assert segment.contains(s, p, o) == ((s, p, o) in records)
+                assert store._in_segments(s, p, o) == ((s, p, o) in records)
     finally:
-        segment.close()
         store.close()
 
 
@@ -693,14 +755,21 @@ def test_lookup_counter_deltas_are_exact_with_one_thread(tmp_path):
 
 def test_compact_racing_scans_ends_in_rows_or_store_error(tmp_path):
     store = _entity_store(tmp_path)
-    want = sorted(store.triples_ids())
+    # Subject probes beside the full scan: masks paired with another
+    # layout's segments would search the wrong runs and come back short.
+    subjects = [0] + [store.dictionary.lookup(u(f"e{i}")) for i in range(0, 120, 7)]
+    want = {subject: sorted(store.triples_ids(subject)) for subject in subjects}
     outcomes: list[object] = []
     stop = threading.Event()
 
-    def scanner() -> None:
+    def scanner(offset: int) -> None:
+        turn = offset
         while not stop.is_set():
+            subject = subjects[turn % len(subjects)]
+            turn += 1
             try:
-                outcomes.append(sorted(store.triples_ids()))
+                rows = sorted(store.triples_ids(subject))
+                outcomes.append(rows == want[subject] or (subject, rows))
             except StoreError:
                 outcomes.append(None)
             except BaseException as exc:  # anything else is the bug
@@ -710,7 +779,7 @@ def test_compact_racing_scans_ends_in_rows_or_store_error(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=scanner) for _ in range(3)]
+        threads = [threading.Thread(target=scanner, args=(offset,)) for offset in range(3)]
         for thread in threads:
             thread.start()
         suspended = store.triples_ids()
@@ -725,8 +794,10 @@ def test_compact_racing_scans_ends_in_rows_or_store_error(tmp_path):
         stop.set()
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert outcomes and all(outcome is None or outcome == want for outcome in outcomes)
-    assert sorted(store.triples_ids()) == want and len(store.segment_names) == 1
+    assert outcomes and all(outcome is None or outcome is True for outcome in outcomes)
+    for subject, rows in want.items():
+        assert sorted(store.triples_ids(subject)) == rows
+    assert len(store.segment_names) == 1
     store.close()
 
 

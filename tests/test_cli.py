@@ -386,6 +386,7 @@ class TestStoreCommand:
         store_dir = self._build(tmp_path, capsys)
         assert main_store(["stats", str(store_dir)]) == 0
         out = capsys.readouterr().out
+        assert "format:     2" in out
         assert "triples:    3" in out
         assert "http://example.org/knows: 2" in out
         assert "class http://example.org/Person: 1" in out
@@ -411,6 +412,20 @@ class TestStoreCommand:
         graph = open_graph(store_dir)
         assert len(graph) == 4
         graph.close()
+
+    @pytest.mark.parametrize("command", ["stats", "compact"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_store_commands_reject_a_directory_without_a_store(self, capsys, tmp_path,
+                                                               command, existing):
+        from repro.cli import main_store
+
+        target = tmp_path / "nostore"
+        if existing:
+            target.mkdir()
+        assert main_store([command, str(target)]) == 2
+        assert f"no store at {target}" in capsys.readouterr().err
+        assert target.exists() == existing
+        assert not existing or list(target.iterdir()) == []
 
     def test_serve_rejects_missing_store_directory(self, capsys, tmp_path):
         from repro.cli import main_serve
