@@ -2,12 +2,28 @@
 
 :class:`HttpSparqlEndpoint` implements the :class:`SparqlEndpoint`
 interface against a W3C SPARQL 1.1 Protocol service using only stdlib
-``urllib``.  Transport and protocol failures are mapped onto the same
+``http.client``.  Transport and protocol failures are mapped onto the same
 exception vocabulary :class:`LocalSparqlEndpoint` raises —
 :class:`EndpointUnavailable` for refused connections, HTTP error statuses
 and malformed bodies, :class:`EndpointTimeout` for socket timeouts — so
 the federation layer's retry/backoff/circuit-breaker policies (PR 2)
 apply to remote endpoints unchanged.
+
+Each endpoint keeps a small pool of kept-alive connections, so a
+federated sub-query costs one request on an open socket rather than a
+connect, an accept and a server thread.  The pool never holds more
+connections than the endpoint ever had requests in flight at once.
+
+* After each send the client sets ``TCP_QUICKACK``: a server that writes
+  headers and body in two sends (any ``http.server``-based one) would
+  otherwise hold the body behind the client's ~40 ms delayed ACK.  On a
+  platform without the option every request says ``Connection: close``
+  and no connection is kept.
+* A *reused* connection the server has closed in the meantime fails
+  before any response byte arrives; the request is then retried once on
+  a fresh connection (query operations are safe to repeat).
+* A connection that times out or fails mid-exchange is closed, never
+  pooled, so a late answer cannot be read as the next request's.
 
 The client speaks the protocol's POST binding by default
 (``application/x-www-form-urlencoded`` with a ``query`` parameter, which
@@ -18,11 +34,10 @@ responses as Turtle.
 
 from __future__ import annotations
 
+import http.client
 import socket
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
 
 
 from ..obs.trace import get_tracer
@@ -47,6 +62,18 @@ __all__ = ["HttpSparqlEndpoint"]
 
 #: How much of an HTTP error body to quote in exception messages.
 _ERROR_SNIPPET = 200
+
+#: Connections are kept alive only where each response can be acked at once.
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
+#: What a kept-alive connection closed by the server raises before any
+#: response byte arrives (``RemoteDisconnected`` is a ``ConnectionResetError``).
+_STALE = (ConnectionResetError, BrokenPipeError)
+
+_CONNECTION_CLASSES = {
+    "http": http.client.HTTPConnection,
+    "https": http.client.HTTPSConnection,
+}
 
 
 class HttpSparqlEndpoint(SparqlEndpoint):
@@ -99,6 +126,11 @@ class HttpSparqlEndpoint(SparqlEndpoint):
         self.graph_format = graph_format
         self.statistics = EndpointStatistics()
         self._lock = threading.Lock()
+        parts = urllib.parse.urlsplit(self.url)
+        self._connection_class = _CONNECTION_CLASSES.get(parts.scheme)
+        self._host = parts.netloc
+        self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        self._idle = []
 
     # ------------------------------------------------------------------ #
     # Query interface
@@ -127,6 +159,13 @@ class HttpSparqlEndpoint(SparqlEndpoint):
                 f"endpoint {self.name} returned an unparseable RDF body: {exc}"
             ) from exc
 
+    def close(self) -> None:
+        """Close the idle kept-alive connections; a later request opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
     # ------------------------------------------------------------------ #
     # Transport
     # ------------------------------------------------------------------ #
@@ -134,10 +173,12 @@ class HttpSparqlEndpoint(SparqlEndpoint):
         query_text = query.serialize() if isinstance(query, Query) else str(query)
         with self._lock:
             setattr(self.statistics, kind, getattr(self.statistics, kind) + 1)
-        url, data = self._encode(query_text)
-        request = urllib.request.Request(url, data=data, headers={"Accept": accept})
+        target, data = self._encode(query_text)
+        headers = {"Accept": accept}
         if data is not None:
-            request.add_header("Content-Type", "application/x-www-form-urlencoded")
+            headers["Content-Type"] = "application/x-www-form-urlencoded"
+        if _QUICKACK is None:
+            headers["Connection"] = "close"
         # The client span's own id rides the outbound traceparent header,
         # so the remote server's request span becomes its child and the
         # federated sub-query joins this trace across the socket.
@@ -147,50 +188,95 @@ class HttpSparqlEndpoint(SparqlEndpoint):
         ) as span:
             traceparent = span.traceparent()
             if traceparent is not None:
-                request.add_header("traceparent", traceparent)
+                headers["traceparent"] = traceparent
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    body = response.read().decode("utf-8")
-            except urllib.error.HTTPError as exc:
-                # The server answered, with an error status: the endpoint is
-                # reachable but refused or failed the query.
-                snippet = self._body_snippet(exc)
-                self._count_failure("injected_failures")
-                if span.recording:
-                    span.set_attribute("status", exc.code)
-                if exc.code == 504:
-                    raise EndpointTimeout(
-                        f"endpoint {self.name} reported an upstream timeout (504): {snippet}"
-                    ) from exc
-                raise EndpointUnavailable(
-                    f"endpoint {self.name} answered HTTP {exc.code}: {snippet}"
-                ) from exc
-            except urllib.error.URLError as exc:
-                self._count_failure("transport_failures")
-                if isinstance(exc.reason, (socket.timeout, TimeoutError)):
-                    raise EndpointTimeout(self._timeout_message()) from exc
-                raise EndpointUnavailable(
-                    f"endpoint {self.name} is unreachable: {exc.reason}"
-                ) from exc
-            except (socket.timeout, TimeoutError) as exc:
+                status, payload = self._exchange(
+                    "POST" if data is not None else "GET", target, data, headers
+                )
+            except TimeoutError as exc:
                 self._count_failure("transport_failures")
                 raise EndpointTimeout(self._timeout_message()) from exc
+            except (OSError, http.client.HTTPException) as exc:
+                self._count_failure("transport_failures")
+                raise EndpointUnavailable(
+                    f"endpoint {self.name} is unreachable: {exc}"
+                ) from exc
             if span.recording:
-                span.set_attribute("status", 200)
+                span.set_attribute("status", status)
+            if not 200 <= status < 300:
+                # The server answered, with an error status: the endpoint is
+                # reachable but refused or failed the query.
+                snippet = payload.decode("utf-8", errors="replace").strip()[:_ERROR_SNIPPET]
+                self._count_failure("injected_failures")
+                if status == 504:
+                    raise EndpointTimeout(
+                        f"endpoint {self.name} reported an upstream timeout (504): {snippet}"
+                    )
+                raise EndpointUnavailable(
+                    f"endpoint {self.name} answered HTTP {status}: {snippet}"
+                )
+            body = payload.decode("utf-8")
+            if span.recording:
                 span.set_attribute("bytes", len(body))
         return body
+
+    def _exchange(
+        self, method: str, target: str, data: bytes | None, headers: dict[str, str]
+    ) -> tuple[int, bytes]:
+        """One request and its whole response on a pooled connection."""
+        with self._lock:
+            idle = self._idle.pop() if self._idle else None
+        connection = self._connect() if idle is None else idle
+        try:
+            try:
+                response = self._send(connection, method, target, data, headers)
+            except _STALE:
+                if connection is not idle:
+                    raise
+                connection.close()
+                connection = self._connect()
+                response = self._send(connection, method, target, data, headers)
+            payload = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close or _QUICKACK is None:
+            connection.close()
+        else:
+            with self._lock:
+                self._idle.append(connection)
+        return response.status, payload
+
+    @staticmethod
+    def _send(
+        connection: http.client.HTTPConnection,
+        method: str,
+        target: str,
+        data: bytes | None,
+        headers: dict[str, str],
+    ) -> http.client.HTTPResponse:
+        """Send one request, ack what comes back at once, read the status line."""
+        connection.request(method, target, data, headers)
+        if _QUICKACK is not None:
+            connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+        return connection.getresponse()
+
+    def _connect(self) -> http.client.HTTPConnection:
+        if self._connection_class is None:
+            raise http.client.InvalidURL(f"unsupported URL {self.url!r}")
+        return self._connection_class(self._host, timeout=self.timeout)
 
     def _timeout_message(self) -> str:
         budget = f" after {self.timeout:g}s" if self.timeout is not None else ""
         return f"endpoint {self.name} timed out{budget}"
 
     def _encode(self, query_text: str) -> tuple[str, bytes | None]:
-        """(url, body) for the configured protocol binding."""
+        """(request target, body) for the configured protocol binding."""
         encoded = urllib.parse.urlencode({"query": query_text})
         if self.method == "get":
-            separator = "&" if "?" in self.url else "?"
-            return f"{self.url}{separator}{encoded}", None
-        return self.url, encoded.encode("utf-8")
+            separator = "&" if "?" in self._target else "?"
+            return f"{self._target}{separator}{encoded}", None
+        return self._target, encoded.encode("utf-8")
 
     def _parse_results(self, body: str) -> ResultSet | AskResult:
         try:
@@ -204,14 +290,6 @@ class HttpSparqlEndpoint(SparqlEndpoint):
     def _count_failure(self, kind: str) -> None:
         with self._lock:
             setattr(self.statistics, kind, getattr(self.statistics, kind) + 1)
-
-    @staticmethod
-    def _body_snippet(error: urllib.error.HTTPError) -> str:
-        try:
-            body = error.read().decode("utf-8", errors="replace").strip()
-        except Exception:  # pragma: no cover - sockets can fail mid-read
-            return ""
-        return body[:_ERROR_SNIPPET]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<HttpSparqlEndpoint {self.name} ({self.method.upper()} {self.url})>"

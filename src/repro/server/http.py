@@ -34,6 +34,7 @@ endpoint failures → 503, backend timeouts → 504.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.parse
@@ -135,6 +136,10 @@ class _SparqlHttpd(ThreadingHTTPServer):
     request counters; process-wide metrics (abandoned attempts, rewrite
     cache) live in the global registry and are concatenated into the
     Prometheus exposition.
+
+    It also tracks its open connections: a kept-alive connection keeps its
+    handler thread serving after ``shutdown()``, so stopping the server
+    has to close them too.
     """
 
     daemon_threads = True
@@ -144,6 +149,31 @@ class _SparqlHttpd(ThreadingHTTPServer):
     cache: ResponseCache
     registry: MetricsRegistry
     quiet: bool
+
+    def __init__(self, server_address, handler_class) -> None:
+        self._connections = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(server_address, handler_class)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """End every open connection; each handler then sees end of input."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already gone
 
     def handle_error(self, request, client_address) -> None:
         # A client abandoning its socket mid-response (timeout, Ctrl-C) is
@@ -232,14 +262,22 @@ class _SparqlRequestHandler(BaseHTTPRequestHandler):
         elif parsed.path in ("/sparql", "/query"):
             self._answer_query(self._read_query_body())
         else:
+            self.close_connection = True  # the body stays unread
             raise _HttpError(404, f"no such resource: {parsed.path}")
 
     # ------------------------------------------------------------------ #
     # The protocol's query operation
     # ------------------------------------------------------------------ #
     def _read_query_body(self) -> str:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        # A body this handler will not read would be parsed as the next
+        # request on a kept-alive connection, so refusing it also closes.
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True
+            raise _HttpError(400, "invalid Content-Length")
+        length = int(declared)
         if length > _MAX_BODY_BYTES:
+            self.close_connection = True
             raise _HttpError(413, "request body too large")
         body = self.rfile.read(length).decode("utf-8", errors="replace")
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip().lower()
@@ -598,8 +636,9 @@ class SparqlHttpServer:
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        """Shut the server down and release the socket."""
+        """Shut the server down, close its open connections, release the socket."""
         self._httpd.shutdown()
+        self._httpd.close_connections()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

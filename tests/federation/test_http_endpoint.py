@@ -1,6 +1,10 @@
-"""HttpSparqlEndpoint: protocol bindings, failure mapping, policy integration."""
+"""HttpSparqlEndpoint: protocol bindings, failure mapping, connection pool,
+policy integration."""
 
 import socket
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -41,8 +45,37 @@ def server(local):
 
 
 @pytest.fixture()
-def remote(server):
-    return HttpSparqlEndpoint(URIRef(server.query_url), timeout=5)
+def connect(server):
+    """Builds clients of ``server``; each one is closed after the test."""
+    made = []
+
+    def build(**options) -> HttpSparqlEndpoint:
+        made.append(HttpSparqlEndpoint(URIRef(server.query_url), **{"timeout": 5, **options}))
+        return made[-1]
+
+    yield build
+    for endpoint in made:
+        endpoint.close()
+
+
+@pytest.fixture()
+def remote(connect):
+    return connect()
+
+
+def _dead_url() -> str:
+    # Bind-then-close guarantees a dead port.
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return f"http://127.0.0.1:{port}/sparql"
+
+
+#: Connections are pooled only where the client can ack each response at once.
+keeps_alive = pytest.mark.skipif(
+    not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK: every request closes"
+)
 
 
 class TestQueryForms:
@@ -58,12 +91,12 @@ class TestQueryForms:
     def test_construct_matches_local(self, local, remote):
         assert set(remote.construct(CONSTRUCT)) == set(local.construct(CONSTRUCT))
 
-    def test_get_binding(self, server, local):
-        remote = HttpSparqlEndpoint(URIRef(server.query_url), timeout=5, method="get")
+    def test_get_binding(self, connect, local):
+        remote = connect(method="get")
         assert remote.select(SELECT).bindings == local.select(SELECT).bindings
 
-    def test_xml_result_format(self, server, local):
-        remote = HttpSparqlEndpoint(URIRef(server.query_url), timeout=5, result_format="xml")
+    def test_xml_result_format(self, connect, local):
+        remote = connect(result_format="xml")
         assert remote.select(SELECT).bindings == local.select(SELECT).bindings
 
     def test_statistics_count_queries(self, remote):
@@ -94,32 +127,137 @@ class TestFailureMapping:
         assert "HTTP 400" in str(excinfo.value)
 
     def test_connection_refused_maps_to_unavailable(self):
-        # Bind-then-close guarantees a dead port.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        dead = HttpSparqlEndpoint(URIRef(f"http://127.0.0.1:{port}/sparql"), timeout=2)
+        dead = HttpSparqlEndpoint(URIRef(_dead_url()), timeout=2)
         with pytest.raises(EndpointUnavailable):
             dead.select(SELECT)
         assert dead.statistics.transport_failures == 1
 
-    def test_slow_endpoint_maps_to_timeout(self, local, server):
+    def test_slow_endpoint_maps_to_timeout(self, local, connect):
         local.latency = 1.0
-        impatient = HttpSparqlEndpoint(URIRef(server.query_url), timeout=0.1)
+        impatient = connect(timeout=0.1)
         with pytest.raises(EndpointTimeout):
             impatient.select(SELECT)
         assert impatient.statistics.transport_failures == 1
 
 
+class TestConnectionPool:
+    """Kept-alive connections: reuse, stale retry, discard on failure."""
+
+    def test_after_a_timeout_the_next_select_gets_its_own_answer(self, local, connect):
+        local.latency = 1.0
+        impatient = connect(timeout=0.2)
+        with pytest.raises(EndpointTimeout):
+            impatient.select(SELECT)
+        local.latency = 0.0
+        # A different query: the first one's late answer would not match it.
+        own = "SELECT ?o WHERE { <http://example.org/a> <http://example.org/knows> ?o }"
+        result = impatient.select(own)
+        assert [str(v) for v in result.variables] == ["o"]
+        assert [str(row["o"]) for row in result.bindings] == ["http://example.org/b"]
+        assert impatient.statistics.transport_failures == 1
+
+    @keeps_alive
+    def test_a_restarted_server_costs_no_failure(self, local):
+        first = SparqlHttpServer(EndpointBackend(local)).start()
+        remote = HttpSparqlEndpoint(URIRef(first.query_url), timeout=5)
+        try:
+            assert len(remote.select(SELECT)) == 2
+            [stale] = remote._idle
+        finally:
+            first.stop()
+        with SparqlHttpServer(EndpointBackend(local), port=first.port):
+            assert len(remote.select(SELECT)) == 2
+            [fresh] = remote._idle
+        assert fresh is not stale
+        assert remote.statistics.transport_failures == 0
+        remote.close()
+
+    @keeps_alive
+    def test_a_stopped_server_is_unavailable_after_one_fresh_attempt(self, local):
+        server = SparqlHttpServer(EndpointBackend(local)).start()
+        remote = HttpSparqlEndpoint(URIRef(server.query_url), timeout=5)
+        remote.select(SELECT)
+        server.stop()
+        opened = self._count_connects(remote)
+        with pytest.raises(EndpointUnavailable):
+            remote.select(SELECT)
+        assert len(opened) == 1
+        assert remote._idle == []
+        assert remote.statistics.transport_failures == 1
+
+    def test_a_refused_fresh_connection_is_not_retried(self):
+        dead = HttpSparqlEndpoint(URIRef(_dead_url()), timeout=2)
+        opened = self._count_connects(dead)
+        with pytest.raises(EndpointUnavailable):
+            dead.select(SELECT)
+        assert len(opened) == 1
+        assert dead._idle == []
+        assert dead.statistics.transport_failures == 1
+
+    @keeps_alive
+    def test_error_statuses_leave_the_connection_reusable(self, local, remote):
+        remote.select(SELECT)
+        [connection] = remote._idle
+        local.fail_next(1)
+        with pytest.raises(EndpointUnavailable, match="HTTP 503"):
+            remote.select(SELECT + " LIMIT 5")  # not in the server's response cache
+        with pytest.raises(EndpointUnavailable, match="HTTP 400"):
+            remote.select("SELECT WHERE {")
+        assert len(remote.select(SELECT)) == 2
+        assert len(remote._idle) == 1 and remote._idle[0] is connection
+
+    @keeps_alive
+    def test_concurrent_selects_get_their_own_answers_from_a_bounded_pool(self, remote):
+        threads, rounds = 8, 20
+        start = threading.Barrier(threads, timeout=30)
+
+        def worker(thread: int) -> list[str]:
+            start.wait()
+            answers = []
+            for i in range(rounds):
+                result = remote.select(f'SELECT ?n WHERE {{ VALUES ?n {{ "t{thread}-{i}" }} }}')
+                answers.extend(str(row["n"]) for row in result.bindings)
+            return answers
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                answers = list(pool.map(worker, range(threads), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [[f"t{t}-{i}" for i in range(rounds)] for t in range(threads)]
+        assert 1 <= len(remote._idle) <= threads
+
+    @keeps_alive
+    def test_close_empties_the_pool(self, remote):
+        remote.select(SELECT)
+        [connection] = remote._idle
+        remote.close()
+        assert remote._idle == []
+        assert connection.sock is None
+        assert len(remote.select(SELECT)) == 2  # a later request reconnects
+
+    @staticmethod
+    def _count_connects(endpoint: HttpSparqlEndpoint) -> list:
+        opened = []
+        connect = endpoint._connect
+
+        def counting():
+            opened.append(True)
+            return connect()
+
+        endpoint._connect = counting
+        return opened
+
+
 class TestPolicyIntegration:
     """PR 2's retry/breaker machinery must drive remote endpoints unchanged."""
 
-    def test_retries_recover_from_injected_failures(self, local, server):
+    def test_retries_recover_from_injected_failures(self, local, remote):
         from repro.federation import DatasetRegistry, ExecutionPolicy, RegisteredDataset
         from repro.federation.void import DatasetDescription
 
-        remote = HttpSparqlEndpoint(URIRef(server.query_url), timeout=5)
         dataset_uri = URIRef("http://example.org/dataset")
         registry = DatasetRegistry(
             [RegisteredDataset(
@@ -145,10 +283,9 @@ class TestPolicyIntegration:
         assert result is not None and len(result) == 2
         assert breaker.state == "closed"
 
-    def test_repeated_remote_failures_trip_the_breaker(self, local, server):
+    def test_repeated_remote_failures_trip_the_breaker(self, local, remote):
         from repro.federation import CircuitBreaker
 
-        remote = HttpSparqlEndpoint(URIRef(server.query_url), timeout=5)
         breaker = CircuitBreaker(failure_threshold=3, reset_timeout=60)
         local.fail_next(10)
         for _ in range(3):

@@ -8,6 +8,10 @@ endpoint failures must drive the client-side resilience machinery
 (retries, circuit breakers) exactly as they do locally.
 """
 
+import socket
+import statistics
+import time
+
 import pytest
 
 from repro.datasets import build_resist_scenario
@@ -56,6 +60,8 @@ def loopback(scenario):
     try:
         yield registry, service
     finally:
+        for dataset in datasets:
+            dataset.endpoint.close()
         for server in servers:
             server.stop()
 
@@ -200,8 +206,36 @@ class TestDecomposeLoopbackEquivalence:
             in_process = _federate(scenario, scenario.service, query)
             assert self._multiset(over_http) == self._multiset(in_process)
         finally:
+            for dataset in datasets:
+                dataset.endpoint.close()
             for server in servers:
                 server.stop()
+
+
+@pytest.mark.skipif(
+    not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK: every request closes"
+)
+class TestKeptAliveSubRequests:
+    """Sub-requests reuse one socket and do not wait for a delayed ACK.
+
+    The server writes headers and body in two sends, so on a kept-alive
+    connection the body waits (Nagle) for the client to ack the headers.
+    Unless the client acks at once, that is a ~40 ms delayed ACK per
+    sub-request.
+    """
+
+    def test_sequential_selects_reuse_one_socket_without_the_ack_stall(self, loopback):
+        registry, _ = loopback
+        endpoint = next(iter(registry)).endpoint
+        sockets, elapsed = set(), []
+        for _ in range(30):
+            started = time.perf_counter()
+            endpoint.select("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5")
+            elapsed.append(time.perf_counter() - started)
+            [connection] = endpoint._idle
+            sockets.add(connection.sock.getsockname())
+        assert len(sockets) == 1
+        assert statistics.median(elapsed) < 0.020
 
 
 class TestE7LoopbackResilience:

@@ -1,6 +1,7 @@
 """The SPARQL Protocol server: bindings, negotiation, errors, cache, health."""
 
 import json
+import socket
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -156,6 +157,21 @@ class TestProtocolErrors:
         assert _status_of(lambda: _get(server, SELECT)) == 503
         status, _, _ = _get(server, SELECT)  # next attempt recovers
         assert status == 200
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "-5"])
+    def test_malformed_content_length_answers_400_and_closes(self, server, length):
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(
+                f"POST /sparql HTTP/1.1\r\nHost: {server.host}\r\n"
+                "Content-Type: application/x-www-form-urlencoded\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("ascii")
+            )
+            received = b""
+            while chunk := sock.recv(4096):  # ends only when the server closes
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert body == b"invalid Content-Length\n"
 
     def test_backend_timeout_maps_to_504(self):
         class TimingOutBackend(QueryBackend):

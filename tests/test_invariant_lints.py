@@ -108,5 +108,55 @@ def test_inv007_reports_executor_code_in_the_planner():
     ]
 
 
+SEEDED_HTTP = """\
+import urllib.request
+from urllib import request
+from urllib.request import urlopen
+import http.client
+from http import client
+from http.server import ThreadingHTTPServer
+import urllib.parse
+"""
+
+
+def _http_findings(relative: str) -> list[str]:
+    path = REPO_ROOT / relative
+    return [
+        finding.render()
+        for finding in lints.check_http_transport(ast.parse(SEEDED_HTTP), path)
+    ]
+
+
+def test_inv008_reports_http_clients_outside_the_endpoint():
+    urllib_request = (
+        "[INV008] urllib.request imported: HTTP leaves src/repro only through "
+        "http.client in federation/http_endpoint.py"
+    )
+    http_client = (
+        "[INV008] http.client imported outside federation/http_endpoint.py: "
+        "send sub-requests through HttpSparqlEndpoint's pooled connections"
+    )
+    path = "src/repro/server/seeded.py"
+    assert _http_findings(path) == [
+        f"{path}:1: {urllib_request}",
+        f"{path}:2: {urllib_request}",
+        f"{path}:3: {urllib_request}",
+        f"{path}:4: {http_client}",
+        f"{path}:5: {http_client}",
+    ]
+
+
+def test_inv008_scope():
+    # The endpoint module owns http.client, but not urllib.request.
+    endpoint = _http_findings("src/repro/federation/http_endpoint.py")
+    assert [line.split(": ")[0] for line in endpoint] == [
+        "src/repro/federation/http_endpoint.py:1",
+        "src/repro/federation/http_endpoint.py:2",
+        "src/repro/federation/http_endpoint.py:3",
+    ]
+    # Tests, benchmarks and examples drive servers with whatever they like.
+    assert _http_findings("tests/server/seeded.py") == []
+
+
 def test_the_repository_is_clean():
     assert lints.main() == 0

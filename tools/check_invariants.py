@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant lints, run as a hard CI gate.
 
-Seven structural invariants that ordinary linters do not express, checked
+Eight structural invariants that ordinary linters do not express, checked
 with nothing but the stdlib ``ast`` module:
 
 1. **Hot-loop allocation ban** — inside the batched executor
@@ -51,6 +51,13 @@ with nothing but the stdlib ``ast`` module:
    nothing from ``.results`` or ``.expressions``.  Plans are data that
    ``exec.py`` compiles onto its ``Vec*`` operators; binding-level
    execution code in the planner would be a second executor.
+
+8. **One way out over HTTP** — nothing under ``src/repro/`` imports
+   ``urllib.request``, and only ``federation/http_endpoint.py`` imports
+   ``http.client``.  Every sub-request goes through
+   :class:`HttpSparqlEndpoint`'s pool of kept-alive connections, which
+   acks each response at once; a second client would reopen a connection
+   per request or stall on the server's delayed ACK.
 
 Exit status is non-zero when any violation is found.  Findings are printed
 one per line as ``path:line: [INVxxx] message`` so CI logs read like
@@ -418,6 +425,41 @@ def check_plan_is_inert(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
+# INV008 — HTTP leaves src/repro only through http.client in http_endpoint.py
+# --------------------------------------------------------------------------- #
+
+HTTP_CLIENT_PATH = SRC_PACKAGE / "federation" / "http_endpoint.py"
+
+
+def _imports_module(node: ast.Import | ast.ImportFrom, module: str) -> bool:
+    return any(
+        name == module or name.startswith(module + ".") for name in _imported_names(node)
+    )
+
+
+def check_http_transport(tree: ast.Module, path: Path) -> list[Finding]:
+    if SRC_PACKAGE not in path.parents:
+        return []
+    findings: list[Finding] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if _imports_module(node, "urllib.request"):
+            findings.append(Finding(
+                path, node.lineno, "INV008",
+                "urllib.request imported: HTTP leaves src/repro only through "
+                "http.client in federation/http_endpoint.py",
+            ))
+        elif path != HTTP_CLIENT_PATH and _imports_module(node, "http.client"):
+            findings.append(Finding(
+                path, node.lineno, "INV008",
+                "http.client imported outside federation/http_endpoint.py: "
+                "send sub-requests through HttpSparqlEndpoint's pooled connections",
+            ))
+    return sorted(findings, key=lambda finding: finding.line)
+
+
+# --------------------------------------------------------------------------- #
 
 def main() -> int:
     findings: list[Finding] = []
@@ -437,6 +479,7 @@ def main() -> int:
             findings.extend(check_span_names(tree, path))
             findings.extend(check_store_boundary(tree, path))
             findings.extend(check_result_path_encoders(tree, path))
+            findings.extend(check_http_transport(tree, path))
             if path == EXEC_PATH:
                 findings.extend(check_hot_loops(tree, path))
             if path == PLAN_PATH:
