@@ -1,63 +1,68 @@
-"""Federated query decomposition: source selection, exclusive groups, bound joins.
+"""Federated query planning and execution: one plan, one executor, two strategies.
 
-The fan-out strategy ships the *whole* rewritten query to *every*
-registered endpoint and merges the answers — fine for three datasets,
-wasteful at scale: every endpoint evaluates every pattern, including
-endpoints that provably hold nothing relevant.  This module implements the
-FedX-style alternative:
+The paper's integration step rewrites the source query once per target
+dataset, runs each rewrite on its endpoint and merges the answers with
+co-referent URIs collapsed.  Every federated query here is planned by
+:func:`decompose_query` into a :class:`DecomposedPlan` — ordered units
+(:class:`QueryUnit`), each a piece of the query and the sources it runs on —
+and executed by one mediator pipeline on the batched operator layer
+(:mod:`repro.sparql.exec`).  The two strategies differ only in the plan:
 
-1. **Source selection** — for every triple pattern of the source query,
-   decide per dataset whether the pattern's *translation* for that dataset
-   can match anything there.  The decision is answered from the dataset's
-   VoID vocabulary statistics (``void:propertyPartition`` /
-   ``void:classPartition``, refreshed from the graph's live
-   :class:`~repro.rdf.GraphStatistics` for in-process endpoints) and falls
-   back to an ``ASK`` probe for patterns the statistics cannot settle.
-   Decisions are cached per alignment-KB generation (a KB edit changes the
-   translations, hence the decisions).
-2. **Groups** — patterns that one source can join by itself are shipped
-   to it as *one* sub-query, so the endpoint evaluates the group's joins
-   locally.  Two facts about the sources allow that.  *Exclusive groups*:
-   patterns whose sole relevant source coincides.  *Co-located groups*:
-   patterns that share a subject and whose relevant sources are all
-   members of one subject-hash partition
-   (:class:`~repro.federation.void.SubjectPartition`, declared by
-   :func:`~repro.federation.shard.shard_graph`) — every triple about one
-   subject sits on one member, so each member joins the star over its own
-   subjects; the group runs on the members relevant to all of its patterns,
-   and on the owning member alone when the subject is ground.  Everything
-   else (a relevant source outside the partition, members of different
-   partitions, a translation that moves the subject) stands alone as a
-   one-pattern unit.
-3. **Bound joins** — cross-source joins run at the mediator: the rows
-   produced so far are shipped to the next unit's sources as ``VALUES``
-   blocks (as few as :data:`DEFAULT_BIND_JOIN_BATCH` allows), so endpoints
-   only evaluate the pattern against bindings that can still join (instead
-   of shipping their full extension; the endpoint's planner probes its
-   indexes with a small block rather than scanning the pattern).  When the
-   join binds the subject of a co-located unit, each key is sent only to
-   the member it hashes to rather than to all of them.  The translated
-   sub-query is built once per unit and source, and every round runs on the
-   engine's one worker pool.
+* ``fanout`` is the degenerate plan: one *whole-query unit* whose sources
+  are every selected dataset.  The source dataset is sent the query as
+  written, every other dataset the mediator's rewrite of it.  Planning it
+  runs no analysis, no source selection and no probe, and each endpoint
+  applies the query's FILTERs and solution modifiers itself, so the
+  mediator only canonicalises, projects and deduplicates the union.
+* ``decompose`` is FedX-style:
 
-Decomposed execution preserves the fan-out semantics on the scenarios the
-experiments cover (per-dataset URI spaces, sameAs-linked replicas): the
-differential suite in ``tests/federation/test_decompose_differential.py``
-and the loopback variant pin ``--strategy decompose`` to the fan-out
-results on E6/E7, in-process and over HTTP.
+  1. **Source selection** — for every triple pattern of the source query,
+     decide per dataset whether the pattern's *translation* for that
+     dataset can match anything there.  The decision is answered from the
+     dataset's VoID vocabulary statistics (``void:propertyPartition`` /
+     ``void:classPartition``, refreshed from the graph's live
+     :class:`~repro.rdf.GraphStatistics` for in-process endpoints) and falls
+     back to an ``ASK`` probe for patterns the statistics cannot settle.
+     Decisions are cached per alignment-KB generation (a KB edit changes
+     the translations, hence the decisions).
+  2. **Groups** — patterns that one source can join by itself are shipped
+     to it as *one* sub-query, so the endpoint evaluates the group's joins
+     locally.  Two facts about the sources allow that.  *Exclusive groups*:
+     patterns whose sole relevant source coincides.  *Co-located groups*:
+     patterns that share a subject and whose relevant sources are all
+     members of one subject-hash partition
+     (:class:`~repro.federation.void.SubjectPartition`, declared by
+     :func:`~repro.federation.shard.shard_graph`) — every triple about one
+     subject sits on one member, so each member joins the star over its own
+     subjects; the group runs on the members relevant to all of its
+     patterns, and on the owning member alone when the subject is ground.
+     Everything else (a relevant source outside the partition, members of
+     different partitions, a translation that moves the subject) stands
+     alone as a one-pattern unit.
+  3. **Bound joins** — cross-source joins run at the mediator: the rows
+     produced so far are shipped to the next unit's sources as ``VALUES``
+     blocks (as few as :data:`DEFAULT_BIND_JOIN_BATCH` allows), so
+     endpoints only evaluate the pattern against bindings that can still
+     join.  When the join binds the subject of a co-located unit, each key
+     is sent only to the member it hashes to rather than to all of them.
 
-Supported query shape: SELECT whose WHERE clause is a basic graph pattern
-plus FILTERs (no OPTIONAL/UNION/nested groups, no blank nodes in patterns,
-no EXISTS in filters).  Anything else falls back to fan-out — the
-:class:`DecomposedPlan` records why.
+  The mediator then canonicalises URIs, applies the source-level FILTERs
+  and the solution modifiers *globally* (``LIMIT 10`` yields ten merged
+  rows and stops pulling bound-join batches once they are found), projects
+  and deduplicates.  A shape the decomposer cannot plan — anything but a
+  SELECT over a basic graph pattern plus FILTERs (no OPTIONAL/UNION/nested
+  groups, no blank nodes in patterns, no EXISTS in filters) — gets the
+  fan-out plan instead, with :attr:`DecomposedPlan.fallback_reason` saying
+  why.
 
-Solution modifiers are applied *globally* here (standard SPARQL
-semantics): ``LIMIT 10`` yields ten merged federation rows and stops
-pulling bound-join batches once they are found.  The fan-out strategy
-instead ships the modifiers to every endpoint and merges the per-endpoint
-slices, so the two strategies can legitimately differ on LIMIT/OFFSET
-queries; the differential guarantee covers modifier-free and
-ORDER-BY-only queries.
+Because fan-out ships the modifiers to every endpoint and merges the
+per-endpoint slices, the strategies can legitimately differ on
+LIMIT/OFFSET queries; the differential suite
+(``tests/federation/test_decompose_differential.py`` and its loopback
+variant) pins them equal on the E6/E7 scenarios for modifier-free and
+ORDER-BY-only queries.  Every endpoint call goes through
+:meth:`~repro.federation.FederatedQueryEngine.call_endpoint`, so retries,
+circuit breakers and tracing apply to both strategies alike.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
+from ..core import MediationResult
 from ..obs.trace import get_tracer
 from ..rdf import BNode, Graph, RDF, Term, TermDictionary, Triple, URIRef, Variable
 from ..sparql import (
@@ -105,6 +111,7 @@ from ..sparql.exec import (
     extend_schema,
     seed_batches,
 )
+from .endpoint import EndpointError
 from .registry import RegisteredDataset
 from .shard import SUBJECT_HASH_SCHEME, shard_for_subject
 from .void import SubjectPartition
@@ -114,6 +121,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "DEFAULT_BIND_JOIN_BATCH",
+    "STRATEGIES",
     "SourceDecision",
     "PatternSources",
     "QueryUnit",
@@ -131,6 +139,9 @@ __all__ = [
 #: server's 1 MiB request-body limit.  A smaller ``bind_join_batch`` trades
 #: rounds for an earlier LIMIT exit.
 DEFAULT_BIND_JOIN_BATCH = 256
+
+#: The federation strategies a plan can be built for.
+STRATEGIES = ("fanout", "decompose")
 
 #: Filters are evaluated at the mediator against no graph at all; only
 #: EXISTS expressions would need one, and those force the fan-out fallback.
@@ -188,8 +199,13 @@ class QueryUnit:
     #: partition membership of each source.
     subject: Term | None = None
     members: dict[URIRef, SubjectPartition] = field(default_factory=dict)
+    #: Whole-query units only (fan-out): the source query, which every
+    #: source answers in full, modifiers included.
+    query: Query | None = None
 
     def variables(self) -> set[Variable]:
+        if self.query is not None:
+            return set(result_variables(self.query))
         result: set[Variable] = set()
         for pattern in self.patterns:
             result |= pattern.variables()
@@ -208,7 +224,8 @@ class DecomposedPlan:
     #: Set when some required pattern has no relevant source at all: the
     #: result is provably empty and no endpoint is contacted.
     empty_reason: str | None = None
-    #: Set when the query shape forces the fan-out fallback.
+    #: Set when the decomposer cannot plan the query's shape, which then
+    #: gets the fan-out plan.
     fallback_reason: str | None = None
     bind_join_batch: int = DEFAULT_BIND_JOIN_BATCH
     #: ASK probes issued during source selection.
@@ -219,7 +236,8 @@ class DecomposedPlan:
 
     @property
     def decomposed(self) -> bool:
-        return self.fallback_reason is None
+        """False for the fan-out plan: one whole-query unit."""
+        return not (self.units and self.units[0].query is not None)
 
     def explain(self) -> str:
         """EXPLAIN-style rendering of the decomposed plan."""
@@ -254,6 +272,8 @@ def _unit_kind(unit: QueryUnit) -> str:
     """Human label for a unit: only multi-pattern units are *groups*
     (sole-source ones in the FedX sense, co-located ones per partition
     member); a lone pattern is just a pattern."""
+    if unit.query is not None:
+        return "whole query"
     if unit.subject is not None and len(unit.patterns) > 1:
         return "co-located group"
     if unit.exclusive and len(unit.patterns) > 1:
@@ -542,15 +562,22 @@ def decompose_query(
     selector: SourceSelector | None = None,
     bind_join_batch: int = DEFAULT_BIND_JOIN_BATCH,
     render_sub_queries: bool = True,
+    strategy: str = "decompose",
 ) -> DecomposedPlan:
-    """Build the decomposed plan for ``query`` over ``targets``.
+    """Build the plan for ``query`` over ``targets`` under ``strategy``.
 
-    Never executes the query itself (ASK probes may contact endpoints when
-    the selector is configured for them).
+    ``fanout`` (and a ``decompose`` query whose shape the decomposer cannot
+    plan) yields one whole-query unit over every target.  Never executes
+    the query itself (ASK probes may contact endpoints when the selector is
+    configured for them).
     """
     from ..sparql.analysis import analyze_federation, analyze_query
 
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown federation strategy: {strategy!r}")
     plan = DecomposedPlan(bind_join_batch=bind_join_batch)
+    if strategy == "fanout":
+        return _fan_out_plan(plan, query, targets)
     if selector is None:
         selector = SourceSelector(engine)
 
@@ -583,7 +610,7 @@ def decompose_query(
     plan.probes = federation.probes
     if federation.fallback_reason is not None:
         plan.fallback_reason = federation.fallback_reason
-        return plan
+        return _fan_out_plan(plan, query, targets)
     plan.empty_reason = federation.empty_reason
 
     for target in usable:
@@ -616,7 +643,7 @@ def decompose_query(
             bound |= unit.variables()
             for uri in unit.sources:
                 try:
-                    executable = _unit_query(
+                    executable, _ = _unit_query(
                         engine, unit, targets_by_uri[uri],
                         source_ontology, source_dataset, mode, selector,
                     )
@@ -634,6 +661,19 @@ def decompose_query(
                     )
                 else:
                     unit.sub_queries[uri] = executable.serialize()
+    return plan
+
+
+def _fan_out_plan(
+    plan: DecomposedPlan, query: Query, targets: Sequence[RegisteredDataset]
+) -> DecomposedPlan:
+    """``plan`` as one whole-query unit over every target.
+
+    Every target is called, an open breaker included: the call itself
+    reports the breaker (or lets a half-open probe through).
+    """
+    plan.skipped.clear()
+    plan.units = [QueryUnit([], [target.uri for target in targets], query=query)]
     return plan
 
 
@@ -773,13 +813,21 @@ def _unit_query(
     source_dataset: URIRef | None,
     mode: str,
     selector: SourceSelector,
-) -> SelectQuery:
-    """The executable sub-query shipping ``unit`` to ``target``.
+) -> tuple[Query, MediationResult | None]:
+    """The executable sub-query shipping ``unit`` to ``target``, and the
+    mediation that produced it when it is a whole-query rewrite.
 
-    Projects the unit's *source-level* variables: variables introduced by
-    the translation (e.g. KISTI's CreatorInfo hop) are existential per
-    dataset and must not leak into the mediator-side join.
+    A whole-query unit sends the source dataset the query as written and
+    every other dataset the mediator's rewrite.  Any other unit projects
+    its *source-level* variables: variables introduced by the translation
+    (e.g. KISTI's CreatorInfo hop) are existential per dataset and must not
+    leak into the mediator-side join.
     """
+    if unit.query is not None:
+        if source_dataset is not None and target.uri == source_dataset:
+            return unit.query, None
+        mediation = engine.mediator.translate(unit.query, target.uri, source_ontology, mode)
+        return mediation.rewritten_query, mediation
     translated = selector.translate_patterns(
         unit.patterns, target, source_ontology, source_dataset, mode
     )
@@ -788,7 +836,15 @@ def _unit_query(
         Prologue(),
         projection,
         GroupGraphPattern([TriplesBlock(list(translated))]),
-    )
+    ), None
+
+
+def result_variables(query: Query) -> list[Variable]:
+    """The variables a federated answer to ``query`` binds, in order."""
+    projection = getattr(query, "projection", None)
+    if projection:
+        return list(projection)
+    return sorted(query.variables(), key=str)
 
 
 def _with_bindings(sub_query: SelectQuery, inline: InlineData) -> SelectQuery:
@@ -804,15 +860,17 @@ def _with_bindings(sub_query: SelectQuery, inline: InlineData) -> SelectQuery:
 # Execution
 # --------------------------------------------------------------------------- #
 class _Traffic:
-    """Per-dataset accounting for decomposed execution."""
+    """Per-dataset accounting for one federated execution."""
 
-    __slots__ = ("requests", "attempts", "rows", "errors")
+    __slots__ = ("requests", "attempts", "rows", "errors", "mediation")
 
     def __init__(self) -> None:
         self.requests = 0
         self.attempts = 0
         self.rows = 0
         self.errors: list[str] = []
+        #: The whole-query rewrite this dataset was sent (fan-out plans).
+        self.mediation: MediationResult | None = None
 
 
 def execute_decomposed(
@@ -823,94 +881,77 @@ def execute_decomposed(
     source_dataset: URIRef | None,
     mode: str,
     canonical_pattern: str | None,
-    selector: SourceSelector,
-    bind_join_batch: int = DEFAULT_BIND_JOIN_BATCH,
+    strategy: str,
+    parallel: bool,
 ) -> FederatedResult:
-    """Execute ``query`` with the decompose strategy.
+    """Plan ``query`` under ``strategy`` and run the plan.
 
-    Falls back to the engine's fan-out path when the plan says so.  The
-    result carries the plan under :attr:`FederatedResult.decomposition`.
+    ``parallel`` sends a round's calls to several sources from the engine's
+    worker pool; otherwise every call leaves from the calling thread.  The
+    result carries the plan under :attr:`FederatedResult.decomposition`
+    and the run event under :attr:`FederatedResult.run_event`.
     """
     from .federator import DatasetResult, FederatedResult
 
     started = time.perf_counter()
+    selector = engine.source_selector
     with get_tracer().start_span(
-        "planner.decompose", {"layer": "planner", "strategy": "decompose"}
+        "planner.decompose", {"layer": "planner", "strategy": strategy}
     ) as plan_span:
         plan = decompose_query(
             engine, query, targets, source_ontology, source_dataset, mode,
-            selector=selector, bind_join_batch=bind_join_batch,
-            render_sub_queries=False,
+            selector=selector, bind_join_batch=engine.bind_join_batch,
+            render_sub_queries=False, strategy=strategy,
         )
         if plan_span.recording:
             plan_span.set_attribute("units", len(plan.units))
             plan_span.set_attribute("decomposed", plan.decomposed)
             if plan.fallback_reason:
                 plan_span.set_attribute("fallback_reason", plan.fallback_reason)
-    if not plan.decomposed:
-        outcome = engine.execute(
-            query,
-            source_ontology=source_ontology,
-            source_dataset=source_dataset,
-            mode=mode,
-            datasets=[target.uri for target in targets],
-            canonical_pattern=canonical_pattern,
-            strategy="fanout",
-        )
-        outcome.strategy = "decompose"
-        outcome.decomposition = plan
-        return outcome
 
     traffic: dict[URIRef, _Traffic] = {target.uri: _Traffic() for target in targets}
-    for uri, (requests, attempts) in selector.probe_traffic.items():
-        if uri in traffic:
-            entry = traffic[uri]
-            entry.requests += requests
-            entry.attempts += attempts
-    selector.probe_traffic.clear()
+    if plan.probes:
+        for uri, (requests, attempts) in selector.probe_traffic.items():
+            if uri in traffic:
+                entry = traffic[uri]
+                entry.requests += requests
+                entry.attempts += attempts
+        selector.probe_traffic.clear()
 
-    variables = engine._result_variables(query)
+    variables = result_variables(query)
     if canonical_pattern is None and source_dataset is not None:
         if source_dataset in engine.registry:
             canonical_pattern = engine.registry.get(source_dataset).uri_pattern
 
-    merged: list[Binding] = []
-    run_event: QueryRunEvent | None = None
-    if plan.empty_reason is None:
-        targets_by_uri = {target.uri: target for target in targets}
-        executor = _PlanExecutor(
-            engine, plan, targets_by_uri, source_ontology, source_dataset,
-            mode, selector, traffic,
-        )
-        merged = executor.execute(query, variables, canonical_pattern)
-        run_event = executor.run_event(query)
-        tracer = get_tracer()
-        if tracer.enabled and executor.root is not None:
-            # The mediator pipeline's hot loop carries no tracing; its
-            # operator spans are synthesized from the recorded stats.
-            tracer.add_operator_spans(
-                executor.root.operator_stats(), "decompose", executor._elapsed
-            )
+    # A plan of whole-query units reports as the fan-out it is.
+    label = "decompose" if plan.decomposed else f"federate-{strategy}"
+    executor = _PlanExecutor(
+        engine, plan, {target.uri: target for target in targets},
+        source_ontology, source_dataset, mode, selector, traffic, parallel,
+    )
+    merged = executor.execute(query, variables, canonical_pattern)
+    tracer = get_tracer()
+    if tracer.enabled and executor.root is not None:
+        # The mediator pipeline's hot loop carries no tracing; its
+        # operator spans are synthesized from the recorded stats.
+        tracer.add_operator_spans(executor.root.operator_stats(), label, executor.elapsed)
 
     per_dataset: list[DatasetResult] = []
     for target in targets:
         entry = traffic[target.uri]
         error = "; ".join(entry.errors) if entry.errors else None
-        rows_shipped: int | None = entry.rows
         if plan.skipped.get(target.uri) == "circuit open":
             # Not being contacted because the breaker refuses is an outage,
-            # exactly as the fan-out strategy reports it — not a success.
+            # exactly as a refused call reports it — not a success.
             error = error or f"circuit open for {target.uri}"
-            rows_shipped = None
         per_dataset.append(
             DatasetResult(
                 dataset_uri=target.uri,
-                mediation=None,
-                result=None,
+                mediation=entry.mediation,
                 error=error,
                 attempts=entry.attempts,
                 requests=entry.requests,
-                rows_shipped=rows_shipped,
+                row_count=entry.rows,
             )
         )
 
@@ -918,13 +959,11 @@ def execute_decomposed(
         variables=list(variables),
         per_dataset=per_dataset,
         merged_bindings=merged,
-        strategy="decompose",
+        strategy=strategy,
         decomposition=plan,
     )
     outcome.elapsed = time.perf_counter() - started
-    if run_event is not None:
-        run_event.elapsed = outcome.elapsed
-        outcome.run_event = run_event
+    outcome.run_event = executor.run_event(query, label, outcome.elapsed)
     return outcome
 
 
@@ -1108,15 +1147,17 @@ class _VecCanonicalOp(VecOperator):
 
 
 class _PlanExecutor:
-    """Executes a decomposed plan on the batched operator layer.
+    """Executes a plan on the batched operator layer.
 
     The mediator-side pipeline — unit joins, URI canonicalisation, the
     source-level FILTERs and the solution modifiers — is the same operator
     set the local engines use (:mod:`repro.sparql.exec`), running over a
-    mediator-private term dictionary against no graph at all.  The
-    observable behaviour mirrors the fan-out pipeline: canonicalise before
-    filtering, always deduplicate the projected rows, and stop pulling
-    bound-join batches once LIMIT is satisfied.
+    mediator-private term dictionary against no graph at all.  Rows are
+    canonicalised before filtering, the projected rows are always
+    deduplicated (first occurrence wins), and bound-join batches stop
+    being pulled once LIMIT is satisfied.  A whole-query unit's sources
+    already applied the query's FILTERs and modifiers, so its pipeline is
+    unit -> canonicalise -> project -> DISTINCT.
     """
 
     def __init__(
@@ -1129,6 +1170,7 @@ class _PlanExecutor:
         mode: str,
         selector: SourceSelector,
         traffic: dict[URIRef, _Traffic],
+        parallel: bool,
     ) -> None:
         self._engine = engine
         self._plan = plan
@@ -1138,13 +1180,14 @@ class _PlanExecutor:
         self._mode = mode
         self._selector = selector
         self._traffic = traffic
+        self._parallel = parallel
         self.bind_join_batch = plan.bind_join_batch
-        #: Translated sub-query per (unit, source): built for the first
+        #: Executable sub-query per (unit, source): built for the first
         #: block, reused by every later one.
-        self._sub_queries: dict[tuple[int, URIRef], SelectQuery] = {}
+        self._sub_queries: dict[tuple[int, URIRef], Query] = {}
         self.root: VecOperator | None = None
         self.ctx: ExecContext | None = None
-        self._elapsed = 0.0
+        self.elapsed = 0.0
 
     # -- sub-query dispatch ------------------------------------------------ #
     def _fetch(
@@ -1159,16 +1202,17 @@ class _PlanExecutor:
         executable = self._sub_queries.get(key)
         if executable is None:
             try:
-                executable = _unit_query(
+                executable, entry.mediation = _unit_query(
                     self._engine, unit, target,
                     self._source_ontology, self._source_dataset, self._mode,
                     self._selector,
                 )
-            except (KeyError, ValueError) as exc:
+            except (EndpointError, KeyError, ValueError) as exc:
                 entry.errors.append(str(exc))
                 return []
             self._sub_queries[key] = executable
         if inline is not None:
+            assert isinstance(executable, SelectQuery)
             executable = _with_bindings(executable, inline)
         entry.requests += 1
         result, attempts, error = self._engine.call_endpoint(target, executable)
@@ -1209,12 +1253,12 @@ class _PlanExecutor:
     def _unit_rows(self, unit: QueryUnit, inline: InlineData | None) -> list[Binding]:
         """One round of a unit: its sources answer, results in source order.
 
-        Sources are independent, so (like the fan-out path) they are
-        queried concurrently when the engine is parallel — a bound-join
-        batch over k high-latency endpoints costs one round trip, not k.
+        Sources are independent, so they are queried concurrently when the
+        call is parallel — a round over k high-latency endpoints costs one
+        round trip, not k.
         """
         blocks = self._blocks(unit, inline)
-        if len(blocks) > 1 and self._engine.parallel:
+        if len(blocks) > 1 and self._parallel:
             pool = self._engine.worker_pool()
             # copy_context() per task: per-source endpoint spans keep
             # the submitting thread's span (the request) as parent.
@@ -1243,7 +1287,8 @@ class _PlanExecutor:
         canonical_pattern: str | None,
     ) -> VecOperator:
         """Build the mediator pipeline: units -> canonicalise -> FILTER ->
-        ORDER BY -> project -> DISTINCT -> OFFSET/LIMIT."""
+        ORDER BY -> project -> DISTINCT -> OFFSET/LIMIT (the FILTER, ORDER
+        BY and slice only for a decomposed plan)."""
         ctx = ExecContext(_EMPTY_GRAPH, dictionary=TermDictionary())
         root: VecOperator | None = None
         schema: Schema = ()
@@ -1257,19 +1302,21 @@ class _PlanExecutor:
         if root is None:  # pragma: no cover - plans always carry units
             raise ValueError("decomposed plan has no units to execute")
         root = _VecCanonicalOp(ctx, root, self._engine, canonical_pattern)
-        filters = [
-            element.expression
-            for element in query.where.elements
-            if isinstance(element, Filter)
-        ]
-        if filters:
-            root = VecFilterOp(ctx, root, filters, graph=_EMPTY_GRAPH)
+        decomposed = self._plan.decomposed
         modifiers = query.modifiers
-        if modifiers.order_by:
-            root = VecOrderByOp(ctx, root, modifiers.order_by, graph=_EMPTY_GRAPH)
+        if decomposed:
+            filters = [
+                element.expression
+                for element in query.where.elements
+                if isinstance(element, Filter)
+            ]
+            if filters:
+                root = VecFilterOp(ctx, root, filters, graph=_EMPTY_GRAPH)
+            if modifiers.order_by:
+                root = VecOrderByOp(ctx, root, modifiers.order_by, graph=_EMPTY_GRAPH)
         root = VecProjectOp(ctx, root, list(variables))
         root = VecDistinctOp(ctx, root)
-        if modifiers.offset or modifiers.limit is not None:
+        if decomposed and (modifiers.offset or modifiers.limit is not None):
             root = VecSliceOp(ctx, root, modifiers.offset, modifiers.limit)
         self.root = root
         self.ctx = ctx
@@ -1282,6 +1329,8 @@ class _PlanExecutor:
         variables: Sequence[Variable],
         canonical_pattern: str | None,
     ) -> list[Binding]:
+        if not self._plan.units:  # provably empty: nothing to contact
+            return []
         root = self.compile(query, variables, canonical_pattern)
         ctx = self.ctx
         assert ctx is not None
@@ -1291,30 +1340,29 @@ class _PlanExecutor:
         for batch in root.execute(seed_batches()):
             for row in batch.rows:
                 merged.append(ctx.decode_binding(batch.schema, row))
-        self._elapsed = time.perf_counter() - started
+        self.elapsed = time.perf_counter() - started
         return merged
 
-    def run_event(self, query: SelectQuery) -> QueryRunEvent:
-        """The federation run event of the most recent :meth:`execute`."""
-        endpoints = [
-            {
-                "dataset": str(uri),
-                "requests": entry.requests,
-                "attempts": entry.attempts,
-                "rows_shipped": entry.rows,
-                "errors": list(entry.errors),
-            }
-            for uri, entry in sorted(self._traffic.items(), key=lambda kv: str(kv[0]))
-        ]
+    def run_event(self, query: SelectQuery, engine: str, elapsed: float) -> QueryRunEvent:
+        """The run event of the most recent :meth:`execute`."""
         root = self.root
         return QueryRunEvent(
-            query=query.serialize() if hasattr(query, "serialize") else str(query),
-            engine="decompose",
-            elapsed=self._elapsed,
+            query=query.serialize(),
+            engine=engine,
+            elapsed=elapsed,
             rows=root.metrics.rows_out if root is not None else 0,
             operators=root.operator_stats() if root is not None else [],
             adaptivity=list(self.ctx.decisions) if self.ctx is not None else [],
-            endpoints=endpoints,
+            endpoints=[
+                {
+                    "dataset": str(uri),
+                    "requests": entry.requests,
+                    "attempts": entry.attempts,
+                    "rows_shipped": entry.rows,
+                    "errors": list(entry.errors),
+                }
+                for uri, entry in sorted(self._traffic.items(), key=lambda kv: str(kv[0]))
+            ],
             rows_shipped=sum(entry.rows for entry in self._traffic.values()),
             plan="\n".join(root.report_lines(0)) if root is not None else "",
         )

@@ -3,21 +3,25 @@
 The introduction of the paper motivates rewriting with *recall*: "the
 information space on the Web of Data is highly redundant and data
 repositories need to be integrated in order to provide high recall result
-sets".  The federator implements that integration step:
+sets".  :class:`FederatedQueryEngine` is that integration step:
 
-1. the mediator rewrites the source query once per target dataset,
-2. every rewritten query is executed on its dataset's endpoint —
-   concurrently, under the per-endpoint :class:`ExecutionPolicy` (attempt
-   timeout, bounded retries with exponential backoff) and circuit breaker
-   recorded in the :class:`DatasetRegistry`,
-3. the per-dataset result sets are merged; bindings whose URIs co-refer
-   (per the sameas service) are collapsed onto a canonical representative
-   so the merged result counts *entities*, not URIs.
+1. the mediator rewrites the source query for each target dataset,
+2. the rewrites run on the datasets' endpoints — concurrently, under the
+   per-endpoint :class:`ExecutionPolicy` (attempt timeout, bounded retries
+   with exponential backoff) and circuit breaker recorded in the
+   :class:`DatasetRegistry`,
+3. the answers are merged; bindings whose URIs co-refer (per the sameas
+   service) are collapsed onto a canonical representative so the merged
+   result counts *entities*, not URIs.
 
-Results are deterministic regardless of completion order: per-dataset
-outcomes are collected by target index and merged in registry order, so
-concurrent and sequential execution produce byte-identical merged result
-sets.
+Both strategies run as one plan on one executor
+(:mod:`repro.federation.decompose`): ``fanout`` is the plan with a single
+whole-query unit over every dataset, ``decompose`` splits the query into
+units by source selection.  :meth:`FederatedQueryEngine.call_endpoint` is
+the one place an endpoint is called.  Results are deterministic regardless
+of completion order: sources answer in registry order and the first
+occurrence of a row wins, so concurrent and sequential execution produce
+identical merged result sets.  Only SELECT queries are federated.
 
 :func:`recall` / :func:`precision` provide the evaluation metrics used by
 Experiment E6.
@@ -30,14 +34,14 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from ..coreference import SameAsService
 from ..core import MediationResult, Mediator
 from ..obs.metrics import abandoned_attempts_gauge
 from ..obs.trace import get_tracer
 from ..rdf import Term, URIRef, Variable
-from ..sparql import Binding, Query, ResultSet, parse_query
+from ..sparql import Binding, Query, ResultSet, SelectQuery, parse_query
 from .endpoint import EndpointError, EndpointTimeout
 from .policy import ExecutionPolicy
 from .registry import DatasetRegistry, RegisteredDataset
@@ -50,40 +54,29 @@ _DEFAULT_MAX_WORKERS = 16
 
 @dataclass
 class DatasetResult:
-    """Result of running one (rewritten) query on one dataset.
+    """What one dataset contributed to a federated query.
 
-    Under the fan-out strategy one entry describes one whole-query request
-    (``result`` holds the endpoint's rows).  Under the decompose strategy a
-    dataset may serve many sub-queries (exclusive groups, bound-join
-    batches, ASK probes); then ``requests``/``rows_shipped`` aggregate the
-    traffic and ``result`` stays ``None`` — the merged answer lives on the
-    :class:`FederatedResult`.
+    A dataset may serve one whole-query request (fan-out) or many
+    sub-queries (exclusive groups, bound-join batches, ASK probes); the
+    counters aggregate its traffic either way, and the merged answer lives
+    on the :class:`FederatedResult`.
     """
 
     dataset_uri: URIRef
+    #: The whole-query rewrite the dataset was sent (fan-out plans; ``None``
+    #: for the source dataset and for decomposed plans).
     mediation: MediationResult | None
-    result: ResultSet | None
     error: str | None = None
     #: Endpoint attempts made (> 1 when the policy retried).
     attempts: int = 1
-    #: Wall-clock seconds spent on this dataset (mediation + endpoint).
-    elapsed: float = 0.0
-    #: Endpoint requests issued (decompose strategy; includes ASK probes).
+    #: Endpoint calls issued (whole queries, sub-queries and ASK probes).
     requests: int = 0
-    #: Rows received from this endpoint across all sub-queries (decompose).
-    rows_shipped: int | None = None
+    #: Rows the dataset returned across all of its calls.
+    row_count: int = 0
 
     @property
     def succeeded(self) -> bool:
-        if self.error is not None:
-            return False
-        return self.result is not None or self.rows_shipped is not None
-
-    @property
-    def row_count(self) -> int:
-        if self.rows_shipped is not None:
-            return self.rows_shipped
-        return len(self.result) if self.result is not None else 0
+        return self.error is None
 
 
 @dataclass
@@ -93,14 +86,14 @@ class FederatedResult:
     variables: list[Variable]
     per_dataset: list[DatasetResult] = field(default_factory=list)
     merged_bindings: list[Binding] = field(default_factory=list)
-    #: Wall-clock seconds for the whole fan-out + merge.
+    #: Wall-clock seconds for planning, execution and merge.
     elapsed: float = 0.0
     #: Execution strategy that produced the result.
     strategy: str = "fanout"
-    #: The decomposed plan, when ``strategy == "decompose"``.
+    #: The plan that ran (under fan-out, one whole-query unit).
     decomposition: DecomposedPlan | None = None
-    #: Per-query run event (operator timings, endpoints contacted, rows
-    #: shipped) when the strategy executed on the batched operator layer.
+    #: Per-query run event: operator timings, endpoints contacted, rows
+    #: shipped.
     run_event: QueryRunEvent | None = None
 
     def merged(self) -> ResultSet:
@@ -123,12 +116,12 @@ class FederatedResult:
 
     @property
     def total_attempts(self) -> int:
-        """Endpoint attempts across the fan-out (retries included)."""
+        """Endpoint attempts across the federation (retries included)."""
         return sum(entry.attempts for entry in self.per_dataset)
 
     @property
     def total_requests(self) -> int:
-        """Endpoint requests issued (sub-queries and probes; decompose)."""
+        """Endpoint calls issued (whole queries, sub-queries and probes)."""
         return sum(entry.requests for entry in self.per_dataset)
 
     @property
@@ -145,7 +138,7 @@ class FederatedResult:
 
         Populated under the decompose strategy (the plan runs the local
         and federation analyzers before contacting any endpoint); empty
-        for plain fan-out.
+        for plain fan-out, which runs no analysis.
         """
         if self.decomposition is not None:
             return self.decomposition.diagnostics
@@ -194,9 +187,9 @@ class FederatedQueryEngine:
         probe_timeout: float | None = 2.0,
         bind_join_batch: int | None = None,
     ) -> None:
-        from .decompose import DEFAULT_BIND_JOIN_BATCH
+        from .decompose import DEFAULT_BIND_JOIN_BATCH, STRATEGIES
 
-        if strategy not in ("fanout", "decompose"):
+        if strategy not in STRATEGIES:
             raise ValueError(f"unknown federation strategy: {strategy!r}")
         self.mediator = mediator
         self.registry = registry
@@ -233,7 +226,8 @@ class FederatedQueryEngine:
     def worker_pool(self) -> ThreadPoolExecutor:
         """The engine's one pool of endpoint-request workers.
 
-        Shared by every fan-out and every bound-join round of every query,
+        Shared by every parallel round (a fan-out, a bound-join batch) of
+        every query,
         so a round costs task hand-offs, not thread starts, and
         ``max_workers`` bounds the engine's concurrent endpoint requests as
         a whole.  Created on first use, with the ``max_workers`` of that
@@ -272,46 +266,23 @@ class FederatedQueryEngine:
         ``source_dataset`` names the dataset the query was originally
         written for: that dataset receives the query *unrewritten*; every
         other dataset receives the mediated translation.  ``datasets``
-        restricts the fan-out; ``canonical_pattern`` selects the URI space
-        results are canonicalised into (defaults to the source dataset's
-        pattern, falling back to plain deduplication).  ``parallel``
-        overrides the engine's default execution mode for this call;
-        ``strategy`` overrides the engine's default execution strategy
-        (``"fanout"`` or ``"decompose"``).
+        restricts the federation; ``canonical_pattern`` selects the URI
+        space results are canonicalised into (defaults to the source
+        dataset's pattern, falling back to plain deduplication).
+        ``parallel`` overrides the engine's default execution mode for this
+        call; ``strategy`` overrides the engine's default execution strategy
+        (``"fanout"`` or ``"decompose"``).  Raises ``ValueError`` for an
+        unknown strategy or a non-SELECT query, before any endpoint is
+        contacted.
         """
-        if isinstance(query, str):
-            query = parse_query(query)
-        effective_strategy = strategy or self.strategy
-        if effective_strategy == "decompose":
-            from .decompose import execute_decomposed
+        from .decompose import execute_decomposed
 
-            return execute_decomposed(
-                self, query, self._select_targets(datasets),
-                source_ontology, source_dataset, mode, canonical_pattern,
-                selector=self.source_selector,
-                bind_join_batch=self.bind_join_batch,
-            )
-        if effective_strategy != "fanout":
-            raise ValueError(f"unknown federation strategy: {effective_strategy!r}")
-        started = time.perf_counter()
-        targets = self._select_targets(datasets)
-        variables = self._result_variables(query)
-
-        if canonical_pattern is None and source_dataset is not None and source_dataset in self.registry:
-            canonical_pattern = self.registry.get(source_dataset).uri_pattern
-
-        outcome = FederatedResult(variables=list(variables))
-        outcome.per_dataset = self._fan_out(
-            query, targets, source_ontology, source_dataset, mode,
-            self.parallel if parallel is None else parallel,
+        return execute_decomposed(
+            self, _select_query(query), self._select_targets(datasets),
+            source_ontology, source_dataset, mode, canonical_pattern,
+            strategy=strategy or self.strategy,
+            parallel=self.parallel if parallel is None else parallel,
         )
-        outcome.merged_bindings = self._merge(
-            (entry.result for entry in outcome.per_dataset if entry.result is not None),
-            variables,
-            canonical_pattern,
-        )
-        outcome.elapsed = time.perf_counter() - started
-        return outcome
 
     def analyze(
         self,
@@ -320,36 +291,14 @@ class FederatedQueryEngine:
     ) -> tuple[FederatedResult, QueryRunEvent]:
         """EXPLAIN ANALYZE for a federated query: ``(result, event)``.
 
-        Accepts the same keyword arguments as :meth:`execute`.  Under the
-        decompose strategy the event carries the mediator pipeline's
-        per-operator metrics; under fan-out it summarises the per-dataset
-        traffic (requests, attempts, rows shipped).
+        Accepts the same keyword arguments as :meth:`execute`.  The event
+        carries the mediator pipeline's per-operator metrics and the
+        per-dataset traffic (requests, attempts, rows shipped).
         """
-        from ..sparql.exec import QueryRunEvent
-
-        query_text = query if isinstance(query, str) else query.serialize()
         outcome = self.execute(query, **kwargs)
         event = outcome.run_event
-        if event is None:
-            event = QueryRunEvent(
-                query=query_text,
-                engine=f"federate-{outcome.strategy}",
-                elapsed=outcome.elapsed,
-                rows=len(outcome.merged_bindings),
-                endpoints=[
-                    {
-                        "dataset": str(entry.dataset_uri),
-                        "requests": entry.requests or entry.attempts,
-                        "attempts": entry.attempts,
-                        "rows_shipped": entry.row_count,
-                        "errors": [entry.error] if entry.error else [],
-                    }
-                    for entry in outcome.per_dataset
-                ],
-                rows_shipped=outcome.total_rows,
-            )
-            outcome.run_event = event
-        event.query = query_text
+        assert event is not None
+        event.query = query if isinstance(query, str) else query.serialize()
         return outcome, event
 
     def lint(
@@ -452,28 +401,46 @@ class FederatedQueryEngine:
         reason it is skipped.  ``ASK`` probes may contact endpoints when
         source selection needs them.
         """
-        if isinstance(query, str):
-            query = parse_query(query)
-        if (strategy or self.strategy) == "decompose":
-            plan = self.decompose_plan(query, source_ontology, source_dataset,
-                                       mode, datasets)
-            return self._explain_decomposed(plan, datasets)
-        plans: dict[URIRef, str] = {}
-        for target in self._select_targets(datasets):
-            try:
-                if source_dataset is not None and target.uri == source_dataset:
-                    executable: Query = query
-                else:
-                    executable = self.mediator.translate(
-                        query, target.uri, source_ontology, mode
-                    ).rewritten_query
-                if hasattr(target.endpoint, "explain"):
-                    plans[target.uri] = target.endpoint.explain(executable)
-                else:
-                    plans[target.uri] = executable.serialize()
-            except (EndpointError, KeyError, ValueError) as exc:
-                plans[target.uri] = f"error: {exc}"
-        return plans
+        from .decompose import _unit_kind, _unit_query, decompose_query
+
+        query = _select_query(query)
+        targets = self._select_targets(datasets)
+        plan = decompose_query(
+            self, query, targets, source_ontology, source_dataset, mode,
+            selector=self.source_selector, bind_join_batch=self.bind_join_batch,
+            strategy=strategy or self.strategy,
+        )
+        per_dataset: dict[URIRef, str] = {}
+        for target in targets:
+            if plan.fallback_reason is not None:
+                per_dataset[target.uri] = f"fan-out fallback: {plan.fallback_reason}"
+            elif not plan.decomposed:
+                try:
+                    executable, _ = _unit_query(
+                        self, plan.units[0], target, source_ontology, source_dataset,
+                        mode, self.source_selector,
+                    )
+                    explain = getattr(target.endpoint, "explain", None)
+                    per_dataset[target.uri] = (
+                        explain(executable) if explain else executable.serialize()
+                    )
+                except (EndpointError, KeyError, ValueError) as exc:
+                    per_dataset[target.uri] = f"error: {exc}"
+            elif target.uri in plan.skipped:
+                per_dataset[target.uri] = f"skipped: {plan.skipped[target.uri]}"
+            elif plan.empty_reason is not None:
+                per_dataset[target.uri] = f"not contacted: {plan.empty_reason}"
+            else:
+                lines: list[str] = []
+                for index, unit in enumerate(plan.units):
+                    if target.uri not in unit.sources:
+                        continue
+                    lines.append(f"unit {index + 1} [{_unit_kind(unit)}]")
+                    sub_query = unit.sub_queries.get(target.uri)
+                    if sub_query:
+                        lines.extend(f"  {line}" for line in sub_query.strip().splitlines())
+                per_dataset[target.uri] = "\n".join(lines) if lines else "no unit assigned"
+        return per_dataset
 
     def decompose_plan(
         self,
@@ -487,7 +454,9 @@ class FederatedQueryEngine:
 
         Builds the plan without executing the query; ``ASK`` probes may
         contact endpoints when the VoID statistics cannot settle a pattern
-        and the engine is configured for probing.
+        and the engine is configured for probing.  A shape the decomposer
+        cannot plan (a non-SELECT form included) yields the fan-out plan
+        with its ``fallback_reason``.
         """
         from .decompose import decompose_query
 
@@ -500,103 +469,10 @@ class FederatedQueryEngine:
             bind_join_batch=self.bind_join_batch,
         )
 
-    def _explain_decomposed(
-        self, plan, datasets: Sequence[URIRef] | None
-    ) -> dict[URIRef, str]:
-        """Slice a decomposed plan into the per-dataset EXPLAIN payloads."""
-        per_dataset: dict[URIRef, str] = {}
-        for target in self._select_targets(datasets):
-            if plan.fallback_reason is not None:
-                per_dataset[target.uri] = f"fan-out fallback: {plan.fallback_reason}"
-                continue
-            if target.uri in plan.skipped:
-                per_dataset[target.uri] = f"skipped: {plan.skipped[target.uri]}"
-                continue
-            if plan.empty_reason is not None:
-                per_dataset[target.uri] = f"not contacted: {plan.empty_reason}"
-                continue
-            lines: list[str] = []
-            for index, unit in enumerate(plan.units):
-                if target.uri not in unit.sources:
-                    continue
-                from .decompose import _unit_kind
-
-                lines.append(f"unit {index + 1} [{_unit_kind(unit)}]")
-                sub_query = unit.sub_queries.get(target.uri)
-                if sub_query:
-                    lines.extend(f"  {line}" for line in sub_query.strip().splitlines())
-            per_dataset[target.uri] = "\n".join(lines) if lines else "no unit assigned"
-        return per_dataset
-
     def _select_targets(self, datasets: Sequence[URIRef] | None) -> list[RegisteredDataset]:
         if datasets is None:
             return self.registry.datasets()
         return [self.registry.get(uri) for uri in datasets]
-
-    @staticmethod
-    def _result_variables(query: Query) -> list[Variable]:
-        projection = getattr(query, "projection", None)
-        if projection:
-            return list(projection)
-        return sorted(query.variables(), key=str)
-
-    # ------------------------------------------------------------------ #
-    # Fan-out
-    # ------------------------------------------------------------------ #
-    def _fan_out(
-        self,
-        query: Query,
-        targets: Sequence[RegisteredDataset],
-        source_ontology: URIRef | None,
-        source_dataset: URIRef | None,
-        mode: str,
-        parallel: bool,
-    ) -> list[DatasetResult]:
-        """One :class:`DatasetResult` per target, in target order."""
-        if not parallel or len(targets) <= 1:
-            return [
-                self._run_on_dataset(query, target, source_ontology, source_dataset, mode)
-                for target in targets
-            ]
-        pool = self.worker_pool()
-        # copy_context() per task (a Context cannot be entered by two
-        # threads at once): each worker sees the submitting thread's
-        # active span, so per-dataset spans nest under the request.
-        futures = [
-            pool.submit(
-                contextvars.copy_context().run,
-                self._run_on_dataset, query, target,
-                source_ontology, source_dataset, mode,
-            )
-            for target in targets
-        ]
-        return [future.result() for future in futures]
-
-    def _run_on_dataset(
-        self,
-        query: Query,
-        target: RegisteredDataset,
-        source_ontology: URIRef | None,
-        source_dataset: URIRef | None,
-        mode: str,
-    ) -> DatasetResult:
-        """Rewrite for one dataset, then execute under its policy."""
-        started = time.perf_counter()
-        mediation: MediationResult | None = None
-        try:
-            if source_dataset is not None and target.uri == source_dataset:
-                executable: Query = query
-            else:
-                mediation = self.mediator.translate(query, target.uri, source_ontology, mode)
-                executable = mediation.rewritten_query
-        except (EndpointError, KeyError, ValueError) as exc:
-            return DatasetResult(target.uri, mediation, None, error=str(exc),
-                                 attempts=0, elapsed=time.perf_counter() - started)
-
-        result, attempts, last_error = self.call_endpoint(target, executable)
-        return DatasetResult(target.uri, mediation, result, error=last_error,
-                             attempts=attempts,
-                             elapsed=time.perf_counter() - started)
 
     def call_endpoint(
         self,
@@ -610,10 +486,9 @@ class FederatedQueryEngine:
         Returns ``(result, attempts, error)`` with exactly one of
         ``result``/``error`` set.  ``kind`` selects the endpoint operation
         (``select`` or ``ask``); ``timeout`` overrides the policy's
-        per-attempt budget (used for cheap ASK probes).  This is the shared
-        execution primitive of both strategies: the fan-out path issues one
-        whole-query call per dataset, the decomposer issues many sub-query
-        and probe calls — all through the same resilience machinery.
+        per-attempt budget (used for cheap ASK probes).  This is the one
+        place an endpoint is called: whole-query, sub-query and probe calls
+        of both strategies all go through the same resilience machinery.
         """
         policy = self.registry.policy_for(target.uri)
         breaker = self.registry.breaker_for(target.uri)
@@ -733,42 +608,6 @@ class FederatedQueryEngine:
             raise box["error"]  # type: ignore[misc]
         return box["result"]  # type: ignore[return-value]
 
-    # ------------------------------------------------------------------ #
-    # Merging
-    # ------------------------------------------------------------------ #
-    def _merge(
-        self,
-        result_sets: Iterable[ResultSet],
-        variables: Sequence[Variable],
-        canonical_pattern: str | None,
-    ) -> list[Binding]:
-        merged: list[Binding] = []
-        seen: set[frozenset] = set()
-        for result_set in result_sets:
-            for binding in result_set:
-                canonical = self._canonicalise(binding, variables, canonical_pattern)
-                key = frozenset(canonical.as_dict().items())
-                if key not in seen:
-                    seen.add(key)
-                    merged.append(canonical)
-        return merged
-
-    def _canonicalise(
-        self,
-        binding: Binding,
-        variables: Sequence[Variable],
-        canonical_pattern: str | None,
-    ) -> Binding:
-        data: dict[Variable, Term] = {}
-        for variable in variables:
-            term = binding.get_term(variable)
-            if term is None:
-                continue
-            if isinstance(term, URIRef):
-                term = self._canonical_uri(term, canonical_pattern)
-            data[variable] = term
-        return Binding(data)
-
     def _canonical_uri(self, uri: URIRef, canonical_pattern: str | None) -> URIRef:
         if canonical_pattern:
             translated = self.sameas_service.lookup(uri, canonical_pattern)
@@ -778,6 +617,22 @@ class FederatedQueryEngine:
         # of the bundle so co-referent URIs from different datasets collapse.
         bundle = self.sameas_service.equivalence_class(uri)
         return sorted(bundle, key=str)[0]
+
+
+def _select_query(query: Query | str) -> SelectQuery:
+    """``query`` parsed, or ``ValueError`` when it is not a SELECT query.
+
+    The federation merges solution sequences, so it refuses any other form
+    before an endpoint sees it (an endpoint answering ASK with a boolean
+    would otherwise count as a failure against its breaker).
+    """
+    if isinstance(query, str):
+        query = parse_query(query)
+    if not isinstance(query, SelectQuery):
+        raise ValueError(
+            f"only SELECT queries can be federated (got {type(query).__name__})"
+        )
+    return query
 
 
 # --------------------------------------------------------------------------- #

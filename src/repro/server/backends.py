@@ -225,13 +225,8 @@ class FederationBackend(QueryBackend):
         )
 
     def execute(self, query_text: str) -> QueryResult:
-        query = self._parse(query_text)
+        query = self._parse_select(query_text)
         analysis = self._analyze_static(query)
-        if not isinstance(query, SelectQuery):
-            raise BadQuery(
-                "the federated endpoint answers SELECT queries only "
-                f"(got {type(query).__name__})"
-            )
         outcome = self.engine.execute(
             query,
             source_ontology=self.source_ontology,
@@ -247,12 +242,7 @@ class FederationBackend(QueryBackend):
         return merged
 
     def analyze(self, query_text: str):
-        query = self._parse(query_text)
-        if not isinstance(query, SelectQuery):
-            raise BadQuery(
-                "the federated endpoint answers SELECT queries only "
-                f"(got {type(query).__name__})"
-            )
+        query = self._parse_select(query_text)
         outcome, event = self.engine.analyze(
             query,
             source_ontology=self.source_ontology,
@@ -262,6 +252,15 @@ class FederationBackend(QueryBackend):
             strategy=self.strategy,
         )
         return outcome.merged(), event
+
+    def _parse_select(self, query_text: str) -> SelectQuery:
+        query = self._parse(query_text)
+        if not isinstance(query, SelectQuery):
+            raise BadQuery(
+                "the federated endpoint answers SELECT queries only "
+                f"(got {type(query).__name__})"
+            )
+        return query
 
     def health(self) -> dict[str, object]:
         datasets = {

@@ -158,5 +158,38 @@ def test_inv008_scope():
     assert _http_findings("tests/server/seeded.py") == []
 
 
+SEEDED_FEDERATION = """\
+def fan_out(engine, targets, query):
+    return [engine.call_endpoint(target, query) for target in targets]
+
+def probe(engine, target, query):
+    call_endpoint = engine.call_endpoint
+    return call_endpoint(target, query, kind="ask")
+"""
+
+
+def _federation_findings(relative: str) -> list[str]:
+    path = REPO_ROOT / relative
+    return [
+        finding.render()
+        for finding in lints.check_one_federation_path(ast.parse(SEEDED_FEDERATION), path)
+    ]
+
+
+def test_inv010_reports_endpoint_calls_outside_the_plan_executor():
+    message = (
+        "[INV010] call_endpoint() called outside federation/decompose.py: run the "
+        "query as a plan (fan-out is the one-unit plan)"
+    )
+    path = "src/repro/federation/federator.py"
+    assert _federation_findings(path) == [f"{path}:2: {message}", f"{path}:6: {message}"]
+
+
+def test_inv010_scope():
+    # The plan executor owns the calls; tests and benchmarks may drive them.
+    assert _federation_findings("src/repro/federation/decompose.py") == []
+    assert _federation_findings("tests/federation/seeded.py") == []
+
+
 def test_the_repository_is_clean():
     assert lints.main() == 0

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant lints, run as a hard CI gate.
 
-Eight structural invariants that ordinary linters do not express, checked
+Nine structural invariants that ordinary linters do not express, checked
 with nothing but the stdlib ``ast`` module:
 
 1. **Hot-loop allocation ban** — inside the batched executor
@@ -58,6 +58,13 @@ with nothing but the stdlib ``ast`` module:
    :class:`HttpSparqlEndpoint`'s pool of kept-alive connections, which
    acks each response at once; a second client would reopen a connection
    per request or stall on the server's delayed ACK.
+
+10. **One federation execution path** — under ``src/repro/``,
+    ``call_endpoint`` is called only from ``federation/decompose.py``.
+    Both strategies run as a plan on its one executor (fan-out is the plan
+    with a single whole-query unit); a call anywhere else would be a second
+    path that retries, breakers, tracing and ANALYZE do not see whole.
+    (INV009 is reserved.)
 
 Exit status is non-zero when any violation is found.  Findings are printed
 one per line as ``path:line: [INVxxx] message`` so CI logs read like
@@ -460,6 +467,25 @@ def check_http_transport(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
+# INV010 — endpoints are called from the one plan executor only
+# --------------------------------------------------------------------------- #
+
+PLAN_EXECUTOR_PATH = SRC_PACKAGE / "federation" / "decompose.py"
+
+
+def check_one_federation_path(tree: ast.Module, path: Path) -> list[Finding]:
+    if SRC_PACKAGE not in path.parents or path == PLAN_EXECUTOR_PATH:
+        return []
+    return sorted((
+        Finding(path, node.lineno, "INV010",
+                "call_endpoint() called outside federation/decompose.py: run the "
+                "query as a plan (fan-out is the one-unit plan)")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "call_endpoint"
+    ), key=lambda finding: finding.line)
+
+
+# --------------------------------------------------------------------------- #
 
 def main() -> int:
     findings: list[Finding] = []
@@ -480,6 +506,7 @@ def main() -> int:
             findings.extend(check_store_boundary(tree, path))
             findings.extend(check_result_path_encoders(tree, path))
             findings.extend(check_http_transport(tree, path))
+            findings.extend(check_one_federation_path(tree, path))
             if path == EXEC_PATH:
                 findings.extend(check_hot_loops(tree, path))
             if path == PLAN_PATH:
