@@ -205,7 +205,7 @@ class QueryUnit:
 
     def variables(self) -> set[Variable]:
         if self.query is not None:
-            return set(result_variables(self.query))
+            return set(_result_variables(self.query))
         result: set[Variable] = set()
         for pattern in self.patterns:
             result |= pattern.variables()
@@ -839,7 +839,7 @@ def _unit_query(
     ), None
 
 
-def result_variables(query: Query) -> list[Variable]:
+def _result_variables(query: Query) -> list[Variable]:
     """The variables a federated answer to ``query`` binds, in order."""
     projection = getattr(query, "projection", None)
     if projection:
@@ -918,7 +918,7 @@ def execute_decomposed(
                 entry.attempts += attempts
         selector.probe_traffic.clear()
 
-    variables = result_variables(query)
+    variables = _result_variables(query)
     if canonical_pattern is None and source_dataset is not None:
         if source_dataset in engine.registry:
             canonical_pattern = engine.registry.get(source_dataset).uri_pattern

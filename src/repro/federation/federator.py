@@ -227,8 +227,7 @@ class FederatedQueryEngine:
         """The engine's one pool of endpoint-request workers.
 
         Shared by every parallel round (a fan-out, a bound-join batch) of
-        every query,
-        so a round costs task hand-offs, not thread starts, and
+        every query, so a round costs task hand-offs, not thread starts, and
         ``max_workers`` bounds the engine's concurrent endpoint requests as
         a whole.  Created on first use, with the ``max_workers`` of that
         moment; idle workers exit when the engine is closed or collected.

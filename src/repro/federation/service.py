@@ -222,8 +222,8 @@ class MediatorService:
     ):
         """EXPLAIN ANALYZE for a federated query: ``(result, event)``.
 
-        Same routing as :meth:`federate`; the event carries per-operator
-        metrics (decompose) or per-dataset traffic (fan-out) — see
+        Same routing as :meth:`federate`; the event carries the mediator's
+        per-operator metrics and the per-dataset traffic — see
         :meth:`repro.federation.FederatedQueryEngine.analyze`.
         """
         return self.federation.analyze(

@@ -136,17 +136,13 @@ def _e15() -> DatasetRegistry:
     return shard_graph(triples, 3).registry
 
 
-def _e6_registry() -> DatasetRegistry:
-    return _e6().registry
-
-
-#: federation name -> (registry factory, alignment store, sameAs service, call kwargs)
 def _federation(name: str):
+    """``(registry, alignment store, sameAs service, call kwargs)`` of a federation."""
     if name == "e6":
         scenario = _e6()
         kwargs = {"source_ontology": scenario.source_ontology,
                   "source_dataset": scenario.rkb_dataset}
-        return _e6_registry(), scenario.alignment_store, scenario.sameas_service, kwargs
+        return scenario.registry, scenario.alignment_store, scenario.sameas_service, kwargs
     registry = {"e7": _e7, "e12": _e12, "e15": _e15}[name]()
     return registry, AlignmentStore(), SameAsService(), {}
 
