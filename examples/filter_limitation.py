@@ -1,4 +1,4 @@
-"""The FILTER limitation of Figure 6 — and how the extensions fix it.
+"""The FILTER limitation of Figure 6 — and how the FILTER pass fixes it.
 
 Section 4 explains the main limitation of BGP-level rewriting: the same
 constraint can be written inside the graph pattern (Figure 1) or inside a
@@ -9,15 +9,16 @@ translated into the KISTI URI space, so the rewritten query returns
 nothing useful.
 
 This example runs both phrasings of the query against the synthetic KISTI
-endpoint in three modes — the paper's BGP-only rewriter, the FILTER-aware
-extension, and the algebra-level rewriter proposed as future work — and
-reports how many co-authors each combination retrieves.
+endpoint in both mediation modes — ``bgp``, the paper's BGP-only rewriting,
+and ``filter-aware``, the same rewriter with the FILTER pass Section 4
+sketches — and reports how many co-authors each combination retrieves.
 
 Run with::
 
     python examples/filter_limitation.py
 """
 
+from repro.core import MEDIATION_MODES
 from repro.datasets import build_resist_scenario
 
 SCENARIO_PARAMETERS = dict(n_persons=40, n_papers=100, kisti_coverage=0.9, seed=5)
@@ -58,7 +59,7 @@ def main() -> None:
         "Figure 1 (constraint in BGP)": figure_1_style(person_uri),
         "Figure 6 (constraint in FILTER)": figure_6_style(person_uri),
     }
-    modes = ["bgp", "filter-aware", "algebra"]
+    modes = MEDIATION_MODES
 
     print(f"Co-authors of {person_uri}, retrieved from the KISTI endpoint\n")
     header = f"{'query phrasing':38s}" + "".join(f"{mode:>15s}" for mode in modes)
@@ -80,8 +81,8 @@ def main() -> None:
     print("With the BGP-only rewriter the Figure 6 query cannot bind ?n to the")
     print("KISTI URI of the author (the URI only occurs in the FILTER), so it")
     print("returns rows for *every* author pair or none that match the intent;")
-    print("the FILTER-aware and algebra rewriters translate the URI and agree")
-    print("with the Figure 1 phrasing.")
+    print("the FILTER pass translates the URI and agrees with the Figure 1")
+    print("phrasing.")
 
 
 if __name__ == "__main__":

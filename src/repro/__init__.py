@@ -40,8 +40,6 @@ from .alignment import (
 )
 from .coreference import SameAsService
 from .core import (
-    AlgebraQueryRewriter,
-    FilterAwareQueryRewriter,
     GraphPatternRewriter,
     MediationResult,
     Mediator,
@@ -91,9 +89,8 @@ __all__ = [
     # coreference
     "SameAsService",
     # core
-    "GraphPatternRewriter", "QueryRewriter", "FilterAwareQueryRewriter",
-    "AlgebraQueryRewriter", "Mediator", "MediationResult", "TargetProfile",
-    "RewriteReport",
+    "GraphPatternRewriter", "QueryRewriter", "Mediator", "MediationResult",
+    "TargetProfile", "RewriteReport",
     # federation
     "LocalSparqlEndpoint", "DatasetDescription", "DatasetRegistry",
     "FederatedQueryEngine", "MediatorService", "shard_graph",

@@ -32,7 +32,7 @@ from collections.abc import Sequence
 
 from .alignment import AlignmentStore
 from .coreference import SameAsService
-from .core import Mediator, TargetProfile
+from .core import MEDIATION_MODES, Mediator, TargetProfile
 from .datasets import build_resist_scenario
 from .federation import ExecutionPolicy, recall
 from .rdf import URIRef
@@ -78,7 +78,7 @@ def main_rewrite(argv: Sequence[str] | None = None) -> int:
                         help="path to a Turtle/N-Triples file with owl:sameAs links")
     parser.add_argument("--uri-pattern", default=None,
                         help="regular expression of the target's instance URI space")
-    parser.add_argument("--mode", choices=["bgp", "filter-aware", "algebra"], default="bgp")
+    parser.add_argument("--mode", choices=MEDIATION_MODES, default="bgp")
     arguments = parser.parse_args(argv)
 
     alignment_graph = parse_graph(_read_text(arguments.alignments), format="turtle")
@@ -478,8 +478,7 @@ def main_serve(argv: Sequence[str] | None = None) -> int:
                         help="endpoint identity URI (defaults to the server URL)")
     parser.add_argument("--data-format", choices=["turtle", "ntriples"], default=None,
                         help="RDF syntax of the data files (guessed from the extension)")
-    parser.add_argument("--mode", choices=["bgp", "filter-aware", "algebra"],
-                        default="filter-aware",
+    parser.add_argument("--mode", choices=MEDIATION_MODES, default="filter-aware",
                         help="rewriting mode of the federation backend")
     parser.add_argument("--strategy", choices=["fanout", "decompose"], default="fanout",
                         help="execution strategy of the federation backend")

@@ -1,10 +1,9 @@
 """Core contribution: alignment-driven SPARQL query rewriting.
 
 Implements the matching function, Algorithm 1 (BGP rewriting), Algorithm 2
-(functional dependency instantiation), the query-level rewriter, the
-FILTER-aware and algebra-level extensions discussed in Section 4, and the
-mediator that selects alignments for a target dataset and drives the
-rewriting.
+(functional dependency instantiation), the query-level rewriter with the
+FILTER pass discussed in Section 4, and the mediator that selects
+alignments for a target dataset and drives the rewriting.
 """
 
 from .matcher import (
@@ -24,17 +23,13 @@ from .rewriter import (
     RewriteReport,
     TripleRewrite,
     clone_query,
-    extend_prologue,
     instantiate_functions,
 )
 from .filter_rewriter import (
     EqualityConstraint,
-    FilterAwareQueryRewriter,
     extract_equality_constraints,
-    promote_equality_constraints,
     translate_expression_terms,
 )
-from .algebra_rewriter import AlgebraQueryRewriter
 from .construct_generator import (
     DataTranslator,
     GeneratedConstruct,
@@ -42,7 +37,7 @@ from .construct_generator import (
     construct_query_for_alignment,
     translate_graph_uris,
 )
-from .mediator import MediationResult, Mediator, TargetProfile
+from .mediator import MEDIATION_MODES, MediationResult, Mediator, TargetProfile
 
 __all__ = [
     # matching
@@ -52,14 +47,12 @@ __all__ = [
     "CompiledRule", "CompiledRuleSet", "PatternIndex",
     # rewriting
     "RewriteError", "FreshVariableGenerator", "TripleRewrite", "RewriteReport",
-    "instantiate_functions", "extend_prologue", "GraphPatternRewriter", "QueryRewriter",
-    "clone_query",
-    # extensions
-    "EqualityConstraint", "extract_equality_constraints", "promote_equality_constraints",
-    "translate_expression_terms", "FilterAwareQueryRewriter", "AlgebraQueryRewriter",
+    "instantiate_functions", "GraphPatternRewriter", "QueryRewriter", "clone_query",
+    # FILTER pass
+    "EqualityConstraint", "extract_equality_constraints", "translate_expression_terms",
     # CONSTRUCT-based data translation
     "GeneratedConstruct", "construct_query_for_alignment",
     "construct_queries_for_alignments", "translate_graph_uris", "DataTranslator",
     # mediation
-    "Mediator", "MediationResult", "TargetProfile",
+    "MEDIATION_MODES", "Mediator", "MediationResult", "TargetProfile",
 ]

@@ -1,4 +1,4 @@
-"""FILTER-aware query rewriting (the extension sketched in Section 4).
+"""The FILTER pass of the query rewriter (the extension sketched in Section 4).
 
 The paper's Algorithm 1 only sees the Basic Graph Pattern; constraints that
 the query author chose to express in the FILTER section — Figure 6 shows
@@ -6,37 +6,35 @@ the co-author query written that way — are invisible to it, so instance
 URIs referenced only in FILTERs are never translated into the target
 dataset's URI space and the rewritten query silently returns nothing.
 
-This module implements the two complementary remedies:
+This module holds the two building blocks of the two complementary
+remedies that :class:`repro.core.rewriter.QueryRewriter` applies when its
+FILTER pass is on:
 
-* **Constraint promotion** (:func:`promote_equality_constraints`): positive
-  ``?var = <ground>`` conjuncts found in FILTER expressions are applied as
-  substitutions to the BGP before rewriting, so the ground value becomes
-  visible to the alignments' functional dependencies.  The FILTER itself is
-  retained (promotion never changes the query's solution set — it only
-  specialises patterns with information the FILTER already enforces).
-* **FILTER term translation** (:class:`FilterAwareQueryRewriter`): after the
-  standard BGP rewriting, ground URIs appearing inside FILTER expressions
-  are mapped to their target-dataset equivalents through the same
-  co-reference service used by the ``sameas`` functional dependency.
+* **Constraint promotion**: :func:`extract_equality_constraints` finds the
+  positive ``?var = <ground>`` conjuncts of a FILTER; the rewriter applies
+  them as substitutions to the triples blocks the FILTER's group scopes, so
+  the ground value becomes visible to the alignments' functional
+  dependencies.  The FILTER itself is retained (promotion never changes the
+  query's solution set — it only specialises patterns with information the
+  FILTER already enforces).
+* **FILTER term translation**: :func:`translate_expression_terms` maps the
+  ground URIs of a FILTER expression to their target-dataset equivalents
+  through the same co-reference service used by the ``sameas`` functional
+  dependency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
-from ..alignment import EntityAlignment, FunctionRegistry
 from ..coreference import SameAsService
 from ..rdf import Literal, Term, URIRef, Variable
-from ..sparql import BinaryExpression, Expression, Query, TermExpression, VariableExpression
-from .rewriter import QueryRewriter, RewriteReport, clone_query
+from ..sparql import BinaryExpression, Expression, TermExpression, VariableExpression
 
 __all__ = [
     "EqualityConstraint",
     "extract_equality_constraints",
-    "promote_equality_constraints",
     "translate_expression_terms",
-    "FilterAwareQueryRewriter",
 ]
 
 
@@ -98,45 +96,6 @@ def _expression_ground_term(expression: Expression) -> Term | None:
     return None
 
 
-def promote_equality_constraints(query: Query) -> tuple[Query, list[EqualityConstraint]]:
-    """Return a copy of ``query`` with FILTER equalities folded into the BGPs.
-
-    For every triple pattern mentioning a constrained variable, a
-    *specialised copy* with the variable replaced by the ground term is
-    appended to the same triples block.  The original pattern and the FILTER
-    are kept, so the solution set is unchanged (the added pattern is implied
-    by the FILTER); the specialised copy simply exposes the ground value to
-    the rewriting algorithm — in particular to ``sameas`` functional
-    dependencies that only fire on ground URIs.
-    """
-    promoted = clone_query(query)
-    constraints: list[EqualityConstraint] = []
-    for filter_element in promoted.filters():
-        constraints.extend(extract_equality_constraints(filter_element.expression))
-    if not constraints:
-        return promoted, []
-
-    replacement: dict[Variable, Term] = {}
-    for constraint in constraints:
-        # The first constraint on a variable wins; contradictory constraints
-        # would make the query unsatisfiable anyway.
-        replacement.setdefault(constraint.variable, constraint.term)
-
-    def substitute(term: Term) -> Term:
-        if isinstance(term, Variable):
-            return replacement.get(term, term)
-        return term
-
-    for block in promoted.triples_blocks():
-        specialised = []
-        for pattern in block.patterns:
-            copy = pattern.map_terms(substitute)
-            if copy != pattern and copy not in block.patterns and copy not in specialised:
-                specialised.append(copy)
-        block.patterns.extend(specialised)
-    return promoted, constraints
-
-
 def translate_expression_terms(
     expression: Expression,
     service: SameAsService,
@@ -156,45 +115,3 @@ def translate_expression_terms(
         return term
 
     return expression.map_terms(translate)
-
-
-class FilterAwareQueryRewriter:
-    """Query rewriter that also handles FILTER-expressed constraints.
-
-    The pipeline is: promote FILTER equalities into the BGP, run the
-    standard Algorithm-1 rewriting, then translate ground URIs remaining in
-    FILTER expressions into the target dataset's URI space.  Used by
-    Experiment E7 to show the Figure 6 query succeeding where the BGP-only
-    rewriter fails.
-    """
-
-    def __init__(
-        self,
-        alignments: Sequence[EntityAlignment],
-        registry: FunctionRegistry,
-        sameas_service: SameAsService,
-        target_uri_pattern: str,
-        extra_prefixes: dict[str, str] | None = None,
-        strict: bool = False,
-        use_index: bool = True,
-    ) -> None:
-        # ``alignments`` may be a plain sequence or a pre-built
-        # ``CompiledRuleSet`` (the mediator shares one across modes).
-        self._base_rewriter = QueryRewriter(alignments, registry, strict, extra_prefixes,
-                                            use_index)
-        self._service = sameas_service
-        self._target_uri_pattern = target_uri_pattern
-
-    def rewrite(self, query: Query) -> tuple[Query, RewriteReport, list[EqualityConstraint]]:
-        """Rewrite ``query``; returns (query, report, promoted constraints)."""
-        promoted, constraints = promote_equality_constraints(query)
-        rewritten, report = self._base_rewriter.rewrite(promoted)
-        for filter_element in rewritten.filters():
-            filter_element.expression = translate_expression_terms(
-                filter_element.expression, self._service, self._target_uri_pattern
-            )
-        return rewritten, report, constraints
-
-    def rewrite_to_text(self, query: Query) -> str:
-        rewritten, _report, _constraints = self.rewrite(query)
-        return rewritten.serialize()

@@ -6,9 +6,10 @@ the ontology it was written against and the URI of a target dataset, it
 1. asks the alignment KB for the relevant ontology alignments (Section
    3.2.1's selection by context of validity),
 2. takes the union of their entity alignments,
-3. rewrites the query with Algorithm 1 (optionally with the FILTER-aware
-   or algebra-level extensions), executing functional dependencies through
-   the function registry / co-reference service.
+3. rewrites the query with the one :class:`QueryRewriter`: Algorithm 1 at
+   every triples block, plus the FILTER pass in ``filter-aware`` mode,
+   executing functional dependencies through the function registry /
+   co-reference service.
 
 Execution of the rewritten query against actual endpoints is the
 responsibility of :mod:`repro.federation` — the mediator here is transport
@@ -28,12 +29,14 @@ from ..coreference import SameAsService
 from ..obs.metrics import rewrite_cache_counter
 from ..rdf import URIRef
 from ..sparql import Query, parse_query
-from .algebra_rewriter import AlgebraQueryRewriter
-from .filter_rewriter import FilterAwareQueryRewriter
 from .index import CompiledRuleSet
 from .rewriter import QueryRewriter, RewriteReport, TripleRewrite, clone_query
 
-__all__ = ["TargetProfile", "MediationResult", "Mediator"]
+__all__ = ["MEDIATION_MODES", "TargetProfile", "MediationResult", "Mediator"]
+
+#: The settable rewriting modes: the paper's BGP-only Algorithm 1, and the
+#: same rewriter with its FILTER pass on.
+MEDIATION_MODES = ("bgp", "filter-aware")
 
 #: Upper bound on cached rewrite results (oldest entries evicted first).
 _RESULT_CACHE_LIMIT = 512
@@ -121,7 +124,7 @@ class Mediator:
         self.sameas_service = sameas_service or SameAsService()
         self.registry = registry if registry is not None else default_registry(self.sameas_service)
         self._targets: dict[URIRef, TargetProfile] = {}
-        # Compiled rule sets shared across modes, keyed by selection context;
+        # Compiled rule sets shared by both modes, keyed by selection context;
         # rewrite results keyed additionally by normalized query text.  Both
         # caches are only valid for one alignment-KB generation.  The lock
         # makes cache reads/writes safe under the federation layer's
@@ -178,7 +181,7 @@ class Mediator:
     ) -> CompiledRuleSet:
         """The indexed rule set for ``target``, compiled once per KB generation.
 
-        Shared by every rewriting mode, so selecting + compiling the
+        Shared by both rewriting modes, so selecting + compiling the
         relevant alignments is paid once per (target, source ontology) pair
         instead of once per translation.
         """
@@ -209,12 +212,11 @@ class Mediator:
     ) -> MediationResult:
         """Rewrite ``query`` so it fits ``target_dataset``.
 
-        ``mode`` selects the rewriting engine:
+        ``mode`` is one of :data:`MEDIATION_MODES`:
 
         * ``"bgp"`` — the paper's Algorithm 1 (BGP-only, FILTERs untouched),
-        * ``"filter-aware"`` — BGP rewriting plus constraint promotion and
-          FILTER URI translation,
-        * ``"algebra"`` — rewriting over the SPARQL algebra tree.
+        * ``"filter-aware"`` — the same rewriter with its FILTER pass on:
+          scoped constraint promotion and FILTER URI translation.
 
         Results are cached per (normalized query text, target dataset,
         source ontology, mode, strict, KB generation); any mutation of the
@@ -222,9 +224,17 @@ class Mediator:
         Cache hits return a fresh copy of the rewritten query, so callers
         may mutate it freely.
         """
+        if mode not in MEDIATION_MODES:
+            raise ValueError(f"unknown mediation mode: {mode!r}")
         if isinstance(query, str):
             query = parse_query(query)
         target = self.target(target_dataset)
+        filter_aware = mode == "filter-aware"
+        if filter_aware and target.uri_pattern is None:
+            raise ValueError(
+                f"target {target.dataset} has no URI pattern; filter-aware rewriting "
+                "requires one"
+            )
 
         key = (query.serialize(), target.dataset, source_ontology, mode, strict)
         with self._cache_lock:
@@ -249,30 +259,11 @@ class Mediator:
             )
 
         ruleset = self.compiled_ruleset(target, source_ontology)
-        prefixes = target.prefix_dict()
-
-        if mode == "bgp":
-            rewriter = QueryRewriter(ruleset, self.registry, strict, prefixes)
-            rewritten, report = rewriter.rewrite(query)
-        elif mode == "filter-aware":
-            if target.uri_pattern is None:
-                raise ValueError(
-                    f"target {target.dataset} has no URI pattern; filter-aware rewriting "
-                    "requires one"
-                )
-            rewriter = FilterAwareQueryRewriter(
-                ruleset, self.registry, self.sameas_service, target.uri_pattern,
-                prefixes, strict,
-            )
-            rewritten, report, _constraints = rewriter.rewrite(query)
-        elif mode == "algebra":
-            rewriter = AlgebraQueryRewriter(
-                ruleset, self.registry, self.sameas_service, target.uri_pattern,
-                prefixes, strict,
-            )
-            rewritten, report = rewriter.rewrite(query)
-        else:
-            raise ValueError(f"unknown mediation mode: {mode!r}")
+        rewritten, report = QueryRewriter(
+            ruleset, self.registry, strict, target.prefix_dict(),
+            sameas_service=self.sameas_service if filter_aware else None,
+            target_uri_pattern=target.uri_pattern if filter_aware else None,
+        ).rewrite(query)
 
         with self._cache_lock:
             # Only publish into the generation the rewrite was computed for;

@@ -13,11 +13,14 @@ Three layers are provided:
   matched rule's body under the (function-extended) binding and rename the
   remaining free RHS variables to fresh variables; unmatched triples are
   copied unchanged.
-* :class:`QueryRewriter` — apply the BGP rewriting to every triples block
-  of a parsed query, producing a new query that fits the target ontology /
-  dataset while preserving the result form, FILTERs and solution modifiers
-  (preserving FILTERs verbatim is precisely the limitation discussed in
-  Section 4 and addressed by :mod:`repro.core.filter_rewriter`).
+* :class:`QueryRewriter` — the one query rewriter: it walks the WHERE
+  group tree once, in element order, and runs Algorithm 1 at every triples
+  block (including blocks nested inside OPTIONAL, UNION and grouped
+  patterns), preserving the result form and solution modifiers.  Given the
+  co-reference service and the target's URI pattern it also runs the
+  FILTER pass of :mod:`repro.core.filter_rewriter`, the remedy Section 4
+  proposes for constraints the BGP-only algorithm cannot see; without them
+  FILTERs are kept verbatim, which is the paper's baseline.
 """
 
 from __future__ import annotations
@@ -26,8 +29,18 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
 from ..alignment import EntityAlignment, FunctionExecutionError, FunctionNotFound, FunctionRegistry
+from ..coreference import SameAsService
 from ..rdf import Term, Triple, Variable
-from ..sparql import ConstructQuery, Prologue, Query
+from ..sparql import (
+    Filter,
+    GroupGraphPattern,
+    OptionalPattern,
+    Prologue,
+    Query,
+    TriplesBlock,
+    UnionPattern,
+)
+from .filter_rewriter import extract_equality_constraints, translate_expression_terms
 from .matcher import MatchResult, Substitution, find_matches
 
 __all__ = [
@@ -36,7 +49,6 @@ __all__ = [
     "TripleRewrite",
     "RewriteReport",
     "instantiate_functions",
-    "extend_prologue",
     "GraphPatternRewriter",
     "QueryRewriter",
     "clone_query",
@@ -323,11 +335,20 @@ def clone_query(query: Query) -> Query:
 class QueryRewriter:
     """Rewrite whole SPARQL queries (SELECT / ASK / CONSTRUCT).
 
-    Every triples block in the WHERE clause (including blocks nested inside
-    OPTIONAL, UNION and grouped patterns) is rewritten with
-    :class:`GraphPatternRewriter`.  The query result form, FILTER sections
-    and solution modifiers are preserved unchanged — reproducing both the
-    strength and the documented limitation of the paper's approach.
+    The WHERE clause is walked once, in element order; every triples block
+    is rewritten with :class:`GraphPatternRewriter`.  The result form
+    (CONSTRUCT templates included: rewriting targets where data is read
+    from, not the shape of what the query builds) and the solution
+    modifiers are preserved unchanged.
+
+    The FILTER pass is on when both ``sameas_service`` and
+    ``target_uri_pattern`` are given.  A group's positive FILTER equalities
+    ``?v = <ground>`` then specialise the triples blocks of that group and
+    of the groups nested in it — never a block outside it, since the
+    constraint only holds for that group's solutions — and every FILTER's
+    ground URIs are translated into the target URI space.  With the pass
+    off, FILTERs are kept verbatim: the strength and the documented
+    limitation of the paper's approach.
     """
 
     def __init__(
@@ -337,9 +358,15 @@ class QueryRewriter:
         strict: bool = False,
         extra_prefixes: dict[str, str] | None = None,
         use_index: bool = True,
+        sameas_service: SameAsService | None = None,
+        target_uri_pattern: str | None = None,
     ) -> None:
         self._pattern_rewriter = GraphPatternRewriter(alignments, registry, strict, use_index)
         self._extra_prefixes = dict(extra_prefixes or {})
+        self._filter_target = (
+            (sameas_service, target_uri_pattern)
+            if sameas_service is not None and target_uri_pattern is not None else None
+        )
 
     @property
     def alignments(self) -> list[EntityAlignment]:
@@ -354,53 +381,84 @@ class QueryRewriter:
         rewritten = clone_query(query)
         fresh = FreshVariableGenerator(rewritten.variables())
         report = RewriteReport()
-
-        for block in rewritten.triples_blocks():
-            new_patterns, block_report = self._pattern_rewriter.rewrite_bgp(
-                block.patterns, fresh
-            )
-            block.patterns = new_patterns
-            report.merge(block_report)
-
-        if isinstance(rewritten, ConstructQuery):
-            # CONSTRUCT templates are part of the result form and are left
-            # untouched: the rewriting targets where data is read from, not
-            # the shape of what the query builds.
-            pass
-
+        self._rewrite_group(rewritten.where, {}, fresh, report)
         self._extend_prologue(rewritten.prologue, report)
         return rewritten, report
 
-    def rewrite_to_text(self, query: Query) -> str:
-        """Rewrite and serialise in one call (the mediator's common path)."""
-        rewritten, _report = self.rewrite(query)
-        return rewritten.serialize()
-
     # ------------------------------------------------------------------ #
+    def _rewrite_group(
+        self,
+        group: GroupGraphPattern,
+        scope: dict[Variable, Term],
+        fresh: FreshVariableGenerator,
+        report: RewriteReport,
+    ) -> None:
+        """Rewrite ``group`` in place; ``scope`` holds the enclosing groups' equalities."""
+        if self._filter_target is not None:
+            own = [constraint for element in group.elements if isinstance(element, Filter)
+                   for constraint in extract_equality_constraints(element.expression)]
+            if own:
+                scope = dict(scope)
+                for constraint in own:
+                    # The first constraint on a variable wins; contradictory
+                    # ones make the group unsatisfiable anyway.
+                    scope.setdefault(constraint.variable, constraint.term)
+        for element in group.elements:
+            if isinstance(element, TriplesBlock):
+                patterns = _specialise(element.patterns, scope) if scope else element.patterns
+                element.patterns, block_report = self._pattern_rewriter.rewrite_bgp(
+                    patterns, fresh
+                )
+                report.merge(block_report)
+            elif isinstance(element, Filter):
+                if self._filter_target is not None:
+                    element.expression = translate_expression_terms(
+                        element.expression, *self._filter_target
+                    )
+            elif isinstance(element, GroupGraphPattern):
+                self._rewrite_group(element, scope, fresh, report)
+            elif isinstance(element, OptionalPattern):
+                self._rewrite_group(element.group, scope, fresh, report)
+            elif isinstance(element, UnionPattern):
+                for alternative in element.alternatives:
+                    self._rewrite_group(alternative, scope, fresh, report)
+
     def _extend_prologue(self, prologue: Prologue, report: RewriteReport) -> None:
-        extend_prologue(prologue, report, self._extra_prefixes)
-
-
-def extend_prologue(
-    prologue: Prologue,
-    report: RewriteReport,
-    extra_prefixes: dict[str, str] | None = None,
-) -> None:
-    """Bind prefixes for the target vocabulary so output stays compact."""
-    for prefix, namespace in (extra_prefixes or {}).items():
-        prologue.namespace_manager.bind(prefix, namespace, replace=False)
-    # Derive prefixes from the vocabularies introduced by fired rules.
-    used_namespaces: set[str] = set()
-    for alignment in report.alignments_used():
-        for uri in alignment.target_properties():
-            used_namespaces.add(uri.namespace_split()[0])
-    counter = 0
-    for namespace in sorted(used_namespaces):
-        if not namespace or prologue.namespace_manager.prefix(namespace) is not None:
-            continue
-        counter += 1
-        candidate = f"tgt{counter}"
-        while prologue.namespace_manager.namespace(candidate) is not None:
+        """Bind prefixes for the target vocabulary so output stays compact."""
+        for prefix, namespace in self._extra_prefixes.items():
+            prologue.namespace_manager.bind(prefix, namespace, replace=False)
+        # Derive prefixes from the vocabularies introduced by fired rules.
+        used_namespaces: set[str] = set()
+        for alignment in report.alignments_used():
+            for uri in alignment.target_properties():
+                used_namespaces.add(uri.namespace_split()[0])
+        counter = 0
+        for namespace in sorted(used_namespaces):
+            if not namespace or prologue.namespace_manager.prefix(namespace) is not None:
+                continue
             counter += 1
             candidate = f"tgt{counter}"
-        prologue.namespace_manager.bind(candidate, namespace)
+            while prologue.namespace_manager.namespace(candidate) is not None:
+                counter += 1
+                candidate = f"tgt{counter}"
+            prologue.namespace_manager.bind(candidate, namespace)
+
+
+def _specialise(patterns: list[Triple], scope: dict[Variable, Term]) -> list[Triple]:
+    """``patterns`` plus a copy of each with the scope's equalities substituted.
+
+    The originals and the FILTER stay, so the solution set is unchanged (a
+    specialised copy is implied by the FILTER); the copy exposes the ground
+    value to the rewriting — in particular to ``sameas`` functional
+    dependencies, which only fire on ground URIs.
+    """
+
+    def substitute(term: Term) -> Term:
+        return scope.get(term, term) if isinstance(term, Variable) else term
+
+    specialised: list[Triple] = []
+    for pattern in patterns:
+        copy = pattern.map_terms(substitute)
+        if copy != pattern and copy not in patterns and copy not in specialised:
+            specialised.append(copy)
+    return patterns + specialised

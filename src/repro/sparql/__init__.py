@@ -41,7 +41,6 @@ from .algebra import (
     AlgebraSlice,
     AlgebraTable,
     AlgebraUnion,
-    algebra_to_group,
     to_sexpr,
     translate_group,
     translate_query,
@@ -117,7 +116,7 @@ __all__ = [
     "AlgebraNode", "AlgebraBGP", "AlgebraJoin", "AlgebraLeftJoin", "AlgebraUnion",
     "AlgebraFilter", "AlgebraProject", "AlgebraDistinct", "AlgebraOrderBy", "AlgebraSlice",
     "AlgebraTable",
-    "translate_query", "translate_group", "algebra_to_group", "to_sexpr",
+    "translate_query", "translate_group", "to_sexpr",
     # evaluation
     "ENGINES", "QueryEvaluator", "evaluate_query", "evaluate_group", "match_bgp",
     "ordered_bgp_patterns",

@@ -1,20 +1,19 @@
 """SPARQL algebra representation.
 
-Section 4 of the paper proposes moving the rewriting from the syntactic
-BGP level to the *SPARQL algebra* (citing Cyganiak's relational algebra for
-SPARQL), because the algebra offers "an homogeneous representation of the
-whole query (LISP like structures)": graph patterns and FILTER constraints
-live in one tree and can be rewritten uniformly.  This module provides that
-representation:
+Section 4 of the paper cites the *SPARQL algebra* (Cyganiak's relational
+algebra for SPARQL) for its "homogeneous representation of the whole query
+(LISP like structures)": graph patterns and FILTER constraints live in one
+operator tree.  Here that tree is what the planner compiles into physical
+operators.  This module provides:
 
 * algebra operators: :class:`AlgebraBGP`, :class:`AlgebraJoin`,
   :class:`AlgebraLeftJoin`, :class:`AlgebraUnion`, :class:`AlgebraFilter`,
   :class:`AlgebraProject`, :class:`AlgebraDistinct`, :class:`AlgebraOrderBy`,
   :class:`AlgebraSlice`,
 * :func:`translate_query` / :func:`translate_group` -- AST to algebra
-  (following the SPARQL 1.0 translation rules, simplified),
-* :func:`algebra_to_group` -- algebra back to an AST group graph pattern so
-  a rewritten algebra tree can be serialised and executed,
+  (following the SPARQL 1.0 translation rules, simplified).  Query
+  rewriting does not go through it: :class:`repro.core.rewriter.QueryRewriter`
+  walks the AST group tree that the serializer prints,
 * :func:`to_sexpr` -- the LISP-like rendering used in logs and tests.
 """
 
@@ -42,7 +41,7 @@ __all__ = [
     "AlgebraNode", "AlgebraBGP", "AlgebraJoin", "AlgebraLeftJoin",
     "AlgebraUnion", "AlgebraFilter", "AlgebraProject", "AlgebraDistinct",
     "AlgebraOrderBy", "AlgebraSlice", "AlgebraTable",
-    "translate_query", "translate_group", "algebra_to_group", "to_sexpr",
+    "translate_query", "translate_group", "to_sexpr",
 ]
 
 
@@ -294,49 +293,6 @@ def translate_query(query: Query) -> AlgebraNode:
     if modifiers.limit is not None or modifiers.offset is not None:
         node = AlgebraSlice(modifiers.offset, modifiers.limit, node)
     return node
-
-
-# --------------------------------------------------------------------------- #
-# Algebra -> AST group (for serialisation / execution of rewritten trees)
-# --------------------------------------------------------------------------- #
-def algebra_to_group(node: AlgebraNode) -> GroupGraphPattern:
-    """Convert a pattern-level algebra tree back into an AST group."""
-    group = GroupGraphPattern()
-    _emit(node, group)
-    return group
-
-
-def _emit(node: AlgebraNode, group: GroupGraphPattern) -> None:
-    if isinstance(node, AlgebraBGP):
-        if node.patterns:
-            group.add(TriplesBlock(list(node.patterns)))
-        return
-    if isinstance(node, AlgebraTable):
-        group.add(InlineData(list(node.columns), list(node.rows)))
-        return
-    if isinstance(node, AlgebraJoin):
-        _emit(node.left, group)
-        _emit(node.right, group)
-        return
-    if isinstance(node, AlgebraLeftJoin):
-        _emit(node.left, group)
-        optional_group = algebra_to_group(node.right)
-        if node.expression is not None:
-            optional_group.add(Filter(node.expression))
-        group.add(OptionalPattern(optional_group))
-        return
-    if isinstance(node, AlgebraUnion):
-        alternatives = [algebra_to_group(node.left), algebra_to_group(node.right)]
-        group.add(UnionPattern(alternatives))
-        return
-    if isinstance(node, AlgebraFilter):
-        _emit(node.child, group)
-        group.add(Filter(node.expression))
-        return
-    if isinstance(node, (AlgebraProject, AlgebraDistinct, AlgebraOrderBy, AlgebraSlice)):
-        _emit(node.children()[0], group)
-        return
-    raise TypeError(f"cannot convert algebra node to pattern: {node!r}")
 
 
 # --------------------------------------------------------------------------- #

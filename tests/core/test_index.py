@@ -118,7 +118,7 @@ class TestEquivalenceWithLinearScan:
             query = parse_query(query_text)
             indexed = QueryRewriter(alignments, registry, use_index=True)
             linear = QueryRewriter(alignments, registry, use_index=False)
-            assert indexed.rewrite_to_text(query) == linear.rewrite_to_text(query)
+            assert indexed.rewrite(query)[0].serialize() == linear.rewrite(query)[0].serialize()
 
     def test_bgp_rewrite_reports_identical(self, registry):
         alignments = list(akt_to_kisti_alignment())

@@ -78,10 +78,10 @@ class TestTranslate:
                                     source_ontology=AKT_ONTOLOGY_URI, mode="filter-aware")
         assert "PER_00000000000105047" in result.query_text
 
-    def test_algebra_mode(self, mediator):
-        result = mediator.translate(FIGURE_1_QUERY, KISTI_DATASET_URI,
-                                    source_ontology=AKT_ONTOLOGY_URI, mode="algebra")
-        assert "hasCreatorInfo" in result.query_text
+    def test_algebra_mode_raises(self, mediator):
+        with pytest.raises(ValueError, match="unknown mediation mode"):
+            mediator.translate(FIGURE_1_QUERY, KISTI_DATASET_URI,
+                               source_ontology=AKT_ONTOLOGY_URI, mode="algebra")
 
     def test_unknown_mode_raises(self, mediator):
         with pytest.raises(ValueError):

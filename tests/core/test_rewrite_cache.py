@@ -64,7 +64,7 @@ class TestRewriteCache:
     def test_mode_and_strict_are_part_of_the_key(self, mediator):
         mediator.translate(FIGURE_6_QUERY, KISTI_DATASET_URI, mode="bgp")
         mediator.translate(FIGURE_6_QUERY, KISTI_DATASET_URI, mode="filter-aware")
-        mediator.translate(FIGURE_6_QUERY, KISTI_DATASET_URI, mode="algebra")
+        mediator.translate(FIGURE_6_QUERY, KISTI_DATASET_URI, mode="filter-aware", strict=True)
         info = mediator.cache_info()
         assert info["hits"] == 0 and info["misses"] == 3
 

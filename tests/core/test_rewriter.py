@@ -217,9 +217,10 @@ class TestQueryRewriter:
         assert rewritten.all_triple_patterns()[0].predicate == KISTI["title"]
         assert rewritten.template[0].predicate == AKT["has-title"]
 
-    def test_rewrite_to_text(self, figure2_alignment, registry):
-        text = QueryRewriter([figure2_alignment], registry).rewrite_to_text(
+    def test_rewritten_text(self, figure2_alignment, registry):
+        rewritten, _ = QueryRewriter([figure2_alignment], registry).rewrite(
             parse_query(FIGURE_1_QUERY)
         )
+        text = rewritten.serialize()
         assert "hasCreatorInfo" in text
         assert "SELECT DISTINCT ?a" in text

@@ -1,6 +1,6 @@
 """Unit tests for the SPARQL algebra translation."""
 
-from repro.rdf import Graph, Literal, Triple, URIRef, Variable
+from repro.rdf import Variable
 from repro.sparql import (
     AlgebraBGP,
     AlgebraDistinct,
@@ -10,8 +10,6 @@ from repro.sparql import (
     AlgebraProject,
     AlgebraSlice,
     AlgebraUnion,
-    QueryEvaluator,
-    algebra_to_group,
     parse_query,
     to_sexpr,
     translate_group,
@@ -78,31 +76,6 @@ class TestTranslation:
     def test_variables_collected(self):
         node = pattern_algebra(EX + "SELECT * WHERE { ?x ex:p ?y . FILTER (?z > 1) }")
         assert node.variables() == {Variable("x"), Variable("y"), Variable("z")}
-
-
-class TestBackTranslation:
-    def test_algebra_to_group_roundtrip_semantics(self):
-        graph = Graph()
-        ex = "http://ex.org/"
-        graph.add(Triple(URIRef(ex + "a"), URIRef(ex + "p"), Literal(5)))
-        graph.add(Triple(URIRef(ex + "a"), URIRef(ex + "q"), Literal("x")))
-        graph.add(Triple(URIRef(ex + "b"), URIRef(ex + "p"), Literal(50)))
-        evaluator = QueryEvaluator(graph)
-
-        query = parse_query(EX + """
-            SELECT ?s WHERE { ?s ex:p ?v . OPTIONAL { ?s ex:q ?w } FILTER (?v < 10) }
-        """)
-        original_rows = evaluator.select(query).to_dicts()
-
-        rebuilt = parse_query(EX + "SELECT ?s WHERE { ?s ex:p ?v }")
-        rebuilt.where = algebra_to_group(translate_group(query.where))
-        rebuilt_rows = evaluator.select(rebuilt).to_dicts()
-        assert original_rows == rebuilt_rows
-
-    def test_union_survives_roundtrip(self):
-        query = parse_query(EX + "SELECT ?x WHERE { { ?x a ex:A } UNION { ?x a ex:B } }")
-        group = algebra_to_group(translate_group(query.where))
-        assert len(list(group.triples_blocks())) == 2
 
 
 class TestTraversal:

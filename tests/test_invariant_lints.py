@@ -191,5 +191,40 @@ def test_inv010_scope():
     assert _federation_findings("tests/federation/seeded.py") == []
 
 
+SEEDED_REWRITER = """\
+from repro.core import QueryRewriter, rewriter
+
+def rewrite(ruleset, query):
+    return QueryRewriter(ruleset).rewrite(query)
+
+def rewrite_qualified(ruleset, query):
+    return rewriter.QueryRewriter(ruleset, strict=True).rewrite(query)
+"""
+
+
+def _rewriter_findings(relative: str) -> list[str]:
+    path = REPO_ROOT / relative
+    return [
+        finding.render()
+        for finding in lints.check_one_rewriter(ast.parse(SEEDED_REWRITER), path)
+    ]
+
+
+def test_inv011_reports_rewriters_built_outside_the_mediator():
+    message = (
+        "[INV011] QueryRewriter constructed outside core/mediator.py: rewrite through "
+        "Mediator.translate (bgp and filter-aware are its two settings)"
+    )
+    path = "src/repro/federation/service.py"
+    assert _rewriter_findings(path) == [f"{path}:4: {message}", f"{path}:7: {message}"]
+
+
+def test_inv011_scope():
+    # The mediator owns the construction; tests, benchmarks and examples
+    # may build a rewriter directly.
+    assert _rewriter_findings("src/repro/core/mediator.py") == []
+    assert _rewriter_findings("tests/core/seeded.py") == []
+
+
 def test_the_repository_is_clean():
     assert lints.main() == 0

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant lints, run as a hard CI gate.
 
-Nine structural invariants that ordinary linters do not express, checked
+Ten structural invariants that ordinary linters do not express, checked
 with nothing but the stdlib ``ast`` module:
 
 1. **Hot-loop allocation ban** — inside the batched executor
@@ -65,6 +65,12 @@ with nothing but the stdlib ``ast`` module:
     with a single whole-query unit); a call anywhere else would be a second
     path that retries, breakers, tracing and ANALYZE do not see whole.
     (INV009 is reserved.)
+
+11. **One query rewriter** — under ``src/repro/``, ``QueryRewriter`` is
+    constructed only in ``core/mediator.py``.  ``Mediator.translate`` is
+    the one rewriting path (``bgp`` and ``filter-aware`` are settings of
+    the same rewriter); a construction anywhere else would let a second
+    rewriting path, with its own walk of the query, grow back.
 
 Exit status is non-zero when any violation is found.  Findings are printed
 one per line as ``path:line: [INVxxx] message`` so CI logs read like
@@ -486,6 +492,25 @@ def check_one_federation_path(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
+# INV011 — the query rewriter is built by the mediator only
+# --------------------------------------------------------------------------- #
+
+MEDIATOR_PATH = SRC_PACKAGE / "core" / "mediator.py"
+
+
+def check_one_rewriter(tree: ast.Module, path: Path) -> list[Finding]:
+    if SRC_PACKAGE not in path.parents or path == MEDIATOR_PATH:
+        return []
+    return sorted((
+        Finding(path, node.lineno, "INV011",
+                "QueryRewriter constructed outside core/mediator.py: rewrite through "
+                "Mediator.translate (bgp and filter-aware are its two settings)")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "QueryRewriter"
+    ), key=lambda finding: finding.line)
+
+
+# --------------------------------------------------------------------------- #
 
 def main() -> int:
     findings: list[Finding] = []
@@ -507,6 +532,7 @@ def main() -> int:
             findings.extend(check_result_path_encoders(tree, path))
             findings.extend(check_http_transport(tree, path))
             findings.extend(check_one_federation_path(tree, path))
+            findings.extend(check_one_rewriter(tree, path))
             if path == EXEC_PATH:
                 findings.extend(check_hot_loops(tree, path))
             if path == PLAN_PATH:
