@@ -93,7 +93,7 @@ def load_run(path: Path) -> dict[str, float]:
 def load_events(path: Path) -> list:
     """Parse a ``REPRO_RUN_EVENTS`` JSONL file into a list of event dicts.
 
-    Trace spans (``"kind": "span"`` lines, rendered by ``repro-trace``)
+    Trace spans (``"kind": "span"`` lines, rendered by ``repro trace``)
     share the file with run events and are skipped here.
     """
     if not path.exists():

@@ -1,31 +1,36 @@
-"""Command-line interface.
+"""Command-line interface: the ``repro`` command.
 
-Entry points (installed as console scripts by ``pyproject.toml``):
+One entry point (the ``repro`` console script, or ``python -m repro``)
+with one subcommand per way of driving the mediator:
 
-* ``repro-rewrite`` — rewrite a SPARQL query file against an alignment KB
-  (Turtle) for a chosen target, printing the rewritten query.  This is the
-  command-line twin of the web UI of Figure 4.
-* ``repro-query`` — evaluate a SPARQL query against an RDF file (Turtle or
+* ``repro rewrite`` — rewrite SPARQL query files against an alignment KB
+  (Turtle) for a chosen target, printing the rewritten queries.  This is
+  the command-line twin of the web UI of Figure 4.
+* ``repro query`` — evaluate a SPARQL query against an RDF file (Turtle or
   N-Triples) and print the results (table by default, or any SPARQL
   results wire format via ``--format``).
-* ``repro-federate`` — run the demo federation over the built-in synthetic
+* ``repro federate`` — run the demo federation over the built-in synthetic
   scenario and print per-dataset and merged result counts.
-* ``repro-serve`` — publish an RDF file, a persistent store directory
+* ``repro serve`` — publish RDF files, a persistent store directory
   (``--store``) or the built-in mediated federation as a W3C SPARQL
   Protocol endpoint over HTTP.
-* ``repro-store`` — build, compact and inspect persistent
-  :class:`~repro.rdf.SegmentStore` directories.
-* ``repro-lint`` — run the static query analyzer over a batch of SPARQL
+* ``repro store build|compact|stats`` — build, compact and inspect
+  persistent :class:`~repro.rdf.SegmentStore` directories.
+* ``repro lint`` — run the static query analyzer over a batch of SPARQL
   files and print the diagnostics (text or JSON); exits non-zero when
   any file has error-severity findings.
-* ``repro-trace`` — render distributed-trace span trees (and a
+* ``repro trace`` — render distributed-trace span trees (and a
   time-by-layer table) from the ``REPRO_RUN_EVENTS`` JSONL file written
   by a traced run.
+
+A missing or unreadable input file, an RDF or SPARQL syntax error and a
+store error end in one ``error: ...`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from collections.abc import Sequence
@@ -35,63 +40,237 @@ from .coreference import SameAsService
 from .core import MEDIATION_MODES, Mediator, TargetProfile
 from .datasets import build_resist_scenario
 from .federation import ExecutionPolicy, recall
-from .rdf import URIRef
+from .rdf import Graph, SegmentStore, StoreError, URIRef
 from .sparql import ENGINES, AskResult, QueryEvaluator, ResultSet, parse_query, write_results
 from .sparql.analysis import QueryAnalysisError, analyze_query
 from .sparql.parser import SparqlParseError
 from .sparql.tokenizer import SparqlLexError
-from .turtle import parse_graph
+from .turtle import NTriplesError, TurtleLexError, TurtleParseError, parse_graph
 
-__all__ = [
-    "main_rewrite",
-    "main_query",
-    "main_federate",
-    "main_serve",
-    "main_store",
-    "main_lint",
-    "main_trace",
-]
+__all__ = ["main"]
 
-#: Output format choices shared by ``repro-query`` and ``repro-federate``.
+#: Output format choices shared by ``repro query`` and ``repro federate``.
 _OUTPUT_FORMATS = ["table", "json", "xml", "csv", "tsv"]
+
+#: Failures of the input named on the command line.  ``main`` reports them
+#: as one ``error:`` line; anything else is a bug and keeps its traceback.
+_INPUT_ERRORS = (
+    OSError, SparqlLexError, SparqlParseError,
+    TurtleLexError, TurtleParseError, NTriplesError, StoreError,
+)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run one ``repro`` subcommand and return its exit status."""
+    arguments = _build_parser().parse_args(argv)
+    try:
+        return arguments.handler(arguments)
+    except _INPUT_ERRORS as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    data_format = argparse.ArgumentParser(add_help=False)
+    data_format.add_argument("--data-format", choices=["turtle", "ntriples"], default=None,
+                             help="RDF syntax of the data files (guessed from the extension)")
+    sizing = argparse.ArgumentParser(add_help=False)
+    sizing.add_argument("--persons", type=int, default=40)
+    sizing.add_argument("--papers", type=int, default=100)
+    sizing.add_argument("--seed", type=int, default=42)
+
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Ontology-alignment-driven SPARQL rewriting, querying and federation.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    rewrite = commands.add_parser(
+        "rewrite", help="rewrite queries for a target dataset",
+        description="Rewrite a SPARQL query for a target dataset using an RDF alignment KB.",
+    )
+    rewrite.add_argument("query", nargs="+",
+                         help="path(s) to one or more SPARQL query files (rewritten as a batch)")
+    rewrite.add_argument("alignments", help="path to the alignment KB (Turtle)")
+    rewrite.add_argument("--target", required=True, help="URI of the target dataset")
+    rewrite.add_argument("--source-ontology", default=None, help="URI of the source ontology")
+    rewrite.add_argument("--sameas", default=None,
+                         help="path to a Turtle/N-Triples file with owl:sameAs links")
+    rewrite.add_argument("--uri-pattern", default=None,
+                         help="regular expression of the target's instance URI space")
+    rewrite.add_argument("--mode", choices=MEDIATION_MODES, default="bgp")
+    rewrite.set_defaults(handler=_rewrite)
+
+    query = commands.add_parser(
+        "query", parents=[data_format], help="evaluate a query over a local RDF file",
+        description="Evaluate a SPARQL query against a local RDF file.",
+    )
+    query.add_argument("query", help="path to the SPARQL query file")
+    query.add_argument("data", help="path to the RDF data file (Turtle or N-Triples)")
+    query.add_argument("--format", choices=_OUTPUT_FORMATS, default="table",
+                       help="result output format (SPARQL results JSON/XML/CSV/TSV "
+                            "or the human-readable table)")
+    query.add_argument("--explain", action="store_true",
+                       help="print the physical query plan instead of executing")
+    query.add_argument("--analyze", action="store_true",
+                       help="execute the query and print the EXPLAIN ANALYZE report "
+                            "(per-operator rows, batches and wall time)")
+    query.add_argument("--engine", choices=list(ENGINES), default="planner",
+                       help="evaluation engine: the cost-based planner on the "
+                            "batched executor, or the dict-at-a-time reference "
+                            "oracle")
+    query.add_argument("--strict", action="store_true",
+                       help="refuse to execute a query with error-severity "
+                            "diagnostics")
+    query.set_defaults(handler=_query)
+
+    federate = commands.add_parser(
+        "federate", parents=[sizing], help="run the federation demo",
+        description="Demonstrate federated co-author retrieval over the synthetic scenario.",
+    )
+    federate.add_argument("--rkb-coverage", type=float, default=0.55)
+    federate.add_argument("--kisti-coverage", type=float, default=0.6)
+    federate.add_argument("--dbpedia-coverage", type=float, default=0.35)
+    federate.add_argument("--parallel", type=int, default=8, metavar="WORKERS",
+                          help="concurrent endpoint requests (0 or 1 = sequential)")
+    federate.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                          help="per-attempt endpoint timeout")
+    federate.add_argument("--retries", type=int, default=0,
+                          help="retries per endpoint after a failure")
+    federate.add_argument("--latency", type=float, default=0.0, metavar="SECONDS",
+                          help="simulated per-query endpoint latency")
+    federate.add_argument("--format", choices=_OUTPUT_FORMATS, default="table",
+                          help="print the merged result set in this format "
+                               "(non-table formats move the run summary to stderr)")
+    federate.add_argument("--strategy", choices=["fanout", "decompose"], default="fanout",
+                          help="federated execution strategy: ship the whole query to "
+                               "every dataset (fanout) or run source selection, "
+                               "exclusive groups and bound joins (decompose)")
+    federate.add_argument("--ask-probes", action=argparse.BooleanOptionalAction, default=True,
+                          help="let source selection issue ASK probes for patterns the "
+                               "VoID statistics cannot settle")
+    federate.add_argument("--bind-join-batch", type=int, default=None, metavar="ROWS",
+                          help="ceiling on left rows shipped per bound-join VALUES block "
+                               "(default 256)")
+    federate.add_argument("--explain", action="store_true",
+                          help="print the federated plan (per-dataset sub-queries) "
+                               "instead of executing")
+    federate.add_argument("--analyze", action="store_true",
+                          help="print the EXPLAIN ANALYZE report of the federated run "
+                               "(operator timings, endpoints contacted, rows shipped)")
+    federate.add_argument("--lint", action="store_true",
+                          help="print the static local + federation diagnostics for the "
+                               "demo query instead of executing (exit 1 on errors)")
+    federate.set_defaults(handler=_federate)
+
+    serve = commands.add_parser(
+        "serve", parents=[data_format, sizing], help="publish a SPARQL Protocol endpoint",
+        description="Serve an RDF file or the demo federation as a SPARQL Protocol endpoint.",
+    )
+    serve.add_argument("data", nargs="*",
+                       help="RDF file(s) to serve (Turtle or N-Triples); "
+                            "omit when using --scenario")
+    serve.add_argument("--scenario", action="store_true",
+                       help="serve the built-in mediated federation scenario")
+    serve.add_argument("--store", default=None, metavar="DIR",
+                       help="serve a persistent SegmentStore directory "
+                            "(see repro store build)")
+    serve.add_argument("--dataset", default=None, metavar="URI",
+                       help="with --scenario: serve just this dataset's endpoint "
+                            "instead of the federation")
+    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--port", type=int, default=8080,
+                       help="TCP port (0 binds an ephemeral port)")
+    serve.add_argument("--uri", default=None,
+                       help="endpoint identity URI (defaults to the server URL)")
+    serve.add_argument("--mode", choices=MEDIATION_MODES, default="filter-aware",
+                       help="rewriting mode of the federation backend")
+    serve.add_argument("--strategy", choices=["fanout", "decompose"], default="fanout",
+                       help="execution strategy of the federation backend")
+    serve.add_argument("--strict", action="store_true",
+                       help="refuse queries with error-severity static-analysis "
+                            "diagnostics (HTTP 400 with a structured JSON body)")
+    serve.add_argument("--cache-size", type=int, default=128,
+                       help="response cache entries (0 disables caching)")
+    serve.add_argument("--verbose", action="store_true",
+                       help="log every request to stderr")
+    serve.set_defaults(handler=_serve)
+
+    store = commands.add_parser(
+        "store", help="manage persistent store directories",
+        description="Manage persistent triple-store directories (SegmentStore).",
+    )
+    store_commands = store.add_subparsers(dest="store_command", required=True)
+    build = store_commands.add_parser("build", parents=[data_format],
+                                      help="load RDF files into a store directory")
+    build.add_argument("store", metavar="DIR", help="store directory (created if missing)")
+    build.add_argument("data", nargs="+", help="RDF file(s) to load (Turtle or N-Triples)")
+    build.add_argument("--buffer-limit", type=int, default=SegmentStore.DEFAULT_BUFFER_LIMIT,
+                       metavar="TRIPLES", help="write-buffer size between segment flushes")
+    build.set_defaults(handler=_store_build)
+    compact = store_commands.add_parser("compact",
+                                        help="merge segments and drop tombstoned deletes")
+    compact.add_argument("store", metavar="DIR")
+    compact.set_defaults(handler=_store_compact)
+    stats = store_commands.add_parser("stats", help="print store size and layout statistics")
+    stats.add_argument("store", metavar="DIR")
+    stats.add_argument("--top", type=int, default=5, metavar="N",
+                       help="show the N most frequent predicates and classes")
+    stats.set_defaults(handler=_store_stats)
+
+    lint = commands.add_parser(
+        "lint", parents=[data_format], help="statically analyze query files",
+        description="Statically analyze SPARQL query files and print diagnostics.",
+    )
+    lint.add_argument("query", nargs="+", help="path(s) to SPARQL query files")
+    lint.add_argument("--data", default=None, metavar="FILE",
+                      help="optional RDF file (Turtle or N-Triples); enables the "
+                           "statistics-aware checks (cartesian product sizing)")
+    lint.add_argument("--format", choices=["text", "json"], default="text",
+                      help="diagnostic output format")
+    lint.add_argument("--strict", action="store_true",
+                      help="treat warnings as failures too")
+    lint.set_defaults(handler=_lint)
+
+    trace = commands.add_parser(
+        "trace", help="render trace span trees",
+        description="Render distributed-trace span trees from a run-events JSONL file.",
+    )
+    trace.add_argument("events", help="path to the REPRO_RUN_EVENTS JSONL file")
+    trace.add_argument("--trace", default=None, metavar="TRACE_ID",
+                       help="render only this trace id (prefixes accepted)")
+    trace.add_argument("--list", action="store_true", dest="list_traces",
+                       help="one summary line per trace instead of full trees")
+    trace.add_argument("--layers", action="store_true",
+                       help="append the time-by-layer aggregation table")
+    trace.set_defaults(handler=_trace)
+    return parser
 
 
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-# --------------------------------------------------------------------------- #
-# repro-rewrite
-# --------------------------------------------------------------------------- #
-def main_rewrite(argv: Sequence[str] | None = None) -> int:
-    """Rewrite a query using an alignment KB and (optionally) a sameAs file."""
-    parser = argparse.ArgumentParser(
-        prog="repro-rewrite",
-        description="Rewrite a SPARQL query for a target dataset using an RDF alignment KB.",
-    )
-    parser.add_argument("query", nargs="+",
-                        help="path(s) to one or more SPARQL query files (rewritten as a batch)")
-    parser.add_argument("alignments", help="path to the alignment KB (Turtle)")
-    parser.add_argument("--target", required=True, help="URI of the target dataset")
-    parser.add_argument("--source-ontology", default=None, help="URI of the source ontology")
-    parser.add_argument("--sameas", default=None,
-                        help="path to a Turtle/N-Triples file with owl:sameAs links")
-    parser.add_argument("--uri-pattern", default=None,
-                        help="regular expression of the target's instance URI space")
-    parser.add_argument("--mode", choices=MEDIATION_MODES, default="bgp")
-    arguments = parser.parse_args(argv)
+def _load_graph(path: str, format_name: str | None = None) -> Graph:
+    """Parse an RDF file; the syntax is guessed from the extension unless given."""
+    if format_name is None:
+        format_name = "ntriples" if path.endswith(".nt") else "turtle"
+    return parse_graph(_read_text(path), format=format_name)
 
-    alignment_graph = parse_graph(_read_text(arguments.alignments), format="turtle")
+
+# --------------------------------------------------------------------------- #
+# repro rewrite
+# --------------------------------------------------------------------------- #
+def _rewrite(arguments: argparse.Namespace) -> int:
+    """Rewrite queries using an alignment KB and (optionally) a sameAs file."""
     store = AlignmentStore()
-    imported = store.load_graph(alignment_graph)
+    imported = store.load_graph(_load_graph(arguments.alignments, "turtle"))
     if imported == 0:
         print("warning: no ontology alignments found in the alignment KB", file=sys.stderr)
 
     sameas = SameAsService()
     if arguments.sameas:
-        text = _read_text(arguments.sameas)
-        format_name = "ntriples" if arguments.sameas.endswith(".nt") else "turtle"
-        sameas.load_graph(parse_graph(text, format=format_name))
+        sameas.load_graph(_load_graph(arguments.sameas))
 
     target_uri = URIRef(arguments.target)
     mediator = Mediator(store, sameas)
@@ -119,50 +298,13 @@ def main_rewrite(argv: Sequence[str] | None = None) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# repro-query
+# repro query
 # --------------------------------------------------------------------------- #
-def main_query(argv: Sequence[str] | None = None) -> int:
+def _query(arguments: argparse.Namespace) -> int:
     """Evaluate a query over a local RDF file and print the results."""
-    parser = argparse.ArgumentParser(
-        prog="repro-query",
-        description="Evaluate a SPARQL query against a local RDF file.",
-    )
-    parser.add_argument("query", help="path to the SPARQL query file")
-    parser.add_argument("data", help="path to the RDF data file (Turtle or N-Triples)")
-    parser.add_argument("--data-format", choices=["turtle", "ntriples"], default=None,
-                        help="RDF syntax of the data file (guessed from the extension)")
-    parser.add_argument("--format", choices=_OUTPUT_FORMATS, default="table",
-                        help="result output format (SPARQL results JSON/XML/CSV/TSV "
-                             "or the human-readable table)")
-    parser.add_argument("--explain", action="store_true",
-                        help="print the physical query plan instead of executing")
-    parser.add_argument("--analyze", action="store_true",
-                        help="execute the query and print the EXPLAIN ANALYZE report "
-                             "(per-operator rows, batches and wall time)")
-    parser.add_argument("--engine", choices=list(ENGINES), default="planner",
-                        help="evaluation engine: the cost-based planner on the "
-                             "batched executor, or the dict-at-a-time reference "
-                             "oracle")
-    parser.add_argument("--lint", action="store_true",
-                        help="print the static analyzer's diagnostics instead of "
-                             "executing (exit 1 on error-severity findings)")
-    parser.add_argument("--strict", action="store_true",
-                        help="refuse to execute a query with error-severity "
-                             "diagnostics (with --lint: warnings also fail)")
-    arguments = parser.parse_args(argv)
-
-    format_name = arguments.data_format
-    if format_name is None:
-        format_name = "ntriples" if arguments.data.endswith(".nt") else "turtle"
-    graph = parse_graph(_read_text(arguments.data), format=format_name)
+    graph = _load_graph(arguments.data, arguments.data_format)
     evaluator = QueryEvaluator(graph, engine=arguments.engine, strict=arguments.strict)
     query = parse_query(_read_text(arguments.query))
-    if arguments.lint:
-        analysis = analyze_query(query, graph)
-        for diagnostic in analysis.diagnostics:
-            print(diagnostic.render(arguments.query))
-        failed = analysis.has_errors or (arguments.strict and analysis.warnings)
-        return 1 if failed else 0
     try:
         if arguments.explain:
             print(evaluator.explain(query))
@@ -195,52 +337,10 @@ def main_query(argv: Sequence[str] | None = None) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# repro-federate
+# repro federate
 # --------------------------------------------------------------------------- #
-def main_federate(argv: Sequence[str] | None = None) -> int:
+def _federate(arguments: argparse.Namespace) -> int:
     """Run the built-in federation demo (synthetic ReSIST scenario)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-federate",
-        description="Demonstrate federated co-author retrieval over the synthetic scenario.",
-    )
-    parser.add_argument("--persons", type=int, default=40)
-    parser.add_argument("--papers", type=int, default=100)
-    parser.add_argument("--rkb-coverage", type=float, default=0.55)
-    parser.add_argument("--kisti-coverage", type=float, default=0.6)
-    parser.add_argument("--dbpedia-coverage", type=float, default=0.35)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--parallel", type=int, default=8, metavar="WORKERS",
-                        help="concurrent endpoint requests (0 or 1 = sequential)")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                        help="per-attempt endpoint timeout")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="retries per endpoint after a failure")
-    parser.add_argument("--latency", type=float, default=0.0, metavar="SECONDS",
-                        help="simulated per-query endpoint latency")
-    parser.add_argument("--format", choices=_OUTPUT_FORMATS, default="table",
-                        help="print the merged result set in this format "
-                             "(non-table formats move the run summary to stderr)")
-    parser.add_argument("--strategy", choices=["fanout", "decompose"], default="fanout",
-                        help="federated execution strategy: ship the whole query to "
-                             "every dataset (fanout) or run source selection, "
-                             "exclusive groups and bound joins (decompose)")
-    parser.add_argument("--ask-probes", action=argparse.BooleanOptionalAction, default=True,
-                        help="let source selection issue ASK probes for patterns the "
-                             "VoID statistics cannot settle")
-    parser.add_argument("--bind-join-batch", type=int, default=None, metavar="ROWS",
-                        help="ceiling on left rows shipped per bound-join VALUES block "
-                             "(default 256)")
-    parser.add_argument("--explain", action="store_true",
-                        help="print the federated plan (per-dataset sub-queries) "
-                             "instead of executing")
-    parser.add_argument("--analyze", action="store_true",
-                        help="print the EXPLAIN ANALYZE report of the federated run "
-                             "(operator timings, endpoints contacted, rows shipped)")
-    parser.add_argument("--lint", action="store_true",
-                        help="print the static local + federation diagnostics for the "
-                             "demo query instead of executing (exit 1 on errors)")
-    arguments = parser.parse_args(argv)
-
     scenario = build_resist_scenario(
         n_persons=arguments.persons,
         n_papers=arguments.papers,
@@ -363,9 +463,9 @@ def main_federate(argv: Sequence[str] | None = None) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# repro-lint
+# repro lint
 # --------------------------------------------------------------------------- #
-def main_lint(argv: Sequence[str] | None = None) -> int:
+def _lint(arguments: argparse.Namespace) -> int:
     """Run the static query analyzer over a batch of SPARQL files.
 
     Prints one diagnostic per line (``file:line:col: severity[CODE]
@@ -374,30 +474,9 @@ def main_lint(argv: Sequence[str] | None = None) -> int:
     is 1 when any file has error-severity findings (with ``--strict``,
     warnings also fail), 0 otherwise — suitable as a CI gate.
     """
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="Statically analyze SPARQL query files and print diagnostics.",
-    )
-    parser.add_argument("query", nargs="+", help="path(s) to SPARQL query files")
-    parser.add_argument("--data", default=None, metavar="FILE",
-                        help="optional RDF file (Turtle or N-Triples); enables the "
-                             "statistics-aware checks (cartesian product sizing)")
-    parser.add_argument("--data-format", choices=["turtle", "ntriples"], default=None,
-                        help="RDF syntax of --data (guessed from the extension)")
-    parser.add_argument("--format", choices=["text", "json"], default="text",
-                        help="diagnostic output format")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat warnings as failures too")
-    arguments = parser.parse_args(argv)
-
     graph = None
     if arguments.data:
-        format_name = arguments.data_format
-        if format_name is None:
-            format_name = "ntriples" if arguments.data.endswith(".nt") else "turtle"
-        graph = parse_graph(_read_text(arguments.data), format=format_name)
-
-    import json
+        graph = _load_graph(arguments.data, arguments.data_format)
 
     failed = False
     report = []
@@ -437,70 +516,26 @@ def main_lint(argv: Sequence[str] | None = None) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# repro-serve
+# repro serve
 # --------------------------------------------------------------------------- #
-def main_serve(argv: Sequence[str] | None = None) -> int:
+def _serve(arguments: argparse.Namespace) -> int:
     """Publish a SPARQL endpoint over HTTP (the W3C SPARQL Protocol).
 
     Three modes:
 
-    * ``repro-serve data.ttl [more.ttl ...]`` — serve the union of the
+    * ``repro serve data.ttl [more.ttl ...]`` — serve the union of the
       given RDF files as a single endpoint (SELECT/ASK/CONSTRUCT);
-    * ``repro-serve --store DIR`` — serve a persistent
+    * ``repro serve --store DIR`` — serve a persistent
       :class:`~repro.rdf.SegmentStore` directory (built with
-      ``repro-store build``) without loading it into memory;
-    * ``repro-serve --scenario`` — serve the built-in mediated federation
+      ``repro store build``) without loading it into memory;
+    * ``repro serve --scenario`` — serve the built-in mediated federation
       (every SELECT is rewritten per dataset, executed and merged), or one
       scenario dataset with ``--dataset``.
+
+    Tracing is switched on by ``REPRO_TRACE=1`` in the environment.
     """
     from .federation import LocalSparqlEndpoint
     from .server import EndpointBackend, FederationBackend, SparqlHttpServer
-
-    parser = argparse.ArgumentParser(
-        prog="repro-serve",
-        description="Serve an RDF file or the demo federation as a SPARQL Protocol endpoint.",
-    )
-    parser.add_argument("data", nargs="*",
-                        help="RDF file(s) to serve (Turtle or N-Triples); "
-                             "omit when using --scenario")
-    parser.add_argument("--scenario", action="store_true",
-                        help="serve the built-in mediated federation scenario")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="serve a persistent SegmentStore directory "
-                             "(see repro-store build)")
-    parser.add_argument("--dataset", default=None, metavar="URI",
-                        help="with --scenario: serve just this dataset's endpoint "
-                             "instead of the federation")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8080,
-                        help="TCP port (0 binds an ephemeral port)")
-    parser.add_argument("--uri", default=None,
-                        help="endpoint identity URI (defaults to the server URL)")
-    parser.add_argument("--data-format", choices=["turtle", "ntriples"], default=None,
-                        help="RDF syntax of the data files (guessed from the extension)")
-    parser.add_argument("--mode", choices=MEDIATION_MODES, default="filter-aware",
-                        help="rewriting mode of the federation backend")
-    parser.add_argument("--strategy", choices=["fanout", "decompose"], default="fanout",
-                        help="execution strategy of the federation backend")
-    parser.add_argument("--strict", action="store_true",
-                        help="refuse queries with error-severity static-analysis "
-                             "diagnostics (HTTP 400 with a structured JSON body)")
-    parser.add_argument("--cache-size", type=int, default=128,
-                        help="response cache entries (0 disables caching)")
-    parser.add_argument("--persons", type=int, default=40)
-    parser.add_argument("--papers", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--verbose", action="store_true",
-                        help="log every request to stderr")
-    parser.add_argument("--trace", action="store_true",
-                        help="enable distributed tracing (spans export to the "
-                             "REPRO_RUN_EVENTS JSONL file; see repro-trace)")
-    arguments = parser.parse_args(argv)
-
-    if arguments.trace:
-        from .obs import get_tracer
-
-        get_tracer().enable()
 
     modes = sum((arguments.scenario, bool(arguments.data), arguments.store is not None))
     if modes != 1:
@@ -509,18 +544,13 @@ def main_serve(argv: Sequence[str] | None = None) -> int:
         return 2
 
     if arguments.store is not None:
-        from .rdf import StoreError, open_graph
+        from .rdf import open_graph
 
         store_dir = Path(arguments.store)
         if not (store_dir / "MANIFEST.json").exists():
-            print(f"error: {store_dir} is not a store directory "
-                  "(no MANIFEST.json; create one with repro-store build)", file=sys.stderr)
-            return 2
-        try:
-            graph = open_graph(store_dir)
-        except StoreError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+            raise StoreError(f"{store_dir} is not a store directory "
+                             "(no MANIFEST.json; create one with repro store build)")
+        graph = open_graph(store_dir)
         placeholder = f"http://{arguments.host}:{arguments.port or 0}/sparql"
         endpoint = LocalSparqlEndpoint(
             URIRef(arguments.uri or placeholder), graph, name=str(store_dir),
@@ -551,14 +581,9 @@ def main_serve(argv: Sequence[str] | None = None) -> int:
                 strict=arguments.strict,
             )
     else:
-        from .rdf import Graph
-
         graph = Graph()
         for path in arguments.data:
-            format_name = arguments.data_format
-            if format_name is None:
-                format_name = "ntriples" if path.endswith(".nt") else "turtle"
-            graph.add_all(parse_graph(_read_text(path), format=format_name))
+            graph.add_all(_load_graph(path, arguments.data_format))
         placeholder = f"http://{arguments.host}:{arguments.port or 0}/sparql"
         endpoint = LocalSparqlEndpoint(
             URIRef(arguments.uri or placeholder), graph,
@@ -584,115 +609,72 @@ def main_serve(argv: Sequence[str] | None = None) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# repro-store
+# repro store build|compact|stats
 # --------------------------------------------------------------------------- #
-def main_store(argv: Sequence[str] | None = None) -> int:
-    """Build, compact and inspect persistent ``SegmentStore`` directories.
+def _existing_store(directory: str) -> SegmentStore:
+    """Open the store at ``directory``; refuse, creating nothing, if there is none."""
+    if not (Path(directory) / "MANIFEST.json").is_file():
+        raise StoreError(f"no store at {directory}")
+    return SegmentStore(directory)
 
-    Subcommands:
 
-    * ``repro-store build DIR data.ttl [...]`` — parse RDF files into the
-      store at ``DIR`` (created if missing, extended if present) and flush
-      to immutable index segments;
-    * ``repro-store compact DIR`` — merge all segments into one and drop
-      tombstoned deletes;
-    * ``repro-store stats DIR`` — print the format, size, layout and
-      vocabulary statistics without loading any triple data.
+def _store_build(arguments: argparse.Namespace) -> int:
+    """Load RDF files into the store at DIR (created if missing, else extended)."""
+    store = SegmentStore(arguments.store, buffer_limit=arguments.buffer_limit)
+    graph = Graph(store=store)
+    loaded = 0
+    for path in arguments.data:
+        before = len(graph)
+        graph.add_all(_load_graph(path, arguments.data_format))
+        loaded += len(graph) - before
+        print(f"{path}: +{len(graph) - before} triples", file=sys.stderr)
+    graph.close()
+    print(f"{arguments.store}: {len(store)} triples in "
+          f"{len(store.segment_names)} segment(s) (+{loaded} new)")
+    return 0
 
-    ``compact`` and ``stats`` need an existing store: a ``DIR`` without
-    one exits 2 and creates nothing.
-    """
-    from .rdf import Graph, SegmentStore, StoreError
 
-    parser = argparse.ArgumentParser(
-        prog="repro-store",
-        description="Manage persistent triple-store directories (SegmentStore).",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+def _store_compact(arguments: argparse.Namespace) -> int:
+    """Merge all segments into one and drop tombstoned deletes."""
+    store = _existing_store(arguments.store)
+    before = len(store.segment_names)
+    tombstones = store.tombstoned
+    changed = store.compact()
+    store.close()
+    if changed:
+        print(f"{arguments.store}: {before} segment(s) -> "
+              f"{len(store.segment_names)}, {tombstones} tombstone(s) dropped")
+    else:
+        print(f"{arguments.store}: already compact")
+    return 0
 
-    build = commands.add_parser("build", help="load RDF files into a store directory")
-    build.add_argument("store", metavar="DIR", help="store directory (created if missing)")
-    build.add_argument("data", nargs="+", help="RDF file(s) to load (Turtle or N-Triples)")
-    build.add_argument("--data-format", choices=["turtle", "ntriples"], default=None,
-                       help="RDF syntax of the data files (guessed from the extension)")
-    build.add_argument("--buffer-limit", type=int, default=SegmentStore.DEFAULT_BUFFER_LIMIT,
-                       metavar="TRIPLES", help="write-buffer size between segment flushes")
 
-    compact = commands.add_parser("compact",
-                                  help="merge segments and drop tombstoned deletes")
-    compact.add_argument("store", metavar="DIR")
-
-    stats = commands.add_parser("stats", help="print store size and layout statistics")
-    stats.add_argument("store", metavar="DIR")
-    stats.add_argument("--top", type=int, default=5, metavar="N",
-                       help="show the N most frequent predicates and classes")
-
-    arguments = parser.parse_args(argv)
-    if arguments.command != "build" and not (Path(arguments.store) / "MANIFEST.json").is_file():
-        print(f"error: no store at {arguments.store}", file=sys.stderr)
-        return 2
-    try:
-        if arguments.command == "build":
-            store = SegmentStore(arguments.store, buffer_limit=arguments.buffer_limit)
-            graph = Graph(store=store)
-            loaded = 0
-            for path in arguments.data:
-                format_name = arguments.data_format
-                if format_name is None:
-                    format_name = "ntriples" if path.endswith(".nt") else "turtle"
-                before = len(graph)
-                graph.add_all(parse_graph(_read_text(path), format=format_name))
-                loaded += len(graph) - before
-                print(f"{path}: +{len(graph) - before} triples", file=sys.stderr)
-            graph.close()
-            print(f"{arguments.store}: {len(store)} triples in "
-                  f"{len(store.segment_names)} segment(s) (+{loaded} new)")
-            return 0
-
-        if arguments.command == "compact":
-            store = SegmentStore(arguments.store)
-            before = len(store.segment_names)
-            tombstones = store.tombstoned
-            changed = store.compact()
-            store.close()
-            if changed:
-                print(f"{arguments.store}: {before} segment(s) -> "
-                      f"{len(store.segment_names)}, {tombstones} tombstone(s) dropped")
-            else:
-                print(f"{arguments.store}: already compact")
-            return 0
-
-        # stats
-        store = SegmentStore(arguments.store)
-        statistics = store.stats
-        print(f"store:      {arguments.store}")
-        print(f"format:     {store.FORMAT_VERSION}")
-        print(f"triples:    {len(store)}")
-        print(f"segments:   {len(store.segment_names)}"
-              + (f" ({', '.join(store.segment_names)})" if store.segment_names else ""))
-        print(f"buffered:   {store.buffered}")
-        print(f"tombstones: {store.tombstoned}")
-        print(f"terms:      {len(store.dictionary)}")
-        print(f"distinct:   {statistics.distinct_subjects} subjects, "
-              f"{statistics.distinct_predicates} predicates, "
-              f"{statistics.distinct_objects} objects")
-        for label, counts in (("predicate", statistics.predicate_counts),
-                              ("class", statistics.class_counts)):
-            ranked = sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))
-            for term, count in ranked[:max(0, arguments.top)]:
-                print(f"  {label} {term}: {count}")
-        store.close()
-        return 0
-    except StoreError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+def _store_stats(arguments: argparse.Namespace) -> int:
+    """Print format, size, layout and vocabulary statistics; no triple is loaded."""
+    store = _existing_store(arguments.store)
+    statistics = store.stats
+    print(f"store:      {arguments.store}")
+    print(f"format:     {store.FORMAT_VERSION}")
+    print(f"triples:    {len(store)}")
+    print(f"segments:   {len(store.segment_names)}"
+          + (f" ({', '.join(store.segment_names)})" if store.segment_names else ""))
+    print(f"buffered:   {store.buffered}")
+    print(f"tombstones: {store.tombstoned}")
+    print(f"terms:      {len(store.dictionary)}")
+    print(f"distinct:   {statistics.distinct_subjects} subjects, "
+          f"{statistics.distinct_predicates} predicates, "
+          f"{statistics.distinct_objects} objects")
+    for label, counts in (("predicate", statistics.predicate_counts),
+                          ("class", statistics.class_counts)):
+        ranked = sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))
+        for term, count in ranked[:max(0, arguments.top)]:
+            print(f"  {label} {term}: {count}")
+    store.close()
+    return 0
 
 
 # --------------------------------------------------------------------------- #
-# repro-trace
+# repro trace
 # --------------------------------------------------------------------------- #
 #: Span attributes worth showing inline in the rendered tree.
 _TRACE_DETAIL_ATTRS = (
@@ -703,8 +685,6 @@ _TRACE_DETAIL_ATTRS = (
 
 def _load_spans(path: str) -> list[dict]:
     """The ``"kind": "span"`` lines of a ``REPRO_RUN_EVENTS`` JSONL file."""
-    import json
-
     spans: list[dict] = []
     for number, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip():
@@ -787,7 +767,7 @@ def layer_table(spans: list[dict]) -> list[tuple[str, float, int]]:
     )
 
 
-def main_trace(argv: Sequence[str] | None = None) -> int:
+def _trace(arguments: argparse.Namespace) -> int:
     """Render trace span trees from a ``REPRO_RUN_EVENTS`` JSONL file.
 
     Spans (``"kind": "span"`` lines) are grouped by trace id and rendered
@@ -798,24 +778,7 @@ def main_trace(argv: Sequence[str] | None = None) -> int:
     the run-event side of the same file feeds ``benchmarks/compare.py
     --events``.
     """
-    parser = argparse.ArgumentParser(
-        prog="repro-trace",
-        description="Render distributed-trace span trees from a run-events JSONL file.",
-    )
-    parser.add_argument("events", help="path to the REPRO_RUN_EVENTS JSONL file")
-    parser.add_argument("--trace", default=None, metavar="TRACE_ID",
-                        help="render only this trace id (prefixes accepted)")
-    parser.add_argument("--list", action="store_true", dest="list_traces",
-                        help="one summary line per trace instead of full trees")
-    parser.add_argument("--layers", action="store_true",
-                        help="append the time-by-layer aggregation table")
-    arguments = parser.parse_args(argv)
-
-    try:
-        spans = _load_spans(arguments.events)
-    except OSError as error:
-        print(f"error: cannot read {arguments.events}: {error}", file=sys.stderr)
-        return 2
+    spans = _load_spans(arguments.events)
     if arguments.trace:
         spans = [
             span for span in spans
@@ -823,7 +786,7 @@ def main_trace(argv: Sequence[str] | None = None) -> int:
         ]
     if not spans:
         print("error: no trace spans found (enable tracing with REPRO_TRACE=1 "
-              "or repro-serve --trace, and export REPRO_RUN_EVENTS)", file=sys.stderr)
+              "and export REPRO_RUN_EVENTS)", file=sys.stderr)
         return 1
 
     traces: dict[str, list[dict]] = {}
@@ -849,7 +812,3 @@ def main_trace(argv: Sequence[str] | None = None) -> int:
         for layer, seconds, count in rows:
             print(f"  {layer:<{width}}  {seconds * 1000:9.2f} ms  ({count} spans)")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    sys.exit(main_federate())

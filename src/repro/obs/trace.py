@@ -18,7 +18,7 @@ the hot loop carries zero tracing overhead in either mode.
 
 Finished spans are kept in a bounded in-memory ring (for tests and the
 slow-query log) and exported as JSONL via the ``REPRO_RUN_EVENTS`` sink
-(``"kind": "span"`` lines), where ``repro-trace`` renders them.
+(``"kind": "span"`` lines), where ``repro trace`` renders them.
 """
 
 from __future__ import annotations

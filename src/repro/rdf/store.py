@@ -905,7 +905,7 @@ class SegmentStore(Store):
                 raise StoreError(
                     f"{manifest_path}: store format {manifest.get('format')!r} cannot be "
                     f"read by this version, which reads format {_FORMAT_VERSION}; rebuild "
-                    f"the store from its RDF source with `repro-store build`"
+                    f"the store from its RDF source with `repro store build`"
                 )
         else:
             manifest = {"format": _FORMAT_VERSION, "segments": [], "next_segment": 1}

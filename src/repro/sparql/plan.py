@@ -36,7 +36,7 @@ compiles a plan onto its ``Vec*`` operators once per execution
 (:func:`repro.sparql.exec.compile_planner_query`).
 
 Plans render as an ``EXPLAIN``-style operator tree via
-:meth:`QueryPlan.explain` (exposed on the CLI as ``repro-query
+:meth:`QueryPlan.explain` (exposed on the CLI as ``repro query
 --explain``).  Planned execution is solution-equivalent to the reference
 evaluator: the same multiset of solutions, in the same order whenever the
 query constrains order (ORDER BY); the conformance corpus and the

@@ -556,7 +556,7 @@ class TestSegmentStore:
         before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
         mapped = []
         monkeypatch.setattr(mmap, "mmap", lambda *args, **kwargs: mapped.append(args))
-        with pytest.raises(StoreError, match="format 1.*format 2.*repro-store build"):
+        with pytest.raises(StoreError, match="format 1.*format 2.*repro store build"):
             SegmentStore(tmp_path)
         assert mapped == []
         assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before

@@ -226,5 +226,62 @@ def test_inv011_scope():
     assert _rewriter_findings("tests/core/seeded.py") == []
 
 
+SEEDED_ENTRY_POINT = """\
+import argparse
+from argparse import ArgumentParser
+
+def main():
+    return ArgumentParser().parse_args()
+
+if __name__ == "__main__":
+    main()
+
+if "__main__" == __name__:
+    main()
+
+if __name__ != "__main__":
+    pass
+"""
+
+
+def _entry_point_findings(relative: str) -> list[str]:
+    path = REPO_ROOT / relative
+    return [
+        finding.render()
+        for finding in lints.check_one_entry_point(ast.parse(SEEDED_ENTRY_POINT), path)
+    ]
+
+
+def test_inv012_reports_parsers_and_main_blocks_outside_the_cli():
+    parser = (
+        "[INV012] argparse imported outside cli.py: add a subcommand to the "
+        "repro command instead of a second parser"
+    )
+    guard = (
+        '[INV012] if __name__ == "__main__" block outside __main__.py: run it as '
+        "a repro subcommand (python -m repro <subcommand>)"
+    )
+    path = "src/repro/serve_main.py"
+    assert _entry_point_findings(path) == [
+        f"{path}:1: {parser}",
+        f"{path}:2: {parser}",
+        f"{path}:7: {guard}",
+        f"{path}:10: {guard}",
+    ]
+
+
+def test_inv012_scope():
+    # cli.py owns the parser, __main__.py the one main block; each only that.
+    assert [line.split(": ")[0] for line in _entry_point_findings("src/repro/cli.py")] == [
+        "src/repro/cli.py:7", "src/repro/cli.py:10",
+    ]
+    assert [line.split(": ")[0] for line in _entry_point_findings("src/repro/__main__.py")] == [
+        "src/repro/__main__.py:1", "src/repro/__main__.py:2",
+    ]
+    # Tools, benchmarks and examples are scripts with their own parsers.
+    assert _entry_point_findings("tools/seeded.py") == []
+    assert _entry_point_findings("benchmarks/e15/seeded.py") == []
+
+
 def test_the_repository_is_clean():
     assert lints.main() == 0

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant lints, run as a hard CI gate.
 
-Ten structural invariants that ordinary linters do not express, checked
+Eleven structural invariants that ordinary linters do not express, checked
 with nothing but the stdlib ``ast`` module:
 
 1. **Hot-loop allocation ban** — inside the batched executor
@@ -26,7 +26,7 @@ with nothing but the stdlib ``ast`` module:
 4. **Operator span coverage** — every concrete ``Vec*`` operator class
    (a class named ``Vec...``/``_Vec...`` deriving from a ``Vec`` base)
    must assign a ``span_name`` in its class body, so distributed traces
-   and ``repro-trace`` can attribute execution time to every operator.
+   and ``repro trace`` can attribute execution time to every operator.
    The ``VecOperator`` base itself is exempt: it defines the fallback.
 
 5. **Store API boundary** — outside ``src/repro/rdf/``, no code may reach
@@ -71,6 +71,12 @@ with nothing but the stdlib ``ast`` module:
     the one rewriting path (``bgp`` and ``filter-aware`` are settings of
     the same rewriter); a construction anywhere else would let a second
     rewriting path, with its own walk of the query, grow back.
+
+12. **One command-line entry point** — under ``src/repro/``, only
+    ``cli.py`` imports ``argparse``, and only ``__main__.py`` has an
+    ``if __name__ == "__main__"`` block.  Every command is a subcommand of
+    ``repro`` (``repro.cli:main``); a second parser or a runnable module
+    would be a second entry point with its own options and error handling.
 
 Exit status is non-zero when any violation is found.  Findings are printed
 one per line as ``path:line: [INVxxx] message`` so CI logs read like
@@ -511,6 +517,46 @@ def check_one_rewriter(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
+# INV012 — one command-line entry point
+# --------------------------------------------------------------------------- #
+
+CLI_PATH = SRC_PACKAGE / "cli.py"
+MAIN_MODULE_PATH = SRC_PACKAGE / "__main__.py"
+
+
+def _is_main_guard(node: ast.If) -> bool:
+    """``if __name__ == "__main__":`` (either operand order)."""
+    test = node.test
+    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.Eq)):
+        return False
+    operands = [test.left, *test.comparators]
+    return (any(isinstance(o, ast.Name) and o.id == "__name__" for o in operands)
+            and any(isinstance(o, ast.Constant) and o.value == "__main__" for o in operands))
+
+
+def check_one_entry_point(tree: ast.Module, path: Path) -> list[Finding]:
+    if SRC_PACKAGE not in path.parents:
+        return []
+    findings: list[Finding] = []
+    for node in ast.walk(tree):
+        if (path != CLI_PATH and isinstance(node, (ast.Import, ast.ImportFrom))
+                and _imports_module(node, "argparse")):
+            findings.append(Finding(
+                path, node.lineno, "INV012",
+                "argparse imported outside cli.py: add a subcommand to the "
+                "repro command instead of a second parser",
+            ))
+        elif path != MAIN_MODULE_PATH and isinstance(node, ast.If) and _is_main_guard(node):
+            findings.append(Finding(
+                path, node.lineno, "INV012",
+                'if __name__ == "__main__" block outside __main__.py: run it as '
+                "a repro subcommand (python -m repro <subcommand>)",
+            ))
+    return sorted(findings, key=lambda finding: finding.line)
+
+
+# --------------------------------------------------------------------------- #
 
 def main() -> int:
     findings: list[Finding] = []
@@ -533,6 +579,7 @@ def main() -> int:
             findings.extend(check_http_transport(tree, path))
             findings.extend(check_one_federation_path(tree, path))
             findings.extend(check_one_rewriter(tree, path))
+            findings.extend(check_one_entry_point(tree, path))
             if path == EXEC_PATH:
                 findings.extend(check_hot_loops(tree, path))
             if path == PLAN_PATH:
