@@ -20,8 +20,10 @@ questions every engine layer asks of it:
 Two implementations ship:
 
 * :class:`MemoryStore` — nested-dict SPO/POS/OSP permutation indexes over
-  interned ids, entirely in RAM.  This is the historical ``Graph``
-  behaviour, now behind the contract.
+  interned ids, entirely in RAM.  A leaf bucket that holds one id is a
+  1-tuple and becomes a set on its second id, which halves the index's
+  footprint (about 370 instead of 760 bytes per triple on E15's entity
+  graph) without changing the order any scan yields rows in.
 * :class:`SegmentStore` — a persistent store: immutable sorted SPO/POS/OSP
   index segments on disk (24-byte little-endian records, memory-mapped
   and bisected in place as integer arrays so a query never loads a full
@@ -56,6 +58,10 @@ from typing import NamedTuple, TypeVar
 from .namespace import RDF
 from .terms import BNode, Literal, Term, URIRef
 from .triple import Triple
+
+#: ``RDF.type`` built once: the attribute builds and checks a new URIRef
+#: on every access, and :meth:`GraphStatistics._record` runs per mutation.
+_RDF_TYPE = RDF.type
 
 __all__ = [
     "UNBOUND_ID",
@@ -169,7 +175,7 @@ class GraphStatistics:
                 counts[term] = updated
             else:
                 counts.pop(term, None)
-        if p == RDF.type:
+        if p == _RDF_TYPE:
             updated = self.class_counts.get(o, 0) + delta
             if updated > 0:
                 self.class_counts[o] = updated
@@ -314,32 +320,57 @@ class Store:
 # --------------------------------------------------------------------------- #
 # Shared id-level permutation index (memory store + segment write buffer)
 # --------------------------------------------------------------------------- #
+#: One permutation index: ``a -> b -> bucket`` of ``c`` ids.
+_Permutation = dict[int, dict[int, tuple[int] | set[int]]]
+
+
 class _IdIndex:
-    """SPO/POS/OSP nested-dict indexes over dictionary ids."""
+    """SPO/POS/OSP nested-dict indexes over dictionary ids.
+
+    A bucket holding one id is the 1-tuple ``(c,)`` (48 bytes instead of a
+    216-byte set); its second id promotes it to the set ``{old, c}``, and a
+    set never goes back to a tuple.  A bucket that loses its last id is
+    deleted, whatever its type.  Tuples and sets share ``in``, iteration
+    and ``len``, so :meth:`contains`, :meth:`scan` and :meth:`count` read
+    both alike.
+
+    Promotion keeps scan order: a tuple bucket stands for a set that has
+    only ever held its one id, and ``{old, c}`` inserts the same ids in the
+    same order into a fresh set, so the promoted set has the slot layout —
+    and the iteration order — that adding to the set would have given.
+    """
 
     __slots__ = ("spo", "pos", "osp", "size")
 
     def __init__(self) -> None:
-        self.spo: dict[int, dict[int, set[int]]] = {}
-        self.pos: dict[int, dict[int, set[int]]] = {}
-        self.osp: dict[int, dict[int, set[int]]] = {}
+        self.spo: _Permutation = {}
+        self.pos: _Permutation = {}
+        self.osp: _Permutation = {}
         self.size = 0
 
     @staticmethod
-    def _insert(index: dict[int, dict[int, set[int]]], a: int, b: int, c: int) -> None:
-        index.setdefault(a, {}).setdefault(b, set()).add(c)
-
-    @staticmethod
-    def _prune(index: dict[int, dict[int, set[int]]], a: int, b: int, c: int) -> None:
+    def _insert(index: _Permutation, a: int, b: int, c: int) -> None:
         level = index.get(a)
         if level is None:
+            index[a] = {b: (c,)}
             return
         bucket = level.get(b)
         if bucket is None:
+            level[b] = (c,)
+        elif type(bucket) is tuple:
+            level[b] = {bucket[0], c}
+        else:
+            bucket.add(c)
+
+    @staticmethod
+    def _prune(index: _Permutation, a: int, b: int, c: int) -> None:
+        """Remove ``c``, which :meth:`discard` has checked is present."""
+        level = index[a]
+        bucket = level[b]
+        if len(bucket) > 1:
+            bucket.remove(c)
             return
-        bucket.discard(c)
-        if not bucket:
-            del level[b]
+        del level[b]
         if not level:
             del index[a]
 
@@ -433,8 +464,9 @@ class _IdIndex:
 class MemoryStore(Store):
     """The volatile backend: id-level permutation indexes in nested dicts.
 
-    This is the historical :class:`Graph` representation moved behind the
-    :class:`Store` contract.  Statistics are maintained term-keyed on the
+    The indexes are one :class:`_IdIndex`, whose one-id buckets are
+    1-tuples promoted to sets on a second id (see there for why scans keep
+    their order).  Statistics are maintained term-keyed on the
     way in (the mutation API is term-level), so :attr:`stats` is always a
     live object — no materialisation step.
     """
@@ -912,7 +944,7 @@ class SegmentStore(Store):
             _atomic_json(manifest_path, manifest)
 
         self._dictionary = self._open_dictionary()
-        self._rdf_type_id = self._dictionary.intern(RDF.type)
+        self._rdf_type_id = self._dictionary.intern(_RDF_TYPE)
         self._next_segment = int(manifest.get("next_segment", 1))
         try:
             segments: list[_Segment] = []

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import json
 import mmap
+import random
 import struct
 import sys
 import threading
+import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from itertools import product
@@ -43,7 +45,7 @@ from repro.rdf import (
     open_graph,
     open_store,
 )
-from repro.rdf.store import _ORDERINGS
+from repro.rdf.store import _ORDERINGS, _IdIndex
 from repro.sparql import QueryEvaluator
 
 EX = "http://example.org/"
@@ -316,6 +318,100 @@ def test_stats_equal_recount_after_interleaving(backend, operations, tmp_path_fa
         assert graph.dictionary.lookup(_NEVER) == 0
     finally:
         graph.close()
+
+
+# --------------------------------------------------------------------------- #
+# _IdIndex: one-id buckets are 1-tuples, promoted to sets on a second id
+# --------------------------------------------------------------------------- #
+class _SetIndex(_IdIndex):
+    """The index with every bucket a set: the reference for scan order.
+
+    Only the bucket rule differs; ``contains``/``scan``/``count`` are
+    inherited, so a difference in output lists is the bucket rule's.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _insert(index, a, b, c):
+        index.setdefault(a, {}).setdefault(b, set()).add(c)
+
+    @staticmethod
+    def _prune(index, a, b, c):
+        level = index[a]
+        level[b].discard(c)
+        if not level[b]:
+            del level[b]
+        if not level:
+            del index[a]
+
+
+@st.composite
+def _index_operations(draw):
+    """Adds and discards over a few ids from a dense or a wide range.
+
+    Ids 1..3 share buckets often.  Ids from 5000 up are 0 or 1 modulo 8,
+    so they often take the same slot of a small set, where the order the
+    ids went in decides the order they iterate in.
+    """
+    wide = st.builds(lambda k, r: 5000 + 8 * k + r, st.integers(0, 625), st.integers(0, 1))
+    pool = draw(st.lists(draw(st.sampled_from([st.integers(1, 3), wide])),
+                         min_size=1, max_size=6, unique=True))
+    ids = st.sampled_from(pool)
+    return draw(st.lists(st.tuples(st.sampled_from(["add", "discard"]), ids, ids, ids),
+                         max_size=60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(operations=_index_operations())
+# 5001 and 5009 take the same slot of a small set: {5009, 5001} iterates
+# the other way round from the set they were added to in order.
+@example(operations=[("add", 5001, 5002, 5001), ("add", 5001, 5002, 5009)])
+# Promoted, shrunk to one id (stays a set), emptied, then re-added.
+@example(operations=[("add", 1, 1, 1), ("add", 1, 1, 9), ("discard", 1, 1, 1),
+                     ("add", 1, 1, 17), ("discard", 1, 1, 9), ("discard", 1, 1, 17),
+                     ("add", 1, 1, 9), ("add", 1, 1, 1)])
+def test_id_index_scans_equal_the_all_set_index(operations):
+    index, reference = _IdIndex(), _SetIndex()
+    for action, s, p, o in operations:
+        assert getattr(index, action)(s, p, o) == getattr(reference, action)(s, p, o)
+    assert index.size == reference.size
+    used = {i for _, *ids in operations for i in ids}
+    probes = [0, *sorted(used), max(used, default=0) + 1]
+    for s, p, o in product(probes, repeat=3):
+        assert list(index.scan(s, p, o)) == list(reference.scan(s, p, o)), (s, p, o)
+        assert index.count(s, p, o) == reference.count(s, p, o), (s, p, o)
+        assert index.contains(s, p, o) == reference.contains(s, p, o), (s, p, o)
+
+
+def _index_bytes(factory, triples) -> int:
+    """Bytes tracemalloc sees allocated while ``triples`` go into a new index."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = factory()
+        for triple in triples:
+            index.add(*triple)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_id_buckets_halve_the_index_footprint():
+    # E15's entity graph in ids: 2000 entities, each with a group (of 5), a
+    # rank (of 3), a random other entity it knows and a name of its own.
+    entities = 2000
+    group, rank, knows, name = range(entities + 1, entities + 5)
+    groups, ranks = range(entities + 5, entities + 10), range(entities + 10, entities + 13)
+    rng = random.Random(15)
+    triples = []
+    for e in range(1, entities + 1):
+        triples += [(e, group, groups[e % 5]), (e, rank, ranks[e % 3]),
+                    (e, knows, rng.randrange(1, entities + 1)), (e, name, entities + 13 + e)]
+    tuples = _index_bytes(_IdIndex, triples)
+    sets = _index_bytes(_SetIndex, triples)
+    per_triple = f"{tuples / len(triples):.0f} vs {sets / len(triples):.0f} B/triple"
+    assert tuples <= 0.55 * sets, per_triple
 
 
 # --------------------------------------------------------------------------- #

@@ -13,6 +13,53 @@ _SPEC = importlib.util.spec_from_file_location(
 lints = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(lints)
 
+SEEDED_ID_INDEX = """\
+class _IdIndex:
+    def count(self, s, p, o):
+        return len(self.spo.get(s, {}).get(p, ()))
+
+class MemoryStore:
+    def objects(self, s, p):
+        return self._index.spo[s][p]
+
+def leak(index, s, p, o):
+    index.pos.setdefault(p, {}).setdefault(o, set()).add(s)
+    return index.osp
+"""
+
+
+def _id_index_findings(relative: str) -> list[str]:
+    path = REPO_ROOT / relative
+    return [
+        finding.render()
+        for finding in lints.check_id_index_private(ast.parse(SEEDED_ID_INDEX), path)
+    ]
+
+
+def test_inv005_reports_index_access_outside_the_id_index():
+    def message(attr: str) -> str:
+        return (f"[INV005] .{attr} used outside class _IdIndex: its buckets are 1-tuples "
+                "or sets by that class's rule; use scan/count/contains or the Store API")
+
+    path = "src/repro/rdf/store.py"
+    assert _id_index_findings(path) == [
+        f"{path}:7: {message('spo')}",
+        f"{path}:10: {message('pos')}",
+        f"{path}:11: {message('osp')}",
+    ]
+
+
+def test_inv005_scope():
+    # Anywhere under src/repro/ the rule is the same; tests and benchmarks
+    # may read the index (the scan-order and footprint tests do).
+    assert [line.split(": ")[0] for line in _id_index_findings("src/repro/sparql/exec.py")] == [
+        "src/repro/sparql/exec.py:7", "src/repro/sparql/exec.py:10",
+        "src/repro/sparql/exec.py:11",
+    ]
+    assert _id_index_findings("tests/rdf/seeded.py") == []
+    assert _id_index_findings("benchmarks/e15/seeded.py") == []
+
+
 SEEDED = """\
 import copy
 import json

@@ -29,13 +29,13 @@ with nothing but the stdlib ``ast`` module:
    and ``repro trace`` can attribute execution time to every operator.
    The ``VecOperator`` base itself is exempt: it defines the fallback.
 
-5. **Store API boundary** — outside ``src/repro/rdf/``, no code may reach
-   into the storage internals that used to be ``Graph`` attributes
-   (``_spo``/``_osp``/``_id_spo``/``_id_pos``/``_id_osp``/``_triples``).
-   Everything goes through the ``Store`` contract: ``triples()``,
-   ``triples_ids()``, ``cardinality()``, ``stats``, ``dictionary``.
-   (``_pos`` is deliberately not on the list: tokenizer/parser classes
-   legitimately use ``self._pos`` for their cursor position.)
+5. **The id index's buckets stay private** — under ``src/repro/``, the
+   ``.spo``/``.pos``/``.osp`` attributes are read or written only inside
+   ``class _IdIndex`` (``rdf/store.py``).  A bucket there is a 1-tuple
+   while it holds one id and a set from its second id on; code elsewhere
+   that mutated a bucket or assumed it was a set would break that rule.
+   Everything else goes through ``_IdIndex.scan``/``count``/``contains``
+   or the ``Store`` contract (``triples_ids()``, ``cardinality()``, ...).
 
 6. **Result path stays off the slow encoders** — no ``copy.deepcopy``
    call anywhere under ``src/repro/`` (query ASTs are copied by their
@@ -341,33 +341,39 @@ def check_span_names(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
-# INV005 — storage internals are private to src/repro/rdf/
+# INV005 — the id index's buckets are private to class _IdIndex
 # --------------------------------------------------------------------------- #
 
-#: Index attributes of the storage layer.  ``_pos`` is deliberately absent:
-#: tokenizer/parser classes use ``self._pos`` as a cursor position and the
-#: check matches attribute names anywhere, not just on graphs.
-STORE_INTERNAL_ATTRS = {"_spo", "_osp", "_id_spo", "_id_pos", "_id_osp", "_triples"}
-RDF_PACKAGE = REPO_ROOT / "src" / "repro" / "rdf"
+SRC_PACKAGE = REPO_ROOT / "src" / "repro"
+#: The permutation indexes of ``_IdIndex``, whose bucket type (1-tuple or
+#: set) is that class's own business.
+ID_INDEX_ATTRS = {"spo", "pos", "osp"}
+ID_INDEX_CLASS = "_IdIndex"
 
 
-def check_store_boundary(tree: ast.Module, path: Path) -> list[Finding]:
-    if RDF_PACKAGE in path.parents:
+def check_id_index_private(tree: ast.Module, path: Path) -> list[Finding]:
+    if SRC_PACKAGE not in path.parents:
         return []
-    return [
+    inside = {
+        id(node)
+        for klass in ast.walk(tree)
+        if isinstance(klass, ast.ClassDef) and klass.name == ID_INDEX_CLASS
+        for node in ast.walk(klass)
+    }
+    return sorted((
         Finding(path, node.lineno, "INV005",
-                f"direct access to storage internal .{node.attr}: outside "
-                "rdf/ use the Store API (triples_ids/cardinality/stats)")
+                f".{node.attr} used outside class _IdIndex: its buckets are 1-tuples "
+                "or sets by that class's rule; use scan/count/contains or the Store API")
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in STORE_INTERNAL_ATTRS
-    ]
+        if isinstance(node, ast.Attribute) and node.attr in ID_INDEX_ATTRS
+        and id(node) not in inside
+    ), key=lambda finding: finding.line)
 
 
 # --------------------------------------------------------------------------- #
 # INV006 — no deepcopy in src/repro/, no json.dumps(indent=) in src/repro/sparql/
 # --------------------------------------------------------------------------- #
 
-SRC_PACKAGE = REPO_ROOT / "src" / "repro"
 SPARQL_PACKAGE = SRC_PACKAGE / "sparql"
 
 
@@ -574,7 +580,7 @@ def main() -> int:
             findings.extend(check_bare_except(tree, path))
             findings.extend(check_lock_discipline(tree, path))
             findings.extend(check_span_names(tree, path))
-            findings.extend(check_store_boundary(tree, path))
+            findings.extend(check_id_index_private(tree, path))
             findings.extend(check_result_path_encoders(tree, path))
             findings.extend(check_http_transport(tree, path))
             findings.extend(check_one_federation_path(tree, path))
