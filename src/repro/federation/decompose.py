@@ -249,9 +249,7 @@ class DecomposedPlan:
             lines.append(f"  empty result: {self.empty_reason}")
             lines.append("  no endpoint is contacted")
         for index, unit in enumerate(self.units):
-            kind = _unit_kind(unit)
-            join = _join_label(unit, seed=index == 0)
-            lines.append(f"  unit {index + 1} [{kind}; {join}; est={unit.estimate:.1f}]")
+            lines.append(f"  unit {index + 1} {_unit_label(unit, seed=index == 0)}")
             for pattern in unit.patterns:
                 lines.append(f"    pattern {pattern_text(pattern)}")
             for uri in unit.sources:
@@ -283,15 +281,18 @@ def _unit_kind(unit: QueryUnit) -> str:
     return "pattern"
 
 
-def _join_label(unit: QueryUnit, seed: bool) -> str:
-    """How a unit meets the rows produced before it."""
+def _unit_label(unit: QueryUnit, seed: bool) -> str:
+    """``[kind; join; est=N]``: what a unit is and how it meets the rows
+    produced before it, as both EXPLAIN and ANALYZE print it."""
     if seed:
-        return "seed scan"
-    if not unit.join_variables:
-        return "cross join"
-    rendered = " ".join(f"?{v.name}" for v in unit.join_variables)
-    routed = ", keys routed by subject hash" if unit.subject in unit.join_variables else ""
-    return f"bound join on ({rendered}){routed}"
+        join = "seed scan"
+    elif not unit.join_variables:
+        join = "cross join"
+    else:
+        rendered = " ".join(f"?{v.name}" for v in unit.join_variables)
+        routed = ", keys routed by subject hash" if unit.subject in unit.join_variables else ""
+        join = f"bound join on ({rendered}){routed}"
+    return f"[{_unit_kind(unit)}; {join}; est={unit.estimate:.1f}]"
 
 
 # --------------------------------------------------------------------------- #
@@ -1090,10 +1091,8 @@ class _VecUnitOp(VecOperator):
             yield flush(chunk)
 
     def describe(self) -> str:
-        kind = _unit_kind(self.unit)
-        join = _join_label(self.unit, seed=not self.in_schema)
         sources = ", ".join(str(uri) for uri in self.unit.sources)
-        return f"Unit [{kind}; {join}; est={self.est:.1f}] <- {sources}"
+        return f"Unit {_unit_label(self.unit, seed=not self.in_schema)} <- {sources}"
 
 
 class _VecCanonicalOp(VecOperator):
@@ -1311,9 +1310,9 @@ class _PlanExecutor:
                 if isinstance(element, Filter)
             ]
             if filters:
-                root = VecFilterOp(ctx, root, filters, graph=_EMPTY_GRAPH)
+                root = VecFilterOp(ctx, root, filters)
             if modifiers.order_by:
-                root = VecOrderByOp(ctx, root, modifiers.order_by, graph=_EMPTY_GRAPH)
+                root = VecOrderByOp(ctx, root, modifiers.order_by)
         root = VecProjectOp(ctx, root, list(variables))
         root = VecDistinctOp(ctx, root)
         if decomposed and (modifiers.offset or modifiers.limit is not None):

@@ -56,12 +56,11 @@ from .evaluator import (
 from .exec import (
     RUN_EVENTS_ENV,
     ExecConfig,
+    ExecPlan,
     QueryRunEvent,
-    compile_planner_query,
 )
 from .plan import (
     CardinalityEstimator,
-    QueryPlan,
     QueryPlanner,
     explain_query,
     plan_query,
@@ -121,12 +120,11 @@ __all__ = [
     "ENGINES", "QueryEvaluator", "evaluate_query", "evaluate_group", "match_bgp",
     "ordered_bgp_patterns",
     # batched execution core
-    "ExecConfig", "QueryRunEvent", "RUN_EVENTS_ENV",
-    "compile_planner_query",
+    "ExecConfig", "ExecPlan", "QueryRunEvent", "RUN_EVENTS_ENV",
     "ExpressionError", "evaluate_expression", "expression_satisfied",
     "effective_boolean_value",
     # planning
-    "QueryPlanner", "QueryPlan", "CardinalityEstimator",
+    "QueryPlanner", "CardinalityEstimator",
     "plan_query", "explain_query",
     # results
     "Binding", "ResultSet", "AskResult", "TermSerializationError",

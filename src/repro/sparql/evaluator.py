@@ -266,7 +266,7 @@ def _apply_element(element, solutions: list[Binding], graph) -> list[Binding]:
 #: Engines accepted by :class:`QueryEvaluator`.
 #:
 #: * ``planner`` — cost-based plan, batched (vectorized) execution
-#:   (:mod:`repro.sparql.plan` compiled onto :mod:`repro.sparql.exec`)
+#:   (:mod:`repro.sparql.plan` building :mod:`repro.sparql.exec`'s operators)
 #: * ``reference`` — the dict-at-a-time bottom-up evaluator of this module,
 #:   kept as the independently-implemented oracle of the differential tests
 ENGINES = ("planner", "reference")
@@ -382,14 +382,13 @@ class QueryEvaluator:
         analyzer proved empty renders as the single ``AnalysisPrune``
         operator that :meth:`analyze` reports.
         """
-        from .plan import explain_header, plan_query
+        from .plan import plan_query
 
         if isinstance(query, str):
             query = parse_query(query)
         analysis, effective = self._prepare(query)
         if analysis is not None and analysis.provably_empty:
-            root = self._empty_plan(query, analysis).root
-            return "\n".join([explain_header(query, self._graph), root.describe()])
+            return self._empty_plan(query, analysis).explain()
         return plan_query(effective, self._graph).explain()
 
     def analyze(self, query: Query | str):
@@ -433,13 +432,13 @@ class QueryEvaluator:
 
     # -- batched compilation --------------------------------------------------- #
     def _compile(self, query: Query):
-        """Plan ``query`` and compile it onto the batched execution core."""
-        from .exec import compile_planner_query
+        """Plan ``query`` onto the batched execution core."""
+        from .plan import QueryPlanner
 
         with get_tracer().start_span(
             "planner.compile", {"engine": self.engine, "layer": "planner"}
         ) as span:
-            plan = compile_planner_query(query, self._graph, self._exec_config)
+            plan = QueryPlanner(self._graph, self._exec_config).plan(query)
             if span.recording:
                 span.set_attribute("operators", len(plan.root.operator_stats()))
         return plan
@@ -453,7 +452,6 @@ class QueryEvaluator:
             self._graph,
             analysis.empty_reason or "analysis proved the query empty",
             self._exec_config,
-            engine=self.engine,
         )
 
     def _finish(self, plan, query: Query) -> None:

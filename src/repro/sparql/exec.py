@@ -26,10 +26,9 @@ as the differential-testing oracle):
 
 Two front ends build operator trees:
 
-* :func:`compile_planner_query` compiles the inert plan tree of
-  :mod:`repro.sparql.plan` (estimator, join ordering, hash/bind join
-  selection and filter pushdown all decided there) onto batched
-  operators, node by node,
+* the cost-based planner (:class:`repro.sparql.plan.QueryPlanner`) builds
+  the operators directly, deciding join order, hash/bind join selection
+  and filter pushdown from their estimates as it goes,
 * the federation decomposer builds its mediator-side join pipeline from
   these operators (see :mod:`repro.federation.decompose`).
 
@@ -40,11 +39,13 @@ using cardinalities *sampled from actual rows* (bind the sampled values
 into the remaining patterns and ask the graph), and the decision is
 recorded for ``EXPLAIN ANALYZE``.
 
-**EXPLAIN ANALYZE**: every operator counts rows/batches in and out and
-its (inclusive) wall time; :meth:`ExecPlan.report` renders the operator
-tree with those numbers and :meth:`ExecPlan.run_event` packages them as a
-structured per-query event consumable by ``benchmarks/compare.py
---events``.
+**EXPLAIN / EXPLAIN ANALYZE**: :meth:`ExecPlan.explain` renders the
+operator tree with its estimates (:meth:`VecOperator.explain_lines`);
+every operator also counts rows/batches in and out and its (inclusive)
+wall time, and :meth:`ExecPlan.report` renders the same tree with those
+numbers and its runtime notes added (:meth:`VecOperator.report_lines`).
+:meth:`ExecPlan.run_event` packages them as a structured per-query event
+consumable by ``benchmarks/compare.py --events``.
 """
 
 from __future__ import annotations
@@ -58,11 +59,9 @@ from typing import Any
 
 from ..obs.export import RUN_EVENTS_ENV, SINK
 from ..rdf import BNode, Term, TermDictionary, Triple, Variable
-from . import plan as _plan
 from .ast import Expression, OrderCondition, Query, SelectQuery
 from .evaluator import BNODE_ANCHOR_PREFIX, _orderable, bnode_anchor, pattern_text
 from .expressions import ExpressionError, evaluate_expression, expression_satisfied
-from .plan import ScanStep
 from .results import Binding
 from .serializer import serialize_expression
 
@@ -73,6 +72,7 @@ __all__ = [
     "OpMetrics",
     "ExecContext",
     "VecOperator",
+    "ScanStep",
     "VecBGPOp",
     "VecTableOp",
     "VecBindJoinOp",
@@ -87,7 +87,6 @@ __all__ = [
     "VecAnalysisPruneOp",
     "ExecPlan",
     "QueryRunEvent",
-    "compile_planner_query",
     "compile_empty_query",
     "maybe_emit_event",
     "RUN_EVENTS_ENV",
@@ -189,7 +188,7 @@ class ExecContext:
 
     __slots__ = (
         "graph", "dictionary", "config", "decisions",
-        "_store_owned", "_query_ids", "_query_terms",
+        "_store_owned", "_query_ids", "_query_terms", "_ordinals",
     )
 
     def __init__(
@@ -215,6 +214,12 @@ class ExecContext:
         self.decisions: list[dict[str, Any]] = []
         self._query_ids: dict[Term, int] = {}
         self._query_terms: list[Term] = []
+        self._ordinals = 0
+
+    def fresh_ordinal(self) -> Variable:
+        """A new ordinal column for an OPTIONAL/UNION sub-plan's rows."""
+        self._ordinals += 1
+        return Variable(f"{_ORD_PREFIX}{self._ordinals}")
 
     def query_term_id(self, term: Term) -> int:
         """The id of a term the *query* supplies (a VALUES cell).
@@ -290,6 +295,17 @@ def pattern_variables(pattern: Triple) -> list[Variable]:
     return result
 
 
+class ScanStep:
+    """One index scan of a BGP chain plus the filters applied right after."""
+
+    __slots__ = ("pattern", "filters", "est")
+
+    def __init__(self, pattern: Triple, filters: list[Expression], est: float) -> None:
+        self.pattern = pattern
+        self.filters = filters
+        self.est = est
+
+
 # --------------------------------------------------------------------------- #
 # Operator base
 # --------------------------------------------------------------------------- #
@@ -321,7 +337,16 @@ class VecOperator:
         return ()
 
     def describe(self) -> str:
+        """The operator's planned form, as EXPLAIN prints it."""
         return type(self).__name__
+
+    def details(self) -> list[str]:
+        """Lines printed under :meth:`describe`, above the children."""
+        return []
+
+    def notes(self) -> str:
+        """Runtime notes ANALYZE appends to :meth:`describe`."""
+        return ""
 
     def limit_rows(self, skip: int, budget: int | None) -> int:
         """A parent slice wants only rows ``skip .. budget`` of each run.
@@ -366,23 +391,34 @@ class VecOperator:
         for child in self.children():
             child.reset()
 
+    def explain_lines(self, indent: int = 0) -> list[str]:
+        """EXPLAIN: the operator tree with its estimates."""
+        return self._tree_lines(indent, analyze=False)
+
     def report_lines(self, indent: int = 0) -> list[str]:
-        metrics = self.metrics
-        line = (
-            f"{'  ' * indent}{self.describe()}"
-            f"  (rows {metrics.rows_in} -> {metrics.rows_out},"
-            f" batches {metrics.batches_out},"
-            f" {metrics.seconds * 1000:.2f} ms)"
-        )
-        lines = [line]
+        """EXPLAIN ANALYZE: :meth:`explain_lines` plus runtime notes and
+        the counters of the most recent execution."""
+        return self._tree_lines(indent, analyze=True)
+
+    def _tree_lines(self, indent: int, analyze: bool) -> list[str]:
+        line = "  " * indent + self.describe()
+        if analyze:
+            metrics = self.metrics
+            line += (
+                f"{self.notes()}  (rows {metrics.rows_in} -> {metrics.rows_out},"
+                f" batches {metrics.batches_out},"
+                f" {metrics.seconds * 1000:.2f} ms)"
+            )
+        pad = "  " * (indent + 1)
+        lines = [line] + [pad + detail for detail in self.details()]
         for child in self.children():
-            lines.extend(child.report_lines(indent + 1))
+            lines.extend(child._tree_lines(indent + 1, analyze))
         return lines
 
     def operator_stats(self, depth: int = 0) -> list[dict[str, Any]]:
         metrics = self.metrics
         stats: list[dict[str, Any]] = [{
-            "operator": self.describe(),
+            "operator": self.describe() + self.notes(),
             "span": self.span_name,
             "depth": depth,
             "rows_in": metrics.rows_in,
@@ -408,9 +444,9 @@ class VecBGPOp(VecOperator):
 
     Rows stream through the chain one at a time (a scan is a correlated
     index lookup per input row), but are handed to the parent in batches
-    that follow the growth schedule of :class:`ExecConfig`.  When
-    ``adaptive`` is on, the chain samples each step's actual output and
-    reorders the remaining steps on misestimates.
+    that follow the growth schedule of :class:`ExecConfig`.  When the
+    config's ``adaptive`` is on, the chain samples each step's actual
+    output and reorders the remaining steps on misestimates.
     """
 
     span_name = "exec.bgp_scan"
@@ -421,13 +457,11 @@ class VecBGPOp(VecOperator):
         in_schema: Schema,
         steps: list[ScanStep],
         tail_filters: list[Expression],
-        adaptive: bool = False,
     ) -> None:
         super().__init__(ctx)
         self.in_schema = in_schema
         self.steps = steps
         self.tail_filters = list(tail_filters)
-        self.adaptive = adaptive
         schema = in_schema
         for step in steps:
             schema = extend_schema(schema, pattern_variables(step.pattern))
@@ -733,7 +767,7 @@ class VecBGPOp(VecOperator):
         while remaining:
             step = remaining.pop(0)
             stream = self._scan_rows(step, stream, layout)
-            if self.adaptive and len(remaining) >= 2:
+            if config.adaptive and len(remaining) >= 2:
                 sample = list(islice(stream, config.sample_rows))
                 exhausted = len(sample) < config.sample_rows
                 observed = len(sample)
@@ -799,28 +833,29 @@ class VecBGPOp(VecOperator):
             yield Batch(declared, buffer)
 
     def describe(self) -> str:
-        suffix = " adaptive" if self.adaptive else ""
-        notes = []
-        if self._budget is not None:
-            notes.append(f"row budget {self._budget}")
-        if self._skip:
-            notes.append(f"first {self._skip} skipped on ids")
-        if notes:
-            suffix += f" [{', '.join(notes)}]"
-        return f"BGPScan est={self.est:.1f}{suffix}"
+        return f"BGPScan est={self.est:.1f}"
 
-    def report_lines(self, indent: int = 0) -> list[str]:
-        lines = super().report_lines(indent)
-        pad = "  " * (indent + 1)
+    def details(self) -> list[str]:
+        lines = []
         for step in self.steps:
             suffix = ""
             if step.filters:
                 rendered = ", ".join(serialize_expression(expr) for expr in step.filters)
                 suffix = f" [filter {rendered}]"
-            lines.append(f"{pad}scan ({pattern_text(step.pattern)}) est={step.est:.1f}{suffix}")
-        for expr in self.tail_filters:
-            lines.append(f"{pad}filter {serialize_expression(expr)}")
+            lines.append(f"scan ({pattern_text(step.pattern)}) est={step.est:.1f}{suffix}")
+        lines.extend(f"filter {serialize_expression(expr)}" for expr in self.tail_filters)
         return lines
+
+    def notes(self) -> str:
+        suffix = " adaptive" if self.ctx.config.adaptive else ""
+        slicing = []
+        if self._budget is not None:
+            slicing.append(f"row budget {self._budget}")
+        if self._skip:
+            slicing.append(f"first {self._skip} skipped on ids")
+        if slicing:
+            suffix += f" [{', '.join(slicing)}]"
+        return suffix
 
 
 # --------------------------------------------------------------------------- #
@@ -1004,20 +1039,21 @@ class _OrdinalMixin:
 
 
 class VecLeftJoinOp(VecOperator, _OrdinalMixin):
-    """OPTIONAL: extend input rows where the sub-plan matches, else pass."""
+    """OPTIONAL: extend left rows where the sub-plan matches, else pass."""
 
     span_name = "exec.left_join"
 
     def __init__(
         self,
         ctx: ExecContext,
-        in_schema: Schema,
+        left: VecOperator,
         right: VecOperator,
         expression: Expression | None,
         ord_var: Variable,
     ) -> None:
         super().__init__(ctx)
-        self.in_schema = in_schema
+        in_schema = left.schema
+        self._left = left
         self._right = right
         self._expression = expression
         self._ord_var = ord_var
@@ -1033,7 +1069,7 @@ class VecLeftJoinOp(VecOperator, _OrdinalMixin):
         # Map a right-output row onto the out schema.
         self._projection = [right_positions[variable] for variable in self.schema]
         self._pad = len(new_vars)
-        self.est = max(right.est, 1.0)
+        self.est = max(left.est, 1.0)
 
     def _run(self, batches: Iterator[Batch]) -> Iterator[Batch]:
         ctx = self.ctx
@@ -1042,7 +1078,7 @@ class VecLeftJoinOp(VecOperator, _OrdinalMixin):
         schema = self.schema
         projection = self._projection
         pad = (UNBOUND,) * self._pad
-        for batch in batches:
+        for batch in self._left.execute(batches):
             tagged = self.tag_batch(batch, self._tagged_schema)
             buckets = self.bucket_by_ordinal(self._right, tagged, self._ord_index)
             out: list[Row] = []
@@ -1062,7 +1098,7 @@ class VecLeftJoinOp(VecOperator, _OrdinalMixin):
             yield Batch(schema, out)
 
     def children(self) -> Sequence[VecOperator]:
-        return (self._right,)
+        return (self._left, self._right)
 
     def describe(self) -> str:
         condition = (
@@ -1150,18 +1186,16 @@ class VecFilterOp(VecOperator):
         ctx: ExecContext,
         child: VecOperator,
         expressions: Sequence[Expression],
-        graph: Any | None = None,
     ) -> None:
         super().__init__(ctx)
         self._child = child
         self._expressions = list(expressions)
-        self._graph = graph if graph is not None else ctx.graph
         self.schema = child.schema
         self.est = max(child.est, 0.0) * (0.5 ** len(self._expressions))
 
     def _run(self, batches: Iterator[Batch]) -> Iterator[Batch]:
         ctx = self.ctx
-        graph = self._graph
+        graph = ctx.graph
         expressions = self._expressions
         schema = self.schema
         for batch in self._child.execute(batches):
@@ -1265,18 +1299,16 @@ class VecOrderByOp(VecOperator):
         ctx: ExecContext,
         child: VecOperator,
         conditions: Sequence[OrderCondition],
-        graph: Any | None = None,
     ) -> None:
         super().__init__(ctx)
         self._child = child
         self._conditions = list(conditions)
-        self._graph = graph if graph is not None else ctx.graph
         self.schema = child.schema
         self.est = child.est
 
     def _run(self, batches: Iterator[Batch]) -> Iterator[Batch]:
         ctx = self.ctx
-        graph = self._graph
+        graph = ctx.graph
         conditions = self._conditions
         schema = self.schema
         rows: list[Row] = []
@@ -1429,13 +1461,20 @@ def maybe_emit_event(event: QueryRunEvent) -> None:
 
 
 class ExecPlan:
-    """A compiled batched plan, ready for execution against one graph."""
+    """The one plan type: a tree of batched operators for one query over
+    one graph, as the planner built it.
 
-    def __init__(self, query: Query, root: VecOperator, ctx: ExecContext, engine: str) -> None:
+    :meth:`explain` renders the tree with its estimates; :meth:`report`
+    renders the same nodes after a run, with runtime notes and counters.
+    """
+
+    #: Engine label of run events, traces and the slow log.
+    engine = "planner"
+
+    def __init__(self, query: Query, root: VecOperator, ctx: ExecContext) -> None:
         self.query = query
         self.root = root
         self.ctx = ctx
-        self.engine = engine
         self._elapsed = 0.0
 
     def execute(self) -> Iterator[Batch]:
@@ -1490,6 +1529,15 @@ class ExecPlan:
         """Wall seconds of the most recent execution."""
         return self._elapsed
 
+    def explain(self) -> str:
+        """EXPLAIN: a header naming the query form and graph size, then
+        the operator tree with its estimates."""
+        form = type(self.query).__name__.replace("Query", "").upper()
+        graph = self.ctx.graph
+        size = len(graph) if hasattr(graph, "__len__") else "?"
+        header = f"plan for {form} query over graph with {size} triples"
+        return "\n".join([header] + self.root.explain_lines(0))
+
     def report(self) -> str:
         """Per-operator rows/batches/time of the most recent execution."""
         return "\n".join(self.root.report_lines(0))
@@ -1508,81 +1556,7 @@ class ExecPlan:
 
 
 # --------------------------------------------------------------------------- #
-# Compilation: plan tree -> batched operators
-# --------------------------------------------------------------------------- #
-def _fresh_ord(counter: list[int]) -> Variable:
-    counter[0] += 1
-    return Variable(f"{_ORD_PREFIX}{counter[0]}")
-
-
-def _compile_node(
-    node: _plan.PhysicalOperator, in_schema: Schema, ctx: ExecContext, counter: list[int]
-) -> VecOperator:
-    """Compile one plan node (:mod:`repro.sparql.plan`), fed rows of
-    ``in_schema``, into its batched operator, keeping every planning
-    decision."""
-    if isinstance(node, _plan.BGPScanOp):
-        return VecBGPOp(
-            ctx, in_schema, node.steps, node.tail_filters, adaptive=ctx.config.adaptive
-        )
-    if isinstance(node, _plan.TableOp):
-        return VecTableOp(ctx, in_schema, node.columns, node.rows)
-    if isinstance(node, _plan.PipelineJoinOp):
-        left = _compile_node(node.left, in_schema, ctx, counter)
-        right = _compile_node(node.right, left.schema, ctx, counter)
-        return VecBindJoinOp(ctx, left, right)
-    if isinstance(node, _plan.HashJoinOp):
-        left = _compile_node(node.left, in_schema, ctx, counter)
-        right = _compile_node(node.right, (), ctx, counter)
-        return VecHashJoinOp(ctx, left, right, node.key)
-    if isinstance(node, _plan.LeftJoinOp):
-        left = _compile_node(node.left, in_schema, ctx, counter)
-        ord_var = _fresh_ord(counter)
-        right = _compile_node(node.right, left.schema + (ord_var,), ctx, counter)
-        left_join = VecLeftJoinOp(ctx, left.schema, right, node.expression, ord_var)
-        return VecBindJoinOp(ctx, left, left_join)
-    if isinstance(node, _plan.UnionOp):
-        ord_var = _fresh_ord(counter)
-        branches = [
-            _compile_node(branch, in_schema + (ord_var,), ctx, counter)
-            for branch in node.branches
-        ]
-        return VecUnionOp(ctx, in_schema, branches, ord_var)
-    if isinstance(node, _plan.FilterOp):
-        child = _compile_node(node.child, in_schema, ctx, counter)
-        return VecFilterOp(ctx, child, node.expressions)
-    if isinstance(node, _plan.ProjectOp):
-        child = _compile_node(node.child, in_schema, ctx, counter)
-        return VecProjectOp(ctx, child, node.projection)
-    if isinstance(node, _plan.DistinctOp):
-        child = _compile_node(node.child, in_schema, ctx, counter)
-        return VecDistinctOp(ctx, child)
-    if isinstance(node, _plan.OrderByOp):
-        child = _compile_node(node.child, in_schema, ctx, counter)
-        return VecOrderByOp(ctx, child, node.conditions)
-    if isinstance(node, _plan.SliceOp):
-        child = _compile_node(node.child, in_schema, ctx, counter)
-        return VecSliceOp(ctx, child, node.offset, node.limit)
-    raise TypeError(f"cannot compile plan node: {node!r}")
-
-
-def compile_planner_query(
-    query: Query, graph: Any, config: ExecConfig | None = None
-) -> ExecPlan:
-    """Plan ``query`` with the cost-based planner and compile the plan onto
-    batched operators.
-
-    All planning (statistics-driven join order, hash vs. bind join
-    selection, filter pushdown) comes from :class:`~repro.sparql.plan.
-    QueryPlanner`; this only builds the executor for it.
-    """
-    ctx = ExecContext(graph, config)
-    root = _compile_node(_plan.plan_query(query, graph).root, (), ctx, [0])
-    return ExecPlan(query, root, ctx, engine="planner")
-
-
-# --------------------------------------------------------------------------- #
-# Compilation: statically-proven-empty queries
+# Statically-proven-empty queries
 # --------------------------------------------------------------------------- #
 class VecAnalysisPruneOp(VecOperator):
     """The whole plan for a query the static analyzer proved empty.
@@ -1613,7 +1587,6 @@ def compile_empty_query(
     graph: Any,
     reason: str,
     config: ExecConfig | None = None,
-    engine: str = "planner",
 ) -> ExecPlan:
     """An :class:`ExecPlan` for a query statically proven to be empty.
 
@@ -1626,4 +1599,4 @@ def compile_empty_query(
     if isinstance(query, SelectQuery):
         schema = tuple(query.effective_projection())
     root = VecAnalysisPruneOp(ctx, schema, reason)
-    return ExecPlan(query, root, ctx, engine=engine)
+    return ExecPlan(query, root, ctx)

@@ -1,19 +1,21 @@
-"""Cost-based query planning.
+"""Cost-based query planning onto the batched executor.
 
 The reference evaluator (:mod:`repro.sparql.evaluator`) materialises the
 full binding list at every step and defers FILTERs to the end of their
 group.  This module compiles the :class:`~repro.sparql.algebra.AlgebraNode`
-tree of a query into a tree of *plan nodes* instead:
+tree of a query straight into the batched operators of
+:mod:`repro.sparql.exec` instead:
 
-* :class:`BGPScanOp` — a chain of index scans over the triple patterns of a
-  BGP, ordered greedily by exact cardinality estimates drawn from the
-  graph's incrementally maintained statistics
+* :class:`~repro.sparql.exec.VecBGPOp` — a chain of index scans over the
+  triple patterns of a BGP, ordered greedily by exact cardinality
+  estimates drawn from the graph's incrementally maintained statistics
   (:meth:`repro.rdf.Graph.cardinality`),
-* :class:`HashJoinOp` — a hash join on the shared variables of two
-  independent sub-plans (build on the right side, probe the left),
-* :class:`PipelineJoinOp` — the nested-loop (bind) join: left solutions
-  flow into the right sub-plan as input rows, so the right side's index
-  scans are correlated lookups.  One cost rule picks between
+* :class:`~repro.sparql.exec.VecHashJoinOp` — a hash join on the shared
+  variables of two independent sub-plans (build on the right side, probe
+  the left),
+* :class:`~repro.sparql.exec.VecBindJoinOp` — the nested-loop (bind) join:
+  left solutions flow into the right sub-plan as input rows, so the right
+  side's index scans are correlated lookups.  One cost rule picks between
   the two (:meth:`QueryPlanner._compile_join`): the right side is compiled
   both alone and bound to the left's certain variables, and the hash join
   is kept only when it is safe (shared variables certainly bound on both
@@ -22,25 +24,24 @@ tree of a query into a tree of *plan nodes* instead:
   ``alone.est <= left.est * max(1, bound.est) * _PROBE_COST``.  A small
   ``VALUES`` table therefore drives index lookups; a large one still
   builds once,
-* :class:`LeftJoinOp` / :class:`UnionOp` — OPTIONAL and UNION, correlated
+* :class:`~repro.sparql.exec.VecLeftJoinOp` /
+  :class:`~repro.sparql.exec.VecUnionOp` — OPTIONAL and UNION, correlated
   with their input the same way,
-* :class:`FilterOp` — FILTERs pushed down to the earliest operator at which
-  every variable of the expression is *certainly* bound (which is exactly
-  the point from which their verdict can no longer change),
-* :class:`ProjectOp` / :class:`DistinctOp` / :class:`OrderByOp` /
-  :class:`SliceOp` — the solution-modifier pipeline.
+* :class:`~repro.sparql.exec.VecFilterOp` — FILTERs pushed down to the
+  earliest operator at which every variable of the expression is
+  *certainly* bound (which is exactly the point from which their verdict
+  can no longer change),
+* project / distinct / order-by / slice operators — the solution-modifier
+  pipeline.
 
-The plan tree is inert data: nodes hold their planning decisions as public
-fields and estimates, and never touch the graph.  The batched executor
-compiles a plan onto its ``Vec*`` operators once per execution
-(:func:`repro.sparql.exec.compile_planner_query`).
-
-Plans render as an ``EXPLAIN``-style operator tree via
-:meth:`QueryPlan.explain` (exposed on the CLI as ``repro query
---explain``).  Planned execution is solution-equivalent to the reference
-evaluator: the same multiset of solutions, in the same order whenever the
-query constrains order (ORDER BY); the conformance corpus and the
-hypothesis differential test pin this down.
+This module defines no operator of its own: the operators it builds are
+the plan (:class:`~repro.sparql.exec.ExecPlan`), so EXPLAIN
+(:meth:`~repro.sparql.exec.ExecPlan.explain`, exposed on the CLI as
+``repro query --explain``) and EXPLAIN ANALYZE render the same nodes.
+Planned execution is solution-equivalent to the reference evaluator: the
+same multiset of solutions, in the same order whenever the query
+constrains order (ORDER BY); the conformance corpus and the hypothesis
+differential test pin this down.
 """
 
 from __future__ import annotations
@@ -63,30 +64,33 @@ from .algebra import (
     translate_group,
     translate_query,
 )
-from .ast import AskQuery, Expression, OrderCondition, Query
-from .evaluator import BNODE_ANCHOR_PREFIX, bnode_anchor, pattern_text
-from .serializer import serialize_expression
+from .ast import AskQuery, Expression, Query
+from .evaluator import bnode_anchor, pattern_text
+from .exec import (
+    ExecConfig,
+    ExecContext,
+    ExecPlan,
+    ScanStep,
+    Schema,
+    VecBGPOp,
+    VecBindJoinOp,
+    VecDistinctOp,
+    VecFilterOp,
+    VecHashJoinOp,
+    VecLeftJoinOp,
+    VecOperator,
+    VecOrderByOp,
+    VecProjectOp,
+    VecSliceOp,
+    VecTableOp,
+    VecUnionOp,
+)
 
 __all__ = [
     "CardinalityEstimator",
-    "PhysicalOperator",
-    "ScanStep",
-    "BGPScanOp",
-    "TableOp",
-    "PipelineJoinOp",
-    "HashJoinOp",
-    "LeftJoinOp",
-    "UnionOp",
-    "FilterOp",
-    "ProjectOp",
-    "DistinctOp",
-    "OrderByOp",
-    "SliceOp",
-    "QueryPlan",
     "QueryPlanner",
     "plan_query",
     "explain_query",
-    "explain_header",
     "order_patterns",
 ]
 
@@ -249,251 +253,18 @@ def possible_variables(node: AlgebraNode) -> set[Variable]:
 
 
 # --------------------------------------------------------------------------- #
-# Plan nodes
-# --------------------------------------------------------------------------- #
-class PhysicalOperator:
-    """Base class of the plan tree: inert data describing one operator.
-
-    Nodes carry only what the executor needs to build their batched
-    counterpart (:func:`repro.sparql.exec.compile_planner_query`) and what
-    EXPLAIN renders; they never touch the graph.
-    """
-
-    #: Estimated output rows for one empty input binding (used for display
-    #: and join-strategy choice; never a correctness input).
-    est: float = 1.0
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return ()
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-    def explain_lines(self, indent: int = 0) -> list[str]:
-        lines = ["  " * indent + self.describe()]
-        for child in self.children():
-            lines.extend(child.explain_lines(indent + 1))
-        return lines
-
-
-class _UnaryOp(PhysicalOperator):
-    """A node over one child plan."""
-
-    def __init__(self, child: PhysicalOperator) -> None:
-        self.child = child
-        self.est = child.est
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.child,)
-
-
-class _BinaryOp(PhysicalOperator):
-    """A join of a left and a right child plan."""
-
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator) -> None:
-        self.left = left
-        self.right = right
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.left, self.right)
-
-
-class ScanStep:
-    """One index scan of a BGP chain plus the filters applied right after."""
-
-    __slots__ = ("pattern", "filters", "est")
-
-    def __init__(self, pattern: Triple, filters: list[Expression], est: float) -> None:
-        self.pattern = pattern
-        self.filters = filters
-        self.est = est
-
-
-class BGPScanOp(PhysicalOperator):
-    """A statistics-ordered chain of index scans with inlined filters."""
-
-    def __init__(self, steps: list[ScanStep], tail_filters: list[Expression]) -> None:
-        self.steps = steps
-        self.tail_filters = tail_filters
-        est = 1.0
-        for step in steps:
-            est *= max(step.est, 0.0)
-        self.est = est
-
-    def describe(self) -> str:
-        return f"BGPScan est={self.est:.1f}"
-
-    def explain_lines(self, indent: int = 0) -> list[str]:
-        lines = ["  " * indent + self.describe()]
-        pad = "  " * (indent + 1)
-        for step in self.steps:
-            suffix = ""
-            if step.filters:
-                rendered = ", ".join(serialize_expression(expr) for expr in step.filters)
-                suffix = f" [filter {rendered}]"
-            lines.append(f"{pad}scan ({pattern_text(step.pattern)}) est={step.est:.1f}{suffix}")
-        for expr in self.tail_filters:
-            lines.append(f"{pad}filter {serialize_expression(expr)}")
-        return lines
-
-
-class TableOp(PhysicalOperator):
-    """An inline solution table (VALUES): term tuples aligned with
-    ``columns``, ``None`` for UNDEF."""
-
-    def __init__(self, columns: Sequence[Variable], rows: Sequence[tuple]) -> None:
-        self.columns = list(columns)
-        self.rows = [tuple(row) for row in rows]
-        self.est = float(len(self.rows))
-
-    def describe(self) -> str:
-        rendered = " ".join(f"?{variable.name}" for variable in self.columns)
-        return f"Table ({rendered}) {len(self.rows)} rows"
-
-
-class PipelineJoinOp(_BinaryOp):
-    """Nested-loop (bind) join: left solutions feed the right plan."""
-
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator) -> None:
-        super().__init__(left, right)
-        self.est = max(left.est, 0.0) * max(right.est, 0.0)
-
-    def describe(self) -> str:
-        return f"BindJoin est={self.est:.1f}"
-
-
-class HashJoinOp(_BinaryOp):
-    """Hash join on shared variables: build the right side once, probe left.
-
-    The right side is planned against an empty input (that is what makes
-    the hash join safe), so the executor may build its table once per
-    execution.
-    """
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        key: Sequence[Variable],
-    ) -> None:
-        super().__init__(left, right)
-        self.key = tuple(sorted(key, key=lambda v: v.name))
-        self.est = max(left.est, 0.0) * max(right.est, 0.0) * 0.1
-
-    def describe(self) -> str:
-        rendered = " ".join(f"?{variable.name}" for variable in self.key)
-        return f"HashJoin on ({rendered}) est={self.est:.1f}"
-
-
-class LeftJoinOp(_BinaryOp):
-    """OPTIONAL: correlated left-outer join with an optional join condition."""
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        expression: Expression | None,
-    ) -> None:
-        super().__init__(left, right)
-        self.expression = expression
-        self.est = max(left.est, 1.0)
-
-    def describe(self) -> str:
-        condition = (
-            f" on [{serialize_expression(self.expression)}]"
-            if self.expression is not None
-            else ""
-        )
-        return f"LeftJoin{condition} est={self.est:.1f}"
-
-
-class UnionOp(PhysicalOperator):
-    """UNION: each input binding flows through every branch, in branch order."""
-
-    def __init__(self, branches: Sequence[PhysicalOperator]) -> None:
-        self.branches = list(branches)
-        self.est = sum(max(branch.est, 0.0) for branch in self.branches)
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return tuple(self.branches)
-
-    def describe(self) -> str:
-        return f"Union est={self.est:.1f}"
-
-
-class FilterOp(_UnaryOp):
-    """A FILTER that could not be pushed further down."""
-
-    def __init__(self, expressions: Sequence[Expression], child: PhysicalOperator) -> None:
-        super().__init__(child)
-        self.expressions = list(expressions)
-        self.est = max(child.est, 0.0) * (0.5 ** len(self.expressions))
-
-    def describe(self) -> str:
-        rendered = ", ".join(serialize_expression(expr) for expr in self.expressions)
-        return f"Filter [{rendered}] est={self.est:.1f}"
-
-
-class ProjectOp(_UnaryOp):
-    """Project each solution onto the requested variables."""
-
-    def __init__(self, projection: Sequence[Variable], child: PhysicalOperator) -> None:
-        super().__init__(child)
-        # Blank-node anchor variables are internal and never projected.
-        self.projection = [
-            variable for variable in projection
-            if not variable.name.startswith(BNODE_ANCHOR_PREFIX)
-        ]
-
-    def describe(self) -> str:
-        rendered = " ".join(f"?{variable.name}" for variable in self.projection)
-        return f"Project ({rendered})"
-
-
-class DistinctOp(_UnaryOp):
-    """Duplicate elimination (first occurrence wins)."""
-
-    def describe(self) -> str:
-        return "Distinct"
-
-
-class OrderByOp(_UnaryOp):
-    """ORDER BY: the one blocking operator (must materialise to sort)."""
-
-    def __init__(self, conditions: Sequence[OrderCondition], child: PhysicalOperator) -> None:
-        super().__init__(child)
-        self.conditions = list(conditions)
-
-    def describe(self) -> str:
-        return f"OrderBy ({len(self.conditions)} conditions, blocking)"
-
-
-class SliceOp(_UnaryOp):
-    """OFFSET/LIMIT: the executor stops pulling once satisfied."""
-
-    def __init__(self, offset: int | None, limit: int | None, child: PhysicalOperator) -> None:
-        super().__init__(child)
-        self.offset = offset or 0
-        self.limit = limit
-        if limit is not None:
-            self.est = min(child.est, float(limit))
-
-    def describe(self) -> str:
-        return f"Slice (offset={self.offset}, limit={self.limit})"
-
-
-# --------------------------------------------------------------------------- #
 # Compilation
 # --------------------------------------------------------------------------- #
 class QueryPlanner:
-    """Compile algebra trees into physical plans for one graph."""
+    """Compile algebra trees onto batched operators for one graph."""
 
-    def __init__(self, graph) -> None:
+    def __init__(self, graph, config: ExecConfig | None = None) -> None:
         self._graph = graph
+        self._config = config
         self._estimator = CardinalityEstimator(graph)
 
     # -- public entry points ------------------------------------------------ #
-    def plan(self, query: Query) -> QueryPlan:
+    def plan(self, query: Query) -> ExecPlan:
         """Plan a full query (WHERE clause plus solution modifiers)."""
         if isinstance(query, AskQuery):
             # ASK ignores solution modifiers; plan the pattern only so the
@@ -501,8 +272,11 @@ class QueryPlanner:
             node = translate_group(query.where)
         else:
             node = translate_query(query)
-        root, _, _ = self._compile(self._coalesce(node), frozenset(), frozenset(), [])
-        return QueryPlan(query, root, self._graph)
+        ctx = ExecContext(self._graph, self._config)
+        root, _, _ = self._compile(
+            self._coalesce(node), ctx, (), frozenset(), frozenset(), []
+        )
+        return ExecPlan(query, root, ctx)
 
     # -- algebra normalisation ---------------------------------------------- #
     @staticmethod
@@ -524,75 +298,84 @@ class QueryPlanner:
     def _compile(
         self,
         node: AlgebraNode,
+        ctx: ExecContext,
+        schema: Schema,
         certain: frozenset,
         possible: frozenset,
         pending: list[Expression],
-    ) -> tuple[PhysicalOperator, frozenset, frozenset]:
-        """Compile ``node`` given the input stream's variable knowledge.
+    ) -> tuple[VecOperator, frozenset, frozenset]:
+        """Compile ``node`` given the input stream's rows and variables.
 
-        ``certain``/``possible`` describe the bindings arriving from the
-        operator's input stream; ``pending`` are FILTER expressions scoped
-        to this subtree that are guaranteed to have been applied by the
-        time the returned operator's output emerges.
+        ``schema`` is the layout of the rows arriving from the operator's
+        input stream, and ``certain``/``possible`` the variables they bind;
+        ``pending`` are FILTER expressions scoped to this subtree that are
+        guaranteed to have been applied by the time the returned
+        operator's output emerges.
         """
         if isinstance(node, AlgebraFilter):
-            return self._compile(node.child, certain, possible, pending + [node.expression])
+            return self._compile(
+                node.child, ctx, schema, certain, possible, pending + [node.expression]
+            )
         if isinstance(node, AlgebraBGP):
-            return self._compile_bgp(node, certain, possible, pending)
+            return self._compile_bgp(node, ctx, schema, certain, possible, pending)
         if isinstance(node, AlgebraTable):
             table_certain = frozenset(certain_variables(node))
             table_possible = frozenset(node.columns)
-            op: PhysicalOperator = TableOp(node.columns, node.rows)
+            op: VecOperator = VecTableOp(ctx, schema, node.columns, node.rows)
             if pending:
                 # FILTERs run at their original position, after the join
                 # with the inline table.
-                op = FilterOp(pending, op)
+                op = VecFilterOp(ctx, op, pending)
             return op, certain | table_certain, possible | table_possible
         if isinstance(node, AlgebraJoin):
-            return self._compile_join(node, certain, possible, pending)
+            return self._compile_join(node, ctx, schema, certain, possible, pending)
         if isinstance(node, AlgebraLeftJoin):
-            return self._compile_leftjoin(node, certain, possible, pending)
+            return self._compile_leftjoin(node, ctx, schema, certain, possible, pending)
         if isinstance(node, AlgebraUnion):
-            branches: list[PhysicalOperator] = []
+            ord_var = ctx.fresh_ordinal()
+            branches: list[VecOperator] = []
             branch_certain: list[frozenset] = []
             branch_possible: list[frozenset] = []
             for child in (node.left, node.right):
-                op, c_out, p_out = self._compile(child, certain, possible, list(pending))
+                op, c_out, p_out = self._compile(
+                    child, ctx, schema + (ord_var,), certain, possible, list(pending)
+                )
                 branches.append(op)
                 branch_certain.append(c_out)
                 branch_possible.append(p_out)
-            union = UnionOp(branches)
             return (
-                union,
+                VecUnionOp(ctx, schema, branches, ord_var),
                 certain | (branch_certain[0] & branch_certain[1]),
                 possible | branch_possible[0] | branch_possible[1],
             )
         if isinstance(node, AlgebraProject):
-            child, c_out, p_out = self._compile(node.child, certain, possible, pending)
+            child, c_out, p_out = self._compile(node.child, ctx, schema, certain, possible, pending)
             projection = frozenset(node.projection)
             return (
-                ProjectOp(node.projection, child),
+                VecProjectOp(ctx, child, node.projection),
                 c_out & projection,
                 p_out & projection,
             )
         if isinstance(node, AlgebraDistinct):
-            child, c_out, p_out = self._compile(node.child, certain, possible, pending)
-            return DistinctOp(child), c_out, p_out
+            child, c_out, p_out = self._compile(node.child, ctx, schema, certain, possible, pending)
+            return VecDistinctOp(ctx, child), c_out, p_out
         if isinstance(node, AlgebraOrderBy):
-            child, c_out, p_out = self._compile(node.child, certain, possible, pending)
-            return OrderByOp(node.conditions, child), c_out, p_out
+            child, c_out, p_out = self._compile(node.child, ctx, schema, certain, possible, pending)
+            return VecOrderByOp(ctx, child, node.conditions), c_out, p_out
         if isinstance(node, AlgebraSlice):
-            child, c_out, p_out = self._compile(node.child, certain, possible, pending)
-            return SliceOp(node.offset, node.limit, child), c_out, p_out
+            child, c_out, p_out = self._compile(node.child, ctx, schema, certain, possible, pending)
+            return VecSliceOp(ctx, child, node.offset, node.limit), c_out, p_out
         raise TypeError(f"cannot compile algebra node: {node!r}")
 
     def _compile_bgp(
         self,
         node: AlgebraBGP,
+        ctx: ExecContext,
+        schema: Schema,
         certain: frozenset,
         possible: frozenset,
         pending: list[Expression],
-    ) -> tuple[PhysicalOperator, frozenset, frozenset]:
+    ) -> tuple[VecOperator, frozenset, frozenset]:
         ordered = order_patterns(node.patterns, set(certain), self._estimator)
         bound = set(certain)
         remaining = list(pending)
@@ -611,22 +394,24 @@ class QueryPlanner:
             steps.append(ScanStep(pattern, attached, est))
         # Whatever could not be pushed runs at the end of the chain — the
         # original FILTER position, so semantics are unchanged.
-        op = BGPScanOp(steps, remaining)
+        op = VecBGPOp(ctx, schema, steps, remaining)
         bgp_vars = frozenset(bound) - certain
         return op, certain | bgp_vars, possible | bgp_vars
 
     def _compile_join(
         self,
         node: AlgebraJoin,
+        ctx: ExecContext,
+        schema: Schema,
         certain: frozenset,
         possible: frozenset,
         pending: list[Expression],
-    ) -> tuple[PhysicalOperator, frozenset, frozenset]:
+    ) -> tuple[VecOperator, frozenset, frozenset]:
         left_static_certain = certain_variables(node.left) | certain
         push_left = [expr for expr in pending if expr.variables() <= left_static_certain]
         rest = [expr for expr in pending if expr not in push_left]
         left_op, left_certain, left_possible = self._compile(
-            node.left, certain, possible, push_left
+            node.left, ctx, schema, certain, possible, push_left
         )
 
         right_certain_static = frozenset(certain_variables(node.right))
@@ -638,79 +423,62 @@ class QueryPlanner:
             and shared <= right_certain_static
         )
         right_op, right_certain, right_possible = self._compile(
-            node.right, left_certain, left_possible, rest
+            node.right, ctx, left_op.schema, left_certain, left_possible, rest
         )
         if hash_safe:
             push_right = [
                 expr for expr in rest if expr.variables() <= right_certain_static
             ]
             right_alone, alone_certain, alone_possible = self._compile(
-                node.right, frozenset(), frozenset(), push_right
+                node.right, ctx, (), frozenset(), frozenset(), push_right
             )
             # Building scans the right side's whole extension once; probing
             # runs the bound right side once per left row.
             probing = left_op.est * max(1.0, right_op.est) * _PROBE_COST
             if right_alone.est <= min(probing, _HASH_BUILD_CEILING):
                 leftover = [expr for expr in rest if expr not in push_right]
-                op: PhysicalOperator = HashJoinOp(
-                    left_op, right_alone, sorted(shared, key=str)
+                op: VecOperator = VecHashJoinOp(
+                    ctx, left_op, right_alone, sorted(shared, key=str)
                 )
                 if leftover:
-                    op = FilterOp(leftover, op)
+                    op = VecFilterOp(ctx, op, leftover)
                 return (
                     op,
                     left_certain | alone_certain,
                     left_possible | alone_possible,
                 )
 
-        return PipelineJoinOp(left_op, right_op), right_certain, right_possible
+        return VecBindJoinOp(ctx, left_op, right_op), right_certain, right_possible
 
     def _compile_leftjoin(
         self,
         node: AlgebraLeftJoin,
+        ctx: ExecContext,
+        schema: Schema,
         certain: frozenset,
         possible: frozenset,
         pending: list[Expression],
-    ) -> tuple[PhysicalOperator, frozenset, frozenset]:
+    ) -> tuple[VecOperator, frozenset, frozenset]:
         left_static_certain = certain_variables(node.left) | certain
         push_left = [expr for expr in pending if expr.variables() <= left_static_certain]
         rest = [expr for expr in pending if expr not in push_left]
         left_op, left_certain, left_possible = self._compile(
-            node.left, certain, possible, push_left
+            node.left, ctx, schema, certain, possible, push_left
         )
+        ord_var = ctx.fresh_ordinal()
         right_op, _, right_possible = self._compile(
-            node.right, left_certain, left_possible, []
+            node.right, ctx, left_op.schema + (ord_var,), left_certain, left_possible, []
         )
-        op: PhysicalOperator = LeftJoinOp(left_op, right_op, node.expression)
+        op: VecOperator = VecLeftJoinOp(ctx, left_op, right_op, node.expression, ord_var)
         if rest:
             # A FILTER above an OPTIONAL also constrains the unextended
             # fallback rows, so it cannot move below the left join.
-            op = FilterOp(rest, op)
+            op = VecFilterOp(ctx, op, rest)
         return op, left_certain, left_possible | right_possible
 
 
-class QueryPlan:
-    """A planned query: the plan tree plus what EXPLAIN's header names."""
-
-    def __init__(self, query: Query, root: PhysicalOperator, graph) -> None:
-        self.query = query
-        self.root = root
-        self.graph = graph
-
-    def explain(self) -> str:
-        """EXPLAIN-style rendering of the operator tree with estimates."""
-        return "\n".join([explain_header(self.query, self.graph)] + self.root.explain_lines(0))
-
-
-def explain_header(query: Query, graph) -> str:
-    """The first line of every EXPLAIN text for ``query`` over ``graph``."""
-    form = type(query).__name__.replace("Query", "").upper()
-    size = len(graph) if hasattr(graph, "__len__") else "?"
-    return f"plan for {form} query over graph with {size} triples"
-
-
-def plan_query(query: Query, graph) -> QueryPlan:
-    """Module-level convenience: compile ``query`` into a plan for ``graph``."""
+def plan_query(query: Query, graph) -> ExecPlan:
+    """Module-level convenience: plan ``query`` over ``graph``."""
     return QueryPlanner(graph).plan(query)
 
 

@@ -188,6 +188,32 @@ def test_analyze_answers_and_runs_the_pinned_tree(
     assert _plan_lines(event.plan) == PLANS[name]["analyze"]
 
 
+#: What ANALYZE adds to an EXPLAIN line: the runtime notes, then the
+#: counters of the run.
+_ANALYZE_ADDITIONS = re.compile(
+    r"( adaptive)?( \[(row budget \d+|first \d+ skipped on ids)"
+    r"(, first \d+ skipped on ids)?\])?"
+    r"  \(rows \d+ -> \d+, batches \d+, [0-9.]+ ms\)$"
+)
+
+
+def explained_tree(report: str) -> list[str]:
+    """An ANALYZE report with its runtime notes and counters stripped."""
+    return [_ANALYZE_ADDITIONS.sub("", line) for line in report.split("\n")]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_explain_and_analyze_print_one_tree(name: str, backend: str, tmp_path: Path) -> None:
+    """ANALYZE runs the tree EXPLAIN prints, node for node."""
+    graph = _load_case_graph(name, backend, tmp_path)
+    query = parse_query((CASES_DIR / f"{name}.rq").read_text(encoding="utf-8"))
+    evaluator = QueryEvaluator(graph)
+    explain = evaluator.explain(query).split("\n")
+    _, event = evaluator.analyze(query)
+    assert explained_tree(event.plan) == explain[1:]
+
+
 def test_every_case_has_pinned_plans() -> None:
     assert sorted(PLANS) == CASE_NAMES
 

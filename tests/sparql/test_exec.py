@@ -18,7 +18,7 @@ from repro.sparql import (
     ENGINES,
     ExecConfig,
     QueryEvaluator,
-    compile_planner_query,
+    QueryPlanner,
     parse_query,
 )
 from repro.sparql.exec import (
@@ -26,10 +26,10 @@ from repro.sparql.exec import (
     UNBOUND,
     Batch,
     ExecContext,
+    ScanStep,
     VecBGPOp,
     seed_batches,
 )
-from repro.sparql.plan import ScanStep
 
 EX = "http://example.org/"
 
@@ -93,7 +93,7 @@ class TestBatching:
         graph = _chain_graph(200)
         query = parse_query("SELECT ?s ?o WHERE { ?s <http://example.org/next> ?o }")
         config = ExecConfig(initial_batch_rows=4, batch_growth=4, max_batch_rows=32)
-        plan = compile_planner_query(query, graph, config)
+        plan = QueryPlanner(graph, config).plan(query)
         sizes = [len(batch.rows) for batch in plan.execute()]
         assert sum(sizes) == 200
         assert sizes[0] <= 4
@@ -119,7 +119,7 @@ class TestBatching:
         for i in range(1000):
             graph.add(Triple(URIRef(EX + f"a{i}"), next_uri, URIRef(EX + f"a{i + 1}")))
         query = parse_query("ASK { ?s <http://example.org/next> ?o }")
-        plan = compile_planner_query(query, graph, ExecConfig())
+        plan = QueryPlanner(graph, ExecConfig()).plan(query)
         assert plan.first_binding() is not None
         assert 1 <= CountingGraph.scanned <= 8
 
@@ -127,7 +127,7 @@ class TestBatching:
         value = Literal("hello", lang="en")
         graph = _graph(("a", "p", value))
         query = parse_query("SELECT ?o WHERE { ?s <http://example.org/p> ?o }")
-        plan = compile_planner_query(query, graph, ExecConfig())
+        plan = QueryPlanner(graph, ExecConfig()).plan(query)
         bindings = list(plan.bindings())
         assert len(bindings) == 1
         assert bindings[0][Variable("o")] == value
@@ -164,7 +164,7 @@ class TestAdaptivity:
     def test_misestimate_triggers_a_recorded_reorder(self):
         graph = _fanout_graph()
         ctx = ExecContext(graph, config=ExecConfig(adaptive=True))
-        op = VecBGPOp(ctx, (), _lying_steps(), [], adaptive=True)
+        op = VecBGPOp(ctx, (), _lying_steps(), [])
         rows = [row for batch in op.execute(seed_batches()) for row in batch.rows]
         assert len(rows) == 200
         assert len(ctx.decisions) == 1
@@ -180,7 +180,7 @@ class TestAdaptivity:
         results = {}
         for adaptive in (True, False):
             ctx = ExecContext(graph, config=ExecConfig(adaptive=adaptive))
-            op = VecBGPOp(ctx, (), _lying_steps(), [], adaptive=adaptive)
+            op = VecBGPOp(ctx, (), _lying_steps(), [])
             decoded = sorted(
                 tuple(sorted(ctx.decode_binding(batch.schema, row).as_dict().items()))
                 for batch in op.execute(seed_batches())
@@ -192,7 +192,7 @@ class TestAdaptivity:
     def test_non_adaptive_op_records_no_decisions(self):
         graph = _fanout_graph()
         ctx = ExecContext(graph, config=ExecConfig(adaptive=False))
-        op = VecBGPOp(ctx, (), _lying_steps(), [], adaptive=False)
+        op = VecBGPOp(ctx, (), _lying_steps(), [])
         list(op.execute(seed_batches()))
         assert ctx.decisions == []
 
@@ -207,7 +207,7 @@ class TestAdaptivity:
           ?b <http://example.org/r> ?c .
         }
         """)
-        plan = compile_planner_query(query, graph, ExecConfig(adaptive=True))
+        plan = QueryPlanner(graph, ExecConfig(adaptive=True)).plan(query)
         list(plan.execute())
         event = plan.run_event("q")
         assert event.adaptivity == plan.ctx.decisions
@@ -274,6 +274,15 @@ class TestAnalyze:
         assert len(result) == 2
         assert event.engine == "planner"
         assert "BGPScan" in event.plan
+
+    def test_reference_engine_labels_a_pruned_plan_planner(self):
+        # A query the analyzer proved empty runs the planner's executor
+        # too, so it carries the same engine label.
+        evaluator = QueryEvaluator(_chain_graph(2), engine="reference")
+        result, event = evaluator.analyze("SELECT ?s WHERE { ?s ?p ?o FILTER(1 = 2) }")
+        assert len(result) == 0
+        assert "AnalysisPrune" in event.plan
+        assert event.engine == "planner"
 
 
 # --------------------------------------------------------------------------- #

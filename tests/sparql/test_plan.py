@@ -19,8 +19,8 @@ from repro.sparql import (
     ordered_bgp_patterns,
     parse_query,
 )
-from repro.sparql.exec import ExecContext, VecBGPOp, VecHashJoinOp, seed_batches
-from repro.sparql.plan import CardinalityEstimator, ScanStep, order_patterns
+from repro.sparql.exec import ExecContext, ScanStep, VecBGPOp, VecHashJoinOp, seed_batches
+from repro.sparql.plan import CardinalityEstimator, order_patterns
 from repro.sparql.results import Binding
 
 

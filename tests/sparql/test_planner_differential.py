@@ -36,6 +36,8 @@ from repro.sparql import (
     VariableExpression,
 )
 
+from .conformance.test_conformance import explained_tree
+
 SUBJECTS = [URIRef(f"http://t.example/s{i}") for i in range(3)]
 PREDICATES = [URIRef(f"http://t.example/p{i}") for i in range(3)]
 OBJECTS = SUBJECTS + [Literal(i) for i in range(3)]
@@ -151,3 +153,15 @@ def test_engines_distinct_matches_reference_evaluator(backend, triples, where):
     query.modifiers.distinct = True
     with _graph_for(backend, triples) as graph:
         _assert_engines_agree(graph, query)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(data_triples, max_size=20), group_patterns())
+def test_explain_and_analyze_print_one_tree(backend, triples, where):
+    query = SelectQuery(Prologue(), [], where)
+    with _graph_for(backend, triples) as graph:
+        evaluator = QueryEvaluator(graph, analysis=False)
+        explain = evaluator.explain(query).split("\n")
+        _, event = evaluator.analyze(query)
+        assert explained_tree(event.plan) == explain[1:]

@@ -20,8 +20,7 @@ import pytest
 
 from repro.rdf import Graph, Literal, SegmentStore, Triple, URIRef, Variable
 from repro.sparql import QueryEvaluator
-from repro.sparql.exec import ExecContext, VecBGPOp
-from repro.sparql.plan import ScanStep
+from repro.sparql.exec import ExecContext, ScanStep, VecBGPOp
 
 EX = "http://example.org/"
 PREFIX = f"PREFIX ex: <{EX}>\n"
@@ -205,10 +204,10 @@ def test_a_scan_fed_by_another_operator_keeps_its_offset(graph):
     pattern = Triple(Variable("s"), KNOWS, Variable("o"))
     fed = VecBGPOp(ctx, (Variable("s"),), [ScanStep(pattern, [], 1.0)], [])
     assert fed.limit_rows(4, 9) == 0
-    assert "row budget 9" in fed.describe() and "skipped" not in fed.describe()
+    assert "row budget 9" in fed.notes() and "skipped" not in fed.notes()
     seeded = VecBGPOp(ctx, (), [ScanStep(pattern, [], 1.0)], [])
     assert seeded.limit_rows(4, 9) == 4
-    assert "first 4 skipped on ids" in seeded.describe()
+    assert "first 4 skipped on ids" in seeded.notes()
 
 
 # ---------------------------------------------------------------------- #

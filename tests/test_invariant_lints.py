@@ -124,17 +124,28 @@ class ScanOp:
     def describe(self):
         return "Scan"
 
+class JoinOp(ScanOp):
+    def children(self):
+        return ()
+
+    def explain_lines(self, indent=0):
+        return []
+
 def execute(plan):
     return plan
 """
 
 
-def test_inv007_reports_executor_code_in_the_planner():
-    path = REPO_ROOT / "src/repro/sparql/plan.py"
-    findings = [
+def _plan_findings(relative: str) -> list[str]:
+    path = REPO_ROOT / relative
+    return [
         finding.render()
-        for finding in lints.check_plan_is_inert(ast.parse(SEEDED_PLAN), path)
+        for finding in lints.check_one_operator_tree(ast.parse(SEEDED_PLAN), path)
     ]
+
+
+def test_inv007_reports_a_second_operator_tree_in_the_planner():
+    path = "src/repro/sparql/plan.py"
     imports = (
         "[INV007] planner imports from .results/.expressions: only an executor "
         "needs bindings or expression evaluation"
@@ -142,17 +153,32 @@ def test_inv007_reports_executor_code_in_the_planner():
 
     def defined(name: str) -> str:
         return (
-            f"[INV007] {name}() defined in the planner: plan nodes are inert "
-            "data, execution belongs to exec.py's Vec* operators"
+            f"[INV007] {name}() defined in the planner: execution belongs to "
+            "exec.py's Vec* operators"
         )
 
-    assert findings == [
-        f"src/repro/sparql/plan.py:1: {imports}",
-        f"src/repro/sparql/plan.py:2: {imports}",
-        f"src/repro/sparql/plan.py:6: {defined('run')}",
-        f"src/repro/sparql/plan.py:9: {defined('reset')}",
-        f"src/repro/sparql/plan.py:15: {defined('execute')}",
+    def node(name: str) -> str:
+        return (
+            f"[INV007] {name}() in the planner: the planner builds exec.py's Vec* "
+            "operators and defines no node of its own"
+        )
+
+    assert _plan_findings(path) == [
+        f"{path}:1: {imports}",
+        f"{path}:2: {imports}",
+        f"{path}:6: {defined('run')}",
+        f"{path}:9: {defined('reset')}",
+        f"{path}:12: {node('ScanOp.describe')}",
+        f"{path}:16: {node('JoinOp.children')}",
+        f"{path}:19: {node('JoinOp.explain_lines')}",
+        f"{path}:22: {defined('execute')}",
     ]
+
+
+def test_inv007_scope():
+    # Only the planner is held to it: exec.py is where the operators live.
+    assert _plan_findings("src/repro/sparql/exec.py") == []
+    assert _plan_findings("tests/sparql/seeded.py") == []
 
 
 SEEDED_HTTP = """\

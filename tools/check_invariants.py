@@ -46,11 +46,13 @@ with nothing but the stdlib ``ast`` module:
    outside ``sparql/`` (``/metrics``, ``/health``, error payloads, the
    store manifest) are small and stay as they are.
 
-7. **The plan tree stays inert** — ``src/repro/sparql/plan.py`` defines
-   no ``run``/``execute``/``reset`` function or method and imports
-   nothing from ``.results`` or ``.expressions``.  Plans are data that
-   ``exec.py`` compiles onto its ``Vec*`` operators; binding-level
-   execution code in the planner would be a second executor.
+7. **One operator tree** — ``src/repro/sparql/plan.py`` defines no class
+   with a ``describe``, ``explain_lines`` or ``children`` method, no
+   ``run``/``execute``/``reset`` function or method, and imports nothing
+   from ``.results`` or ``.expressions``.  The planner builds
+   ``exec.py``'s ``Vec*`` operators directly, and EXPLAIN and ANALYZE
+   render those; a node class of its own would be a second plan tree to
+   keep in step, and binding-level code a second executor.
 
 8. **One way out over HTTP** — nothing under ``src/repro/`` imports
    ``urllib.request``, and only ``federation/http_endpoint.py`` imports
@@ -409,10 +411,12 @@ def check_result_path_encoders(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
-# INV007 — plan.py holds inert plan nodes, not a second executor
+# INV007 — plan.py builds exec.py's operators: no tree, no executor of its own
 # --------------------------------------------------------------------------- #
 
-#: Names of the execution entry points a plan node must not grow.
+#: Methods that make a class an operator-tree node.
+OPERATOR_METHODS = {"describe", "explain_lines", "children"}
+#: Names of the execution entry points the planner must not grow.
 EXECUTOR_FUNCTIONS = {"run", "execute", "reset"}
 #: Modules only binding-level execution needs.
 EXECUTOR_MODULES = {"results", "expressions"}
@@ -428,15 +432,26 @@ def _imported_names(node: ast.Import | ast.ImportFrom) -> list[str]:
     ]
 
 
-def check_plan_is_inert(tree: ast.Module, path: Path) -> list[Finding]:
+def check_one_operator_tree(tree: ast.Module, path: Path) -> list[Finding]:
+    if path != PLAN_PATH:
+        return []
     findings: list[Finding] = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and item.name in OPERATOR_METHODS):
+                    findings.append(Finding(
+                        path, item.lineno, "INV007",
+                        f"{node.name}.{item.name}() in the planner: the planner "
+                        "builds exec.py's Vec* operators and defines no node of its own",
+                    ))
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and node.name in EXECUTOR_FUNCTIONS):
             findings.append(Finding(
                 path, node.lineno, "INV007",
-                f"{node.name}() defined in the planner: plan nodes are inert "
-                "data, execution belongs to exec.py's Vec* operators",
+                f"{node.name}() defined in the planner: execution belongs to "
+                "exec.py's Vec* operators",
             ))
         elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
             name.split(".")[-1] in EXECUTOR_MODULES for name in _imported_names(node)
@@ -586,10 +601,9 @@ def main() -> int:
             findings.extend(check_one_federation_path(tree, path))
             findings.extend(check_one_rewriter(tree, path))
             findings.extend(check_one_entry_point(tree, path))
+            findings.extend(check_one_operator_tree(tree, path))
             if path == EXEC_PATH:
                 findings.extend(check_hot_loops(tree, path))
-            if path == PLAN_PATH:
-                findings.extend(check_plan_is_inert(tree, path))
     for finding in findings:
         print(finding.render())
     if findings:
