@@ -1,11 +1,13 @@
 """Remote SPARQL endpoints over HTTP (the client half of the protocol).
 
 :class:`HttpSparqlEndpoint` implements the :class:`SparqlEndpoint`
-interface against a W3C SPARQL 1.1 Protocol service using only stdlib
-``http.client``.  Transport and protocol failures are mapped onto the same
-exception vocabulary :class:`LocalSparqlEndpoint` raises —
-:class:`EndpointUnavailable` for refused connections, HTTP error statuses
-and malformed bodies, :class:`EndpointTimeout` for socket timeouts — so
+interface against a W3C SPARQL 1.1 Protocol service over plain sockets,
+framing each message with :mod:`repro.http11`, the HTTP/1.1 codec the
+server shares (``ssl`` is imported only when an ``https`` URL connects).
+Transport and protocol failures are mapped onto the same exception
+vocabulary :class:`LocalSparqlEndpoint` raises — :class:`EndpointUnavailable`
+for refused connections, HTTP error statuses, broken framing and malformed
+bodies, :class:`EndpointTimeout` for socket timeouts — so
 the federation layer's retry/backoff/circuit-breaker policies (PR 2)
 apply to remote endpoints unchanged.
 
@@ -14,14 +16,15 @@ federated sub-query costs one request on an open socket rather than a
 connect, an accept and a server thread.  The pool never holds more
 connections than the endpoint ever had requests in flight at once.
 
-* After each send the client sets ``TCP_QUICKACK``: a server that writes
-  headers and body in two sends (any ``http.server``-based one) would
-  otherwise hold the body behind the client's ~40 ms delayed ACK.  On a
-  platform without the option every request says ``Connection: close``
-  and no connection is kept.
-* A *reused* connection the server has closed in the meantime fails
-  before any response byte arrives; the request is then retried once on
-  a fresh connection (query operations are safe to repeat).
+* Each request leaves in one ``sendall``.  After it the client sets
+  ``TCP_QUICKACK``: a server that writes headers and body in two sends
+  (this package's own, or any ``http.server``-based one) would otherwise
+  hold the body behind the client's ~40 ms delayed ACK.  On a platform
+  without the option every request says ``Connection: close`` and no
+  connection is kept.
+* A *reused* connection the server has closed in the meantime is reset
+  or ends before a status line arrives; the request is then retried once
+  on a fresh connection (query operations are safe to repeat).
 * A connection that times out or fails mid-exchange is closed, never
   pooled, so a late answer cannot be read as the next request's.
 
@@ -34,12 +37,11 @@ responses as Turtle.
 
 from __future__ import annotations
 
-import http.client
 import socket
 import threading
 import urllib.parse
 
-
+from .. import http11
 from ..obs.trace import get_tracer
 from ..rdf import Graph, URIRef
 from ..sparql import AskResult, Query, ResultSet
@@ -66,14 +68,26 @@ _ERROR_SNIPPET = 200
 #: Connections are kept alive only where each response can be acked at once.
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
-#: What a kept-alive connection closed by the server raises before any
-#: response byte arrives (``RemoteDisconnected`` is a ``ConnectionResetError``).
+#: What a kept-alive connection closed by the server raises on reuse.
 _STALE = (ConnectionResetError, BrokenPipeError)
 
-_CONNECTION_CLASSES = {
-    "http": http.client.HTTPConnection,
-    "https": http.client.HTTPSConnection,
-}
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+
+
+class _Connection:
+    """One client socket and the buffered reader its responses arrive on."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock: socket.socket | None = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.reader.close()
+            self.sock.close()
+            self.sock = None
 
 
 class HttpSparqlEndpoint(SparqlEndpoint):
@@ -127,10 +141,12 @@ class HttpSparqlEndpoint(SparqlEndpoint):
         self.statistics = EndpointStatistics()
         self._lock = threading.Lock()
         parts = urllib.parse.urlsplit(self.url)
-        self._connection_class = _CONNECTION_CLASSES.get(parts.scheme)
+        self._scheme = parts.scheme
+        self._address = (parts.hostname, parts.port or _DEFAULT_PORTS.get(parts.scheme))
         self._host = parts.netloc
         self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        self._idle = []
+        self._tls = None  # the ssl context, made on the first https connect
+        self._idle: list[_Connection] = []
 
     # ------------------------------------------------------------------ #
     # Query interface
@@ -174,11 +190,14 @@ class HttpSparqlEndpoint(SparqlEndpoint):
         with self._lock:
             setattr(self.statistics, kind, getattr(self.statistics, kind) + 1)
         target, data = self._encode(query_text)
-        headers = {"Accept": accept}
+        fields = [("Host", self._host), ("Accept", accept)]
         if data is not None:
-            headers["Content-Type"] = "application/x-www-form-urlencoded"
+            fields += [
+                ("Content-Type", "application/x-www-form-urlencoded"),
+                ("Content-Length", str(len(data))),
+            ]
         if _QUICKACK is None:
-            headers["Connection"] = "close"
+            fields.append(("Connection", "close"))
         # The client span's own id rides the outbound traceparent header,
         # so the remote server's request span becomes its child and the
         # federated sub-query joins this trace across the socket.
@@ -188,15 +207,15 @@ class HttpSparqlEndpoint(SparqlEndpoint):
         ) as span:
             traceparent = span.traceparent()
             if traceparent is not None:
-                headers["traceparent"] = traceparent
+                fields.append(("traceparent", traceparent))
+            method = "GET" if data is None else "POST"
+            request = http11.head(f"{method} {target} HTTP/1.1", fields) + (data or b"")
             try:
-                status, payload = self._exchange(
-                    "POST" if data is not None else "GET", target, data, headers
-                )
+                status, payload = self._exchange(request)
             except TimeoutError as exc:
                 self._count_failure("transport_failures")
                 raise EndpointTimeout(self._timeout_message()) from exc
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, http11.ProtocolError) as exc:
                 self._count_failure("transport_failures")
                 raise EndpointUnavailable(
                     f"endpoint {self.name} is unreachable: {exc}"
@@ -220,51 +239,54 @@ class HttpSparqlEndpoint(SparqlEndpoint):
                 span.set_attribute("bytes", len(body))
         return body
 
-    def _exchange(
-        self, method: str, target: str, data: bytes | None, headers: dict[str, str]
-    ) -> tuple[int, bytes]:
+    def _exchange(self, request: bytes) -> tuple[int, bytes]:
         """One request and its whole response on a pooled connection."""
         with self._lock:
             idle = self._idle.pop() if self._idle else None
         connection = self._connect() if idle is None else idle
         try:
             try:
-                response = self._send(connection, method, target, data, headers)
+                status, payload, keep_alive = self._send(connection, request)
             except _STALE:
                 if connection is not idle:
                     raise
                 connection.close()
                 connection = self._connect()
-                response = self._send(connection, method, target, data, headers)
-            payload = response.read()
+                status, payload, keep_alive = self._send(connection, request)
         except BaseException:
             connection.close()
             raise
-        if response.will_close or _QUICKACK is None:
+        if not keep_alive or _QUICKACK is None:
             connection.close()
         else:
             with self._lock:
                 self._idle.append(connection)
-        return response.status, payload
+        return status, payload
 
     @staticmethod
-    def _send(
-        connection: http.client.HTTPConnection,
-        method: str,
-        target: str,
-        data: bytes | None,
-        headers: dict[str, str],
-    ) -> http.client.HTTPResponse:
-        """Send one request, ack what comes back at once, read the status line."""
-        connection.request(method, target, data, headers)
+    def _send(connection: _Connection, request: bytes) -> tuple[int, bytes, bool]:
+        """Send one request, ack what comes back at once, read the response."""
+        connection.sock.sendall(request)
         if _QUICKACK is not None:
             connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-        return connection.getresponse()
+        return http11.read_response(connection.reader)
 
-    def _connect(self) -> http.client.HTTPConnection:
-        if self._connection_class is None:
-            raise http.client.InvalidURL(f"unsupported URL {self.url!r}")
-        return self._connection_class(self._host, timeout=self.timeout)
+    def _connect(self) -> _Connection:
+        if self._scheme not in _DEFAULT_PORTS or not self._address[0]:
+            raise http11.ProtocolError(f"unsupported URL {self.url!r}")
+        sock = socket.create_connection(self._address, timeout=self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._scheme == "https":
+                if self._tls is None:
+                    import ssl
+
+                    self._tls = ssl.create_default_context()
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        return _Connection(sock)
 
     def _timeout_message(self) -> str:
         budget = f" after {self.timeout:g}s" if self.timeout is not None else ""

@@ -1,12 +1,15 @@
-"""W3C SPARQL 1.1 Protocol server on the stdlib HTTP stack.
+"""W3C SPARQL 1.1 Protocol server on plain sockets.
 
 :class:`SparqlHttpServer` publishes a :class:`QueryBackend` over real
-sockets using ``http.server.ThreadingHTTPServer`` — no runtime
-dependencies beyond the standard library.  The protocol surface:
+sockets: ``socketserver.ThreadingTCPServer`` accepts connections, one
+thread per connection, and the handler frames each message with
+:mod:`repro.http11`, the HTTP/1.1 codec the sub-request client shares; no
+runtime dependencies beyond the standard library.  The protocol surface:
 
 * ``GET /sparql?query=…`` — the protocol's query-via-GET binding,
 * ``POST /sparql`` — ``application/x-www-form-urlencoded`` (``query=``
-  parameter) or a raw ``application/sparql-query`` body,
+  parameter) or a raw ``application/sparql-query`` body, sized by
+  ``Content-Length`` or chunked, at most 1 MiB (413 beyond),
 * content negotiation on ``Accept``: SELECT results as SPARQL JSON
   (default), XML, CSV or TSV; ASK as JSON/XML; CONSTRUCT as Turtle or
   N-Triples,
@@ -21,6 +24,12 @@ dependencies beyond the standard library.  The protocol surface:
   ``text/plain`` (or ``?format=prometheus``),
 * ``GET /`` — a small JSON service description.
 
+Connections are kept alive (HTTP/1.1 by default, HTTP/1.0 on
+``Connection: keep-alive``) until the client sends ``Connection: close``
+or a response leaves a request body unread.  ``Expect: 100-continue`` is
+answered just before the body is read.  Each response leaves as two
+writes, the head and then the body.
+
 Successful query responses are cached in an LRU keyed by
 ``(backend.generation, query text, format)``; the federation backend's
 generation is ``AlignmentStore.generation``, so editing the alignment KB
@@ -28,20 +37,25 @@ invalidates every cached response whose rewrite could have changed.
 
 Error mapping mirrors the client side: unusable requests → 400, an
 unacceptable ``Accept`` → 406, unsupported media type → 415, backend
-endpoint failures → 503, backend timeouts → 504.
+endpoint failures → 503, backend timeouts → 504.  Framing errors answer
+400, an over-long request line 414, an over-long or oversized header
+section 431, a method other than GET/POST 501 and an HTTP version other
+than 1.0 or 1.1 505, and close the connection.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import socketserver
+import sys
 import threading
 import time
 import urllib.parse
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 
-
+from .. import http11
 from ..federation.endpoint import EndpointError, EndpointTimeout, EndpointUnavailable
 from ..obs.export import SINK
 from ..obs.metrics import REGISTRY, MetricsRegistry
@@ -64,6 +78,10 @@ __all__ = ["SparqlHttpServer", "ResponseCache"]
 
 #: Upper bound for request bodies (1 MiB is generous for a SPARQL query).
 _MAX_BODY_BYTES = 1 << 20
+
+_SERVER = "repro-sparql/0.2"
+_STATUS_LINES = {status.value: f"HTTP/1.1 {status.value} {status.phrase}" for status in HTTPStatus}
+_METHODS = ("GET", "POST")
 
 
 class ResponseCache:
@@ -128,8 +146,8 @@ class _HttpError(Exception):
         self.payload = payload
 
 
-class _SparqlHttpd(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the shared server state.
+class _SparqlHttpd(socketserver.ThreadingTCPServer):
+    """Thread-per-connection TCP server carrying the shared server state.
 
     Each server instance owns a private :class:`MetricsRegistry`, so two
     loopback servers in one process (a federation test) keep independent
@@ -153,7 +171,17 @@ class _SparqlHttpd(ThreadingHTTPServer):
     def __init__(self, server_address, handler_class) -> None:
         self._connections = set()
         self._connections_lock = threading.Lock()
+        self._date = (0, "")
         super().__init__(server_address, handler_class)
+
+    def date(self) -> str:
+        """The ``Date`` field value, formatted once per second."""
+        second, value = self._date
+        now = int(time.time())
+        if now != second:
+            value = http11.format_date(now)
+            self._date = (now, value)
+        return value
 
     def process_request(self, request, client_address) -> None:
         with self._connections_lock:
@@ -178,8 +206,6 @@ class _SparqlHttpd(ThreadingHTTPServer):
     def handle_error(self, request, client_address) -> None:
         # A client abandoning its socket mid-response (timeout, Ctrl-C) is
         # normal operation for a server, not a stack-trace-worthy bug.
-        import sys
-
         exc = sys.exception()
         if isinstance(exc, (ConnectionError, BrokenPipeError, TimeoutError)):
             return
@@ -187,20 +213,57 @@ class _SparqlHttpd(ThreadingHTTPServer):
             super().handle_error(request, client_address)
 
 
-class _SparqlRequestHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-sparql/0.2"
+class _SparqlRequestHandler(socketserver.StreamRequestHandler):
+    """One connection: read a request, answer it, repeat while it is kept alive."""
+
     server: _SparqlHttpd
+
+    def handle(self) -> None:
+        self.close_connection = False
+        while not self.close_connection:
+            self.handle_one_request()
+
+    def handle_one_request(self) -> None:
+        """Read one request head and answer the request; may close the connection."""
+        self.close_connection = True
+        self._body_pending = False
+        self.requestline = ""
+        try:
+            line = http11.read_line(self.rfile, 414)
+            if not line:
+                return  # the client closed the connection
+            self.requestline = line.decode("latin-1").rstrip("\r\n")
+            self._parse_request_line()
+            self.headers = http11.read_fields(self.rfile)
+        except http11.ProtocolError as error:
+            self._send_error(_HttpError(error.status, str(error)))
+            return
+        tokens = self.headers.get("connection", "").lower()
+        if self.request_version == "HTTP/1.1":
+            self.close_connection = "close" in tokens
+        else:
+            self.close_connection = "keep-alive" not in tokens
+        self._body_pending = (
+            "transfer-encoding" in self.headers
+            or (self.headers.get("content-length") or "0") != "0"
+        )
+        self._handle(self.command)
+
+    def _parse_request_line(self) -> None:
+        words = self.requestline.split()
+        if len(words) != 3:
+            raise http11.ProtocolError(f"bad request line {self.requestline[:40]!r}")
+        self.command, self.path, self.request_version = words
+        if not self.request_version.startswith("HTTP/"):
+            raise http11.ProtocolError(f"bad request version {self.request_version[:40]!r}")
+        if self.request_version not in ("HTTP/1.0", "HTTP/1.1"):
+            raise http11.ProtocolError(f"unsupported version {self.request_version[:40]}", 505)
+        if self.command not in _METHODS:
+            raise http11.ProtocolError(f"unsupported method {self.command[:40]!r}", 501)
 
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        self._handle("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        self._handle("POST")
-
     def _handle(self, method: str) -> None:
         """Count, trace and time one request, then route it.
 
@@ -262,25 +325,14 @@ class _SparqlRequestHandler(BaseHTTPRequestHandler):
         elif parsed.path in ("/sparql", "/query"):
             self._answer_query(self._read_query_body())
         else:
-            self.close_connection = True  # the body stays unread
             raise _HttpError(404, f"no such resource: {parsed.path}")
 
     # ------------------------------------------------------------------ #
     # The protocol's query operation
     # ------------------------------------------------------------------ #
     def _read_query_body(self) -> str:
-        # A body this handler will not read would be parsed as the next
-        # request on a kept-alive connection, so refusing it also closes.
-        declared = (self.headers.get("Content-Length") or "0").strip()
-        if not (declared.isascii() and declared.isdigit()):
-            self.close_connection = True
-            raise _HttpError(400, "invalid Content-Length")
-        length = int(declared)
-        if length > _MAX_BODY_BYTES:
-            self.close_connection = True
-            raise _HttpError(413, "request body too large")
-        body = self.rfile.read(length).decode("utf-8", errors="replace")
-        content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip().lower()
+        body = self._read_body().decode("utf-8", errors="replace")
+        content_type = (self.headers.get("content-type") or "").split(";")[0].strip().lower()
         if content_type in ("", "application/x-www-form-urlencoded"):
             parameters = urllib.parse.parse_qs(body)
             queries = parameters.get("query")
@@ -293,9 +345,38 @@ class _SparqlRequestHandler(BaseHTTPRequestHandler):
             return body
         raise _HttpError(415, f"unsupported request media type: {content_type}")
 
+    def _read_body(self) -> bytes:
+        """The request body, chunked or sized by ``Content-Length``.
+
+        A body left unread would be parsed as the next request on a
+        kept-alive connection, so a refusal here leaves ``_body_pending``
+        set and the response closes the connection.
+        """
+        coding = self.headers.get("transfer-encoding")
+        if coding is None:
+            declared = self.headers.get("content-length") or "0"
+            if not (declared.isascii() and declared.isdigit()):
+                raise _HttpError(400, "invalid Content-Length")
+            if int(declared) > _MAX_BODY_BYTES:
+                raise _HttpError(413, "request body too large")
+        elif coding.lower() != "chunked":
+            raise _HttpError(501, f"unsupported Transfer-Encoding: {coding[:40]}")
+        if (self.request_version == "HTTP/1.1"
+                and self.headers.get("expect", "").lower() == "100-continue"):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        try:
+            if coding is None:
+                body = http11.read_exactly(self.rfile, int(declared))
+            else:
+                body = http11.read_chunked(self.rfile, _MAX_BODY_BYTES)
+        except http11.ProtocolError as error:
+            raise _HttpError(error.status, str(error)) from error
+        self._body_pending = False
+        return body
+
     def _answer_query(self, query_text: str) -> None:
         backend = self.server.backend
-        accept = self.headers.get("Accept")
+        accept = self.headers.get("accept")
         generation = backend.generation
         self._count("queries")
 
@@ -458,7 +539,7 @@ class _SparqlRequestHandler(BaseHTTPRequestHandler):
         """
         parsed = urllib.parse.urlsplit(self.path)
         parameters = urllib.parse.parse_qs(parsed.query)
-        accept = (self.headers.get("Accept") or "").lower()
+        accept = self.headers.get("accept", "").lower()
         wants_text = (
             "prometheus" in parameters.get("format", [])
             or "text/plain" in accept
@@ -517,11 +598,24 @@ class _SparqlRequestHandler(BaseHTTPRequestHandler):
     # Response plumbing
     # ------------------------------------------------------------------ #
     def _send(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
+        """Write the head and then the body, in two writes."""
+        if self._body_pending:
+            self.close_connection = True
+        fields = [
+            ("Server", _SERVER),
+            ("Date", self.server.date()),
+            ("Content-Type", f"{content_type}; charset=utf-8"),
+            ("Content-Length", str(len(body))),
+        ]
+        if self.close_connection:
+            fields.append(("Connection", "close"))
+        elif self.request_version == "HTTP/1.0":
+            fields.append(("Connection", "keep-alive"))
+        self.wfile.write(http11.head(_STATUS_LINES[status], fields))
         self.wfile.write(body)
+        if not self.server.quiet:
+            sys.stderr.write(f'{self.client_address[0]} - - [{self.server.date()}] '
+                             f'"{self.requestline}" {status} {len(body)}\n')
 
     def _send_json(self, status: int, payload: dict[str, object]) -> None:
         body = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
@@ -536,12 +630,7 @@ class _SparqlRequestHandler(BaseHTTPRequestHandler):
         else:
             content_type = "text/plain"
             body = (error.message + "\n").encode("utf-8")
-        self.send_response(error.status)
-        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(body)
+        self._send(error.status, content_type, body)
 
     _COUNTER_HELP = {
         "requests": "HTTP requests received",
@@ -556,10 +645,6 @@ class _SparqlRequestHandler(BaseHTTPRequestHandler):
 
     def _count(self, key: str) -> None:
         self._counter(key).inc()
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not self.server.quiet:  # pragma: no cover - log formatting
-            super().log_message(format, *args)
 
 
 class SparqlHttpServer:
@@ -590,6 +675,7 @@ class SparqlHttpServer:
         self._httpd.registry = MetricsRegistry()
         self._httpd.quiet = quiet
         self._thread: threading.Thread | None = None
+        self._serving = False
         # Server construction is a configuration point: pick up any change
         # to REPRO_RUN_EVENTS made since the last refresh.
         SINK.refresh()
@@ -623,6 +709,7 @@ class SparqlHttpServer:
             raise RuntimeError("server already started")
         # The short poll interval keeps stop() prompt (shutdown() blocks
         # until serve_forever notices the flag on its next poll).
+        self._serving = True
         self._thread = threading.Thread(
             target=lambda: self._httpd.serve_forever(poll_interval=0.05),
             name=f"sparql-http-{self.port}",
@@ -633,11 +720,19 @@ class SparqlHttpServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (blocks; Ctrl-C to stop)."""
+        self._serving = True
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        """Shut the server down, close its open connections, release the socket."""
-        self._httpd.shutdown()
+        """End the serving loop if one was started, close open connections,
+        release the socket.
+
+        ``shutdown()`` waits for a loop to acknowledge it, so on a server
+        that never served it would wait forever.
+        """
+        if self._serving:
+            self._serving = False
+            self._httpd.shutdown()
         self._httpd.close_connections()
         self._httpd.server_close()
         if self._thread is not None:

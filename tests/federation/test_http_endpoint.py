@@ -295,3 +295,136 @@ class TestPolicyIntegration:
             breaker.record_failure()
         assert breaker.state == "open"
         assert not breaker.allow()
+
+
+class _StubServer:
+    """Answers each request on one accepted connection with canned bytes.
+
+    ``answers`` holds one byte string per request; after the last one the
+    connection closes.  ``requests`` collects the request heads received.
+    """
+
+    def __init__(self, answers: list[bytes]) -> None:
+        self.answers = answers
+        self.requests: list[bytes] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        connection, _ = self._listener.accept()
+        with connection, connection.makefile("rb") as reader:
+            for answer in self.answers:
+                head = b""
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    head += line
+                self.requests.append(head)
+                length = [int(line.split(b":")[1]) for line in head.split(b"\r\n")
+                          if line.lower().startswith(b"content-length:")]
+                reader.read(length[0] if length else 0)
+                connection.sendall(answer)
+
+    def url(self, scheme: str = "http") -> str:
+        return f"{scheme}://127.0.0.1:{self.port}/sparql"
+
+    def close(self) -> None:
+        self._thread.join(timeout=5)
+        self._listener.close()
+
+
+ASK_TRUE = b'{"head": {}, "boolean": true}'
+
+
+class TestResponseFraming:
+    """The client's half of the codec, against a server that frames its own way."""
+
+    @keeps_alive
+    def test_chunked_and_interim_responses(self):
+        chunked = (
+            b"HTTP/1.1 100 Continue\r\n\r\n"
+            b"HTTP/1.1 102 Processing\r\nX-Interim: 1\r\n\r\n"
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+            b"Content-Type: application/sparql-results+json\r\n\r\n"
+            + b"".join(b"%x;ext=1\r\n%s\r\n" % (len(part), part)
+                       for part in (ASK_TRUE[:10], ASK_TRUE[10:]))
+            + b"0\r\nX-Trailer: t\r\n\r\n"
+        )
+        sized = (
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(ASK_TRUE), ASK_TRUE)
+        )
+        stub = _StubServer([chunked, sized])
+        remote = HttpSparqlEndpoint(URIRef(stub.url()), timeout=5)
+        try:
+            assert bool(remote.ask(ASK)) is True
+            [connection] = remote._idle
+            assert bool(remote.ask(ASK)) is True  # the same socket, still in step
+            assert remote._idle == [connection]
+        finally:
+            remote.close()
+            stub.close()
+        assert len(stub.requests) == 2
+        assert stub.requests[0].startswith(b"POST /sparql HTTP/1.1\r\n")
+        assert b"Host: 127.0.0.1:%d\r\n" % stub.port in stub.requests[0]
+
+    def test_a_body_read_to_the_end_of_the_stream_is_not_pooled(self):
+        stub = _StubServer([b"HTTP/1.0 200 OK\r\n\r\n" + ASK_TRUE])
+        remote = HttpSparqlEndpoint(URIRef(stub.url()), timeout=5)
+        try:
+            assert bool(remote.ask(ASK)) is True
+            assert remote._idle == []
+        finally:
+            stub.close()
+
+    def test_a_truncated_body_is_unavailable_and_never_pooled(self):
+        stub = _StubServer([b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + ASK_TRUE])
+        remote = HttpSparqlEndpoint(URIRef(stub.url()), timeout=5)
+        opened = TestConnectionPool._count_connects(remote)
+        try:
+            with pytest.raises(EndpointUnavailable, match="body ended after"):
+                remote.ask(ASK)
+        finally:
+            stub.close()
+        assert len(opened) == 1
+        assert remote._idle == []
+        assert remote.statistics.transport_failures == 1
+
+    def test_a_garbled_status_line_is_unavailable(self):
+        stub = _StubServer([b"SPARQL/1.0 200 OK\r\n\r\n"])
+        remote = HttpSparqlEndpoint(URIRef(stub.url()), timeout=5)
+        try:
+            with pytest.raises(EndpointUnavailable, match="bad status line"):
+                remote.ask(ASK)
+        finally:
+            stub.close()
+        assert remote._idle == []
+
+    def test_https_to_a_plain_server_fails_in_the_tls_handshake(self):
+        import ssl
+
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def plain_server() -> None:
+            connection, _ = listener.accept()
+            with connection:
+                connection.recv(65536)  # the ClientHello, read as a request
+                connection.sendall(b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n")
+
+        thread = threading.Thread(target=plain_server, daemon=True)
+        thread.start()
+        port = listener.getsockname()[1]
+        remote = HttpSparqlEndpoint(URIRef(f"https://127.0.0.1:{port}/sparql"), timeout=5)
+        try:
+            with pytest.raises(EndpointUnavailable) as excinfo:
+                remote.ask(ASK)
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+        assert isinstance(excinfo.value.__cause__, ssl.SSLError)
+        assert remote._idle == []
+        assert remote.statistics.transport_failures == 1
+
+    def test_an_unsupported_scheme_is_unavailable(self):
+        remote = HttpSparqlEndpoint(URIRef("ftp://127.0.0.1/sparql"), timeout=5)
+        with pytest.raises(EndpointUnavailable, match="unsupported URL"):
+            remote.ask(ASK)

@@ -589,3 +589,156 @@ class TestAnalysisRunsOnce:
         result = EndpointBackend(Remote()).execute(self.WARNING)
         assert analyses == [False]
         assert "SQA108" in [d.code for d in result.diagnostics]
+
+
+# --------------------------------------------------------------------------- #
+# Wire framing, driven over raw sockets
+# --------------------------------------------------------------------------- #
+def _exchange(server, data: bytes, until_close: bool = True) -> bytes:
+    """Send ``data`` on a fresh connection; everything received until the server closes."""
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(data)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+def _responses(received: bytes) -> list[tuple[bytes, dict[str, str], bytes]]:
+    """Split a byte stream into ``(status line, fields, body)`` by Content-Length."""
+    responses = []
+    while received:
+        head, _, received = received.partition(b"\r\n\r\n")
+        status, *lines = head.split(b"\r\n")
+        fields = {
+            name.decode().lower(): value.strip().decode()
+            for name, _, value in (line.partition(b":") for line in lines)
+        }
+        length = int(fields.get("content-length", 0))
+        responses.append((status, fields, received[:length]))
+        received = received[length:]
+    return responses
+
+
+def _get_request(query: str, version: str = "HTTP/1.1", extra: str = "") -> bytes:
+    target = "/sparql?" + urllib.parse.urlencode({"query": query})
+    return f"GET {target} {version}\r\nHost: x\r\n{extra}\r\n".encode("ascii")
+
+
+class TestWireFraming:
+    def test_requests_are_kept_alive_on_one_socket(self, server):
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            for query in (SELECT, ASK):
+                sock.sendall(_get_request(query))
+                assert reader.readline().startswith(b"HTTP/1.1 200 ")
+                fields = {}
+                while (line := reader.readline()) != b"\r\n":
+                    name, _, value = line.partition(b":")
+                    fields[name.decode().lower()] = value.strip().decode()
+                assert "connection" not in fields
+                assert json.loads(reader.read(int(fields["content-length"])))
+            reader.close()
+
+    def test_http_1_0_closes_after_one_response(self, server):
+        [(status, fields, body)] = _responses(_exchange(server, _get_request(SELECT, "HTTP/1.0")))
+        assert status.startswith(b"HTTP/1.1 200 ")
+        assert fields["connection"] == "close"
+        assert len(parse_results(body.decode(), "json")) == 2
+
+    def test_http_1_0_keep_alive_is_echoed(self, server):
+        request = _get_request(SELECT, "HTTP/1.0", "Connection: keep-alive\r\n")
+        last = _get_request(ASK, "HTTP/1.0")
+        [(_, first, _), (_, second, body)] = _responses(_exchange(server, request + last))
+        assert first["connection"] == "keep-alive"
+        assert second["connection"] == "close"
+        assert json.loads(body)["boolean"] is True
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        body = urllib.parse.urlencode({"query": SELECT}).encode()
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /sparql HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                b"Content-Type: application/x-www-form-urlencoded\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            assert sock.recv(64) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body + _get_request(ASK).replace(b"Host: x", b"Connection: close"))
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        [(status, _, first), (_, _, second)] = _responses(received)
+        assert status.startswith(b"HTTP/1.1 200 ")
+        assert len(parse_results(first.decode(), "json")) == 2
+        assert json.loads(second)["boolean"] is True
+
+    def test_a_chunked_body_is_read_and_the_connection_stays_in_step(self, server):
+        body = urllib.parse.urlencode({"query": SELECT}).encode()
+        chunked = b"".join(
+            b"%x\r\n%s\r\n" % (len(part), part) for part in (body[:29], body[29:])
+        ) + b"0\r\nX-Trailer: ignored\r\n\r\n"
+        request = (
+            b"POST /sparql HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n"
+            b"Content-Type: application/x-www-form-urlencoded\r\n\r\n" + chunked
+        )
+        last = _get_request(ASK, extra="Connection: close\r\n")
+        responses = _responses(_exchange(server, request + last))
+        assert [status.split(b" ")[1] for status, _, _ in responses] == [b"200", b"200"]
+        assert len(parse_results(responses[0][2].decode(), "json")) == 2
+        assert json.loads(responses[1][2])["boolean"] is True
+
+    def test_a_chunked_body_over_the_cap_answers_413_and_closes(self, server):
+        request = (
+            b"POST /sparql HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"100001\r\n"
+        )
+        [(status, fields, body)] = _responses(_exchange(server, request))
+        assert status.startswith(b"HTTP/1.1 413 ")
+        assert fields["connection"] == "close"
+        assert body == b"request body too large\n"
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        # Lines one byte over the 64 KiB cap, and 101 fields; each request
+        # stops where the server does, so no unread byte turns its close
+        # into a reset.
+        (b"GET /" + b"a" * 65521 + b" HTTP/1.1\r\n", b"414"),
+        (b"GET / HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101, b"431"),
+        (b"GET / HTTP/1.1\r\nX-Long: " + b"a" * 65527 + b"\r\n", b"431"),
+        (b"GET / HTTP/1.1\r\nno colon here\r\n\r\n", b"400"),
+        (b"GET / HTTP/1.1\r\n folded: value\r\n\r\n", b"400"),
+        (b"GET /\r\n\r\n", b"400"),
+        (b"PUT /sparql HTTP/1.1\r\nHost: x\r\n\r\n", b"501"),
+        (b"GET /sparql HTTP/2.0\r\nHost: x\r\n\r\n", b"505"),
+        (b"POST /sparql HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n", b"501"),
+    ], ids=["long-request-line", "101-fields", "long-field-line", "no-colon", "obs-fold",
+            "two-words", "unknown-method", "http-2", "unknown-coding"])
+    def test_framing_errors_answer_and_close(self, server, request_bytes, status):
+        [(status_line, fields, body)] = _responses(_exchange(server, request_bytes))
+        assert status_line.split(b" ")[:2] == [b"HTTP/1.1", status]
+        assert fields["connection"] == "close"
+        assert fields["content-type"] == "text/plain; charset=utf-8"
+        assert body.endswith(b"\n")
+
+    def test_a_post_to_an_unknown_path_closes_with_the_body_unread(self, server):
+        request = b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: 3\r\n\r\nabc"
+        [(status, fields, _)] = _responses(_exchange(server, request))
+        assert status.startswith(b"HTTP/1.1 404 ")
+        assert fields["connection"] == "close"
+
+    def test_responses_carry_a_date(self, server):
+        [(_, fields, _)] = _responses(_exchange(server, _get_request(ASK, "HTTP/1.0")))
+        assert fields["date"].endswith(" GMT") and len(fields["date"]) == 29
+        assert fields["server"] == "repro-sparql/0.2"
+
+
+class TestLifecycle:
+    def test_stopping_a_server_that_never_started_returns(self, endpoint):
+        import threading
+
+        server = SparqlHttpServer(EndpointBackend(endpoint))
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        with pytest.raises(OSError):
+            socket.create_connection((server.host, server.port), timeout=1).close()

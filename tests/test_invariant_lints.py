@@ -188,7 +188,12 @@ from urllib.request import urlopen
 import http.client
 from http import client
 from http.server import ThreadingHTTPServer
+import email.utils
+from email.parser import BytesParser
 import urllib.parse
+from http import HTTPStatus
+import ssl
+from .. import http11
 """
 
 
@@ -200,35 +205,35 @@ def _http_findings(relative: str) -> list[str]:
     ]
 
 
-def test_inv008_reports_http_clients_outside_the_endpoint():
-    urllib_request = (
-        "[INV008] urllib.request imported: HTTP leaves src/repro only through "
-        "http.client in federation/http_endpoint.py"
-    )
-    http_client = (
-        "[INV008] http.client imported outside federation/http_endpoint.py: "
-        "send sub-requests through HttpSparqlEndpoint's pooled connections"
-    )
+def test_inv008_reports_the_stdlib_http_stack():
+    def message(module: str) -> str:
+        return (
+            f"[INV008] {module} imported: both ends of a hop frame HTTP/1.1 with "
+            "repro.http11, and the stdlib stack loads email and ssl"
+        )
+
     path = "src/repro/server/seeded.py"
     assert _http_findings(path) == [
-        f"{path}:1: {urllib_request}",
-        f"{path}:2: {urllib_request}",
-        f"{path}:3: {urllib_request}",
-        f"{path}:4: {http_client}",
-        f"{path}:5: {http_client}",
+        f"{path}:1: {message('urllib.request')}",
+        f"{path}:2: {message('urllib.request')}",
+        f"{path}:3: {message('urllib.request')}",
+        f"{path}:4: {message('http.client')}",
+        f"{path}:5: {message('http.client')}",
+        f"{path}:6: {message('http.server')}",
+        f"{path}:7: {message('email')}",
+        f"{path}:8: {message('email')}",
     ]
 
 
 def test_inv008_scope():
-    # The endpoint module owns http.client, but not urllib.request.
+    # The endpoint module is no exception any more: the codec serves both ends.
     endpoint = _http_findings("src/repro/federation/http_endpoint.py")
-    assert [line.split(": ")[0] for line in endpoint] == [
-        "src/repro/federation/http_endpoint.py:1",
-        "src/repro/federation/http_endpoint.py:2",
-        "src/repro/federation/http_endpoint.py:3",
+    assert [line.split(": ")[0].rsplit(":", 1)[1] for line in endpoint] == [
+        "1", "2", "3", "4", "5", "6", "7", "8",
     ]
     # Tests, benchmarks and examples drive servers with whatever they like.
     assert _http_findings("tests/server/seeded.py") == []
+    assert _http_findings("benchmarks/e15/seeded.py") == []
 
 
 SEEDED_FEDERATION = """\

@@ -54,12 +54,14 @@ with nothing but the stdlib ``ast`` module:
    render those; a node class of its own would be a second plan tree to
    keep in step, and binding-level code a second executor.
 
-8. **One way out over HTTP** — nothing under ``src/repro/`` imports
-   ``urllib.request``, and only ``federation/http_endpoint.py`` imports
-   ``http.client``.  Every sub-request goes through
-   :class:`HttpSparqlEndpoint`'s pool of kept-alive connections, which
-   acks each response at once; a second client would reopen a connection
-   per request or stall on the server's delayed ACK.
+8. **One HTTP/1.1 codec** — nothing under ``src/repro/`` imports
+   ``http.client``, ``http.server``, ``urllib.request`` or ``email``.  The
+   server and :class:`HttpSparqlEndpoint` (whose pool of kept-alive
+   connections acks each response at once) both frame messages with
+   ``repro.http11``; the stdlib stack would parse every header block with
+   ``email`` and load ``ssl`` into every server process, and a second
+   client would reopen a connection per request or stall on the server's
+   delayed ACK.
 
 10. **One federation execution path** — under ``src/repro/``,
     ``call_endpoint`` is called only from ``federation/decompose.py``.
@@ -465,10 +467,11 @@ def check_one_operator_tree(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
-# INV008 — HTTP leaves src/repro only through http.client in http_endpoint.py
+# INV008 — one HTTP/1.1 codec: no stdlib HTTP stack under src/repro
 # --------------------------------------------------------------------------- #
 
-HTTP_CLIENT_PATH = SRC_PACKAGE / "federation" / "http_endpoint.py"
+#: The stdlib HTTP modules, and ``email``, which they parse every header with.
+STDLIB_HTTP_MODULES = ("http.client", "http.server", "urllib.request", "email")
 
 
 def _imports_module(node: ast.Import | ast.ImportFrom, module: str) -> bool:
@@ -484,18 +487,14 @@ def check_http_transport(tree: ast.Module, path: Path) -> list[Finding]:
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        if _imports_module(node, "urllib.request"):
-            findings.append(Finding(
-                path, node.lineno, "INV008",
-                "urllib.request imported: HTTP leaves src/repro only through "
-                "http.client in federation/http_endpoint.py",
-            ))
-        elif path != HTTP_CLIENT_PATH and _imports_module(node, "http.client"):
-            findings.append(Finding(
-                path, node.lineno, "INV008",
-                "http.client imported outside federation/http_endpoint.py: "
-                "send sub-requests through HttpSparqlEndpoint's pooled connections",
-            ))
+        for module in STDLIB_HTTP_MODULES:
+            if _imports_module(node, module):
+                findings.append(Finding(
+                    path, node.lineno, "INV008",
+                    f"{module} imported: both ends of a hop frame HTTP/1.1 with "
+                    "repro.http11, and the stdlib stack loads email and ssl",
+                ))
+                break
     return sorted(findings, key=lambda finding: finding.line)
 
 
