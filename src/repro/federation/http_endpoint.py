@@ -142,7 +142,11 @@ class HttpSparqlEndpoint(SparqlEndpoint):
         self._lock = threading.Lock()
         parts = urllib.parse.urlsplit(self.url)
         self._scheme = parts.scheme
-        self._address = (parts.hostname, parts.port or _DEFAULT_PORTS.get(parts.scheme))
+        try:
+            port = parts.port or _DEFAULT_PORTS.get(parts.scheme)
+        except ValueError:  # a malformed port fails the first request, not construction
+            port = None
+        self._address = (parts.hostname, port)
         self._host = parts.netloc
         self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
         self._tls = None  # the ssl context, made on the first https connect
@@ -272,7 +276,7 @@ class HttpSparqlEndpoint(SparqlEndpoint):
         return http11.read_response(connection.reader)
 
     def _connect(self) -> _Connection:
-        if self._scheme not in _DEFAULT_PORTS or not self._address[0]:
+        if self._scheme not in _DEFAULT_PORTS or None in self._address:
             raise http11.ProtocolError(f"unsupported URL {self.url!r}")
         sock = socket.create_connection(self._address, timeout=self.timeout)
         try:

@@ -424,7 +424,8 @@ class TestResponseFraming:
         assert remote._idle == []
         assert remote.statistics.transport_failures == 1
 
-    def test_an_unsupported_scheme_is_unavailable(self):
-        remote = HttpSparqlEndpoint(URIRef("ftp://127.0.0.1/sparql"), timeout=5)
-        with pytest.raises(EndpointUnavailable, match="unsupported URL"):
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1/sparql", "http://127.0.0.1:port/sparql"])
+    def test_an_unusable_url_is_unavailable(self, url):
+        remote = HttpSparqlEndpoint(URIRef(url), timeout=5)
+        with pytest.raises(EndpointUnavailable):
             remote.ask(ASK)

@@ -594,7 +594,7 @@ class TestAnalysisRunsOnce:
 # --------------------------------------------------------------------------- #
 # Wire framing, driven over raw sockets
 # --------------------------------------------------------------------------- #
-def _exchange(server, data: bytes, until_close: bool = True) -> bytes:
+def _exchange(server, data: bytes) -> bytes:
     """Send ``data`` on a fresh connection; everything received until the server closes."""
     with socket.create_connection((server.host, server.port), timeout=5) as sock:
         sock.sendall(data)
