@@ -70,6 +70,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def _positive_int(text: str) -> int:
+    """An argparse ``type`` for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     data_format = argparse.ArgumentParser(add_help=False)
     data_format.add_argument("--data-format", choices=["turtle", "ntriples"], default=None,
@@ -205,7 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                       help="load RDF files into a store directory")
     build.add_argument("store", metavar="DIR", help="store directory (created if missing)")
     build.add_argument("data", nargs="+", help="RDF file(s) to load (Turtle or N-Triples)")
-    build.add_argument("--buffer-limit", type=int, default=SegmentStore.DEFAULT_BUFFER_LIMIT,
+    build.add_argument("--buffer-limit", type=_positive_int,
+                       default=SegmentStore.DEFAULT_BUFFER_LIMIT,
                        metavar="TRIPLES", help="write-buffer size between segment flushes")
     build.set_defaults(handler=_store_build)
     compact = store_commands.add_parser("compact",
@@ -628,8 +640,9 @@ def _store_build(arguments: argparse.Namespace) -> int:
         graph.add_all(_load_graph(path, arguments.data_format))
         loaded += len(graph) - before
         print(f"{path}: +{len(graph) - before} triples", file=sys.stderr)
+    total = len(graph)
     graph.close()
-    print(f"{arguments.store}: {len(store)} triples in "
+    print(f"{arguments.store}: {total} triples in "
           f"{len(store.segment_names)} segment(s) (+{loaded} new)")
     return 0
 

@@ -11,9 +11,9 @@ questions every engine layer asks of it:
   entry point);
 * *exact cardinalities* — :meth:`Store.cardinality`, O(1)-ish for any
   pattern shape, feeding the PR 3 query planner;
-* *vocabulary statistics* — :attr:`Store.stats`, the incrementally
-  maintained per-term counters behind voiD publishing and source
-  selection;
+* *vocabulary statistics* — :attr:`Store.stats`, a per-version term view
+  of the id-keyed counters both stores maintain on every mutation, behind
+  the planner, voiD publishing and source selection;
 * *the term dictionary* — :attr:`Store.dictionary`, the bidirectional
   term <-> int interning table whose ids appear in executor row tuples.
 
@@ -60,7 +60,7 @@ from .terms import BNode, Literal, Term, URIRef
 from .triple import Triple
 
 #: ``RDF.type`` built once: the attribute builds and checks a new URIRef
-#: on every access, and :meth:`GraphStatistics._record` runs per mutation.
+#: on every access, and :meth:`MemoryStore.add` compares against it.
 _RDF_TYPE = RDF.type
 
 __all__ = [
@@ -78,6 +78,11 @@ __all__ = [
 #: Reserved dictionary id meaning "no term bound here".  Kept falsy on
 #: purpose: executor hot loops test ``if term_id:`` instead of comparing.
 UNBOUND_ID = 0
+
+#: The statistics roles, in :attr:`_IdCounts.maps` order; a segment's
+#: metadata holds one id -> count map per role, and the first three prune reads.
+_ROLES = ("subjects", "predicates", "objects", "classes")
+_Key = TypeVar("_Key", bound=Hashable)
 
 
 class StoreError(RuntimeError):
@@ -143,68 +148,136 @@ class TermDictionary:
 
 
 class GraphStatistics:
-    """Incrementally maintained cardinality statistics for one store.
+    """Per-term cardinality statistics: a view of one store version.
 
     The query planner orders joins by how many triples each pattern can
-    match; these counters answer that question in O(1) for any pattern
-    with at most one ground position (two- and three-bound patterns are
-    answered exactly from the permutation indexes).  Counts are refreshed
-    on every mutation, so they are always exact — no ANALYZE step, no
-    staleness.
+    match, and voiD publishing and source selection list the vocabulary a
+    store uses.  Both stores keep these counts id-keyed (:class:`_IdCounts`)
+    and exact on every mutation — no ANALYZE step, no staleness; this view
+    reads them by term.  ``distinct_*`` are the ``len()`` of the id maps,
+    and each term-keyed map is decoded on its first read and kept for the
+    view's version, so a reader that takes three lengths decodes nothing.
+
+    :attr:`Store.stats` hands out one view per :attr:`Store.version`.  A
+    view kept across a mutation reads through to the store's current view,
+    so it never answers with counts the store no longer has.
     """
 
-    __slots__ = ("subject_counts", "predicate_counts", "object_counts", "class_counts")
+    __slots__ = ("_store", "_version", "_counts", "_terms", "_decoded")
 
-    def __init__(self) -> None:
-        #: triples per subject / predicate / object term.
-        self.subject_counts: dict[Term, int] = {}
-        self.predicate_counts: dict[Term, int] = {}
-        self.object_counts: dict[Term, int] = {}
-        #: instances per ``rdf:type`` class (object of an rdf:type triple).
-        self.class_counts: dict[Term, int] = {}
+    def __init__(self, store: Store, counts: _IdCounts) -> None:
+        self._store = store
+        self._version = store.version
+        self._counts = counts
+        self._terms = store.dictionary.terms
+        self._decoded: list[dict[Term, int] | None] = [None] * len(_ROLES)
 
-    # -- maintenance ------------------------------------------------------ #
-    def _record(self, s: Term, p: Term, o: Term, delta: int) -> None:
-        for counts, term in (
-            (self.subject_counts, s),
-            (self.predicate_counts, p),
-            (self.object_counts, o),
-        ):
-            updated = counts.get(term, 0) + delta
-            if updated > 0:
-                counts[term] = updated
-            else:
-                counts.pop(term, None)
-        if p == _RDF_TYPE:
-            updated = self.class_counts.get(o, 0) + delta
-            if updated > 0:
-                self.class_counts[o] = updated
-            else:
-                self.class_counts.pop(o, None)
+    def _current(self) -> GraphStatistics:
+        store = self._store
+        return self if store.version == self._version else store.stats
 
-    def _clear(self) -> None:
-        self.subject_counts.clear()
-        self.predicate_counts.clear()
-        self.object_counts.clear()
-        self.class_counts.clear()
+    def _by_term(self, role: int) -> dict[Term, int]:
+        view = self._current()
+        decoded = view._decoded[role]
+        if decoded is None:
+            terms = view._terms
+            decoded = view._decoded[role] = {
+                terms[key]: count for key, count in view._counts.maps[role].items()}
+        return decoded
 
     # -- read API ---------------------------------------------------------- #
     @property
+    def subject_counts(self) -> dict[Term, int]:
+        """Triples per subject term."""
+        return self._by_term(0)
+
+    @property
+    def predicate_counts(self) -> dict[Term, int]:
+        """Triples per predicate term."""
+        return self._by_term(1)
+
+    @property
+    def object_counts(self) -> dict[Term, int]:
+        """Triples per object term."""
+        return self._by_term(2)
+
+    @property
+    def class_counts(self) -> dict[Term, int]:
+        """Instances per ``rdf:type`` class (object of an rdf:type triple)."""
+        return self._by_term(3)
+
+    @property
     def distinct_subjects(self) -> int:
-        return len(self.subject_counts)
+        return len(self._current()._counts.maps[0])
 
     @property
     def distinct_predicates(self) -> int:
-        return len(self.predicate_counts)
+        return len(self._current()._counts.maps[1])
 
     @property
     def distinct_objects(self) -> int:
-        return len(self.object_counts)
+        return len(self._current()._counts.maps[2])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<GraphStatistics s={self.distinct_subjects} "
                 f"p={self.distinct_predicates} o={self.distinct_objects} "
-                f"classes={len(self.class_counts)}>")
+                f"classes={len(self._current()._counts.maps[3])}>")
+
+
+def _bump(counts: dict[_Key, int], key: _Key, delta: int) -> None:
+    updated = counts.get(key, 0) + delta
+    if updated > 0:
+        counts[key] = updated
+    else:
+        counts.pop(key, None)
+
+
+class _IdCounts:
+    """Triples per subject, predicate, object and ``rdf:type`` class id.
+
+    The statistics model of both stores: one id -> count map per role, in
+    :data:`_ROLES` order, holding no zero count.  A mutation bumps three
+    int-keyed entries (four for an ``rdf:type`` triple) and hashes no term;
+    :class:`GraphStatistics` decodes a map by term only when it is read.
+    ``type_id`` is the ``rdf:type`` id, or :data:`UNBOUND_ID` while no
+    ``rdf:type`` triple has been counted.
+    """
+
+    __slots__ = ("maps", "type_id")
+
+    def __init__(self, type_id: int = UNBOUND_ID) -> None:
+        self.maps: tuple[dict[int, int], ...] = tuple({} for _ in _ROLES)
+        self.type_id = type_id
+
+    def add(self, s: int, p: int, o: int) -> None:
+        subjects, predicates, objects, classes = self.maps
+        subjects[s] = subjects.get(s, 0) + 1
+        predicates[p] = predicates.get(p, 0) + 1
+        objects[o] = objects.get(o, 0) + 1
+        if p == self.type_id:
+            classes[o] = classes.get(o, 0) + 1
+
+    def remove(self, s: int, p: int, o: int) -> None:
+        subjects, predicates, objects, classes = self.maps
+        _bump(subjects, s, -1)
+        _bump(predicates, p, -1)
+        _bump(objects, o, -1)
+        if p == self.type_id:
+            _bump(classes, o, -1)
+
+    def clear(self) -> None:
+        for counts in self.maps:
+            counts.clear()
+
+    def count(self, s: int, p: int, o: int) -> int:
+        """Triples matching an id pattern with exactly one bound position."""
+        role, key = (0, s) if s else ((1, p) if p else (2, o))
+        return self.maps[role].get(key, 0)
+
+    def metadata(self) -> dict[str, dict[str, int]]:
+        """The maps as a segment's ``meta.json`` stores them."""
+        return {role: {str(key): count for key, count in counts.items()}
+                for role, counts in zip(_ROLES, self.maps, strict=True)}
 
 
 # --------------------------------------------------------------------------- #
@@ -230,7 +303,7 @@ class Store:
 
     @property
     def stats(self) -> GraphStatistics:
-        """Live, exact per-term cardinality statistics."""
+        """Exact per-term cardinality statistics: one view per :attr:`version`."""
         raise NotImplementedError
 
     @property
@@ -466,15 +539,18 @@ class MemoryStore(Store):
 
     The indexes are one :class:`_IdIndex`, whose one-id buckets are
     1-tuples promoted to sets on a second id (see there for why scans keep
-    their order).  Statistics are maintained term-keyed on the
-    way in (the mutation API is term-level), so :attr:`stats` is always a
-    live object — no materialisation step.
+    their order).  Statistics are :class:`SegmentStore`'s id-keyed
+    :class:`_IdCounts`, bumped by id on every mutation; :attr:`stats`
+    decodes them by term only when a reader asks, once per version.
     """
 
     def __init__(self) -> None:
         self._index = _IdIndex()
         self._dictionary = TermDictionary()
-        self._stats = GraphStatistics()
+        # rdf:type gets its id when first written: interning it here would
+        # shift every id, and with them the order of set buckets.
+        self._counts = _IdCounts()
+        self._view: GraphStatistics | None = None
         self._version = 0
 
     @property
@@ -483,7 +559,10 @@ class MemoryStore(Store):
 
     @property
     def stats(self) -> GraphStatistics:
-        return self._stats
+        view = self._view
+        if view is None or view._version != self._version:
+            view = self._view = GraphStatistics(self, self._counts)
+        return view
 
     @property
     def version(self) -> int:
@@ -494,9 +573,13 @@ class MemoryStore(Store):
 
     def add(self, s: Term, p: Term, o: Term) -> bool:
         intern = self._dictionary.intern
-        if not self._index.add(intern(s), intern(p), intern(o)):
+        si, pi, oi = intern(s), intern(p), intern(o)
+        if not self._index.add(si, pi, oi):
             return False
-        self._stats._record(s, p, o, +1)
+        counts = self._counts
+        if not counts.type_id and p == _RDF_TYPE:
+            counts.type_id = pi
+        counts.add(si, pi, oi)
         self._version += 1
         return True
 
@@ -504,13 +587,13 @@ class MemoryStore(Store):
         ids = self._pattern_ids(s, p, o)
         if ids is None or not self._index.discard(*ids):
             return False
-        self._stats._record(s, p, o, -1)
+        self._counts.remove(*ids)
         self._version += 1
         return True
 
     def clear(self) -> None:
         self._index.clear()
-        self._stats._clear()
+        self._counts.clear()
         self._version += 1
 
     def triples_ids(
@@ -524,17 +607,11 @@ class MemoryStore(Store):
         bound = sum(term is not None for term in (s, p, o))
         if bound == 0:
             return self._index.size
-        if bound == 1:
-            # O(1) from the incrementally maintained per-term counters.
-            if s is not None:
-                return self._stats.subject_counts.get(s, 0)
-            if p is not None:
-                return self._stats.predicate_counts.get(p, 0)
-            if o is not None:
-                return self._stats.object_counts.get(o, 0)
         ids = self._pattern_ids(s, p, o)
         if ids is None:
             return 0
+        if bound == 1:
+            return self._counts.count(*ids)
         return self._index.count(*ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -554,9 +631,6 @@ _MANIFEST = "MANIFEST.json"
 _TERMS_LOG = "terms.jsonl"
 _TOMBSTONES = "tombstones.bin"
 _FORMAT_VERSION = 2
-#: The id -> count maps in a segment's metadata; the first three prune reads.
-_ROLES = ("subjects", "predicates", "objects", "classes")
-_Key = TypeVar("_Key", bound=Hashable)
 
 
 def _encode_term(term: Term) -> str:
@@ -811,14 +885,6 @@ def _atomic_json(path: Path, payload: dict) -> None:
     os.replace(scratch, path)
 
 
-def _bump(counts: dict[_Key, int], key: _Key, delta: int) -> None:
-    updated = counts.get(key, 0) + delta
-    if updated > 0:
-        counts[key] = updated
-    else:
-        counts.pop(key, None)
-
-
 class _Tombstones:
     """Deletes against segment-resident triples, countable by pattern shape.
 
@@ -879,8 +945,9 @@ class SegmentStore(Store):
     :meth:`flush`/:meth:`close`), each flush producing one new immutable
     segment.  Deletes of segment-resident triples are tombstones applied
     at scan time and physically dropped by :meth:`compact`, which merges
-    every segment into one.  Statistics are summed from the per-segment
-    metadata on open — a cold open never scans triple data.
+    every segment into one.  The id-keyed statistics (:class:`_IdCounts`,
+    as in :class:`MemoryStore`) are summed from the per-segment metadata on
+    open — a cold open never scans triple data.
 
     The same metadata prunes reads.  Its exact id maps are folded, per
     role, into one id -> bitmask of the segments holding that id, so a
@@ -895,10 +962,14 @@ class SegmentStore(Store):
     mapping that readers bisect and decode in place, sharing no cursor),
     matching the read-mostly usage of
     :class:`repro.federation.LocalSparqlEndpoint`.  Mapped pages are page
-    cache — in RSS only while resident, dropped by the kernel at will —
-    so the store's own memory stays the write buffer, tombstones,
-    dictionary, statistics and masks.  Reads after :meth:`close` raise
-    :class:`StoreError`, as does a scan generator resumed after
+    cache — in RSS only while resident, dropped by the kernel at will.
+    The store's own memory is the term dictionary, the id-keyed
+    statistics, the masks, the tombstones and the write buffer, and
+    :meth:`close` releases all of it: a closed store keeps only
+    :attr:`directory` and :attr:`segment_names`.  Every data read after
+    :meth:`close` — ``contains``, ``triples``, ``triples_ids``,
+    ``cardinality``, ``len()``, :attr:`stats`, :attr:`dictionary` —
+    raises :class:`StoreError`, as does a scan generator resumed after
     :meth:`close`, :meth:`clear` or :meth:`compact` retired its segment.
     A directory written in another format, or a big-endian host, is a
     :class:`StoreError` at open, before any run is mapped.
@@ -918,15 +989,13 @@ class SegmentStore(Store):
         self.buffer_limit = buffer_limit
         self.io = _IoCounters()
         self._lock = threading.RLock()
-        self._closed = False
         self._buffer = _IdIndex()
         self._tombstones = _Tombstones()
         self._tombstones_dirty = False
         self._layout = _Layout((), ({}, {}, {}))
         self._segment_count = 0
         self._next_segment = 1
-        self._stats_ids: dict[str, dict[int, int]] = {role: {} for role in _ROLES}
-        self._stats_cache: tuple[int, GraphStatistics] | None = None
+        self._view: GraphStatistics | None = None
         self._version = 0
 
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -943,8 +1012,10 @@ class SegmentStore(Store):
             manifest = {"format": _FORMAT_VERSION, "segments": [], "next_segment": 1}
             _atomic_json(manifest_path, manifest)
 
-        self._dictionary = self._open_dictionary()
-        self._rdf_type_id = self._dictionary.intern(_RDF_TYPE)
+        dictionary = self._open_dictionary()
+        #: None once closed: :meth:`_check_open` hands it out while open.
+        self._dictionary: _PersistentTermDictionary | None = dictionary
+        self._counts = _IdCounts(dictionary.intern(_RDF_TYPE))
         self._next_segment = int(manifest.get("next_segment", 1))
         try:
             segments: list[_Segment] = []
@@ -954,14 +1025,13 @@ class SegmentStore(Store):
                 _fold(masks, maps, 1 << len(segments))
                 segments.append(segment)
                 self._segment_count += segment.triples
-                for role, counts in maps.items():
-                    merged = self._stats_ids[role]
-                    for key, value in counts.items():
+                for merged, role in zip(self._counts.maps, _ROLES, strict=True):
+                    for key, value in maps[role].items():
                         merged[key] = merged.get(key, 0) + value
             self._layout = _Layout(tuple(segments), masks)
             self._load_tombstones()
         except BaseException:
-            self._dictionary._sink.close()  # opening failed: no handle outlives it
+            dictionary._sink.close()  # opening failed: no handle outlives it
             raise
 
     # ------------------------------------------------------------------ #
@@ -995,54 +1065,29 @@ class SegmentStore(Store):
         for record in _RECORD.iter_unpack(data):
             triple = (record[0], record[1], record[2])
             self._tombstones.add(triple)
-            self._record_stats(*triple, delta=-1)
-
-    # ------------------------------------------------------------------ #
-    # Statistics
-    # ------------------------------------------------------------------ #
-    def _record_stats(self, s: int, p: int, o: int, delta: int) -> None:
-        _bump(self._stats_ids["subjects"], s, delta)
-        _bump(self._stats_ids["predicates"], p, delta)
-        _bump(self._stats_ids["objects"], o, delta)
-        if p == self._rdf_type_id:
-            _bump(self._stats_ids["classes"], o, delta)
-
-    @property
-    def stats(self) -> GraphStatistics:
-        """Term-keyed statistics materialised from the id-keyed counters.
-
-        The materialisation is cached per :attr:`version`, so read-only
-        workloads (the planner, voiD publishing) pay it once.
-        """
-        cached = self._stats_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        terms = self._dictionary.terms
-        stats = GraphStatistics()
-        for role, counts in (
-            ("subject_counts", self._stats_ids["subjects"]),
-            ("predicate_counts", self._stats_ids["predicates"]),
-            ("object_counts", self._stats_ids["objects"]),
-            ("class_counts", self._stats_ids["classes"]),
-        ):
-            getattr(stats, role).update(
-                (terms[key], value) for key, value in counts.items()
-            )
-        self._stats_cache = (self._version, stats)
-        return stats
+            self._counts.remove(*triple)
 
     # ------------------------------------------------------------------ #
     # Store contract
     # ------------------------------------------------------------------ #
     @property
     def dictionary(self) -> TermDictionary:
-        return self._dictionary
+        return self._check_open()
+
+    @property
+    def stats(self) -> GraphStatistics:
+        self._check_open()
+        view = self._view
+        if view is None or view._version != self._version:
+            view = self._view = GraphStatistics(self, self._counts)
+        return view
 
     @property
     def version(self) -> int:
         return self._version
 
     def __len__(self) -> int:
+        self._check_open()
         return self._segment_count - len(self._tombstones) + self._buffer.size
 
     @property
@@ -1065,8 +1110,7 @@ class SegmentStore(Store):
 
     def add(self, s: Term, p: Term, o: Term) -> bool:
         with self._lock:
-            self._check_open()
-            intern = self._dictionary.intern
+            intern = self._check_open().intern
             si, pi, oi = intern(s), intern(p), intern(o)
             if self._buffer.contains(si, pi, oi):
                 return False
@@ -1079,7 +1123,7 @@ class SegmentStore(Store):
                 self._tombstones_dirty = True
             else:
                 self._buffer.add(si, pi, oi)
-            self._record_stats(si, pi, oi, +1)
+            self._counts.add(si, pi, oi)
             self._version += 1
             if self._buffer.size >= self.buffer_limit:
                 self.flush()
@@ -1098,7 +1142,7 @@ class SegmentStore(Store):
                 self._tombstones_dirty = True
             else:
                 return False
-            self._record_stats(*ids, delta=-1)
+            self._counts.remove(*ids)
             self._version += 1
         return True
 
@@ -1115,8 +1159,7 @@ class SegmentStore(Store):
                 segment.close()
                 self._delete_segment_files(segment.name)
             self._segment_count = 0
-            for counts in self._stats_ids.values():
-                counts.clear()
+            self._counts.clear()
             self._version += 1
             self._write_tombstones()
             self._write_manifest()
@@ -1125,12 +1168,14 @@ class SegmentStore(Store):
         self, s: int = UNBOUND_ID, p: int = UNBOUND_ID, o: int = UNBOUND_ID
     ) -> Iterator[tuple[int, int, int]]:
         self._check_open()
-        if self._buffer.size:
-            yield from self._buffer.scan(s, p, o)
         # Tombstones before the layout: compact() and clear() publish the
-        # layout first, so retired segments are never read unfiltered.
+        # layout first, so retired segments are never read unfiltered.  Both
+        # before the buffer: a close() or compact() while the buffer's rows
+        # are being read leaves this scan on segments it retired, which raise.
         tombstones = self._tombstones.members
         segments = self._layout.holding(s, p, o)
+        if self._buffer.size:
+            yield from self._buffer.scan(s, p, o)
         ordering, prefix = _plan(s, p, o)
         restore = _RESTORE[ordering]
         for segment in segments:
@@ -1158,10 +1203,7 @@ class SegmentStore(Store):
         if ids is None:
             return 0
         if bound == 1:
-            role = "subjects" if s is not None else (
-                "predicates" if p is not None else "objects")
-            key = ids[0] if s is not None else (ids[1] if p is not None else ids[2])
-            return self._stats_ids[role].get(key, 0)
+            return self._counts.count(*ids)
         ordering, prefix = _plan(*ids)
         total = self._buffer.count(*ids)
         for segment in self._layout.holding(*ids):
@@ -1175,8 +1217,7 @@ class SegmentStore(Store):
     def flush(self) -> None:
         """Persist the write buffer as a new segment and sync metadata."""
         with self._lock:
-            self._check_open()
-            self._dictionary._sink.flush()
+            self._check_open()._sink.flush()
             if self._tombstones_dirty:
                 self._write_tombstones()
             if not self._buffer.size:
@@ -1195,22 +1236,15 @@ class SegmentStore(Store):
 
     def _write_segment(self, name: str, spo_sorted: list[tuple[int, int, int]]) -> None:
         """Write one segment (three runs + metadata) from sorted triples."""
-        stats: dict[str, dict[int, int]] = {role: {} for role in _ROLES}
+        counts = _IdCounts(self._counts.type_id)
         for s, p, o in spo_sorted:
-            _bump(stats["subjects"], s, +1)
-            _bump(stats["predicates"], p, +1)
-            _bump(stats["objects"], o, +1)
-            if p == self._rdf_type_id:
-                _bump(stats["classes"], o, +1)
+            counts.add(s, p, o)
         for ordering, columns in _ORDERINGS.items():
             _write_sorted_run(self.directory / f"{name}.{ordering}",
                               sorted(map(itemgetter(*columns), spo_sorted)))
         _atomic_json(self.directory / f"{name}.meta.json", {
             "triples": len(spo_sorted),
-            "stats": {
-                role: {str(key): value for key, value in counts.items()}
-                for role, counts in stats.items()
-            },
+            "stats": counts.metadata(),
         })
 
     def _write_tombstones(self) -> None:
@@ -1260,10 +1294,7 @@ class SegmentStore(Store):
             # the surviving segment triples, so they become its metadata.
             _atomic_json(self.directory / f"{name}.meta.json", {
                 "triples": survivors,
-                "stats": {
-                    role: {str(key): value for key, value in counts.items()}
-                    for role, counts in self._stats_ids.items()
-                },
+                "stats": self._counts.metadata(),
             })
             segment, maps = _open_segment(self.directory, name, self.io)
             masks: _Masks = ({}, {}, {})
@@ -1281,20 +1312,39 @@ class SegmentStore(Store):
             return True
 
     def close(self) -> None:
+        """Flush, unmap every run and drop all in-memory state.
+
+        A closed store keeps only :attr:`directory` and :attr:`segment_names`
+        (its segments stay listed, unmapped); the dictionary, statistics,
+        masks, tombstones and write buffer go, so a closed store that is
+        still referenced holds no data.  Every read then raises
+        :class:`StoreError`.
+        """
         with self._lock:
-            if self._closed:
+            dictionary = self._dictionary
+            if dictionary is None:
                 return
             self.flush()
-            self._closed = True
-            self._dictionary._sink.close()
+            dictionary._sink.close()
             for segment in self._layout.segments:
                 segment.close()
+            self._dictionary = None
+            self._layout = _Layout(self._layout.segments, ({}, {}, {}))
+            self._counts = _IdCounts()
+            self._view = None
+            self._tombstones = _Tombstones()
+            self._buffer = _IdIndex()
 
-    def _check_open(self) -> None:
-        if self._closed:
+    def _check_open(self) -> _PersistentTermDictionary:
+        """The term dictionary, or :class:`StoreError` once the store is closed."""
+        dictionary = self._dictionary
+        if dictionary is None:
             raise StoreError(f"store {self.directory} is closed")
+        return dictionary
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        if self._dictionary is None:
+            return f"<SegmentStore {self.directory} closed>"
         return (f"<SegmentStore {self.directory} {len(self)} triples, "
                 f"{len(self._layout.segments)} segments, {self._buffer.size} buffered>")
 

@@ -261,6 +261,9 @@ def test_stats_equal_recount_after_interleaving(backend, operations, tmp_path_fa
     try:
         for action, s, p, o in operations:
             triple = Triple(s, p, o)
+            # A view whose term maps are decoded, taken before the operation.
+            view, version = graph.stats, graph.store.version
+            assert view.predicate_counts is graph.stats.predicate_counts
             if action == "add":
                 graph.add(triple)
                 model.add(triple)
@@ -279,6 +282,11 @@ def test_stats_equal_recount_after_interleaving(backend, operations, tmp_path_fa
             else:
                 graph.close()
                 graph = Graph(store=make_store(backend, directory))
+                continue
+            if graph.store.version != version:
+                assert graph.stats is not view, action
+                # Kept across the mutation, the old view reads the new counts.
+                assert view.predicate_counts == Counter(t.predicate for t in model), action
         assert len(graph) == len(model)
         assert set(graph.triples()) == model
         subjects, predicates, objects, classes = _recount(model)
@@ -287,6 +295,13 @@ def test_stats_equal_recount_after_interleaving(backend, operations, tmp_path_fa
         assert stats.predicate_counts == dict(predicates)
         assert stats.object_counts == dict(objects)
         assert stats.class_counts == dict(classes)
+        assert stats.distinct_subjects == len(subjects)
+        assert stats.distinct_predicates == len(predicates)
+        assert stats.distinct_objects == len(objects)
+        for term in {*_TERMS, *_PREDS, *_OBJS, _NEVER}:
+            assert graph.cardinality(term, None, None) == subjects[term], term
+            assert graph.cardinality(None, term, None) == predicates[term], term
+            assert graph.cardinality(None, None, term) == objects[term], term
         # Per live segment, the ids each column of its spo run holds, read
         # from disk: what the store's masks must prune by.
         held = []
@@ -537,22 +552,58 @@ class TestSegmentStore:
             store.add(u("a"), u("p"), u("b"))
         store.close()  # idempotent
 
-    def test_closed_store_rejects_reads(self, tmp_path):
+    #: Every data read of the store contract, as ``read(store, knows_id)``.
+    CLOSED_READS = {
+        "contains": lambda store, _: store.contains(*sample_triples()[0].as_tuple()),
+        "contains-unseen": lambda store, _: store.contains(u("x"), u("y"), u("z")),
+        "triples": lambda store, _: list(store.triples()),
+        "triples-bound": lambda store, _: list(store.triples(None, u("knows"), None)),
+        "triples_ids": lambda store, _: list(store.triples_ids()),
+        "triples_ids-bound": lambda store, knows: list(store.triples_ids(0, knows, 0)),
+        "cardinality": lambda store, _: store.cardinality(),
+        "cardinality-one-bound": lambda store, _: store.cardinality(None, u("knows"), None),
+        "cardinality-two-bound": lambda store, _: store.cardinality(u("alice"), u("knows")),
+        "len": lambda store, _: len(store),
+        "stats": lambda store, _: store.stats,
+        "dictionary": lambda store, _: store.dictionary,
+    }
+
+    @pytest.mark.parametrize("read", CLOSED_READS.values(), ids=CLOSED_READS.keys())
+    def test_closed_store_rejects_reads(self, tmp_path, read):
         store = SegmentStore(tmp_path, buffer_limit=2)
         graph = Graph(store=store)
         graph.add_all(sample_triples())
+        graph.flush()
         knows = store.dictionary.lookup(u("knows"))
+        names = store.segment_names
         store.close()
-        with pytest.raises(StoreError):
-            list(store.triples_ids())
-        with pytest.raises(StoreError):
-            list(store.triples_ids(0, knows, 0))
-        with pytest.raises(StoreError):
-            store.cardinality(None, u("knows"), None)
-        with pytest.raises(StoreError):
-            store.cardinality(u("alice"), u("knows"), None)
-        with pytest.raises(StoreError):
-            store.contains(*sample_triples()[0].as_tuple())
+        with pytest.raises(StoreError, match="closed"):
+            read(store, knows)
+        assert store.segment_names == names
+
+    def test_a_closed_store_that_is_still_referenced_holds_no_data(self, tmp_path):
+        # 20k triples over 2,000 subjects in four segments, with tombstones.
+        graph = Graph(store=SegmentStore(tmp_path, buffer_limit=5_000))
+        for i in range(2_000):
+            graph.add(Triple(u(f"e{i}"), RDF.type, u(f"C{i % 7}")))
+            for j in range(9):
+                graph.add(Triple(u(f"e{i}"), u(f"p{j}"), Literal(f"v{i}-{j}")))
+        graph.flush()
+        for i in range(0, 2_000, 10):
+            graph.discard(Triple(u(f"e{i}"), u("p0"), Literal(f"v{i}-0")))
+        graph.close()
+        tracemalloc.start()
+        try:
+            store = SegmentStore(tmp_path)   # the cold open is what gets traced
+            assert len(store) == 19_800 and store.tombstoned == 200
+            assert store.stats.predicate_counts[RDF.type] == 2_000
+            store.close()
+            referenced = tracemalloc.get_traced_memory()[0]
+            del store
+            retained = referenced - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024, f"{retained} bytes"
 
     @pytest.mark.parametrize("retire", ["close", "compact", "clear"])
     def test_suspended_scan_raises_once_its_segment_is_retired(self, tmp_path, retire):

@@ -381,6 +381,20 @@ class TestStoreCommand:
         assert len(graph) == 4
         graph.close()
 
+    @pytest.mark.parametrize("limit", ["0", "-1", "two"])
+    def test_build_rejects_a_buffer_limit_below_one(self, capsys, tmp_path, limit):
+        data = tmp_path / "data.ttl"
+        data.write_text(self.DATA, encoding="utf-8")
+        store_dir = tmp_path / "store"
+        with pytest.raises(SystemExit) as exited:
+            main(["store", "build", str(store_dir), str(data), "--buffer-limit", limit])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "argument --buffer-limit:" in errors[0], err
+        assert "Traceback" not in err
+        assert not store_dir.exists()
+
     @pytest.mark.parametrize("command", ["stats", "compact"])
     @pytest.mark.parametrize("existing", [False, True])
     def test_store_commands_reject_a_directory_without_a_store(self, capsys, tmp_path,
