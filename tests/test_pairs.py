@@ -84,6 +84,10 @@ def test_three_of_three_pairs_resolve_and_two_do_not():
 def test_a_parent_spread_wider_than_the_bound_is_unresolved():
     parent = [40.0, 50.0, 60.0, 45.0, 55.0]
     assert pairs.verdict(parent, [value + 0.1 for value in parent], RSS)["verdict"] == "unresolved"
+    # ... unless every change run is better than every parent run.
+    parent = [40.0, 40.5, 70.0, 69.0, 68.0]            # IQR 28.5, median 68
+    change = [39.5, 39.6, 39.7, 39.8, 39.9]            # gap 28.3: not better either
+    assert pairs.verdict(parent, change, RSS)["verdict"] == "within"
 
 
 class FakeRunner:

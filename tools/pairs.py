@@ -36,7 +36,8 @@ calls ``better``) and a verdict:
   ``bound`` (a share of the parent median);
 * ``unresolved``: a run of the group failed, fewer than 3 pairs ran, the
   change median trails by more than the bound without losing consistently,
-  or the parent IQR alone is wider than the bound;
+  or the parent IQR alone is wider than the bound and some change run is
+  no better than some parent run;
 * ``within``: anything else.
 
 The tool reads ``benchmarks/e15/`` and ``BENCHMARK.json`` and writes
@@ -193,7 +194,8 @@ def verdict(parent: Sequence[float], change: Sequence[float], metric: Metric,
         outcome = "better"
     elif losses >= need and -gap > spread and -gap > tolerance:
         outcome = "worse"
-    elif -gap > tolerance or spread > tolerance:
+    elif -gap > tolerance or (spread > tolerance and min(sign * c for c in change)
+                                 <= max(sign * p for p in parent)):
         outcome = "unresolved"
     else:
         outcome = "within"
@@ -319,8 +321,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         scratch = next(iter(trees.values())).parent
         rows = run_pairs(trees, commits, args.group, args.seconds, metrics, scratch,
                          after_run=write)
-    for summary in document(rows, args.group, metrics, commits, args.seconds,
-                            args.aa)["summary"]:
+    for summary in summarise(rows, args.group, metrics):
         print(f"== {summary['workload']} seed {summary['seed']}: {summary['pairs']} pairs, "
               f"{summary['failed_runs']} failed run(s)")
         for name, entry in summary["metrics"].items():
