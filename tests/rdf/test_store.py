@@ -16,6 +16,7 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import gc
 import json
 import mmap
 import random
@@ -598,8 +599,10 @@ class TestSegmentStore:
             assert len(store) == 19_800 and store.tombstoned == 200
             assert store.stats.predicate_counts[RDF.type] == 2_000
             store.close()
+            gc.collect()
             referenced = tracemalloc.get_traced_memory()[0]
             del store
+            gc.collect()
             retained = referenced - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
