@@ -262,10 +262,10 @@ class Graph:
         """Exact number of triples matching the pattern, without enumerating.
 
         ``None`` (or a :class:`Variable`) acts as a wildcard, mirroring
-        :meth:`triples`.  Two- and three-bound patterns are answered from
-        the permutation-index buckets; one-bound patterns from the
-        incrementally maintained per-term counters; the all-wildcard
-        pattern from the triple count.
+        :meth:`triples`.  One-bound patterns read the per-term counters and
+        the all-wildcard pattern the triple count, in O(1).  Two- and
+        three-bound patterns read index buckets: O(1) except ``(s, ?, o)`` on
+        a :class:`MemoryStore`, which has no OSP and costs O(predicates of s).
         """
         s = self._normalize(subject)
         p = self._normalize(predicate)

@@ -398,7 +398,10 @@ _Permutation = dict[int, dict[int, tuple[int] | set[int]]]
 
 
 class _IdIndex:
-    """SPO/POS/OSP nested-dict indexes over dictionary ids.
+    """SPO/POS nested-dict indexes over dictionary ids.
+
+    ``(s, ?, o)`` tests ``o`` in each bucket of ``spo[s]`` and ``(?, ?, o)``
+    reads ``pos[p][o]`` under every predicate, both predicate-major.
 
     A bucket holding one id is the 1-tuple ``(c,)`` (48 bytes instead of a
     216-byte set); its second id promotes it to the set ``{old, c}``, and a
@@ -413,12 +416,11 @@ class _IdIndex:
     and the iteration order — that adding to the set would have given.
     """
 
-    __slots__ = ("spo", "pos", "osp", "size")
+    __slots__ = ("spo", "pos", "size")
 
     def __init__(self) -> None:
         self.spo: _Permutation = {}
         self.pos: _Permutation = {}
-        self.osp: _Permutation = {}
         self.size = 0
 
     @staticmethod
@@ -455,7 +457,6 @@ class _IdIndex:
             return False
         self._insert(self.spo, s, p, o)
         self._insert(self.pos, p, o, s)
-        self._insert(self.osp, o, s, p)
         self.size += 1
         return True
 
@@ -464,14 +465,12 @@ class _IdIndex:
             return False
         self._prune(self.spo, s, p, o)
         self._prune(self.pos, p, o, s)
-        self._prune(self.osp, o, s, p)
         self.size -= 1
         return True
 
     def clear(self) -> None:
         self.spo.clear()
         self.pos.clear()
-        self.osp.clear()
         self.size = 0
 
     def scan(self, s: int, p: int, o: int) -> Iterator[tuple[int, int, int]]:
@@ -489,8 +488,9 @@ class _IdIndex:
                 yield (si, p, o)
             return
         if s and o:
-            for pi in self.osp.get(o, {}).get(s, ()):
-                yield (s, pi, o)
+            for pi, objects in self.spo.get(s, {}).items():
+                if o in objects:
+                    yield (s, pi, o)
             return
         if s:
             for pi, objects in self.spo.get(s, {}).items():
@@ -503,8 +503,8 @@ class _IdIndex:
                     yield (si, p, oi)
             return
         if o:
-            for si, predicates in self.osp.get(o, {}).items():
-                for pi in predicates:
+            for pi, by_object in self.pos.items():
+                for si in by_object.get(o, ()):
                     yield (si, pi, o)
             return
         for si, by_predicate in self.spo.items():
@@ -521,13 +521,13 @@ class _IdIndex:
         if p and o:
             return len(self.pos.get(p, {}).get(o, ()))
         if s and o:
-            return len(self.osp.get(o, {}).get(s, ()))
+            return sum(o in bucket for bucket in self.spo.get(s, {}).values())
         if s:
             return sum(len(bucket) for bucket in self.spo.get(s, {}).values())
         if p:
             return sum(len(bucket) for bucket in self.pos.get(p, {}).values())
         if o:
-            return sum(len(bucket) for bucket in self.osp.get(o, {}).values())
+            return sum(len(level.get(o, ())) for level in self.pos.values())
         return self.size
 
 
@@ -535,13 +535,13 @@ class _IdIndex:
 # MemoryStore
 # --------------------------------------------------------------------------- #
 class MemoryStore(Store):
-    """The volatile backend: id-level permutation indexes in nested dicts.
+    """The volatile backend: SPO and POS id indexes in nested dicts.
 
-    The indexes are one :class:`_IdIndex`, whose one-id buckets are
-    1-tuples promoted to sets on a second id (see there for why scans keep
-    their order).  Statistics are :class:`SegmentStore`'s id-keyed
-    :class:`_IdCounts`, bumped by id on every mutation; :attr:`stats`
-    decodes them by term only when a reader asks, once per version.
+    The indexes are one :class:`_IdIndex` (see there for its 1-tuple
+    buckets, why scans keep their order and how it answers ``(?, ?, o)``).
+    Statistics are :class:`SegmentStore`'s id-keyed :class:`_IdCounts`,
+    bumped by id on every mutation; :attr:`stats` decodes them by term
+    only when a reader asks, once per version.
     """
 
     def __init__(self) -> None:

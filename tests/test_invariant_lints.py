@@ -24,7 +24,7 @@ class MemoryStore:
 
 def leak(index, s, p, o):
     index.pos.setdefault(p, {}).setdefault(o, set()).add(s)
-    return index.osp
+    return index.spo
 """
 
 
@@ -45,7 +45,7 @@ def test_inv005_reports_index_access_outside_the_id_index():
     assert _id_index_findings(path) == [
         f"{path}:7: {message('spo')}",
         f"{path}:10: {message('pos')}",
-        f"{path}:11: {message('osp')}",
+        f"{path}:11: {message('spo')}",
     ]
 
 

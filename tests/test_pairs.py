@@ -81,6 +81,22 @@ def test_three_of_three_pairs_resolve_and_two_do_not():
     assert pairs.verdict([50.0, 50.1], [45.0, 45.1], RSS)["verdict"] == "unresolved"
 
 
+def test_an_unresolved_group_still_reports_its_complete_pairs():
+    # Two pairs: too few to decide, but what they measured is kept.
+    summary = pairs.verdict([45.0, 45.7], [45.5, 45.8], RSS)
+    assert summary["verdict"] == "unresolved"
+    assert (summary["parent_median"], summary["change_median"]) == (45.35, 45.65)
+    assert summary["parent_iqr"] == pytest.approx(0.35)
+    # Three pairs from a group with a failed run: the same.
+    summary = pairs.verdict([50.0, 50.1, 50.2], [45.0, 45.1, 45.2], RSS, complete=False)
+    assert summary["verdict"] == "unresolved"
+    assert (summary["parent_median"], summary["change_median"]) == (50.1, 45.1)
+    # No complete pair: nothing to report.
+    summary = pairs.verdict([], [], RSS, complete=False)
+    assert summary["verdict"] == "unresolved"
+    assert summary["parent_median"] is None and summary["parent_iqr"] is None
+
+
 def test_a_parent_spread_wider_than_the_bound_is_unresolved():
     parent = [40.0, 50.0, 60.0, 45.0, 55.0]
     assert pairs.verdict(parent, [value + 0.1 for value in parent], RSS)["verdict"] == "unresolved"
@@ -156,6 +172,9 @@ def test_a_failed_run_is_kept_and_leaves_its_group_unresolved(tmp_path):
     segment, memory = doc["summary"]
     assert segment["failed_runs"] == 1
     assert {entry["verdict"] for entry in segment["metrics"].values()} == {"unresolved"}
+    # Pairs 1 and 3 are complete: their medians are reported.
+    assert segment["metrics"]["peak_rss_mb"]["parent_median"] == pytest.approx(50.02)
+    assert segment["metrics"]["peak_rss_mb"]["change_median"] == pytest.approx(45.02)
     assert memory["failed_runs"] == 0
     assert memory["metrics"]["peak_rss_mb"]["verdict"] == "better"
 

@@ -30,7 +30,7 @@ with nothing but the stdlib ``ast`` module:
    The ``VecOperator`` base itself is exempt: it defines the fallback.
 
 5. **The id index's buckets stay private** — under ``src/repro/``, the
-   ``.spo``/``.pos``/``.osp`` attributes are read or written only inside
+   ``.spo``/``.pos`` attributes are read or written only inside
    ``class _IdIndex`` (``rdf/store.py``).  A bucket there is a 1-tuple
    while it holds one id and a set from its second id on; code elsewhere
    that mutated a bucket or assumed it was a set would break that rule.
@@ -351,7 +351,7 @@ def check_span_names(tree: ast.Module, path: Path) -> list[Finding]:
 SRC_PACKAGE = REPO_ROOT / "src" / "repro"
 #: The permutation indexes of ``_IdIndex``, whose bucket type (1-tuple or
 #: set) is that class's own business.
-ID_INDEX_ATTRS = {"spo", "pos", "osp"}
+ID_INDEX_ATTRS = {"spo", "pos"}
 ID_INDEX_CLASS = "_IdIndex"
 
 

@@ -40,6 +40,9 @@ calls ``better``) and a verdict:
   no better than some parent run;
 * ``within``: anything else.
 
+Medians and IQR are those of the complete pairs (both runs correct), and
+are reported whenever there is one, whatever the verdict.
+
 The tool reads ``benchmarks/e15/`` and ``BENCHMARK.json`` and writes
 neither.
 """
@@ -181,12 +184,15 @@ def verdict(parent: Sequence[float], change: Sequence[float], metric: Metric,
     losses = sum(gain < 0 for gain in gains)
     summary: dict = {"better": metric.better, "bound": metric.bound, "pairs": len(gains),
                      "wins": wins, "losses": losses, "parent_median": None,
-                     "change_median": None, "parent_iqr": None}
-    if not complete or len(gains) < MIN_PAIRS:
-        summary["verdict"] = "unresolved"
+                     "change_median": None, "parent_iqr": None, "verdict": "unresolved"}
+    if not gains:
         return summary
     parent_median, change_median = statistics.median(parent), statistics.median(change)
     spread = iqr(parent)
+    # What the complete pairs measured is reported even when it cannot decide.
+    summary.update(parent_median=parent_median, change_median=change_median, parent_iqr=spread)
+    if not complete or len(gains) < MIN_PAIRS:
+        return summary
     gap = sign * (change_median - parent_median)   # > 0: the change is better
     tolerance = metric.bound * abs(parent_median)
     need = math.ceil(CONSISTENT * len(gains))
@@ -199,8 +205,7 @@ def verdict(parent: Sequence[float], change: Sequence[float], metric: Metric,
         outcome = "unresolved"
     else:
         outcome = "within"
-    summary.update(parent_median=parent_median, change_median=change_median,
-                   parent_iqr=spread, verdict=outcome)
+    summary["verdict"] = outcome
     return summary
 
 
