@@ -255,10 +255,10 @@ def _recount(model: set[Triple]):
 @example(operations=[_op("add"), _op("flush"), _op("add", _t2, _p1, _x), _op("flush"),
                      _op("clear"), _op("add", _t2, _p1, _x), _op("flush"), _op("add"),
                      _op("flush")])
-# One object under two predicates of one subject, then one is removed: its
-# POS bucket empties while (s, ?, o) and (?, ?, o) still match the other.
-@example(operations=[_op("add"), _op("add", _t0, _p1, _t1), _op("add", _t2, _p1, _x),
-                     _op("remove", _t0, _p1, _t1)])
+# One object under three predicates of one subject, then one is removed: its
+# POS bucket empties while (s, ?, o) and (?, ?, o) still match the other two.
+@example(operations=[_op("add"), _op("add", _t0, _p1, _t1), _op("add", _t0, _type, _t1),
+                     _op("add", _t2, _p1, _x), _op("remove", _t0, _p1, _t1)])
 def test_stats_equal_recount_after_interleaving(backend, operations, tmp_path_factory):
     directory = tmp_path_factory.mktemp("interleave")
     graph = Graph(store=make_store(backend, directory))
@@ -432,7 +432,7 @@ def test_one_id_buckets_halve_the_index_footprint():
     sets = _index_bytes(_SetIndex, triples)
     per_triple = f"{tuples / len(triples):.0f} vs {sets / len(triples):.0f} B/triple"
     assert tuples <= 0.55 * sets, per_triple
-    # Two permutations, not three: with OSP this index took ~368 B/triple.
+    # SPO and POS only: a third (OSP) permutation takes it to ~368 B/triple.
     assert tuples <= 250 * len(triples), per_triple
 
 
