@@ -19,11 +19,11 @@ questions every engine layer asks of it:
 
 Two implementations ship:
 
-* :class:`MemoryStore` — nested-dict SPO/POS/OSP permutation indexes over
-  interned ids, entirely in RAM.  A leaf bucket that holds one id is a
-  1-tuple and becomes a set on its second id, which halves the index's
-  footprint (about 370 instead of 760 bytes per triple on E15's entity
-  graph) without changing the order any scan yields rows in.
+* :class:`MemoryStore` — nested-dict SPO and POS permutation indexes over
+  interned ids, entirely in RAM.  A leaf bucket that holds one id is that
+  id, a bare int, and becomes a set on its second id, which keeps the
+  index to about 130 bytes per triple on E15's entity graph without
+  changing the order any scan yields rows in.
 * :class:`SegmentStore` — a persistent store: immutable sorted SPO/POS/OSP
   index segments on disk (24-byte little-endian records, memory-mapped
   and bisected in place as integer arrays so a query never loads a full
@@ -49,7 +49,7 @@ import struct
 import sys
 import threading
 from bisect import bisect_left, bisect_right
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Collection, Hashable, Iterable, Iterator, Sequence
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -393,8 +393,19 @@ class Store:
 # --------------------------------------------------------------------------- #
 # Shared id-level permutation index (memory store + segment write buffer)
 # --------------------------------------------------------------------------- #
-#: One permutation index: ``a -> b -> bucket`` of ``c`` ids.
-_Permutation = dict[int, dict[int, tuple[int] | set[int]]]
+#: One permutation index: ``a -> b -> bucket`` of ``c`` ids, where a bucket
+#: holding one id is that int and a bucket holding more is a set.
+_Permutation = dict[int, dict[int, int | set[int]]]
+#: The ``.get`` default for an absent first key, so a miss allocates nothing;
+#: nothing ever writes to it.
+_NO_LEVEL: dict[int, int | set[int]] = {}
+
+
+def _ids(bucket: int | set[int] | None) -> Collection[int]:
+    """The ids in ``bucket``: an int bucket holds just itself, ``None`` none."""
+    if type(bucket) is int:
+        return (bucket,)
+    return bucket or ()
 
 
 class _IdIndex:
@@ -403,14 +414,17 @@ class _IdIndex:
     ``(s, ?, o)`` tests ``o`` in each bucket of ``spo[s]`` and ``(?, ?, o)``
     reads ``pos[p][o]`` under every predicate, both predicate-major.
 
-    A bucket holding one id is the 1-tuple ``(c,)`` (48 bytes instead of a
-    216-byte set); its second id promotes it to the set ``{old, c}``, and a
-    set never goes back to a tuple.  A bucket that loses its last id is
-    deleted, whatever its type.  Tuples and sets share ``in``, iteration
-    and ``len``, so :meth:`contains`, :meth:`scan` and :meth:`count` read
-    both alike.
+    A bucket holding one id is that id itself, an int the term dictionary
+    already holds, so it costs the index only its dict slot (a set takes
+    216 bytes); its second id promotes it to the set ``{old, c}``, and a
+    set never goes back to an int.  A bucket that loses its last id is
+    deleted, whatever its type.  A read of one bucket goes through
+    :func:`_ids`; a loop over a level's buckets tests ``type(bucket) is
+    int`` inline instead, which spares it a call per bucket.  Either way an
+    id is compared by value (``==``/``in``), never by identity: ids above
+    256 are equal, not identical, objects.
 
-    Promotion keeps scan order: a tuple bucket stands for a set that has
+    Promotion keeps scan order: an int bucket stands for a set that has
     only ever held its one id, and ``{old, c}`` inserts the same ids in the
     same order into a fresh set, so the promoted set has the slot layout —
     and the iteration order — that adding to the set would have given.
@@ -427,13 +441,13 @@ class _IdIndex:
     def _insert(index: _Permutation, a: int, b: int, c: int) -> None:
         level = index.get(a)
         if level is None:
-            index[a] = {b: (c,)}
+            index[a] = {b: c}
             return
         bucket = level.get(b)
         if bucket is None:
-            level[b] = (c,)
-        elif type(bucket) is tuple:
-            level[b] = {bucket[0], c}
+            level[b] = c
+        elif type(bucket) is int:
+            level[b] = {bucket, c}
         else:
             bucket.add(c)
 
@@ -442,7 +456,7 @@ class _IdIndex:
         """Remove ``c``, which :meth:`discard` has checked is present."""
         level = index[a]
         bucket = level[b]
-        if len(bucket) > 1:
+        if type(bucket) is not int and len(bucket) > 1:
             bucket.remove(c)
             return
         del level[b]
@@ -450,7 +464,7 @@ class _IdIndex:
             del index[a]
 
     def contains(self, s: int, p: int, o: int) -> bool:
-        return o in self.spo.get(s, {}).get(p, ())
+        return o in _ids(self.spo.get(s, _NO_LEVEL).get(p))
 
     def add(self, s: int, p: int, o: int) -> bool:
         if self.contains(s, p, o):
@@ -476,58 +490,70 @@ class _IdIndex:
     def scan(self, s: int, p: int, o: int) -> Iterator[tuple[int, int, int]]:
         """Yield matching id triples via the most selective index."""
         if s and p and o:
-            if o in self.spo.get(s, {}).get(p, ()):
+            if self.contains(s, p, o):
                 yield (s, p, o)
             return
         if s and p:
-            for oi in self.spo.get(s, {}).get(p, ()):
+            for oi in _ids(self.spo.get(s, _NO_LEVEL).get(p)):
                 yield (s, p, oi)
             return
         if p and o:
-            for si in self.pos.get(p, {}).get(o, ()):
+            for si in _ids(self.pos.get(p, _NO_LEVEL).get(o)):
                 yield (si, p, o)
             return
         if s and o:
-            for pi, objects in self.spo.get(s, {}).items():
-                if o in objects:
+            for pi, objects in self.spo.get(s, _NO_LEVEL).items():
+                if (objects == o) if type(objects) is int else (o in objects):
                     yield (s, pi, o)
             return
         if s:
-            for pi, objects in self.spo.get(s, {}).items():
-                for oi in objects:
-                    yield (s, pi, oi)
+            for pi, objects in self.spo.get(s, _NO_LEVEL).items():
+                if type(objects) is int:
+                    yield (s, pi, objects)
+                else:
+                    for oi in objects:
+                        yield (s, pi, oi)
             return
         if p:
-            for oi, subjects in self.pos.get(p, {}).items():
-                for si in subjects:
-                    yield (si, p, oi)
+            for oi, subjects in self.pos.get(p, _NO_LEVEL).items():
+                if type(subjects) is int:
+                    yield (subjects, p, oi)
+                else:
+                    for si in subjects:
+                        yield (si, p, oi)
             return
         if o:
             for pi, by_object in self.pos.items():
-                for si in by_object.get(o, ()):
+                for si in _ids(by_object.get(o)):
                     yield (si, pi, o)
             return
         for si, by_predicate in self.spo.items():
             for pi, objects in by_predicate.items():
-                for oi in objects:
-                    yield (si, pi, oi)
+                if type(objects) is int:
+                    yield (si, pi, objects)
+                else:
+                    for oi in objects:
+                        yield (si, pi, oi)
 
     def count(self, s: int, p: int, o: int) -> int:
         """Exact match count for any id-pattern shape."""
         if s and p and o:
             return 1 if self.contains(s, p, o) else 0
         if s and p:
-            return len(self.spo.get(s, {}).get(p, ()))
+            return len(_ids(self.spo.get(s, _NO_LEVEL).get(p)))
         if p and o:
-            return len(self.pos.get(p, {}).get(o, ()))
+            return len(_ids(self.pos.get(p, _NO_LEVEL).get(o)))
         if s and o:
-            return sum(o in bucket for bucket in self.spo.get(s, {}).values())
+            return sum((bucket == o) if type(bucket) is int else (o in bucket)
+                       for bucket in self.spo.get(s, _NO_LEVEL).values())
         if s:
-            return sum(len(bucket) for bucket in self.spo.get(s, {}).values())
+            return sum(1 if type(bucket) is int else len(bucket)
+                       for bucket in self.spo.get(s, _NO_LEVEL).values())
         if p:
-            return sum(len(bucket) for bucket in self.pos.get(p, {}).values())
+            return sum(1 if type(bucket) is int else len(bucket)
+                       for bucket in self.pos.get(p, _NO_LEVEL).values())
         if o:
-            return sum(len(level.get(o, ())) for level in self.pos.values())
+            return sum(len(_ids(level.get(o))) for level in self.pos.values())
         return self.size
 
 
@@ -537,7 +563,7 @@ class _IdIndex:
 class MemoryStore(Store):
     """The volatile backend: SPO and POS id indexes in nested dicts.
 
-    The indexes are one :class:`_IdIndex` (see there for its 1-tuple
+    The indexes are one :class:`_IdIndex` (see there for its bare-int
     buckets, why scans keep their order and how it answers ``(?, ?, o)``).
     Statistics are :class:`SegmentStore`'s id-keyed :class:`_IdCounts`,
     bumped by id on every mutation; :attr:`stats` decodes them by term

@@ -341,7 +341,7 @@ def test_stats_equal_recount_after_interleaving(backend, operations, tmp_path_fa
 
 
 # --------------------------------------------------------------------------- #
-# _IdIndex: one-id buckets are 1-tuples, promoted to sets on a second id
+# _IdIndex: one-id buckets are bare ints, promoted to sets on a second id
 # --------------------------------------------------------------------------- #
 class _SetIndex(_IdIndex):
     """The index with every bucket a set: the reference for scan order.
@@ -391,6 +391,12 @@ def _index_operations(draw):
 @example(operations=[("add", 1, 1, 1), ("add", 1, 1, 9), ("discard", 1, 1, 1),
                      ("add", 1, 1, 17), ("discard", 1, 1, 9), ("discard", 1, 1, 17),
                      ("add", 1, 1, 9), ("add", 1, 1, 1)])
+# Ids above 256 are not cached by CPython: the first (missing) discard makes
+# the probes equal to the ids the adds store but not the same int objects,
+# so an int bucket compared by identity instead of value misses them.
+@example(operations=[("discard", *(int(str(i)) for i in (5001, 5002, 5009))),
+                     ("add", 5001, 5002, 5009), ("add", 5009, 5002, 5001),
+                     ("add", 5001, 5009, 5009)])
 def test_id_index_scans_equal_the_all_set_index(operations):
     index, reference = _IdIndex(), _SetIndex()
     for action, s, p, o in operations:
@@ -428,12 +434,13 @@ def test_one_id_buckets_halve_the_index_footprint():
     for e in range(1, entities + 1):
         triples += [(e, group, groups[e % 5]), (e, rank, ranks[e % 3]),
                     (e, knows, rng.randrange(1, entities + 1)), (e, name, entities + 13 + e)]
-    tuples = _index_bytes(_IdIndex, triples)
+    ints = _index_bytes(_IdIndex, triples)
     sets = _index_bytes(_SetIndex, triples)
-    per_triple = f"{tuples / len(triples):.0f} vs {sets / len(triples):.0f} B/triple"
-    assert tuples <= 0.55 * sets, per_triple
-    # SPO and POS only: a third (OSP) permutation takes it to ~368 B/triple.
-    assert tuples <= 250 * len(triples), per_triple
+    per_triple = f"{ints / len(triples):.0f} vs {sets / len(triples):.0f} B/triple"
+    assert ints <= 0.55 * sets, per_triple
+    # SPO and POS with int buckets: ~126 B/triple.  1-tuple buckets take it
+    # to ~191, and a third (OSP) permutation to ~368.
+    assert ints <= 150 * len(triples), per_triple
 
 
 # --------------------------------------------------------------------------- #

@@ -38,7 +38,7 @@ def _id_index_findings(relative: str) -> list[str]:
 
 def test_inv005_reports_index_access_outside_the_id_index():
     def message(attr: str) -> str:
-        return (f"[INV005] .{attr} used outside class _IdIndex: its buckets are 1-tuples "
+        return (f"[INV005] .{attr} used outside class _IdIndex: its buckets are ints "
                 "or sets by that class's rule; use scan/count/contains or the Store API")
 
     path = "src/repro/rdf/store.py"

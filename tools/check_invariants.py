@@ -31,7 +31,7 @@ with nothing but the stdlib ``ast`` module:
 
 5. **The id index's buckets stay private** — under ``src/repro/``, the
    ``.spo``/``.pos`` attributes are read or written only inside
-   ``class _IdIndex`` (``rdf/store.py``).  A bucket there is a 1-tuple
+   ``class _IdIndex`` (``rdf/store.py``).  A bucket there is a bare int
    while it holds one id and a set from its second id on; code elsewhere
    that mutated a bucket or assumed it was a set would break that rule.
    Everything else goes through ``_IdIndex.scan``/``count``/``contains``
@@ -349,8 +349,8 @@ def check_span_names(tree: ast.Module, path: Path) -> list[Finding]:
 # --------------------------------------------------------------------------- #
 
 SRC_PACKAGE = REPO_ROOT / "src" / "repro"
-#: The permutation indexes of ``_IdIndex``, whose bucket type (1-tuple or
-#: set) is that class's own business.
+#: The permutation indexes of ``_IdIndex``, whose bucket type (int or set)
+#: is that class's own business.
 ID_INDEX_ATTRS = {"spo", "pos"}
 ID_INDEX_CLASS = "_IdIndex"
 
@@ -366,7 +366,7 @@ def check_id_index_private(tree: ast.Module, path: Path) -> list[Finding]:
     }
     return sorted((
         Finding(path, node.lineno, "INV005",
-                f".{node.attr} used outside class _IdIndex: its buckets are 1-tuples "
+                f".{node.attr} used outside class _IdIndex: its buckets are ints "
                 "or sets by that class's rule; use scan/count/contains or the Store API")
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in ID_INDEX_ATTRS

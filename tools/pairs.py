@@ -41,7 +41,15 @@ calls ``better``) and a verdict:
 * ``within``: anything else.
 
 Medians and IQR are those of the complete pairs (both runs correct), and
-are reported whenever there is one, whatever the verdict.
+are reported whenever there is one, whatever the verdict, with two more
+fields:
+
+* ``relative``: ``change_median / parent_median - 1`` (``None`` when the
+  parent median is 0);
+* ``clears_bound``: whether the change's median gain, in the ``better``
+  direction, exceeds the metric's ``bound``.  A ``better`` verdict needs
+  only the parent IQR, so a gain can be ``better`` and still be smaller
+  than the bound a claimed improvement has to clear.
 
 The tool reads ``benchmarks/e15/`` and ``BENCHMARK.json`` and writes
 neither.
@@ -184,13 +192,17 @@ def verdict(parent: Sequence[float], change: Sequence[float], metric: Metric,
     losses = sum(gain < 0 for gain in gains)
     summary: dict = {"better": metric.better, "bound": metric.bound, "pairs": len(gains),
                      "wins": wins, "losses": losses, "parent_median": None,
-                     "change_median": None, "parent_iqr": None, "verdict": "unresolved"}
+                     "change_median": None, "parent_iqr": None, "relative": None,
+                     "clears_bound": False, "verdict": "unresolved"}
     if not gains:
         return summary
     parent_median, change_median = statistics.median(parent), statistics.median(change)
     spread = iqr(parent)
     # What the complete pairs measured is reported even when it cannot decide.
     summary.update(parent_median=parent_median, change_median=change_median, parent_iqr=spread)
+    if parent_median:
+        relative = change_median / parent_median - 1
+        summary.update(relative=relative, clears_bound=sign * relative > metric.bound)
     if not complete or len(gains) < MIN_PAIRS:
         return summary
     gap = sign * (change_median - parent_median)   # > 0: the change is better
@@ -332,7 +344,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         for name, entry in summary["metrics"].items():
             print(f"   {name:26s} {entry['verdict']:10s} wins {entry['wins']}/{entry['pairs']}"
                   f"  parent {entry['parent_median']}  change {entry['change_median']}"
-                  f"  parent IQR {entry['parent_iqr']}")
+                  f"  parent IQR {entry['parent_iqr']}  relative {entry['relative']}"
+                  f"  clears bound {entry['clears_bound']}")
     return 0
 
 
