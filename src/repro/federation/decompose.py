@@ -75,7 +75,7 @@ from typing import TYPE_CHECKING
 
 from ..core import MediationResult
 from ..obs.trace import get_tracer
-from ..rdf import BNode, Graph, RDF, Term, TermDictionary, Triple, URIRef, Variable
+from ..rdf import BNode, Graph, GraphView, RDF, Term, Triple, URIRef, Variable
 from ..sparql import (
     AskQuery,
     Binding,
@@ -142,10 +142,6 @@ DEFAULT_BIND_JOIN_BATCH = 256
 
 #: The federation strategies a plan can be built for.
 STRATEGIES = ("fanout", "decompose")
-
-#: Filters are evaluated at the mediator against no graph at all; only
-#: EXISTS expressions would need one, and those force the fan-out fallback.
-_EMPTY_GRAPH = Graph()
 
 
 # --------------------------------------------------------------------------- #
@@ -359,15 +355,14 @@ class SourceSelector:
         self,
         pattern: Triple,
         target: RegisteredDataset,
+        graph: GraphView | None,
         source_ontology: URIRef | None,
         source_dataset: URIRef | None,
         mode: str,
     ) -> tuple:
-        graph = getattr(target.endpoint, "graph", None)
-        version = getattr(graph, "version", -1)
         return (
             target.uri,
-            version,
+            graph.version if graph is not None else -1,
             pattern_text(pattern),
             source_ontology,
             source_dataset == target.uri,
@@ -380,11 +375,10 @@ class SourceSelector:
     # -- vocabulary ------------------------------------------------------ #
     @staticmethod
     def _vocabulary(
-        target: RegisteredDataset,
+        target: RegisteredDataset, graph: GraphView | None
     ) -> tuple[frozenset | None, frozenset | None]:
         """``(predicates, classes)`` the dataset can serve; ``None`` = unknown."""
-        graph = getattr(target.endpoint, "graph", None)
-        if graph is not None and hasattr(graph, "stats"):
+        if graph is not None:
             stats = graph.stats
             predicates = frozenset(
                 term for term in stats.predicate_counts if isinstance(term, URIRef)
@@ -404,12 +398,13 @@ class SourceSelector:
         return None, None
 
     @staticmethod
-    def _estimate(target: RegisteredDataset, patterns: Sequence[Triple]) -> float:
+    def _estimate(
+        target: RegisteredDataset, graph: GraphView | None, patterns: Sequence[Triple]
+    ) -> float:
         """Cardinality estimate for a translated pattern group on a dataset."""
-        graph = getattr(target.endpoint, "graph", None)
         estimates: list[float] = []
         for pattern in patterns:
-            if graph is not None and hasattr(graph, "cardinality"):
+            if graph is not None:
                 estimates.append(
                     float(graph.cardinality(pattern.subject, pattern.predicate, pattern.object))
                 )
@@ -454,12 +449,13 @@ class SourceSelector:
     ) -> SourceDecision:
         """Is ``pattern`` (translated for ``target``) answerable there?"""
         self._check_generation()
-        key = self._cache_key(pattern, target, source_ontology, source_dataset, mode)
+        graph = target.local_graph()
+        key = self._cache_key(pattern, target, graph, source_ontology, source_dataset, mode)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         decision = self._decide_uncached(
-            pattern, target, source_ontology, source_dataset, mode
+            pattern, target, graph, source_ontology, source_dataset, mode
         )
         self._cache[key] = decision
         return decision
@@ -468,6 +464,7 @@ class SourceSelector:
         self,
         pattern: Triple,
         target: RegisteredDataset,
+        graph: GraphView | None,
         source_ontology: URIRef | None,
         source_dataset: URIRef | None,
         mode: str,
@@ -481,7 +478,7 @@ class SourceSelector:
             # so excluding the dataset preserves the merged result.
             return SourceDecision(target.uri, False, f"translation failed: {exc}")
 
-        predicates, classes = self._vocabulary(target)
+        predicates, classes = self._vocabulary(target, graph)
         unknown: list[Triple] = []
         for candidate in translated:
             predicate = candidate.predicate
@@ -506,7 +503,7 @@ class SourceSelector:
             else:
                 # Variable predicate: statistics cannot refute it.
                 unknown.append(candidate)
-        estimate = self._estimate(target, translated)
+        estimate = self._estimate(target, graph, translated)
         if not unknown:
             decision = SourceDecision(target.uri, True, "vocabulary", estimate)
         elif not self.ask_probes:
@@ -1288,7 +1285,11 @@ class _PlanExecutor:
         """Build the mediator pipeline: units -> canonicalise -> FILTER ->
         ORDER BY -> project -> DISTINCT -> OFFSET/LIMIT (the FILTER, ORDER
         BY and slice only for a decomposed plan)."""
-        ctx = ExecContext(_EMPTY_GRAPH, dictionary=TermDictionary())
+        # The mediator's graph is empty: it only interns the fetched terms
+        # (its own ids, private to this plan), and FILTERs are evaluated
+        # against no data (only EXISTS would need some, and that forces the
+        # fan-out fallback).
+        ctx = ExecContext(Graph())
         root: VecOperator | None = None
         schema: Schema = ()
         bound: set[Variable] = set()

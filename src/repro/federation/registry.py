@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Iterator
 
 from ..obs.metrics import abandoned_attempts_gauge
-from ..rdf import Graph, URIRef
-from .endpoint import EndpointStatistics, SparqlEndpoint
+from ..rdf import Graph, GraphView, URIRef
+from .endpoint import EndpointStatistics, LocalSparqlEndpoint, SparqlEndpoint
 from .policy import CircuitBreaker, ExecutionPolicy
 from .void import DatasetDescription, descriptions_from_graph, descriptions_to_graph
 
@@ -84,6 +84,12 @@ class RegisteredDataset:
     @property
     def uri_pattern(self) -> str | None:
         return self.description.uri_pattern
+
+    def local_graph(self) -> GraphView | None:
+        """A read-only view of the data when the endpoint runs in process
+        (a :class:`LocalSparqlEndpoint`), ``None`` for a remote one."""
+        endpoint = self.endpoint
+        return endpoint.graph if isinstance(endpoint, LocalSparqlEndpoint) else None
 
 
 class DatasetRegistry:
@@ -151,8 +157,8 @@ class DatasetRegistry:
                 dataset = self._datasets.get(dataset_uri)
                 if dataset is None:
                     continue
-                graph = getattr(dataset.endpoint, "graph", None)
-                if graph is None or not hasattr(graph, "stats"):
+                graph = dataset.local_graph()
+                if graph is None:
                     continue
                 self._datasets[dataset_uri] = RegisteredDataset(
                     dataset.description.with_statistics(graph), dataset.endpoint

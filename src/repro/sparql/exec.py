@@ -58,7 +58,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
 from ..obs.export import RUN_EVENTS_ENV, SINK
-from ..rdf import BNode, Term, TermDictionary, Triple, Variable
+from ..rdf import BNode, Graph, GraphView, Term, Triple, Variable
 from .ast import Expression, OrderCondition, Query, SelectQuery
 from .evaluator import BNODE_ANCHOR_PREFIX, _orderable, bnode_anchor, pattern_text
 from .expressions import ExpressionError, evaluate_expression, expression_satisfied
@@ -188,27 +188,12 @@ class ExecContext:
 
     __slots__ = (
         "graph", "dictionary", "config", "decisions",
-        "_store_owned", "_query_ids", "_query_terms", "_ordinals",
+        "_query_ids", "_query_terms", "_ordinals",
     )
 
-    def __init__(
-        self,
-        graph: Any,
-        config: ExecConfig | None = None,
-        dictionary: TermDictionary | None = None,
-    ) -> None:
+    def __init__(self, graph: Graph | GraphView, config: ExecConfig | None = None) -> None:
         self.graph = graph
-        store_dictionary = getattr(graph, "dictionary", None)
-        if dictionary is None:
-            dictionary = store_dictionary
-        if dictionary is None:
-            # Graph-likes without an interning dictionary (test doubles,
-            # bare wrappers) get a private one for the plan's lifetime.
-            dictionary = TermDictionary()
-        self.dictionary = dictionary
-        #: Whether ``dictionary`` belongs to the graph's store (and so
-        #: outlives, and is shared beyond, this plan).
-        self._store_owned = dictionary is store_dictionary
+        self.dictionary = graph.dictionary
         self.config = config or ExecConfig()
         #: Adaptivity decisions recorded during execution.
         self.decisions: list[dict[str, Any]] = []
@@ -228,11 +213,8 @@ class ExecContext:
         plan.  Evaluating a query must not grow the store's dictionary (a
         persistent one would write to disk on a read, and every client
         could grow it without bound), and a term the store never interned
-        can match no triple anyway.  A dictionary that is itself private to
-        the plan interns data terms on sight, so query terms join them.
+        can match no triple anyway.
         """
-        if not self._store_owned:
-            return self.dictionary.intern(term)
         value = self.dictionary.lookup(term)
         if not value:
             value = self._query_ids.get(term, UNBOUND)
@@ -489,9 +471,9 @@ class VecBGPOp(VecOperator):
         store's id iterator *is* one output row, ``None`` otherwise.
 
         That holds for a single filter-free pattern over distinct plain
-        variables, fed the seed row, on a graph scanned by id: nothing
-        between the index and the output can drop, repeat or reorder a
-        match, so a slice may count matches instead of rows.
+        variables, fed the seed row: nothing between the index and the
+        output can drop, repeat or reorder a match, so a slice may count
+        matches instead of rows.
         """
         ctx = self.ctx
         if (
@@ -499,8 +481,6 @@ class VecBGPOp(VecOperator):
             or len(self.steps) != 1
             or self.steps[0].filters
             or self.tail_filters
-            or getattr(ctx.graph, "triples_ids", None) is None
-            or getattr(ctx.graph, "dictionary", None) is not ctx.dictionary
         ):
             return None
         pattern = self.steps[0].pattern
@@ -549,9 +529,12 @@ class VecBGPOp(VecOperator):
         # or a freshly appended one.  Bound columns constrain the index
         # lookup; after a match every variable position is checked against
         # / written into its column, which uniformly covers repeated
-        # variables and runtime-unbound columns.
+        # variables and runtime-unbound columns.  Lookups, matches and
+        # checks all happen on dictionary ids, so the scan never hashes a
+        # term, never re-interns and never constructs a Triple.
         in_width = len(layout)
-        const_lookup: list[Term | None] = [None, None, None]
+        const_ids = [UNBOUND, UNBOUND, UNBOUND]
+        dead = False
         var_cols: list[tuple[int, int]] = []  # (position, output column)
         for position, term in enumerate(step.pattern):
             if isinstance(term, Variable):
@@ -559,7 +542,10 @@ class VecBGPOp(VecOperator):
             elif isinstance(term, BNode):
                 anchor = bnode_anchor(term)
             else:
-                const_lookup[position] = term
+                const_ids[position] = dictionary.lookup(term)
+                # A constant this graph's dictionary never interned is in
+                # no asserted triple.
+                dead = dead or not const_ids[position]
                 continue
             index = column.get(anchor)
             if index is None:
@@ -585,90 +571,42 @@ class VecBGPOp(VecOperator):
                 for expr in filters
             )
 
-        triples_ids = getattr(graph, "triples_ids", None)
-        if triples_ids is not None and getattr(graph, "dictionary", None) is dictionary:
-            # Id-native scan: lookups, matches and consistency checks all
-            # happen on dictionary ids, so the loop never hashes a term,
-            # never re-interns and never constructs a Triple.
-            id_lookup = dictionary.lookup
-            const_ids = [UNBOUND, UNBOUND, UNBOUND]
-            dead = False
-            for position, term in enumerate(const_lookup):
-                if term is None:
-                    continue
-                const_ids[position] = id_lookup(term)
-                if not const_ids[position]:
-                    # The constant was never interned by this graph's
-                    # dictionary, so no asserted triple can mention it.
-                    dead = True
-            if dead:
-                return iter(())
-            # A join-back column (bound in the input row) constrains the
-            # index lookup itself, so re-checking it is redundant whenever
-            # the row actually binds it; fresh distinct columns need no
-            # check either.  That covers the common all-bound row with a
-            # straight tuple append.
-            fresh_cols = [(p, i) for p, i in var_cols if i >= in_width]
-            fast_ok = len({index for _, index in fresh_cols}) == len(fresh_cols)
-
-            def scan_ids() -> Iterator[Row]:
-                for row in rows:
-                    lookup = list(const_ids)
-                    all_bound = True
-                    for position, index in lookup_cols:
-                        value = row[index]
-                        if value:
-                            lookup[position] = value
-                        else:
-                            all_bound = False
-                    if fast_ok and all_bound:
-                        for data in triples_ids(lookup[0], lookup[1], lookup[2]):
-                            extended = row + tuple(
-                                data[position] for position, _ in fresh_cols
-                            )
-                            if filters and not keep(extended):
-                                continue
-                            yield extended
-                        continue
-                    padded = row + (UNBOUND,) * pad if pad else row
-                    for data in triples_ids(lookup[0], lookup[1], lookup[2]):
-                        out = list(padded)
-                        consistent = True
-                        for position, index in var_cols:
-                            observed = data[position]
-                            current = out[index]
-                            if current and current != observed:
-                                consistent = False
-                                break
-                            out[index] = observed
-                        if not consistent:
-                            continue
-                        extended = tuple(out)
-                        if filters and not keep(extended):
-                            continue
-                        yield extended
-
-            return scan_ids()
-
-        # Fallback for graph-likes without id indexes (test doubles, proxies
-        # wrapping only ``triples``): scan on terms, interning matches.
-        intern = dictionary.intern
-        term_of = ctx.term
+        if dead:
+            return iter(())
+        triples_ids = graph.triples_ids
+        # A join-back column (bound in the input row) constrains the
+        # index lookup itself, so re-checking it is redundant whenever
+        # the row actually binds it; fresh distinct columns need no
+        # check either.  That covers the common all-bound row with a
+        # straight tuple append.
+        fresh_cols = [(p, i) for p, i in var_cols if i >= in_width]
+        fast_ok = len({index for _, index in fresh_cols}) == len(fresh_cols)
 
         def scan() -> Iterator[Row]:
             for row in rows:
-                lookup: list[Term | None] = list(const_lookup)
+                lookup = list(const_ids)
+                all_bound = True
                 for position, index in lookup_cols:
                     value = row[index]
                     if value:
-                        lookup[position] = term_of(value)
+                        lookup[position] = value
+                    else:
+                        all_bound = False
+                if fast_ok and all_bound:
+                    for data in triples_ids(lookup[0], lookup[1], lookup[2]):
+                        extended = row + tuple(
+                            data[position] for position, _ in fresh_cols
+                        )
+                        if filters and not keep(extended):
+                            continue
+                        yield extended
+                    continue
                 padded = row + (UNBOUND,) * pad if pad else row
-                for triple in graph.triples(lookup[0], lookup[1], lookup[2]):
-                    data = (triple.subject, triple.predicate, triple.object)
+                for data in triples_ids(lookup[0], lookup[1], lookup[2]):
                     out = list(padded)
                     consistent = True
                     for position, index in var_cols:
-                        observed = intern(data[position])
+                        observed = data[position]
                         current = out[index]
                         if current and current != observed:
                             consistent = False
@@ -676,7 +614,7 @@ class VecBGPOp(VecOperator):
                         out[index] = observed
                     if not consistent:
                         continue
-                    extended: Row = tuple(out)
+                    extended = tuple(out)
                     if filters and not keep(extended):
                         continue
                     yield extended
@@ -688,9 +626,9 @@ class VecBGPOp(VecOperator):
         self, pattern: Triple, rows: Sequence[Row], layout: Sequence[Variable]
     ) -> float:
         """Mean cardinality of ``pattern`` with sampled rows bound in."""
-        cardinality = getattr(self.ctx.graph, "cardinality", None)
-        if cardinality is None or not rows:
+        if not rows:
             return float("inf")
+        cardinality = self.ctx.graph.cardinality
         term_of = self.ctx.term
         column = {variable: index for index, variable in enumerate(layout)}
         total = 0.0
@@ -1533,9 +1471,7 @@ class ExecPlan:
         """EXPLAIN: a header naming the query form and graph size, then
         the operator tree with its estimates."""
         form = type(self.query).__name__.replace("Query", "").upper()
-        graph = self.ctx.graph
-        size = len(graph) if hasattr(graph, "__len__") else "?"
-        header = f"plan for {form} query over graph with {size} triples"
+        header = f"plan for {form} query over graph with {len(self.ctx.graph)} triples"
         return "\n".join([header] + self.root.explain_lines(0))
 
     def report(self) -> str:
@@ -1584,7 +1520,7 @@ class VecAnalysisPruneOp(VecOperator):
 
 def compile_empty_query(
     query: Query,
-    graph: Any,
+    graph: Graph | GraphView,
     reason: str,
     config: ExecConfig | None = None,
 ) -> ExecPlan:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..rdf import BNode, Triple, Variable
+from ..rdf import BNode, Graph, GraphView, Term, Triple, Variable
 from .algebra import (
     AlgebraBGP,
     AlgebraDistinct,
@@ -134,13 +134,12 @@ class CardinalityEstimator:
     position.
     """
 
-    def __init__(self, graph) -> None:
-        self._graph = graph
-        self._cardinality = getattr(graph, "cardinality", None)
-        self._stats = getattr(graph, "stats", None)
+    def __init__(self, graph: Graph | GraphView) -> None:
+        self._cardinality = graph.cardinality
+        self._stats = graph.stats
 
     def pattern_estimate(self, pattern: Triple, bound: set[Variable]) -> float:
-        lookup: list[Triple | None] = []
+        lookup: list[Term | None] = []
         bound_positions: list[int] = []
         for index, term in enumerate(pattern):
             if isinstance(term, (Variable, BNode)):
@@ -151,15 +150,7 @@ class CardinalityEstimator:
             else:
                 lookup.append(term)
 
-        if self._cardinality is None:
-            # Graph without statistics: fall back to the classic
-            # bound-position selectivity heuristic.
-            ground = sum(1 for term in lookup if term is not None) + len(bound_positions)
-            return float(len(self._graph)) / (10.0 ** ground)
-
         estimate = float(self._cardinality(lookup[0], lookup[1], lookup[2]))
-        if estimate == 0.0 or self._stats is None:
-            return estimate
         distinct = (
             self._stats.distinct_subjects,
             self._stats.distinct_predicates,
@@ -258,7 +249,7 @@ def possible_variables(node: AlgebraNode) -> set[Variable]:
 class QueryPlanner:
     """Compile algebra trees onto batched operators for one graph."""
 
-    def __init__(self, graph, config: ExecConfig | None = None) -> None:
+    def __init__(self, graph: Graph | GraphView, config: ExecConfig | None = None) -> None:
         self._graph = graph
         self._config = config
         self._estimator = CardinalityEstimator(graph)
@@ -477,12 +468,12 @@ class QueryPlanner:
         return op, left_certain, left_possible | right_possible
 
 
-def plan_query(query: Query, graph) -> ExecPlan:
+def plan_query(query: Query, graph: Graph | GraphView) -> ExecPlan:
     """Module-level convenience: plan ``query`` over ``graph``."""
     return QueryPlanner(graph).plan(query)
 
 
-def explain_query(query, graph) -> str:
+def explain_query(query, graph: Graph | GraphView) -> str:
     """The EXPLAIN text for ``query`` over ``graph`` (accepts query text)."""
     from .parser import parse_query
 

@@ -31,6 +31,8 @@ from repro.sparql.exec import (
     seed_batches,
 )
 
+from .test_plan import CountingGraph
+
 EX = "http://example.org/"
 
 
@@ -106,14 +108,6 @@ class TestBatching:
         # ASK-style consumption must not scan the whole relation: the
         # initial batch cap bounds the prefetch, so out of 1000 matching
         # triples only the first handful are ever pulled from the index.
-        class CountingGraph(Graph):
-            scanned = 0
-
-            def triples_ids(self, s=0, p=0, o=0):
-                for item in super().triples_ids(s, p, o):
-                    CountingGraph.scanned += 1
-                    yield item
-
         graph = CountingGraph()
         next_uri = URIRef(EX + "next")
         for i in range(1000):
@@ -121,7 +115,7 @@ class TestBatching:
         query = parse_query("ASK { ?s <http://example.org/next> ?o }")
         plan = QueryPlanner(graph, ExecConfig()).plan(query)
         assert plan.first_binding() is not None
-        assert 1 <= CountingGraph.scanned <= 8
+        assert 1 <= graph.matches <= 8
 
     def test_rows_decode_to_original_terms(self):
         value = Literal("hello", lang="en")

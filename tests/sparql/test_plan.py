@@ -43,26 +43,23 @@ def graph() -> Graph:
     return g
 
 
-class CountingGraph:
-    """Graph proxy counting index lookups (to observe early termination)."""
+class CountingGraph(Graph):
+    """A graph counting its id-index lookups and the matches they yield
+    (to observe early termination on the executor's one scan path)."""
 
-    def __init__(self, graph: Graph) -> None:
-        self._graph = graph
+    def __init__(self, triples=None) -> None:
+        super().__init__(triples)
         self.lookups = 0
+        self.matches = 0
 
-    def triples(self, s=None, p=None, o=None):
+    def triples_ids(self, s=0, p=0, o=0):
         self.lookups += 1
-        return self._graph.triples(s, p, o)
+        return self._count(super().triples_ids(s, p, o))
 
-    def cardinality(self, s=None, p=None, o=None):
-        return self._graph.cardinality(s, p, o)
-
-    @property
-    def stats(self):
-        return self._graph.stats
-
-    def __len__(self):
-        return len(self._graph)
+    def _count(self, matches):
+        for match in matches:
+            self.matches += 1
+            yield match
 
 
 # --------------------------------------------------------------------------- #
@@ -328,24 +325,3 @@ def test_explain_mentions_estimates_and_form(graph: Graph) -> None:
     assert text.startswith("plan for SELECT query")
     assert "est=3.0" in text
     assert "Slice" in text
-
-
-def test_plans_work_without_statistics() -> None:
-    """Graph-likes without cardinality/stats fall back to the heuristic."""
-
-    class BareGraph:
-        def __init__(self, graph: Graph) -> None:
-            self._graph = graph
-
-        def triples(self, s=None, p=None, o=None):
-            return self._graph.triples(s, p, o)
-
-        def __len__(self):
-            return len(self._graph)
-
-    g = Graph()
-    g.add(Triple(u("a"), u("p"), u("b")))
-    bare = BareGraph(g)
-    query = parse_query(PREFIX + "SELECT ?x WHERE { ex:a ex:p ?x }")
-    rows = QueryEvaluator(bare).select(query)
-    assert len(rows) == 1

@@ -361,5 +361,50 @@ def test_inv012_scope():
     assert _entry_point_findings("benchmarks/e15/seeded.py") == []
 
 
+SEEDED_GRAPH_PROBES = """\
+def scan(ctx, graph, lookup):
+    triples_ids = getattr(graph, "triples_ids", None)
+    if hasattr(ctx.graph, "__len__") and getattr(self._graph, "stats", None):
+        return ctx.graph.triples(*lookup)
+    return graph.triples_ids(*lookup), getattr(ctx.config, "adaptive", False)
+"""
+
+
+def _graph_contract_findings(relative: str) -> list[str]:
+    path = REPO_ROOT / relative
+    return [
+        finding.render()
+        for finding in lints.check_graph_contract(ast.parse(SEEDED_GRAPH_PROBES), path)
+    ]
+
+
+def test_inv013_reports_graph_probes_and_term_scans_in_the_executor():
+    def probe(name: str) -> str:
+        return (
+            f"[INV013] {name}() on the graph: the executor takes a Graph or GraphView "
+            "and reads dictionary, triples_ids, cardinality, stats and len() directly"
+        )
+
+    scan = (
+        "[INV013] term-level graph.triples() scan: the executor scans by id "
+        "through triples_ids()"
+    )
+    for path in ("src/repro/sparql/exec.py", "src/repro/sparql/plan.py"):
+        assert _graph_contract_findings(path) == [
+            f"{path}:2: {probe('getattr')}",
+            f"{path}:3: {probe('hasattr')}",
+            f"{path}:3: {probe('getattr')}",
+            f"{path}:4: {scan}",
+        ]
+
+
+def test_inv013_scope():
+    # Only the executor and the planner are bound to the one contract: the
+    # reference evaluator scans by term, and endpoints may hide their graph.
+    assert _graph_contract_findings("src/repro/sparql/evaluator.py") == []
+    assert _graph_contract_findings("src/repro/federation/decompose.py") == []
+    assert _graph_contract_findings("tests/sparql/seeded.py") == []
+
+
 def test_the_repository_is_clean():
     assert lints.main() == 0

@@ -142,6 +142,51 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
     assert pairs.verdict(parent, change, RSS)["verdict"] == "within"
 
 
+def _rescore(name: str) -> dict[tuple[str, int], dict]:
+    """A committed pairs document's runs, summarised by today's rules."""
+    doc = json.loads((REPO_ROOT / name).read_text())
+    groups = [pairs.Group(entry["workload"], entry["seed"], entry["pairs"])
+              for entry in doc["summary"]]
+    metrics = pairs.load_metrics(REPO_ROOT / "BENCHMARK.json")
+    return {(entry["workload"], entry["seed"]): entry
+            for entry in pairs.summarise(doc["runs"], groups, metrics)}
+
+
+def test_a_group_whose_calibration_skews_one_way_is_flagged():
+    # The draft's three shard_decompose pairs all ran the change side on a
+    # slower machine (+0.109 / +0.357 / +0.086).
+    draft = _rescore("BENCH_PR45-pairs-draft.json")[("shard_decompose", 15)]
+    assert draft["calibration"]["skews"] == pytest.approx([0.109, 0.357, 0.086], abs=5e-4)
+    assert draft["calibration"]["median_skew"] == pytest.approx(0.109, abs=5e-4)
+    assert draft["calibration"]["one_sided"] is True
+    # The flag reports; the verdicts are those the document recorded.
+    recorded = json.loads((REPO_ROOT / "BENCH_PR45-pairs-draft.json").read_text())["summary"]
+    (shard,) = [entry for entry in recorded if entry["workload"] == "shard_decompose"]
+    assert {name: entry["verdict"] for name, entry in draft["metrics"].items()} == {
+        name: entry["verdict"] for name, entry in shard["metrics"].items()
+    }
+    # The six-pair rerun's skews have mixed signs.
+    rerun = _rescore("BENCH_PR45-pairs.json")[("shard_decompose", 15)]
+    skews = rerun["calibration"]["skews"]
+    assert len(skews) == 6 and min(skews) < 0 < max(skews)
+    assert rerun["calibration"]["one_sided"] is False
+
+
+def test_calibration_needs_three_complete_pairs_to_flag():
+    def pair(parent: float | None, change: float | None) -> dict[str, dict]:
+        return {"parent": {"calibration_ms": parent}, "change": {"calibration_ms": change}}
+
+    assert pairs.calibration([pair(10.0, 12.0), pair(10.0, 11.0)])["one_sided"] is False
+    three = pairs.calibration([pair(10.0, 12.0), pair(10.0, 11.0), pair(10.0, 9.0)])
+    assert three["one_sided"] is False and three["median_skew"] == pytest.approx(0.1)
+    slower = pairs.calibration([pair(10.0, 9.0), pair(10.0, 8.0), pair(20.0, 19.0)])
+    assert slower["one_sided"] is True and slower["median_skew"] == pytest.approx(-0.1)
+    # A run without a calibration reading has no skew.
+    assert pairs.calibration([pair(None, 12.0), pair(10.0, None)]) == {
+        "skews": [], "median_skew": None, "one_sided": False,
+    }
+
+
 class FakeRunner:
     """Writes what ``run.py --out`` would, with a fixed value per side."""
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant lints, run as a hard CI gate.
 
-Eleven structural invariants that ordinary linters do not express, checked
+Twelve structural invariants that ordinary linters do not express, checked
 with nothing but the stdlib ``ast`` module:
 
 1. **Hot-loop allocation ban** — inside the batched executor
@@ -81,6 +81,14 @@ with nothing but the stdlib ``ast`` module:
     ``if __name__ == "__main__"`` block.  Every command is a subcommand of
     ``repro`` (``repro.cli:main``); a second parser or a runnable module
     would be a second entry point with its own options and error handling.
+
+13. **One graph contract for the executor** — ``sparql/exec.py`` and
+    ``sparql/plan.py`` call neither ``getattr`` nor ``hasattr`` on a graph
+    (``graph``, ``*.graph``, ``*._graph``) and never scan one by term
+    (``graph.triples(...)``).  The executor takes a ``Graph`` or
+    ``GraphView`` and reads its ``dictionary``, ``triples_ids``,
+    ``cardinality``, ``stats`` and ``len()`` directly; a probe would let a
+    second, term-level scan path grow back for graphs nothing serves.
 
 Exit status is non-zero when any violation is found.  Findings are printed
 one per line as ``path:line: [INVxxx] message`` so CI logs read like
@@ -577,6 +585,45 @@ def check_one_entry_point(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
+# INV013 — the executor reads its graph's contract, it does not probe it
+# --------------------------------------------------------------------------- #
+
+#: Attribute names that hold the executor's or planner's graph.
+GRAPH_ATTRS = {"graph", "_graph"}
+
+
+def _names_graph(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "graph"
+    return isinstance(node, ast.Attribute) and node.attr in GRAPH_ATTRS
+
+
+def check_graph_contract(tree: ast.Module, path: Path) -> list[Finding]:
+    if path not in (EXEC_PATH, PLAN_PATH):
+        return []
+    findings: list[Finding] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id in {"getattr", "hasattr"}
+                and node.args and _names_graph(node.args[0])):
+            findings.append(Finding(
+                path, node.lineno, "INV013",
+                f"{func.id}() on the graph: the executor takes a Graph or GraphView "
+                "and reads dictionary, triples_ids, cardinality, stats and len() directly",
+            ))
+        elif (isinstance(func, ast.Attribute) and func.attr == "triples"
+                and _names_graph(func.value)):
+            findings.append(Finding(
+                path, node.lineno, "INV013",
+                "term-level graph.triples() scan: the executor scans by id "
+                "through triples_ids()",
+            ))
+    return sorted(findings, key=lambda finding: finding.line)
+
+
+# --------------------------------------------------------------------------- #
 
 def main() -> int:
     findings: list[Finding] = []
@@ -601,6 +648,7 @@ def main() -> int:
             findings.extend(check_one_rewriter(tree, path))
             findings.extend(check_one_entry_point(tree, path))
             findings.extend(check_one_operator_tree(tree, path))
+            findings.extend(check_graph_contract(tree, path))
             if path == EXEC_PATH:
                 findings.extend(check_hot_loops(tree, path))
     for finding in findings:

@@ -51,6 +51,14 @@ fields:
   only the parent IQR, so a gain can be ``better`` and still be smaller
   than the bound a claimed improvement has to clear.
 
+Per group it also reports the calibration skew of each complete pair
+(``calibration_ms`` of the change run over the parent run's, minus 1: how
+much slower the machine ran the change side's fixed calibration loop) and
+their median.  When a group has at least 3 complete pairs and every skew
+has the same sign, the group is flagged ``one_sided`` and a warning goes
+to stderr: the machine's speed moved with the side, so a verdict there may
+measure the machine.  The flag does not change any verdict.
+
 The tool reads ``benchmarks/e15/`` and ``BENCHMARK.json`` and writes
 neither.
 """
@@ -221,6 +229,18 @@ def verdict(parent: Sequence[float], change: Sequence[float], metric: Metric,
     return summary
 
 
+def calibration(complete: Sequence[dict[str, dict]]) -> dict:
+    """The complete pairs' calibration skews, their median, and whether they
+    all lean the same way (see the module docstring)."""
+    skews = [pair["change"]["calibration_ms"] / pair["parent"]["calibration_ms"] - 1
+             for pair in complete
+             if pair["parent"]["calibration_ms"] and pair["change"]["calibration_ms"]]
+    one_sided = len(skews) >= MIN_PAIRS and (all(skew > 0 for skew in skews)
+                                             or all(skew < 0 for skew in skews))
+    return {"skews": skews, "median_skew": statistics.median(skews) if skews else None,
+            "one_sided": one_sided}
+
+
 def summarise(rows: Sequence[dict], groups: Sequence[Group],
               metrics: Sequence[Metric]) -> list[dict]:
     """Per group: failed runs, complete pairs and one verdict per metric."""
@@ -237,6 +257,7 @@ def summarise(rows: Sequence[dict], groups: Sequence[Group],
         summaries.append({
             "workload": group.workload, "seed": group.seed, "pairs": group.pairs,
             "failed_runs": failed,
+            "calibration": calibration(complete),
             "metrics": {
                 metric.name: verdict([pair["parent"][metric.name] for pair in complete],
                                      [pair["change"][metric.name] for pair in complete],
@@ -339,8 +360,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         rows = run_pairs(trees, commits, args.group, args.seconds, metrics, scratch,
                          after_run=write)
     for summary in summarise(rows, args.group, metrics):
+        skew = summary["calibration"]
         print(f"== {summary['workload']} seed {summary['seed']}: {summary['pairs']} pairs, "
-              f"{summary['failed_runs']} failed run(s)")
+              f"{summary['failed_runs']} failed run(s), median calibration skew "
+              f"{skew['median_skew']}")
+        if skew["one_sided"]:
+            print(f"pairs.py: warning: {summary['workload']} seed {summary['seed']}: the "
+                  f"calibration skews the same way in all {len(skew['skews'])} complete "
+                  "pairs; the machine's speed moved with the side", file=sys.stderr)
         for name, entry in summary["metrics"].items():
             print(f"   {name:26s} {entry['verdict']:10s} wins {entry['wins']}/{entry['pairs']}"
                   f"  parent {entry['parent_median']}  change {entry['change_median']}"
