@@ -27,6 +27,10 @@ from repro.sparql import QueryEvaluator, parse_query
 
 from .conftest import report
 
+#: Each strategy is timed as the fastest of this many passes, so one stall of
+#: a shared machine during a single pass cannot invert the cost comparison.
+TIMING_PASSES = 3
+
 
 def _coauthor_query(person_uri) -> str:
     return f"""
@@ -36,6 +40,16 @@ def _coauthor_query(person_uri) -> str:
       ?paper akt:has-author ?a .
     }}
     """
+
+
+def _fastest(run):
+    """``(result of the last pass, shortest wall-clock of TIMING_PASSES runs)``."""
+    best = float("inf")
+    for _ in range(TIMING_PASSES):
+        start = perf_counter()
+        result = run()
+        best = min(best, perf_counter() - start)
+    return result, best
 
 
 def test_bench_e10_strategy_agreement_and_cost(benchmark, scenario):
@@ -55,24 +69,27 @@ def test_bench_e10_strategy_agreement_and_cost(benchmark, scenario):
     # Strategy A: query rewriting (per query), canonicalised to RKB space.
     # ------------------------------------------------------------------ #
     rewriter = QueryRewriter(alignments, registry)
-    start = perf_counter()
-    rewriting_answers = {}
-    for key, query in queries.items():
-        rewritten, _ = rewriter.rewrite(parse_query(query))
-        rows = QueryEvaluator(kisti_graph).select(rewritten)
-        rewriting_answers[key] = {
-            scenario.sameas_service.translate_or_keep(value, RKB_URI_PATTERN)
-            for value in rows.distinct_values("a")
-        }
-    rewriting_time = perf_counter() - start
+
+    def rewrite_all():
+        answers = {}
+        for key, query in queries.items():
+            rewritten, _ = rewriter.rewrite(parse_query(query))
+            rows = QueryEvaluator(kisti_graph).select(rewritten)
+            answers[key] = {
+                scenario.sameas_service.translate_or_keep(value, RKB_URI_PATTERN)
+                for value in rows.distinct_values("a")
+            }
+        return answers
+
+    rewriting_answers, rewriting_time = _fastest(rewrite_all)
 
     # ------------------------------------------------------------------ #
     # Strategy B: materialisation (reverse rule application, per dataset).
     # ------------------------------------------------------------------ #
     integrator = MaterializationIntegrator(alignments, scenario.sameas_service, RKB_URI_PATTERN)
-    start = perf_counter()
-    materialized, stats = integrator.integrate([kisti_graph])
-    materialization_time = perf_counter() - start
+    (materialized, stats), materialization_time = _fastest(
+        lambda: integrator.integrate([kisti_graph])
+    )
     materialization_answers = {
         key: set(QueryEvaluator(materialized).select(query).distinct_values("a"))
         for key, query in queries.items()
@@ -83,9 +100,7 @@ def test_bench_e10_strategy_agreement_and_cost(benchmark, scenario):
     # the KISTI vocabulary, queried with the rewritten query (round trip).
     # ------------------------------------------------------------------ #
     translator = DataTranslator(alignments, scenario.sameas_service, KISTI_URI_PATTERN)
-    start = perf_counter()
-    translated = translator.translate(akt_graph)
-    translation_time = perf_counter() - start
+    translated, translation_time = _fastest(lambda: translator.translate(akt_graph))
 
     def run_rewriting_once():
         key = subjects[0]

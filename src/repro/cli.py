@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     federate.add_argument("--parallel", type=int, default=8, metavar="WORKERS",
                           help="concurrent endpoint requests (0 or 1 = sequential)")
     federate.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                          help="per-attempt endpoint timeout")
+                          help="per-attempt endpoint budget")
     federate.add_argument("--retries", type=int, default=0,
                           help="retries per endpoint after a failure")
     federate.add_argument("--latency", type=float, default=0.0, metavar="SECONDS",

@@ -56,12 +56,16 @@ class SparqlEndpoint:
     #: URI identifying the endpoint (the value stored in the voiD profile).
     uri: URIRef
 
-    def select(self, query: Query | str) -> ResultSet:
-        """Run a SELECT query and return its result set."""
+    def select(self, query: Query | str, timeout: float | None = None) -> ResultSet:
+        """Run a SELECT query and return its result set.
+
+        ``timeout`` is the attempt's budget in seconds: an endpoint that
+        cannot answer within it raises :class:`EndpointTimeout`.
+        """
         raise NotImplementedError
 
-    def ask(self, query: Query | str) -> AskResult:
-        """Run an ASK query."""
+    def ask(self, query: Query | str, timeout: float | None = None) -> AskResult:
+        """Run an ASK query (``timeout`` as for :meth:`select`)."""
         raise NotImplementedError
 
     def construct(self, query: Query | str) -> Graph:
@@ -125,7 +129,8 @@ class LocalSparqlEndpoint(SparqlEndpoint):
         Simulated per-query network/evaluation delay in seconds.  The
         endpoint sleeps this long before answering, which is what makes
         concurrent fan-out measurably faster than sequential execution in
-        the offline benchmarks.
+        the offline benchmarks.  A call whose ``timeout`` is shorter sleeps
+        only the budget and raises :class:`EndpointTimeout`.
     failure_rate:
         Probability in [0, 1] that a query fails with
         :class:`EndpointUnavailable` (drawn from a private ``Random``
@@ -189,8 +194,8 @@ class LocalSparqlEndpoint(SparqlEndpoint):
             self._fail_next = max(0, count)
         return self
 
-    def _simulate(self, kind: str) -> None:
-        """Account for the query, then apply latency and injected failures."""
+    def _simulate(self, kind: str, timeout: float | None = None) -> None:
+        """Account for the query, then apply latency, timeout and injected failures."""
         if not self.available:
             raise EndpointUnavailable(f"endpoint {self.name} is unavailable")
         with self._lock:
@@ -203,23 +208,27 @@ class LocalSparqlEndpoint(SparqlEndpoint):
                 flake = True
             if flake:
                 self.statistics.injected_failures += 1
-        if self.latency:
-            time.sleep(self.latency)
+        latency = self.latency
+        if timeout is not None and latency > timeout:
+            time.sleep(timeout)
+            raise EndpointTimeout(f"endpoint {self.name} timed out after {timeout:g}s")
+        if latency:
+            time.sleep(latency)
         if flake:
             raise EndpointUnavailable(f"endpoint {self.name} flaked (injected failure)")
 
     # ------------------------------------------------------------------ #
     # Query interface
     # ------------------------------------------------------------------ #
-    def select(self, query: Query | str) -> ResultSet:
-        self._simulate("select_queries")
+    def select(self, query: Query | str, timeout: float | None = None) -> ResultSet:
+        self._simulate("select_queries", timeout)
         result = self._evaluator.evaluate(self._coerce(query))
         if not isinstance(result, ResultSet):
             raise EndpointError("query did not produce SELECT results")
         return result
 
-    def ask(self, query: Query | str) -> AskResult:
-        self._simulate("ask_queries")
+    def ask(self, query: Query | str, timeout: float | None = None) -> AskResult:
+        self._simulate("ask_queries", timeout)
         result = self._evaluator.evaluate(self._coerce(query))
         if not isinstance(result, AskResult):
             raise EndpointError("query did not produce an ASK result")

@@ -29,7 +29,6 @@ Experiment E6.
 
 from __future__ import annotations
 
-import contextvars
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +37,6 @@ from collections.abc import Sequence
 
 from ..coreference import SameAsService
 from ..core import MediationResult, Mediator
-from ..obs.metrics import abandoned_attempts_gauge
 from ..obs.trace import get_tracer
 from ..rdf import Term, URIRef, Variable
 from ..sparql import Binding, Query, ResultSet, SelectQuery, parse_query
@@ -555,57 +553,21 @@ class FederatedQueryEngine:
     ):
         """One endpoint attempt, bounded by ``timeout`` seconds.
 
-        Endpoints expose no cancellation, so the attempt runs on a daemon
-        thread and is abandoned on timeout — exactly how an HTTP client
-        would drop a socket while the server keeps computing.  Abandoned
-        attempts are visible while they last: the per-dataset
-        ``repro_abandoned_attempts`` gauge is incremented by the waiter
-        when it gives up and decremented by the attempt thread when it
-        finally finishes, so a non-zero value means a thread is still
-        burning cycles behind a timeout that already fired.
+        The endpoint enforces the budget itself (a socket timeout, a capped
+        simulated latency), so no thread is left behind when it fires.  An
+        answer that still arrives after the budget is refused with
+        :class:`EndpointTimeout`: an attempt succeeds only within its budget.
         """
         operation = getattr(target.endpoint, kind)
         if timeout is None:
             return operation(executable)
-        box: dict[str, object] = {}
-        done = threading.Event()
-        # Waiter and attempt thread agree under this lock on whether the
-        # attempt was abandoned; whichever side arrives second settles the
-        # gauge, so an attempt finishing in the same instant the timeout
-        # fires can never leak an increment.
-        state_lock = threading.Lock()
-        state = {"abandoned": False, "finished": False}
-        gauge = abandoned_attempts_gauge()
-        dataset = str(target.uri)
-
-        def run() -> None:
-            try:
-                box["result"] = operation(executable)
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                box["error"] = exc
-            finally:
-                done.set()
-                with state_lock:
-                    state["finished"] = True
-                    if state["abandoned"]:
-                        gauge.dec(dataset=dataset)
-
-        context = contextvars.copy_context()
-        thread = threading.Thread(
-            target=lambda: context.run(run), daemon=True, name=f"attempt-{target.uri}"
-        )
-        thread.start()
-        if not done.wait(timeout):
-            with state_lock:
-                if not state["finished"]:
-                    state["abandoned"] = True
-                    gauge.inc(dataset=dataset)
+        started = time.perf_counter()
+        result = operation(executable, timeout=timeout)
+        if time.perf_counter() - started > timeout:
             raise EndpointTimeout(
                 f"endpoint for {target.uri} timed out after {timeout:g}s"
             )
-        if "error" in box:
-            raise box["error"]  # type: ignore[misc]
-        return box["result"]  # type: ignore[return-value]
+        return result
 
     def _canonical_uri(self, uri: URIRef, canonical_pattern: str | None) -> URIRef:
         if canonical_pattern:

@@ -105,8 +105,8 @@ class HttpSparqlEndpoint(SparqlEndpoint):
         Human-readable label for logs and error messages.
     timeout:
         Socket timeout in seconds for each request (``None`` = the socket
-        default).  This is the transport-level guard; the federation
-        layer's :class:`ExecutionPolicy` timeout still applies on top.
+        default).  A call's own ``timeout`` (the federation layer's
+        per-attempt budget) overrides it for that request.
     method:
         ``"post"`` (default) or ``"get"`` protocol binding.
     result_format:
@@ -155,15 +155,19 @@ class HttpSparqlEndpoint(SparqlEndpoint):
     # ------------------------------------------------------------------ #
     # Query interface
     # ------------------------------------------------------------------ #
-    def select(self, query: Query | str) -> ResultSet:
-        body = self._request(query, RESULT_MEDIA_TYPES[self.result_format], "select_queries")
+    def select(self, query: Query | str, timeout: float | None = None) -> ResultSet:
+        body = self._request(
+            query, RESULT_MEDIA_TYPES[self.result_format], "select_queries", timeout
+        )
         result = self._parse_results(body)
         if not isinstance(result, ResultSet):
             raise EndpointError(f"endpoint {self.name} did not return SELECT results")
         return result
 
-    def ask(self, query: Query | str) -> AskResult:
-        body = self._request(query, RESULT_MEDIA_TYPES[self.result_format], "ask_queries")
+    def ask(self, query: Query | str, timeout: float | None = None) -> AskResult:
+        body = self._request(
+            query, RESULT_MEDIA_TYPES[self.result_format], "ask_queries", timeout
+        )
         result = self._parse_results(body)
         if not isinstance(result, AskResult):
             raise EndpointError(f"endpoint {self.name} did not return an ASK result")
@@ -189,8 +193,11 @@ class HttpSparqlEndpoint(SparqlEndpoint):
     # ------------------------------------------------------------------ #
     # Transport
     # ------------------------------------------------------------------ #
-    def _request(self, query: Query | str, accept: str, kind: str) -> str:
+    def _request(
+        self, query: Query | str, accept: str, kind: str, timeout: float | None = None
+    ) -> str:
         query_text = query.serialize() if isinstance(query, Query) else str(query)
+        budget = self.timeout if timeout is None else timeout
         with self._lock:
             setattr(self.statistics, kind, getattr(self.statistics, kind) + 1)
         target, data = self._encode(query_text)
@@ -215,10 +222,10 @@ class HttpSparqlEndpoint(SparqlEndpoint):
             method = "GET" if data is None else "POST"
             request = http11.head(f"{method} {target} HTTP/1.1", fields) + (data or b"")
             try:
-                status, payload = self._exchange(request)
+                status, payload = self._exchange(request, budget)
             except TimeoutError as exc:
                 self._count_failure("transport_failures")
-                raise EndpointTimeout(self._timeout_message()) from exc
+                raise EndpointTimeout(self._timeout_message(budget)) from exc
             except (OSError, http11.ProtocolError) as exc:
                 self._count_failure("transport_failures")
                 raise EndpointUnavailable(
@@ -243,19 +250,26 @@ class HttpSparqlEndpoint(SparqlEndpoint):
                 span.set_attribute("bytes", len(body))
         return body
 
-    def _exchange(self, request: bytes) -> tuple[int, bytes]:
-        """One request and its whole response on a pooled connection."""
+    def _exchange(self, request: bytes, timeout: float | None) -> tuple[int, bytes]:
+        """One request and its whole response on a pooled connection.
+
+        ``timeout`` bounds this request's connect and socket operations;
+        the connection goes back to the pool with the endpoint's own
+        ``timeout``.
+        """
         with self._lock:
             idle = self._idle.pop() if self._idle else None
-        connection = self._connect() if idle is None else idle
+        connection = self._connect(timeout) if idle is None else idle
         try:
+            if idle is not None and timeout != self.timeout:
+                idle.sock.settimeout(timeout)
             try:
                 status, payload, keep_alive = self._send(connection, request)
             except _STALE:
                 if connection is not idle:
                     raise
                 connection.close()
-                connection = self._connect()
+                connection = self._connect(timeout)
                 status, payload, keep_alive = self._send(connection, request)
         except BaseException:
             connection.close()
@@ -263,6 +277,8 @@ class HttpSparqlEndpoint(SparqlEndpoint):
         if not keep_alive or _QUICKACK is None:
             connection.close()
         else:
+            if timeout != self.timeout:
+                connection.sock.settimeout(self.timeout)
             with self._lock:
                 self._idle.append(connection)
         return status, payload
@@ -275,10 +291,10 @@ class HttpSparqlEndpoint(SparqlEndpoint):
             connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
         return http11.read_response(connection.reader)
 
-    def _connect(self) -> _Connection:
+    def _connect(self, timeout: float | None) -> _Connection:
         if self._scheme not in _DEFAULT_PORTS or None in self._address:
             raise http11.ProtocolError(f"unsupported URL {self.url!r}")
-        sock = socket.create_connection(self._address, timeout=self.timeout)
+        sock = socket.create_connection(self._address, timeout=timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._scheme == "https":
@@ -292,9 +308,9 @@ class HttpSparqlEndpoint(SparqlEndpoint):
             raise
         return _Connection(sock)
 
-    def _timeout_message(self) -> str:
-        budget = f" after {self.timeout:g}s" if self.timeout is not None else ""
-        return f"endpoint {self.name} timed out{budget}"
+    def _timeout_message(self, budget: float | None) -> str:
+        after = f" after {budget:g}s" if budget is not None else ""
+        return f"endpoint {self.name} timed out{after}"
 
     def _encode(self, query_text: str) -> tuple[str, bytes | None]:
         """(request target, body) for the configured protocol binding."""

@@ -17,7 +17,6 @@ import threading
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Iterator
 
-from ..obs.metrics import abandoned_attempts_gauge
 from ..rdf import Graph, GraphView, URIRef
 from .endpoint import EndpointStatistics, LocalSparqlEndpoint, SparqlEndpoint
 from .policy import CircuitBreaker, ExecutionPolicy
@@ -38,20 +37,17 @@ class EndpointHealth(str):
     state: str
     consecutive_failures: int
     statistics: EndpointStatistics | None
-    abandoned_attempts: int
 
     def __new__(
         cls,
         state: str,
         consecutive_failures: int = 0,
         statistics: EndpointStatistics | None = None,
-        abandoned_attempts: int = 0,
     ) -> EndpointHealth:
         self = super().__new__(cls, state)
         self.state = str(state)
         self.consecutive_failures = consecutive_failures
         self.statistics = statistics
-        self.abandoned_attempts = abandoned_attempts
         return self
 
     def as_dict(self) -> dict:
@@ -59,7 +55,6 @@ class EndpointHealth(str):
         payload: dict = {
             "state": self.state,
             "consecutive_failures": self.consecutive_failures,
-            "abandoned_attempts": self.abandoned_attempts,
         }
         if self.statistics is not None:
             payload["statistics"] = self.statistics.as_dict()
@@ -203,7 +198,6 @@ class DatasetRegistry:
         """
         with self._lock:
             snapshot = dict(self._datasets)
-        gauge = abandoned_attempts_gauge()
         report: dict[URIRef, EndpointHealth] = {}
         for uri in sorted(snapshot, key=str):
             breaker = self.breaker_for(uri)
@@ -211,7 +205,6 @@ class DatasetRegistry:
                 breaker.state,
                 consecutive_failures=breaker.consecutive_failures,
                 statistics=getattr(snapshot[uri].endpoint, "statistics", None),
-                abandoned_attempts=int(gauge.value(dataset=str(uri))),
             )
         return report
 

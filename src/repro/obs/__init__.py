@@ -4,7 +4,7 @@ This package is the cross-cutting instrumentation layer of the stack:
 
 * :mod:`repro.obs.trace` — distributed tracing with W3C ``traceparent``
   propagation (spans join one trace across real HTTP sockets),
-* :mod:`repro.obs.metrics` — a labeled Counter/Gauge/Histogram registry
+* :mod:`repro.obs.metrics` — a labeled Counter/Histogram registry
   with Prometheus text exposition,
 * :mod:`repro.obs.slowlog` — a threshold-triggered ring buffer of recent
   slow queries with their plans,
@@ -21,10 +21,8 @@ from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     REGISTRY,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
-    abandoned_attempts_gauge,
     rewrite_cache_counter,
 )
 from .slowlog import SLOW_LOG, SLOWLOG_ENV, SlowQueryEntry, SlowQueryLog
@@ -46,10 +44,8 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "REGISTRY",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "abandoned_attempts_gauge",
     "rewrite_cache_counter",
     "SLOW_LOG",
     "SLOWLOG_ENV",

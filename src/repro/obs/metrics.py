@@ -1,12 +1,11 @@
-"""Labeled metrics: counters, gauges, histograms, Prometheus exposition.
+"""Labeled metrics: counters, histograms, Prometheus exposition.
 
 A :class:`MetricsRegistry` holds named metric families; each family keeps
 one value (or bucket vector) per label combination.  Registries are cheap,
 so the HTTP server gives every server instance its own (per-server request
 counters stay independent, as the JSON ``/metrics`` payload always
 promised), while process-wide instrumentation — the mediator's rewrite
-cache, the federation layer's abandoned-attempt gauge — lives in the
-module-level :data:`REGISTRY`.
+cache — lives in the module-level :data:`REGISTRY`.
 
 Histograms use fixed latency buckets sized for query serving
 (:data:`DEFAULT_LATENCY_BUCKETS`) and estimate p50/p95/p99 by linear
@@ -29,11 +28,9 @@ from typing import Any
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "abandoned_attempts_gauge",
     "rewrite_cache_counter",
 ]
 
@@ -115,25 +112,6 @@ class Counter:
         return {
             _render_labels(key) or "total": value for key, value in self.samples()
         }
-
-
-class Gauge(Counter):
-    """A labeled value that can go up and down."""
-
-    kind = "gauge"
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        key = _label_key(self.label_names, labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
-    def set(self, value: float, **labels: Any) -> None:
-        key = _label_key(self.label_names, labels)
-        with self._lock:
-            self._values[key] = float(value)
 
 
 class Histogram:
@@ -239,7 +217,7 @@ class Histogram:
         }
 
 
-Metric = Counter | Gauge | Histogram
+Metric = Counter | Histogram
 
 
 class MetricsRegistry:
@@ -255,7 +233,7 @@ class MetricsRegistry:
             if metric is None:
                 metric = factory()
                 self._metrics[name] = metric
-        if not isinstance(metric, kind) or type(metric) is not kind:
+        if not isinstance(metric, kind):
             raise TypeError(
                 f"metric {name!r} already registered as {type(metric).__name__}, "
                 f"not {kind.__name__}"
@@ -267,11 +245,6 @@ class MetricsRegistry:
     ) -> Counter:
         metric = self._get_or_create(name, lambda: Counter(name, help, labels), Counter)
         assert isinstance(metric, Counter)
-        return metric
-
-    def gauge(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> Gauge:
-        metric = self._get_or_create(name, lambda: Gauge(name, help, labels), Gauge)
-        assert isinstance(metric, Gauge)
         return metric
 
     def histogram(
@@ -309,19 +282,4 @@ def rewrite_cache_counter() -> Counter:
         "repro_rewrite_cache_lookups_total",
         "Mediator rewrite-cache lookups by outcome",
         labels=("outcome",),
-    )
-
-
-def abandoned_attempts_gauge() -> Gauge:
-    """In-flight endpoint attempts abandoned after a policy timeout.
-
-    Incremented when the federation layer gives up waiting on an attempt
-    (the daemon thread keeps running, exactly like an HTTP client dropping
-    a socket) and decremented when that thread finally finishes — so a
-    non-zero value means abandoned work is still burning cycles.
-    """
-    return REGISTRY.gauge(
-        "repro_abandoned_attempts",
-        "In-flight abandoned endpoint attempts per dataset",
-        labels=("dataset",),
     )

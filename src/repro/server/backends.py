@@ -274,16 +274,11 @@ class FederationBackend(QueryBackend):
         }
 
     def metrics(self) -> dict[str, object]:
-        from ..obs.metrics import abandoned_attempts_gauge
-
-        gauge = abandoned_attempts_gauge()
         payload: dict[str, object] = {}
         for dataset in self.engine.registry:
             statistics = getattr(dataset.endpoint, "statistics", None)
             if statistics is not None:
-                entry = statistics.as_dict()
-                entry["abandoned_attempts"] = int(gauge.value(dataset=str(dataset.uri)))
-                payload[str(dataset.uri)] = entry
+                payload[str(dataset.uri)] = statistics.as_dict()
         return payload
 
     @property

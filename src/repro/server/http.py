@@ -151,9 +151,9 @@ class _SparqlHttpd(socketserver.ThreadingTCPServer):
 
     Each server instance owns a private :class:`MetricsRegistry`, so two
     loopback servers in one process (a federation test) keep independent
-    request counters; process-wide metrics (abandoned attempts, rewrite
-    cache) live in the global registry and are concatenated into the
-    Prometheus exposition.
+    request counters; process-wide metrics (the rewrite-cache counter) live
+    in the global registry and are concatenated into the Prometheus
+    exposition.
 
     It also tracks its open connections: a kept-alive connection keeps its
     handler thread serving after ``shutdown()``, so stopping the server

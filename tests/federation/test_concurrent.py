@@ -7,12 +7,20 @@ state — and must not leak that into other tests.
 
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.datasets import build_resist_scenario
-from repro.federation import CircuitState, ExecutionPolicy
+from repro.federation import (
+    CircuitState,
+    EndpointTimeout,
+    ExecutionPolicy,
+    FederatedQueryEngine,
+    LocalSparqlEndpoint,
+)
 from repro.rdf import URIRef
+from repro.sparql import parse_query
 
 
 @pytest.fixture()
@@ -115,6 +123,48 @@ class TestTimeout:
         assert "timed out" in failed.error
         assert len(result.successful_datasets()) == 2
         assert result.merged_bindings  # the healthy endpoints still contribute
+
+    def test_a_late_answer_from_an_endpoint_ignoring_its_budget_is_a_timeout(self, scenario):
+        dataset = scenario.registry.get(scenario.dbpedia_dataset)
+        scenario.registry.register_endpoint(
+            dataset.description, _LateEndpoint(dataset.endpoint, delay=0.2)
+        )
+        scenario.registry.set_policy(
+            scenario.dbpedia_dataset, ExecutionPolicy(timeout=0.05)
+        )
+        result = scenario.service.federate(
+            _coauthor_query(scenario),
+            source_ontology=scenario.source_ontology,
+            source_dataset=scenario.rkb_dataset,
+        )
+        failed = next(e for e in result.per_dataset
+                      if e.dataset_uri == scenario.dbpedia_dataset)
+        assert not failed.succeeded
+        assert failed.error == (
+            f"endpoint for {scenario.dbpedia_dataset} timed out after 0.05s"
+        )
+        assert len(result.successful_datasets()) == 2
+
+    def test_an_attempt_within_its_budget_returns_its_answer_or_its_error(self, scenario):
+        target = scenario.registry.get(scenario.kisti_dataset)
+        query = parse_query("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1")
+        assert len(FederatedQueryEngine._attempt(target, query, timeout=5.0)) == 1
+        target.endpoint.fail_next(1)
+        with pytest.raises(Exception, match="injected") as raised:
+            FederatedQueryEngine._attempt(target, query, timeout=5.0)
+        assert not isinstance(raised.value, EndpointTimeout)
+
+
+class _LateEndpoint(LocalSparqlEndpoint):
+    """Ignores the call's ``timeout`` and answers after ``delay`` seconds."""
+
+    def __init__(self, inner: LocalSparqlEndpoint, delay: float) -> None:
+        super().__init__(inner.uri, inner.graph, name=inner.name)
+        self.delay = delay
+
+    def select(self, query, timeout=None):
+        time.sleep(self.delay)
+        return super().select(query)
 
 
 class TestRetries:

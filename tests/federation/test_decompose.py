@@ -59,10 +59,10 @@ class _OpaqueEndpoint:
     def select(self, query):
         return self._inner.select(query)
 
-    def ask(self, query):
+    def ask(self, query, timeout=None):
         if self.ask_delay:
             time.sleep(self.ask_delay)
-        return self._inner.ask(query)
+        return self._inner.ask(query, timeout=timeout)
 
     def construct(self, query):  # pragma: no cover - not exercised
         return self._inner.construct(query)

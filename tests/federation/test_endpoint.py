@@ -1,8 +1,15 @@
 """Unit tests for the local SPARQL endpoint abstraction."""
 
+import time
+
 import pytest
 
-from repro.federation import EndpointError, EndpointUnavailable, LocalSparqlEndpoint
+from repro.federation import (
+    EndpointError,
+    EndpointTimeout,
+    EndpointUnavailable,
+    LocalSparqlEndpoint,
+)
 from repro.rdf import Graph, Literal, RDF, Triple, URIRef
 from repro.sparql import ResultSet
 
@@ -58,6 +65,15 @@ class TestQueries:
         endpoint.available = False
         with pytest.raises(EndpointUnavailable):
             endpoint.select(PREFIX + "SELECT ?s WHERE { ?s ?p ?o }")
+
+    def test_latency_beyond_the_call_timeout_waits_the_budget_and_times_out(self, endpoint):
+        endpoint.latency = 1.0
+        started = time.perf_counter()
+        with pytest.raises(EndpointTimeout, match=r"timed out after 0\.05s$"):
+            endpoint.select(PREFIX + "SELECT ?s WHERE { ?s ?p ?o }", timeout=0.05)
+        assert time.perf_counter() - started < 0.5
+        endpoint.latency = 0.01
+        assert bool(endpoint.ask(PREFIX + 'ASK { ex:alice ex:name "Alice" }', timeout=1.0))
 
     def test_triple_count_and_load(self, endpoint):
         assert endpoint.triple_count() == 3

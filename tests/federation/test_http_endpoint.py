@@ -4,6 +4,7 @@ policy integration."""
 import socket
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -243,12 +244,66 @@ class TestConnectionPool:
         opened = []
         connect = endpoint._connect
 
-        def counting():
+        def counting(timeout):
             opened.append(True)
-            return connect()
+            return connect(timeout)
 
         endpoint._connect = counting
         return opened
+
+
+class TestCallTimeout:
+    """A call's ``timeout`` bounds that request on the caller's thread."""
+
+    OWN = "SELECT ?o WHERE { <http://example.org/a> <http://example.org/knows> ?o }"
+
+    @keeps_alive
+    def test_a_policy_timeout_fails_fast_without_starting_a_thread(self, local, connect):
+        from repro import MediatorService
+        from repro.alignment import AlignmentStore
+        from repro.coreference import SameAsService
+        from repro.federation import DatasetRegistry, ExecutionPolicy, RegisteredDataset
+        from repro.federation.void import DatasetDescription
+        from repro.sparql import parse_query
+
+        remote = connect()  # the endpoint's own timeout is 5 s
+        target = RegisteredDataset(
+            DatasetDescription(uri=remote.uri, endpoint_uri=remote.uri), remote
+        )
+        registry = DatasetRegistry([target], default_policy=ExecutionPolicy(timeout=0.1))
+        engine = MediatorService(AlignmentStore(), registry, SameAsService()).federation
+        remote.select(SELECT)  # the server's thread for the pooled connection is up
+        threads = threading.active_count()
+        local.latency = 1.0
+        started = time.perf_counter()
+        result, attempts, error = engine.call_endpoint(target, parse_query(SELECT))
+        elapsed = time.perf_counter() - started
+        assert (result, attempts) == (None, 1)
+        # The endpoint's socket fired, naming the budget that fired, not its 5 s.
+        assert error == f"endpoint {remote.name} timed out after 0.1s"
+        assert remote.statistics.transport_failures == 1
+        assert elapsed < 0.5
+        assert threading.active_count() <= threads
+
+        # The next untimed call gets its own answer on a connection whose
+        # timeout is the endpoint's own again.
+        local.latency = 0.0
+        own = remote.select(self.OWN)
+        assert [str(row["o"]) for row in own.bindings] == ["http://example.org/b"]
+        assert [connection.sock.gettimeout() for connection in remote._idle] == [5]
+
+    @keeps_alive
+    def test_a_timed_call_returns_its_connection_with_the_endpoint_timeout(self, remote):
+        assert len(remote.select(SELECT, timeout=0.5)) == 2
+        assert bool(remote.ask(ASK, timeout=0.5)) is True
+        assert [connection.sock.gettimeout() for connection in remote._idle] == [5]
+
+    def test_a_fresh_connection_takes_the_call_timeout(self, local, connect):
+        local.latency = 1.0
+        remote = connect()
+        with pytest.raises(EndpointTimeout, match=r"timed out after 0\.1s$"):
+            remote.select(SELECT, timeout=0.1)
+        assert remote._idle == []
 
 
 class TestPolicyIntegration:

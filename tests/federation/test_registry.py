@@ -111,6 +111,7 @@ class TestEndpointHealth:
         uri = URIRef("http://kisti.org/void")
         payload = registry.health()[uri].as_dict()
         assert payload["state"] == "closed"
+        assert set(payload) == {"state", "consecutive_failures", "statistics"}
         assert payload["statistics"]["total_queries"] == 0
         json.dumps(payload)  # must be serialisable as-is
 

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histogram quantiles, exposition."""
+"""The metrics registry: counters, histogram quantiles, exposition."""
 
 import importlib.util
 import sys
@@ -9,7 +9,6 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -51,19 +50,6 @@ class TestCounter:
             counter.inc()
         with pytest.raises(ValueError):
             counter.inc(outcome="hit", extra="x")
-
-
-class TestGauge:
-    def test_goes_up_and_down(self):
-        gauge = Gauge("g", label_names=("dataset",))
-        gauge.inc(dataset="a")
-        gauge.inc(dataset="a")
-        gauge.dec(dataset="a")
-        assert gauge.value(dataset="a") == 1
-        gauge.set(7, dataset="a")
-        assert gauge.value(dataset="a") == 7
-        gauge.inc(-7, dataset="a")  # negative increments are legal here
-        assert gauge.value(dataset="a") == 0
 
 
 class TestHistogram:
@@ -115,16 +101,12 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("a_total")
         with pytest.raises(TypeError):
-            registry.gauge("a_total")
-        registry.gauge("g")
-        with pytest.raises(TypeError):
-            # A Gauge is a Counter subclass; the registry must still refuse.
-            registry.counter("g")
+            registry.histogram("a_total")
 
     def test_prometheus_rendering_passes_the_format_checker(self):
         registry = MetricsRegistry()
         registry.counter("repro_requests_total", "requests").inc(3)
-        registry.gauge("repro_gauge", "g", labels=("dataset",)).set(
+        registry.counter("repro_labelled_total", "l", labels=("dataset",)).inc(
             2, dataset='with "quotes" and \\slashes\\'
         )
         histogram = registry.histogram(
@@ -137,7 +119,7 @@ class TestRegistry:
         assert problems == []
         assert types == {
             "repro_requests_total": "counter",
-            "repro_gauge": "gauge",
+            "repro_labelled_total": "counter",
             "repro_latency_seconds": "histogram",
         }
         assert len(samples) == len(DEFAULT_LATENCY_BUCKETS) + 1 + 2 + 2

@@ -406,5 +406,42 @@ def test_inv013_scope():
     assert _graph_contract_findings("tests/sparql/seeded.py") == []
 
 
+SEEDED_THREADS = """\
+import threading
+from threading import Thread
+
+def attempt(operation, query, timeout):
+    worker = threading.Thread(target=operation, args=(query,), daemon=True)
+    worker.start()
+    worker.join(timeout)
+    return Thread(target=operation).start(), threading.Lock()
+"""
+
+
+def _thread_findings(relative: str) -> list[str]:
+    path = REPO_ROOT / relative
+    return [
+        finding.render()
+        for finding in lints.check_no_federation_threads(ast.parse(SEEDED_THREADS), path)
+    ]
+
+
+def test_inv014_reports_threads_started_in_the_federation():
+    message = (
+        "[INV014] threading.Thread() started under federation/: run the work on the "
+        "engine's worker_pool, and bound an endpoint call with its timeout="
+    )
+    path = "src/repro/federation/federator.py"
+    assert _thread_findings(path) == [f"{path}:5: {message}", f"{path}:8: {message}"]
+
+
+def test_inv014_scope():
+    # The server starts a thread per connection; tests and tools may start
+    # threads of their own.
+    assert _thread_findings("src/repro/server/http.py") == []
+    assert _thread_findings("tests/federation/seeded.py") == []
+    assert _thread_findings("tools/seeded.py") == []
+
+
 def test_the_repository_is_clean():
     assert lints.main() == 0

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant lints, run as a hard CI gate.
 
-Twelve structural invariants that ordinary linters do not express, checked
+Thirteen structural invariants that ordinary linters do not express, checked
 with nothing but the stdlib ``ast`` module:
 
 1. **Hot-loop allocation ban** — inside the batched executor
@@ -89,6 +89,14 @@ with nothing but the stdlib ``ast`` module:
     ``GraphView`` and reads its ``dictionary``, ``triples_ids``,
     ``cardinality``, ``stats`` and ``len()`` directly; a probe would let a
     second, term-level scan path grow back for graphs nothing serves.
+
+14. **No thread per endpoint attempt** — nothing under
+    ``src/repro/federation/`` calls ``threading.Thread(...)`` (or a bare
+    ``Thread(...)``).  The
+    engine's ``worker_pool`` is the one place federation threads start,
+    and an endpoint enforces an attempt's time budget itself (``select``/
+    ``ask`` take ``timeout=``); a thread started to wait on a call would
+    be abandoned, still running, when its budget fired.
 
 Exit status is non-zero when any violation is found.  Findings are printed
 one per line as ``path:line: [INVxxx] message`` so CI logs read like
@@ -624,6 +632,25 @@ def check_graph_contract(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
+# INV014 — no thread per endpoint attempt
+# --------------------------------------------------------------------------- #
+
+FEDERATION_PACKAGE = SRC_PACKAGE / "federation"
+
+
+def check_no_federation_threads(tree: ast.Module, path: Path) -> list[Finding]:
+    if FEDERATION_PACKAGE not in path.parents:
+        return []
+    return sorted((
+        Finding(path, node.lineno, "INV014",
+                "threading.Thread() started under federation/: run the work on the "
+                "engine's worker_pool, and bound an endpoint call with its timeout=")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "Thread"
+    ), key=lambda finding: finding.line)
+
+
+# --------------------------------------------------------------------------- #
 
 def main() -> int:
     findings: list[Finding] = []
@@ -649,6 +676,7 @@ def main() -> int:
             findings.extend(check_one_entry_point(tree, path))
             findings.extend(check_one_operator_tree(tree, path))
             findings.extend(check_graph_contract(tree, path))
+            findings.extend(check_no_federation_threads(tree, path))
             if path == EXEC_PATH:
                 findings.extend(check_hot_loops(tree, path))
     for finding in findings:
