@@ -14,7 +14,7 @@ import pytest
 from repro.datasets import build_resist_scenario
 from repro.federation import (
     CircuitState,
-    EndpointTimeout,
+    EndpointUnavailable,
     ExecutionPolicy,
     FederatedQueryEngine,
     LocalSparqlEndpoint,
@@ -150,9 +150,8 @@ class TestTimeout:
         query = parse_query("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1")
         assert len(FederatedQueryEngine._attempt(target, query, timeout=5.0)) == 1
         target.endpoint.fail_next(1)
-        with pytest.raises(Exception, match="injected") as raised:
+        with pytest.raises(EndpointUnavailable, match="injected"):
             FederatedQueryEngine._attempt(target, query, timeout=5.0)
-        assert not isinstance(raised.value, EndpointTimeout)
 
 
 class _LateEndpoint(LocalSparqlEndpoint):
