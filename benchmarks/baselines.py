@@ -1,14 +1,23 @@
-"""Materialisation (forward-chaining) integration baseline.
+"""Comparison baselines for the experiments: no rewriting, and materialisation.
 
-Section 2 of the paper argues that the mainstream alternative to query
-rewriting — treating ontology alignments as logical axioms and *reasoning*
-over the combined data — "does not scale well and data repositories cannot
-be integrated relying on reasoning on an overall mediating ontology",
-because the inference models grow with the size of the data.
+Neither is part of the product; Experiments E5, E6 and E10 (and the tests
+and the co-author example) measure the mediator against them.
 
-To give that argument a measurable counterpart, this module implements the
-alternative: a forward-chaining integrator that materialises every target
-repository into the source vocabulary ahead of query time.
+**No rewriting.** The simplest possible "integration" strategy, and the
+implicit comparison point of the whole paper, is to send the source query
+verbatim to every endpoint.  Because each repository uses its own vocabulary
+and URI space, the query only matches on repositories sharing the source
+schema, so the contribution of heterogeneous datasets to recall is (near)
+zero.  :class:`IdentityFederation` quantifies that gap.
+
+**Materialisation.** Section 2 of the paper argues that the mainstream
+alternative to query rewriting, treating ontology alignments as logical
+axioms and *reasoning* over the combined data, "does not scale well and data
+repositories cannot be integrated relying on reasoning on an overall
+mediating ontology", because the inference models grow with the size of the
+data.  :class:`MaterializationIntegrator` is a forward-chaining integrator
+that materialises every target repository into the source vocabulary ahead
+of query time:
 
 * Each entity alignment ``LHS <- RHS`` is applied *right-to-left* as a data
   rule: conjunctive RHS matches over the target data produce LHS triples in
@@ -22,22 +31,78 @@ repository into the source vocabulary ahead of query time.
   the owl:sameAs closure.
 
 The integrator's cost is proportional to the *data* size, whereas query
-rewriting's cost depends only on the query and alignment KB size —
+rewriting's cost depends only on the query and alignment KB size;
 Experiment E5 measures exactly that contrast.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from time import perf_counter
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
+from time import perf_counter
 
-from ..alignment import EntityAlignment, SAMEAS_FUNCTION
-from ..coreference import SameAsService
-from ..rdf import Graph, Term, Triple, URIRef, Variable
-from ..sparql import Binding, match_bgp
+from repro.alignment import SAMEAS_FUNCTION, EntityAlignment
+from repro.coreference import SameAsService
+from repro.federation import DatasetRegistry, EndpointError
+from repro.rdf import Graph, Term, Triple, URIRef, Variable
+from repro.sparql import Binding, Query, ResultSet, match_bgp, parse_query
 
-__all__ = ["MaterializationStatistics", "MaterializationIntegrator"]
+__all__ = [
+    "IdentityBaselineResult",
+    "IdentityFederation",
+    "MaterializationStatistics",
+    "MaterializationIntegrator",
+]
+
+
+@dataclass
+class IdentityBaselineResult:
+    """Per-dataset and merged results of the no-rewriting baseline."""
+
+    variables: list[Variable]
+    per_dataset_rows: dict[URIRef, int] = field(default_factory=dict)
+    errors: dict[URIRef, str] = field(default_factory=dict)
+    merged_bindings: list[Binding] = field(default_factory=list)
+
+    def merged(self) -> ResultSet:
+        return ResultSet(self.variables, self.merged_bindings)
+
+    def distinct_values(self, variable: Variable | str) -> set:
+        return self.merged().distinct_values(variable)
+
+
+class IdentityFederation:
+    """Run the *unrewritten* query over every registered dataset."""
+
+    def __init__(self, registry: DatasetRegistry) -> None:
+        self.registry = registry
+
+    def execute(
+        self,
+        query: Query | str,
+        datasets: Sequence[URIRef] | None = None,
+    ) -> IdentityBaselineResult:
+        if isinstance(query, str):
+            query = parse_query(query)
+        projection = getattr(query, "projection", None) or sorted(query.variables(), key=str)
+        result = IdentityBaselineResult(variables=list(projection))
+        targets = self.registry.datasets() if datasets is None else [
+            self.registry.get(uri) for uri in datasets
+        ]
+        seen = set()
+        for target in targets:
+            try:
+                rows = target.endpoint.select(query)
+            except EndpointError as exc:
+                result.errors[target.uri] = str(exc)
+                continue
+            result.per_dataset_rows[target.uri] = len(rows)
+            for binding in rows:
+                key = frozenset(binding.as_dict().items())
+                if key not in seen:
+                    seen.add(key)
+                    result.merged_bindings.append(binding)
+        return result
 
 
 @dataclass

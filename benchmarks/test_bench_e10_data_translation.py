@@ -16,7 +16,7 @@ this extension experiment compares them head-to-head on the KISTI scenario:
 from time import perf_counter
 
 from repro.alignment import default_registry
-from repro.baselines import MaterializationIntegrator
+from benchmarks.baselines import MaterializationIntegrator
 from repro.core import DataTranslator, QueryRewriter
 from repro.datasets import (
     KISTI_URI_PATTERN,

@@ -22,7 +22,8 @@ from __future__ import annotations
 from time import perf_counter
 
 from repro.rdf import Graph, Triple, URIRef
-from repro.sparql import ExecConfig, QueryEvaluator, parse_query
+from repro.sparql import QueryEvaluator, parse_query
+from repro.sparql import exec as executor
 
 from .conftest import report
 
@@ -62,12 +63,12 @@ def _time(evaluator: QueryEvaluator, query, repetitions: int = 3) -> float:
     return best
 
 
-def test_bench_e13_exec_sweep(benchmark):
+def test_bench_e13_exec_sweep(benchmark, monkeypatch):
     """Sweep fan-in x batch cap x adaptivity; check the >= 3x headline."""
-    configs = (
-        ("batch=64",   ExecConfig(max_batch_rows=64)),
-        ("batch=2048", ExecConfig()),
-        ("no-adapt",   ExecConfig(adaptive=False)),
+    configs = (  # overrides of the executor's module-level tunables
+        ("batch=64",   {"MAX_BATCH_ROWS": 64}),
+        ("batch=2048", {}),
+        ("no-adapt",   {"ADAPTIVE": False}),
     )
     rows = []
     headline_speedup = None
@@ -77,8 +78,10 @@ def test_bench_e13_exec_sweep(benchmark):
         reference_time = _time(QueryEvaluator(graph, engine="reference"), query)
         vec_times = []
         for _, config in configs:
-            vec = QueryEvaluator(graph, engine="planner", exec_config=config)
-            vec_times.append(_time(vec, query))
+            with monkeypatch.context() as patch:
+                for name, value in config.items():
+                    patch.setattr(executor, name, value)
+                vec_times.append(_time(QueryEvaluator(graph, engine="planner"), query))
         default_speedup = reference_time / vec_times[1] if vec_times[1] else float("inf")
         rows.append((
             fan_in, len(graph),
@@ -118,14 +121,13 @@ def test_bench_e13_results_equivalent():
         assert batched == reference
 
 
-def test_bench_e13_adaptivity_costs_nothing_when_estimates_hold():
+def test_bench_e13_adaptivity_costs_nothing_when_estimates_hold(monkeypatch):
     """With accurate statistics, adaptive sampling must stay in the noise."""
     graph = build_graph(4)
     query = star_query(4)
-    adaptive = _time(QueryEvaluator(graph, engine="planner",
-                                    exec_config=ExecConfig(adaptive=True)), query)
-    fixed = _time(QueryEvaluator(graph, engine="planner",
-                                 exec_config=ExecConfig(adaptive=False)), query)
+    adaptive = _time(QueryEvaluator(graph, engine="planner"), query)
+    monkeypatch.setattr(executor, "ADAPTIVE", False)
+    fixed = _time(QueryEvaluator(graph, engine="planner"), query)
     report(
         "E13b: adaptive sampling overhead",
         [(len(graph), f"{fixed * 1000:.2f} ms", f"{adaptive * 1000:.2f} ms")],

@@ -29,7 +29,8 @@ from __future__ import annotations
 from time import perf_counter
 
 from repro.rdf import Graph, SegmentStore, Triple, URIRef
-from repro.sparql import ExecConfig, QueryEvaluator, parse_query
+from repro.sparql import QueryEvaluator, parse_query
+from repro.sparql import exec as executor
 
 from .conftest import report
 
@@ -176,7 +177,7 @@ def test_bench_e14_cold_open_reads_no_records(benchmark, tmp_path):
     )
 
 
-def test_bench_e14_limit_query_io_is_bounded(tmp_path):
+def test_bench_e14_limit_query_io_is_bounded(tmp_path, monkeypatch):
     """A LIMIT-ed BGP on disk completes without loading the full dataset."""
     entities = SWEEP_ENTITIES[-1]
     root = tmp_path / "limited"
@@ -185,8 +186,8 @@ def test_bench_e14_limit_query_io_is_bounded(tmp_path):
     graph = Graph(store=SegmentStore(root))
     total = len(graph)
     # Small batches keep the slice from over-pulling the scan generator.
-    evaluator = QueryEvaluator(graph, engine="planner",
-                               exec_config=ExecConfig(max_batch_rows=64))
+    monkeypatch.setattr(executor, "MAX_BATCH_ROWS", 64)
+    evaluator = QueryEvaluator(graph, engine="planner")
     before = graph.store.io.records_read
     solutions = evaluator.select(LIMIT_QUERY)
     records_read = graph.store.io.records_read - before

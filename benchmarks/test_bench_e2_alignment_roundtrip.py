@@ -12,9 +12,9 @@ from repro.alignment import (
     alignments_to_graph,
     alignments_to_turtle,
     classify_level,
-    structurally_equivalent,
 )
 from repro.rdf import MAP, RDF
+from tests.alignment.validation import structurally_equivalent
 
 from .conftest import report
 

@@ -17,7 +17,7 @@ is the reproduced claim.
 
 from time import perf_counter
 
-from repro.baselines import MaterializationIntegrator
+from benchmarks.baselines import MaterializationIntegrator
 from repro.core import QueryRewriter
 from repro.datasets import (
     KistiDatasetBuilder,

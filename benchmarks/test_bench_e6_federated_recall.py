@@ -10,7 +10,7 @@ world-model gold standard, for several query subjects.
 
 import statistics
 
-from repro.baselines import IdentityFederation
+from benchmarks.baselines import IdentityFederation
 from repro.federation import recall
 
 from .conftest import report

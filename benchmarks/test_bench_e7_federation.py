@@ -63,7 +63,7 @@ def _build_federation(n_endpoints: int, latency: float = LATENCY) -> MediatorSer
             ),
             LocalSparqlEndpoint(
                 URIRef(f"{EX}dataset-{index}/sparql"), graph,
-                name=f"endpoint-{index}", latency=latency, seed=index,
+                name=f"endpoint-{index}", latency=latency,
             ),
         )
     return MediatorService(AlignmentStore(), registry, SameAsService(), max_workers=8)

@@ -16,7 +16,6 @@ Run with::
     python examples/coauthor_federation.py
 """
 
-from repro.baselines import IdentityFederation
 from repro.datasets import build_resist_scenario
 from repro.federation import recall
 
@@ -63,11 +62,15 @@ def main() -> None:
           f"recall {recall(rkb_values, gold):.2f}")
 
     # 2. No rewriting: the same query shipped to every endpoint.
-    identity = IdentityFederation(scenario.registry).execute(query)
-    identity_values = identity.distinct_values("a")
+    identity_values: set = set()
+    identity_rows = {}
+    for dataset in scenario.registry.datasets():
+        rows = dataset.endpoint.select(query)
+        identity_rows[str(dataset.uri)] = len(rows)
+        identity_values |= rows.distinct_values("a")
     print(f"[No rewriting]        {len(identity_values):3d} found, "
           f"recall {recall(identity_values, gold):.2f} "
-          f"(per dataset rows: { {str(k): v for k, v in identity.per_dataset_rows.items()} })")
+          f"(per dataset rows: {identity_rows})")
 
     # 3. Mediated federation with query rewriting (+ FILTER translation).
     federated = scenario.service.federate(

@@ -15,7 +15,6 @@ The package is organised bottom-up:
 * :mod:`repro.federation` — endpoints, voiD registry, federated execution,
   mediator service facade.
 * :mod:`repro.datasets` — synthetic RKB / KISTI / DBpedia scenario.
-* :mod:`repro.baselines` — no-rewriting and materialisation baselines.
 
 Quickstart::
 

@@ -48,13 +48,6 @@ from .rdf_io import (
     ontology_alignments_from_graph,
 )
 from .store import AlignmentStore
-from .validation import (
-    ValidationIssue,
-    rename_variables,
-    structurally_equivalent,
-    validate_entity_alignment,
-    validate_ontology_alignment,
-)
 
 __all__ = [
     # model
@@ -79,7 +72,4 @@ __all__ = [
     "alignments_to_turtle", "alignments_from_turtle",
     # store
     "AlignmentStore",
-    # validation
-    "ValidationIssue", "validate_entity_alignment", "validate_ontology_alignment",
-    "rename_variables", "structurally_equivalent",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from ..rdf import RDF, Term, Triple, URIRef, Variable
-from .model import EntityAlignment, FunctionalDependency
+from .model import EntityAlignment
 
 __all__ = [
     "class_alignment",
@@ -50,20 +50,14 @@ def class_alignment(source_class: URIRef, target_class: URIRef,
     )
 
 
-def property_alignment(source_property: URIRef, target_property: URIRef,
-                       identifier: URIRef | None = None,
-                       functional_dependencies: Sequence[FunctionalDependency] = ()) -> EntityAlignment:
+def property_alignment(source_property: URIRef, target_property: URIRef) -> EntityAlignment:
     """Level-0 property correspondence ``P1 -> P2``.
 
-    Encodes ``forall x, y (Triple(x, P1, y) -> Triple(x, P2, y))``; optional
-    functional dependencies may adjust the subject/object values (e.g. URI
-    translation through ``sameas``).
+    Encodes ``forall x, y (Triple(x, P1, y) -> Triple(x, P2, y))``.
     """
     return EntityAlignment(
         lhs=Triple(_X, source_property, _Y),
         rhs=[Triple(_X, target_property, _Y)],
-        functional_dependencies=functional_dependencies,
-        identifier=identifier,
     )
 
 
@@ -86,8 +80,8 @@ def class_to_intersection_alignment(source_class: URIRef,
 
 
 def class_to_value_partition_alignment(source_class: URIRef, target_class: URIRef,
-                                       partition_property: URIRef, partition_value: Term,
-                                       identifier: URIRef | None = None) -> EntityAlignment:
+                                       partition_property: URIRef,
+                                       partition_value: Term) -> EntityAlignment:
     """Level-2 correspondence translating a class into a value partition.
 
     The paper's example: ``O1:WhiteWine -> O2:Wine with O2:has_color "White"``.
@@ -98,14 +92,10 @@ def class_to_value_partition_alignment(source_class: URIRef, target_class: URIRe
             Triple(_X, RDF.type, target_class),
             Triple(_X, partition_property, partition_value),
         ],
-        identifier=identifier,
     )
 
 
-def property_chain_alignment(source_property: URIRef,
-                             chain: Sequence[URIRef],
-                             identifier: URIRef | None = None,
-                             functional_dependencies: Sequence[FunctionalDependency] = ()) -> EntityAlignment:
+def property_chain_alignment(source_property: URIRef, chain: Sequence[URIRef]) -> EntityAlignment:
     """Level-2 correspondence expanding a property into a chain of properties.
 
     The worked example's shape: ``akt:has-author`` becomes
@@ -122,12 +112,7 @@ def property_chain_alignment(source_property: URIRef,
         target: Term = _Y if is_last else Variable(f"c{index + 1}")
         rhs.append(Triple(current, property_uri, target))
         current = target
-    return EntityAlignment(
-        lhs=Triple(subject, source_property, _Y),
-        rhs=rhs,
-        functional_dependencies=functional_dependencies,
-        identifier=identifier,
-    )
+    return EntityAlignment(lhs=Triple(subject, source_property, _Y), rhs=rhs)
 
 
 def classify_level(alignment: EntityAlignment) -> int:

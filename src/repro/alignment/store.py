@@ -105,22 +105,9 @@ class AlignmentStore:
                 reusable.append(alignment)
         return specific + reusable
 
-    def for_target_ontology(
-        self, ontology: URIRef, source_ontology: URIRef | None = None
-    ) -> list[OntologyAlignment]:
-        """Ontology alignments whose target ontologies include ``ontology``."""
-        result = []
-        for alignment in self._alignments:
-            if source_ontology is not None and not alignment.applies_to_source(source_ontology):
-                continue
-            if alignment.applies_to_target_ontology(ontology):
-                result.append(alignment)
-        return result
-
     def entity_alignments_for(
         self,
         dataset: URIRef | None = None,
-        target_ontology: URIRef | None = None,
         source_ontology: URIRef | None = None,
         dataset_ontologies: Iterable[URIRef] = (),
     ) -> list[EntityAlignment]:
@@ -136,9 +123,7 @@ class AlignmentStore:
             selected.extend(
                 self.for_target_dataset(dataset, source_ontology, dataset_ontologies)
             )
-        if target_ontology is not None:
-            selected.extend(self.for_target_ontology(target_ontology, source_ontology))
-        if dataset is None and target_ontology is None:
+        if dataset is None:
             selected = [
                 alignment
                 for alignment in self._alignments

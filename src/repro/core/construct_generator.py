@@ -24,8 +24,8 @@ vocabulary into the target vocabulary:
 
 Together with :class:`~repro.sparql.QueryEvaluator` this gives a second,
 query-engine-driven implementation of data translation that complements the
-:class:`~repro.baselines.MaterializationIntegrator` baseline (which applies
-the rules right-to-left).
+materialisation baseline of ``benchmarks/baselines.py`` (which applies the
+rules right-to-left).
 """
 
 from __future__ import annotations

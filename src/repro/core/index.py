@@ -157,14 +157,12 @@ class PatternIndex:
     into KB order so "first match wins" is preserved exactly.
     """
 
-    def __init__(self, rules: Iterable[CompiledRule] = ()) -> None:
+    def __init__(self) -> None:
         self._by_predicate: dict[Term, list[CompiledRule]] = {}
         self._type_by_class: dict[Term, list[CompiledRule]] = {}
         self._type_variable_class: list[CompiledRule] = []
         self._variable_predicate: list[CompiledRule] = []
         self._size = 0
-        for rule in rules:
-            self.add(rule)
 
     # ------------------------------------------------------------------ #
     def add(self, rule: CompiledRule) -> None:

@@ -22,9 +22,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
-from ..alignment import AlignmentStore, EntityAlignment, FunctionRegistry, default_registry
+from ..alignment import AlignmentStore, EntityAlignment, default_registry
 from ..coreference import SameAsService
 from ..obs.metrics import rewrite_cache_counter
 from ..rdf import URIRef
@@ -105,24 +105,19 @@ class Mediator:
     sameas_service:
         Co-reference service backing the ``sameas`` functional dependency
         and the FILTER-aware URI translation.
-    registry:
-        Function registry; when omitted, the default registry (with
-        ``sameas`` bound to ``sameas_service``) is used.
-    targets:
-        Known target profiles, keyed by dataset URI.  Targets can also be
-        registered later with :meth:`register_target`.
+
+    Functions come from the default registry, with ``sameas`` bound to
+    ``sameas_service``; targets are added with :meth:`register_target`.
     """
 
     def __init__(
         self,
         alignment_store: AlignmentStore,
         sameas_service: SameAsService | None = None,
-        registry: FunctionRegistry | None = None,
-        targets: Iterable[TargetProfile] = (),
     ) -> None:
         self.alignment_store = alignment_store
         self.sameas_service = sameas_service or SameAsService()
-        self.registry = registry if registry is not None else default_registry(self.sameas_service)
+        self.registry = default_registry(self.sameas_service)
         self._targets: dict[URIRef, TargetProfile] = {}
         # Compiled rule sets shared by both modes, keyed by selection context;
         # rewrite results keyed additionally by normalized query text.  Both
@@ -135,8 +130,6 @@ class Mediator:
         self._cache_generation = self._current_generation()
         self._cache_hits = 0
         self._cache_misses = 0
-        for target in targets:
-            self.register_target(target)
 
     # ------------------------------------------------------------------ #
     # Target management
@@ -290,41 +283,19 @@ class Mediator:
         target_dataset: URIRef,
         source_ontology: URIRef | None = None,
         mode: str = "bgp",
-        strict: bool = False,
     ) -> list[MediationResult]:
         """Rewrite a batch of queries for one target (same order as input).
 
         The relevant alignments are selected and compiled once for the
         whole batch; repeated queries within the batch hit the rewrite
-        cache.  Used by the federation layer and the CLI to amortise
-        per-translation setup.
+        cache.  ``repro rewrite`` uses it to amortise per-translation setup.
         """
         target = self.target(target_dataset)
         self.compiled_ruleset(target, source_ontology)  # warm the shared index
         return [
-            self.translate(query, target_dataset, source_ontology, mode, strict)
+            self.translate(query, target_dataset, source_ontology, mode)
             for query in queries
         ]
-
-    def translate_for_all_targets(
-        self,
-        query: Query | str,
-        source_ontology: URIRef | None = None,
-        mode: str = "bgp",
-        datasets: Sequence[URIRef] | None = None,
-    ) -> dict[URIRef, MediationResult]:
-        """Rewrite ``query`` once per registered target (federation fan-out).
-
-        ``datasets`` restricts the fan-out to a subset of the registered
-        targets.
-        """
-        selected = self.targets() if datasets is None else [self.target(uri) for uri in datasets]
-        results: dict[URIRef, MediationResult] = {}
-        for target in selected:
-            results[target.dataset] = self.translate(
-                query, target.dataset, source_ontology, mode
-            )
-        return results
 
     # ------------------------------------------------------------------ #
     # Cache management

@@ -68,9 +68,8 @@ class FreshVariableGenerator:
     uniqueness against the variables already present in the query.
     """
 
-    def __init__(self, reserved: Iterable[Variable] = (), prefix: str = "new") -> None:
+    def __init__(self, reserved: Iterable[Variable] = ()) -> None:
         self._reserved: set[str] = {variable.name for variable in reserved}
-        self._prefix = prefix
         self._counter = 0
 
     def reserve(self, variables: Iterable[Variable]) -> None:
@@ -81,7 +80,7 @@ class FreshVariableGenerator:
         """Return a new, unused variable."""
         while True:
             self._counter += 1
-            candidate = f"{self._prefix}{self._counter}"
+            candidate = f"new{self._counter}"
             if candidate not in self._reserved:
                 self._reserved.add(candidate)
                 return Variable(candidate)

@@ -1,6 +1,5 @@
 """Co-reference resolution substrate (local stand-in for sameas.org)."""
 
-from .generator import CoReferenceGenerator, CoReferenceSpec
 from .service import CoReferenceError, SameAsService
 from .unionfind import UnionFind
 
@@ -8,6 +7,4 @@ __all__ = [
     "UnionFind",
     "SameAsService",
     "CoReferenceError",
-    "CoReferenceGenerator",
-    "CoReferenceSpec",
 ]

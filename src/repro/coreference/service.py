@@ -36,7 +36,7 @@ class CoReferenceError(KeyError):
 class SameAsService:
     """An in-memory co-reference (owl:sameAs) bundle store."""
 
-    def __init__(self, pairs: Iterable[tuple[URIRef, URIRef]] = ()) -> None:
+    def __init__(self) -> None:
         self._bundles: UnionFind[URIRef] = UnionFind()
         self._lookups = 0
         self._generation = 0
@@ -45,8 +45,6 @@ class SameAsService:
         # federation layer calls into the service from worker threads.
         self._patterns: dict[str, re.Pattern[str]] = {}
         self._lock = threading.RLock()
-        for left, right in pairs:
-            self.add_equivalence(left, right)
 
     @property
     def generation(self) -> int:

@@ -17,7 +17,7 @@ threads at once:
 from __future__ import annotations
 
 import threading
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterator
 from typing import Generic, TypeVar
 
 __all__ = ["UnionFind"]
@@ -28,14 +28,12 @@ T = TypeVar("T", bound=Hashable)
 class UnionFind(Generic[T]):
     """Thread-safe union-find over arbitrary hashable items."""
 
-    def __init__(self, items: Iterable[T] = ()) -> None:
+    def __init__(self) -> None:
         self._parent: dict[T, T] = {}
         self._rank: dict[T, int] = {}
         #: root → set of all items in that class, kept exact by union().
         self._members: dict[T, set[T]] = {}
         self._lock = threading.RLock()
-        for item in items:
-            self.add(item)
 
     def add(self, item: T) -> None:
         """Register an item as its own singleton class (idempotent)."""

@@ -22,9 +22,6 @@ from .ontologies import (
     KISTI_ONTOLOGY_URI,
     KISTI_TERMS,
     RKB_DATASET_URI,
-    akt_ontology_graph,
-    dbpedia_ontology_graph,
-    kisti_ontology_graph,
 )
 from .scenario import IntegrationScenario, build_resist_scenario
 from .world import Organization, Paper, Person, Project, WorldModel
@@ -38,7 +35,6 @@ __all__ = [
     "AKT_TERMS", "KISTI_TERMS", "DBPEDIA_TERMS",
     "AKT_ONTOLOGY_URI", "KISTI_ONTOLOGY_URI", "DBPEDIA_ONTOLOGY_URI",
     "RKB_DATASET_URI", "ECS_DATASET_URI", "KISTI_DATASET_URI", "DBPEDIA_DATASET_URI",
-    "akt_ontology_graph", "kisti_ontology_graph", "dbpedia_ontology_graph",
     # alignments
     "akt_to_kisti_alignment", "akt_to_dbpedia_alignment", "has_author_chain_alignment",
     "KISTI_URI_PATTERN", "DBPEDIA_URI_PATTERN", "RKB_URI_PATTERN",

@@ -98,8 +98,7 @@ def _literal_property_alignment(source_property: URIRef, target_property: URIRef
     )
 
 
-def has_author_chain_alignment(uri_pattern: str = KISTI_URI_PATTERN,
-                               identifier: URIRef | None = None) -> EntityAlignment:
+def has_author_chain_alignment() -> EntityAlignment:
     """The worked example's alignment (Figure 2 / the Turtle listing).
 
     ``<?p1 akt:has-author ?a1>`` rewrites to the KISTI CreatorInfo chain
@@ -114,10 +113,10 @@ def has_author_chain_alignment(uri_pattern: str = KISTI_URI_PATTERN,
             Triple(c, KISTI_TERMS["hasCreator"], a2),
         ],
         functional_dependencies=[
-            _sameas_fd("p2", "p1", uri_pattern),
-            _sameas_fd("a2", "a1", uri_pattern),
+            _sameas_fd("p2", "p1", KISTI_URI_PATTERN),
+            _sameas_fd("a2", "a1", KISTI_URI_PATTERN),
         ],
-        identifier=identifier if identifier is not None else _AKT2KISTI["creator_info"],
+        identifier=_AKT2KISTI["creator_info"],
     )
 
 
@@ -155,7 +154,7 @@ _AKT_KISTI_PROPERTY_PAIRS = [
 ]
 
 
-def akt_to_kisti_alignment(uri_pattern: str = KISTI_URI_PATTERN) -> OntologyAlignment:
+def akt_to_kisti_alignment() -> OntologyAlignment:
     """The 24-entity-alignment OA from the AKT ontology to the KISTI dataset."""
     alignments: list[EntityAlignment] = []
 
@@ -165,19 +164,19 @@ def akt_to_kisti_alignment(uri_pattern: str = KISTI_URI_PATTERN) -> OntologyAlig
                             identifier=_AKT2KISTI[f"class_{index}"])
         )
 
-    alignments.append(has_author_chain_alignment(uri_pattern))
+    alignments.append(has_author_chain_alignment())
 
     for index, (source, target, translate_object) in enumerate(_AKT_KISTI_PROPERTY_PAIRS):
         identifier = _AKT2KISTI[f"property_{index}"]
         if translate_object:
             alignments.append(
                 _uri_property_alignment(AKT_TERMS[source], KISTI_TERMS[target],
-                                        uri_pattern, identifier)
+                                        KISTI_URI_PATTERN, identifier)
             )
         else:
             alignments.append(
                 _literal_property_alignment(AKT_TERMS[source], KISTI_TERMS[target],
-                                            uri_pattern, identifier)
+                                            KISTI_URI_PATTERN, identifier)
             )
 
     ontology_alignment = OntologyAlignment(
@@ -241,7 +240,7 @@ _AKT_DBPEDIA_PROPERTY_PAIRS = [
 ]
 
 
-def akt_to_dbpedia_alignment(uri_pattern: str = DBPEDIA_URI_PATTERN) -> OntologyAlignment:
+def akt_to_dbpedia_alignment() -> OntologyAlignment:
     """The 42-entity-alignment OA from the ECS/AKT data to DBpedia."""
     alignments: list[EntityAlignment] = []
 
@@ -272,7 +271,7 @@ def akt_to_dbpedia_alignment(uri_pattern: str = DBPEDIA_URI_PATTERN) -> Ontology
 
     alignments.append(
         _literal_property_alignment(AKT_TERMS["full-name"], FOAF.name,
-                                    uri_pattern, _AKT2DBPEDIA["full_name"])
+                                    DBPEDIA_URI_PATTERN, _AKT2DBPEDIA["full_name"])
     )
 
     for index, (source, target, translate_object) in enumerate(_AKT_DBPEDIA_PROPERTY_PAIRS):
@@ -280,12 +279,12 @@ def akt_to_dbpedia_alignment(uri_pattern: str = DBPEDIA_URI_PATTERN) -> Ontology
         if translate_object:
             alignments.append(
                 _uri_property_alignment(AKT_TERMS[source], DBPEDIA_TERMS[target],
-                                        uri_pattern, identifier)
+                                        DBPEDIA_URI_PATTERN, identifier)
             )
         else:
             alignments.append(
                 _literal_property_alignment(AKT_TERMS[source], DBPEDIA_TERMS[target],
-                                            uri_pattern, identifier)
+                                            DBPEDIA_URI_PATTERN, identifier)
             )
 
     ontology_alignment = OntologyAlignment(

@@ -25,7 +25,6 @@ __all__ = [
     "AKT_ONTOLOGY_URI", "KISTI_ONTOLOGY_URI", "DBPEDIA_ONTOLOGY_URI",
     "ECS_DATASET_URI", "RKB_DATASET_URI", "KISTI_DATASET_URI", "DBPEDIA_DATASET_URI",
     "AKT_TERMS", "KISTI_TERMS", "DBPEDIA_TERMS",
-    "akt_ontology_graph", "kisti_ontology_graph", "dbpedia_ontology_graph",
 ]
 
 #: Ontology identity URIs (the values placed in SO / TO).
@@ -219,18 +218,3 @@ DBPEDIA_TERMS = _Vocabulary(
         "doi",
     ],
 )
-
-
-def akt_ontology_graph() -> Graph:
-    """The AKT vocabulary as an RDFS ontology document."""
-    return AKT_TERMS.to_graph(AKT_ONTOLOGY_URI)
-
-
-def kisti_ontology_graph() -> Graph:
-    """The KISTI vocabulary as an RDFS ontology document."""
-    return KISTI_TERMS.to_graph(KISTI_ONTOLOGY_URI)
-
-
-def dbpedia_ontology_graph() -> Graph:
-    """The DBpedia-like vocabulary as an RDFS ontology document."""
-    return DBPEDIA_TERMS.to_graph(DBPEDIA_ONTOLOGY_URI)

@@ -16,6 +16,7 @@ Section 3.4:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 
 from ..alignment import AlignmentStore
@@ -51,10 +52,10 @@ class IntegrationScenario:
     service: MediatorService
 
     #: Convenience URIs.
-    rkb_dataset: URIRef = RKB_DATASET_URI
-    kisti_dataset: URIRef = KISTI_DATASET_URI
-    dbpedia_dataset: URIRef = DBPEDIA_DATASET_URI
-    source_ontology: URIRef = AKT_ONTOLOGY_URI
+    rkb_dataset: ClassVar[URIRef] = RKB_DATASET_URI
+    kisti_dataset: ClassVar[URIRef] = KISTI_DATASET_URI
+    dbpedia_dataset: ClassVar[URIRef] = DBPEDIA_DATASET_URI
+    source_ontology: ClassVar[URIRef] = AKT_ONTOLOGY_URI
 
     def endpoint(self, dataset_uri: URIRef) -> LocalSparqlEndpoint:
         """The endpoint serving ``dataset_uri``."""

@@ -23,8 +23,6 @@ from .federator import (
     DatasetResult,
     FederatedQueryEngine,
     FederatedResult,
-    f1_score,
-    precision,
     recall,
 )
 from .policy import CircuitBreaker, CircuitState, ExecutionPolicy
@@ -44,7 +42,7 @@ __all__ = [
     "DecomposedPlan", "QueryUnit", "PatternSources", "SourceDecision",
     "SourceSelector", "decompose_query", "execute_decomposed",
     "DEFAULT_BIND_JOIN_BATCH",
-    "recall", "precision", "f1_score",
+    "recall",
     "ShardedGraph", "shard_graph", "shard_for_subject",
     "MediatorService", "DatasetInfo", "TranslationResponse", "ExecutionResponse",
 ]

@@ -51,7 +51,7 @@ and executed by one mediator pipeline on the batched operator layer
   rows and stops pulling bound-join batches once they are found), projects
   and deduplicates.  A shape the decomposer cannot plan — anything but a
   SELECT over a basic graph pattern plus FILTERs (no OPTIONAL/UNION/nested
-  groups, no blank nodes in patterns, no EXISTS in filters) — gets the
+  groups, no blank nodes in patterns) — gets the
   fan-out plan instead, with :attr:`DecomposedPlan.fallback_reason` saying
   why.
 
@@ -86,13 +86,6 @@ from ..sparql import (
     Query,
     SelectQuery,
     TriplesBlock,
-)
-from ..sparql.ast import (
-    BinaryExpression,
-    ExistsExpression,
-    Expression,
-    FunctionCall,
-    UnaryExpression,
 )
 from ..sparql.evaluator import pattern_text
 from ..sparql.exec import (
@@ -289,24 +282,6 @@ def _unit_label(unit: QueryUnit, seed: bool) -> str:
         routed = ", keys routed by subject hash" if unit.subject in unit.join_variables else ""
         join = f"bound join on ({rendered}){routed}"
     return f"[{_unit_kind(unit)}; {join}; est={unit.estimate:.1f}]"
-
-
-# --------------------------------------------------------------------------- #
-# Expression inspection (what the mediator can evaluate itself)
-# --------------------------------------------------------------------------- #
-def _expression_mediator_safe(expression: Expression) -> bool:
-    """Whether a FILTER can run at the mediator (no EXISTS subqueries)."""
-    if isinstance(expression, ExistsExpression):
-        return False
-    if isinstance(expression, BinaryExpression):
-        return _expression_mediator_safe(expression.left) and _expression_mediator_safe(
-            expression.right
-        )
-    if isinstance(expression, UnaryExpression):
-        return _expression_mediator_safe(expression.operand)
-    if isinstance(expression, FunctionCall):
-        return all(_expression_mediator_safe(arg) for arg in expression.arguments)
-    return True
 
 
 # --------------------------------------------------------------------------- #
@@ -687,8 +662,6 @@ def _supported_shape(
         if isinstance(element, TriplesBlock):
             patterns.extend(element.patterns)
         elif isinstance(element, Filter):
-            if not _expression_mediator_safe(element.expression):
-                return [], [], "FILTER contains EXISTS"
             filters.append(element)
         else:
             return [], [], f"unsupported pattern element: {type(element).__name__}"
@@ -1287,8 +1260,7 @@ class _PlanExecutor:
         BY and slice only for a decomposed plan)."""
         # The mediator's graph is empty: it only interns the fetched terms
         # (its own ids, private to this plan), and FILTERs are evaluated
-        # against no data (only EXISTS would need some, and that forces the
-        # fan-out fallback).
+        # against no data (an expression reads only its row).
         ctx = ExecContext(Graph())
         root: VecOperator | None = None
         schema: Schema = ()
@@ -1364,5 +1336,5 @@ class _PlanExecutor:
                 for uri, entry in sorted(self._traffic.items(), key=lambda kv: str(kv[0]))
             ],
             rows_shipped=sum(entry.rows for entry in self._traffic.values()),
-            plan="\n".join(root.report_lines(0)) if root is not None else "",
+            plan="\n".join(root.report_lines()) if root is not None else "",
         )

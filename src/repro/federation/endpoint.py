@@ -11,7 +11,6 @@ breakers) is exercisable entirely offline.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from dataclasses import dataclass
@@ -122,21 +121,16 @@ class LocalSparqlEndpoint(SparqlEndpoint):
         The data served by the endpoint.
     name:
         Human-readable label used in logs and experiment tables.
-    available:
-        When false every query raises :class:`EndpointUnavailable`
-        (failure-injection hook used by the federation tests).
     latency:
         Simulated per-query network/evaluation delay in seconds.  The
         endpoint sleeps this long before answering, which is what makes
         concurrent fan-out measurably faster than sequential execution in
         the offline benchmarks.  A call whose ``timeout`` is shorter sleeps
         only the budget and raises :class:`EndpointTimeout`.
-    failure_rate:
-        Probability in [0, 1] that a query fails with
-        :class:`EndpointUnavailable` (drawn from a private ``Random``
-        seeded with ``seed``, so flakiness is reproducible).
-    seed:
-        Seed for the failure-injection random stream.
+
+    Setting ``available`` to false makes every query raise
+    :class:`EndpointUnavailable`, and :meth:`fail_next` fails the next
+    queries: the failure-injection hooks of the federation tests.
     """
 
     def __init__(
@@ -144,21 +138,14 @@ class LocalSparqlEndpoint(SparqlEndpoint):
         uri: URIRef,
         graph: Graph,
         name: str | None = None,
-        available: bool = True,
         latency: float = 0.0,
-        failure_rate: float = 0.0,
-        seed: int = 0,
     ) -> None:
-        if not 0.0 <= failure_rate <= 1.0:
-            raise ValueError("failure_rate must be within [0, 1]")
         if latency < 0:
             raise ValueError("latency must be >= 0")
         self.uri = uri
         self.name = name or str(uri)
-        self.available = available
+        self.available = True
         self.latency = latency
-        self.failure_rate = failure_rate
-        self._rng = random.Random(seed)
         self._fail_next = 0
         self._graph = graph
         self._evaluator = QueryEvaluator(graph)
@@ -200,13 +187,9 @@ class LocalSparqlEndpoint(SparqlEndpoint):
             raise EndpointUnavailable(f"endpoint {self.name} is unavailable")
         with self._lock:
             setattr(self.statistics, kind, getattr(self.statistics, kind) + 1)
-            flake = False
-            if self._fail_next > 0:
-                self._fail_next -= 1
-                flake = True
-            elif self.failure_rate and self._rng.random() < self.failure_rate:
-                flake = True
+            flake = self._fail_next > 0
             if flake:
+                self._fail_next -= 1
                 self.statistics.injected_failures += 1
         latency = self.latency
         if timeout is not None and latency > timeout:

@@ -23,8 +23,7 @@ of completion order: sources answer in registry order and the first
 occurrence of a row wins, so concurrent and sequential execution produce
 identical merged result sets.  Only SELECT queries are federated.
 
-:func:`recall` / :func:`precision` provide the evaluation metrics used by
-Experiment E6.
+:func:`recall` is the evaluation metric of Experiment E6.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .endpoint import EndpointError, EndpointTimeout
 from .policy import ExecutionPolicy
 from .registry import DatasetRegistry, RegisteredDataset
 
-__all__ = ["DatasetResult", "FederatedResult", "FederatedQueryEngine", "recall", "precision", "f1_score"]
+__all__ = ["DatasetResult", "FederatedResult", "FederatedQueryEngine", "recall"]
 
 #: Default upper bound on concurrent endpoint requests per engine.
 _DEFAULT_MAX_WORKERS = 16
@@ -165,9 +164,10 @@ class FederatedQueryEngine:
         selection, exclusive groups and bound joins
         (:mod:`repro.federation.decompose`).  Per-call ``strategy=``
         overrides.
-    ask_probes / probe_timeout:
+    ask_probes:
         Whether source selection may issue ``ASK`` probes for patterns the
-        VoID statistics cannot settle, and the per-probe time budget.
+        VoID statistics cannot settle (each bounded by ``probe_timeout``,
+        an attribute, 2 s).
     bind_join_batch:
         Ceiling on the left rows shipped per bound-join ``VALUES`` block
         (decompose strategy; default ``DEFAULT_BIND_JOIN_BATCH``).
@@ -182,7 +182,6 @@ class FederatedQueryEngine:
         max_workers: int | None = None,
         strategy: str = "fanout",
         ask_probes: bool = True,
-        probe_timeout: float | None = 2.0,
         bind_join_batch: int | None = None,
     ) -> None:
         from .decompose import DEFAULT_BIND_JOIN_BATCH, STRATEGIES
@@ -196,7 +195,7 @@ class FederatedQueryEngine:
         self.max_workers = max_workers or _DEFAULT_MAX_WORKERS
         self.strategy = strategy
         self.ask_probes = ask_probes
-        self.probe_timeout = probe_timeout
+        self.probe_timeout: float | None = 2.0
         self.bind_join_batch = bind_join_batch or DEFAULT_BIND_JOIN_BATCH
         self._selector = None
         self._pool: ThreadPoolExecutor | None = None
@@ -304,7 +303,6 @@ class FederatedQueryEngine:
         source_ontology: URIRef | None = None,
         source_dataset: URIRef | None = None,
         mode: str = "bgp",
-        datasets: Sequence[URIRef] | None = None,
     ) -> list:
         """Static diagnostics for ``query`` without executing it.
 
@@ -324,7 +322,7 @@ class FederatedQueryEngine:
             return diagnostics
         usable = [
             target
-            for target in self._select_targets(datasets)
+            for target in self._select_targets(None)
             if self.registry.breaker_for(target.uri).state != "open"
         ]
         federation = analyze_federation(
@@ -333,48 +331,6 @@ class FederatedQueryEngine:
         )
         diagnostics.extend(federation.diagnostics)
         return diagnostics
-
-    def execute_many(
-        self,
-        queries: Sequence[Query | str],
-        source_ontology: URIRef | None = None,
-        source_dataset: URIRef | None = None,
-        mode: str = "bgp",
-        datasets: Sequence[URIRef] | None = None,
-        canonical_pattern: str | None = None,
-        parallel: bool | None = None,
-        strategy: str | None = None,
-    ) -> list[FederatedResult]:
-        """Run a batch of queries over the federation (same order as input).
-
-        The mediator's :meth:`~repro.core.Mediator.rewrite_many` batch API
-        pre-translates the whole batch per target dataset, so alignment
-        selection/compilation is paid once per target instead of once per
-        (query, target) pair; the per-query :meth:`execute` calls then
-        replay the cached rewrites.
-        """
-        parsed: list[Query] = [
-            parse_query(query) if isinstance(query, str) else query for query in queries
-        ]
-        warm_targets = [
-            target for target in self._select_targets(datasets)
-            if source_dataset is None or target.uri != source_dataset
-        ]
-        # Warming is only useful while the whole batch fits in the rewrite
-        # cache; beyond that the replay loop would evict-and-recompute every
-        # entry, doubling the work instead of saving it.
-        if len(parsed) * max(1, len(warm_targets)) <= self.mediator.result_cache_limit // 2:
-            for target in warm_targets:
-                try:
-                    self.mediator.rewrite_many(parsed, target.uri, source_ontology, mode)
-                except (EndpointError, KeyError, ValueError):
-                    # Per-dataset failures are reported by execute(), per query.
-                    continue
-        return [
-            self.execute(query, source_ontology, source_dataset, mode, datasets,
-                         canonical_pattern, parallel, strategy)
-            for query in parsed
-        ]
 
     def explain(
         self,
@@ -604,19 +560,3 @@ def recall(retrieved: set, relevant: set) -> float:
     if not relevant:
         return 1.0
     return len(set(retrieved) & set(relevant)) / len(set(relevant))
-
-
-def precision(retrieved: set, relevant: set) -> float:
-    """|retrieved ∩ relevant| / |retrieved| (1.0 when nothing is retrieved)."""
-    if not retrieved:
-        return 1.0
-    return len(set(retrieved) & set(relevant)) / len(set(retrieved))
-
-
-def f1_score(retrieved: set, relevant: set) -> float:
-    """Harmonic mean of precision and recall."""
-    p = precision(retrieved, relevant)
-    r = recall(retrieved, relevant)
-    if p + r == 0:
-        return 0.0
-    return 2 * p * r / (p + r)

@@ -7,7 +7,7 @@ server shares (``ssl`` is imported only when an ``https`` URL connects).
 Transport and protocol failures are mapped onto the same exception
 vocabulary :class:`LocalSparqlEndpoint` raises — :class:`EndpointUnavailable`
 for refused connections, HTTP error statuses, broken framing and malformed
-bodies, :class:`EndpointTimeout` for socket timeouts — so
+bodies, :class:`EndpointTimeout` for a request past its deadline — so
 the federation layer's retry/backoff/circuit-breaker policies (PR 2)
 apply to remote endpoints unchanged.
 
@@ -25,6 +25,9 @@ connections than the endpoint ever had requests in flight at once.
 * A *reused* connection the server has closed in the meantime is reset
   or ends before a status line arrives; the request is then retried once
   on a fresh connection (query operations are safe to repeat).
+* A request's timeout is a deadline for the whole exchange: before each
+  raw read the time left becomes the socket's timeout, so a server that
+  trickles its response cannot stretch the call past its budget.
 * A connection that times out or fails mid-exchange is closed, never
   pooled, so a late answer cannot be read as the next request's.
 
@@ -37,8 +40,10 @@ responses as Turtle.
 
 from __future__ import annotations
 
+import io
 import socket
 import threading
+import time
 import urllib.parse
 
 from .. import http11
@@ -74,20 +79,43 @@ _STALE = (ConnectionResetError, BrokenPipeError)
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
-class _Connection:
-    """One client socket and the buffered reader its responses arrive on."""
+class _Connection(io.RawIOBase):
+    """One client socket, read under the current request's deadline.
 
-    __slots__ = ("sock", "reader")
+    ``reader`` buffers it for :func:`http11.read_response`.  Before each raw
+    read, the time left until ``deadline`` becomes the socket's timeout, and
+    a read with no time left raises :class:`TimeoutError`: a response that
+    trickles in byte by byte cannot hold a call past its budget.
+    """
 
     def __init__(self, sock: socket.socket) -> None:
+        super().__init__()
         self.sock: socket.socket | None = sock
-        self.reader = sock.makefile("rb")
+        #: ``time.monotonic()`` by which the current response must be read.
+        self.deadline: float | None = None
+        self.reader = io.BufferedReader(self)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if self.deadline is not None:
+            self.sock.settimeout(_remaining(self.deadline))
+        return self.sock.recv_into(buffer)
 
     def close(self) -> None:
         if self.sock is not None:
-            self.reader.close()
+            super().close()
             self.sock.close()
             self.sock = None
+
+
+def _remaining(deadline: float) -> float:
+    """Seconds left until ``deadline``; :class:`TimeoutError` when none are."""
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise TimeoutError("the request's deadline passed")
+    return remaining
 
 
 class HttpSparqlEndpoint(SparqlEndpoint):
@@ -104,9 +132,10 @@ class HttpSparqlEndpoint(SparqlEndpoint):
     name:
         Human-readable label for logs and error messages.
     timeout:
-        Socket timeout in seconds for each request (``None`` = the socket
-        default).  A call's own ``timeout`` (the federation layer's
-        per-attempt budget) overrides it for that request.
+        Deadline in seconds for each request, from connect to the last byte
+        of the response (``None`` = none).  A call's own ``timeout`` (the
+        federation layer's per-attempt budget) overrides it for that
+        request.
     method:
         ``"post"`` (default) or ``"get"`` protocol binding.
     result_format:
@@ -253,47 +282,52 @@ class HttpSparqlEndpoint(SparqlEndpoint):
     def _exchange(self, request: bytes, timeout: float | None) -> tuple[int, bytes]:
         """One request and its whole response on a pooled connection.
 
-        ``timeout`` bounds this request's connect and socket operations;
-        the connection goes back to the pool with the endpoint's own
-        ``timeout``.
+        ``timeout`` is this request's deadline, from connect to the last
+        byte read (:class:`TimeoutError` once it passes); the connection
+        goes back to the pool with the endpoint's own ``timeout``.
         """
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             idle = self._idle.pop() if self._idle else None
-        connection = self._connect(timeout) if idle is None else idle
+        connection = self._connect(deadline) if idle is None else idle
         try:
-            if idle is not None and timeout != self.timeout:
-                idle.sock.settimeout(timeout)
             try:
-                status, payload, keep_alive = self._send(connection, request)
+                status, payload, keep_alive = self._send(connection, request, deadline)
             except _STALE:
                 if connection is not idle:
                     raise
                 connection.close()
-                connection = self._connect(timeout)
-                status, payload, keep_alive = self._send(connection, request)
+                connection = self._connect(deadline)
+                status, payload, keep_alive = self._send(connection, request, deadline)
         except BaseException:
             connection.close()
             raise
         if not keep_alive or _QUICKACK is None:
             connection.close()
         else:
-            if timeout != self.timeout:
+            if deadline is not None:
+                connection.deadline = None
                 connection.sock.settimeout(self.timeout)
             with self._lock:
                 self._idle.append(connection)
         return status, payload
 
     @staticmethod
-    def _send(connection: _Connection, request: bytes) -> tuple[int, bytes, bool]:
+    def _send(connection: _Connection, request: bytes,
+              deadline: float | None) -> tuple[int, bytes, bool]:
         """Send one request, ack what comes back at once, read the response."""
+        if deadline is not None:
+            connection.sock.settimeout(_remaining(deadline))
+            connection.deadline = deadline
         connection.sock.sendall(request)
         if _QUICKACK is not None:
             connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
         return http11.read_response(connection.reader)
 
-    def _connect(self, timeout: float | None) -> _Connection:
+    def _connect(self, deadline: float | None) -> _Connection:
         if self._scheme not in _DEFAULT_PORTS or None in self._address:
             raise http11.ProtocolError(f"unsupported URL {self.url!r}")
+        timeout = None if deadline is None else _remaining(deadline)
         sock = socket.create_connection(self._address, timeout=timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

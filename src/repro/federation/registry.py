@@ -134,10 +134,10 @@ class DatasetRegistry:
             self._policies.pop(uri, None)
             self._breakers.pop(uri, None)
 
-    def refresh_statistics(self, uri: URIRef | None = None) -> int:
+    def refresh_statistics(self) -> int:
         """Refresh voiD vocabulary statistics from the endpoints' live graphs.
 
-        For every dataset (or just ``uri``) whose endpoint exposes its graph
+        For every dataset whose endpoint exposes its graph
         (:class:`LocalSparqlEndpoint` does; remote proxies do not), the
         stored description's ``void:propertyPartition`` /
         ``void:classPartition`` entries and triple count are rebuilt from
@@ -147,8 +147,7 @@ class DatasetRegistry:
         """
         refreshed = 0
         with self._lock:
-            targets = [uri] if uri is not None else list(self._datasets)
-            for dataset_uri in targets:
+            for dataset_uri in list(self._datasets):
                 dataset = self._datasets.get(dataset_uri)
                 if dataset is None:
                     continue

@@ -181,34 +181,6 @@ class MediatorService:
             strategy=strategy,
         )
 
-    def federate_many(
-        self,
-        queries: Sequence[Query | str],
-        source_ontology: URIRef | None = None,
-        source_dataset: URIRef | None = None,
-        mode: str = "bgp",
-        datasets: Sequence[URIRef] | None = None,
-        canonical_pattern: str | None = None,
-        parallel: bool | None = None,
-        strategy: str | None = None,
-    ) -> list[FederatedResult]:
-        """Batch variant of :meth:`federate` (one result per input query).
-
-        Translations are batched through the mediator's ``rewrite_many``
-        so alignment selection and index compilation are shared across the
-        whole batch.
-        """
-        return self.federation.execute_many(
-            queries,
-            source_ontology=source_ontology,
-            source_dataset=source_dataset,
-            mode=mode,
-            datasets=datasets,
-            canonical_pattern=canonical_pattern,
-            parallel=parallel,
-            strategy=strategy,
-        )
-
     def analyze(
         self,
         query: Query | str,

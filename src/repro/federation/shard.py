@@ -114,7 +114,6 @@ def shard_graph(
     base_uri: str = "http://localhost/shard",
     registry: DatasetRegistry | None = None,
     store_factory: Callable[[int], Store] | None = None,
-    title: str | None = None,
 ) -> ShardedGraph:
     """Split ``source`` into ``shards`` subject-hashed endpoint shards.
 
@@ -147,7 +146,6 @@ def shard_graph(
         graphs[shard_for_subject(triple.subject, shards)].add(triple)
 
     registry = registry if registry is not None else DatasetRegistry()
-    label = title or "shard"
     endpoints = []
     descriptions = []
     for index, graph in enumerate(graphs):
@@ -155,11 +153,11 @@ def shard_graph(
         description = DatasetDescription(
             uri=URIRef(f"{base_uri}/{index}/void"),
             endpoint_uri=URIRef(f"{base_uri}/{index}/sparql"),
-            title=f"{label} {index}/{shards}",
+            title=f"shard {index}/{shards}",
             partition=SubjectPartition(URIRef(base_uri), index, shards, SUBJECT_HASH_SCHEME),
         ).with_statistics(graph)
         endpoint = LocalSparqlEndpoint(
-            description.endpoint_uri, graph, name=f"{label}-{index}"
+            description.endpoint_uri, graph, name=f"shard-{index}"
         )
         registry.register_endpoint(description, endpoint)
         endpoints.append(endpoint)

@@ -31,7 +31,6 @@ from .trace import (
     TRACE_ENV,
     Span,
     Tracer,
-    current_traceparent,
     format_traceparent,
     get_tracer,
     parse_traceparent,
@@ -55,7 +54,6 @@ __all__ = [
     "TRACE_ENV",
     "Span",
     "Tracer",
-    "current_traceparent",
     "format_traceparent",
     "get_tracer",
     "parse_traceparent",

@@ -43,8 +43,7 @@ class EventSink:
     bypassing the environment entirely.
     """
 
-    def __init__(self, env_var: str = RUN_EVENTS_ENV) -> None:
-        self.env_var = env_var
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._path: str | None = None
         self._known = False
@@ -54,7 +53,7 @@ class EventSink:
     # ------------------------------------------------------------------ #
     def refresh(self) -> str | None:
         """Re-read the destination from the environment and cache it."""
-        path = os.environ.get(self.env_var) or None
+        path = os.environ.get(RUN_EVENTS_ENV) or None
         with self._lock:
             self._path = path
             self._known = True

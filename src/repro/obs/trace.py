@@ -41,7 +41,6 @@ __all__ = [
     "set_tracer",
     "parse_traceparent",
     "format_traceparent",
-    "current_traceparent",
 ]
 
 #: Environment variable: any non-empty value enables tracing at import.
@@ -309,7 +308,6 @@ class Tracer:
         stats: list[dict[str, Any]],
         engine: str,
         elapsed: float,
-        query: str | None = None,
     ) -> Span | _NoopSpan:
         """Synthesize per-operator spans from ``operator_stats`` output.
 
@@ -328,8 +326,6 @@ class Tracer:
         root = self.start_span("exec.query", {"engine": engine, "layer": "exec"})
         assert isinstance(root, Span)
         root.start = now - elapsed
-        if query:
-            root.set_attribute("query", query)
         stack: list[tuple[int, Span]] = [(-1, root)]
         for entry in stats:
             depth = int(entry.get("depth", 0))
@@ -390,8 +386,3 @@ def set_tracer(tracer: Tracer) -> Tracer:
     previous = _TRACER
     _TRACER = tracer
     return previous
-
-
-def current_traceparent() -> str | None:
-    """Module-level convenience for outbound header injection."""
-    return _TRACER.current_traceparent()

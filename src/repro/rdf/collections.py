@@ -15,7 +15,10 @@ from .namespace import RDF
 from .terms import Term, fresh_bnode
 from .triple import Triple
 
-__all__ = ["build_list", "read_list", "is_list_node", "CollectionError"]
+__all__ = ["build_list", "read_list", "CollectionError"]
+
+#: Longest list :func:`read_list` follows before it calls the list cyclic.
+_MAX_LENGTH = 10_000
 
 
 class CollectionError(ValueError):
@@ -44,14 +47,7 @@ def build_list(graph: Graph, items: Sequence[Term]) -> Term:
     return head
 
 
-def is_list_node(graph: Graph, node: Term) -> bool:
-    """True when ``node`` is ``rdf:nil`` or carries an ``rdf:first`` arc."""
-    if node == RDF.nil:
-        return True
-    return graph.value(node, RDF.first, None) is not None
-
-
-def read_list(graph: Graph, head: Term, max_length: int = 10_000) -> list[Term]:
+def read_list(graph: Graph, head: Term) -> list[Term]:
     """Read an ``rdf:List`` starting at ``head`` into a Python list.
 
     Raises :class:`CollectionError` on broken or cyclic lists.
@@ -60,7 +56,7 @@ def read_list(graph: Graph, head: Term, max_length: int = 10_000) -> list[Term]:
     node = head
     seen = set()
     while node != RDF.nil:
-        if node in seen or len(items) > max_length:
+        if node in seen or len(items) > _MAX_LENGTH:
             raise CollectionError(f"cyclic or oversized rdf:List at {head}")
         seen.add(node)
         first = graph.value(node, RDF.first, None)

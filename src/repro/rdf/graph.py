@@ -137,10 +137,9 @@ class Graph:
         self,
         subject: Term | None = None,
         predicate: Term | None = None,
-        obj: Term | None = None,
     ) -> int:
-        """Remove every triple matching the pattern; return the count."""
-        victims = list(self.triples(subject, predicate, obj))
+        """Remove every triple matching ``(subject, predicate, ?)``; return the count."""
+        victims = list(self.triples(subject, predicate, None))
         for triple in victims:
             self.discard(triple)
         return len(victims)
@@ -288,12 +287,10 @@ class Graph:
                 seen.add(triple.subject)
                 yield triple.subject
 
-    def predicates(
-        self, subject: Term | None = None, obj: Term | None = None
-    ) -> Iterator[Term]:
-        """Distinct predicates of triples matching ``(subject, ?, obj)``."""
+    def predicates(self, subject: Term | None = None) -> Iterator[Term]:
+        """Distinct predicates of triples matching ``(subject, ?, ?)``."""
         seen: set[Term] = set()
-        for triple in self.triples(subject, None, obj):
+        for triple in self.triples(subject, None, None):
             if triple.predicate not in seen:
                 seen.add(triple.predicate)
                 yield triple.predicate
@@ -310,24 +307,16 @@ class Graph:
 
     def value(
         self,
-        subject: Term | None = None,
-        predicate: Term | None = None,
-        obj: Term | None = None,
+        subject: Term,
+        predicate: Term,
         default: Term | None = None,
     ) -> Term | None:
-        """Return the single missing component of a triple, or ``default``.
+        """The object of a ``(subject, predicate, ?)`` triple, or ``default``.
 
-        Exactly one of the three positions must be ``None``; the first
-        matching value is returned (no uniqueness check, mirroring rdflib).
+        The first matching object is returned (no uniqueness check,
+        mirroring rdflib).
         """
-        positions = [subject, predicate, obj]
-        if positions.count(None) != 1:
-            raise ValueError("value() requires exactly one unbound position")
-        for triple in self.triples(subject, predicate, obj):
-            if subject is None:
-                return triple.subject
-            if predicate is None:
-                return triple.predicate
+        for triple in self.triples(subject, predicate, None):
             return triple.object
         return default
 
@@ -422,34 +411,26 @@ class Graph:
         return serialize_graph(self, format=format)
 
     @classmethod
-    def parse(cls, text: str, format: str = "turtle",
-              identifier: URIRef | None = None) -> Graph:
+    def parse(cls, text: str, format: str = "turtle") -> Graph:
         """Parse Turtle or N-Triples text into a new graph."""
         from ..turtle import parse_graph
 
-        graph = parse_graph(text, format=format)
-        if identifier is not None:
-            graph._identifier = identifier
-        return graph
+        return parse_graph(text, format=format)
 
     @classmethod
-    def load(cls, path, format: str | None = None,
-             identifier: URIRef | None = None, store: Store | None = None) -> Graph:
+    def load(cls, path, store: Store | None = None) -> Graph:
         """Parse an RDF file into a graph.
 
-        ``format`` defaults from the file suffix (``.ttl`` -> turtle,
-        ``.nt`` -> ntriples).  Pass ``store=`` to load into a specific
+        The format comes from the file suffix (``.nt`` -> ntriples,
+        anything else turtle).  Pass ``store=`` to load into a specific
         backend (e.g. populate a :class:`SegmentStore` from a file).
         """
         source = Path(path)
-        if format is None:
-            format = _SUFFIX_FORMATS.get(source.suffix.lower(), "turtle")
-        parsed = cls.parse(source.read_text(encoding="utf-8"),
-                           format=format, identifier=identifier)
+        format = _SUFFIX_FORMATS.get(source.suffix.lower(), "turtle")
+        parsed = cls.parse(source.read_text(encoding="utf-8"), format=format)
         if store is None:
             return parsed
-        graph = cls(identifier=identifier,
-                    namespace_manager=parsed.namespace_manager, store=store)
+        graph = cls(namespace_manager=parsed.namespace_manager, store=store)
         graph.add_all(parsed)
         return graph
 

@@ -3,77 +3,34 @@
 Section 3.2.2 of the paper encodes alignments *in RDF* and, because an RDF
 statement has no URI of its own, uses the reification mechanism: a node of
 type ``rdf:Statement`` with ``rdf:subject`` / ``rdf:predicate`` /
-``rdf:object`` arcs describes the triple.  These helpers turn triples into
-reified descriptions and back; the alignment RDF reader/writer in
-``repro.alignment.rdf_io`` builds on them.
+``rdf:object`` arcs describes the triple.  :func:`reify` turns a triple into
+its reified description; the alignment RDF writer in
+``repro.alignment.rdf_io`` builds on it.
 """
 
 from __future__ import annotations
 
-
 from .graph import Graph
 from .namespace import RDF
-from .terms import Term, URIRef, fresh_bnode
+from .terms import Term, fresh_bnode
 from .triple import Triple
 
-__all__ = ["reify", "dereify", "dereify_all", "is_statement_node", "ReificationError"]
+__all__ = ["reify"]
 
 
-class ReificationError(ValueError):
-    """Raised when a reified statement description is malformed."""
-
-
-def reify(graph: Graph, triple: Triple, statement_node: Term | None = None) -> Term:
+def reify(graph: Graph, triple: Triple) -> Term:
     """Describe ``triple`` in ``graph`` using reification.
 
-    Returns the node standing for the statement (a fresh blank node unless
-    ``statement_node`` is supplied).  Note that, following the paper, the
+    Returns the node standing for the statement, a fresh blank node.  Note that, following the paper, the
     reified triple may be a *pattern*: blank nodes are used in the subject
     and object positions of alignment patterns, so no groundness check is
     made on the described triple — only the description triples themselves
     must be assertable, which is guaranteed because patterns are encoded
     with blank nodes rather than SPARQL variables.
     """
-    node = statement_node if statement_node is not None else fresh_bnode("stmt")
+    node = fresh_bnode("stmt")
     graph.add(Triple(node, RDF.type, RDF.Statement))
     graph.add(Triple(node, RDF.subject, triple.subject))
     graph.add(Triple(node, RDF.predicate, triple.predicate))
     graph.add(Triple(node, RDF.object, triple.object))
     return node
-
-
-def is_statement_node(graph: Graph, node: Term) -> bool:
-    """True when ``node`` is typed ``rdf:Statement`` in ``graph``."""
-    return Triple(node, RDF.type, RDF.Statement) in graph
-
-
-def dereify(graph: Graph, node: Term) -> Triple:
-    """Reconstruct the triple described by the reification node ``node``.
-
-    Raises :class:`ReificationError` when any of the three components is
-    missing or ambiguous.
-    """
-    subject = _single_value(graph, node, RDF.subject)
-    predicate = _single_value(graph, node, RDF.predicate)
-    obj = _single_value(graph, node, RDF.object)
-    try:
-        return Triple(subject, predicate, obj)
-    except TypeError as exc:
-        raise ReificationError(f"reified statement {node} is not a valid triple: {exc}") from exc
-
-
-def dereify_all(graph: Graph) -> list[tuple[Term, Triple]]:
-    """Return ``(statement_node, triple)`` for every reified statement."""
-    results: list[tuple[Term, Triple]] = []
-    for node in sorted(graph.subjects(RDF.type, RDF.Statement), key=lambda t: t.sort_key()):
-        results.append((node, dereify(graph, node)))
-    return results
-
-
-def _single_value(graph: Graph, node: Term, predicate: URIRef) -> Term:
-    values = list(graph.objects(node, predicate))
-    if not values:
-        raise ReificationError(f"reified statement {node} lacks {predicate}")
-    if len(values) > 1:
-        raise ReificationError(f"reified statement {node} has multiple {predicate} values")
-    return values[0]

@@ -9,15 +9,11 @@ distinguish the two.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from .terms import BNode, Literal, Term, URIRef, Variable, is_ground, is_variable_like
 
-__all__ = ["Triple", "Quad", "SubjectType", "PredicateType", "ObjectType"]
-
-SubjectType = URIRef | BNode | Variable
-PredicateType = URIRef | Variable
-ObjectType = URIRef | BNode | Literal | Variable
+__all__ = ["Triple"]
 
 
 class Triple:
@@ -139,44 +135,3 @@ class Triple:
         if not isinstance(other, Triple):
             return NotImplemented
         return tuple(t.sort_key() for t in self) < tuple(t.sort_key() for t in other)
-
-
-class Quad:
-    """A triple asserted inside a named graph."""
-
-    __slots__ = ("_triple", "_graph_name")
-
-    def __init__(self, triple: Triple, graph_name: URIRef | None = None) -> None:
-        if not isinstance(triple, Triple):
-            raise TypeError("Quad requires a Triple")
-        if graph_name is not None and not isinstance(graph_name, URIRef):
-            raise TypeError("graph name must be a URIRef or None")
-        self._triple = triple
-        self._graph_name = graph_name
-
-    @property
-    def triple(self) -> Triple:
-        return self._triple
-
-    @property
-    def graph_name(self) -> URIRef | None:
-        return self._graph_name
-
-    def as_tuple(self) -> tuple[Term, Term, Term, URIRef | None]:
-        return self._triple.as_tuple() + (self._graph_name,)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Quad) and self.as_tuple() == other.as_tuple()
-
-    def __hash__(self) -> int:
-        return hash(("Quad",) + self.as_tuple())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Quad({self._triple!r}, {self._graph_name!r})"
-
-
-def triples_from_tuples(
-    tuples: Sequence[tuple[Term, Term, Term]]
-) -> list[Triple]:
-    """Build :class:`Triple` objects from plain ``(s, p, o)`` tuples."""
-    return [Triple(s, p, o) for (s, p, o) in tuples]

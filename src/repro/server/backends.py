@@ -6,10 +6,10 @@ The SPARQL Protocol handler is transport only; *what* answers a query is a
 * :class:`EndpointBackend` — a single :class:`SparqlEndpoint` (local graph
   or a further remote endpoint being proxied).  SELECT, ASK and CONSTRUCT
   are all supported.
-* :class:`FederationBackend` — a :class:`FederatedQueryEngine` or whole
-  :class:`MediatorService`: every SELECT is mediated over the registered
-  datasets and the merged result set is returned.  This is the deployment
-  of Figure 5 — the mediator itself published as one SPARQL endpoint.
+* :class:`FederationBackend` — a :class:`MediatorService`: every SELECT is
+  mediated over the registered datasets and the merged result set is
+  returned.  This is the deployment of Figure 5 — the mediator itself
+  published as one SPARQL endpoint.
 
 Backends also supply the observability payloads (``/health``, ``/metrics``)
 and a *generation* number: responses may be cached until the generation
@@ -33,7 +33,6 @@ from ..sparql import (
     parse_query,
 )
 from ..federation.endpoint import LocalSparqlEndpoint, SparqlEndpoint
-from ..federation.federator import FederatedQueryEngine
 from ..federation.service import MediatorService
 
 __all__ = ["BadQuery", "RejectedQuery", "QueryBackend", "EndpointBackend", "FederationBackend"]
@@ -132,11 +131,10 @@ class EndpointBackend(QueryBackend):
     def __init__(
         self,
         endpoint: SparqlEndpoint,
-        description: str | None = None,
         strict: bool = False,
     ) -> None:
         self.endpoint = endpoint
-        self.description = description or f"SPARQL endpoint for {endpoint.uri}"
+        self.description = f"SPARQL endpoint for {endpoint.uri}"
         self.strict = strict
 
     def execute(self, query_text: str) -> QueryResult:
@@ -192,34 +190,31 @@ class EndpointBackend(QueryBackend):
 class FederationBackend(QueryBackend):
     """Serve a whole federation: every SELECT is mediated and merged.
 
-    Accepts either a :class:`FederatedQueryEngine` or a
-    :class:`MediatorService` (whose engine is used).  ``source_ontology`` /
-    ``source_dataset`` / ``mode`` / ``datasets`` are fixed at construction:
-    they describe *this* published endpoint's mediation setup, exactly like
-    the deployed mediator's configuration page.
+    Runs the :class:`MediatorService`'s federation engine (``engine``).
+    ``source_ontology`` / ``source_dataset`` / ``mode`` / ``datasets`` /
+    ``strategy`` are fixed at construction: they describe *this* published
+    endpoint's mediation setup, exactly like the deployed mediator's
+    configuration page.
     """
 
     def __init__(
         self,
-        engine: FederatedQueryEngine | MediatorService,
+        service: MediatorService,
         source_ontology: URIRef | None = None,
         source_dataset: URIRef | None = None,
         mode: str = "bgp",
         datasets: Sequence[URIRef] | None = None,
-        description: str | None = None,
         strategy: str | None = None,
         strict: bool = False,
     ) -> None:
-        if isinstance(engine, MediatorService):
-            engine = engine.federation
-        self.engine = engine
+        self.engine = service.federation
         self.source_ontology = source_ontology
         self.source_dataset = source_dataset
         self.mode = mode
         self.datasets = list(datasets) if datasets is not None else None
         self.strategy = strategy
         self.strict = strict
-        self.description = description or (
+        self.description = (
             f"mediated federation over {len(self.engine.registry)} datasets"
             + (f" (strategy {strategy})" if strategy else "")
         )

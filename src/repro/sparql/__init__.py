@@ -11,7 +11,6 @@ from .ast import (
     AskQuery,
     BinaryExpression,
     ConstructQuery,
-    ExistsExpression,
     Expression,
     Filter,
     FunctionCall,
@@ -41,7 +40,6 @@ from .algebra import (
     AlgebraSlice,
     AlgebraTable,
     AlgebraUnion,
-    to_sexpr,
     translate_group,
     translate_query,
 )
@@ -49,20 +47,17 @@ from .evaluator import (
     ENGINES,
     QueryEvaluator,
     evaluate_group,
-    evaluate_query,
     match_bgp,
     ordered_bgp_patterns,
 )
 from .exec import (
     RUN_EVENTS_ENV,
-    ExecConfig,
     ExecPlan,
     QueryRunEvent,
 )
 from .plan import (
     CardinalityEstimator,
     QueryPlanner,
-    explain_query,
     plan_query,
 )
 from .expressions import (
@@ -89,11 +84,10 @@ from .analysis import (
     analyze_federation,
     analyze_query,
     prune_query,
-    render_diagnostics,
 )
 from .parser import SparqlParseError, SparqlParser, parse_query
 from .results import AskResult, Binding, ResultSet, TermSerializationError
-from .serializer import serialize_expression, serialize_pattern_group, serialize_query
+from .serializer import serialize_expression, serialize_query
 from .tokenizer import SourceSpan, SparqlLexError, SparqlToken, tokenize_sparql
 
 __all__ = [
@@ -103,34 +97,33 @@ __all__ = [
     # static analysis
     "Diagnostic", "AnalysisResult", "FederationAnalysis", "QueryAnalysisError",
     "DIAGNOSTIC_CODES", "analyze_query", "analyze_federation", "prune_query",
-    "render_diagnostics",
     # AST
     "Query", "SelectQuery", "AskQuery", "ConstructQuery",
     "Prologue", "SolutionModifiers", "OrderCondition",
     "GroupGraphPattern", "TriplesBlock", "Filter", "OptionalPattern", "UnionPattern",
     "InlineData",
     "Expression", "TermExpression", "VariableExpression", "BinaryExpression",
-    "UnaryExpression", "FunctionCall", "ExistsExpression",
+    "UnaryExpression", "FunctionCall",
     # algebra
     "AlgebraNode", "AlgebraBGP", "AlgebraJoin", "AlgebraLeftJoin", "AlgebraUnion",
     "AlgebraFilter", "AlgebraProject", "AlgebraDistinct", "AlgebraOrderBy", "AlgebraSlice",
     "AlgebraTable",
-    "translate_query", "translate_group", "to_sexpr",
+    "translate_query", "translate_group",
     # evaluation
-    "ENGINES", "QueryEvaluator", "evaluate_query", "evaluate_group", "match_bgp",
+    "ENGINES", "QueryEvaluator", "evaluate_group", "match_bgp",
     "ordered_bgp_patterns",
     # batched execution core
-    "ExecConfig", "ExecPlan", "QueryRunEvent", "RUN_EVENTS_ENV",
+    "ExecPlan", "QueryRunEvent", "RUN_EVENTS_ENV",
     "ExpressionError", "evaluate_expression", "expression_satisfied",
     "effective_boolean_value",
     # planning
     "QueryPlanner", "CardinalityEstimator",
-    "plan_query", "explain_query",
+    "plan_query",
     # results
     "Binding", "ResultSet", "AskResult", "TermSerializationError",
     # wire formats
     "FormatError", "write_results", "parse_results", "negotiate",
     "RESULT_MEDIA_TYPES", "ASK_MEDIA_TYPES", "GRAPH_MEDIA_TYPES",
     # serialisation
-    "serialize_query", "serialize_expression", "serialize_pattern_group",
+    "serialize_query", "serialize_expression",
 ]

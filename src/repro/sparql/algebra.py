@@ -13,8 +13,7 @@ operators.  This module provides:
 * :func:`translate_query` / :func:`translate_group` -- AST to algebra
   (following the SPARQL 1.0 translation rules, simplified).  Query
   rewriting does not go through it: :class:`repro.core.rewriter.QueryRewriter`
-  walks the AST group tree that the serializer prints,
-* :func:`to_sexpr` -- the LISP-like rendering used in logs and tests.
+  walks the AST group tree that the serializer prints.
 """
 
 from __future__ import annotations
@@ -35,13 +34,12 @@ from .ast import (
     TriplesBlock,
     UnionPattern,
 )
-from .serializer import serialize_expression
 
 __all__ = [
     "AlgebraNode", "AlgebraBGP", "AlgebraJoin", "AlgebraLeftJoin",
     "AlgebraUnion", "AlgebraFilter", "AlgebraProject", "AlgebraDistinct",
     "AlgebraOrderBy", "AlgebraSlice", "AlgebraTable",
-    "translate_query", "translate_group", "to_sexpr",
+    "translate_query", "translate_group",
 ]
 
 
@@ -293,37 +291,3 @@ def translate_query(query: Query) -> AlgebraNode:
     if modifiers.limit is not None or modifiers.offset is not None:
         node = AlgebraSlice(modifiers.offset, modifiers.limit, node)
     return node
-
-
-# --------------------------------------------------------------------------- #
-# LISP-like rendering
-# --------------------------------------------------------------------------- #
-def to_sexpr(node: AlgebraNode, indent: int = 0) -> str:
-    """Render the algebra tree as an s-expression (ARQ ``--print=op`` style)."""
-    pad = "  " * indent
-    if isinstance(node, AlgebraBGP):
-        triples = " ".join(f"({t.subject.n3()} {t.predicate.n3()} {t.object.n3()})" for t in node.patterns)
-        return f"{pad}(bgp {triples})"
-    if isinstance(node, AlgebraTable):
-        variables = " ".join(f"?{v.name}" for v in node.columns)
-        return f"{pad}(table ({variables}) {len(node.rows)} rows)"
-    if isinstance(node, AlgebraJoin):
-        return f"{pad}(join\n{to_sexpr(node.left, indent + 1)}\n{to_sexpr(node.right, indent + 1)})"
-    if isinstance(node, AlgebraLeftJoin):
-        expr = serialize_expression(node.expression) if node.expression is not None else "true"
-        return (f"{pad}(leftjoin [{expr}]\n{to_sexpr(node.left, indent + 1)}\n"
-                f"{to_sexpr(node.right, indent + 1)})")
-    if isinstance(node, AlgebraUnion):
-        return f"{pad}(union\n{to_sexpr(node.left, indent + 1)}\n{to_sexpr(node.right, indent + 1)})"
-    if isinstance(node, AlgebraFilter):
-        return f"{pad}(filter [{serialize_expression(node.expression)}]\n{to_sexpr(node.child, indent + 1)})"
-    if isinstance(node, AlgebraProject):
-        variables = " ".join(f"?{v.name}" for v in node.projection)
-        return f"{pad}(project ({variables})\n{to_sexpr(node.child, indent + 1)})"
-    if isinstance(node, AlgebraDistinct):
-        return f"{pad}(distinct\n{to_sexpr(node.child, indent + 1)})"
-    if isinstance(node, AlgebraOrderBy):
-        return f"{pad}(order\n{to_sexpr(node.child, indent + 1)})"
-    if isinstance(node, AlgebraSlice):
-        return f"{pad}(slice {node.offset} {node.limit}\n{to_sexpr(node.child, indent + 1)})"
-    raise TypeError(f"unsupported algebra node: {node!r}")

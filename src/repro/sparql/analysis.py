@@ -46,7 +46,6 @@ from .ast import (
     AskQuery,
     BinaryExpression,
     ConstructQuery,
-    ExistsExpression,
     Expression,
     Filter,
     FunctionCall,
@@ -77,7 +76,6 @@ __all__ = [
     "analyze_query",
     "analyze_federation",
     "prune_query",
-    "render_diagnostics",
 ]
 
 SEVERITY_ERROR = "error"
@@ -256,27 +254,15 @@ def group_scopes(group: GroupGraphPattern) -> tuple[set[Variable], set[Variable]
 # --------------------------------------------------------------------------- #
 # Constant folding
 # --------------------------------------------------------------------------- #
-def _contains_exists(expression: Expression) -> bool:
-    if isinstance(expression, ExistsExpression):
-        return True
-    if isinstance(expression, BinaryExpression):
-        return _contains_exists(expression.left) or _contains_exists(expression.right)
-    if isinstance(expression, UnaryExpression):
-        return _contains_exists(expression.operand)
-    if isinstance(expression, FunctionCall):
-        return any(_contains_exists(argument) for argument in expression.arguments)
-    return False
-
-
 def fold_constant(expression: Expression) -> bool | None:
     """The effective boolean value of a variable-free expression.
 
     Returns ``None`` when the expression cannot be folded (it mentions a
-    variable or an EXISTS group, which needs a graph).  A SPARQL
+    variable).  A SPARQL
     expression error on constants is deterministic — the filter rejects
     every row — so it folds to ``False`` exactly as it would at runtime.
     """
-    if expression.variables() or _contains_exists(expression):
+    if expression.variables():
         return None
     try:
         return effective_boolean_value(evaluate_expression(expression, Binding()))
@@ -928,10 +914,3 @@ def _locate_fallback_span(query: Query) -> SourceSpan:
         if span is not None:
             return span
     return query.span or _FALLBACK_SPAN
-
-
-def render_diagnostics(
-    diagnostics: Sequence[Diagnostic], source: str | None = None
-) -> str:
-    """Multi-line text rendering, one diagnostic per line."""
-    return "\n".join(diagnostic.render(source) for diagnostic in diagnostics)

@@ -25,10 +25,10 @@ from .tokenizer import SourceSpan
 __all__ = [
     # expressions
     "Expression", "TermExpression", "VariableExpression", "BinaryExpression",
-    "UnaryExpression", "FunctionCall", "ExistsExpression",
+    "UnaryExpression", "FunctionCall",
     # patterns
     "PatternElement", "TriplesBlock", "Filter", "OptionalPattern",
-    "UnionPattern", "InlineData", "GroupGraphPattern", "GraphPattern",
+    "UnionPattern", "InlineData", "GroupGraphPattern",
     # query forms
     "Prologue", "OrderCondition", "SolutionModifiers",
     "Query", "SelectQuery", "AskQuery", "ConstructQuery",
@@ -127,17 +127,6 @@ class FunctionCall(Expression):
 
     def map_terms(self, func) -> Expression:
         return FunctionCall(self.name, [a.map_terms(func) for a in self.arguments])
-
-
-@dataclass(frozen=True)
-class ExistsExpression(Expression):
-    """``EXISTS { ... }`` / ``NOT EXISTS { ... }`` (SPARQL 1.1 convenience)."""
-
-    group: GroupGraphPattern
-    negated: bool = False
-
-    def variables(self) -> set[Variable]:
-        return self.group.variables()
 
 
 # --------------------------------------------------------------------------- #
@@ -388,10 +377,6 @@ class GroupGraphPattern(PatternElement):
         return f"GroupGraphPattern({self.elements!r})"
 
 
-#: Alias used in type annotations across the code base.
-GraphPattern = GroupGraphPattern | PatternElement
-
-
 # --------------------------------------------------------------------------- #
 # Query forms
 # --------------------------------------------------------------------------- #
@@ -471,8 +456,7 @@ class Query:
         """A query that shares no mutable part with this one.
 
         Prologue, modifiers, every group, block and list are new; terms,
-        triples and expressions are frozen values and stay shared (an
-        ``EXISTS`` body belongs to its expression, so it is shared too).
+        triples and expressions are frozen values and stay shared.
         """
         clone = self._copy_form(self.prologue.copy(), self.where.copy(), self.modifiers.copy())
         clone.span = self.span

@@ -42,7 +42,6 @@ from .results import AskResult, Binding, ResultSet
 __all__ = [
     "ENGINES",
     "QueryEvaluator",
-    "evaluate_query",
     "evaluate_group",
     "match_bgp",
     "ordered_bgp_patterns",
@@ -214,7 +213,7 @@ def evaluate_group(
         solutions = [
             solution
             for solution in solutions
-            if expression_satisfied(filter_element.expression, solution, graph)
+            if expression_satisfied(filter_element.expression, solution)
         ]
     return solutions
 
@@ -287,7 +286,6 @@ class QueryEvaluator:
         self,
         graph: Graph,
         engine: str = "planner",
-        exec_config=None,
         strict: bool = False,
         analysis: bool = True,
     ) -> None:
@@ -297,7 +295,6 @@ class QueryEvaluator:
                 f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
             )
         self.engine = engine
-        self._exec_config = exec_config
         #: ``strict=True`` refuses queries with error-severity diagnostics
         #: (raising :class:`repro.sparql.analysis.QueryAnalysisError`);
         #: ``analysis=False`` disables the static analyzer entirely (no
@@ -438,7 +435,7 @@ class QueryEvaluator:
         with get_tracer().start_span(
             "planner.compile", {"engine": self.engine, "layer": "planner"}
         ) as span:
-            plan = QueryPlanner(self._graph, self._exec_config).plan(query)
+            plan = QueryPlanner(self._graph).plan(query)
             if span.recording:
                 span.set_attribute("operators", len(plan.root.operator_stats()))
         return plan
@@ -451,7 +448,6 @@ class QueryEvaluator:
             query,
             self._graph,
             analysis.empty_reason or "analysis proved the query empty",
-            self._exec_config,
         )
 
     def _finish(self, plan, query: Query) -> None:
@@ -517,7 +513,7 @@ class QueryEvaluator:
         """
         modifiers = query.modifiers
         if modifiers.order_by:
-            solutions = _order(solutions, modifiers.order_by, self._graph)
+            solutions = _order(solutions, modifiers.order_by)
         if project is not None:
             solutions = [project(solution) for solution in solutions]
         if modifiers.distinct:
@@ -597,12 +593,12 @@ def _distinct(solutions: list[Binding]) -> list[Binding]:
     return unique
 
 
-def _order(solutions: list[Binding], conditions, graph) -> list[Binding]:
+def _order(solutions: list[Binding], conditions) -> list[Binding]:
     def sort_key(solution: Binding):
         key = []
         for condition in conditions:
             try:
-                value = evaluate_expression(condition.expression, solution, graph)
+                value = evaluate_expression(condition.expression, solution)
             except ExpressionError:
                 value = None
             key.append(_orderable(value, condition.descending))
@@ -649,8 +645,3 @@ def _orderable(value, descending: bool):
         rank = (rank, 0)
     key = (rank, payload)
     return _Reversed(key) if descending else key
-
-
-def evaluate_query(query: Query | str, graph: Graph) -> ResultSet | AskResult | Graph:
-    """Module-level convenience: evaluate ``query`` against ``graph``."""
-    return QueryEvaluator(graph).evaluate(query)

@@ -33,8 +33,8 @@ Two front ends build operator trees:
   these operators (see :mod:`repro.federation.decompose`).
 
 **Adaptive join ordering**: a BGP scan chain tracks actual rows per step
-against the planner's estimate.  When the estimate is off by a
-configurable factor, the not-yet-started suffix of the chain is reordered
+against the planner's estimate.  When the estimate is off by
+:data:`MISESTIMATE_FACTOR`, the not-yet-started suffix of the chain is reordered
 using cardinalities *sampled from actual rows* (bind the sampled values
 into the remaining patterns and ask the graph), and the decision is
 recorded for ``EXPLAIN ANALYZE``.
@@ -68,7 +68,6 @@ from .serializer import serialize_expression
 __all__ = [
     "UNBOUND",
     "Batch",
-    "ExecConfig",
     "OpMetrics",
     "ExecContext",
     "VecOperator",
@@ -147,24 +146,23 @@ class Batch:
         return f"<Batch ({names}) {len(self.rows)} rows>"
 
 
-@dataclass(frozen=True)
-class ExecConfig:
-    """Tunables of the batched executor (see module docstring)."""
+# The executor's tunables (see module docstring).  No product path varies
+# them; tests and the E13/E14 sweeps patch them on this module.
 
-    #: First output batch size of a scan chain; kept tiny so ASK/LIMIT
-    #: queries stop after a handful of lookups.
-    initial_batch_rows: int = 4
-    #: Batches grow by this factor up to :attr:`max_batch_rows`.
-    batch_growth: int = 8
-    max_batch_rows: int = 2048
-    #: Adaptive join ordering of planned BGP scan chains on/off.
-    adaptive: bool = True
-    #: A step whose actual cardinality is off from its estimate by more
-    #: than this factor triggers reordering of the remaining steps.
-    misestimate_factor: float = 4.0
-    #: Rows sampled (a) to observe a step's actual output and (b) to
-    #: re-estimate the remaining patterns against actual bound values.
-    sample_rows: int = 8
+#: First output batch size of a scan chain; kept tiny so ASK/LIMIT
+#: queries stop after a handful of lookups.
+INITIAL_BATCH_ROWS = 4
+#: Batches grow by this factor up to :data:`MAX_BATCH_ROWS`.
+BATCH_GROWTH = 8
+MAX_BATCH_ROWS = 2048
+#: Adaptive join ordering of planned BGP scan chains on/off.
+ADAPTIVE = True
+#: A step whose actual cardinality is off from its estimate by more
+#: than this factor triggers reordering of the remaining steps.
+MISESTIMATE_FACTOR = 4.0
+#: Rows sampled (a) to observe a step's actual output and (b) to
+#: re-estimate the remaining patterns against actual bound values.
+SAMPLE_ROWS = 8
 
 
 class OpMetrics:
@@ -187,14 +185,13 @@ class ExecContext:
     """Shared execution state: the graph, its term dictionary, decisions."""
 
     __slots__ = (
-        "graph", "dictionary", "config", "decisions",
+        "graph", "dictionary", "decisions",
         "_query_ids", "_query_terms", "_ordinals",
     )
 
-    def __init__(self, graph: Graph | GraphView, config: ExecConfig | None = None) -> None:
+    def __init__(self, graph: Graph | GraphView) -> None:
         self.graph = graph
         self.dictionary = graph.dictionary
-        self.config = config or ExecConfig()
         #: Adaptivity decisions recorded during execution.
         self.decisions: list[dict[str, Any]] = []
         self._query_ids: dict[Term, int] = {}
@@ -241,8 +238,7 @@ class ExecContext:
         return Binding(data)
 
     def decode_expression_binding(self, schema: Schema, row: Row) -> Binding:
-        """Like :meth:`decode_binding` but keeps blank-node anchors
-        (an EXISTS body may mention the blank node's pattern)."""
+        """Like :meth:`decode_binding` but keeps blank-node anchor columns."""
         terms = self.dictionary.terms
         data: dict[Variable, Term] = {}
         for index, variable in enumerate(schema):
@@ -373,14 +369,14 @@ class VecOperator:
         for child in self.children():
             child.reset()
 
-    def explain_lines(self, indent: int = 0) -> list[str]:
+    def explain_lines(self) -> list[str]:
         """EXPLAIN: the operator tree with its estimates."""
-        return self._tree_lines(indent, analyze=False)
+        return self._tree_lines(0, analyze=False)
 
-    def report_lines(self, indent: int = 0) -> list[str]:
+    def report_lines(self) -> list[str]:
         """EXPLAIN ANALYZE: :meth:`explain_lines` plus runtime notes and
         the counters of the most recent execution."""
-        return self._tree_lines(indent, analyze=True)
+        return self._tree_lines(0, analyze=True)
 
     def _tree_lines(self, indent: int, analyze: bool) -> list[str]:
         line = "  " * indent + self.describe()
@@ -426,8 +422,9 @@ class VecBGPOp(VecOperator):
 
     Rows stream through the chain one at a time (a scan is a correlated
     index lookup per input row), but are handed to the parent in batches
-    that follow the growth schedule of :class:`ExecConfig`.  When the
-    config's ``adaptive`` is on, the chain samples each step's actual
+    that follow the growth schedule :data:`INITIAL_BATCH_ROWS` x
+    :data:`BATCH_GROWTH` up to :data:`MAX_BATCH_ROWS`.  When
+    :data:`ADAPTIVE` is on, the chain samples each step's actual
     output and reorders the remaining steps on misestimates.
     """
 
@@ -564,9 +561,7 @@ class VecBGPOp(VecOperator):
         def keep(extended: Row) -> bool:
             return all(
                 expression_satisfied(
-                    expr,
-                    ctx.decode_expression_binding(schema_snapshot, extended),
-                    graph,
+                    expr, ctx.decode_expression_binding(schema_snapshot, extended)
                 )
                 for expr in filters
             )
@@ -692,7 +687,6 @@ class VecBGPOp(VecOperator):
     # -- the chain ----------------------------------------------------------- #
     def _chain_rows(self, batches: Iterator[Batch]) -> Iterator[Row]:
         """Rows of the whole scan chain, under the declared schema."""
-        config = self.ctx.config
         layout: list[Variable] = list(self.in_schema)
 
         def input_rows() -> Iterator[Row]:
@@ -701,13 +695,13 @@ class VecBGPOp(VecOperator):
 
         stream: Iterator[Row] = input_rows()
         remaining = list(self.steps)
-        factor = config.misestimate_factor
+        factor = MISESTIMATE_FACTOR
         while remaining:
             step = remaining.pop(0)
             stream = self._scan_rows(step, stream, layout)
-            if config.adaptive and len(remaining) >= 2:
-                sample = list(islice(stream, config.sample_rows))
-                exhausted = len(sample) < config.sample_rows
+            if ADAPTIVE and len(remaining) >= 2:
+                sample = list(islice(stream, SAMPLE_ROWS))
+                exhausted = len(sample) < SAMPLE_ROWS
                 observed = len(sample)
                 over = observed > max(step.est, 0.5) * factor
                 under = exhausted and observed * factor < step.est
@@ -719,7 +713,6 @@ class VecBGPOp(VecOperator):
 
         if self.tail_filters:
             ctx = self.ctx
-            graph = ctx.graph
             schema_snapshot = tuple(layout)
             tail = self.tail_filters
 
@@ -727,7 +720,7 @@ class VecBGPOp(VecOperator):
                 for row in rows:
                     if all(
                         expression_satisfied(
-                            expr, ctx.decode_expression_binding(schema_snapshot, row), graph
+                            expr, ctx.decode_expression_binding(schema_snapshot, row)
                         )
                         for expr in tail
                     ):
@@ -750,7 +743,6 @@ class VecBGPOp(VecOperator):
         return stream
 
     def _run(self, batches: Iterator[Batch]) -> Iterator[Batch]:
-        config = self.ctx.config
         declared = self.schema
         if self._id_columns is not None:
             stream = self._sliced_id_rows(batches, self._id_columns)
@@ -759,14 +751,14 @@ class VecBGPOp(VecOperator):
             if self._budget is not None:
                 stream = islice(stream, self._budget)
 
-        cap = config.initial_batch_rows
+        cap = INITIAL_BATCH_ROWS
         buffer: list[Row] = []
         for row in stream:
             buffer.append(row)
             if len(buffer) >= cap:
                 yield Batch(declared, buffer)
                 buffer = []
-                cap = min(cap * config.batch_growth, config.max_batch_rows)
+                cap = min(cap * BATCH_GROWTH, MAX_BATCH_ROWS)
         if buffer:
             yield Batch(declared, buffer)
 
@@ -785,7 +777,7 @@ class VecBGPOp(VecOperator):
         return lines
 
     def notes(self) -> str:
-        suffix = " adaptive" if self.ctx.config.adaptive else ""
+        suffix = " adaptive" if ADAPTIVE else ""
         slicing = []
         if self._budget is not None:
             slicing.append(f"row budget {self._budget}")
@@ -1011,7 +1003,6 @@ class VecLeftJoinOp(VecOperator, _OrdinalMixin):
 
     def _run(self, batches: Iterator[Batch]) -> Iterator[Batch]:
         ctx = self.ctx
-        graph = ctx.graph
         expression = self._expression
         schema = self.schema
         projection = self._projection
@@ -1025,9 +1016,7 @@ class VecLeftJoinOp(VecOperator, _OrdinalMixin):
                 for extension in buckets.get(ordinal, ()):
                     aligned = tuple(extension[index] for index in projection)
                     if expression is None or expression_satisfied(
-                        expression,
-                        ctx.decode_expression_binding(schema, aligned),
-                        graph,
+                        expression, ctx.decode_expression_binding(schema, aligned)
                     ):
                         matched = True
                         out.append(aligned)
@@ -1133,7 +1122,6 @@ class VecFilterOp(VecOperator):
 
     def _run(self, batches: Iterator[Batch]) -> Iterator[Batch]:
         ctx = self.ctx
-        graph = ctx.graph
         expressions = self._expressions
         schema = self.schema
         for batch in self._child.execute(batches):
@@ -1141,9 +1129,7 @@ class VecFilterOp(VecOperator):
                 row
                 for row in batch.rows
                 if all(
-                    expression_satisfied(
-                        expr, ctx.decode_expression_binding(schema, row), graph
-                    )
+                    expression_satisfied(expr, ctx.decode_expression_binding(schema, row))
                     for expr in expressions
                 )
             ]
@@ -1246,7 +1232,6 @@ class VecOrderByOp(VecOperator):
 
     def _run(self, batches: Iterator[Batch]) -> Iterator[Batch]:
         ctx = self.ctx
-        graph = ctx.graph
         conditions = self._conditions
         schema = self.schema
         rows: list[Row] = []
@@ -1258,7 +1243,7 @@ class VecOrderByOp(VecOperator):
             key: list[Any] = []
             for condition in conditions:
                 try:
-                    value = evaluate_expression(condition.expression, binding, graph)
+                    value = evaluate_expression(condition.expression, binding)
                 except ExpressionError:
                     value = None
                 key.append(_orderable(value, condition.descending))
@@ -1472,11 +1457,11 @@ class ExecPlan:
         the operator tree with its estimates."""
         form = type(self.query).__name__.replace("Query", "").upper()
         header = f"plan for {form} query over graph with {len(self.ctx.graph)} triples"
-        return "\n".join([header] + self.root.explain_lines(0))
+        return "\n".join([header] + self.root.explain_lines())
 
     def report(self) -> str:
         """Per-operator rows/batches/time of the most recent execution."""
-        return "\n".join(self.root.report_lines(0))
+        return "\n".join(self.root.report_lines())
 
     def run_event(self, query_text: str | None = None) -> QueryRunEvent:
         """The structured run event of the most recent execution."""
@@ -1522,7 +1507,6 @@ def compile_empty_query(
     query: Query,
     graph: Graph | GraphView,
     reason: str,
-    config: ExecConfig | None = None,
 ) -> ExecPlan:
     """An :class:`ExecPlan` for a query statically proven to be empty.
 
@@ -1530,7 +1514,7 @@ def compile_empty_query(
     :class:`VecAnalysisPruneOp` — while keeping the full EXPLAIN ANALYZE
     surface (report, run events, operator stats) intact.
     """
-    ctx = ExecContext(graph, config)
+    ctx = ExecContext(graph)
     schema: Schema = ()
     if isinstance(query, SelectQuery):
         schema = tuple(query.effective_projection())

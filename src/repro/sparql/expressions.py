@@ -17,7 +17,6 @@ from typing import Any
 from ..rdf import BNode, Literal, Term, URIRef, Variable, XSD
 from .ast import (
     BinaryExpression,
-    ExistsExpression,
     Expression,
     FunctionCall,
     TermExpression,
@@ -33,20 +32,20 @@ class ExpressionError(Exception):
     """A SPARQL expression type error (unbound variable, bad operands...)."""
 
 
-def expression_satisfied(expression: Expression, binding: Binding, graph=None) -> bool:
+def expression_satisfied(expression: Expression, binding: Binding) -> bool:
     """True when the FILTER expression evaluates to EBV true.
 
     Expression errors count as *not satisfied* — the standard FILTER
     semantics — instead of propagating.
     """
     try:
-        value = evaluate_expression(expression, binding, graph)
+        value = evaluate_expression(expression, binding)
         return effective_boolean_value(value)
     except ExpressionError:
         return False
 
 
-def evaluate_expression(expression: Expression, binding: Binding, graph=None) -> Any:
+def evaluate_expression(expression: Expression, binding: Binding) -> Any:
     """Evaluate an expression to an RDF term, a Python value or raise."""
     if isinstance(expression, TermExpression):
         term = expression.term
@@ -56,13 +55,11 @@ def evaluate_expression(expression: Expression, binding: Binding, graph=None) ->
     if isinstance(expression, VariableExpression):
         return _lookup(expression.variable, binding)
     if isinstance(expression, UnaryExpression):
-        return _evaluate_unary(expression, binding, graph)
+        return _evaluate_unary(expression, binding)
     if isinstance(expression, BinaryExpression):
-        return _evaluate_binary(expression, binding, graph)
+        return _evaluate_binary(expression, binding)
     if isinstance(expression, FunctionCall):
-        return _evaluate_function(expression, binding, graph)
-    if isinstance(expression, ExistsExpression):
-        return _evaluate_exists(expression, binding, graph)
+        return _evaluate_function(expression, binding)
     raise ExpressionError(f"unsupported expression node: {expression!r}")
 
 
@@ -99,24 +96,24 @@ def effective_boolean_value(value: Any) -> bool:
 # --------------------------------------------------------------------------- #
 # Operators
 # --------------------------------------------------------------------------- #
-def _evaluate_unary(expression: UnaryExpression, binding: Binding, graph) -> Any:
+def _evaluate_unary(expression: UnaryExpression, binding: Binding) -> Any:
     if expression.operator == "!":
-        return not effective_boolean_value(evaluate_expression(expression.operand, binding, graph))
-    value = _numeric(evaluate_expression(expression.operand, binding, graph))
+        return not effective_boolean_value(evaluate_expression(expression.operand, binding))
+    value = _numeric(evaluate_expression(expression.operand, binding))
     if expression.operator == "-":
         return -value
     return +value
 
 
-def _evaluate_binary(expression: BinaryExpression, binding: Binding, graph) -> Any:
+def _evaluate_binary(expression: BinaryExpression, binding: Binding) -> Any:
     operator = expression.operator
     if operator == "||":
-        return _logical_or(expression, binding, graph)
+        return _logical_or(expression, binding)
     if operator == "&&":
-        return _logical_and(expression, binding, graph)
+        return _logical_and(expression, binding)
 
-    left = evaluate_expression(expression.left, binding, graph)
-    right = evaluate_expression(expression.right, binding, graph)
+    left = evaluate_expression(expression.left, binding)
+    right = evaluate_expression(expression.right, binding)
 
     if operator == "=":
         return _equals(left, right)
@@ -129,16 +126,16 @@ def _evaluate_binary(expression: BinaryExpression, binding: Binding, graph) -> A
     raise ExpressionError(f"unknown operator {operator!r}")
 
 
-def _logical_or(expression: BinaryExpression, binding: Binding, graph) -> bool:
+def _logical_or(expression: BinaryExpression, binding: Binding) -> bool:
     """``||`` with SPARQL error recovery: true wins over an error."""
     left_error: ExpressionError | None = None
     try:
-        if effective_boolean_value(evaluate_expression(expression.left, binding, graph)):
+        if effective_boolean_value(evaluate_expression(expression.left, binding)):
             return True
     except ExpressionError as exc:
         left_error = exc
     try:
-        if effective_boolean_value(evaluate_expression(expression.right, binding, graph)):
+        if effective_boolean_value(evaluate_expression(expression.right, binding)):
             return True
     except ExpressionError:
         raise
@@ -147,17 +144,17 @@ def _logical_or(expression: BinaryExpression, binding: Binding, graph) -> bool:
     return False
 
 
-def _logical_and(expression: BinaryExpression, binding: Binding, graph) -> bool:
+def _logical_and(expression: BinaryExpression, binding: Binding) -> bool:
     """``&&`` with SPARQL error recovery: false wins over an error."""
     left_error: ExpressionError | None = None
     left_value = True
     try:
-        left_value = effective_boolean_value(evaluate_expression(expression.left, binding, graph))
+        left_value = effective_boolean_value(evaluate_expression(expression.left, binding))
         if not left_value:
             return False
     except ExpressionError as exc:
         left_error = exc
-    right_value = effective_boolean_value(evaluate_expression(expression.right, binding, graph))
+    right_value = effective_boolean_value(evaluate_expression(expression.right, binding))
     if not right_value:
         return False
     if left_error is not None:
@@ -229,11 +226,11 @@ def _arithmetic(operator: str, left: Any, right: Any) -> int | float | Decimal:
 # --------------------------------------------------------------------------- #
 # Built-in functions
 # --------------------------------------------------------------------------- #
-def _evaluate_function(call: FunctionCall, binding: Binding, graph) -> Any:
+def _evaluate_function(call: FunctionCall, binding: Binding) -> Any:
     name = call.name
     if name == "BOUND":
         return _builtin_bound(call, binding)
-    arguments = [evaluate_expression(argument, binding, graph) for argument in call.arguments]
+    arguments = [evaluate_expression(argument, binding) for argument in call.arguments]
     if name == "STR":
         return _builtin_str(arguments)
     if name == "LANG":
@@ -325,16 +322,6 @@ def _builtin_regex(arguments) -> bool:
         return re.search(pattern, text, flags) is not None
     except re.error as exc:
         raise ExpressionError(f"invalid regular expression: {exc}") from exc
-
-
-def _evaluate_exists(expression: ExistsExpression, binding: Binding, graph) -> bool:
-    if graph is None:
-        raise ExpressionError("EXISTS requires a graph to evaluate against")
-    from .evaluator import evaluate_group
-
-    solutions = evaluate_group(expression.group, graph, initial=binding)
-    found = next(iter(solutions), None) is not None
-    return not found if expression.negated else found
 
 
 # --------------------------------------------------------------------------- #

@@ -52,7 +52,6 @@ __all__ = [
     "parse_tsv",
     "write_graph",
     "read_graph",
-    "term_to_json",
     "term_from_json",
 ]
 
@@ -161,23 +160,16 @@ def negotiate(
     return None
 
 
-def negotiate_graph(accept: str | None, default: str = "turtle") -> str | None:
-    """:func:`negotiate` specialised to CONSTRUCT graph formats."""
-    return negotiate(accept, aliases=_GRAPH_ALIASES, default=default)
+def negotiate_graph(accept: str | None) -> str | None:
+    """:func:`negotiate` specialised to CONSTRUCT graph formats (Turtle first)."""
+    return negotiate(accept, aliases=_GRAPH_ALIASES, default="turtle")
 
 
 # --------------------------------------------------------------------------- #
 # Term encoding
 # --------------------------------------------------------------------------- #
-def term_to_json(term: Term) -> dict[str, str]:
-    """SPARQL-results-JSON object for one RDF term (strict: see results.py)."""
-    from .results import _term_to_json
-
-    return _term_to_json(term)
-
-
 def term_from_json(payload: Mapping[str, str]) -> Term:
-    """Inverse of :func:`term_to_json` (accepts the legacy ``typed-literal``)."""
+    """Inverse of the results writers' term encoding (accepts the legacy ``typed-literal``)."""
     try:
         kind = payload["type"]
         value = payload["value"]

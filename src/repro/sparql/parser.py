@@ -85,12 +85,9 @@ class SparqlParseError(ValueError):
 class SparqlParser:
     """Parse SPARQL text into the AST of :mod:`repro.sparql.ast`."""
 
-    def __init__(self, namespace_manager: NamespaceManager | None = None) -> None:
-        self._seed_manager = namespace_manager
-
     def parse(self, text: str) -> Query:
         tokens = tokenize_sparql(text)
-        state = _ParserState(tokens, self._seed_manager)
+        state = _ParserState(tokens)
         query = state.parse_query()
         state.expect_eof()
         if len(tokens) > 1:  # more than the EOF token
@@ -99,11 +96,10 @@ class SparqlParser:
 
 
 class _ParserState:
-    def __init__(self, tokens: list[SparqlToken], seed_manager: NamespaceManager | None) -> None:
+    def __init__(self, tokens: list[SparqlToken]) -> None:
         self._tokens = tokens
         self._index = 0
-        manager = seed_manager.copy() if seed_manager else NamespaceManager(install_defaults=False)
-        self.prologue = Prologue(namespace_manager=manager)
+        self.prologue = Prologue(namespace_manager=NamespaceManager(install_defaults=False))
 
     # ------------------------------------------------------------------ #
     # Token helpers
@@ -641,6 +637,6 @@ class _ParserState:
                 modifiers.offset = int(self._expect("INTEGER").value)
 
 
-def parse_query(text: str, namespace_manager: NamespaceManager | None = None) -> Query:
+def parse_query(text: str) -> Query:
     """Parse SPARQL text into a :class:`Query` AST."""
-    return SparqlParser(namespace_manager).parse(text)
+    return SparqlParser().parse(text)

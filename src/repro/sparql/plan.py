@@ -67,7 +67,6 @@ from .algebra import (
 from .ast import AskQuery, Expression, Query
 from .evaluator import bnode_anchor, pattern_text
 from .exec import (
-    ExecConfig,
     ExecContext,
     ExecPlan,
     ScanStep,
@@ -90,7 +89,6 @@ __all__ = [
     "CardinalityEstimator",
     "QueryPlanner",
     "plan_query",
-    "explain_query",
     "order_patterns",
 ]
 
@@ -249,9 +247,8 @@ def possible_variables(node: AlgebraNode) -> set[Variable]:
 class QueryPlanner:
     """Compile algebra trees onto batched operators for one graph."""
 
-    def __init__(self, graph: Graph | GraphView, config: ExecConfig | None = None) -> None:
+    def __init__(self, graph: Graph | GraphView) -> None:
         self._graph = graph
-        self._config = config
         self._estimator = CardinalityEstimator(graph)
 
     # -- public entry points ------------------------------------------------ #
@@ -263,7 +260,7 @@ class QueryPlanner:
             node = translate_group(query.where)
         else:
             node = translate_query(query)
-        ctx = ExecContext(self._graph, self._config)
+        ctx = ExecContext(self._graph)
         root, _, _ = self._compile(
             self._coalesce(node), ctx, (), frozenset(), frozenset(), []
         )
@@ -471,12 +468,3 @@ class QueryPlanner:
 def plan_query(query: Query, graph: Graph | GraphView) -> ExecPlan:
     """Module-level convenience: plan ``query`` over ``graph``."""
     return QueryPlanner(graph).plan(query)
-
-
-def explain_query(query, graph: Graph | GraphView) -> str:
-    """The EXPLAIN text for ``query`` over ``graph`` (accepts query text)."""
-    from .parser import parse_query
-
-    if isinstance(query, str):
-        query = parse_query(query)
-    return plan_query(query, graph).explain()

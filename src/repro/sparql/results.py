@@ -64,9 +64,9 @@ class Binding(Mapping[Variable, Term]):
         return Variable(str(key))
 
     # -- Algebra ------------------------------------------------------------ #
-    def get_term(self, key: Variable | str, default: Term | None = None) -> Term | None:
-        """Bound term for ``key`` or ``default``."""
-        return self._data.get(self._coerce_key(key), default)
+    def get_term(self, key: Variable | str) -> Term | None:
+        """Bound term for ``key``, ``None`` when unbound."""
+        return self._data.get(self._coerce_key(key))
 
     def compatible(self, other: Binding) -> bool:
         """True when the two bindings agree on all shared variables."""
@@ -216,8 +216,10 @@ class ResultSet:
             ]},
         }
 
-    def to_table(self, max_width: int = 60) -> str:
-        """Human-readable fixed-width table (used by the CLI and examples)."""
+    def to_table(self) -> str:
+        """Human-readable fixed-width table (used by the CLI and examples);
+        a term wider than 60 characters is cut short with ``...``."""
+        max_width = 60
         headers = [f"?{v.name}" for v in self.variables]
         rows = []
         for terms in self.rows:

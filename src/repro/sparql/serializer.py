@@ -16,7 +16,6 @@ from .ast import (
     AskQuery,
     BinaryExpression,
     ConstructQuery,
-    ExistsExpression,
     Expression,
     Filter,
     FunctionCall,
@@ -32,7 +31,7 @@ from .ast import (
     VariableExpression,
 )
 
-__all__ = ["serialize_query", "serialize_expression", "serialize_pattern_group"]
+__all__ = ["serialize_query", "serialize_expression"]
 
 _BUILTIN_SPELLING = {
     "BOUND": "BOUND", "REGEX": "REGEX", "STR": "STR", "LANG": "LANG",
@@ -94,9 +93,6 @@ class _Writer:
             return f"{left} {expression.operator} {right}"
         if isinstance(expression, FunctionCall):
             return self._function_call(expression)
-        if isinstance(expression, ExistsExpression):
-            keyword = "NOT EXISTS" if expression.negated else "EXISTS"
-            return f"{keyword} {self.group(expression.group, indent=1)}"
         raise TypeError(f"unsupported expression node: {expression!r}")
 
     def _maybe_parenthesise(self, expression: Expression) -> str:
@@ -225,9 +221,3 @@ def serialize_expression(expression: Expression,
                          namespace_manager: NamespaceManager | None = None) -> str:
     """Render a FILTER expression as SPARQL text."""
     return _Writer(namespace_manager).expression(expression)
-
-
-def serialize_pattern_group(group: GroupGraphPattern,
-                            namespace_manager: NamespaceManager | None = None) -> str:
-    """Render a group graph pattern as SPARQL text."""
-    return _Writer(namespace_manager).group(group)

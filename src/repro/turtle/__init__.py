@@ -1,7 +1,7 @@
 """Turtle and N-Triples syntax support (parsers and serialisers)."""
 
 
-from ..rdf import Graph, NamespaceManager
+from ..rdf import Graph
 from .lexer import Token, TurtleLexError, tokenize
 from .ntriples import (
     NTriplesError,
@@ -30,12 +30,11 @@ __all__ = [
 ]
 
 
-def parse_graph(text: str, format: str = "turtle",
-                namespace_manager: NamespaceManager | None = None) -> Graph:
+def parse_graph(text: str, format: str = "turtle") -> Graph:
     """Parse RDF text in ``turtle`` or ``ntriples`` format."""
     normalized = format.lower().replace("-", "").replace("_", "")
     if normalized in ("turtle", "ttl"):
-        return parse_turtle(text, namespace_manager)
+        return parse_turtle(text)
     if normalized in ("ntriples", "nt"):
         return parse_ntriples(text)
     raise ValueError(f"unsupported RDF format: {format!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 
-from ..rdf import BNode, Graph, Literal, NamespaceManager, RDF, Term, URIRef
+from ..rdf import BNode, Graph, Literal, RDF, Term, URIRef
 from .ntriples import escape
 
 __all__ = ["TurtleSerializer", "serialize_turtle"]
@@ -20,9 +20,9 @@ __all__ = ["TurtleSerializer", "serialize_turtle"]
 class TurtleSerializer:
     """Serialise a :class:`Graph` to Turtle text."""
 
-    def __init__(self, graph: Graph, namespace_manager: NamespaceManager | None = None) -> None:
+    def __init__(self, graph: Graph) -> None:
         self._graph = graph
-        self._nsm = namespace_manager or graph.namespace_manager
+        self._nsm = graph.namespace_manager
 
     def serialize(self) -> str:
         used_prefixes = self._collect_used_prefixes()
@@ -103,6 +103,6 @@ class TurtleSerializer:
         return body
 
 
-def serialize_turtle(graph: Graph, namespace_manager: NamespaceManager | None = None) -> str:
+def serialize_turtle(graph: Graph) -> str:
     """Convenience wrapper over :class:`TurtleSerializer`."""
-    return TurtleSerializer(graph, namespace_manager).serialize()
+    return TurtleSerializer(graph).serialize()

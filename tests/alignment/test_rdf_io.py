@@ -16,9 +16,9 @@ from repro.alignment import (
     ontology_alignment_to_graph,
     ontology_alignments_from_graph,
     property_alignment,
-    structurally_equivalent,
 )
 from repro.rdf import AKT, Graph, KISTI, Literal, MAP, RDF, Triple, URIRef, Variable
+from tests.alignment.validation import structurally_equivalent
 
 
 class TestEntityAlignmentRoundtrip:

@@ -43,10 +43,6 @@ class TestSelection:
     def test_selection_filters_by_source_ontology(self, store):
         assert store.for_target_dataset(KISTI_DATASET, source_ontology=KISTI_ONT) == []
 
-    def test_selection_by_target_ontology(self, store):
-        selected = store.for_target_ontology(DBPEDIA_ONT, source_ontology=AKT_ONT)
-        assert len(selected) == 1
-
     def test_unknown_dataset_gets_nothing(self, store):
         assert store.for_target_dataset(OTHER_DATASET) == []
 

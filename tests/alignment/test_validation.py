@@ -8,12 +8,14 @@ from repro.alignment import (
     class_alignment,
     default_registry,
     property_alignment,
+)
+from repro.rdf import AKT, KISTI, Literal, Triple, URIRef, Variable
+from tests.alignment.validation import (
     rename_variables,
     structurally_equivalent,
     validate_entity_alignment,
     validate_ontology_alignment,
 )
-from repro.rdf import AKT, KISTI, Literal, Triple, URIRef, Variable
 
 AKT_ONT = URIRef("http://www.aktors.org/ontology/portal#")
 KISTI_ONT = URIRef("http://www.kisti.re.kr/isrl/ResearchRefOntology#")

@@ -1,7 +1,8 @@
-"""Alignment validation and structural comparison.
+"""Alignment validation and structural comparison, a test oracle.
 
 Beyond the hard well-formedness constraints enforced by the model classes,
-this module provides:
+this module provides the checks the tests and benchmark E2 apply to
+alignments (the product does not run them):
 
 * :func:`validate_entity_alignment` — a linter returning the list of
   problems (errors and warnings) an alignment author should fix before
@@ -17,9 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from ..rdf import Term, URIRef, Variable
-from .functions import FunctionRegistry
-from .model import EntityAlignment, FunctionalDependency, OntologyAlignment
+from repro.alignment import (
+    EntityAlignment,
+    FunctionalDependency,
+    FunctionRegistry,
+    OntologyAlignment,
+)
+from repro.rdf import Term, URIRef, Variable
 
 __all__ = [
     "ValidationIssue",

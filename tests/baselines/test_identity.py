@@ -1,6 +1,6 @@
 """Unit tests for the no-rewriting baseline."""
 
-from repro.baselines import IdentityFederation
+from benchmarks.baselines import IdentityFederation
 from repro.federation import recall
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import MaterializationIntegrator
+from benchmarks.baselines import MaterializationIntegrator
 from repro.datasets import RKB_URI_PATTERN, akt_to_kisti_alignment
 from repro.rdf import AKT, Graph, KISTI, KISTI_ID, Literal, RDF, RKB_ID, Triple
 from repro.sparql import QueryEvaluator

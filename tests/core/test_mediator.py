@@ -94,9 +94,12 @@ class TestTranslate:
         with pytest.raises(ValueError):
             mediator.translate(FIGURE_1_QUERY, KISTI_DATASET_URI, mode="filter-aware")
 
-    def test_translate_for_all_targets(self, mediator):
-        results = mediator.translate_for_all_targets(FIGURE_1_QUERY,
-                                                     source_ontology=AKT_ONTOLOGY_URI)
+    def test_every_registered_target_translates(self, mediator):
+        results = {
+            target.dataset: mediator.translate(FIGURE_1_QUERY, target.dataset,
+                                               source_ontology=AKT_ONTOLOGY_URI)
+            for target in mediator.targets()
+        }
         assert set(results) == {KISTI_DATASET_URI, DBPEDIA_DATASET_URI}
         assert all(result.report.matched_count == 2 for result in results.values())
 

@@ -164,41 +164,3 @@ class TestRewriteMany:
     def test_unknown_target_raises(self, mediator):
         with pytest.raises(KeyError):
             mediator.rewrite_many([FIGURE_1_QUERY], URIRef("http://unknown.org/void"))
-
-
-class TestFederationBatch:
-    def test_federate_many_matches_individual_federates(self, small_scenario):
-        scenario = small_scenario
-        queries = [FIGURE_1_QUERY, FIGURE_6_QUERY]
-        individual = [
-            scenario.service.federate(
-                query,
-                source_ontology=scenario.source_ontology,
-                source_dataset=scenario.rkb_dataset,
-                mode="filter-aware",
-            )
-            for query in queries
-        ]
-        batch = scenario.service.federate_many(
-            queries,
-            source_ontology=scenario.source_ontology,
-            source_dataset=scenario.rkb_dataset,
-            mode="filter-aware",
-        )
-        assert len(batch) == len(individual)
-        for batched, single in zip(batch, individual, strict=True):
-            assert batched.total_rows == single.total_rows
-            assert len(batched.merged_bindings) == len(single.merged_bindings)
-            assert batched.successful_datasets() == single.successful_datasets()
-
-    def test_federate_many_warms_the_rewrite_cache(self, small_scenario):
-        scenario = small_scenario
-        mediator = scenario.service.mediator
-        before = mediator.cache_info()
-        scenario.service.federate_many(
-            [FIGURE_1_QUERY, FIGURE_1_QUERY],
-            source_ontology=scenario.source_ontology,
-            source_dataset=scenario.rkb_dataset,
-        )
-        after = mediator.cache_info()
-        assert after["hits"] > before["hits"]

@@ -1,7 +1,83 @@
-"""Unit tests for the synthetic co-reference bundle generator."""
+"""A synthetic co-reference bundle generator, and its unit tests.
 
-from repro.coreference import CoReferenceGenerator, CoReferenceSpec, SameAsService
-from repro.rdf import OWL, URIRef
+Offline, the owl:sameAs links that sameas.org held for the original
+experiments are generated: per-dataset URIs of the same entity are linked
+with a configurable coverage ratio.  Only these tests use it.
+"""
+
+from __future__ import annotations
+
+import random
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+
+from repro.coreference import SameAsService
+from repro.rdf import OWL, Graph, URIRef
+
+
+@dataclass
+class CoReferenceSpec:
+    """Description of one dataset's URI space for an entity kind.
+
+    ``minter`` maps a stable entity key (e.g. ``("person", 12)``) to the
+    URI that dataset uses for the entity.
+    """
+
+    dataset_name: str
+    minter: Callable[[str, int], URIRef]
+
+
+@dataclass
+class CoReferenceGenerator:
+    """Generate owl:sameAs bundles linking per-dataset URIs.
+
+    Parameters
+    ----------
+    specs:
+        One :class:`CoReferenceSpec` per dataset participating in the
+        integration scenario.
+    coverage:
+        Probability that a given entity's URIs are actually linked in the
+        co-reference store (1.0 = perfect linkage).
+    seed:
+        Seed for the deterministic pseudo-random coverage sampling.
+    """
+
+    specs: Sequence[CoReferenceSpec]
+    coverage: float = 1.0
+    seed: int = 7
+
+    def bundles_for(self, kind: str, count: int) -> list[list[URIRef]]:
+        """URIs bundles for ``count`` entities of ``kind`` (one per entity)."""
+        rng = random.Random((self.seed, kind, count).__hash__())
+        bundles: list[list[URIRef]] = []
+        for index in range(count):
+            if rng.random() > self.coverage:
+                continue
+            bundle = [spec.minter(kind, index) for spec in self.specs]
+            bundles.append(bundle)
+        return bundles
+
+    def populate(self, service: SameAsService, kind: str, count: int) -> int:
+        """Add bundles for ``count`` entities of ``kind`` to ``service``.
+
+        Returns the number of bundles added.
+        """
+        bundles = self.bundles_for(kind, count)
+        for bundle in bundles:
+            service.add_bundle(bundle)
+        return len(bundles)
+
+    def build_service(self, counts: dict[str, int]) -> SameAsService:
+        """Create a fresh service with bundles for every entity kind."""
+        service = SameAsService()
+        for kind, count in counts.items():
+            self.populate(service, kind, count)
+        return service
+
+    def sameas_graph(self, counts: dict[str, int]) -> Graph:
+        """The owl:sameAs graph corresponding to :meth:`build_service`."""
+        return self.build_service(counts).to_graph()
 
 
 def rkb_minter(kind: str, index: int) -> URIRef:

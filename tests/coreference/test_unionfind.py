@@ -9,7 +9,8 @@ import pytest
 
 class TestUnionFindBasics:
     def test_singleton_after_add(self):
-        uf = UnionFind(["a"])
+        uf = UnionFind()
+        uf.add("a")
         assert uf.find("a") == "a"
         assert uf.members("a") == {"a"}
 
@@ -53,7 +54,9 @@ class TestUnionFindBasics:
         assert {frozenset(c) for c in classes} == {frozenset({"a", "b"}), frozenset({"c"})}
 
     def test_len_and_iter(self):
-        uf = UnionFind(["a", "b"])
+        uf = UnionFind()
+        uf.add("a")
+        uf.add("b")
         uf.union("a", "c")
         assert len(uf) == 3
         assert set(uf) == {"a", "b", "c"}

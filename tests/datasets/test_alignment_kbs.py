@@ -1,14 +1,16 @@
 """Unit tests for the reconstructed alignment knowledge bases (Section 3.4)."""
 
-from repro.alignment import classify_level, validate_ontology_alignment
+from repro.alignment import classify_level
 from repro.datasets import (
     AKT_ONTOLOGY_URI,
     DBPEDIA_DATASET_URI,
     KISTI_DATASET_URI,
+    KISTI_URI_PATTERN,
     akt_to_dbpedia_alignment,
     akt_to_kisti_alignment,
     has_author_chain_alignment,
 )
+from tests.alignment.validation import validate_ontology_alignment
 from repro.rdf import AKT, KISTI
 
 
@@ -72,7 +74,7 @@ class TestAktToDbpedia:
 
 
 class TestChainAlignmentFactory:
-    def test_custom_pattern_used_in_fds(self):
-        alignment = has_author_chain_alignment(uri_pattern=r"http://other\.org/\S*")
+    def test_fds_translate_into_the_kisti_uri_space(self):
+        alignment = has_author_chain_alignment()
         for dependency in alignment.functional_dependencies:
-            assert "other" in dependency.parameters[1].lexical
+            assert dependency.parameters[1].lexical == KISTI_URI_PATTERN

@@ -7,8 +7,6 @@ import pytest
 from repro.federation import (
     ExecutionPolicy,
     LocalSparqlEndpoint,
-    f1_score,
-    precision,
     recall,
 )
 
@@ -21,15 +19,6 @@ class TestMetrics:
         assert recall({1, 2}, {1, 2, 3, 4}) == 0.5
         assert recall(set(), {1}) == 0.0
         assert recall({1}, set()) == 1.0
-
-    def test_precision(self):
-        assert precision({1, 2, 9}, {1, 2, 3}) == pytest.approx(2 / 3)
-        assert precision(set(), {1}) == 1.0
-
-    def test_f1(self):
-        assert f1_score({1, 2}, {1, 2}) == 1.0
-        assert f1_score(set(), set()) == 1.0
-        assert f1_score({1}, {2}) == 0.0
 
 
 class TestFederatedExecution:

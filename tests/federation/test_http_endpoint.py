@@ -305,6 +305,28 @@ class TestCallTimeout:
             remote.select(SELECT, timeout=0.1)
         assert remote._idle == []
 
+    def test_a_trickled_response_times_out_at_the_deadline(self):
+        # 115 bytes, one every 50 ms: each read arrives well inside 0.1 s,
+        # so only a deadline over the whole response stops the call.
+        answer = (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/sparql-results+json\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(ASK_TRUE), ASK_TRUE)
+        )
+        assert len(answer) == 115
+        stub = _StubServer([answer], trickle=0.05)
+        remote = HttpSparqlEndpoint(URIRef(stub.url()), timeout=30)
+        started = time.perf_counter()
+        try:
+            with pytest.raises(EndpointTimeout, match=r"timed out after 0\.1s$"):
+                remote.ask(ASK, timeout=0.1)
+            elapsed = time.perf_counter() - started
+        finally:
+            remote.close()
+            stub.close()
+        assert elapsed < 0.5
+        assert remote._idle == []
+        assert remote.statistics.transport_failures == 1
+
 
 class TestPolicyIntegration:
     """PR 2's retry/breaker machinery must drive remote endpoints unchanged."""
@@ -357,10 +379,13 @@ class _StubServer:
 
     ``answers`` holds one byte string per request; after the last one the
     connection closes.  ``requests`` collects the request heads received.
+    With ``trickle`` seconds, each answer leaves one byte at a time, that
+    long apart, until the client hangs up.
     """
 
-    def __init__(self, answers: list[bytes]) -> None:
+    def __init__(self, answers: list[bytes], trickle: float = 0.0) -> None:
         self.answers = answers
+        self.trickle = trickle
         self.requests: list[bytes] = []
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.port = self._listener.getsockname()[1]
@@ -378,7 +403,15 @@ class _StubServer:
                 length = [int(line.split(b":")[1]) for line in head.split(b"\r\n")
                           if line.lower().startswith(b"content-length:")]
                 reader.read(length[0] if length else 0)
-                connection.sendall(answer)
+                if not self.trickle:
+                    connection.sendall(answer)
+                    continue
+                for index in range(len(answer)):
+                    time.sleep(self.trickle)
+                    try:
+                        connection.sendall(answer[index:index + 1])
+                    except OSError:
+                        return
 
     def url(self, scheme: str = "http") -> str:
         return f"{scheme}://127.0.0.1:{self.port}/sparql"

@@ -88,7 +88,7 @@ class TestPartitionDeclaration:
     def test_incomplete_declaration_reads_as_none(self, dropped):
         original = make_description(partition=self.PARTITION)
         graph = descriptions_to_graph([original])
-        graph.remove_pattern(original.uri, REPRO[dropped], None)
+        graph.remove_pattern(original.uri, REPRO[dropped])
         [restored] = descriptions_from_graph(graph)
         assert restored.partition is None
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.alignment import AlignmentStore
-from repro.baselines import IdentityFederation, MaterializationIntegrator
+from benchmarks.baselines import IdentityFederation, MaterializationIntegrator
 from repro.datasets import (
     RKB_URI_PATTERN,
     akt_to_kisti_alignment,

@@ -1,4 +1,4 @@
-"""Blank-node aware RDF graph comparison.
+"""Blank-node aware RDF graph comparison, a test helper.
 
 Two RDF graphs are *isomorphic* when one can be obtained from the other by
 renaming blank nodes.  Exact set equality is too strict for tests that
@@ -19,9 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable
 
-from .graph import Graph
-from .terms import BNode, Term
-from .triple import Triple
+from repro.rdf import BNode, Graph, Term, Triple
 
 __all__ = ["isomorphic", "canonical_hash", "bnode_signatures"]
 

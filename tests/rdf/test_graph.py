@@ -55,7 +55,7 @@ class TestMutation:
         assert len(sample_graph) == before
 
     def test_remove_pattern(self, sample_graph):
-        removed = sample_graph.remove_pattern(uri("paper1"), uri("author"), None)
+        removed = sample_graph.remove_pattern(uri("paper1"), uri("author"))
         assert removed == 2
         assert not list(sample_graph.triples(uri("paper1"), uri("author"), None))
 
@@ -115,16 +115,16 @@ class TestProjections:
         assert set(sample_graph.objects(uri("paper1"), uri("author"))) == {uri("alice"), uri("bob")}
 
     def test_predicates(self, sample_graph):
-        assert uri("author") in set(sample_graph.predicates(uri("paper1"), None))
+        assert uri("author") in set(sample_graph.predicates(uri("paper1")))
 
     def test_value(self, sample_graph):
-        assert sample_graph.value(uri("paper1"), uri("title"), None) == Literal("A paper")
-        assert sample_graph.value(uri("paper1"), uri("missing"), None) is None
-        assert sample_graph.value(uri("paper1"), uri("missing"), None, default=Literal("x")) == Literal("x")
+        assert sample_graph.value(uri("paper1"), uri("title")) == Literal("A paper")
+        assert sample_graph.value(uri("paper1"), uri("missing")) is None
+        assert sample_graph.value(uri("paper1"), uri("missing"), default=Literal("x")) == Literal("x")
 
-    def test_value_requires_exactly_one_wildcard(self, sample_graph):
-        with pytest.raises(ValueError):
-            sample_graph.value(uri("paper1"), None, None)
+    def test_value_is_one_of_the_objects(self, sample_graph):
+        objects = set(sample_graph.objects(uri("paper1"), uri("author")))
+        assert sample_graph.value(uri("paper1"), uri("author")) in objects
 
     def test_subjects_of_type(self, sample_graph):
         assert set(sample_graph.subjects_of_type(uri("Paper"))) == {uri("paper1")}

@@ -6,9 +6,8 @@ from repro.rdf import (
     Literal,
     Triple,
     URIRef,
-    canonical_hash,
-    isomorphic,
 )
+from tests.isomorphism import canonical_hash, isomorphic
 
 EX = "http://example.org/"
 

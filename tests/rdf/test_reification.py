@@ -2,25 +2,51 @@
 
 import pytest
 
-from repro.rdf import (
-    BNode,
-    Graph,
-    Literal,
-    RDF,
-    ReificationError,
-    Triple,
-    URIRef,
-    dereify,
-    dereify_all,
-    is_statement_node,
-    reify,
-)
+from repro.rdf import BNode, Graph, Literal, RDF, Term, Triple, URIRef, reify
 
 EX = "http://example.org/"
 
 
 def uri(name: str) -> URIRef:
     return URIRef(EX + name)
+
+
+# The reader side of reification: the product only writes reified
+# statements, so these helpers check what it wrote.
+
+class ReificationError(ValueError):
+    """Raised when a reified statement description is malformed."""
+
+
+def is_statement_node(graph: Graph, node: Term) -> bool:
+    """True when ``node`` is typed ``rdf:Statement`` in ``graph``."""
+    return Triple(node, RDF.type, RDF.Statement) in graph
+
+
+def _single_value(graph: Graph, node: Term, predicate: URIRef) -> Term:
+    values = list(graph.objects(node, predicate))
+    if not values:
+        raise ReificationError(f"reified statement {node} lacks {predicate}")
+    if len(values) > 1:
+        raise ReificationError(f"reified statement {node} has multiple {predicate} values")
+    return values[0]
+
+
+def dereify(graph: Graph, node: Term) -> Triple:
+    """Reconstruct the triple described by the reification node ``node``."""
+    subject = _single_value(graph, node, RDF.subject)
+    predicate = _single_value(graph, node, RDF.predicate)
+    obj = _single_value(graph, node, RDF.object)
+    try:
+        return Triple(subject, predicate, obj)
+    except TypeError as exc:
+        raise ReificationError(f"reified statement {node} is not a valid triple: {exc}") from exc
+
+
+def dereify_all(graph: Graph) -> list[tuple[Term, Triple]]:
+    """Return ``(statement_node, triple)`` for every reified statement."""
+    return [(node, dereify(graph, node))
+            for node in sorted(graph.subjects(RDF.type, RDF.Statement), key=lambda t: t.sort_key())]
 
 
 class TestReify:
@@ -33,11 +59,12 @@ class TestReify:
         assert graph.value(node, RDF.predicate, None) == uri("p")
         assert graph.value(node, RDF.object, None) == uri("o")
 
-    def test_reify_with_explicit_node(self):
+    def test_reify_returns_a_fresh_statement_node(self):
         graph = Graph()
-        node = reify(graph, Triple(uri("s"), uri("p"), Literal("o")), statement_node=uri("st"))
-        assert node == uri("st")
-        assert is_statement_node(graph, uri("st"))
+        first = reify(graph, Triple(uri("s"), uri("p"), Literal("o")))
+        second = reify(graph, Triple(uri("s"), uri("p"), Literal("o")))
+        assert isinstance(first, BNode) and first != second
+        assert is_statement_node(graph, first) and is_statement_node(graph, second)
 
     def test_reify_pattern_with_bnodes(self):
         """Alignment patterns use blank nodes in subject/object positions."""

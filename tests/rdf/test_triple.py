@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rdf import BNode, Literal, Quad, Triple, URIRef, Variable
+from repro.rdf import BNode, Literal, Triple, URIRef, Variable
 
 EX = "http://example.org/"
 
@@ -82,23 +82,3 @@ class TestTripleBehaviour:
         a = Triple(uri("a"), uri("p"), uri("o"))
         b = Triple(uri("b"), uri("p"), uri("o"))
         assert sorted([b, a]) == [a, b]
-
-
-class TestQuad:
-    def test_quad_equality(self):
-        triple = Triple(uri("s"), uri("p"), uri("o"))
-        assert Quad(triple, uri("g")) == Quad(triple, uri("g"))
-        assert Quad(triple, uri("g")) != Quad(triple, None)
-
-    def test_quad_requires_triple(self):
-        with pytest.raises(TypeError):
-            Quad(("s", "p", "o"), uri("g"))  # type: ignore[arg-type]
-
-    def test_quad_graph_name_type(self):
-        triple = Triple(uri("s"), uri("p"), uri("o"))
-        with pytest.raises(TypeError):
-            Quad(triple, "not-a-uri")  # type: ignore[arg-type]
-
-    def test_as_tuple(self):
-        triple = Triple(uri("s"), uri("p"), uri("o"))
-        assert Quad(triple, uri("g")).as_tuple() == (uri("s"), uri("p"), uri("o"), uri("g"))

@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.rdf import Graph, SegmentStore
-from repro.rdf.isomorphism import isomorphic
+from tests.isomorphism import isomorphic
 from repro.sparql import ENGINES, AskResult, QueryEvaluator, ResultSet, parse_query
 from repro.turtle import parse_graph
 

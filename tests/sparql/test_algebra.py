@@ -11,7 +11,6 @@ from repro.sparql import (
     AlgebraSlice,
     AlgebraUnion,
     parse_query,
-    to_sexpr,
     translate_group,
     translate_query,
 )
@@ -100,10 +99,3 @@ class TestTraversal:
         # The original tree is untouched.
         original_bgps = [n for n in node.walk() if isinstance(n, AlgebraBGP)]
         assert any(bgp.patterns for bgp in original_bgps)
-
-    def test_sexpr_rendering(self):
-        node = translate_query(parse_query(FIGURE_1_QUERY))
-        text = to_sexpr(node)
-        assert text.startswith("(distinct")
-        assert "(bgp" in text
-        assert "(filter" in text

@@ -21,7 +21,6 @@ from repro.sparql.analysis import (
     analyze_query,
     group_scopes,
     prune_query,
-    render_diagnostics,
 )
 from repro.sparql.ast import Filter, GroupGraphPattern
 
@@ -89,10 +88,11 @@ class TestDiagnosticTaxonomy:
         assert entry["severity"] == "error"
         assert set(entry["span"]) == {"line", "column", "end_line", "end_column"}
 
-    def test_render_diagnostics_joins_lines(self):
+    def test_each_diagnostic_renders_on_one_line(self):
         analysis = analyze_query(parse_query("SELECT ?x WHERE { ?s ?p ?o }"))
-        text = render_diagnostics(analysis.diagnostics, "q.rq")
-        assert text.count("\n") == len(analysis.diagnostics) - 1
+        assert analysis.diagnostics
+        for diagnostic in analysis.diagnostics:
+            assert "\n" not in diagnostic.render("q.rq")
 
 
 # --------------------------------------------------------------------------- #
@@ -282,22 +282,6 @@ class TestFoldingAndPruning:
     def test_prune_is_identity_when_nothing_folds(self):
         query = parse_query("SELECT ?s WHERE { ?s ?p ?o FILTER(?o > 1) }")
         assert prune_query(query, analyze_query(query)) is query
-
-    def test_exists_is_never_folded(self):
-        # EXISTS needs a graph, so even a variable-free expression that
-        # contains one cannot fold.  The surface grammar has no EXISTS
-        # (it is an AST-level convenience), so build the expression.
-        from repro.sparql.analysis import fold_constant
-        from repro.sparql.ast import BinaryExpression, ExistsExpression, TermExpression
-
-        exists = ExistsExpression(parse_query(
-            "SELECT * WHERE { ?s <http://e/q> ?x }"
-        ).where)
-        expression = BinaryExpression(
-            "||", exists, TermExpression(Literal(True))
-        )
-        assert fold_constant(expression) is None
-        assert fold_constant(TermExpression(Literal(True))) is True
 
 
 # --------------------------------------------------------------------------- #

@@ -16,11 +16,11 @@ import pytest
 from repro.rdf import Graph, Literal, TermDictionary, Triple, URIRef, Variable
 from repro.sparql import (
     ENGINES,
-    ExecConfig,
     QueryEvaluator,
     QueryPlanner,
     parse_query,
 )
+from repro.sparql import exec as executor
 from repro.sparql.exec import (
     RUN_EVENTS_ENV,
     UNBOUND,
@@ -91,11 +91,13 @@ class TestTermDictionary:
 # Batch growth schedule
 # --------------------------------------------------------------------------- #
 class TestBatching:
-    def test_batches_follow_growth_schedule(self):
+    def test_batches_follow_growth_schedule(self, monkeypatch):
         graph = _chain_graph(200)
         query = parse_query("SELECT ?s ?o WHERE { ?s <http://example.org/next> ?o }")
-        config = ExecConfig(initial_batch_rows=4, batch_growth=4, max_batch_rows=32)
-        plan = QueryPlanner(graph, config).plan(query)
+        monkeypatch.setattr(executor, "INITIAL_BATCH_ROWS", 4)
+        monkeypatch.setattr(executor, "BATCH_GROWTH", 4)
+        monkeypatch.setattr(executor, "MAX_BATCH_ROWS", 32)
+        plan = QueryPlanner(graph).plan(query)
         sizes = [len(batch.rows) for batch in plan.execute()]
         assert sum(sizes) == 200
         assert sizes[0] <= 4
@@ -113,7 +115,7 @@ class TestBatching:
         for i in range(1000):
             graph.add(Triple(URIRef(EX + f"a{i}"), next_uri, URIRef(EX + f"a{i + 1}")))
         query = parse_query("ASK { ?s <http://example.org/next> ?o }")
-        plan = QueryPlanner(graph, ExecConfig()).plan(query)
+        plan = QueryPlanner(graph).plan(query)
         assert plan.first_binding() is not None
         assert 1 <= graph.matches <= 8
 
@@ -121,7 +123,7 @@ class TestBatching:
         value = Literal("hello", lang="en")
         graph = _graph(("a", "p", value))
         query = parse_query("SELECT ?o WHERE { ?s <http://example.org/p> ?o }")
-        plan = QueryPlanner(graph, ExecConfig()).plan(query)
+        plan = QueryPlanner(graph).plan(query)
         bindings = list(plan.bindings())
         assert len(bindings) == 1
         assert bindings[0][Variable("o")] == value
@@ -157,7 +159,7 @@ def _lying_steps():
 class TestAdaptivity:
     def test_misestimate_triggers_a_recorded_reorder(self):
         graph = _fanout_graph()
-        ctx = ExecContext(graph, config=ExecConfig(adaptive=True))
+        ctx = ExecContext(graph)
         op = VecBGPOp(ctx, (), _lying_steps(), [])
         rows = [row for batch in op.execute(seed_batches()) for row in batch.rows]
         assert len(rows) == 200
@@ -169,11 +171,12 @@ class TestAdaptivity:
         assert decision["new_order"] != decision["old_order"]
         assert "/r>" in decision["new_order"][0]
 
-    def test_adaptive_run_matches_non_adaptive(self):
+    def test_adaptive_run_matches_non_adaptive(self, monkeypatch):
         graph = _fanout_graph()
         results = {}
         for adaptive in (True, False):
-            ctx = ExecContext(graph, config=ExecConfig(adaptive=adaptive))
+            monkeypatch.setattr(executor, "ADAPTIVE", adaptive)
+            ctx = ExecContext(graph)
             op = VecBGPOp(ctx, (), _lying_steps(), [])
             decoded = sorted(
                 tuple(sorted(ctx.decode_binding(batch.schema, row).as_dict().items()))
@@ -183,9 +186,10 @@ class TestAdaptivity:
             results[adaptive] = decoded
         assert results[True] == results[False]
 
-    def test_non_adaptive_op_records_no_decisions(self):
+    def test_non_adaptive_op_records_no_decisions(self, monkeypatch):
         graph = _fanout_graph()
-        ctx = ExecContext(graph, config=ExecConfig(adaptive=False))
+        monkeypatch.setattr(executor, "ADAPTIVE", False)
+        ctx = ExecContext(graph)
         op = VecBGPOp(ctx, (), _lying_steps(), [])
         list(op.execute(seed_batches()))
         assert ctx.decisions == []
@@ -201,14 +205,15 @@ class TestAdaptivity:
           ?b <http://example.org/r> ?c .
         }
         """)
-        plan = QueryPlanner(graph, ExecConfig(adaptive=True)).plan(query)
+        plan = QueryPlanner(graph).plan(query)
         list(plan.execute())
         event = plan.run_event("q")
         assert event.adaptivity == plan.ctx.decisions
 
-    def test_evaluator_accepts_exec_config(self):
+    def test_evaluator_answers_without_adaptivity(self, monkeypatch):
         graph = _fanout_graph()
-        evaluator = QueryEvaluator(graph, exec_config=ExecConfig(adaptive=False))
+        monkeypatch.setattr(executor, "ADAPTIVE", False)
+        evaluator = QueryEvaluator(graph)
         result = evaluator.select(parse_query(
             "SELECT ?a ?b WHERE { ?a <http://example.org/p> ?b }"
         ))

@@ -12,9 +12,9 @@ from repro.sparql.formats import (
     negotiate_graph,
     parse_results,
     term_from_json,
-    term_to_json,
     write_results,
 )
+from repro.sparql.results import _term_to_json as term_to_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

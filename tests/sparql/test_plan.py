@@ -15,13 +15,20 @@ from repro.sparql import (
     QueryEvaluator,
     SelectQuery,
     TriplesBlock,
-    explain_query,
     ordered_bgp_patterns,
     parse_query,
+    plan_query,
 )
 from repro.sparql.exec import ExecContext, ScanStep, VecBGPOp, VecHashJoinOp, seed_batches
 from repro.sparql.plan import CardinalityEstimator, order_patterns
 from repro.sparql.results import Binding
+
+
+def explain_query(query: str | SelectQuery, graph: Graph) -> str:
+    """The EXPLAIN text for ``query`` (or query text) over ``graph``."""
+    if isinstance(query, str):
+        query = parse_query(query)
+    return plan_query(query, graph).explain()
 
 
 def u(name: str) -> URIRef:

@@ -443,5 +443,60 @@ def test_inv014_scope():
     assert _thread_findings("tools/seeded.py") == []
 
 
+SEEDED_PACKAGE = {
+    "src/repro/__init__.py": "from .api import build\n\n__all__ = [\"build\"]\n",
+    "src/repro/api.py": (
+        "def build(size=1, verbose=False):\n"
+        "    return [size, verbose]\n"
+        "\n\n"
+        "def only_for_tests():\n"
+        "    return build()\n"
+        "\n\n"
+        "def _private_helper():\n"
+        "    return 0\n"
+    ),
+    "src/repro/cli.py": "from .api import build\n\n\ndef main():\n    return build(size=2)\n",
+    "tests/test_api.py": (
+        "from repro.api import build, only_for_tests\n\n\n"
+        "def helper_in_tests():\n"
+        "    return only_for_tests(), build(verbose=True)\n"
+    ),
+    "tools/script.py": "def unused_tool_function():\n    return 1\n",
+}
+
+
+def _reachability_findings(tmp_path, allowlist=None) -> list[tuple[str, int, str]]:
+    for relative, text in SEEDED_PACKAGE.items():
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return [(str(finding.path.relative_to(tmp_path)) if tmp_path in finding.path.parents
+             else finding.path.name, finding.line, finding.render(tmp_path).split("] ", 1)[1])
+            for finding in lints.check_reachability(tmp_path, allowlist or {})]
+
+
+def test_inv009_reports_unreached_public_symbols_and_test_only_keywords(tmp_path):
+    advice = "; delete it, move it next to its users or allowlist it in tools/reachability.py"
+    assert _reachability_findings(tmp_path) == [
+        ("src/repro/api.py", 1, "knob repro.api:build(verbose): no root passes a value "
+         "other than its default; tests or benchmarks do" + advice),
+        ("src/repro/api.py", 5, "unreached repro.api:only_for_tests: no root reaches it; "
+         "named by tests/test_api.py" + advice),
+    ]
+    assert all("[INV009]" in finding.render(tmp_path)
+               for finding in lints.check_reachability(tmp_path, {}))
+
+
+def test_inv009_scope(tmp_path):
+    # Private names, tests and tools are outside the audit; an allowlisted
+    # finding is silent, and an allowlist entry that is no finding is stale.
+    allowlist = {"seeded": ("repro.api:only_for_tests", "repro.api:build(verbose)",
+                            "repro.api:build")}
+    assert _reachability_findings(tmp_path, allowlist) == [
+        ("reachability.py", 0,
+         "stale allowlist entry repro.api:build: it is no longer a finding"),
+    ]
+
+
 def test_the_repository_is_clean():
     assert lints.main() == 0

@@ -1,4 +1,5 @@
-"""``tools/pairs.py``: alternation, verdict edges and failed runs, on a fake runner."""
+"""``tools/pairs.py``: alternation, verdict edges, failed runs and the
+calibration gate, on a fake runner."""
 
 from __future__ import annotations
 
@@ -159,12 +160,14 @@ def test_a_group_whose_calibration_skews_one_way_is_flagged():
     assert draft["calibration"]["skews"] == pytest.approx([0.109, 0.357, 0.086], abs=5e-4)
     assert draft["calibration"]["median_skew"] == pytest.approx(0.109, abs=5e-4)
     assert draft["calibration"]["one_sided"] is True
-    # The flag reports; the verdicts are those the document recorded.
+    # The document recorded a p50 ``worse``; the two pairs skewed past the
+    # tolerance are unpaired now, and the one clean pair resolves nothing.
     recorded = json.loads((REPO_ROOT / "BENCH_PR45-pairs-draft.json").read_text())["summary"]
     (shard,) = [entry for entry in recorded if entry["workload"] == "shard_decompose"]
-    assert {name: entry["verdict"] for name, entry in draft["metrics"].items()} == {
-        name: entry["verdict"] for name, entry in shard["metrics"].items()
-    }
+    assert shard["metrics"]["latency_p50_ms"]["verdict"] == "worse"
+    assert draft["unpaired"] == [1, 2]
+    assert {entry["verdict"] for entry in draft["metrics"].values()} == {"unresolved"}
+    assert draft["metrics"]["latency_p50_ms"]["pairs"] == 1
     # The six-pair rerun's skews have mixed signs.
     rerun = _rescore("BENCH_PR45-pairs.json")[("shard_decompose", 15)]
     skews = rerun["calibration"]["skews"]
@@ -190,9 +193,11 @@ def test_calibration_needs_three_complete_pairs_to_flag():
 class FakeRunner:
     """Writes what ``run.py --out`` would, with a fixed value per side."""
 
-    def __init__(self, values: dict[str, float], fail: set[tuple[int, str]] = frozenset()):
+    def __init__(self, values: dict[str, float], fail: set[tuple[int, str]] = frozenset(),
+                 calibration: dict[tuple[int, str], float | None] | None = None):
         self.values = values
         self.fail = fail
+        self.calibration = calibration or {}
         self.calls: list[tuple[str, str, int]] = []
 
     def __call__(self, tree, workload, seed, seconds, out):
@@ -203,7 +208,8 @@ class FakeRunner:
             return 1                                    # crashed: wrote nothing
         value = self.values[side] + pair / 100
         out.write_text(json.dumps({
-            "context": {"commit": COMMITS[side], "calibration_ms": 12.5},
+            "context": {"commit": COMMITS[side],
+                        "calibration_ms": self.calibration.get((pair, side), 12.5)},
             "workloads": {workload: {
                 "attempted": 100, "failed": 0, "problems": [],
                 "end_to_end": {"peak_rss_mb": {"value": value, "unit": "MB"},
@@ -276,6 +282,40 @@ def test_an_incorrect_run_counts_as_failed(tmp_path):
                      [pairs.Group("endpoint_segment", 15, 3)])
     assert [row["correct"] for row in rows if row["side"] == "change"] == [False] * 3
     assert doc["summary"][0]["metrics"]["peak_rss_mb"]["verdict"] == "unresolved"
+
+
+def test_a_pair_skewed_past_the_tolerance_is_unpaired_counted_and_kept(tmp_path):
+    # Pair 2's change side ran its calibration loop 20% slower: the pair is
+    # left out of the verdicts, which read pairs 1, 3 and 4 (6.25%: clean).
+    runner = FakeRunner({"parent": 50.0, "change": 45.0},
+                        calibration={(2, "change"): 15.0, (4, "change"): 13.28125})
+    rows, doc = _run(tmp_path, runner, [pairs.Group("endpoint_segment", 15, 4)])
+    assert len(rows) == 8                              # every run stays in the document
+    (summary,) = doc["summary"]
+    assert summary["unpaired"] == [2]
+    assert summary["calibration"]["skews"] == pytest.approx([0.0, 0.2, 0.0, 0.0625])
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert (rss["pairs"], rss["verdict"]) == (3, "better")
+    assert rss["parent_median"] == pytest.approx(50.03)   # pairs 1, 3 and 4
+
+
+def test_a_group_with_too_few_clean_pairs_is_unresolved(tmp_path):
+    runner = FakeRunner({"parent": 50.0, "change": 45.0},
+                        calibration={(1, "parent"): 10.0, (3, "change"): 15.0})
+    rows, doc = _run(tmp_path, runner, [pairs.Group("endpoint_segment", 15, 3)])
+    (summary,) = doc["summary"]
+    assert summary["unpaired"] == [1, 3]
+    assert {entry["verdict"] for entry in summary["metrics"].values()} == {"unresolved"}
+    assert summary["metrics"]["peak_rss_mb"]["pairs"] == 1
+    assert summary["metrics"]["peak_rss_mb"]["change_median"] == pytest.approx(45.02)
+
+
+def test_a_pair_without_a_calibration_reading_is_kept(tmp_path):
+    runner = FakeRunner({"parent": 50.0, "change": 45.0}, calibration={(2, "change"): None})
+    _, doc = _run(tmp_path, runner, [pairs.Group("endpoint_segment", 15, 3)])
+    (summary,) = doc["summary"]
+    assert summary["unpaired"] == []
+    assert summary["metrics"]["peak_rss_mb"]["verdict"] == "better"
 
 
 def test_group_and_commit_arguments_are_checked(capsys):

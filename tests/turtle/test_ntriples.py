@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.rdf import BNode, Literal, Triple, URIRef, XSD, isomorphic
+from repro.rdf import BNode, Literal, Triple, URIRef, XSD
 from repro.turtle import NTriplesError, iter_ntriples, parse_ntriples, serialize_ntriples
 from repro.turtle.ntriples import escape, unescape
+from tests.isomorphism import isomorphic
 
 
 class TestParsing:

@@ -9,8 +9,9 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf import BNode, Graph, Literal, Triple, URIRef, isomorphic
+from repro.rdf import BNode, Graph, Literal, Triple, URIRef
 from repro.turtle import parse_ntriples, parse_turtle, serialize_ntriples, serialize_turtle
+from tests.isomorphism import isomorphic
 
 _NAMES = st.text(alphabet=string.ascii_letters + string.digits, min_size=1, max_size=8)
 

@@ -9,9 +9,9 @@ from repro.rdf import (
     Triple,
     URIRef,
     XSD,
-    isomorphic,
 )
 from repro.turtle import parse_turtle, serialize_turtle
+from tests.isomorphism import isomorphic
 
 
 def build_graph() -> Graph:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant lints, run as a hard CI gate.
 
-Thirteen structural invariants that ordinary linters do not express, checked
+Fourteen structural invariants that ordinary linters do not express, checked
 with nothing but the stdlib ``ast`` module:
 
 1. **Hot-loop allocation ban** — inside the batched executor
@@ -63,12 +63,20 @@ with nothing but the stdlib ``ast`` module:
    client would reopen a connection per request or stall on the server's
    delayed ACK.
 
+9. **Everything public is reached** — ``tools/reachability.py``'s audit
+   finds nothing outside its allowlist: no public module-level symbol of
+   ``src/repro`` that only ``tests/`` or the other benchmarks reach from
+   the roots (the ``repro`` command, the HTTP server, ``repro.__all__``
+   and what ``benchmarks/e15/`` uses), no keyword parameter to which no
+   root passes a value other than its default, and no stale allowlist
+   entry.  Code and knobs only tests use are deleted or moved next to
+   their users, or allowlisted with a reason.
+
 10. **One federation execution path** — under ``src/repro/``,
     ``call_endpoint`` is called only from ``federation/decompose.py``.
     Both strategies run as a plan on its one executor (fan-out is the plan
     with a single whole-query unit); a call anywhere else would be a second
     path that retries, breakers, tracing and ANALYZE do not see whole.
-    (INV009 is reserved.)
 
 11. **One query rewriter** — under ``src/repro/``, ``QueryRewriter`` is
     constructed only in ``core/mediator.py``.  ``Mediator.translate`` is
@@ -106,7 +114,9 @@ compiler output.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import sys
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -136,8 +146,8 @@ class Finding:
         self.code = code
         self.message = message
 
-    def render(self) -> str:
-        rel = self.path.relative_to(REPO_ROOT)
+    def render(self, root: Path = REPO_ROOT) -> str:
+        rel = self.path.relative_to(root) if root in self.path.parents else self.path
         return f"{rel}:{self.line}: [{self.code}] {self.message}"
 
 
@@ -651,6 +661,42 @@ def check_no_federation_threads(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
+# INV009 — no public symbol or knob that only tests reach
+# --------------------------------------------------------------------------- #
+
+REACHABILITY_PATH = REPO_ROOT / "tools" / "reachability.py"
+
+
+def _reachability():
+    if "reachability" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("reachability", REACHABILITY_PATH)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["reachability"] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules["reachability"]
+
+
+def check_reachability(repo: Path = REPO_ROOT,
+                       allowlist: Mapping[str, Sequence[str]] | None = None) -> list[Finding]:
+    """The audit's findings outside the allowlist, and its stale entries."""
+    reachability = _reachability()
+    report = reachability.audit(
+        repo, allowlist=reachability.ALLOWLIST if allowlist is None else allowlist)
+    findings = [
+        Finding(finding.path, finding.line, "INV009",
+                f"{finding.kind} {finding.key}: {finding.message}; delete it, move it "
+                "next to its users or allowlist it in tools/reachability.py")
+        for finding in report.findings
+    ]
+    lines = REACHABILITY_PATH.read_text().splitlines()
+    for key in report.stale:
+        line = next((number for number, text in enumerate(lines, 1) if f'"{key}"' in text), 0)
+        findings.append(Finding(REACHABILITY_PATH, line, "INV009",
+                                f"stale allowlist entry {key}: it is no longer a finding"))
+    return findings
+
+
+# --------------------------------------------------------------------------- #
 
 def main() -> int:
     findings: list[Finding] = []
@@ -679,6 +725,7 @@ def main() -> int:
             findings.extend(check_no_federation_threads(tree, path))
             if path == EXEC_PATH:
                 findings.extend(check_hot_loops(tree, path))
+    findings.extend(check_reachability())
     for finding in findings:
         print(finding.render())
     if findings:

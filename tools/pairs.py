@@ -34,15 +34,22 @@ calls ``better``) and a verdict:
 * ``worse``: the mirror image — it loses that many pairs, its median
   trails by more than the parent IQR, and by more than the metric's
   ``bound`` (a share of the parent median);
-* ``unresolved``: a run of the group failed, fewer than 3 pairs ran, the
+* ``unresolved``: a run of the group failed, fewer than 3 clean pairs ran, the
   change median trails by more than the bound without losing consistently,
   or the parent IQR alone is wider than the bound and some change run is
   no better than some parent run;
 * ``within``: anything else.
 
-Medians and IQR are those of the complete pairs (both runs correct), and
-are reported whenever there is one, whatever the verdict, with two more
-fields:
+A complete pair (both runs correct) whose two sides' ``calibration_ms``
+differ by more than ``CALIBRATION_TOLERANCE`` (its skew, below, is larger
+in size) is ``unpaired``: the machine ran one side slower, so the pair
+measures the machine as much as the code.  It stays in the document and is
+counted per group, but no verdict reads it; a pair missing a calibration
+reading is kept.  The verdicts read the clean pairs, so a group left with
+fewer than 3 of them reads ``unresolved``.
+
+Medians and IQR are those of the clean pairs, and are reported whenever
+there is one, whatever the verdict, with two more fields:
 
 * ``relative``: ``change_median / parent_median - 1`` (``None`` when the
   parent median is 0);
@@ -87,8 +94,10 @@ COMMAND = ("python3 benchmarks/e15/run.py --workload W --seed S --seconds T "
            "--trace 0 --out F")
 #: Share of pairs the change must win (or lose) to be ``better`` (``worse``).
 CONSISTENT = 0.9
-#: Fewer complete pairs than this cannot resolve anything.
+#: Fewer clean pairs than this cannot resolve anything.
 MIN_PAIRS = 3
+#: Largest calibration skew (either way) of a pair a verdict reads.
+CALIBRATION_TOLERANCE = 0.10
 
 
 class Group(NamedTuple):
@@ -229,12 +238,16 @@ def verdict(parent: Sequence[float], change: Sequence[float], metric: Metric,
     return summary
 
 
+def skew(pair: dict[str, dict]) -> float | None:
+    """The change run's ``calibration_ms`` over the parent run's, minus 1."""
+    parent, change = pair["parent"]["calibration_ms"], pair["change"]["calibration_ms"]
+    return change / parent - 1 if parent and change else None
+
+
 def calibration(complete: Sequence[dict[str, dict]]) -> dict:
     """The complete pairs' calibration skews, their median, and whether they
     all lean the same way (see the module docstring)."""
-    skews = [pair["change"]["calibration_ms"] / pair["parent"]["calibration_ms"] - 1
-             for pair in complete
-             if pair["parent"]["calibration_ms"] and pair["change"]["calibration_ms"]]
+    skews = [value for value in map(skew, complete) if value is not None]
     one_sided = len(skews) >= MIN_PAIRS and (all(skew > 0 for skew in skews)
                                              or all(skew < 0 for skew in skews))
     return {"skews": skews, "median_skew": statistics.median(skews) if skews else None,
@@ -251,16 +264,21 @@ def summarise(rows: Sequence[dict], groups: Sequence[Group],
             if (row["workload"], row["seed"]) == (group.workload, group.seed):
                 by_pair.setdefault(row["pair"], {})[row["side"]] = row
         failed = sum(not row["correct"] for pair in by_pair.values() for row in pair.values())
-        complete = [pair for _, pair in sorted(by_pair.items())
+        complete = [(number, pair) for number, pair in sorted(by_pair.items())
                     if all(side in pair and pair[side]["correct"] for side in SIDES)]
+        unpaired = [number for number, pair in complete
+                    if (value := skew(pair)) is not None
+                    and abs(value) > CALIBRATION_TOLERANCE]
+        clean = [pair for number, pair in complete if number not in unpaired]
         resolved = failed == 0 and len(by_pair) == group.pairs
         summaries.append({
             "workload": group.workload, "seed": group.seed, "pairs": group.pairs,
             "failed_runs": failed,
-            "calibration": calibration(complete),
+            "calibration": calibration([pair for _, pair in complete]),
+            "unpaired": unpaired,
             "metrics": {
-                metric.name: verdict([pair["parent"][metric.name] for pair in complete],
-                                     [pair["change"][metric.name] for pair in complete],
+                metric.name: verdict([pair["parent"][metric.name] for pair in clean],
+                                     [pair["change"][metric.name] for pair in clean],
                                      metric, resolved)
                 for metric in metrics
             },
@@ -360,13 +378,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         rows = run_pairs(trees, commits, args.group, args.seconds, metrics, scratch,
                          after_run=write)
     for summary in summarise(rows, args.group, metrics):
-        skew = summary["calibration"]
+        calibrated = summary["calibration"]
         print(f"== {summary['workload']} seed {summary['seed']}: {summary['pairs']} pairs, "
-              f"{summary['failed_runs']} failed run(s), median calibration skew "
-              f"{skew['median_skew']}")
-        if skew["one_sided"]:
+              f"{summary['failed_runs']} failed run(s), {len(summary['unpaired'])} "
+              f"unpaired (calibration skew over {CALIBRATION_TOLERANCE:.0%}), median "
+              f"calibration skew {calibrated['median_skew']}")
+        if calibrated["one_sided"]:
             print(f"pairs.py: warning: {summary['workload']} seed {summary['seed']}: the "
-                  f"calibration skews the same way in all {len(skew['skews'])} complete "
+                  f"calibration skews the same way in all {len(calibrated['skews'])} complete "
                   "pairs; the machine's speed moved with the side", file=sys.stderr)
         for name, entry in summary["metrics"].items():
             print(f"   {name:26s} {entry['verdict']:10s} wins {entry['wins']}/{entry['pairs']}"
