@@ -249,13 +249,6 @@ class OntologyAlignment:
             return dataset in self.target_datasets
         return False
 
-    def applies_to_target_ontology(self, ontology: URIRef) -> bool:
-        return ontology in self.target_ontologies
-
-    def is_dataset_specific(self) -> bool:
-        """True when the alignment is pinned to specific target datasets."""
-        return bool(self.target_datasets)
-
     # ------------------------------------------------------------------ #
     # Content
     # ------------------------------------------------------------------ #

@@ -300,11 +300,6 @@ class Mediator:
     # ------------------------------------------------------------------ #
     # Cache management
     # ------------------------------------------------------------------ #
-    @property
-    def result_cache_limit(self) -> int:
-        """Maximum number of rewrite results retained (LRU-evicted beyond)."""
-        return _RESULT_CACHE_LIMIT
-
     def cache_info(self) -> dict[str, object]:
         """Hit/miss counters and current cache occupancy (for monitoring)."""
         with self._cache_lock:

@@ -71,7 +71,7 @@ import contextvars
 import time
 from dataclasses import dataclass, field, replace
 from collections.abc import Iterator, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..core import MediationResult
 from ..obs.trace import get_tracer
@@ -92,7 +92,6 @@ from ..sparql.exec import (
     UNBOUND,
     Batch,
     ExecContext,
-    QueryRunEvent,
     Schema,
     VecBindJoinOp,
     VecDistinctOp,
@@ -854,13 +853,14 @@ def execute_decomposed(
     canonical_pattern: str | None,
     strategy: str,
     parallel: bool,
-) -> FederatedResult:
+) -> tuple[FederatedResult, _PlanExecutor]:
     """Plan ``query`` under ``strategy`` and run the plan.
 
     ``parallel`` sends a round's calls to several sources from the engine's
     worker pool; otherwise every call leaves from the calling thread.  The
-    result carries the plan under :attr:`FederatedResult.decomposition`
-    and the run event under :attr:`FederatedResult.run_event`.
+    result carries the plan under :attr:`FederatedResult.decomposition`;
+    the executor that ran it goes to the caller, which ends the run with
+    :func:`repro.sparql.exec.finish_run`.
     """
     from .federator import DatasetResult, FederatedResult
 
@@ -897,15 +897,10 @@ def execute_decomposed(
     # A plan of whole-query units reports as the fan-out it is.
     label = "decompose" if plan.decomposed else f"federate-{strategy}"
     executor = _PlanExecutor(
-        engine, plan, {target.uri: target for target in targets},
+        engine, label, plan, {target.uri: target for target in targets},
         source_ontology, source_dataset, mode, selector, traffic, parallel,
     )
     merged = executor.execute(query, variables, canonical_pattern)
-    tracer = get_tracer()
-    if tracer.enabled and executor.root is not None:
-        # The mediator pipeline's hot loop carries no tracing; its
-        # operator spans are synthesized from the recorded stats.
-        tracer.add_operator_spans(executor.root.operator_stats(), label, executor.elapsed)
 
     per_dataset: list[DatasetResult] = []
     for target in targets:
@@ -934,8 +929,7 @@ def execute_decomposed(
         decomposition=plan,
     )
     outcome.elapsed = time.perf_counter() - started
-    outcome.run_event = executor.run_event(query, label, outcome.elapsed)
-    return outcome
+    return outcome, executor
 
 
 class _VecUnitOp(VecOperator):
@@ -1132,6 +1126,7 @@ class _PlanExecutor:
     def __init__(
         self,
         engine: FederatedQueryEngine,
+        label: str,
         plan: DecomposedPlan,
         targets_by_uri: dict[URIRef, RegisteredDataset],
         source_ontology: URIRef | None,
@@ -1142,6 +1137,8 @@ class _PlanExecutor:
         parallel: bool,
     ) -> None:
         self._engine = engine
+        #: Engine label of the run's event, spans and slow-log entry.
+        self.engine = label
         self._plan = plan
         self._targets = targets_by_uri
         self._source_ontology = source_ontology
@@ -1315,26 +1312,15 @@ class _PlanExecutor:
         self.elapsed = time.perf_counter() - started
         return merged
 
-    def run_event(self, query: SelectQuery, engine: str, elapsed: float) -> QueryRunEvent:
-        """The run event of the most recent :meth:`execute`."""
-        root = self.root
-        return QueryRunEvent(
-            query=query.serialize(),
-            engine=engine,
-            elapsed=elapsed,
-            rows=root.metrics.rows_out if root is not None else 0,
-            operators=root.operator_stats() if root is not None else [],
-            adaptivity=list(self.ctx.decisions) if self.ctx is not None else [],
-            endpoints=[
-                {
-                    "dataset": str(uri),
-                    "requests": entry.requests,
-                    "attempts": entry.attempts,
-                    "rows_shipped": entry.rows,
-                    "errors": list(entry.errors),
-                }
-                for uri, entry in sorted(self._traffic.items(), key=lambda kv: str(kv[0]))
-            ],
-            rows_shipped=sum(entry.rows for entry in self._traffic.values()),
-            plan="\n".join(root.report_lines()) if root is not None else "",
-        )
+    def endpoints(self) -> list[dict[str, Any]]:
+        """Per-source traffic of the most recent :meth:`execute`."""
+        return [
+            {
+                "dataset": str(uri),
+                "requests": entry.requests,
+                "attempts": entry.attempts,
+                "rows_shipped": entry.rows,
+                "errors": list(entry.errors),
+            }
+            for uri, entry in sorted(self._traffic.items(), key=lambda kv: str(kv[0]))
+        ]

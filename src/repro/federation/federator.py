@@ -39,6 +39,7 @@ from ..core import MediationResult, Mediator
 from ..obs.trace import get_tracer
 from ..rdf import Term, URIRef, Variable
 from ..sparql import Binding, Query, ResultSet, SelectQuery, parse_query
+from ..sparql.exec import QueryRunEvent, finish_run
 from .endpoint import EndpointError, EndpointTimeout
 from .policy import ExecutionPolicy
 from .registry import DatasetRegistry, RegisteredDataset
@@ -89,9 +90,6 @@ class FederatedResult:
     strategy: str = "fanout"
     #: The plan that ran (under fan-out, one whole-query unit).
     decomposition: DecomposedPlan | None = None
-    #: Per-query run event: operator timings, endpoints contacted, rows
-    #: shipped.
-    run_event: QueryRunEvent | None = None
 
     def merged(self) -> ResultSet:
         """The merged (co-reference-canonicalised, deduplicated) result set."""
@@ -271,14 +269,10 @@ class FederatedQueryEngine:
         unknown strategy or a non-SELECT query, before any endpoint is
         contacted.
         """
-        from .decompose import execute_decomposed
-
-        return execute_decomposed(
-            self, _select_query(query), self._select_targets(datasets),
-            source_ontology, source_dataset, mode, canonical_pattern,
-            strategy=strategy or self.strategy,
-            parallel=self.parallel if parallel is None else parallel,
-        )
+        return self._run(
+            query, False, source_ontology, source_dataset, mode, datasets,
+            canonical_pattern, parallel, strategy,
+        )[0]
 
     def analyze(
         self,
@@ -291,10 +285,36 @@ class FederatedQueryEngine:
         carries the mediator pipeline's per-operator metrics and the
         per-dataset traffic (requests, attempts, rows shipped).
         """
-        outcome = self.execute(query, **kwargs)
-        event = outcome.run_event
-        assert event is not None
-        event.query = query if isinstance(query, str) else query.serialize()
+        return self._run(query, True, **kwargs)
+
+    def _run(
+        self,
+        query: Query | str,
+        analyze: bool,
+        source_ontology: URIRef | None = None,
+        source_dataset: URIRef | None = None,
+        mode: str = "bgp",
+        datasets: Sequence[URIRef] | None = None,
+        canonical_pattern: str | None = None,
+        parallel: bool | None = None,
+        strategy: str | None = None,
+    ) -> tuple[FederatedResult, QueryRunEvent | None]:
+        """Plan and run ``query``, then end the run through
+        :func:`~repro.sparql.exec.finish_run`: the event exists only when
+        ``analyze`` asks for it or the sink, tracer or slow log reads it."""
+        from .decompose import execute_decomposed
+
+        select = _select_query(query)
+        outcome, executor = execute_decomposed(
+            self, select, self._select_targets(datasets),
+            source_ontology, source_dataset, mode, canonical_pattern,
+            strategy=strategy or self.strategy,
+            parallel=self.parallel if parallel is None else parallel,
+        )
+        event = finish_run(
+            executor, query if isinstance(query, str) else select,
+            outcome.elapsed, "federation", analyze,
+        )
         return outcome, event
 
     def lint(

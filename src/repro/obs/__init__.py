@@ -11,6 +11,13 @@ This package is the cross-cutting instrumentation layer of the stack:
 * :mod:`repro.obs.export` — the serialized JSONL sink behind
   ``REPRO_RUN_EVENTS`` (run events and trace spans share one file).
 
+One record describes a run: every executed plan, local
+(:class:`~repro.sparql.exec.ExecPlan`) or federated (the mediator's plan
+executor), ends in :func:`repro.sparql.exec.finish_run`, which builds
+one :class:`~repro.sparql.exec.QueryRunEvent` only when something reads
+it — the JSONL sink, the tracer, the slow log or an explicit ANALYZE —
+and feeds all of them from that one object.
+
 Everything here is stdlib-only and must stay importable from any layer
 (core, federation, sparql, server) without introducing import cycles:
 nothing in this package imports from the rest of :mod:`repro`.
@@ -25,7 +32,7 @@ from .metrics import (
     MetricsRegistry,
     rewrite_cache_counter,
 )
-from .slowlog import SLOW_LOG, SLOWLOG_ENV, SlowQueryEntry, SlowQueryLog
+from .slowlog import SLOW_LOG, SLOWLOG_ENV, SlowQueryLog
 from .trace import (
     NOOP_SPAN,
     TRACE_ENV,
@@ -48,7 +55,6 @@ __all__ = [
     "rewrite_cache_counter",
     "SLOW_LOG",
     "SLOWLOG_ENV",
-    "SlowQueryEntry",
     "SlowQueryLog",
     "NOOP_SPAN",
     "TRACE_ENV",

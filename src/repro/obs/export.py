@@ -5,18 +5,17 @@ Run events (:class:`repro.sparql.exec.QueryRunEvent`) and trace spans
 JSON object per line.  Span lines are distinguished by ``"kind": "span"``;
 run-event lines carry no ``kind`` key, which keeps the file format
 backward-compatible with every existing ``REPRO_RUN_EVENTS`` consumer
-(``benchmarks/compare.py --events`` skips span lines).
+(``benchmarks/compare.py --events`` skips span lines).  Run events reach
+the sink from one place, :func:`repro.sparql.exec.finish_run`; spans
+from :meth:`repro.obs.trace.Tracer._record`.
 
-Two defects of the original ``maybe_emit_event`` are fixed here:
-
-* concurrent federation threads appended lines without any locking, so a
-  long line could interleave with another thread's write mid-record.  The
-  sink serializes every emission behind one lock and issues exactly one
-  ``write()`` call per line.
-* ``os.environ`` was consulted on *every* event.  The sink caches the
-  lookup; the cache is refreshed at well-defined configuration points
-  (evaluator construction, server construction, tracer enablement) via
-  :meth:`EventSink.refresh` instead of per event.
+Concurrent federation threads emit at once, so the sink serializes every
+emission behind one lock and issues exactly one ``write()`` call per line:
+a long line cannot interleave with another thread's record.  The
+destination is not read from ``os.environ`` per event: the lookup is
+cached and refreshed at well-defined configuration points (evaluator
+construction, server construction, tracer enablement) via
+:meth:`EventSink.refresh`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 """A threshold-triggered ring buffer of recent slow queries.
 
-Any layer that times a query end-to-end (the evaluator, the HTTP server)
-offers the elapsed time to :data:`SLOW_LOG`; entries crossing the
-threshold are retained — query text, elapsed seconds, the plan that ran,
-the trace id when tracing was on — in a bounded deque, newest last.  The
-default threshold comes from ``REPRO_SLOWLOG_SECONDS`` (read once at
+A run's finishing function (:func:`repro.sparql.exec.finish_run`, shared
+by the evaluator and the federated plan executor) offers the run's
+:class:`~repro.sparql.exec.QueryRunEvent` fields, and the HTTP server
+offers the request's query text, elapsed seconds and backend; entries
+crossing the threshold are retained as plain dicts in a bounded ring,
+newest last.  An entry is what it was offered plus ``layer``,
+``trace_id``, ``threshold`` and ``sequence``: a run's entry carries its
+plan, rows, operators and endpoints, the HTTP entry has ``plan`` None.
+The default threshold comes from ``REPRO_SLOWLOG_SECONDS`` (read once at
 construction); ``0`` captures everything, unset uses a serving-oriented
 default of 0.75s.
 """
@@ -13,10 +17,9 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["SLOWLOG_ENV", "SlowQueryEntry", "SlowQueryLog", "SLOW_LOG"]
+__all__ = ["SLOWLOG_ENV", "SlowQueryLog", "SLOW_LOG"]
 
 #: Environment variable: slow-query threshold in (float) seconds.
 SLOWLOG_ENV = "REPRO_SLOWLOG_SECONDS"
@@ -25,38 +28,8 @@ SLOWLOG_ENV = "REPRO_SLOWLOG_SECONDS"
 _DEFAULT_THRESHOLD = 0.75
 
 
-@dataclass
-class SlowQueryEntry:
-    """One retained slow query."""
-
-    query: str
-    elapsed: float
-    threshold: float
-    engine: str
-    layer: str
-    trace_id: str | None = None
-    plan: str | None = None
-    sequence: int = 0
-    extra: dict[str, Any] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "sequence": self.sequence,
-            "query": self.query,
-            "elapsed": self.elapsed,
-            "threshold": self.threshold,
-            "engine": self.engine,
-            "layer": self.layer,
-            "trace_id": self.trace_id,
-            "plan": self.plan,
-        }
-        if self.extra:
-            payload.update(self.extra)
-        return payload
-
-
 class SlowQueryLog:
-    """Bounded ring of :class:`SlowQueryEntry`, newest last."""
+    """Bounded ring of slow-query dicts, newest last."""
 
     def __init__(self, threshold: float | None = None, capacity: int = 32) -> None:
         if threshold is None:
@@ -71,47 +44,33 @@ class SlowQueryLog:
         self.threshold = float(threshold)
         self.capacity = int(capacity)
         self._lock = threading.Lock()
-        self._entries: list[SlowQueryEntry] = []
+        self._entries: list[dict[str, Any]] = []
         self._sequence = 0
 
     def record(
         self,
-        query: str,
-        elapsed: float,
-        engine: str = "?",
-        layer: str = "evaluator",
+        run: dict[str, Any],
+        layer: str,
         trace_id: str | None = None,
-        plan: str | None = None,
-        threshold: float | None = None,
-        **extra: Any,
-    ) -> SlowQueryEntry | None:
-        """Retain the query if ``elapsed`` crosses the threshold.
+    ) -> dict[str, Any] | None:
+        """Retain ``run`` if its ``elapsed`` crosses the threshold.
 
-        Returns the retained entry, or None when the query was fast
-        enough.  ``threshold`` overrides the log-wide default per call.
+        ``run`` holds at least ``query``, ``elapsed``, ``engine`` and
+        ``plan``.  Returns the retained entry, or None when the query was
+        fast enough.
         """
-        limit = self.threshold if threshold is None else float(threshold)
-        if elapsed < limit:
+        if run["elapsed"] < self.threshold:
             return None
-        entry = SlowQueryEntry(
-            query=query,
-            elapsed=elapsed,
-            threshold=limit,
-            engine=engine,
-            layer=layer,
-            trace_id=trace_id,
-            plan=plan,
-            extra=dict(extra),
-        )
+        entry = dict(run, layer=layer, trace_id=trace_id, threshold=self.threshold)
         with self._lock:
             self._sequence += 1
-            entry.sequence = self._sequence
+            entry["sequence"] = self._sequence
             self._entries.append(entry)
             if len(self._entries) > self.capacity:
                 del self._entries[: len(self._entries) - self.capacity]
         return entry
 
-    def entries(self) -> list[SlowQueryEntry]:
+    def entries(self) -> list[dict[str, Any]]:
         with self._lock:
             return list(self._entries)
 
@@ -120,8 +79,8 @@ class SlowQueryLog:
         return {
             "threshold": self.threshold,
             "capacity": self.capacity,
-            "recorded": entries[-1].sequence if entries else 0,
-            "entries": [entry.as_dict() for entry in entries],
+            "recorded": entries[-1]["sequence"] if entries else 0,
+            "entries": entries,
         }
 
     def clear(self) -> None:

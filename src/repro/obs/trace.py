@@ -12,7 +12,9 @@ over HTTP.
 Tracing is **off by default** and the disabled path is deliberately cheap:
 ``Tracer.start_span`` returns one shared no-op singleton without
 allocating, and the batched executor is never touched at all — per-operator
-spans are synthesized *after* execution from the existing
+spans are synthesized *after* execution from the run's one record, the
+:class:`~repro.sparql.exec.QueryRunEvent` that
+:func:`repro.sparql.exec.finish_run` builds from the operators'
 :class:`~repro.sparql.exec.OpMetrics` timings (``add_operator_spans``), so
 the hot loop carries zero tracing overhead in either mode.
 
@@ -303,55 +305,49 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # Post-hoc operator spans (the exec layer's timing hooks)
     # ------------------------------------------------------------------ #
-    def add_operator_spans(
-        self,
-        stats: list[dict[str, Any]],
-        engine: str,
-        elapsed: float,
-    ) -> Span | _NoopSpan:
-        """Synthesize per-operator spans from ``operator_stats`` output.
+    def add_operator_spans(self, event: Any, elapsed: float) -> Span | _NoopSpan:
+        """Synthesize per-operator spans from a run's event.
 
-        The batched executor's hot loop is never instrumented directly;
-        its existing :class:`~repro.sparql.exec.OpMetrics` counters carry
-        per-operator inclusive wall time, and this method converts them
-        into a span subtree after the fact — a root ``exec.query`` span of
-        duration ``elapsed`` with one child span per operator, nested by
-        the stats entries' recorded depth.  Span start times are anchored
-        backwards from "now", so durations are exact while offsets are
-        approximate.
+        ``event`` is a :class:`~repro.sparql.exec.QueryRunEvent`.  The
+        batched executor's hot loop is never instrumented directly; its
+        :class:`~repro.sparql.exec.OpMetrics` counters carry per-operator
+        inclusive wall time into ``event.operators``, and this method
+        converts them into a span subtree after the fact — a root
+        ``exec.query`` span of duration ``elapsed`` with one child span per
+        operator, nested by the operators' recorded depth.  Span start
+        times are anchored backwards from "now", so durations are exact
+        while offsets are approximate.
         """
         if not self.enabled:
             return NOOP_SPAN
         now = time.time()
-        root = self.start_span("exec.query", {"engine": engine, "layer": "exec"})
+        root = self.start_span("exec.query", {"engine": event.engine, "layer": "exec"})
         assert isinstance(root, Span)
         root.start = now - elapsed
         stack: list[tuple[int, Span]] = [(-1, root)]
-        for entry in stats:
-            depth = int(entry.get("depth", 0))
-            while stack and stack[-1][0] >= depth:
+        for entry in event.operators:
+            depth = entry["depth"]
+            while stack[-1][0] >= depth:
                 stack.pop()
-            parent = stack[-1][1] if stack else root
             span = Span(
                 self,
-                str(entry.get("span") or entry.get("operator") or "exec.operator"),
+                entry["span"],
                 root.trace_id,
                 _new_span_id(),
-                parent.span_id,
+                stack[-1][1].span_id,
                 {
-                    "operator": entry.get("operator"),
-                    "rows_in": entry.get("rows_in"),
-                    "rows_out": entry.get("rows_out"),
-                    "batches": entry.get("batches"),
+                    "operator": entry["operator"],
+                    "rows_in": entry["rows_in"],
+                    "rows_out": entry["rows_out"],
+                    "batches": entry["batches"],
                     "layer": "exec",
                 },
             )
-            seconds = float(entry.get("seconds") or 0.0)
-            span.start = now - seconds
+            span.start = now - entry["seconds"]
             span.end = now
             self._record(span)
             stack.append((depth, span))
-        root.set_attribute("rows", stats[0].get("rows_out") if stats else 0)
+        root.set_attribute("rows", event.rows)
         root.finish()
         return root
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from .namespace import NamespaceManager, RDF
+from .namespace import NamespaceManager
 from .store import (
     UNBOUND_ID,
     GraphStatistics,
@@ -320,21 +320,9 @@ class Graph:
             return triple.object
         return default
 
-    def subjects_of_type(self, rdf_type: URIRef) -> Iterator[Term]:
-        """Distinct subjects with ``rdf:type rdf_type``."""
-        return self.subjects(RDF.type, rdf_type)
-
     # ------------------------------------------------------------------ #
     # Vocabulary statistics (used by voiD descriptions)
     # ------------------------------------------------------------------ #
-    def predicate_histogram(self) -> dict[Term, int]:
-        """Map each predicate to the number of triples using it."""
-        return dict(self.stats.predicate_counts)
-
-    def class_histogram(self) -> dict[Term, int]:
-        """Map each ``rdf:type`` object to its instance count."""
-        return dict(self.stats.class_counts)
-
     def vocabularies(self) -> set[str]:
         """Namespace URIs of every predicate and class used in the graph.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .terms import BNode, Literal, Term, URIRef, Variable, is_ground, is_variable_like
+from .terms import BNode, Literal, Term, URIRef, Variable, is_ground
 
 __all__ = ["Triple"]
 
@@ -87,27 +87,9 @@ class Triple:
         """The set of blank nodes occurring in the triple."""
         return {term for term in self if isinstance(term, BNode)}
 
-    def variable_like_terms(self) -> set[Term]:
-        """Variables and blank nodes occurring in the triple."""
-        return {term for term in self if is_variable_like(term)}
-
     def map_terms(self, func) -> Triple:
         """Return a new triple with ``func`` applied to every position."""
         return Triple(func(self._subject), func(self._predicate), func(self._object))
-
-    def bnodes_as_variables(self) -> Triple:
-        """Return the triple with blank nodes replaced by same-named variables.
-
-        This implements the paper's reading of alignment patterns where
-        ``_:p1`` is interpreted as the variable ``?p1``.
-        """
-
-        def convert(term: Term) -> Term:
-            if isinstance(term, BNode):
-                return term.to_variable()
-            return term
-
-        return self.map_terms(convert)
 
     # ------------------------------------------------------------------ #
     # Presentation

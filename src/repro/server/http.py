@@ -130,6 +130,35 @@ class ResponseCache:
             return {"hits": self.hits, "misses": self.misses, "size": len(self._entries)}
 
 
+def _call_backend(operation, query_text: str):
+    """``operation(query_text)`` with the backend's exceptions mapped to
+    HTTP statuses — the one mapping of every query resource."""
+    try:
+        return operation(query_text)
+    except RejectedQuery as exc:
+        raise _HttpError(
+            400, str(exc),
+            payload={"error": str(exc), "diagnostics": exc.to_json_list()},
+        ) from exc
+    except BadQuery as exc:
+        raise _HttpError(400, str(exc)) from exc
+    except EndpointTimeout as exc:
+        raise _HttpError(504, str(exc)) from exc
+    except EndpointUnavailable as exc:
+        raise _HttpError(503, str(exc)) from exc
+    except EndpointError as exc:
+        # The backend reached its upstream but got garbage back
+        # (e.g. a proxied endpoint returning a malformed document).
+        raise _HttpError(502, str(exc)) from exc
+    except TermSerializationError as exc:
+        raise _HttpError(500, str(exc)) from exc
+    except Exception as exc:  # noqa: BLE001
+        # A server must answer even when the backend has a bug —
+        # dropping the socket would surface as a transport failure on
+        # the client and mis-train its circuit breaker.
+        raise _HttpError(500, f"internal error: {type(exc).__name__}: {exc}") from exc
+
+
 class _HttpError(Exception):
     """Internal: abort request handling with a protocol error response.
 
@@ -393,41 +422,16 @@ class _SparqlRequestHandler(socketserver.StreamRequestHandler):
 
         # 5xx responses are counted once, in _send_error.
         started = time.perf_counter()
-        try:
-            result = backend.execute(query_text)
-        except RejectedQuery as exc:
-            raise _HttpError(
-                400, str(exc),
-                payload={"error": str(exc), "diagnostics": exc.to_json_list()},
-            ) from exc
-        except BadQuery as exc:
-            raise _HttpError(400, str(exc)) from exc
-        except EndpointTimeout as exc:
-            raise _HttpError(504, str(exc)) from exc
-        except EndpointUnavailable as exc:
-            raise _HttpError(503, str(exc)) from exc
-        except EndpointError as exc:
-            # The backend reached its upstream but got garbage back
-            # (e.g. a proxied endpoint returning a malformed document).
-            raise _HttpError(502, str(exc)) from exc
-        except TermSerializationError as exc:
-            raise _HttpError(500, str(exc)) from exc
-        except Exception as exc:  # noqa: BLE001
-            # A server must answer even when the backend has a bug —
-            # dropping the socket would surface as a transport failure on
-            # the client and mis-train its circuit breaker.
-            raise _HttpError(500, f"internal error: {type(exc).__name__}: {exc}") from exc
-
+        result = _call_backend(backend.execute, query_text)
         format_name, content_type, body = self._render(result, accept)
         elapsed = time.perf_counter() - started
         if elapsed >= SLOW_LOG.threshold:
             span = get_tracer().current_span()
             SLOW_LOG.record(
-                query=query_text,
-                elapsed=elapsed,
-                engine=backend.description,
-                layer="http",
-                trace_id=span.trace_id if span is not None and span.recording else None,
+                {"query": query_text, "elapsed": elapsed,
+                 "engine": backend.description, "plan": None},
+                "http",
+                span.trace_id if span is not None and span.recording else None,
             )
         self.server.cache.put((generation, query_text, format_name), content_type, body)
         self._send(200, content_type, body)
@@ -439,23 +443,7 @@ class _SparqlRequestHandler(socketserver.StreamRequestHandler):
         """
         backend = self.server.backend
         self._count("queries")
-        try:
-            result, event = backend.analyze(query_text)
-        except RejectedQuery as exc:
-            raise _HttpError(
-                400, str(exc),
-                payload={"error": str(exc), "diagnostics": exc.to_json_list()},
-            ) from exc
-        except BadQuery as exc:
-            raise _HttpError(400, str(exc)) from exc
-        except EndpointTimeout as exc:
-            raise _HttpError(504, str(exc)) from exc
-        except EndpointUnavailable as exc:
-            raise _HttpError(503, str(exc)) from exc
-        except EndpointError as exc:
-            raise _HttpError(502, str(exc)) from exc
-        except Exception as exc:  # noqa: BLE001
-            raise _HttpError(500, f"internal error: {type(exc).__name__}: {exc}") from exc
+        result, event = _call_backend(backend.analyze, query_text)
         payload: dict[str, object] = {
             "event": event.to_json_dict(),
             "report": event.render(),

@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 
 from ..obs.export import SINK
-from ..obs.slowlog import SLOW_LOG
 from ..obs.trace import get_tracer
 from ..rdf import BNode, Graph, Literal, Term, Triple, URIRef, Variable, fresh_bnode
 from .ast import (
@@ -417,8 +416,7 @@ class QueryEvaluator:
         else:
             raise TypeError(f"unsupported query form: {type(query).__name__}")
         self._attach(result, analysis)
-        event = plan.run_event(text)
-        return result, event
+        return result, _finish(plan, text or type(query).__name__, analyze=True)
 
     def select(self, query: SelectQuery | str) -> ResultSet:
         """Evaluate a SELECT query (convenience wrapper with type checking)."""
@@ -437,7 +435,7 @@ class QueryEvaluator:
         ) as span:
             plan = QueryPlanner(self._graph).plan(query)
             if span.recording:
-                span.set_attribute("operators", len(plan.root.operator_stats()))
+                span.set_attribute("operators", _count_operators(plan.root))
         return plan
 
     def _empty_plan(self, query: Query, analysis):
@@ -449,35 +447,6 @@ class QueryEvaluator:
             self._graph,
             analysis.empty_reason or "analysis proved the query empty",
         )
-
-    def _finish(self, plan, query: Query) -> None:
-        """Post-execution hooks: run-event JSONL, operator spans, slow log.
-
-        The batched executor carries no tracing code; per-operator spans
-        are synthesized here from its existing ``operator_stats`` timing
-        counters, so the hot loop is identical whether tracing is on or
-        off.
-        """
-        from .exec import maybe_emit_event
-
-        if SINK.enabled:
-            maybe_emit_event(plan.run_event())
-        tracer = get_tracer()
-        trace_id: str | None = None
-        if tracer.enabled:
-            root = tracer.add_operator_spans(
-                plan.root.operator_stats(), plan.engine, plan.elapsed
-            )
-            trace_id = root.trace_id or None
-        if plan.elapsed >= SLOW_LOG.threshold:
-            SLOW_LOG.record(
-                query=type(query).__name__,
-                elapsed=plan.elapsed,
-                engine=plan.engine,
-                layer="evaluator",
-                trace_id=trace_id,
-                plan=plan.report(),
-            )
 
     # -- SELECT -------------------------------------------------------------- #
     def _evaluate_select(self, query: SelectQuery) -> ResultSet:
@@ -494,7 +463,7 @@ class QueryEvaluator:
             return ResultSet(projection, solutions)
         plan = self._compile(query)
         result = ResultSet.from_rows(projection, plan.term_rows(projection))
-        self._finish(plan, query)
+        _finish(plan, type(query).__name__)
         return result
 
     def _apply_modifiers(
@@ -534,7 +503,7 @@ class QueryEvaluator:
         # batches, so only a handful of index lookups run.
         plan = self._compile(query)
         result = AskResult(plan.first_binding() is not None)
-        self._finish(plan, query)
+        _finish(plan, type(query).__name__)
         return result
 
     # -- CONSTRUCT ------------------------------------------------------------ #
@@ -546,8 +515,21 @@ class QueryEvaluator:
             return _construct_graph(query, solutions)
         plan = self._compile(query)
         output = _construct_graph(query, plan.bindings())
-        self._finish(plan, query)
+        _finish(plan, type(query).__name__)
         return output
+
+
+def _finish(plan, label: str, analyze: bool = False):
+    """End a planner run through the one finishing function; its event
+    (None when nothing reads it)."""
+    from .exec import finish_run
+
+    return finish_run(plan, label, plan.elapsed, "evaluator", analyze)
+
+
+def _count_operators(op) -> int:
+    """Operators in the tree under ``op`` (``op`` included)."""
+    return 1 + sum(_count_operators(child) for child in op.children())
 
 
 def _construct_graph(query: ConstructQuery, solutions: Iterable[Binding]) -> Graph:

@@ -42,10 +42,11 @@ recorded for ``EXPLAIN ANALYZE``.
 **EXPLAIN / EXPLAIN ANALYZE**: :meth:`ExecPlan.explain` renders the
 operator tree with its estimates (:meth:`VecOperator.explain_lines`);
 every operator also counts rows/batches in and out and its (inclusive)
-wall time, and :meth:`ExecPlan.report` renders the same tree with those
-numbers and its runtime notes added (:meth:`VecOperator.report_lines`).
-:meth:`ExecPlan.run_event` packages them as a structured per-query event
-consumable by ``benchmarks/compare.py --events``.
+wall time, and :meth:`VecOperator.report_lines` renders the same tree
+with those numbers and its runtime notes added.  :func:`build_run_event`
+packages them as the run's one record, a :class:`QueryRunEvent`, and
+:func:`finish_run` ends every run — local or federated — by handing it
+to ANALYZE, the ``REPRO_RUN_EVENTS`` sink, the tracer and the slow log.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
 from ..obs.export import RUN_EVENTS_ENV, SINK
+from ..obs.slowlog import SLOW_LOG
+from ..obs.trace import get_tracer
 from ..rdf import BNode, Graph, GraphView, Term, Triple, Variable
 from .ast import Expression, OrderCondition, Query, SelectQuery
 from .evaluator import BNODE_ANCHOR_PREFIX, _orderable, bnode_anchor, pattern_text
@@ -86,8 +89,9 @@ __all__ = [
     "VecAnalysisPruneOp",
     "ExecPlan",
     "QueryRunEvent",
+    "build_run_event",
     "compile_empty_query",
-    "maybe_emit_event",
+    "finish_run",
     "RUN_EVENTS_ENV",
 ]
 
@@ -228,7 +232,8 @@ class ExecContext:
         return self._query_terms[value - _QUERY_ID_BASE]
 
     def decode_binding(self, schema: Schema, row: Row) -> Binding:
-        """Decode a row into a :class:`Binding`, dropping internal columns."""
+        """Decode a row into a :class:`Binding`, dropping internal columns
+        (result rows and the rows FILTER and ORDER BY expressions read)."""
         terms = self.dictionary.terms
         data: dict[Variable, Term] = {}
         for index, variable in _external_columns(schema):
@@ -237,15 +242,6 @@ class ExecContext:
                 data[variable] = terms[value] if value < _QUERY_ID_BASE else self.term(value)
         return Binding(data)
 
-    def decode_expression_binding(self, schema: Schema, row: Row) -> Binding:
-        """Like :meth:`decode_binding` but keeps blank-node anchor columns."""
-        terms = self.dictionary.terms
-        data: dict[Variable, Term] = {}
-        for index, variable in enumerate(schema):
-            value = row[index]
-            if value and not variable.name.startswith(_ORD_PREFIX):
-                data[variable] = terms[value] if value < _QUERY_ID_BASE else self.term(value)
-        return Binding(data)
 
 
 def extend_schema(schema: Schema, variables: Iterable[Variable]) -> Schema:
@@ -561,7 +557,7 @@ class VecBGPOp(VecOperator):
         def keep(extended: Row) -> bool:
             return all(
                 expression_satisfied(
-                    expr, ctx.decode_expression_binding(schema_snapshot, extended)
+                    expr, ctx.decode_binding(schema_snapshot, extended)
                 )
                 for expr in filters
             )
@@ -720,7 +716,7 @@ class VecBGPOp(VecOperator):
                 for row in rows:
                     if all(
                         expression_satisfied(
-                            expr, ctx.decode_expression_binding(schema_snapshot, row)
+                            expr, ctx.decode_binding(schema_snapshot, row)
                         )
                         for expr in tail
                     ):
@@ -1016,7 +1012,7 @@ class VecLeftJoinOp(VecOperator, _OrdinalMixin):
                 for extension in buckets.get(ordinal, ()):
                     aligned = tuple(extension[index] for index in projection)
                     if expression is None or expression_satisfied(
-                        expression, ctx.decode_expression_binding(schema, aligned)
+                        expression, ctx.decode_binding(schema, aligned)
                     ):
                         matched = True
                         out.append(aligned)
@@ -1129,7 +1125,7 @@ class VecFilterOp(VecOperator):
                 row
                 for row in batch.rows
                 if all(
-                    expression_satisfied(expr, ctx.decode_expression_binding(schema, row))
+                    expression_satisfied(expr, ctx.decode_binding(schema, row))
                     for expr in expressions
                 )
             ]
@@ -1239,7 +1235,7 @@ class VecOrderByOp(VecOperator):
             rows.extend(batch.rows)
 
         def sort_key(row: Row) -> list[Any]:
-            binding = ctx.decode_expression_binding(schema, row)
+            binding = ctx.decode_binding(schema, row)
             key: list[Any] = []
             for condition in conditions:
                 try:
@@ -1319,10 +1315,13 @@ class VecSliceOp(VecOperator):
 # --------------------------------------------------------------------------- #
 @dataclass
 class QueryRunEvent:
-    """One structured per-query execution record (OpenLineage-style).
+    """The one record of a run, local or federated (OpenLineage-style).
 
-    Consumable by ``benchmarks/compare.py --events``: operator timings
-    attribute a perf regression to an operator instead of a test name.
+    Built only by :func:`build_run_event`.  ANALYZE renders it, the
+    ``REPRO_RUN_EVENTS`` sink writes it (``benchmarks/compare.py
+    --events`` digests it: operator timings attribute a perf regression
+    to an operator instead of a test name), the tracer turns its
+    operators into spans and the slow log keeps its fields.
     """
 
     query: str
@@ -1373,22 +1372,70 @@ class QueryRunEvent:
         return "\n".join(lines)
 
 
-def maybe_emit_event(event: QueryRunEvent) -> None:
-    """Append ``event`` to the JSONL file named by ``REPRO_RUN_EVENTS``.
+def build_run_event(plan: Any, query: str | Query, elapsed: float) -> QueryRunEvent:
+    """The one builder of a run's record, read off the plan's operator tree.
 
-    Delegates to the process-wide :data:`repro.obs.export.SINK`, which
-    serializes concurrent emitters (one ``write()`` per line) and caches
-    the environment lookup instead of re-reading it per event.
+    ``plan`` is an :class:`ExecPlan` or the mediator's federated plan
+    executor: anything with an ``engine`` label, a ``root`` operator
+    (``None`` when nothing ran), its ``ctx`` and ``endpoints()``.  A parsed
+    ``query`` is serialized here, so only a run whose event is built pays
+    for it.
     """
-    SINK.emit(event.to_json_dict())
+    root = plan.root
+    endpoints = plan.endpoints()
+    return QueryRunEvent(
+        query=query if isinstance(query, str) else query.serialize(),
+        engine=plan.engine,
+        elapsed=elapsed,
+        rows=0 if root is None else root.metrics.rows_out,
+        operators=[] if root is None else root.operator_stats(),
+        adaptivity=[] if root is None else list(plan.ctx.decisions),
+        endpoints=endpoints,
+        rows_shipped=sum(entry["rows_shipped"] for entry in endpoints),
+        plan="" if root is None else "\n".join(root.report_lines()),
+    )
+
+
+def finish_run(
+    plan: Any,
+    query: str | Query,
+    elapsed: float,
+    layer: str,
+    analyze: bool = False,
+) -> QueryRunEvent | None:
+    """End a run: the one place its record is built and handed out.
+
+    The event is built only when something reads it: the JSONL sink
+    (``REPRO_RUN_EVENTS``), the tracer, the slow log (``elapsed`` at or
+    over its threshold) or an explicit ``analyze``, which gets it back.
+    ``elapsed`` is the run's wall time.  Per-operator spans are synthesized
+    from the event's operator timings, so the batched hot loop carries no
+    tracing; their root lasts ``plan.elapsed``, the execution alone,
+    because planning has a span of its own (a plan that ran no operator
+    adds none).
+    """
+    tracer = get_tracer()
+    emit = SINK.enabled
+    slow = elapsed >= SLOW_LOG.threshold
+    if not (analyze or emit or tracer.enabled or slow):
+        return None
+    event = build_run_event(plan, query, elapsed)
+    if emit:
+        SINK.emit(event.to_json_dict())
+    trace_id: str | None = None
+    if tracer.enabled and event.operators:
+        trace_id = tracer.add_operator_spans(event, plan.elapsed).trace_id or None
+    if slow:
+        SLOW_LOG.record(event.to_json_dict(), layer, trace_id)
+    return event
 
 
 class ExecPlan:
     """The one plan type: a tree of batched operators for one query over
     one graph, as the planner built it.
 
-    :meth:`explain` renders the tree with its estimates; :meth:`report`
-    renders the same nodes after a run, with runtime notes and counters.
+    :meth:`explain` renders the tree with its estimates; after a run,
+    :func:`build_run_event` reads the same nodes' counters.
     """
 
     #: Engine label of run events, traces and the slow log.
@@ -1459,21 +1506,9 @@ class ExecPlan:
         header = f"plan for {form} query over graph with {len(self.ctx.graph)} triples"
         return "\n".join([header] + self.root.explain_lines())
 
-    def report(self) -> str:
-        """Per-operator rows/batches/time of the most recent execution."""
-        return "\n".join(self.root.report_lines())
-
-    def run_event(self, query_text: str | None = None) -> QueryRunEvent:
-        """The structured run event of the most recent execution."""
-        return QueryRunEvent(
-            query=query_text if query_text is not None else type(self.query).__name__,
-            engine=self.engine,
-            elapsed=self._elapsed,
-            rows=self.root.metrics.rows_out,
-            operators=self.root.operator_stats(),
-            adaptivity=list(self.ctx.decisions),
-            plan=self.report(),
-        )
+    def endpoints(self) -> list[dict[str, Any]]:
+        """Per-source traffic of the run: none, the plan reads one graph."""
+        return []
 
 
 # --------------------------------------------------------------------------- #

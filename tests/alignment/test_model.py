@@ -142,14 +142,14 @@ class TestOntologyAlignment:
         assert alignment.applies_to_source(AKT_ONT)
         assert not alignment.applies_to_source(KISTI_ONT)
         assert alignment.applies_to_target_dataset(KISTI_DATASET)
-        assert alignment.applies_to_target_ontology(KISTI_ONT)
-        assert alignment.is_dataset_specific()
+        assert KISTI_ONT in alignment.target_ontologies
+        assert alignment.target_datasets
 
     def test_ontology_scoped_alignment_is_reusable(self):
         alignment = self.make(target_datasets=[])
-        assert not alignment.is_dataset_specific()
+        assert not alignment.target_datasets
         assert not alignment.applies_to_target_dataset(KISTI_DATASET)
-        assert alignment.applies_to_target_ontology(KISTI_ONT)
+        assert KISTI_ONT in alignment.target_ontologies
 
     def test_requires_source_ontology(self):
         with pytest.raises(AlignmentError):

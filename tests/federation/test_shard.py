@@ -324,11 +324,11 @@ class TestBoundJoinRoundsOverLoopback:
 
     def test_explicit_batch_keeps_its_meaning(self, service):
         service.federation.bind_join_batch = 5
-        outcome = service.federate(self.PATH)
+        outcome, event = service.analyze(self.PATH)
         assert rows_of(outcome, "efn") == self._expected(self.PATH, "efn")
         rounds = math.ceil(self.MEMBERS / 5)
         [routed] = [
-            stats for stats in outcome.run_event.operators
+            stats for stats in event.operators
             if "keys routed by subject hash" in stats["operator"]
         ]
         assert routed["batches"] == rounds
@@ -610,7 +610,7 @@ class TestPublishedDeclaration:
         assert "unit 1 [co-located group; seed scan;" in text
         assert "unit 2 [pattern; bound join on (?b), keys routed by subject hash;" in text
         # The same labels reach EXPLAIN ANALYZE through the operator tree.
-        report = service.federate(self.PATH).run_event.plan
+        report = service.analyze(self.PATH)[1].plan
         assert "co-located group; seed scan" in report
         assert "bound join on (?b), keys routed by subject hash" in report
         # Without the declaration neither appears.

@@ -5,34 +5,34 @@ import json
 from repro.obs.slowlog import SLOWLOG_ENV, SlowQueryLog
 
 
+def run(query, elapsed, **fields):
+    """A run's fields as the finishing function and the HTTP layer offer them."""
+    return {"query": query, "elapsed": elapsed, "engine": "planner", "plan": None, **fields}
+
+
 class TestThreshold:
     def test_fast_queries_are_not_retained(self):
         log = SlowQueryLog(threshold=0.5)
-        assert log.record("SELECT 1", elapsed=0.1) is None
+        assert log.record(run("SELECT 1", 0.1), "http") is None
         assert log.entries() == []
 
     def test_slow_queries_are_retained_with_context(self):
         log = SlowQueryLog(threshold=0.5)
         entry = log.record(
-            "SELECT * WHERE { ?s ?p ?o }",
-            elapsed=0.9,
-            engine="planner",
-            layer="http",
+            run("SELECT * WHERE { ?s ?p ?o }", 0.9, plan="Project\n  BGPScan"),
+            "evaluator",
             trace_id="ab" * 16,
-            plan="Project\n  BGPScan",
         )
         assert entry is not None
-        assert entry.elapsed == 0.9
-        assert entry.trace_id == "ab" * 16
-        assert entry.plan.startswith("Project")
-
-    def test_per_call_threshold_override(self):
-        log = SlowQueryLog(threshold=10.0)
-        assert log.record("q", elapsed=0.2, threshold=0.1) is not None
+        assert entry["elapsed"] == 0.9
+        assert entry["layer"] == "evaluator"
+        assert entry["trace_id"] == "ab" * 16
+        assert entry["threshold"] == 0.5
+        assert entry["plan"].startswith("Project")
 
     def test_zero_threshold_captures_everything(self):
         log = SlowQueryLog(threshold=0.0)
-        assert log.record("q", elapsed=0.0) is not None
+        assert log.record(run("q", 0.0), "http") is not None
 
     def test_threshold_from_environment(self, monkeypatch):
         monkeypatch.setenv(SLOWLOG_ENV, "0.25")
@@ -47,24 +47,28 @@ class TestRing:
     def test_capacity_keeps_newest_entries(self):
         log = SlowQueryLog(threshold=0.0, capacity=3)
         for index in range(6):
-            log.record(f"q{index}", elapsed=1.0)
-        assert [entry.query for entry in log.entries()] == ["q3", "q4", "q5"]
+            log.record(run(f"q{index}", 1.0), "http")
+        assert [entry["query"] for entry in log.entries()] == ["q3", "q4", "q5"]
         # Sequence numbers keep counting past evictions.
-        assert [entry.sequence for entry in log.entries()] == [4, 5, 6]
+        assert [entry["sequence"] for entry in log.entries()] == [4, 5, 6]
 
     def test_as_dict_is_json_ready(self):
         log = SlowQueryLog(threshold=0.0, capacity=2)
-        log.record("q", elapsed=1.5, engine="planner", rows=7)
+        log.record(run("q", 1.5, rows=7), "evaluator")
         payload = log.as_dict()
         json.dumps(payload)  # must not raise
         assert payload["threshold"] == 0.0
         assert payload["recorded"] == 1
         [entry] = payload["entries"]
         assert entry["query"] == "q"
-        assert entry["rows"] == 7  # extra kwargs ride along
+        assert entry["rows"] == 7  # the run's other fields ride along
+        assert set(entry) == {
+            "query", "elapsed", "engine", "plan", "rows",
+            "layer", "trace_id", "threshold", "sequence",
+        }
 
     def test_clear(self):
         log = SlowQueryLog(threshold=0.0)
-        log.record("q", elapsed=1.0)
+        log.record(run("q", 1.0), "http")
         log.clear()
         assert log.entries() == []

@@ -14,6 +14,7 @@ from repro.obs.trace import (
     format_traceparent,
     parse_traceparent,
 )
+from repro.sparql.exec import QueryRunEvent
 
 
 @pytest.fixture()
@@ -139,15 +140,21 @@ class TestDisabledMode:
 
 
 class TestOperatorSpans:
-    STATS = [
-        {"depth": 0, "operator": "Project (?s)", "span": "exec.project",
-         "seconds": 0.004, "rows_in": 5, "rows_out": 5, "batches": 1},
-        {"depth": 1, "operator": "BGPScan", "span": "exec.bgp_scan",
-         "seconds": 0.003, "rows_in": 0, "rows_out": 5, "batches": 1},
-    ]
+    EVENT = QueryRunEvent(
+        query="SelectQuery",
+        engine="planner",
+        elapsed=0.005,
+        rows=5,
+        operators=[
+            {"depth": 0, "operator": "Project (?s)", "span": "exec.project",
+             "seconds": 0.004, "rows_in": 5, "rows_out": 5, "batches": 1},
+            {"depth": 1, "operator": "BGPScan", "span": "exec.bgp_scan",
+             "seconds": 0.003, "rows_in": 0, "rows_out": 5, "batches": 1},
+        ],
+    )
 
     def test_synthesized_tree_nests_by_depth(self, tracer):
-        root = tracer.add_operator_spans(self.STATS, "planner", 0.005)
+        root = tracer.add_operator_spans(self.EVENT, 0.005)
         spans = {span.name: span for span in tracer.finished_spans()}
         assert set(spans) == {"exec.query", "exec.project", "exec.bgp_scan"}
         assert spans["exec.project"].parent_id == root.span_id
@@ -155,7 +162,7 @@ class TestOperatorSpans:
         assert all(span.trace_id == root.trace_id for span in spans.values())
 
     def test_durations_come_from_the_stats(self, tracer):
-        tracer.add_operator_spans(self.STATS, "planner", 0.005)
+        tracer.add_operator_spans(self.EVENT, 0.005)
         spans = {span.name: span for span in tracer.finished_spans()}
         # The root finishes a hair after the anchor time; allow that skew.
         assert spans["exec.query"].duration == pytest.approx(0.005, abs=0.05)
@@ -166,7 +173,7 @@ class TestOperatorSpans:
 
     def test_disabled_synthesis_is_noop(self):
         tracer = Tracer(enabled=False)
-        assert tracer.add_operator_spans(self.STATS, "planner", 0.005) is NOOP_SPAN
+        assert tracer.add_operator_spans(self.EVENT, 0.005) is NOOP_SPAN
         assert tracer.finished_spans() == []
 
 

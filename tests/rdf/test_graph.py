@@ -126,18 +126,15 @@ class TestProjections:
         objects = set(sample_graph.objects(uri("paper1"), uri("author")))
         assert sample_graph.value(uri("paper1"), uri("author")) in objects
 
-    def test_subjects_of_type(self, sample_graph):
-        assert set(sample_graph.subjects_of_type(uri("Paper"))) == {uri("paper1")}
-
 
 class TestStatistics:
     def test_predicate_histogram(self, sample_graph):
-        histogram = sample_graph.predicate_histogram()
+        histogram = sample_graph.stats.predicate_counts
         assert histogram[uri("author")] == 2
         assert histogram[RDF.type] == 3
 
     def test_class_histogram(self, sample_graph):
-        histogram = sample_graph.class_histogram()
+        histogram = sample_graph.stats.class_counts
         assert histogram[uri("Person")] == 2
         assert histogram[uri("Paper")] == 1
 

@@ -81,10 +81,10 @@ def test_invalid_positions_match_nothing(graph: Graph) -> None:
 
 
 def test_histograms_come_from_statistics(graph: Graph) -> None:
-    assert graph.predicate_histogram() == {
+    assert dict(graph.stats.predicate_counts) == {
         RDF.type: 3, u("knows"): 2, u("name"): 1,
     }
-    assert graph.class_histogram() == {u("Person"): 2, u("Robot"): 1}
+    assert dict(graph.stats.class_counts) == {u("Person"): 2, u("Robot"): 1}
 
 
 def test_readonly_view_forwards_cardinality(graph: Graph) -> None:

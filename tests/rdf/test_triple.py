@@ -61,7 +61,6 @@ class TestTripleBehaviour:
         triple = Triple(Variable("x"), uri("p"), BNode("b"))
         assert triple.variables() == {Variable("x")}
         assert triple.bnodes() == {BNode("b")}
-        assert triple.variable_like_terms() == {Variable("x"), BNode("b")}
 
     def test_map_terms(self):
         triple = Triple(Variable("x"), uri("p"), Variable("y"))
@@ -70,7 +69,9 @@ class TestTripleBehaviour:
 
     def test_bnodes_as_variables(self):
         triple = Triple(BNode("p1"), uri("p"), BNode("a1"))
-        converted = triple.bnodes_as_variables()
+        converted = triple.map_terms(
+            lambda term: term.to_variable() if isinstance(term, BNode) else term
+        )
         assert converted == Triple(Variable("p1"), uri("p"), Variable("a1"))
 
     def test_n3_and_str(self):

@@ -8,9 +8,22 @@ import urllib.request
 
 import pytest
 
-from repro.federation import EndpointTimeout, LocalSparqlEndpoint
+from repro.federation import (
+    EndpointError,
+    EndpointTimeout,
+    EndpointUnavailable,
+    LocalSparqlEndpoint,
+)
 from repro.rdf import URIRef
-from repro.server import EndpointBackend, FederationBackend, QueryBackend, SparqlHttpServer
+from repro.server import (
+    BadQuery,
+    EndpointBackend,
+    FederationBackend,
+    QueryBackend,
+    RejectedQuery,
+    SparqlHttpServer,
+)
+from repro.sparql import TermSerializationError
 from repro.sparql.formats import parse_results
 from repro.turtle import parse_graph
 
@@ -427,6 +440,48 @@ class TestReviewRegressions:
         )])
         second = json.loads(_get(server, SELECT)[2])
         assert len(second["results"]["bindings"]) == 3
+
+
+class _RaisingBackend(QueryBackend):
+    """Both query resources fail the same way."""
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+
+    def execute(self, query_text):
+        raise self.error
+
+    def analyze(self, query_text):
+        raise self.error
+
+
+BACKEND_ERRORS = [
+    (RejectedQuery("rejected by analysis", []), 400, None),
+    (BadQuery("malformed query"), 400, "malformed query"),
+    (EndpointTimeout("upstream took too long"), 504, "upstream took too long"),
+    (EndpointUnavailable("upstream is down"), 503, "upstream is down"),
+    (EndpointError("unparseable upstream document"), 502, "unparseable upstream document"),
+    (TermSerializationError("variable leaked into a result"), 500,
+     "variable leaked into a result"),
+    (RuntimeError("boom"), 500, "internal error: RuntimeError: boom"),
+]
+
+
+@pytest.mark.parametrize("path", ["/sparql", "/analyze"])
+@pytest.mark.parametrize(
+    "error, status, message", BACKEND_ERRORS,
+    ids=[type(error).__name__ for error, _, _ in BACKEND_ERRORS],
+)
+def test_backend_errors_map_to_the_same_status_on_every_resource(path, error, status, message):
+    with SparqlHttpServer(_RaisingBackend(error)) as server:
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(server, SELECT, path=path)
+        body = excinfo.value.read().decode()
+    assert excinfo.value.code == status
+    if message is None:  # strict mode ships its diagnostics as JSON
+        assert json.loads(body) == {"error": "rejected by analysis", "diagnostics": []}
+    else:
+        assert body == message + "\n"
 
 
 class TestAnalyzeRoute:

@@ -207,7 +207,7 @@ class TestAdaptivity:
         """)
         plan = QueryPlanner(graph).plan(query)
         list(plan.execute())
-        event = plan.run_event("q")
+        event = executor.build_run_event(plan, "q", plan.elapsed)
         assert event.adaptivity == plan.ctx.decisions
 
     def test_evaluator_answers_without_adaptivity(self, monkeypatch):

@@ -443,6 +443,96 @@ def test_inv014_scope():
     assert _thread_findings("tools/seeded.py") == []
 
 
+SEEDED_RUN_RECORD = """\
+def build_run_event(plan, query, elapsed):
+    return QueryRunEvent(query, plan.engine, elapsed, 0)
+
+def finish_run(plan, query, elapsed, layer):
+    event = build_run_event(plan, query, elapsed)
+    SINK.emit(event.to_json_dict())
+    get_tracer().add_operator_spans(event, plan.elapsed)
+    SLOW_LOG.record(event.to_json_dict(), layer)
+
+def _record(span):
+    SINK.emit(span.to_json_dict())
+
+def _answer_query(query_text, elapsed):
+    SLOW_LOG.record({"query": query_text, "elapsed": elapsed}, "http")
+
+def run_event(plan):
+    event = exec.QueryRunEvent(plan.query, plan.engine, plan.elapsed, 0)
+    SINK.emit(event.to_json_dict())
+    tracer.add_operator_spans(event, plan.elapsed)
+    SLOW_LOG.record(event.to_json_dict(), "federation")
+    log.record(event)
+    return event
+"""
+
+
+def _run_record_findings(relative: str) -> list[str]:
+    path = REPO_ROOT / relative
+    return [
+        finding.render()
+        for finding in lints.check_one_run_record(ast.parse(SEEDED_RUN_RECORD), path)
+    ]
+
+
+def _run_record_message(call: str, remedy: str = "end the run with finish_run") -> str:
+    return (
+        f"[INV015] {call}() outside the one run record's builder and finishing "
+        f"function: {remedy} (sparql/exec.py)"
+    )
+
+
+def test_inv015_reports_run_records_built_or_routed_outside_the_one_path():
+    # Outside exec.py nothing may build or route a run's record, inside the
+    # builder and the finishing function included.
+    path = "src/repro/federation/decompose.py"
+    assert _run_record_findings(path) == [
+        f"{path}:2: {_run_record_message('QueryRunEvent', 'build the event with build_run_event')}",
+        f"{path}:6: {_run_record_message('SINK.emit')}",
+        f"{path}:7: {_run_record_message('add_operator_spans')}",
+        f"{path}:8: {_run_record_message('SLOW_LOG.record')}",
+        f"{path}:11: {_run_record_message('SINK.emit')}",
+        f"{path}:14: {_run_record_message('SLOW_LOG.record')}",
+        f"{path}:17: {_run_record_message('QueryRunEvent', 'build the event with build_run_event')}",
+        f"{path}:18: {_run_record_message('SINK.emit')}",
+        f"{path}:19: {_run_record_message('add_operator_spans')}",
+        f"{path}:20: {_run_record_message('SLOW_LOG.record')}",
+    ]
+
+
+def test_inv015_scope():
+    # exec.py: only the builder constructs, only finish_run routes.
+    path = "src/repro/sparql/exec.py"
+    assert _run_record_findings(path) == [
+        f"{path}:11: {_run_record_message('SINK.emit')}",
+        f"{path}:14: {_run_record_message('SLOW_LOG.record')}",
+        f"{path}:17: {_run_record_message('QueryRunEvent', 'build the event with build_run_event')}",
+        f"{path}:18: {_run_record_message('SINK.emit')}",
+        f"{path}:19: {_run_record_message('add_operator_spans')}",
+        f"{path}:20: {_run_record_message('SLOW_LOG.record')}",
+    ]
+    # The tracer exports its spans; the HTTP server logs its own request.
+    assert [line.split(": ")[0] for line in _run_record_findings("src/repro/obs/trace.py")] == [
+        "src/repro/obs/trace.py:2", "src/repro/obs/trace.py:6",
+        "src/repro/obs/trace.py:7", "src/repro/obs/trace.py:8",
+        "src/repro/obs/trace.py:14",
+        "src/repro/obs/trace.py:17", "src/repro/obs/trace.py:18",
+        "src/repro/obs/trace.py:19", "src/repro/obs/trace.py:20",
+    ]
+    assert [line.split(": ")[0] for line in _run_record_findings("src/repro/server/http.py")] == [
+        "src/repro/server/http.py:2", "src/repro/server/http.py:6",
+        "src/repro/server/http.py:7", "src/repro/server/http.py:8",
+        "src/repro/server/http.py:11",
+        "src/repro/server/http.py:17", "src/repro/server/http.py:18",
+        "src/repro/server/http.py:19", "src/repro/server/http.py:20",
+    ]
+    # Tests and tools build events of their own.
+    assert _run_record_findings("tests/obs/seeded.py") == []
+    assert _run_record_findings("tools/seeded.py") == []
+
+
 SEEDED_PACKAGE = {
     "src/repro/__init__.py": "from .api import build\n\n__all__ = [\"build\"]\n",
     "src/repro/api.py": (

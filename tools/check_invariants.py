@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant lints, run as a hard CI gate.
 
-Fourteen structural invariants that ordinary linters do not express, checked
+Fifteen structural invariants that ordinary linters do not express, checked
 with nothing but the stdlib ``ast`` module:
 
 1. **Hot-loop allocation ban** — inside the batched executor
@@ -105,6 +105,16 @@ with nothing but the stdlib ``ast`` module:
     and an endpoint enforces an attempt's time budget itself (``select``/
     ``ask`` take ``timeout=``); a thread started to wait on a call would
     be abandoned, still running, when its budget fired.
+
+15. **One run record** — under ``src/repro/``, ``QueryRunEvent(...)`` is
+    constructed only in ``build_run_event``, and ``SINK.emit``,
+    ``add_operator_spans`` and ``SLOW_LOG.record`` are called only in
+    ``finish_run`` (both in ``sparql/exec.py``).  The exceptions are
+    ``Tracer._record``, which exports spans, and the HTTP server's
+    ``_answer_query``, which logs its own request.  Every executed plan,
+    local or federated, ends in that one function, which builds the event
+    only when ANALYZE, the JSONL sink, the tracer or the slow log reads it;
+    a second path would build or route its own copy of the record.
 
 Exit status is non-zero when any violation is found.  Findings are printed
 one per line as ``path:line: [INVxxx] message`` so CI logs read like
@@ -661,6 +671,65 @@ def check_no_federation_threads(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
+# INV015 — one run record
+# --------------------------------------------------------------------------- #
+
+TRACE_PATH = SRC_PACKAGE / "obs" / "trace.py"
+HTTP_SERVER_PATH = SRC_PACKAGE / "server" / "http.py"
+
+#: Call -> the (file, function) pairs that may make it.  ``SINK.emit`` in
+#: ``Tracer._record`` exports spans, and the HTTP server offers the slow log
+#: its own request entry; everything else about a run goes through the one
+#: builder and the one finishing function.
+RUN_RECORD_CALLS = {
+    "QueryRunEvent": ({(EXEC_PATH, "build_run_event")},
+                      "build the event with build_run_event"),
+    "SINK.emit": ({(EXEC_PATH, "finish_run"), (TRACE_PATH, "_record")},
+                  "end the run with finish_run"),
+    "add_operator_spans": ({(EXEC_PATH, "finish_run")},
+                           "end the run with finish_run"),
+    "SLOW_LOG.record": ({(EXEC_PATH, "finish_run"), (HTTP_SERVER_PATH, "_answer_query")},
+                        "end the run with finish_run"),
+}
+
+
+def _run_record_call(node: ast.Call) -> str | None:
+    """The :data:`RUN_RECORD_CALLS` key ``node`` makes, if any."""
+    func = node.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        dotted = f"{func.value.id}.{func.attr}"
+        if dotted in RUN_RECORD_CALLS:
+            return dotted
+    name = _called_name(node)
+    return name if name in RUN_RECORD_CALLS else None
+
+
+def check_one_run_record(tree: ast.Module, path: Path) -> list[Finding]:
+    if SRC_PACKAGE not in path.parents:
+        return []
+    findings: list[Finding] = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            call = _run_record_call(node)
+            if call is not None:
+                allowed, remedy = RUN_RECORD_CALLS[call]
+                if (path, function) not in allowed:
+                    findings.append(Finding(
+                        path, node.lineno, "INV015",
+                        f"{call}() outside the one run record's builder and finishing "
+                        f"function: {remedy} (sparql/exec.py)",
+                    ))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return sorted(findings, key=lambda finding: finding.line)
+
+
+# --------------------------------------------------------------------------- #
 # INV009 — no public symbol or knob that only tests reach
 # --------------------------------------------------------------------------- #
 
@@ -723,6 +792,7 @@ def main() -> int:
             findings.extend(check_one_operator_tree(tree, path))
             findings.extend(check_graph_contract(tree, path))
             findings.extend(check_no_federation_threads(tree, path))
+            findings.extend(check_one_run_record(tree, path))
             if path == EXEC_PATH:
                 findings.extend(check_hot_loops(tree, path))
     findings.extend(check_reachability())

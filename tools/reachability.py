@@ -177,7 +177,6 @@ ALLOWLIST: dict[str, tuple[str, ...]] = {
         "repro.obs.metrics:MetricsRegistry.histogram(buckets)",
         "repro.obs.slowlog:SlowQueryLog(capacity)",
         "repro.obs.slowlog:SlowQueryLog(threshold)",
-        "repro.obs.slowlog:SlowQueryLog.record(threshold)",
         "repro.obs.trace:Tracer(capacity)",
     ),
 }
