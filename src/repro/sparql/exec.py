@@ -190,7 +190,7 @@ class ExecContext:
 
     __slots__ = (
         "graph", "dictionary", "decisions",
-        "_query_ids", "_query_terms", "_ordinals",
+        "_query_ids", "_query_terms", "_ordinals", "_columns",
     )
 
     def __init__(self, graph: Graph | GraphView) -> None:
@@ -201,6 +201,10 @@ class ExecContext:
         self._query_ids: dict[Term, int] = {}
         self._query_terms: list[Term] = []
         self._ordinals = 0
+        #: ``(schema, its external columns)`` of the last decoded row: rows
+        #: arrive in runs that share one schema tuple, so an identity test
+        #: spares the per-row hash of the schema's variables.
+        self._columns: tuple[Schema, tuple[tuple[int, Variable], ...]] = ((), ())
 
     def fresh_ordinal(self) -> Variable:
         """A new ordinal column for an OPTIONAL/UNION sub-plan's rows."""
@@ -234,9 +238,12 @@ class ExecContext:
     def decode_binding(self, schema: Schema, row: Row) -> Binding:
         """Decode a row into a :class:`Binding`, dropping internal columns
         (result rows and the rows FILTER and ORDER BY expressions read)."""
+        columns = self._columns
+        if columns[0] is not schema:
+            columns = self._columns = (schema, _external_columns(schema))
         terms = self.dictionary.terms
         data: dict[Variable, Term] = {}
-        for index, variable in _external_columns(schema):
+        for index, variable in columns[1]:
             value = row[index]
             if value:
                 data[variable] = terms[value] if value < _QUERY_ID_BASE else self.term(value)
