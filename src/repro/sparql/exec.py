@@ -250,7 +250,6 @@ class ExecContext:
         return Binding(data)
 
 
-
 def extend_schema(schema: Schema, variables: Iterable[Variable]) -> Schema:
     """``schema`` plus the unseen ``variables`` in first-occurrence order."""
     existing = set(schema)
