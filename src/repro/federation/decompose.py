@@ -101,6 +101,7 @@ from ..sparql.exec import (
     VecProjectOp,
     VecSliceOp,
     extend_schema,
+    external_columns,
     seed_batches,
 )
 from .endpoint import EndpointError
@@ -1307,8 +1308,9 @@ class _PlanExecutor:
         started = time.perf_counter()
         merged: list[Binding] = []
         for batch in root.execute(seed_batches()):
+            columns = external_columns(batch.schema)
             for row in batch.rows:
-                merged.append(ctx.decode_binding(batch.schema, row))
+                merged.append(ctx.decode_binding(columns, row))
         self.elapsed = time.perf_counter() - started
         return merged
 

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain as _iter_chain, islice
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
@@ -110,6 +109,8 @@ _ORD_PREFIX = "__ord_"
 
 Row = tuple[int, ...]
 Schema = tuple[Variable, ...]
+#: The result-visible ``(index, variable)`` columns of a schema.
+Columns = tuple[tuple[int, Variable], ...]
 
 
 def _is_internal(variable: Variable) -> bool:
@@ -118,13 +119,11 @@ def _is_internal(variable: Variable) -> bool:
     return name.startswith(BNODE_ANCHOR_PREFIX) or name.startswith(_ORD_PREFIX)
 
 
-@lru_cache(maxsize=512)
-def _external_columns(schema: Schema) -> tuple[tuple[int, Variable], ...]:
+def external_columns(schema: Schema) -> Columns:
     """``(index, variable)`` pairs of the result-visible schema columns.
 
-    Schemas are small interned tuples reused across every row of a query,
-    so classifying their columns once keeps the per-row decode loop free
-    of string-prefix checks.
+    A schema is fixed per operator (per batch at the plan's edge), so a
+    decoding site classifies its columns once, not per row.
     """
     return tuple(
         (index, variable)
@@ -190,7 +189,7 @@ class ExecContext:
 
     __slots__ = (
         "graph", "dictionary", "decisions",
-        "_query_ids", "_query_terms", "_ordinals", "_columns",
+        "_query_ids", "_query_terms", "_ordinals",
     )
 
     def __init__(self, graph: Graph | GraphView) -> None:
@@ -201,10 +200,6 @@ class ExecContext:
         self._query_ids: dict[Term, int] = {}
         self._query_terms: list[Term] = []
         self._ordinals = 0
-        #: ``(schema, its external columns)`` of the last decoded row: rows
-        #: arrive in runs that share one schema tuple, so an identity test
-        #: spares the per-row hash of the schema's variables.
-        self._columns: tuple[Schema, tuple[tuple[int, Variable], ...]] = ((), ())
 
     def fresh_ordinal(self) -> Variable:
         """A new ordinal column for an OPTIONAL/UNION sub-plan's rows."""
@@ -235,15 +230,13 @@ class ExecContext:
             return self.dictionary.terms[value]
         return self._query_terms[value - _QUERY_ID_BASE]
 
-    def decode_binding(self, schema: Schema, row: Row) -> Binding:
-        """Decode a row into a :class:`Binding`, dropping internal columns
-        (result rows and the rows FILTER and ORDER BY expressions read)."""
-        columns = self._columns
-        if columns[0] is not schema:
-            columns = self._columns = (schema, _external_columns(schema))
+    def decode_binding(self, columns: Columns, row: Row) -> Binding:
+        """Decode a row into a :class:`Binding` of its ``columns`` (the
+        :func:`external_columns` of its schema): result rows and the rows
+        FILTER and ORDER BY expressions read."""
         terms = self.dictionary.terms
         data: dict[Variable, Term] = {}
-        for index, variable in columns[1]:
+        for index, variable in columns:
             value = row[index]
             if value:
                 data[variable] = terms[value] if value < _QUERY_ID_BASE else self.term(value)
@@ -558,13 +551,11 @@ class VecBGPOp(VecOperator):
         ]
 
         filters = step.filters
-        schema_snapshot = tuple(layout)
+        columns = external_columns(tuple(layout))
 
         def keep(extended: Row) -> bool:
             return all(
-                expression_satisfied(
-                    expr, ctx.decode_binding(schema_snapshot, extended)
-                )
+                expression_satisfied(expr, ctx.decode_binding(columns, extended))
                 for expr in filters
             )
 
@@ -715,15 +706,13 @@ class VecBGPOp(VecOperator):
 
         if self.tail_filters:
             ctx = self.ctx
-            schema_snapshot = tuple(layout)
+            columns = external_columns(tuple(layout))
             tail = self.tail_filters
 
             def filtered(rows: Iterator[Row]) -> Iterator[Row]:
                 for row in rows:
                     if all(
-                        expression_satisfied(
-                            expr, ctx.decode_binding(schema_snapshot, row)
-                        )
+                        expression_satisfied(expr, ctx.decode_binding(columns, row))
                         for expr in tail
                     ):
                         yield row
@@ -1007,6 +996,7 @@ class VecLeftJoinOp(VecOperator, _OrdinalMixin):
         ctx = self.ctx
         expression = self._expression
         schema = self.schema
+        columns = external_columns(schema)
         projection = self._projection
         pad = (UNBOUND,) * self._pad
         for batch in self._left.execute(batches):
@@ -1018,7 +1008,7 @@ class VecLeftJoinOp(VecOperator, _OrdinalMixin):
                 for extension in buckets.get(ordinal, ()):
                     aligned = tuple(extension[index] for index in projection)
                     if expression is None or expression_satisfied(
-                        expression, ctx.decode_binding(schema, aligned)
+                        expression, ctx.decode_binding(columns, aligned)
                     ):
                         matched = True
                         out.append(aligned)
@@ -1126,12 +1116,13 @@ class VecFilterOp(VecOperator):
         ctx = self.ctx
         expressions = self._expressions
         schema = self.schema
+        columns = external_columns(schema)
         for batch in self._child.execute(batches):
             rows = [
                 row
                 for row in batch.rows
                 if all(
-                    expression_satisfied(expr, ctx.decode_binding(schema, row))
+                    expression_satisfied(expr, ctx.decode_binding(columns, row))
                     for expr in expressions
                 )
             ]
@@ -1236,12 +1227,13 @@ class VecOrderByOp(VecOperator):
         ctx = self.ctx
         conditions = self._conditions
         schema = self.schema
+        columns = external_columns(schema)
         rows: list[Row] = []
         for batch in self._child.execute(batches):
             rows.extend(batch.rows)
 
         def sort_key(row: Row) -> list[Any]:
-            binding = ctx.decode_binding(schema, row)
+            binding = ctx.decode_binding(columns, row)
             key: list[Any] = []
             for condition in conditions:
                 try:
@@ -1327,7 +1319,8 @@ class QueryRunEvent:
     ``REPRO_RUN_EVENTS`` sink writes it (``benchmarks/compare.py
     --events`` digests it: operator timings attribute a perf regression
     to an operator instead of a test name), the tracer turns its
-    operators into spans and the slow log keeps its fields.
+    operators into spans and the slow log keeps its query, engine,
+    elapsed time and plan.
     """
 
     query: str
@@ -1432,7 +1425,12 @@ def finish_run(
     if tracer.enabled and event.operators:
         trace_id = tracer.add_operator_spans(event, plan.elapsed).trace_id or None
     if slow:
-        SLOW_LOG.record(event.to_json_dict(), layer, trace_id)
+        SLOW_LOG.record(
+            {"query": event.query, "elapsed": event.elapsed,
+             "engine": event.engine, "plan": event.plan},
+            layer,
+            trace_id,
+        )
     return event
 
 
@@ -1466,9 +1464,9 @@ class ExecPlan:
         """Stream decoded solutions (CONSTRUCT templates and ASK)."""
         ctx = self.ctx
         for batch in self.execute():
-            schema = batch.schema
+            columns = external_columns(batch.schema)
             for row in batch.rows:
-                yield ctx.decode_binding(schema, row)
+                yield ctx.decode_binding(columns, row)
 
     def term_rows(self, variables: Sequence[Variable]) -> list[tuple[Term | None, ...]]:
         """The SELECT decode boundary: every surviving row, decoded once

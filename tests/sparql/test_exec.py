@@ -179,7 +179,9 @@ class TestAdaptivity:
             ctx = ExecContext(graph)
             op = VecBGPOp(ctx, (), _lying_steps(), [])
             decoded = sorted(
-                tuple(sorted(ctx.decode_binding(batch.schema, row).as_dict().items()))
+                tuple(sorted(ctx.decode_binding(
+                    executor.external_columns(batch.schema), row
+                ).as_dict().items()))
                 for batch in op.execute(seed_batches())
                 for row in batch.rows
             )
