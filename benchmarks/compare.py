@@ -121,8 +121,21 @@ def load_events(path: Path) -> list:
 
 
 def summarize_events(path: Path, top: int = 12) -> None:
-    """Print the per-operator time attribution digest for a run-events file."""
+    """Print the per-operator time attribution digest for a run-events file.
+
+    A federated event (one with ``endpoints``) spans the local events of
+    any in-process endpoints it ran on, so local and federated runs are
+    digested apart: one total over both would count the nested time twice.
+    """
     events = load_events(path)
+    print(f"\nrun-event digest from {path}:")
+    for label, federated in (("local", False), ("federated", True)):
+        group = [event for event in events if bool(event.get("endpoints")) is federated]
+        if group:
+            _digest_events(label, group, top)
+
+
+def _digest_events(label: str, events: list[dict], top: int) -> None:
     per_engine: dict[str, int] = {}
     operator_seconds: dict[str, float] = {}
     operator_rows: dict[str, int] = {}
@@ -147,8 +160,7 @@ def summarize_events(path: Path, top: int = 12) -> None:
                 entry.get("rows_shipped", 0)
             )
     engines = ", ".join(f"{name} x{count}" for name, count in sorted(per_engine.items()))
-    print(f"\nrun-event digest from {path}:")
-    print(f"  {len(events)} queries ({engines}); {total_rows} rows in "
+    print(f"  {label}: {len(events)} queries ({engines}); {total_rows} rows in "
           f"{total_elapsed * 1000:.1f} ms; {reorders} adaptive reorder(s)")
     ranked = sorted(operator_seconds.items(), key=lambda item: -item[1])
     if ranked:

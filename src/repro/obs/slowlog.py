@@ -1,13 +1,13 @@
 """A threshold-triggered ring buffer of recent slow queries.
 
 A run's finishing function (:func:`repro.sparql.exec.finish_run`, shared
-by the evaluator and the federated plan executor) offers the run's
-:class:`~repro.sparql.exec.QueryRunEvent` fields, and the HTTP server
+by the evaluator and the federated plan executor) offers fields of the
+run's :class:`~repro.sparql.exec.QueryRunEvent`, and the HTTP server
 offers the request's query text, elapsed seconds and backend; entries
 crossing the threshold are retained as plain dicts in a bounded ring,
-newest last.  An entry is what it was offered plus ``layer``,
-``trace_id``, ``threshold`` and ``sequence``: a run's entry carries its
-plan, rows, operators and endpoints, the HTTP entry has ``plan`` None.
+newest last.  An entry is what it was offered (``query``, ``elapsed``,
+``engine``, ``plan``) plus ``layer``, ``trace_id``, ``threshold`` and
+``sequence``; the HTTP entry has ``plan`` None.
 The default threshold comes from ``REPRO_SLOWLOG_SECONDS`` (read once at
 construction); ``0`` captures everything, unset uses a serving-oriented
 default of 0.75s.

@@ -114,4 +114,6 @@ def test_a_slow_federated_run_lands_in_the_slow_log_with_its_plan(service, quiet
     assert entry["query"] == JOIN_QUERY
     assert entry["threshold"] == 0.0
     assert "Unit" in entry["plan"] and "BindJoin" in entry["plan"]
-    assert len(entry["endpoints"]) == 2
+    # Each unit's line names its source; the counters stay in the event.
+    assert f"{EX}dataset-0" in entry["plan"] and f"{EX}dataset-1" in entry["plan"]
+    assert "endpoints" not in entry and "operators" not in entry

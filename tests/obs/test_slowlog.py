@@ -2,7 +2,15 @@
 
 import json
 
-from repro.obs.slowlog import SLOWLOG_ENV, SlowQueryLog
+from repro.obs.slowlog import SLOW_LOG, SLOWLOG_ENV, SlowQueryLog
+from repro.rdf import Graph, Literal, Triple, URIRef
+from repro.sparql import QueryEvaluator
+
+#: The keys of every entry, as the ``/metrics`` "slowlog" JSON shows them.
+ENTRY_KEYS = {
+    "query", "elapsed", "engine", "plan",
+    "layer", "trace_id", "threshold", "sequence",
+}
 
 
 def run(query, elapsed, **fields):
@@ -54,18 +62,32 @@ class TestRing:
 
     def test_as_dict_is_json_ready(self):
         log = SlowQueryLog(threshold=0.0, capacity=2)
-        log.record(run("q", 1.5, rows=7), "evaluator")
+        log.record(run("q", 1.5), "evaluator")
         payload = log.as_dict()
         json.dumps(payload)  # must not raise
         assert payload["threshold"] == 0.0
         assert payload["recorded"] == 1
         [entry] = payload["entries"]
         assert entry["query"] == "q"
-        assert entry["rows"] == 7  # the run's other fields ride along
-        assert set(entry) == {
-            "query", "elapsed", "engine", "plan", "rows",
-            "layer", "trace_id", "threshold", "sequence",
-        }
+        assert set(entry) == ENTRY_KEYS
+
+
+def test_an_evaluator_run_offers_the_entry_shape(monkeypatch):
+    """What the finishing function offers, not a hand-built dict: a run's
+    operators, rows and endpoints stay in its event, out of the ring."""
+    graph = Graph()
+    graph.add(Triple(URIRef("http://x/s"), URIRef("http://x/p"), Literal("o")))
+    monkeypatch.setattr(SLOW_LOG, "threshold", 0.0)
+    SLOW_LOG.clear()
+    try:
+        QueryEvaluator(graph).select("SELECT ?s WHERE { ?s <http://x/p> ?o }")
+        [entry] = SLOW_LOG.entries()
+    finally:
+        SLOW_LOG.clear()
+    assert set(entry) == ENTRY_KEYS
+    assert entry["layer"] == "evaluator"
+    assert entry["engine"] == "planner"
+    assert "Scan" in entry["plan"]
 
     def test_clear(self):
         log = SlowQueryLog(threshold=0.0)
