@@ -28,6 +28,7 @@ from repro.federation import (
     MediatorService,
 )
 from repro.rdf import Graph, Triple, URIRef
+from tests.federation.workers import one_worker
 
 from .conftest import report
 
@@ -66,7 +67,9 @@ def _build_federation(n_endpoints: int, latency: float = LATENCY) -> MediatorSer
                 name=f"endpoint-{index}", latency=latency,
             ),
         )
-    return MediatorService(AlignmentStore(), registry, SameAsService(), max_workers=8)
+    service = MediatorService(AlignmentStore(), registry, SameAsService())
+    service.federation.max_workers = 8
+    return service
 
 
 def test_bench_e7b_parallel_speedup(benchmark):
@@ -76,8 +79,9 @@ def test_bench_e7b_parallel_speedup(benchmark):
         rows = []
         for n_endpoints in (1, 2, 4, 8):
             service = _build_federation(n_endpoints)
-            sequential = service.federate(QUERY, parallel=False)
-            parallel = service.federate(QUERY, parallel=True)
+            with one_worker(service):
+                sequential = service.federate(QUERY)
+            parallel = service.federate(QUERY)
             assert sequential.merged().to_table() == parallel.merged().to_table()
             speedup = sequential.elapsed / max(parallel.elapsed, 1e-9)
             rows.append((n_endpoints, len(parallel.merged()),
@@ -108,13 +112,14 @@ def test_bench_e7b_retry_resilience(benchmark):
     """Flaky endpoints (2 injected failures each) recover within retries."""
     service = _build_federation(4, latency=0.0)
     registry = service.registry
-    baseline = service.federate(QUERY, parallel=False)
+    with one_worker(service):
+        baseline = service.federate(QUERY)
     for dataset in registry:
         dataset.endpoint.fail_next(2)
         registry.set_policy(dataset.uri, ExecutionPolicy(max_retries=2, backoff=0.0))
 
     result = benchmark.pedantic(
-        lambda: service.federate(QUERY, parallel=True), rounds=1, iterations=1
+        lambda: service.federate(QUERY), rounds=1, iterations=1
     )
     rows = [
         (str(entry.dataset_uri), entry.attempts,
@@ -139,7 +144,7 @@ def test_bench_e7b_circuit_breaker_saves_calls(benchmark):
     def run_ten():
         attempts = 0
         for _ in range(10):
-            outcome = service.federate(QUERY, parallel=True)
+            outcome = service.federate(QUERY)
             entry = next(e for e in outcome.per_dataset if e.dataset_uri == dead.uri)
             attempts += entry.attempts
         return attempts
@@ -169,7 +174,7 @@ def test_bench_e7b_merge_scales_with_sameas_index(benchmark):
 
     started = time.perf_counter()
     result = benchmark.pedantic(
-        lambda: service.federate(QUERY, parallel=True), rounds=1, iterations=1
+        lambda: service.federate(QUERY), rounds=1, iterations=1
     )
     elapsed = time.perf_counter() - started
     report(

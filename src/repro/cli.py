@@ -369,7 +369,6 @@ def _federate(arguments: argparse.Namespace) -> int:
         max_retries=max(0, arguments.retries),
     )
     engine = scenario.service.federation
-    engine.parallel = arguments.parallel > 1
     engine.max_workers = max(1, arguments.parallel)
     engine.ask_probes = arguments.ask_probes
     if arguments.bind_join_batch is not None:
@@ -457,7 +456,7 @@ def _federate(arguments: argparse.Namespace) -> int:
                   if statistics is not None else "")
         print(f"  {entry.dataset_uri}: {entry.row_count} rows ({status}{attempts}{served})",
               file=summary)
-    mode = f"parallel x{engine.max_workers}" if engine.parallel else "sequential"
+    mode = f"parallel x{engine.max_workers}" if engine.max_workers > 1 else "sequential"
     print(f"Strategy: {federated.strategy} ({mode}); wall-clock {federated.elapsed:.3f}s; "
           f"endpoint attempts {federated.total_attempts}", file=summary)
     if federated.strategy == "decompose":

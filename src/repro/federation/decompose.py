@@ -85,8 +85,10 @@ from ..sparql import (
     Prologue,
     Query,
     SelectQuery,
+    SourceSpan,
     TriplesBlock,
 )
+from ..sparql.analysis import DIAGNOSTIC_CODES, FALLBACK_SPAN, Diagnostic, analyze_query
 from ..sparql.evaluator import pattern_text
 from ..sparql.exec import (
     UNBOUND,
@@ -177,7 +179,6 @@ class QueryUnit:
 
     patterns: list[Triple]
     sources: list[URIRef]
-    exclusive: bool = False
     #: Join variables shared with the rows produced by earlier units
     #: (filled in once the join order is fixed).
     join_variables: list[Variable] = field(default_factory=list)
@@ -219,8 +220,9 @@ class DecomposedPlan:
     bind_join_batch: int = DEFAULT_BIND_JOIN_BATCH
     #: ASK probes issued during source selection.
     probes: int = 0
-    #: Static-analysis diagnostics (local analyzer + federation analyzer),
-    #: surfaced before any endpoint sees the query.
+    #: Static-analysis diagnostics: the local analyzer's, then the
+    #: planner's own SQA201/SQA202, surfaced before any endpoint sees the
+    #: query.
     diagnostics: list = field(default_factory=list)
 
     @property
@@ -257,16 +259,16 @@ class DecomposedPlan:
 
 def _unit_kind(unit: QueryUnit) -> str:
     """Human label for a unit: only multi-pattern units are *groups*
-    (sole-source ones in the FedX sense, co-located ones per partition
-    member); a lone pattern is just a pattern."""
+    (co-located ones per partition member, sole-source ones in the FedX
+    sense); a lone pattern is just a pattern, *exclusive* when one source
+    outside any partition serves it."""
     if unit.query is not None:
         return "whole query"
-    if unit.subject is not None and len(unit.patterns) > 1:
-        return "co-located group"
-    if unit.exclusive and len(unit.patterns) > 1:
-        return "exclusive group"
-    if unit.exclusive:
-        return "exclusive pattern"
+    group = len(unit.patterns) > 1
+    if unit.members:
+        return "co-located group" if group else "pattern"
+    if len(unit.sources) == 1:
+        return "exclusive group" if group else "exclusive pattern"
     return "pattern"
 
 
@@ -300,18 +302,12 @@ class SourceSelector:
 
     The cache is keyed by the alignment KB generation (translations change
     with the KB) and, for in-process endpoints, the graph version (the
-    vocabulary changes with the data).
+    vocabulary changes with the data).  Whether to probe, and for how long,
+    are the engine's ``ask_probes`` and ``probe_timeout``, read when used.
     """
 
-    def __init__(
-        self,
-        engine: FederatedQueryEngine,
-        ask_probes: bool = True,
-        probe_timeout: float | None = 2.0,
-    ) -> None:
+    def __init__(self, engine: FederatedQueryEngine) -> None:
         self._engine = engine
-        self.ask_probes = ask_probes
-        self.probe_timeout = probe_timeout
         self._cache: dict[tuple, SourceDecision] = {}
         self._cache_generation: int | None = None
         #: Probe traffic of the most recent selection round, per dataset:
@@ -344,7 +340,7 @@ class SourceSelector:
             mode,
             # A decision taken without probing ("broadcast") must not
             # shadow the probed decision once probes are (re-)enabled.
-            self.ask_probes,
+            self._engine.ask_probes,
         )
 
     # -- vocabulary ------------------------------------------------------ #
@@ -481,7 +477,7 @@ class SourceSelector:
         estimate = self._estimate(target, graph, translated)
         if not unknown:
             decision = SourceDecision(target.uri, True, "vocabulary", estimate)
-        elif not self.ask_probes:
+        elif not self._engine.ask_probes:
             decision = SourceDecision(
                 target.uri, True, "broadcast (probes disabled)", estimate
             )
@@ -510,7 +506,7 @@ class SourceSelector:
         traffic = self.probe_traffic.setdefault(target.uri, [0, 0])
         traffic[0] += 1
         result, attempts, error = self._engine.call_endpoint(
-            target, probe, kind="ask", timeout=self.probe_timeout
+            target, probe, kind="ask", timeout=self._engine.probe_timeout
         )
         traffic[1] += attempts
         if error is not None or result is None:
@@ -532,27 +528,26 @@ def decompose_query(
     source_ontology: URIRef | None = None,
     source_dataset: URIRef | None = None,
     mode: str = "bgp",
-    selector: SourceSelector | None = None,
-    bind_join_batch: int = DEFAULT_BIND_JOIN_BATCH,
     render_sub_queries: bool = True,
     strategy: str = "decompose",
 ) -> DecomposedPlan:
     """Build the plan for ``query`` over ``targets`` under ``strategy``.
 
-    ``fanout`` (and a ``decompose`` query whose shape the decomposer cannot
-    plan) yields one whole-query unit over every target.  Never executes
-    the query itself (ASK probes may contact endpoints when the selector is
-    configured for them).
+    The one federation planner: execution, EXPLAIN and lint all read the
+    plan it builds.  ``fanout`` (and a ``decompose`` query whose shape the
+    decomposer cannot plan) yields one whole-query unit over every target.
+    Under ``decompose`` it runs the local analyzer, then source selection
+    with the engine's selector, raising SQA201 for a pattern no dataset can
+    answer and SQA202 for a shape that forces the fan-out; the plan carries
+    every diagnostic.  Never executes the query itself (ASK probes may
+    contact endpoints when the engine allows them).
     """
-    from ..sparql.analysis import analyze_federation, analyze_query
-
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown federation strategy: {strategy!r}")
-    plan = DecomposedPlan(bind_join_batch=bind_join_batch)
+    plan = DecomposedPlan(bind_join_batch=engine.bind_join_batch)
     if strategy == "fanout":
         return _fan_out_plan(plan, query, targets)
-    if selector is None:
-        selector = SourceSelector(engine)
+    selector = engine.source_selector
 
     # Local static analysis first: a query the analyzer proves empty
     # (unsatisfiable FILTER, empty VALUES, ...) never reaches source
@@ -575,23 +570,46 @@ def decompose_query(
             continue
         usable.append(target)
 
-    federation = analyze_federation(
-        query, selector, usable, source_ontology, source_dataset, mode
-    )
-    plan.diagnostics.extend(federation.diagnostics)
-    plan.pattern_sources = federation.pattern_sources
-    plan.probes = federation.probes
-    if federation.fallback_reason is not None:
-        plan.fallback_reason = federation.fallback_reason
+    patterns, fallback = _supported_shape(query)
+    if fallback is not None:
+        plan.fallback_reason = fallback
+        plan.diagnostics.append(Diagnostic(
+            "SQA202",
+            DIAGNOSTIC_CODES["SQA202"][0],
+            f"the decomposer cannot plan this query ({fallback}); "
+            f"it will fan out to every registered endpoint",
+            _fallback_span(query),
+        ))
         return _fan_out_plan(plan, query, targets)
-    plan.empty_reason = federation.empty_reason
 
+    span_by_pattern = _pattern_spans(query)
+    probes_before = selector.probes_issued
+    for pattern in patterns:
+        sources = PatternSources(pattern, [
+            selector.decide(pattern, target, source_ontology, source_dataset, mode)
+            for target in usable
+        ])
+        plan.pattern_sources.append(sources)
+        if sources.relevant_uris():
+            continue
+        reasons = "; ".join(
+            f"{decision.dataset_uri}: {decision.reason}" for decision in sources.decisions[:3]
+        )
+        plan.diagnostics.append(Diagnostic(
+            "SQA201",
+            DIAGNOSTIC_CODES["SQA201"][0],
+            f"pattern {pattern_text(pattern)} matches no registered "
+            f"dataset: the federated result is provably empty",
+            span_by_pattern.get(pattern) or query.span or FALLBACK_SPAN,
+            hint=reasons or None,
+        ))
+        if plan.empty_reason is None:
+            plan.empty_reason = f"pattern {pattern_text(pattern)} matches no registered dataset"
+    plan.probes = selector.probes_issued - probes_before
+
+    relevant = {uri for sources in plan.pattern_sources for uri in sources.relevant_uris()}
     for target in usable:
-        if not any(
-            sources.decision_for(target.uri) is not None
-            and sources.decision_for(target.uri).relevant  # type: ignore[union-attr]
-            for sources in plan.pattern_sources
-        ):
+        if target.uri not in relevant:
             plan.skipped.setdefault(target.uri, "no relevant pattern")
 
     if plan.empty_reason is not None:
@@ -610,15 +628,11 @@ def decompose_query(
     plan.units = _order_units(units, targets_by_uri, plan.pattern_sources)
 
     if render_sub_queries:
-        bound: set[Variable] = set()
         for unit in plan.units:
-            unit.join_variables = sorted(unit.variables() & bound, key=str)
-            bound |= unit.variables()
             for uri in unit.sources:
                 try:
                     executable, _ = _unit_query(
-                        engine, unit, targets_by_uri[uri],
-                        source_ontology, source_dataset, mode, selector,
+                        engine, unit, targets_by_uri[uri], source_ontology, source_dataset, mode
                     )
                 except (KeyError, ValueError) as exc:
                     unit.sub_queries[uri] = f"error: {exc}"
@@ -650,27 +664,44 @@ def _fan_out_plan(
     return plan
 
 
-def _supported_shape(
-    query: Query,
-) -> tuple[list[Triple], list[Filter], str | None]:
-    """``(patterns, filters, fallback_reason)`` for the query's WHERE clause."""
+def _supported_shape(query: Query) -> tuple[list[Triple], str | None]:
+    """``(patterns, fallback_reason)`` for the query's WHERE clause."""
     if not isinstance(query, SelectQuery):
-        return [], [], f"unsupported query form: {type(query).__name__}"
+        return [], f"unsupported query form: {type(query).__name__}"
     patterns: list[Triple] = []
-    filters: list[Filter] = []
     for element in query.where.elements:
         if isinstance(element, TriplesBlock):
             patterns.extend(element.patterns)
-        elif isinstance(element, Filter):
-            filters.append(element)
-        else:
-            return [], [], f"unsupported pattern element: {type(element).__name__}"
+        elif not isinstance(element, Filter):
+            return [], f"unsupported pattern element: {type(element).__name__}"
     if not patterns:
-        return [], [], "query has no triple patterns"
+        return [], "query has no triple patterns"
     for pattern in patterns:
         if any(isinstance(term, BNode) for term in pattern):
-            return [], [], "blank nodes in patterns are query-scoped"
-    return patterns, filters, None
+            return [], "blank nodes in patterns are query-scoped"
+    return patterns, None
+
+
+def _pattern_spans(query: Query) -> dict[Triple, SourceSpan]:
+    """First source span of each distinct triple pattern in the WHERE clause."""
+    spans: dict[Triple, SourceSpan] = {}
+    for block in query.where.triples_blocks():
+        for index, pattern in enumerate(block.patterns):
+            span = block.span_of(index)
+            if span is not None and pattern not in spans:
+                spans[pattern] = span
+    return spans
+
+
+def _fallback_span(query: Query) -> SourceSpan:
+    """The span of the first construct that forces the fan-out fallback."""
+    for element in query.where.elements:
+        if isinstance(element, (TriplesBlock, Filter)):
+            continue
+        span = getattr(element, "span", None)
+        if span is not None:
+            return span
+    return query.span or FALLBACK_SPAN
 
 
 def _partition_members(
@@ -700,39 +731,40 @@ def _build_units(
     pattern_sources: Sequence[PatternSources],
     targets_by_uri: dict[URIRef, RegisteredDataset],
 ) -> list[QueryUnit]:
-    """Co-located groups per partition and subject, exclusive groups per
-    dataset; the rest stand alone."""
-    colocated: dict[tuple, QueryUnit] = {}
-    exclusive: dict[URIRef, QueryUnit] = {}
+    """Patterns one source can join by itself share a unit; the rest stand
+    alone.
+
+    A group is keyed by who can join it alone: ``(partition id, count,
+    subject)`` for co-located patterns, ``(uri,)`` for patterns whose sole
+    relevant source is ``uri``.  Each pattern narrows its group's sources
+    to the ones relevant to it as well.
+    """
+    groups: dict[tuple, QueryUnit] = {}
     units: list[QueryUnit] = []
     for sources in pattern_sources:
         relevant = sources.relevant_uris()
         members = _partition_members(sources, targets_by_uri)
+        subject: Term | None = None
         if members:
             subject = sources.pattern.subject
             partition = next(iter(members.values()))
             if not isinstance(subject, Variable):
                 owner = shard_for_subject(subject, partition.count)
                 relevant = [uri for uri in relevant if members[uri].index == owner]
-            key = (partition.id, partition.count, subject)
-            unit = colocated.get(key)
-            if unit is None:
-                unit = QueryUnit([], relevant, subject=subject)
-                colocated[key] = unit
-                units.append(unit)
-            else:
-                unit.sources = [uri for uri in unit.sources if uri in relevant]
-            unit.members.update(members)
-            unit.patterns.append(sources.pattern)
+            key: tuple = (partition.id, partition.count, subject)
         elif len(relevant) == 1:
-            unit = exclusive.get(relevant[0])
-            if unit is None:
-                unit = QueryUnit([], [relevant[0]], exclusive=True)
-                exclusive[relevant[0]] = unit
-                units.append(unit)
-            unit.patterns.append(sources.pattern)
+            key = (relevant[0],)
         else:
-            units.append(QueryUnit([sources.pattern], list(relevant)))
+            units.append(QueryUnit([sources.pattern], relevant))
+            continue
+        unit = groups.get(key)
+        if unit is None:
+            unit = groups[key] = QueryUnit([], relevant, subject=subject)
+            units.append(unit)
+        else:
+            unit.sources = [uri for uri in unit.sources if uri in relevant]
+        unit.members.update(members)
+        unit.patterns.append(sources.pattern)
     return units
 
 
@@ -741,7 +773,11 @@ def _order_units(
     targets_by_uri: dict[URIRef, RegisteredDataset],
     pattern_sources: Sequence[PatternSources],
 ) -> list[QueryUnit]:
-    """Greedy deterministic join order: cheapest first, stay connected."""
+    """Greedy deterministic join order: cheapest first, stay connected.
+
+    Each unit's ``join_variables`` are the ones it shares with the units
+    ordered before it.
+    """
     estimates: dict[URIRef, dict[str, float]] = {}
     for sources in pattern_sources:
         for decision in sources.decisions:
@@ -772,6 +808,7 @@ def _order_units(
         best = min(pool, key=sort_key)
         remaining.remove(best)
         ordered.append(best)
+        best.join_variables = sorted(best.variables() & bound, key=str)
         bound |= best.variables()
     return ordered
 
@@ -783,7 +820,6 @@ def _unit_query(
     source_ontology: URIRef | None,
     source_dataset: URIRef | None,
     mode: str,
-    selector: SourceSelector,
 ) -> tuple[Query, MediationResult | None]:
     """The executable sub-query shipping ``unit`` to ``target``, and the
     mediation that produced it when it is a whole-query rewrite.
@@ -799,7 +835,7 @@ def _unit_query(
             return unit.query, None
         mediation = engine.mediator.translate(unit.query, target.uri, source_ontology, mode)
         return mediation.rewritten_query, mediation
-    translated = selector.translate_patterns(
+    translated = engine.source_selector.translate_patterns(
         unit.patterns, target, source_ontology, source_dataset, mode
     )
     projection = sorted(unit.variables(), key=str)
@@ -853,12 +889,12 @@ def execute_decomposed(
     mode: str,
     canonical_pattern: str | None,
     strategy: str,
-    parallel: bool,
 ) -> tuple[FederatedResult, _PlanExecutor]:
     """Plan ``query`` under ``strategy`` and run the plan.
 
-    ``parallel`` sends a round's calls to several sources from the engine's
-    worker pool; otherwise every call leaves from the calling thread.  The
+    With ``engine.max_workers`` above one, a round's calls to several
+    sources leave from the engine's worker pool; otherwise every call
+    leaves from the calling thread.  The
     result carries the plan under :attr:`FederatedResult.decomposition`;
     the executor that ran it goes to the caller, which ends the run with
     :func:`repro.sparql.exec.finish_run`.
@@ -866,13 +902,11 @@ def execute_decomposed(
     from .federator import DatasetResult, FederatedResult
 
     started = time.perf_counter()
-    selector = engine.source_selector
     with get_tracer().start_span(
         "planner.decompose", {"layer": "planner", "strategy": strategy}
     ) as plan_span:
         plan = decompose_query(
             engine, query, targets, source_ontology, source_dataset, mode,
-            selector=selector, bind_join_batch=engine.bind_join_batch,
             render_sub_queries=False, strategy=strategy,
         )
         if plan_span.recording:
@@ -883,12 +917,13 @@ def execute_decomposed(
 
     traffic: dict[URIRef, _Traffic] = {target.uri: _Traffic() for target in targets}
     if plan.probes:
-        for uri, (requests, attempts) in selector.probe_traffic.items():
+        probe_traffic = engine.source_selector.probe_traffic
+        for uri, (requests, attempts) in probe_traffic.items():
             if uri in traffic:
                 entry = traffic[uri]
                 entry.requests += requests
                 entry.attempts += attempts
-        selector.probe_traffic.clear()
+        probe_traffic.clear()
 
     variables = _result_variables(query)
     if canonical_pattern is None and source_dataset is not None:
@@ -899,7 +934,7 @@ def execute_decomposed(
     label = "decompose" if plan.decomposed else f"federate-{strategy}"
     executor = _PlanExecutor(
         engine, label, plan, {target.uri: target for target in targets},
-        source_ontology, source_dataset, mode, selector, traffic, parallel,
+        source_ontology, source_dataset, mode, traffic,
     )
     merged = executor.execute(query, variables, canonical_pattern)
 
@@ -1133,9 +1168,7 @@ class _PlanExecutor:
         source_ontology: URIRef | None,
         source_dataset: URIRef | None,
         mode: str,
-        selector: SourceSelector,
         traffic: dict[URIRef, _Traffic],
-        parallel: bool,
     ) -> None:
         self._engine = engine
         #: Engine label of the run's event, spans and slow-log entry.
@@ -1145,9 +1178,7 @@ class _PlanExecutor:
         self._source_ontology = source_ontology
         self._source_dataset = source_dataset
         self._mode = mode
-        self._selector = selector
         self._traffic = traffic
-        self._parallel = parallel
         self.bind_join_batch = plan.bind_join_batch
         #: Executable sub-query per (unit, source): built for the first
         #: block, reused by every later one.
@@ -1172,7 +1203,6 @@ class _PlanExecutor:
                 executable, entry.mediation = _unit_query(
                     self._engine, unit, target,
                     self._source_ontology, self._source_dataset, self._mode,
-                    self._selector,
                 )
             except (EndpointError, KeyError, ValueError) as exc:
                 entry.errors.append(str(exc))
@@ -1221,11 +1251,11 @@ class _PlanExecutor:
         """One round of a unit: its sources answer, results in source order.
 
         Sources are independent, so they are queried concurrently when the
-        call is parallel — a round over k high-latency endpoints costs one
-        round trip, not k.
+        engine has more than one worker — a round over k high-latency
+        endpoints costs one round trip, not k.
         """
         blocks = self._blocks(unit, inline)
-        if len(blocks) > 1 and self._parallel:
+        if len(blocks) > 1 and self._engine.max_workers > 1:
             pool = self._engine.worker_pool()
             # copy_context() per task: per-source endpoint spans keep
             # the submitting thread's span (the request) as parent.
@@ -1262,10 +1292,7 @@ class _PlanExecutor:
         ctx = ExecContext(Graph())
         root: VecOperator | None = None
         schema: Schema = ()
-        bound: set[Variable] = set()
         for unit in self._plan.units:
-            unit.join_variables = sorted(unit.variables() & bound, key=str)
-            bound |= unit.variables()
             op = _VecUnitOp(ctx, schema, unit, self)
             root = op if root is None else VecBindJoinOp(ctx, root, op)
             schema = op.schema

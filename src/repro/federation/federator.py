@@ -40,6 +40,16 @@ from ..obs.trace import get_tracer
 from ..rdf import Term, URIRef, Variable
 from ..sparql import Binding, Query, ResultSet, SelectQuery, parse_query
 from ..sparql.exec import QueryRunEvent, finish_run
+from .decompose import (
+    DEFAULT_BIND_JOIN_BATCH,
+    STRATEGIES,
+    DecomposedPlan,
+    SourceSelector,
+    _unit_kind,
+    _unit_query,
+    decompose_query,
+    execute_decomposed,
+)
 from .endpoint import EndpointError, EndpointTimeout
 from .policy import ExecutionPolicy
 from .registry import DatasetRegistry, RegisteredDataset
@@ -131,9 +141,9 @@ class FederatedResult:
     def diagnostics(self) -> list:
         """Static-analysis diagnostics surfaced while planning.
 
-        Populated under the decompose strategy (the plan runs the local
-        and federation analyzers before contacting any endpoint); empty
-        for plain fan-out, which runs no analysis.
+        Populated under the decompose strategy (the planner runs the local
+        analyzer and raises its own SQA201/SQA202 before contacting any
+        endpoint); empty for plain fan-out, which runs no analysis.
         """
         if self.decomposition is not None:
             return self.decomposition.diagnostics
@@ -149,24 +159,25 @@ class FederatedQueryEngine:
         The rewriting core, the dataset registry (which also tracks
         per-endpoint policies and circuit breakers) and the co-reference
         store used for merging.
-    parallel:
-        Default execution mode: fan out over a thread pool (``True``) or
-        query endpoints one after another (``False``).  Either way the
-        merged output is identical; per-call ``parallel=`` overrides.
-    max_workers:
-        Upper bound on the engine's concurrent endpoint requests (the size
-        of its worker pool, fixed when the first parallel round runs).
     strategy:
         Default execution strategy: ``"fanout"`` ships the whole rewritten
         query to every dataset; ``"decompose"`` runs per-pattern source
         selection, exclusive groups and bound joins
         (:mod:`repro.federation.decompose`).  Per-call ``strategy=``
         overrides.
-    ask_probes:
+
+    The other settings are attributes, read when a query uses them:
+
+    ``max_workers``
+        Upper bound on the engine's concurrent endpoint requests (the size
+        of its worker pool, fixed when the first parallel round runs).
+        Above one, a round's calls to several sources run concurrently; at
+        one, every call leaves from the calling thread.  Either way the
+        merged output is identical.
+    ``ask_probes`` / ``probe_timeout``
         Whether source selection may issue ``ASK`` probes for patterns the
-        VoID statistics cannot settle (each bounded by ``probe_timeout``,
-        an attribute, 2 s).
-    bind_join_batch:
+        VoID statistics cannot settle, and each probe's budget (2 s).
+    ``bind_join_batch``
         Ceiling on the left rows shipped per bound-join ``VALUES`` block
         (decompose strategy; default ``DEFAULT_BIND_JOIN_BATCH``).
     """
@@ -176,47 +187,24 @@ class FederatedQueryEngine:
         mediator: Mediator,
         registry: DatasetRegistry,
         sameas_service: SameAsService | None = None,
-        parallel: bool = True,
-        max_workers: int | None = None,
         strategy: str = "fanout",
-        ask_probes: bool = True,
-        bind_join_batch: int | None = None,
     ) -> None:
-        from .decompose import DEFAULT_BIND_JOIN_BATCH, STRATEGIES
-
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown federation strategy: {strategy!r}")
         self.mediator = mediator
         self.registry = registry
         self.sameas_service = sameas_service or mediator.sameas_service
-        self.parallel = parallel
-        self.max_workers = max_workers or _DEFAULT_MAX_WORKERS
+        self.max_workers = _DEFAULT_MAX_WORKERS
         self.strategy = strategy
-        self.ask_probes = ask_probes
+        self.ask_probes = True
         self.probe_timeout: float | None = 2.0
-        self.bind_join_batch = bind_join_batch or DEFAULT_BIND_JOIN_BATCH
-        self._selector = None
+        self.bind_join_batch = DEFAULT_BIND_JOIN_BATCH
+        #: Shared so relevance decisions are cached across queries; the
+        #: cache invalidates itself on alignment-KB generation changes and
+        #: local graph mutations.
+        self.source_selector = SourceSelector(self)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
-
-    @property
-    def source_selector(self):
-        """The engine's (lazily created) shared source selector.
-
-        Shared so relevance decisions are cached across queries; the cache
-        invalidates itself on alignment-KB generation changes and local
-        graph mutations.
-        """
-        if self._selector is None:
-            from .decompose import SourceSelector
-
-            self._selector = SourceSelector(
-                self, ask_probes=self.ask_probes, probe_timeout=self.probe_timeout
-            )
-        else:
-            self._selector.ask_probes = self.ask_probes
-            self._selector.probe_timeout = self.probe_timeout
-        return self._selector
 
     def worker_pool(self) -> ThreadPoolExecutor:
         """The engine's one pool of endpoint-request workers.
@@ -252,7 +240,6 @@ class FederatedQueryEngine:
         mode: str = "bgp",
         datasets: Sequence[URIRef] | None = None,
         canonical_pattern: str | None = None,
-        parallel: bool | None = None,
         strategy: str | None = None,
     ) -> FederatedResult:
         """Run ``query`` over the federation.
@@ -263,15 +250,14 @@ class FederatedQueryEngine:
         restricts the federation; ``canonical_pattern`` selects the URI
         space results are canonicalised into (defaults to the source
         dataset's pattern, falling back to plain deduplication).
-        ``parallel`` overrides the engine's default execution mode for this
-        call; ``strategy`` overrides the engine's default execution strategy
+        ``strategy`` overrides the engine's default execution strategy
         (``"fanout"`` or ``"decompose"``).  Raises ``ValueError`` for an
         unknown strategy or a non-SELECT query, before any endpoint is
         contacted.
         """
         return self._run(
             query, False, source_ontology, source_dataset, mode, datasets,
-            canonical_pattern, parallel, strategy,
+            canonical_pattern, strategy,
         )[0]
 
     def analyze(
@@ -296,20 +282,16 @@ class FederatedQueryEngine:
         mode: str = "bgp",
         datasets: Sequence[URIRef] | None = None,
         canonical_pattern: str | None = None,
-        parallel: bool | None = None,
         strategy: str | None = None,
     ) -> tuple[FederatedResult, QueryRunEvent | None]:
         """Plan and run ``query``, then end the run through
         :func:`~repro.sparql.exec.finish_run`: the event exists only when
         ``analyze`` asks for it or the sink, tracer or slow log reads it."""
-        from .decompose import execute_decomposed
-
         select = _select_query(query)
         outcome, executor = execute_decomposed(
             self, select, self._select_targets(datasets),
             source_ontology, source_dataset, mode, canonical_pattern,
             strategy=strategy or self.strategy,
-            parallel=self.parallel if parallel is None else parallel,
         )
         event = finish_run(
             executor, query if isinstance(query, str) else select,
@@ -324,33 +306,21 @@ class FederatedQueryEngine:
         source_dataset: URIRef | None = None,
         mode: str = "bgp",
     ) -> list:
-        """Static diagnostics for ``query`` without executing it.
+        """Static diagnostics for ``query`` without executing it: those of
+        its decomposed plan over every registered dataset.
 
-        Runs the local analyzer and — unless the query is already provably
-        empty — the federation analyzer over the registered (breaker-closed)
-        datasets.  Source selection may issue ASK probes when the engine is
-        configured for them, but the query itself never reaches an endpoint.
-        Returns :class:`repro.sparql.analysis.Diagnostic` objects.
+        The planner runs the local analyzer and — unless the query is
+        already provably empty — source selection over the breaker-closed
+        datasets.  ASK probes may contact endpoints when the engine allows
+        them, but the query itself never reaches one.  Returns
+        :class:`repro.sparql.analysis.Diagnostic` objects.
         """
-        from ..sparql.analysis import analyze_federation, analyze_query
-
         if isinstance(query, str):
             query = parse_query(query)
-        local = analyze_query(query)
-        diagnostics = list(local.diagnostics)
-        if local.provably_empty:
-            return diagnostics
-        usable = [
-            target
-            for target in self._select_targets(None)
-            if self.registry.breaker_for(target.uri).state != "open"
-        ]
-        federation = analyze_federation(
-            query, self.source_selector, usable,
-            source_ontology, source_dataset, mode, analysis=local,
-        )
-        diagnostics.extend(federation.diagnostics)
-        return diagnostics
+        return decompose_query(
+            self, query, self._select_targets(None), source_ontology, source_dataset, mode,
+            render_sub_queries=False, strategy="decompose",
+        ).diagnostics
 
     def explain(
         self,
@@ -374,13 +344,10 @@ class FederatedQueryEngine:
         reason it is skipped.  ``ASK`` probes may contact endpoints when
         source selection needs them.
         """
-        from .decompose import _unit_kind, _unit_query, decompose_query
-
         query = _select_query(query)
         targets = self._select_targets(datasets)
         plan = decompose_query(
             self, query, targets, source_ontology, source_dataset, mode,
-            selector=self.source_selector, bind_join_batch=self.bind_join_batch,
             strategy=strategy or self.strategy,
         )
         per_dataset: dict[URIRef, str] = {}
@@ -390,8 +357,7 @@ class FederatedQueryEngine:
             elif not plan.decomposed:
                 try:
                     executable, _ = _unit_query(
-                        self, plan.units[0], target, source_ontology, source_dataset,
-                        mode, self.source_selector,
+                        self, plan.units[0], target, source_ontology, source_dataset, mode
                     )
                     explain = getattr(target.endpoint, "explain", None)
                     per_dataset[target.uri] = (
@@ -422,7 +388,7 @@ class FederatedQueryEngine:
         source_dataset: URIRef | None = None,
         mode: str = "bgp",
         datasets: Sequence[URIRef] | None = None,
-    ):
+    ) -> DecomposedPlan:
         """The decomposed plan for ``query`` (source selection, units, joins).
 
         Builds the plan without executing the query; ``ASK`` probes may
@@ -431,15 +397,10 @@ class FederatedQueryEngine:
         cannot plan (a non-SELECT form included) yields the fan-out plan
         with its ``fallback_reason``.
         """
-        from .decompose import decompose_query
-
         if isinstance(query, str):
             query = parse_query(query)
         return decompose_query(
-            self, query, self._select_targets(datasets),
-            source_ontology, source_dataset, mode,
-            selector=self.source_selector,
-            bind_join_batch=self.bind_join_batch,
+            self, query, self._select_targets(datasets), source_ontology, source_dataset, mode
         )
 
     def _select_targets(self, datasets: Sequence[URIRef] | None) -> list[RegisteredDataset]:

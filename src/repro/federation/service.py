@@ -70,11 +70,7 @@ class MediatorService:
         alignment_store: AlignmentStore,
         registry: DatasetRegistry,
         sameas_service: SameAsService | None = None,
-        parallel: bool = True,
-        max_workers: int | None = None,
         strategy: str = "fanout",
-        ask_probes: bool = True,
-        bind_join_batch: int | None = None,
     ) -> None:
         self.alignment_store = alignment_store
         self.registry = registry
@@ -88,11 +84,10 @@ class MediatorService:
                     uri_pattern=dataset.uri_pattern,
                 )
             )
+        #: The engine's settings (``max_workers``, ``ask_probes``,
+        #: ``bind_join_batch``, ...) are its attributes.
         self.federation = FederatedQueryEngine(
-            self.mediator, registry, self.sameas_service,
-            parallel=parallel, max_workers=max_workers,
-            strategy=strategy, ask_probes=ask_probes,
-            bind_join_batch=bind_join_batch,
+            self.mediator, registry, self.sameas_service, strategy=strategy
         )
 
     # ------------------------------------------------------------------ #
@@ -166,7 +161,6 @@ class MediatorService:
         mode: str = "bgp",
         datasets: Sequence[URIRef] | None = None,
         canonical_pattern: str | None = None,
-        parallel: bool | None = None,
         strategy: str | None = None,
     ) -> FederatedResult:
         """Run the query over every registered dataset and merge the results."""
@@ -177,7 +171,6 @@ class MediatorService:
             mode=mode,
             datasets=datasets,
             canonical_pattern=canonical_pattern,
-            parallel=parallel,
             strategy=strategy,
         )
 
@@ -189,7 +182,6 @@ class MediatorService:
         mode: str = "bgp",
         datasets: Sequence[URIRef] | None = None,
         canonical_pattern: str | None = None,
-        parallel: bool | None = None,
         strategy: str | None = None,
     ):
         """EXPLAIN ANALYZE for a federated query: ``(result, event)``.
@@ -205,7 +197,6 @@ class MediatorService:
             mode=mode,
             datasets=datasets,
             canonical_pattern=canonical_pattern,
-            parallel=parallel,
             strategy=strategy,
         )
 

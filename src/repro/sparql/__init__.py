@@ -79,9 +79,7 @@ from .analysis import (
     AnalysisResult,
     Diagnostic,
     DIAGNOSTIC_CODES,
-    FederationAnalysis,
     QueryAnalysisError,
-    analyze_federation,
     analyze_query,
     prune_query,
 )
@@ -95,8 +93,8 @@ __all__ = [
     "SparqlParser", "SparqlParseError", "parse_query",
     "SparqlToken", "SparqlLexError", "tokenize_sparql", "SourceSpan",
     # static analysis
-    "Diagnostic", "AnalysisResult", "FederationAnalysis", "QueryAnalysisError",
-    "DIAGNOSTIC_CODES", "analyze_query", "analyze_federation", "prune_query",
+    "Diagnostic", "AnalysisResult", "QueryAnalysisError",
+    "DIAGNOSTIC_CODES", "analyze_query", "prune_query",
     # AST
     "Query", "SelectQuery", "AskQuery", "ConstructQuery",
     "Prologue", "SolutionModifiers", "OrderCondition",

@@ -59,7 +59,6 @@ from .ast import (
     UnaryExpression,
     UnionPattern,
 )
-from .evaluator import pattern_text
 from .expressions import ExpressionError, effective_boolean_value, evaluate_expression
 from .results import Binding
 from .tokenizer import SourceSpan
@@ -67,14 +66,12 @@ from .tokenizer import SourceSpan
 __all__ = [
     "Diagnostic",
     "AnalysisResult",
-    "FederationAnalysis",
     "QueryAnalysisError",
     "DIAGNOSTIC_CODES",
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
     "SEVERITY_INFO",
     "analyze_query",
-    "analyze_federation",
     "prune_query",
 ]
 
@@ -82,9 +79,11 @@ SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 SEVERITY_INFO = "info"
 
-#: Every diagnostic code the analyzer can emit, with its fixed severity
-#: and a one-line description.  Codes are stable across releases: tests,
-#: CI gates and API clients key on them.
+#: Every diagnostic code, with its fixed severity and a one-line
+#: description.  The analyzer emits the SQA1xx codes; the federation
+#: planner (``repro.federation.decompose``) raises SQA201 and SQA202 with
+#: the same :class:`Diagnostic` type.  Codes are stable across releases:
+#: tests, CI gates and API clients key on them.
 DIAGNOSTIC_CODES: dict[str, tuple[str, str]] = {
     "SQA101": (SEVERITY_ERROR, "projection references a variable no pattern can bind"),
     "SQA102": (SEVERITY_ERROR, "ORDER BY references a variable no pattern can bind"),
@@ -103,7 +102,7 @@ DIAGNOSTIC_CODES: dict[str, tuple[str, str]] = {
 
 #: Fallback extent used when a programmatically-built AST node carries no
 #: source position (rewritten queries share this with the query start).
-_FALLBACK_SPAN = SourceSpan(1, 1, 1, 2)
+FALLBACK_SPAN = SourceSpan(1, 1, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -190,23 +189,6 @@ class AnalysisResult:
 
     def to_json_list(self) -> list[dict[str, Any]]:
         return [d.to_json_dict() for d in self.diagnostics]
-
-
-@dataclass
-class FederationAnalysis:
-    """Federation-level findings: per-pattern source candidacy.
-
-    ``pattern_sources`` holds one entry per source-level triple pattern
-    (a :class:`~repro.federation.decompose.PatternSources`); it is empty
-    when the query shape forces the fan-out fallback.
-    """
-
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    pattern_sources: list[Any] = field(default_factory=list)
-    empty_reason: str | None = None
-    fallback_reason: str | None = None
-    #: ASK probes issued while deciding candidacy.
-    probes: int = 0
 
 
 # --------------------------------------------------------------------------- #
@@ -360,7 +342,7 @@ class _Analyzer:
         if self.query.span is not None:
             return SourceSpan(self.query.span.line, self.query.span.column,
                               self.query.span.line, self.query.span.column + 1)
-        return _FALLBACK_SPAN
+        return FALLBACK_SPAN
 
     def emit(self, code: str, message: str, span: SourceSpan | None,
              hint: str | None = None) -> None:
@@ -816,101 +798,3 @@ def prune_query(query: Query, analysis: AnalysisResult) -> Query:
         return query
     pruned.span = query.span
     return pruned
-
-
-def analyze_federation(
-    query: Query,
-    selector: Any,
-    targets: Sequence[Any],
-    source_ontology: URIRef | None = None,
-    source_dataset: URIRef | None = None,
-    mode: str = "bgp",
-    analysis: AnalysisResult | None = None,
-) -> FederationAnalysis:
-    """Federation-level diagnostics for ``query`` over ``targets``.
-
-    ``selector`` is a :class:`~repro.federation.decompose.SourceSelector`;
-    ``targets`` the usable (breaker-closed) registered datasets.  The
-    function surfaces, *before any endpoint sees the query*:
-
-    * ``SQA201`` — a pattern whose VoID partitions rule out every
-      registered dataset (the federated result is provably empty), and
-    * ``SQA202`` — a query shape the decomposer cannot plan, forcing the
-      fan-out fallback.
-
-    When ``analysis`` (the local analysis of the same query) proves the
-    query empty, source selection is skipped entirely — zero ASK probes.
-    """
-    from ..federation.decompose import PatternSources, _supported_shape
-
-    outcome = FederationAnalysis()
-    if analysis is not None and analysis.provably_empty:
-        outcome.empty_reason = analysis.empty_reason
-        return outcome
-
-    patterns, _filters, fallback = _supported_shape(query)
-    if fallback is not None:
-        outcome.fallback_reason = fallback
-        outcome.diagnostics.append(
-            Diagnostic(
-                "SQA202",
-                DIAGNOSTIC_CODES["SQA202"][0],
-                f"the decomposer cannot plan this query ({fallback}); "
-                f"it will fan out to every registered endpoint",
-                _locate_fallback_span(query),
-            )
-        )
-        return outcome
-
-    span_by_pattern = _pattern_span_index(query)
-    probes_before = getattr(selector, "probes_issued", 0)
-    for pattern in patterns:
-        sources = PatternSources(pattern)
-        for target in targets:
-            sources.decisions.append(
-                selector.decide(pattern, target, source_ontology, source_dataset, mode)
-            )
-        outcome.pattern_sources.append(sources)
-        if not sources.relevant_uris():
-            reasons = "; ".join(
-                f"{decision.dataset_uri}: {decision.reason}"
-                for decision in sources.decisions[:3]
-            )
-            outcome.diagnostics.append(
-                Diagnostic(
-                    "SQA201",
-                    DIAGNOSTIC_CODES["SQA201"][0],
-                    f"pattern {pattern_text(pattern)} matches no registered "
-                    f"dataset: the federated result is provably empty",
-                    span_by_pattern.get(pattern) or query.span or _FALLBACK_SPAN,
-                    hint=reasons or None,
-                )
-            )
-            if outcome.empty_reason is None:
-                outcome.empty_reason = (
-                    f"pattern {pattern_text(pattern)} matches no registered dataset"
-                )
-    outcome.probes = getattr(selector, "probes_issued", 0) - probes_before
-    return outcome
-
-
-def _pattern_span_index(query: Query) -> dict[Triple, SourceSpan]:
-    """First source span of each distinct triple pattern in the WHERE clause."""
-    spans: dict[Triple, SourceSpan] = {}
-    for block in query.where.triples_blocks():
-        for index, pattern in enumerate(block.patterns):
-            span = block.span_of(index)
-            if span is not None and pattern not in spans:
-                spans[pattern] = span
-    return spans
-
-
-def _locate_fallback_span(query: Query) -> SourceSpan:
-    """The span of the first construct that forces the fan-out fallback."""
-    for element in query.where.elements:
-        if isinstance(element, (TriplesBlock, Filter)):
-            continue
-        span = getattr(element, "span", None)
-        if span is not None:
-            return span
-    return query.span or _FALLBACK_SPAN

@@ -396,7 +396,9 @@ class QueryEvaluator:
         oracle has no batched instrumentation, so it analyzes through the
         planner.
         """
-        text = query if isinstance(query, str) else None
+        from .exec import finish_run
+
+        source = query
         if isinstance(query, str):
             query = parse_query(query)
         analysis, effective = self._prepare(query)
@@ -416,7 +418,7 @@ class QueryEvaluator:
         else:
             raise TypeError(f"unsupported query form: {type(query).__name__}")
         self._attach(result, analysis)
-        return result, _finish(plan, text or type(query).__name__, analyze=True)
+        return result, finish_run(plan, source, plan.elapsed, "evaluator", analyze=True)
 
     def select(self, query: SelectQuery | str) -> ResultSet:
         """Evaluate a SELECT query (convenience wrapper with type checking)."""
@@ -450,6 +452,8 @@ class QueryEvaluator:
 
     # -- SELECT -------------------------------------------------------------- #
     def _evaluate_select(self, query: SelectQuery) -> ResultSet:
+        from .exec import finish_run
+
         projection = query.effective_projection()
         if self.engine == "reference":
             solutions = evaluate_group(query.where, self._graph)
@@ -463,7 +467,7 @@ class QueryEvaluator:
             return ResultSet(projection, solutions)
         plan = self._compile(query)
         result = ResultSet.from_rows(projection, plan.term_rows(projection))
-        _finish(plan, type(query).__name__)
+        finish_run(plan, query, plan.elapsed, "evaluator")
         return result
 
     def _apply_modifiers(
@@ -496,6 +500,8 @@ class QueryEvaluator:
 
     # -- ASK ------------------------------------------------------------------ #
     def _evaluate_ask(self, query: AskQuery) -> AskResult:
+        from .exec import finish_run
+
         if self.engine == "reference":
             solutions = evaluate_group(query.where, self._graph)
             return AskResult(bool(solutions))
@@ -503,11 +509,13 @@ class QueryEvaluator:
         # batches, so only a handful of index lookups run.
         plan = self._compile(query)
         result = AskResult(plan.first_binding() is not None)
-        _finish(plan, type(query).__name__)
+        finish_run(plan, query, plan.elapsed, "evaluator")
         return result
 
     # -- CONSTRUCT ------------------------------------------------------------ #
     def _evaluate_construct(self, query: ConstructQuery) -> Graph:
+        from .exec import finish_run
+
         if self.engine == "reference":
             solutions = self._apply_modifiers(
                 query, evaluate_group(query.where, self._graph)
@@ -515,16 +523,8 @@ class QueryEvaluator:
             return _construct_graph(query, solutions)
         plan = self._compile(query)
         output = _construct_graph(query, plan.bindings())
-        _finish(plan, type(query).__name__)
+        finish_run(plan, query, plan.elapsed, "evaluator")
         return output
-
-
-def _finish(plan, label: str, analyze: bool = False):
-    """End a planner run through the one finishing function; its event
-    (None when nothing reads it)."""
-    from .exec import finish_run
-
-    return finish_run(plan, label, plan.elapsed, "evaluator", analyze)
 
 
 def _count_operators(op) -> int:

@@ -22,6 +22,8 @@ from repro.federation import (
 from repro.rdf import URIRef
 from repro.sparql import parse_query
 
+from .workers import one_worker
+
 
 @pytest.fixture()
 def scenario():
@@ -57,8 +59,9 @@ class TestConcurrentEquivalence:
             source_dataset=scenario.rkb_dataset,
             mode="filter-aware",
         )
-        sequential = scenario.service.federate(query, parallel=False, **kwargs)
-        parallel = scenario.service.federate(query, parallel=True, **kwargs)
+        with one_worker(scenario.service):
+            sequential = scenario.service.federate(query, **kwargs)
+        parallel = scenario.service.federate(query, **kwargs)
         assert parallel.merged_bindings == sequential.merged_bindings
         assert [e.dataset_uri for e in parallel.per_dataset] == \
             [e.dataset_uri for e in sequential.per_dataset]
@@ -72,12 +75,13 @@ class TestConcurrentEquivalence:
             source_dataset=scenario.rkb_dataset,
             mode="filter-aware",
         )
-        sequential = scenario.service.federate(query, parallel=False, **kwargs)
+        with one_worker(scenario.service):
+            sequential = scenario.service.federate(query, **kwargs)
         latencies = [0.08, 0.04, 0.0]
         for dataset, latency in zip(scenario.registry, latencies, strict=False):
             dataset.endpoint.latency = latency
         try:
-            parallel = scenario.service.federate(query, parallel=True, **kwargs)
+            parallel = scenario.service.federate(query, **kwargs)
         finally:
             for dataset in scenario.registry:
                 dataset.endpoint.latency = 0.0
@@ -94,8 +98,9 @@ class TestConcurrentEquivalence:
         for dataset in scenario.registry:
             dataset.endpoint.latency = 0.05
         try:
-            sequential = scenario.service.federate(query, parallel=False, **kwargs)
-            parallel = scenario.service.federate(query, parallel=True, **kwargs)
+            with one_worker(scenario.service):
+                sequential = scenario.service.federate(query, **kwargs)
+            parallel = scenario.service.federate(query, **kwargs)
         finally:
             for dataset in scenario.registry:
                 dataset.endpoint.latency = 0.0
@@ -304,7 +309,8 @@ class TestThreadSafetySmoke:
             mode="filter-aware",
             strategy=strategy,
         )
-        expected = scenario.service.federate(query, parallel=False, **kwargs).merged_bindings
+        with one_worker(scenario.service):
+            expected = scenario.service.federate(query, **kwargs).merged_bindings
         assert expected
         pools, mismatches, errors = set(), [], []
         barrier = threading.Barrier(8)
@@ -314,7 +320,7 @@ class TestThreadSafetySmoke:
             try:
                 barrier.wait(timeout=10)
                 for _ in range(6):
-                    got = scenario.service.federate(query, parallel=True, **kwargs)
+                    got = scenario.service.federate(query, **kwargs)
                     if got.merged_bindings != expected or got.failed_datasets():
                         mismatches.append(got)
                     pools.add(id(engine.worker_pool()))

@@ -192,7 +192,8 @@ class TestSourceSelection:
         service = build_federation({
             "a": [triple("s1", "p", "o1")],
             "b": [triple("s2", "q", "o2")],
-        }, ask_probes=False)
+        })
+        service.federation.ask_probes = False
         _opaque(service, "b")
         plan = service.federation.decompose_plan(
             f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o }}"
@@ -271,7 +272,7 @@ class TestDecomposition:
         )
         assert len(plan.units) == 1
         [unit] = plan.units
-        assert unit.exclusive
+        assert "unit 1 [exclusive group; seed scan;" in plan.explain()
         assert len(unit.patterns) == 2
         assert [str(u) for u in unit.sources] == [f"{EX}a"]
         outcome = service.federate(

@@ -24,6 +24,8 @@ from repro.federation import (
 )
 from repro.rdf import Graph, Triple, URIRef
 
+from .workers import one_worker
+
 EX = "http://ex.org/"
 
 
@@ -192,6 +194,7 @@ class TestE7Differential:
     def test_sequential_and_parallel_fanout_both_match(self):
         service = self._service(4)
         query = "PREFIX ex: <http://ex.org/>\nSELECT ?s ?o WHERE { ?s ex:p ?o }"
-        sequential = service.federate(query, parallel=False)
+        with one_worker(service):
+            sequential = service.federate(query)
         decomposed = service.federate(query, strategy="decompose")
         assert _multiset(decomposed) == _multiset(sequential)

@@ -392,6 +392,17 @@ def test_federation_output_is_pinned(case, transport, strategy, loopback, pins):
     assert record(case, transport, strategy, loopback) == pins[_key(case, transport, strategy)]
 
 
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_lint_reports_the_plans_diagnostics(case):
+    """``lint`` reads the one planner: its findings are the decomposed
+    plan's, code, message and span alike."""
+    fresh, kwargs = _service_factory(case, "local", None)
+    query = CASES[case][1]()
+    linted = fresh().federation.lint(query, **kwargs)
+    assert linted == fresh().federation.decompose_plan(query, **kwargs).diagnostics
+
+
 if __name__ == "__main__":
     servers = _Loopback()
     try:

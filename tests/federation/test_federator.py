@@ -11,6 +11,7 @@ from repro.federation import (
 )
 
 from .test_decompose import EX, build_federation, triple
+from .workers import one_worker
 
 
 
@@ -179,18 +180,19 @@ class TestOnePlanPath:
         assert event.rows == len(outcome.merged()) == 9
 
     @pytest.mark.parametrize("strategy", ["fanout", "decompose"])
-    def test_parallel_false_keeps_every_call_on_the_calling_thread(self, strategy):
+    def test_one_worker_keeps_every_call_on_the_calling_thread(self, strategy):
         service = _three_sources()
         threads: list[str] = []
         for dataset in list(service.registry):
             service.registry.register_endpoint(
                 dataset.description, _RecordingEndpoint(dataset.endpoint, threads)
             )
-        outcome = service.federate(SELECT_P, strategy=strategy, parallel=False)
+        with one_worker(service):
+            outcome = service.federate(SELECT_P, strategy=strategy)
         assert len(outcome.merged()) == 9
         assert threads and set(threads) == {threading.current_thread().name}
         threads.clear()
-        service.federate(SELECT_P, strategy=strategy, parallel=True)
+        service.federate(SELECT_P, strategy=strategy)
         assert any(name.startswith("federate") for name in threads)
 
     @pytest.mark.parametrize("strategy", ["fanout", "decompose"])

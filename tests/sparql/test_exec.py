@@ -13,9 +13,12 @@ import json
 
 import pytest
 
+from repro.obs import SLOW_LOG, Tracer
+from repro.obs.trace import set_tracer
 from repro.rdf import Graph, Literal, TermDictionary, Triple, URIRef, Variable
 from repro.sparql import (
     ENGINES,
+    Query,
     QueryEvaluator,
     QueryPlanner,
     parse_query,
@@ -310,6 +313,50 @@ class TestRunEventEmission:
             parse_query("SELECT ?s WHERE { ?s <http://example.org/next> ?o }")
         )
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_local_event_names_its_query(self, tmp_path, monkeypatch):
+        target = tmp_path / "events.jsonl"
+        monkeypatch.setenv(RUN_EVENTS_ENV, str(target))
+        query = parse_query("SELECT ?s WHERE { ?s <http://example.org/next> ?o }")
+        QueryEvaluator(_chain_graph(2)).select(query)
+        [line] = target.read_text(encoding="utf-8").splitlines()
+        assert json.loads(line)["query"] == query.serialize()
+
+    def test_with_nothing_reading_no_query_is_serialized(self, monkeypatch):
+        monkeypatch.delenv(RUN_EVENTS_ENV, raising=False)
+        monkeypatch.setattr(SLOW_LOG, "threshold", float("inf"))
+        previous = set_tracer(Tracer(enabled=False))
+        finished, serialized = [], []
+        finish = executor.finish_run
+
+        def finish_spy(plan, query, elapsed, layer, analyze=False):
+            finished.append(query)
+            return finish(plan, query, elapsed, layer, analyze)
+
+        serialize = Query.serialize
+
+        def serialize_spy(query):
+            serialized.append(query)
+            return serialize(query)
+
+        monkeypatch.setattr(executor, "finish_run", finish_spy)
+        monkeypatch.setattr(Query, "serialize", serialize_spy)
+        queries = [parse_query(text) for text in (
+            "SELECT ?s WHERE { ?s <http://example.org/next> ?o }",
+            "ASK { ?s <http://example.org/next> ?o }",
+            "CONSTRUCT { ?o <http://example.org/prev> ?s } "
+            "WHERE { ?s <http://example.org/next> ?o }",
+        )]
+        try:
+            evaluator = QueryEvaluator(_chain_graph(2))
+            for query in queries:
+                evaluator.evaluate(query)
+        finally:
+            set_tracer(previous)
+        # Each run hands the parsed query itself to finish_run, which
+        # builds no event and so serializes nothing.
+        assert finished == queries
+        assert serialized == []
 
 
 # --------------------------------------------------------------------------- #

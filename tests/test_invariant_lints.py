@@ -533,6 +533,54 @@ def test_inv015_scope():
     assert _run_record_findings("tools/seeded.py") == []
 
 
+SEEDED_FEDERATION_IMPORTS = """\
+from ..federation.decompose import PatternSources
+from .. import federation, rdf
+import repro.federation
+from repro import federation as planner
+from ..obs.trace import get_tracer
+from .exec import finish_run
+import repro.federation_tools
+
+def select_sources(query, selector):
+    from ..federation import decompose
+    return decompose
+"""
+
+
+def _federation_import_findings(relative: str) -> list[str]:
+    path = REPO_ROOT / relative
+    return [
+        finding.render()
+        for finding in lints.check_sparql_imports_no_federation(
+            ast.parse(SEEDED_FEDERATION_IMPORTS), path
+        )
+    ]
+
+
+def test_inv016_reports_federation_imports_under_sparql():
+    message = (
+        "[INV016] repro.federation imported under sparql/: the federation planner "
+        "imports sparql.analysis, never the other way round"
+    )
+    path = "src/repro/sparql/analysis.py"
+    # Relative and absolute, module-level and function-level; other
+    # packages and a name that only starts with "federation" pass.
+    assert _federation_import_findings(path) == [
+        f"{path}:{line}: {message}" for line in (1, 2, 3, 4, 10)
+    ]
+
+
+def test_inv016_scope():
+    # The federation imports the query layer freely, and so do tests; one
+    # level deeper under sparql/ the relative imports still resolve.
+    assert _federation_import_findings("src/repro/federation/decompose.py") == []
+    assert _federation_import_findings("tests/sparql/seeded.py") == []
+    assert [line.split(": ")[0] for line in _federation_import_findings(
+        "src/repro/sparql/sub/seeded.py"
+    )] == ["src/repro/sparql/sub/seeded.py:3", "src/repro/sparql/sub/seeded.py:4"]
+
+
 SEEDED_PACKAGE = {
     "src/repro/__init__.py": "from .api import build\n\n__all__ = [\"build\"]\n",
     "src/repro/api.py": (

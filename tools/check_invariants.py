@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant lints, run as a hard CI gate.
 
-Fifteen structural invariants that ordinary linters do not express, checked
+Sixteen structural invariants that ordinary linters do not express, checked
 with nothing but the stdlib ``ast`` module:
 
 1. **Hot-loop allocation ban** — inside the batched executor
@@ -115,6 +115,14 @@ with nothing but the stdlib ``ast`` module:
     local or federated, ends in that one function, which builds the event
     only when ANALYZE, the JSONL sink, the tracer or the slow log reads it;
     a second path would build or route its own copy of the record.
+
+16. **The query layer does not import the federation** — no module under
+    ``src/repro/sparql/`` imports ``repro.federation`` (absolute or
+    relative, function-level imports included).  The federation planner
+    (``decompose_query``) selects sources and raises SQA201/SQA202 with
+    ``sparql.analysis``'s diagnostic types; an import back would let the
+    query layer learn which shapes the planner can plan, a second planner
+    prologue in all but name.
 
 Exit status is non-zero when any violation is found.  Findings are printed
 one per line as ``path:line: [INVxxx] message`` so CI logs read like
@@ -730,6 +738,40 @@ def check_one_run_record(tree: ast.Module, path: Path) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
+# INV016 — the query layer does not import the federation
+# --------------------------------------------------------------------------- #
+
+SPARQL_PACKAGE = SRC_PACKAGE / "sparql"
+FEDERATION_MODULE = "repro.federation"
+
+
+def _absolute_imports(node: ast.Import | ast.ImportFrom, path: Path) -> list[str]:
+    """:func:`_imported_names` with relative imports resolved against the
+    package of ``path`` (a file under ``src/``)."""
+    if not isinstance(node, ast.ImportFrom) or not node.level:
+        return _imported_names(node)
+    package = list(path.relative_to(REPO_ROOT / "src").parent.parts)
+    base = ".".join(package[:len(package) - node.level + 1])
+    module = f"{base}.{node.module}" if node.module else base
+    return [module] + [f"{module}.{alias.name}" for alias in node.names]
+
+
+def check_sparql_imports_no_federation(tree: ast.Module, path: Path) -> list[Finding]:
+    if SPARQL_PACKAGE not in path.parents:
+        return []
+    return sorted((
+        Finding(path, node.lineno, "INV016",
+                "repro.federation imported under sparql/: the federation planner "
+                "imports sparql.analysis, never the other way round")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            name == FEDERATION_MODULE or name.startswith(FEDERATION_MODULE + ".")
+            for name in _absolute_imports(node, path)
+        )
+    ), key=lambda finding: finding.line)
+
+
+# --------------------------------------------------------------------------- #
 # INV009 — no public symbol or knob that only tests reach
 # --------------------------------------------------------------------------- #
 
@@ -793,6 +835,7 @@ def main() -> int:
             findings.extend(check_graph_contract(tree, path))
             findings.extend(check_no_federation_threads(tree, path))
             findings.extend(check_one_run_record(tree, path))
+            findings.extend(check_sparql_imports_no_federation(tree, path))
             if path == EXEC_PATH:
                 findings.extend(check_hot_loops(tree, path))
     findings.extend(check_reachability())

@@ -141,15 +141,9 @@ ALLOWLIST: dict[str, tuple[str, ...]] = {
         "repro.federation.shard:shard_graph(base_uri)",
         "repro.federation.shard:shard_graph(registry)",
     ),
-    "MediatorService, the facade the README's quick start documents; the CLI sets "
-    "the same settings on its engine": (
-        "repro.federation.service:MediatorService(parallel)",
-        "repro.federation.service:MediatorService(max_workers)",
-        "repro.federation.service:MediatorService(ask_probes)",
-        "repro.federation.service:MediatorService(bind_join_batch)",
+    "MediatorService, the facade the README's quick start documents": (
         "repro.federation.service:MediatorService.federate(datasets)",
         "repro.federation.service:MediatorService.federate(canonical_pattern)",
-        "repro.federation.service:MediatorService.federate(parallel)",
         "repro.federation.service:MediatorService.translate_and_run(source_ontology)",
         "repro.federation.service:MediatorService.translate_and_run(mode)",
         "repro.core.mediator:TargetProfile(prefixes)",
