@@ -518,10 +518,12 @@ def check_one_operator_tree(tree: ast.Module, path: Path) -> list[Finding]:
 STDLIB_HTTP_MODULES = ("http.client", "http.server", "urllib.request", "email")
 
 
-def _imports_module(node: ast.Import | ast.ImportFrom, module: str) -> bool:
-    return any(
-        name == module or name.startswith(module + ".") for name in _imported_names(node)
-    )
+def _imports_module(node: ast.Import | ast.ImportFrom, module: str,
+                    path: Path | None = None) -> bool:
+    """Whether ``node`` imports ``module`` or a submodule of it; relative
+    imports are resolved against ``path``'s package when it is given."""
+    names = _imported_names(node) if path is None else _absolute_imports(node, path)
+    return any(name == module or name.startswith(module + ".") for name in names)
 
 
 def check_http_transport(tree: ast.Module, path: Path) -> list[Finding]:
@@ -764,10 +766,8 @@ def check_sparql_imports_no_federation(tree: ast.Module, path: Path) -> list[Fin
                 "repro.federation imported under sparql/: the federation planner "
                 "imports sparql.analysis, never the other way round")
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
-            name == FEDERATION_MODULE or name.startswith(FEDERATION_MODULE + ".")
-            for name in _absolute_imports(node, path)
-        )
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and _imports_module(node, FEDERATION_MODULE, path)
     ), key=lambda finding: finding.line)
 
 
