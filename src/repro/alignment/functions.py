@@ -96,10 +96,6 @@ class FunctionRegistry:
         self._functions[URIRef(str(uri))] = function
         self._generation += 1
 
-    def unregister(self, uri: URIRef) -> None:
-        self._functions.pop(URIRef(str(uri)), None)
-        self._generation += 1
-
     def __contains__(self, uri: URIRef) -> bool:
         return URIRef(str(uri)) in self._functions
 
@@ -119,9 +115,6 @@ class FunctionRegistry:
             raise
         except Exception as exc:  # pragma: no cover - defensive wrapper
             raise FunctionExecutionError(f"function {uri} failed: {exc}") from exc
-
-    def registered_functions(self) -> list[URIRef]:
-        return sorted(self._functions, key=str)
 
     def __len__(self) -> int:
         return len(self._functions)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
-from ..rdf import BNode, Term, Triple, URIRef, Variable, is_ground
+from ..rdf import BNode, Term, Triple, URIRef, Variable
 
 __all__ = ["FunctionalDependency", "EntityAlignment", "OntologyAlignment", "AlignmentError"]
 
@@ -71,10 +71,6 @@ class FunctionalDependency:
     def parameter_variables(self) -> set[Variable]:
         """The variables among the parameters."""
         return {parameter for parameter in self.parameters if isinstance(parameter, Variable)}
-
-    def is_ground(self) -> bool:
-        """True when every parameter is a ground term."""
-        return all(is_ground(parameter) for parameter in self.parameters)
 
     def __str__(self) -> str:
         args = ", ".join(p.n3() for p in self.parameters)
@@ -152,17 +148,6 @@ class EntityAlignment:
         produced = {dependency.variable for dependency in self.functional_dependencies}
         return self.rhs_variables() - self.lhs_variables() - produced
 
-    def functional_dependency_for(self, variable: Variable) -> FunctionalDependency | None:
-        """The FD whose target is ``variable``, if any (paper's ``getFD``)."""
-        for dependency in self.functional_dependencies:
-            if dependency.variable == variable:
-                return dependency
-        return None
-
-    def source_properties(self) -> set[URIRef]:
-        """URIs used in the LHS (for indexing alignments by source vocabulary)."""
-        return {term for term in self.lhs if isinstance(term, URIRef)}
-
     def target_properties(self) -> set[URIRef]:
         """URIs used in the RHS."""
         return {
@@ -171,10 +156,6 @@ class EntityAlignment:
             for term in pattern
             if isinstance(term, URIRef)
         }
-
-    def is_identity(self) -> bool:
-        """True when the alignment maps its head onto itself."""
-        return len(self.rhs) == 1 and self.rhs[0] == self.lhs and not self.functional_dependencies
 
     # ------------------------------------------------------------------ #
     # Value semantics
@@ -196,7 +177,7 @@ class EntityAlignment:
         return f"<EntityAlignment {name}: {self.lhs.n3()} -> {len(self.rhs)} patterns>"
 
     def describe(self) -> str:
-        """Multi-line human-readable description (used by the CLI)."""
+        """Multi-line human-readable description."""
         lines = [f"LHS: {self.lhs.n3()}"]
         lines.extend(f"RHS: {pattern.n3()}" for pattern in self.rhs)
         lines.extend(f"FD:  {dependency}" for dependency in self.functional_dependencies)

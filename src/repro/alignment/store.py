@@ -76,10 +76,6 @@ class AlignmentStore:
     # ------------------------------------------------------------------ #
     # Selection
     # ------------------------------------------------------------------ #
-    def ontology_alignments(self) -> list[OntologyAlignment]:
-        """Every registered ontology alignment."""
-        return list(self._alignments)
-
     def for_target_dataset(
         self,
         dataset: URIRef,
@@ -164,20 +160,6 @@ class AlignmentStore:
             )
             counts[key] += len(alignment)
         return dict(counts)
-
-    def source_ontologies(self) -> set[URIRef]:
-        """All source ontologies covered by the KB."""
-        result: set[URIRef] = set()
-        for alignment in self._alignments:
-            result |= alignment.source_ontologies
-        return result
-
-    def target_datasets(self) -> set[URIRef]:
-        """All target datasets covered by the KB."""
-        result: set[URIRef] = set()
-        for alignment in self._alignments:
-            result |= alignment.target_datasets
-        return result
 
     def __len__(self) -> int:
         return len(self._alignments)

@@ -53,9 +53,6 @@ class GeneratedConstruct:
 
     alignment: EntityAlignment
     query: ConstructQuery
-    #: Variables whose value should be post-processed with the alignment's
-    #: functional dependencies (e.g. mapped through owl:sameAs).
-    deferred_variables: tuple[Variable, ...] = ()
 
     @property
     def query_text(self) -> str:
@@ -71,9 +68,9 @@ def construct_query_for_alignment(
     The direction is source → target: the WHERE clause matches the LHS over
     source-vocabulary data and the template instantiates the RHS.  RHS
     variables produced by functional dependencies are aliased to the FD's
-    first variable parameter (so the value flows through the query) and are
-    reported as *deferred*: their URIs still live in the source URI space
-    until :func:`translate_graph_uris` is applied.
+    first variable parameter (so the value flows through the query); their
+    URIs still live in the source URI space until
+    :func:`translate_graph_uris` is applied.
     """
     prologue = Prologue()
     for prefix, namespace in (prefixes or {}).items():
@@ -82,13 +79,11 @@ def construct_query_for_alignment(
     # Map FD-produced variables onto the variable they are computed from,
     # when that variable occurs in the LHS (the sameas(?x, re) shape).
     aliases: dict[Variable, Variable] = {}
-    deferred: list[Variable] = []
     lhs_variables = alignment.lhs_variables()
     for dependency in alignment.functional_dependencies:
         source_variables = [p for p in dependency.parameters if isinstance(p, Variable)]
         if source_variables and source_variables[0] in lhs_variables:
             aliases[dependency.variable] = source_variables[0]
-            deferred.append(dependency.variable)
 
     def resolve(term: Term) -> Term:
         if not isinstance(term, Variable):
@@ -106,11 +101,7 @@ def construct_query_for_alignment(
     template = [pattern.map_terms(resolve) for pattern in alignment.rhs]
     where = GroupGraphPattern([TriplesBlock([alignment.lhs])])
     query = ConstructQuery(prologue, template, where)
-    return GeneratedConstruct(
-        alignment=alignment,
-        query=query,
-        deferred_variables=tuple(aliases.get(v, v) for v in deferred),
-    )
+    return GeneratedConstruct(alignment=alignment, query=query)
 
 
 def construct_queries_for_alignments(

@@ -260,18 +260,6 @@ class CompiledRuleSet:
         return iter(self.alignments)
 
     # ------------------------------------------------------------------ #
-    def find_matches(self, query_triple: Triple) -> list[MatchResult]:
-        """All matching alignments, in KB order (indexed twin of the scan)."""
-        results: list[MatchResult] = []
-        for rule in self.index.candidates(query_triple):
-            substitution = rule.match(query_triple)
-            if substitution is not None:
-                results.append(
-                    MatchResult(alignment=rule.alignment, substitution=substitution,
-                                triple=query_triple)
-                )
-        return results
-
     def first_match(
         self, query_triple: Triple
     ) -> tuple[MatchResult | None, CompiledRule | None]:

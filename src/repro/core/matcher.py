@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping
 
-from ..rdf import Term, Triple, Variable, is_ground
+from ..rdf import Term, Triple, Variable
 from ..alignment import EntityAlignment
 
 __all__ = ["Substitution", "MatchResult", "match_node", "match_triple", "match_alignment",
@@ -79,18 +79,6 @@ class Substitution(Mapping[Variable, Term]):
             return self._data.get(term, term)
         return term
 
-    def apply_to_triple(self, pattern: Triple) -> Triple:
-        """Instantiate a triple pattern under this substitution."""
-        return pattern.map_terms(self.apply_to_term)
-
-    def is_ground_for(self, variable: Variable) -> bool:
-        """True when ``variable`` is bound to a URI or literal."""
-        value = self._data.get(variable)
-        return value is not None and is_ground(value)
-
-    def bound_variables(self) -> set[Variable]:
-        return set(self._data)
-
     def as_dict(self) -> dict[Variable, Term]:
         return dict(self._data)
 
@@ -122,10 +110,6 @@ class MatchResult:
     alignment: EntityAlignment
     substitution: Substitution
     triple: Triple
-
-    def rhs_instantiated(self) -> list[Triple]:
-        """The RHS patterns under the match substitution (no fresh renaming)."""
-        return [self.substitution.apply_to_triple(pattern) for pattern in self.alignment.rhs]
 
 
 def match_node(lhs_term: Term, query_term: Term) -> Substitution | None:

@@ -82,7 +82,6 @@ class TargetProfile:
 class MediationResult:
     """Outcome of one mediation request."""
 
-    source_query: Query
     rewritten_query: Query
     target: TargetProfile
     report: RewriteReport
@@ -148,9 +147,6 @@ class Mediator:
         if dataset not in self._targets:
             raise KeyError(f"unknown target dataset: {dataset}")
         return self._targets[dataset]
-
-    def targets(self) -> list[TargetProfile]:
-        return [self._targets[key] for key in sorted(self._targets, key=str)]
 
     # ------------------------------------------------------------------ #
     # Mediation
@@ -243,7 +239,6 @@ class Mediator:
         if cached is not None:
             rewritten, report, considered = cached
             return MediationResult(
-                source_query=query,
                 rewritten_query=clone_query(rewritten),
                 target=target,
                 report=_copy_report(report),
@@ -269,7 +264,6 @@ class Mediator:
                     self._result_cache.popitem(last=False)
 
         return MediationResult(
-            source_query=query,
             rewritten_query=clone_query(rewritten),
             target=target,
             report=_copy_report(report),

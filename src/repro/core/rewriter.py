@@ -72,10 +72,6 @@ class FreshVariableGenerator:
         self._reserved: set[str] = {variable.name for variable in reserved}
         self._counter = 0
 
-    def reserve(self, variables: Iterable[Variable]) -> None:
-        """Mark more variable names as unavailable."""
-        self._reserved.update(variable.name for variable in variables)
-
     def fresh(self) -> Variable:
         """Return a new, unused variable."""
         while True:

@@ -23,7 +23,7 @@ import re
 import threading
 from collections.abc import Iterable
 
-from ..rdf import Graph, OWL, Triple, URIRef
+from ..rdf import Graph, OWL, URIRef
 from .unionfind import UnionFind
 
 __all__ = ["SameAsService", "CoReferenceError"]
@@ -38,7 +38,6 @@ class SameAsService:
 
     def __init__(self) -> None:
         self._bundles: UnionFind[URIRef] = UnionFind()
-        self._lookups = 0
         self._generation = 0
         # Lookup patterns repeat endlessly (one per target dataset), so
         # compile each once; guarded together with the counters because the
@@ -89,26 +88,12 @@ class SameAsService:
                 count += 1
         return count
 
-    def to_graph(self) -> Graph:
-        """Export the bundles as an ``owl:sameAs`` graph (star per bundle)."""
-        graph = Graph()
-        for bundle in self.bundles():
-            members = sorted(bundle, key=str)
-            canonical = members[0]
-            for member in members[1:]:
-                graph.add(Triple(member, OWL.sameAs, canonical))
-        return graph
-
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
     def equivalence_class(self, uri: URIRef) -> set[URIRef]:
         """The bundle ``[uri]`` (always contains ``uri`` itself)."""
         return set(self._bundles.members(uri)) | {uri}
-
-    def are_same(self, left: URIRef, right: URIRef) -> bool:
-        """True when the two URIs are known to co-refer."""
-        return left == right or self._bundles.connected(left, right)
 
     def lookup(self, uri: URIRef, pattern: str) -> URIRef | None:
         """The equivalent of ``uri`` whose string matches ``pattern``.
@@ -120,8 +105,6 @@ class SameAsService:
         deterministic.  Returns ``None`` when no member matches.
         """
         compiled = self._compiled(pattern)
-        with self._lock:
-            self._lookups += 1
         candidates = [
             member
             for member in self.equivalence_class(uri)
@@ -170,11 +153,6 @@ class SameAsService:
 
     def uri_count(self) -> int:
         return len(self._bundles)
-
-    @property
-    def lookup_count(self) -> int:
-        """Number of :meth:`lookup` calls served (experiment bookkeeping)."""
-        return self._lookups
 
     def statistics(self) -> dict[str, float]:
         """Summary statistics of the bundle store."""

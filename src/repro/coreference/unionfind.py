@@ -84,13 +84,6 @@ class UnionFind(Generic[T]):
             self._members[left_root] |= self._members.pop(right_root)
             return left_root
 
-    def connected(self, left: T, right: T) -> bool:
-        """True when the two items are in the same class."""
-        with self._lock:
-            if left not in self._parent or right not in self._parent:
-                return False
-            return self._find(left) == self._find(right)
-
     def members(self, item: T) -> set[T]:
         """Every item in the same class as ``item`` (including itself)."""
         with self._lock:

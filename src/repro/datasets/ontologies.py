@@ -11,15 +11,13 @@ Three vocabularies are modelled after the ones the paper integrates:
   Section 3.4).
 
 Only the fragments needed by the data generators and the alignment KBs are
-declared, but each vocabulary is also exported as an RDFS graph so ontology
-documents exist as artefacts (the alignment context-of-validity points at
-their URIs).
+declared.
 """
 
 from __future__ import annotations
 
 
-from ..rdf import AKT, DBPO, FOAF, Graph, KISTI, Literal, Namespace, OWL, RDF, RDFS, Triple, URIRef
+from ..rdf import AKT, DBPO, KISTI, Namespace, URIRef
 
 __all__ = [
     "AKT_ONTOLOGY_URI", "KISTI_ONTOLOGY_URI", "DBPEDIA_ONTOLOGY_URI",
@@ -45,8 +43,6 @@ class _Vocabulary:
 
     def __init__(self, namespace: Namespace, classes: list[str], properties: list[str]) -> None:
         self.namespace = namespace
-        self.class_names = list(classes)
-        self.property_names = list(properties)
         self.classes: dict[str, URIRef] = {name: namespace[name] for name in classes}
         self.properties: dict[str, URIRef] = {name: namespace[name] for name in properties}
 
@@ -56,24 +52,6 @@ class _Vocabulary:
         if name in self.properties:
             return self.properties[name]
         raise KeyError(name)
-
-    def all_terms(self) -> list[URIRef]:
-        return list(self.classes.values()) + list(self.properties.values())
-
-    def to_graph(self, ontology_uri: URIRef) -> Graph:
-        """An RDFS description of the vocabulary (the ontology document)."""
-        graph = Graph(identifier=ontology_uri)
-        graph.add(Triple(ontology_uri, RDF.type, OWL.Ontology))
-        for name, uri in self.classes.items():
-            graph.add(Triple(uri, RDF.type, OWL.Class))
-            graph.add(Triple(uri, RDFS.label, Literal(name)))
-            graph.add(Triple(uri, RDFS.isDefinedBy, ontology_uri))
-        for name, uri in self.properties.items():
-            graph.add(Triple(uri, RDF.type, RDF.Property))
-            graph.add(Triple(uri, RDFS.label, Literal(name)))
-            graph.add(Triple(uri, RDFS.isDefinedBy, ontology_uri))
-        return graph
-
 
 #: AKT portal ontology fragment (classes and properties used by RKB data).
 AKT_TERMS = _Vocabulary(

@@ -45,7 +45,6 @@ class IntegrationScenario:
     world: WorldModel
     akt_builder: AktDatasetBuilder
     kisti_builder: KistiDatasetBuilder
-    dbpedia_builder: DBpediaDatasetBuilder
     registry: DatasetRegistry
     alignment_store: AlignmentStore
     sameas_service: SameAsService
@@ -180,7 +179,6 @@ def build_resist_scenario(
         world=world,
         akt_builder=akt_builder,
         kisti_builder=kisti_builder,
-        dbpedia_builder=dbpedia_builder,
         registry=registry,
         alignment_store=alignment_store,
         sameas_service=sameas,

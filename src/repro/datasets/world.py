@@ -200,10 +200,6 @@ class WorldModel:
         """Keys of the papers authored by ``person_key``."""
         return {paper.key for paper in self.papers if person_key in paper.author_keys}
 
-    def papers_in_year(self, year: int) -> set[int]:
-        """Keys of the papers published in ``year``."""
-        return {paper.key for paper in self.papers if paper.year == year}
-
     def most_prolific_author(self) -> int:
         """Key of the person with the most papers (ties broken by key)."""
         counts = {person.key: len(self.papers_of(person.key)) for person in self.persons}

@@ -27,7 +27,7 @@ from .federator import (
 )
 from .policy import CircuitBreaker, CircuitState, ExecutionPolicy
 from .registry import DatasetRegistry, EndpointHealth, RegisteredDataset
-from .service import DatasetInfo, ExecutionResponse, MediatorService, TranslationResponse
+from .service import ExecutionResponse, MediatorService, TranslationResponse
 from .shard import ShardedGraph, shard_for_subject, shard_graph
 from .void import DatasetDescription, descriptions_from_graph, descriptions_to_graph
 
@@ -44,5 +44,5 @@ __all__ = [
     "DEFAULT_BIND_JOIN_BATCH",
     "recall",
     "ShardedGraph", "shard_graph", "shard_for_subject",
-    "MediatorService", "DatasetInfo", "TranslationResponse", "ExecutionResponse",
+    "MediatorService", "TranslationResponse", "ExecutionResponse",
 ]

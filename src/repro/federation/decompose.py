@@ -166,12 +166,6 @@ class PatternSources:
     def relevant_uris(self) -> list[URIRef]:
         return [d.dataset_uri for d in self.decisions if d.relevant]
 
-    def decision_for(self, uri: URIRef) -> SourceDecision | None:
-        for decision in self.decisions:
-            if decision.dataset_uri == uri:
-                return decision
-        return None
-
 
 @dataclass
 class QueryUnit:
@@ -218,12 +212,18 @@ class DecomposedPlan:
     #: gets the fan-out plan.
     fallback_reason: str | None = None
     bind_join_batch: int = DEFAULT_BIND_JOIN_BATCH
-    #: ASK probes issued during source selection.
-    probes: int = 0
+    #: The ASK probes source selection issued for this plan, per dataset:
+    #: ``uri -> [requests, attempts]``.
+    probe_traffic: dict[URIRef, list[int]] = field(default_factory=dict)
     #: Static-analysis diagnostics: the local analyzer's, then the
     #: planner's own SQA201/SQA202, surfaced before any endpoint sees the
     #: query.
     diagnostics: list = field(default_factory=list)
+
+    @property
+    def probes(self) -> int:
+        """ASK probes issued during source selection."""
+        return sum(requests for requests, _ in self.probe_traffic.values())
 
     @property
     def decomposed(self) -> bool:
@@ -310,10 +310,6 @@ class SourceSelector:
         self._engine = engine
         self._cache: dict[tuple, SourceDecision] = {}
         self._cache_generation: int | None = None
-        #: Probe traffic of the most recent selection round, per dataset:
-        #: ``uri -> (requests, attempts, last_error)``.
-        self.probe_traffic: dict[URIRef, list[int]] = {}
-        self.probes_issued = 0
 
     # -- cache ----------------------------------------------------------- #
     def _check_generation(self) -> None:
@@ -417,8 +413,10 @@ class SourceSelector:
         source_ontology: URIRef | None,
         source_dataset: URIRef | None,
         mode: str,
+        traffic: dict[URIRef, list[int]],
     ) -> SourceDecision:
-        """Is ``pattern`` (translated for ``target``) answerable there?"""
+        """Is ``pattern`` (translated for ``target``) answerable there?  An
+        ASK probe it issues is counted in the caller's ``traffic``."""
         self._check_generation()
         graph = target.local_graph()
         key = self._cache_key(pattern, target, graph, source_ontology, source_dataset, mode)
@@ -426,7 +424,7 @@ class SourceSelector:
         if cached is not None:
             return cached
         decision = self._decide_uncached(
-            pattern, target, graph, source_ontology, source_dataset, mode
+            pattern, target, graph, source_ontology, source_dataset, mode, traffic
         )
         self._cache[key] = decision
         return decision
@@ -439,6 +437,7 @@ class SourceSelector:
         source_ontology: URIRef | None,
         source_dataset: URIRef | None,
         mode: str,
+        traffic: dict[URIRef, list[int]],
     ) -> SourceDecision:
         try:
             translated = self.translate_patterns(
@@ -482,7 +481,7 @@ class SourceSelector:
                 target.uri, True, "broadcast (probes disabled)", estimate
             )
         else:
-            decision = self._probe(target, translated, estimate)
+            decision = self._probe(target, translated, estimate, traffic)
         subject_kept = all(candidate.subject == pattern.subject for candidate in translated)
         return replace(decision, subject_kept=subject_kept)
 
@@ -491,6 +490,7 @@ class SourceSelector:
         target: RegisteredDataset,
         translated: Sequence[Triple],
         estimate: float,
+        traffic: dict[URIRef, list[int]],
     ) -> SourceDecision:
         """ASK the endpoint whether the translated group matches anything.
 
@@ -502,13 +502,12 @@ class SourceSelector:
         probe = AskQuery(
             Prologue(), GroupGraphPattern([TriplesBlock(list(translated))])
         )
-        self.probes_issued += 1
-        traffic = self.probe_traffic.setdefault(target.uri, [0, 0])
-        traffic[0] += 1
+        counts = traffic.setdefault(target.uri, [0, 0])
+        counts[0] += 1
         result, attempts, error = self._engine.call_endpoint(
             target, probe, kind="ask", timeout=self._engine.probe_timeout
         )
-        traffic[1] += attempts
+        counts[1] += attempts
         if error is not None or result is None:
             return SourceDecision(
                 target.uri, True, f"broadcast (probe failed: {error})", estimate
@@ -558,10 +557,6 @@ def decompose_query(
         plan.empty_reason = local.empty_reason
         return plan
 
-    # Probe traffic is attributed to the call that triggers the probes;
-    # whatever an earlier explain/plan left behind is not this call's.
-    selector.probe_traffic.clear()
-
     usable: list[RegisteredDataset] = []
     for target in targets:
         state = engine.registry.breaker_for(target.uri).state
@@ -583,10 +578,10 @@ def decompose_query(
         return _fan_out_plan(plan, query, targets)
 
     span_by_pattern = _pattern_spans(query)
-    probes_before = selector.probes_issued
     for pattern in patterns:
         sources = PatternSources(pattern, [
-            selector.decide(pattern, target, source_ontology, source_dataset, mode)
+            selector.decide(pattern, target, source_ontology, source_dataset, mode,
+                            plan.probe_traffic)
             for target in usable
         ])
         plan.pattern_sources.append(sources)
@@ -605,7 +600,6 @@ def decompose_query(
         ))
         if plan.empty_reason is None:
             plan.empty_reason = f"pattern {pattern_text(pattern)} matches no registered dataset"
-    plan.probes = selector.probes_issued - probes_before
 
     relevant = {uri for sources in plan.pattern_sources for uri in sources.relevant_uris()}
     for target in usable:
@@ -916,14 +910,12 @@ def execute_decomposed(
                 plan_span.set_attribute("fallback_reason", plan.fallback_reason)
 
     traffic: dict[URIRef, _Traffic] = {target.uri: _Traffic() for target in targets}
-    if plan.probes:
-        probe_traffic = engine.source_selector.probe_traffic
-        for uri, (requests, attempts) in probe_traffic.items():
-            if uri in traffic:
-                entry = traffic[uri]
-                entry.requests += requests
-                entry.attempts += attempts
-        probe_traffic.clear()
+    # The probes this plan's selection issued are billed to its datasets.
+    for uri, (requests, attempts) in plan.probe_traffic.items():
+        if uri in traffic:
+            entry = traffic[uri]
+            entry.requests += requests
+            entry.attempts += attempts
 
     variables = _result_variables(query)
     if canonical_pattern is None and source_dataset is not None:

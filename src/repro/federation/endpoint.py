@@ -14,9 +14,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from collections.abc import Iterable
 
-from ..rdf import Graph, GraphView, Triple, URIRef
+from ..rdf import Graph, GraphView, URIRef
 from ..sparql import (
     AskQuery,
     AskResult,
@@ -162,11 +161,6 @@ class LocalSparqlEndpoint(SparqlEndpoint):
 
     def triple_count(self) -> int:
         return len(self._graph)
-
-    def load(self, triples: Iterable[Triple]) -> LocalSparqlEndpoint:
-        """Bulk-load triples (used by the scenario builders)."""
-        self._graph.add_all(triples)
-        return self
 
     # ------------------------------------------------------------------ #
     # Failure injection

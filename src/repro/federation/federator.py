@@ -51,7 +51,6 @@ from .decompose import (
     execute_decomposed,
 )
 from .endpoint import EndpointError, EndpointTimeout
-from .policy import ExecutionPolicy
 from .registry import DatasetRegistry, RegisteredDataset
 
 __all__ = ["DatasetResult", "FederatedResult", "FederatedQueryEngine", "recall"]
@@ -107,9 +106,6 @@ class FederatedResult:
 
     def distinct_values(self, variable: Variable | str) -> set[Term]:
         return self.merged().distinct_values(variable)
-
-    def successful_datasets(self) -> list[URIRef]:
-        return [entry.dataset_uri for entry in self.per_dataset if entry.succeeded]
 
     def failed_datasets(self) -> list[URIRef]:
         return [entry.dataset_uri for entry in self.per_dataset if not entry.succeeded]

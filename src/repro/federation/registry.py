@@ -128,12 +128,6 @@ class DatasetRegistry:
         self.register(dataset)
         return dataset
 
-    def unregister(self, uri: URIRef) -> None:
-        with self._lock:
-            self._datasets.pop(uri, None)
-            self._policies.pop(uri, None)
-            self._breakers.pop(uri, None)
-
     def refresh_statistics(self) -> int:
         """Refresh voiD vocabulary statistics from the endpoints' live graphs.
 
@@ -207,11 +201,6 @@ class DatasetRegistry:
             )
         return report
 
-    def reset_breakers(self) -> None:
-        """Forget all recorded endpoint failures."""
-        with self._lock:
-            self._breakers.clear()
-
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
@@ -241,10 +230,6 @@ class DatasetRegistry:
 
     def dataset_uris(self) -> list[URIRef]:
         return [dataset.uri for dataset in self]
-
-    def using_ontology(self, ontology: URIRef) -> list[RegisteredDataset]:
-        """Datasets whose voiD description lists ``ontology`` as a vocabulary."""
-        return [dataset for dataset in self if ontology in dataset.ontologies]
 
     # ------------------------------------------------------------------ #
     # voiD KB export / import

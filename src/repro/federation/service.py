@@ -5,8 +5,8 @@ REST API backed by a Jena store holding the alignment KB and the voiD KB.
 :class:`MediatorService` is the programmatic equivalent: one object that
 owns the two knowledge bases, the co-reference service, the dataset
 registry and the mediator, and that exposes the operations the UI offered —
-list datasets, translate a query for a chosen dataset, and translate *and
-run* it against the dataset's endpoint.
+translate a query for a chosen dataset, and translate *and run* it against
+the dataset's endpoint.
 
 Request/response dataclasses mirror what the REST layer would serialise to
 JSON, which keeps the facade easy to wrap in an actual HTTP server without
@@ -26,26 +26,13 @@ from ..sparql import Query, parse_query
 from .federator import FederatedQueryEngine, FederatedResult
 from .registry import DatasetRegistry
 
-__all__ = ["DatasetInfo", "TranslationResponse", "ExecutionResponse", "MediatorService"]
-
-
-@dataclass(frozen=True)
-class DatasetInfo:
-    """What the UI shows in its dataset drop-down."""
-
-    uri: str
-    title: str | None
-    endpoint: str
-    ontologies: list[str]
-    triple_count: int
+__all__ = ["TranslationResponse", "ExecutionResponse", "MediatorService"]
 
 
 @dataclass
 class TranslationResponse:
     """Response of the ``translate`` operation."""
 
-    target_dataset: str
-    source_query: str
     translated_query: str
     alignments_considered: int
     triples_matched: int
@@ -104,23 +91,6 @@ class MediatorService:
     # ------------------------------------------------------------------ #
     # Operations offered by the UI / REST API
     # ------------------------------------------------------------------ #
-    def list_datasets(self) -> list[DatasetInfo]:
-        """Datasets available as rewriting/execution targets."""
-        infos = []
-        for dataset in self.registry:
-            infos.append(
-                DatasetInfo(
-                    uri=str(dataset.uri),
-                    title=dataset.description.title,
-                    endpoint=str(dataset.description.endpoint_uri),
-                    ontologies=[str(uri) for uri in dataset.ontologies],
-                    triple_count=dataset.endpoint.triple_count()
-                    if hasattr(dataset.endpoint, "triple_count")
-                    else -1,
-                )
-            )
-        return infos
-
     def translate(
         self,
         query: Query | str,
@@ -132,7 +102,7 @@ class MediatorService:
         if isinstance(query, str):
             query = parse_query(query)
         mediation = self.mediator.translate(query, target_dataset, source_ontology, mode)
-        return self._translation_response(query, mediation)
+        return self._translation_response(mediation)
 
     def translate_and_run(
         self,
@@ -148,7 +118,7 @@ class MediatorService:
         endpoint = self.registry.get(target_dataset).endpoint
         result = endpoint.select(mediation.rewritten_query)
         return ExecutionResponse(
-            translation=self._translation_response(query, mediation),
+            translation=self._translation_response(mediation),
             row_count=len(result),
             rows=result.to_dicts(),
         )
@@ -222,10 +192,8 @@ class MediatorService:
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _translation_response(query: Query, mediation: MediationResult) -> TranslationResponse:
+    def _translation_response(mediation: MediationResult) -> TranslationResponse:
         return TranslationResponse(
-            target_dataset=str(mediation.target.dataset),
-            source_query=query.serialize(),
             translated_query=mediation.query_text,
             alignments_considered=mediation.alignments_considered,
             triples_matched=mediation.report.matched_count,

@@ -58,12 +58,6 @@ class EventSink:
             self._known = True
         return path
 
-    def configure(self, path: str | None) -> None:
-        """Set (or clear) the destination explicitly."""
-        with self._lock:
-            self._path = path
-            self._known = True
-
     @property
     def path(self) -> str | None:
         """The cached destination (first access consults the environment)."""

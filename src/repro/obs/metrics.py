@@ -157,11 +157,6 @@ class Histogram:
         with self._lock:
             return sum(self._counts.get(key, ()))
 
-    def sum(self, **labels: Any) -> float:
-        key = _label_key(self.label_names, labels)
-        with self._lock:
-            return self._sums.get(key, 0.0)
-
     def quantile(self, q: float, **labels: Any) -> float | None:
         """Estimated ``q``-quantile (0..1) by in-bucket interpolation."""
         if not 0.0 <= q <= 1.0:

@@ -18,17 +18,14 @@ spans are synthesized *after* execution from the run's one record, the
 :class:`~repro.sparql.exec.OpMetrics` timings (``add_operator_spans``), so
 the hot loop carries zero tracing overhead in either mode.
 
-Finished spans are kept in a bounded in-memory ring (for tests and the
-slow-query log) and exported as JSONL via the ``REPRO_RUN_EVENTS`` sink
+Finished spans are exported as JSONL via the ``REPRO_RUN_EVENTS`` sink
 (``"kind": "span"`` lines), where ``repro trace`` renders them.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
-from collections import deque
 from contextvars import ContextVar
 from typing import Any
 
@@ -242,11 +239,9 @@ NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
-    """Creates spans, tracks the active one, keeps a ring of finished ones."""
+    """Creates spans, tracks the active one, exports finished ones."""
 
-    def __init__(self, enabled: bool = False, capacity: int = 1024) -> None:
-        self._lock = threading.Lock()
-        self._finished: deque[Span] = deque(maxlen=capacity)
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
 
     # ------------------------------------------------------------------ #
@@ -256,10 +251,6 @@ class Tracer:
         """Turn tracing on (also refreshes the JSONL export destination)."""
         SINK.refresh()
         self.enabled = True
-        return self
-
-    def disable(self) -> Tracer:
-        self.enabled = False
         return self
 
     # ------------------------------------------------------------------ #
@@ -292,15 +283,6 @@ class Tracer:
 
     def current_span(self) -> Span | None:
         return _current_span.get()
-
-    def current_traceparent(self) -> str | None:
-        """The header to inject into an outbound request (None when off)."""
-        if not self.enabled:
-            return None
-        span = _current_span.get()
-        if span is None or not span.recording:
-            return None
-        return span.traceparent()
 
     # ------------------------------------------------------------------ #
     # Post-hoc operator spans (the exec layer's timing hooks)
@@ -355,18 +337,7 @@ class Tracer:
     # Finished spans
     # ------------------------------------------------------------------ #
     def _record(self, span: Span) -> None:
-        with self._lock:
-            self._finished.append(span)
         SINK.emit(span.to_json_dict())
-
-    def finished_spans(self) -> list[Span]:
-        with self._lock:
-            return list(self._finished)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._finished.clear()
-
 
 #: The process-wide tracer (enable with REPRO_TRACE=1 or ``enable()``).
 _TRACER = Tracer(enabled=bool(os.environ.get(TRACE_ENV)))

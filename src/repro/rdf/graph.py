@@ -98,11 +98,6 @@ class Graph:
     # ------------------------------------------------------------------ #
     # Identification
     # ------------------------------------------------------------------ #
-    @property
-    def identifier(self) -> URIRef | None:
-        """Optional URI naming this graph (used by :class:`Dataset`)."""
-        return self._identifier
-
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
@@ -132,17 +127,6 @@ class Graph:
         triple = self._coerce(triple)
         self._store.discard(triple.subject, triple.predicate, triple.object)
         return self
-
-    def remove_pattern(
-        self,
-        subject: Term | None = None,
-        predicate: Term | None = None,
-    ) -> int:
-        """Remove every triple matching ``(subject, predicate, ?)``; return the count."""
-        victims = list(self.triples(subject, predicate, None))
-        for triple in victims:
-            self.discard(triple)
-        return len(victims)
 
     def clear(self) -> None:
         """Remove every triple."""
@@ -273,10 +257,6 @@ class Graph:
             return 0
         return self._store.cardinality(s, p, o)
 
-    def match_pattern(self, pattern: Triple) -> Iterator[Triple]:
-        """Yield triples matching a :class:`Triple` pattern (variables wild)."""
-        return self.triples(pattern.subject, pattern.predicate, pattern.object)
-
     def subjects(
         self, predicate: Term | None = None, obj: Term | None = None
     ) -> Iterator[Term]:
@@ -319,25 +299,6 @@ class Graph:
         for triple in self.triples(subject, predicate, None):
             return triple.object
         return default
-
-    # ------------------------------------------------------------------ #
-    # Vocabulary statistics (used by voiD descriptions)
-    # ------------------------------------------------------------------ #
-    def vocabularies(self) -> set[str]:
-        """Namespace URIs of every predicate and class used in the graph.
-
-        Derived from the statistics counters rather than a triple scan, so
-        it stays cheap on disk-backed stores.
-        """
-        spaces: set[str] = set()
-        for predicate in self.stats.predicate_counts:
-            if isinstance(predicate, URIRef):
-                spaces.add(predicate.namespace_split()[0])
-        for klass in self.stats.class_counts:
-            if isinstance(klass, URIRef):
-                spaces.add(klass.namespace_split()[0])
-        spaces.discard("")
-        return spaces
 
     # ------------------------------------------------------------------ #
     # Set algebra (results are always in-memory graphs)
@@ -440,9 +401,6 @@ class GraphView:
     def triples(self, subject=None, predicate=None, obj=None) -> Iterator[Triple]:
         return self._graph.triples(subject, predicate, obj)
 
-    def match_pattern(self, pattern: Triple) -> Iterator[Triple]:
-        return self._graph.match_pattern(pattern)
-
     def triples_ids(self, s=UNBOUND_ID, p=UNBOUND_ID, o=UNBOUND_ID):
         return self._graph.triples_ids(s, p, o)
 
@@ -469,10 +427,6 @@ class GraphView:
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(self._graph)
-
-    @property
-    def identifier(self) -> URIRef | None:
-        return self._graph.identifier
 
     @property
     def namespace_manager(self) -> NamespaceManager:

@@ -56,11 +56,6 @@ class Namespace:
     def __init__(self, base: str) -> None:
         self._base = str(base)
 
-    @property
-    def base(self) -> str:
-        """The namespace URI string."""
-        return self._base
-
     def term(self, name: str) -> URIRef:
         """Mint the URI ``<base><name>``."""
         return URIRef(self._base + name)
@@ -75,15 +70,6 @@ class Namespace:
 
     def __contains__(self, uri: object) -> bool:
         return isinstance(uri, URIRef) and str(uri).startswith(self._base)
-
-    def local_name(self, uri: URIRef) -> str:
-        """Return the part of ``uri`` after this namespace.
-
-        Raises :class:`ValueError` when the URI is not in the namespace.
-        """
-        if uri not in self:
-            raise ValueError(f"{uri} is not in namespace {self._base}")
-        return str(uri)[len(self._base):]
 
     def __str__(self) -> str:
         return self._base
@@ -182,19 +168,6 @@ class NamespaceManager:
     def prefix(self, namespace: str) -> str | None:
         """The prefix bound to ``namespace``, or ``None``."""
         return self._ns_to_prefix.get(str(namespace))
-
-    def expand(self, qname: str) -> URIRef:
-        """Expand a ``prefix:local`` qualified name into a URI.
-
-        Raises :class:`KeyError` if the prefix is unbound.
-        """
-        if ":" not in qname:
-            raise ValueError(f"not a qualified name: {qname!r}")
-        prefix, local = qname.split(":", 1)
-        base = self._prefix_to_ns.get(prefix)
-        if base is None:
-            raise KeyError(f"unbound prefix: {prefix!r}")
-        return URIRef(base + local)
 
     def compact(self, uri: URIRef) -> str | None:
         """Return ``prefix:local`` for the URI when a binding allows it.

@@ -187,19 +187,9 @@ class GraphStatistics:
 
     # -- read API ---------------------------------------------------------- #
     @property
-    def subject_counts(self) -> dict[Term, int]:
-        """Triples per subject term."""
-        return self._by_term(0)
-
-    @property
     def predicate_counts(self) -> dict[Term, int]:
         """Triples per predicate term."""
         return self._by_term(1)
-
-    @property
-    def object_counts(self) -> dict[Term, int]:
-        """Triples per object term."""
-        return self._by_term(2)
 
     @property
     def class_counts(self) -> dict[Term, int]:

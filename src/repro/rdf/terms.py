@@ -138,12 +138,6 @@ class URIRef(Identifier):
     def n3(self) -> str:
         return f"<{self._value}>"
 
-    def defrag(self) -> URIRef:
-        """Return the URI without its fragment part."""
-        if "#" in self._value:
-            return URIRef(self._value.split("#", 1)[0])
-        return self
-
     def namespace_split(self) -> tuple[str, str]:
         """Split the URI into a (namespace, local-name) pair.
 
@@ -249,8 +243,7 @@ class Literal(Term):
     >>> Literal("bonjour", lang="fr").lang
     'fr'
 
-    Value-space comparison (used by SPARQL FILTER evaluation) is exposed by
-    :meth:`to_python` and :meth:`value_equals`.
+    :meth:`to_python` gives the value SPARQL FILTER evaluation compares.
     """
 
     __slots__ = ("_lexical", "_lang", "_datatype")
@@ -333,14 +326,6 @@ class Literal(Term):
     def is_numeric(self) -> bool:
         """True when the datatype is one of the XSD numeric types."""
         return self._datatype is not None and str(self._datatype) in _NUMERIC_DATATYPES
-
-    def value_equals(self, other: Literal) -> bool:
-        """Value-space equality (``"1"^^xsd:integer == "01"^^xsd:int``)."""
-        if not isinstance(other, Literal):
-            return False
-        if self.is_numeric() and other.is_numeric():
-            return self.to_python() == other.to_python()
-        return self == other
 
     # ------------------------------------------------------------------ #
     # Term protocol

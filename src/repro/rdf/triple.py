@@ -3,15 +3,14 @@
 The paper works with the three-place notation ``Triple(s, p, o)`` over the
 domain ``I x I x (I ∪ L)`` extended with variables/blank nodes for
 patterns.  :class:`Triple` covers both ground triples (asserted data) and
-triple patterns (BGP members, alignment LHS/RHS atoms); helper predicates
-distinguish the two.
+triple patterns (BGP members, alignment LHS/RHS atoms).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .terms import BNode, Literal, Term, URIRef, Variable, is_ground
+from .terms import BNode, Literal, Term, URIRef, Variable
 
 __all__ = ["Triple"]
 
@@ -71,21 +70,9 @@ class Triple:
     # ------------------------------------------------------------------ #
     # Pattern helpers
     # ------------------------------------------------------------------ #
-    def is_ground(self) -> bool:
-        """True when every position holds a URI or literal."""
-        return all(is_ground(term) for term in self)
-
-    def is_pattern(self) -> bool:
-        """True when at least one position holds a variable or blank node."""
-        return not self.is_ground()
-
     def variables(self) -> set[Variable]:
         """The set of SPARQL variables occurring in the triple."""
         return {term for term in self if isinstance(term, Variable)}
-
-    def bnodes(self) -> set[BNode]:
-        """The set of blank nodes occurring in the triple."""
-        return {term for term in self if isinstance(term, BNode)}
 
     def map_terms(self, func) -> Triple:
         """Return a new triple with ``func`` applied to every position."""

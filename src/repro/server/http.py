@@ -686,10 +686,6 @@ class SparqlHttpServer:
         """The SPARQL Protocol query resource."""
         return f"{self.url}/sparql"
 
-    @property
-    def cache(self) -> ResponseCache:
-        return self._httpd.cache
-
     # ------------------------------------------------------------------ #
     def start(self) -> SparqlHttpServer:
         """Serve in a daemon thread; returns immediately."""

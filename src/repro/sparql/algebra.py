@@ -19,7 +19,7 @@ operators.  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 from ..rdf import Triple, Variable
 from .ast import (
@@ -54,12 +54,6 @@ class AlgebraNode:
         for child in self.children():
             result |= child.variables()
         return result
-
-    def walk(self) -> Iterator[AlgebraNode]:
-        """Depth-first pre-order traversal of the operator tree."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
 
     def transform(self, func: Callable[[AlgebraNode], AlgebraNode | None]) -> AlgebraNode:
         """Bottom-up rewriting: rebuild children then apply ``func``.

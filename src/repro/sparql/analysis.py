@@ -161,10 +161,6 @@ class AnalysisResult:
 
     query: Query
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: Variables bound in every solution of the WHERE clause.
-    certain_variables: frozenset[Variable] = frozenset()
-    #: Variables bound in at least some solution (OPTIONAL/UNION arms).
-    possible_variables: frozenset[Variable] = frozenset()
     #: Constant-folded FILTER truth, keyed by ``id()`` of the Filter node.
     constant_filters: dict[int, bool] = field(default_factory=dict)
     #: True when the WHERE clause provably yields no solutions.
@@ -178,10 +174,6 @@ class AnalysisResult:
     @property
     def warnings(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == SEVERITY_WARNING]
-
-    @property
-    def infos(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == SEVERITY_INFO]
 
     @property
     def has_errors(self) -> bool:
@@ -353,9 +345,7 @@ class _Analyzer:
 
     # -- driver ------------------------------------------------------------ #
     def run(self) -> AnalysisResult:
-        certain, possible = group_scopes(self.query.where)
-        self.result.certain_variables = frozenset(certain)
-        self.result.possible_variables = frozenset(possible)
+        _, possible = group_scopes(self.query.where)
 
         self._check_projection(possible)
         self._check_order_by(possible)

@@ -977,7 +977,6 @@ class VecLeftJoinOp(VecOperator, _OrdinalMixin):
         self._left = left
         self._right = right
         self._expression = expression
-        self._ord_var = ord_var
         self._tagged_schema = in_schema + (ord_var,)
         right_schema = right.schema
         new_vars = [
@@ -1043,7 +1042,6 @@ class VecUnionOp(VecOperator, _OrdinalMixin):
         super().__init__(ctx)
         self.in_schema = in_schema
         self._branches = list(branches)
-        self._ord_var = ord_var
         self._tagged_schema = in_schema + (ord_var,)
         schema = in_schema
         for branch in self._branches:

@@ -76,7 +76,6 @@ class SparqlParseError(ValueError):
     def __init__(self, message: str, token: SparqlToken | None = None) -> None:
         location = f" (line {token.line}, column {token.column})" if token else ""
         super().__init__(message + location)
-        self.token = token
         self.line: int | None = token.line if token else None
         self.column: int | None = token.column if token else None
         self.span: SourceSpan | None = token.span if token else None

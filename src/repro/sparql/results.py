@@ -93,12 +93,6 @@ class Binding(Mapping[Variable, Term]):
         wanted = {self._coerce_key(v) for v in variables}
         return Binding({k: v for k, v in self._data.items() if k in wanted})
 
-    def substitute(self, term: Term) -> Term:
-        """Replace a variable by its bound value (identity for other terms)."""
-        if isinstance(term, Variable):
-            return self._data.get(term, term)
-        return term
-
     def as_dict(self) -> dict[str, Term]:
         """Plain ``{variable-name: term}`` dictionary."""
         return {variable.name: term for variable, term in self._data.items()}

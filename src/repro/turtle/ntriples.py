@@ -21,7 +21,6 @@ class NTriplesError(ValueError):
 
     def __init__(self, message: str, line_number: int = 0) -> None:
         super().__init__(f"line {line_number}: {message}" if line_number else message)
-        self.line_number = line_number
 
 
 _IRI_RE = re.compile(r"<([^<>\"{}|^`\\\x00-\x20]*)>")

@@ -39,7 +39,6 @@ class TurtleParseError(ValueError):
     def __init__(self, message: str, token: Token | None = None) -> None:
         location = f" (line {token.line}, column {token.column})" if token else ""
         super().__init__(message + location)
-        self.token = token
 
 
 class TurtleParser:

@@ -52,12 +52,11 @@ class TestRegistry:
         with pytest.raises(FunctionNotFound):
             registry.call(SAMEAS_FUNCTION, [])
 
-    def test_register_and_unregister(self):
+    def test_register(self):
         registry = FunctionRegistry()
+        assert URIRef("http://ex.org/fn") not in registry
         registry.register(URIRef("http://ex.org/fn"), lambda value: value)
         assert URIRef("http://ex.org/fn") in registry
-        registry.unregister(URIRef("http://ex.org/fn"))
-        assert URIRef("http://ex.org/fn") not in registry
 
     def test_call_wraps_unexpected_errors(self):
         registry = FunctionRegistry()
@@ -69,11 +68,6 @@ class TestRegistry:
         with pytest.raises(FunctionExecutionError):
             registry.call(URIRef("http://ex.org/fn"), [Literal("x")])
 
-    def test_registered_functions_sorted(self, service):
-        registry = default_registry(service)
-        names = registry.registered_functions()
-        assert names == sorted(names, key=str)
-        assert len(registry) == len(names)
 
 
 class TestSameAs:

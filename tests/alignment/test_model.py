@@ -22,7 +22,6 @@ class TestFunctionalDependency:
         fd = FunctionalDependency(Variable("a2"), SAMEAS_FUNCTION, [Variable("a1"), PATTERN])
         assert fd.variable == Variable("a2")
         assert fd.parameter_variables() == {Variable("a1")}
-        assert not fd.is_ground()
 
     def test_bnode_target_normalised_to_variable(self):
         fd = FunctionalDependency(BNode("a2"), SAMEAS_FUNCTION, [BNode("a1"), PATTERN])
@@ -32,7 +31,7 @@ class TestFunctionalDependency:
     def test_ground_parameters(self):
         fd = FunctionalDependency(Variable("x"), SAMEAS_FUNCTION,
                                   [URIRef("http://ex.org/a"), PATTERN])
-        assert fd.is_ground()
+        assert fd.parameter_variables() == set()
 
     def test_non_variable_target_rejected(self):
         with pytest.raises(AlignmentError):
@@ -70,14 +69,7 @@ class TestEntityAlignment:
         # ?p2 and ?a2 are produced by functional dependencies; only ?c is fresh.
         assert figure2_alignment.fresh_rhs_variables() == {Variable("c")}
 
-    def test_functional_dependency_for(self, figure2_alignment):
-        fd = figure2_alignment.functional_dependency_for(Variable("a2"))
-        assert fd is not None
-        assert fd.function == SAMEAS_FUNCTION
-        assert figure2_alignment.functional_dependency_for(Variable("c")) is None
-
-    def test_source_and_target_properties(self, figure2_alignment):
-        assert AKT["has-author"] in figure2_alignment.source_properties()
+    def test_target_properties(self, figure2_alignment):
         assert KISTI["hasCreatorInfo"] in figure2_alignment.target_properties()
         assert KISTI["hasCreator"] in figure2_alignment.target_properties()
 
@@ -114,13 +106,6 @@ class TestEntityAlignment:
         )
         assert clone == figure2_alignment
         assert hash(clone) == hash(figure2_alignment)
-
-    def test_is_identity(self):
-        lhs = Triple(Variable("x"), AKT["has-title"], Variable("y"))
-        assert EntityAlignment(lhs=lhs, rhs=[lhs]).is_identity()
-        assert not EntityAlignment(
-            lhs=lhs, rhs=[Triple(Variable("x"), KISTI["title"], Variable("y"))]
-        ).is_identity()
 
     def test_describe_mentions_all_parts(self, figure2_alignment):
         text = figure2_alignment.describe()

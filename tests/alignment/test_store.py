@@ -93,9 +93,9 @@ class TestSelection:
         merged = store.entity_alignments_for(source_ontology=AKT_ONT)
         assert len(merged) == 66
 
-    def test_source_ontologies_and_target_datasets(self, store):
-        assert store.source_ontologies() == {AKT_ONT}
-        assert store.target_datasets() == {KISTI_DATASET, DBPEDIA_DATASET}
+    def test_the_store_covers_its_sources_and_targets(self, store):
+        assert set().union(*(a.source_ontologies for a in store)) == {AKT_ONT}
+        assert set().union(*(a.target_datasets for a in store)) == {KISTI_DATASET, DBPEDIA_DATASET}
 
 
 class TestRdfPersistence:

@@ -20,7 +20,6 @@ class TestConstructGeneration:
         assert isinstance(generated.query, ConstructQuery)
         assert generated.query.template[0].predicate == KISTI["title"]
         assert generated.query.all_triple_patterns()[0].predicate == AKT["has-title"]
-        assert generated.deferred_variables == ()
 
     def test_worked_example_chain(self, figure2_alignment):
         generated = construct_query_for_alignment(figure2_alignment)
@@ -31,8 +30,6 @@ class TestConstructGeneration:
         template_terms = {term for pattern in generated.query.template for term in pattern}
         assert Variable("p1") in template_terms
         assert Variable("a1") in template_terms
-        # ... and reported as deferred (they still need sameas post-processing).
-        assert set(generated.deferred_variables) == {Variable("p1"), Variable("a1")}
 
     def test_query_text_is_valid_sparql(self, figure2_alignment):
         from repro.sparql import parse_query

@@ -13,6 +13,7 @@ from repro.alignment import EntityAlignment
 from repro.alignment.levels import class_alignment, property_alignment
 from repro.core import CompiledRuleSet, GraphPatternRewriter, QueryRewriter, find_matches
 from repro.core.index import PatternIndex
+from repro.core.matcher import MatchResult
 from repro.datasets import akt_to_kisti_alignment
 from repro.rdf import AKT, KISTI, Literal, Namespace, RDF, Triple, URIRef, Variable
 from repro.sparql import parse_query
@@ -20,6 +21,16 @@ from repro.sparql import parse_query
 from ..conftest import FIGURE_1_QUERY, FIGURE_6_QUERY
 
 EX = Namespace("http://example.org/ns#")
+
+
+def _indexed_matches(ruleset: CompiledRuleSet, query_triple: Triple) -> list[MatchResult]:
+    """Every match among the index's candidates, in KB order: what the
+    linear :func:`find_matches` returns, if the index drops no rule."""
+    return [
+        MatchResult(alignment=rule.alignment, substitution=substitution, triple=query_triple)
+        for rule in ruleset.index.candidates(query_triple)
+        if (substitution := rule.match(query_triple)) is not None
+    ]
 
 
 class TestPatternIndexBuckets:
@@ -85,7 +96,7 @@ class TestPatternIndexBuckets:
         ruleset.add(property_alignment(EX["p"], EX["q"]))
         assert len(ruleset) == 1
         triple = Triple(Variable("s"), EX["p"], Variable("o"))
-        assert len(ruleset.find_matches(triple)) == 1
+        assert len(_indexed_matches(ruleset, triple)) == 1
 
 
 class TestEquivalenceWithLinearScan:
@@ -102,7 +113,7 @@ class TestEquivalenceWithLinearScan:
             Triple(Variable("x"), EX["not-aligned"], Variable("y")),
         ]
         for probe in probes:
-            assert ruleset.find_matches(probe) == find_matches(alignments, probe)
+            assert _indexed_matches(ruleset, probe) == find_matches(alignments, probe)
 
     def test_first_match_agrees_with_linear_first(self, figure2_alignment):
         flat = property_alignment(AKT["has-author"], KISTI["hasCreator"])
@@ -164,4 +175,4 @@ _alignments = st.builds(
 def test_indexed_matching_equals_linear_scan(alignments, query_triple):
     """For any KB and query triple, both paths agree match-for-match."""
     ruleset = CompiledRuleSet(alignments)
-    assert ruleset.find_matches(query_triple) == find_matches(alignments, query_triple)
+    assert _indexed_matches(ruleset, query_triple) == find_matches(alignments, query_triple)

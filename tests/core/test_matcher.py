@@ -76,8 +76,6 @@ class TestMatchAlignment:
         assert result is not None
         assert result.alignment is figure2_alignment
         assert result.triple == triple
-        instantiated = result.rhs_instantiated()
-        assert len(instantiated) == 2
 
     def test_no_match_returns_none(self, figure2_alignment):
         triple = Triple(Variable("x"), AKT["has-title"], Literal("t"))
@@ -112,23 +110,17 @@ class TestSubstitution:
         left = Substitution({Variable("x"): RKB_ID["a"]})
         assert left.merge(Substitution({Variable("x"): RKB_ID["a"]})) == left
 
-    def test_apply_to_triple(self):
+    def test_apply_to_term(self):
         substitution = Substitution({Variable("p1"): Variable("paper"),
                                      Variable("a1"): RKB_ID["person-1"]})
         pattern = Triple(Variable("p1"), AKT["has-author"], Variable("a1"))
-        assert substitution.apply_to_triple(pattern) == Triple(
+        assert pattern.map_terms(substitution.apply_to_term) == Triple(
             Variable("paper"), AKT["has-author"], RKB_ID["person-1"]
         )
 
     def test_apply_leaves_unbound_variables(self):
         substitution = Substitution()
         assert substitution.apply_to_term(Variable("x")) == Variable("x")
-
-    def test_is_ground_for(self):
-        substitution = Substitution({Variable("a"): RKB_ID["x"], Variable("b"): Variable("y")})
-        assert substitution.is_ground_for(Variable("a"))
-        assert not substitution.is_ground_for(Variable("b"))
-        assert not substitution.is_ground_for(Variable("missing"))
 
     def test_bind_returns_new_substitution(self):
         original = Substitution()

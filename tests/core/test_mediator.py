@@ -37,8 +37,8 @@ def mediator(sameas_service) -> Mediator:
 
 class TestTargets:
     def test_registered_targets_listed(self, mediator):
-        targets = mediator.targets()
-        assert {t.dataset for t in targets} == {KISTI_DATASET_URI, DBPEDIA_DATASET_URI}
+        for dataset in (KISTI_DATASET_URI, DBPEDIA_DATASET_URI):
+            assert mediator.target(dataset).dataset == dataset
 
     def test_unknown_target_raises(self, mediator):
         with pytest.raises(KeyError):
@@ -98,7 +98,7 @@ class TestTranslate:
         results = {
             target.dataset: mediator.translate(FIGURE_1_QUERY, target.dataset,
                                                source_ontology=AKT_ONTOLOGY_URI)
-            for target in mediator.targets()
+            for target in map(mediator.target, (KISTI_DATASET_URI, DBPEDIA_DATASET_URI))
         }
         assert set(results) == {KISTI_DATASET_URI, DBPEDIA_DATASET_URI}
         assert all(result.report.matched_count == 2 for result in results.values())

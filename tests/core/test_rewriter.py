@@ -33,10 +33,6 @@ class TestFreshVariableGenerator:
         names = {generator.fresh().name for _ in range(10)}
         assert len(names) == 10
 
-    def test_reserve_after_creation(self):
-        generator = FreshVariableGenerator()
-        generator.reserve([Variable("new1")])
-        assert generator.fresh() == Variable("new2")
 
 
 class TestInstantiateFunctions:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.coreference import CoReferenceError, SameAsService
 from repro.rdf import Graph, Literal, OWL, Triple, URIRef
+from tests.sameas import sameas_graph
 
 RKB = "http://southampton.rkbexplorer.com/id/"
 KISTI = "http://kisti.rkbexplorer.com/id/"
@@ -55,15 +56,10 @@ class TestLookup:
         service.add_bundle([URIRef(KISTI + "B"), URIRef(KISTI + "A"), URIRef(RKB + "x")])
         assert service.lookup(URIRef(RKB + "x"), KISTI_PATTERN) == URIRef(KISTI + "A")
 
-    def test_are_same(self, service):
-        assert service.are_same(URIRef(RKB + "person-02686"), URIRef(DBP + "Nigel_Shadbolt"))
-        assert service.are_same(URIRef(RKB + "solo"), URIRef(RKB + "solo"))
-        assert not service.are_same(URIRef(RKB + "person-02686"), URIRef(RKB + "paper-1"))
-
-    def test_lookup_count_increments(self, service):
-        before = service.lookup_count
-        service.lookup(URIRef(RKB + "paper-1"), KISTI_PATTERN)
-        assert service.lookup_count == before + 1
+    def test_co_referring_uris_share_a_class(self, service):
+        shadbolt = service.equivalence_class(URIRef(RKB + "person-02686"))
+        assert URIRef(DBP + "Nigel_Shadbolt") in shadbolt
+        assert URIRef(RKB + "paper-1") not in shadbolt
 
 
 class TestPopulation:
@@ -80,13 +76,13 @@ class TestPopulation:
         graph.add(Triple(URIRef(RKB + "c"), OWL.sameAs, Literal("ignored")))
         service = SameAsService()
         assert service.load_graph(graph) == 2
-        assert service.are_same(URIRef(RKB + "a"), URIRef(KISTI + "a"))
+        assert URIRef(KISTI + "a") in service.equivalence_class(URIRef(RKB + "a"))
 
-    def test_to_graph_roundtrip(self, service):
-        graph = service.to_graph()
+    def test_graph_roundtrip(self, service):
         reloaded = SameAsService()
-        reloaded.load_graph(graph)
-        assert reloaded.are_same(URIRef(RKB + "person-02686"), URIRef(KISTI + "PER_0105047"))
+        reloaded.load_graph(sameas_graph(service))
+        shadbolt = reloaded.equivalence_class(URIRef(RKB + "person-02686"))
+        assert URIRef(KISTI + "PER_0105047") in shadbolt
         assert reloaded.bundle_count() == service.bundle_count()
 
     def test_statistics(self, service):
@@ -120,7 +116,6 @@ class TestPatternCache:
         uri = URIRef(RKB + "person-02686")
         for _ in range(3):
             assert service.lookup(uri, KISTI_PATTERN) == URIRef(KISTI + "PER_0105047")
-        assert service.lookup_count >= 3
 
     def test_invalid_pattern_still_raises(self, service):
         import re

@@ -45,12 +45,10 @@ class TestWorldModel:
         for other in coauthors:
             assert world.papers_of(person) & world.papers_of(other)
 
-    def test_papers_of_and_papers_in_year(self):
+    def test_papers_of(self):
         world = WorldModel(n_persons=10, n_papers=20, seed=4)
         person = world.most_prolific_author()
         assert world.papers_of(person)
-        some_year = world.papers[0].year
-        assert world.papers[0].key in world.papers_in_year(some_year)
 
     def test_most_prolific_author_is_argmax(self):
         world = WorldModel(n_persons=10, n_papers=20, seed=4)

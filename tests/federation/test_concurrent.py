@@ -126,7 +126,7 @@ class TestTimeout:
         failed = next(e for e in result.per_dataset
                       if e.dataset_uri == scenario.dbpedia_dataset)
         assert "timed out" in failed.error
-        assert len(result.successful_datasets()) == 2
+        assert sum(entry.succeeded for entry in result.per_dataset) == 2
         assert result.merged_bindings  # the healthy endpoints still contribute
 
     def test_a_late_answer_from_an_endpoint_ignoring_its_budget_is_a_timeout(self, scenario):
@@ -148,7 +148,7 @@ class TestTimeout:
         assert failed.error == (
             f"endpoint for {scenario.dbpedia_dataset} timed out after 0.05s"
         )
-        assert len(result.successful_datasets()) == 2
+        assert sum(entry.succeeded for entry in result.per_dataset) == 2
 
     def test_an_attempt_within_its_budget_returns_its_answer_or_its_error(self, scenario):
         target = scenario.registry.get(scenario.kisti_dataset)
@@ -238,7 +238,7 @@ class TestCircuitBreaker:
         # The endpoint was never touched while the breaker was open.
         assert dead.statistics.select_queries == before
         # The healthy datasets are unaffected.
-        assert len(result.successful_datasets()) == 2
+        assert sum(entry.succeeded for entry in result.per_dataset) == 2
 
     def test_breaker_recovers_after_probe(self, scenario):
         dead = scenario.endpoint(scenario.dbpedia_dataset)

@@ -6,6 +6,7 @@ fan-out fallback for unsupported shapes, and bound-join batching across a
 LIMIT boundary.
 """
 
+import threading
 import time
 
 
@@ -66,6 +67,11 @@ class _OpaqueEndpoint:
 
     def construct(self, query):  # pragma: no cover - not exercised
         return self._inner.construct(query)
+
+
+def _decision(sources, uri):
+    """The source decision ``sources`` holds for one dataset."""
+    return next(d for d in sources.decisions if d.dataset_uri == uri)
 
 
 def _opaque(service, dataset_name, ask_delay=0.0):
@@ -160,7 +166,7 @@ class TestSourceSelection:
         )
         assert plan.probes == 1
         [sources] = plan.pattern_sources
-        decision = sources.decision_for(URIRef(f"{EX}b"))
+        decision = _decision(sources, URIRef(f"{EX}b"))
         assert not decision.relevant
         assert "ask-probe" in decision.reason
 
@@ -176,7 +182,7 @@ class TestSourceSelection:
         query = f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o }}"
         plan = engine.decompose_plan(query)
         [sources] = plan.pattern_sources
-        decision = sources.decision_for(uri)
+        decision = _decision(sources, uri)
         assert decision.relevant
         assert "broadcast" in decision.reason
         # The failed probe is visible to the breaker (breaker-aware probing).
@@ -200,7 +206,7 @@ class TestSourceSelection:
         )
         assert plan.probes == 0
         [sources] = plan.pattern_sources
-        decision = sources.decision_for(URIRef(f"{EX}b"))
+        decision = _decision(sources, URIRef(f"{EX}b"))
         assert decision.relevant
         assert "broadcast" in decision.reason
 
@@ -220,6 +226,52 @@ class TestSourceSelection:
         # sub-query request; the explain-time probes are not re-billed.
         assert outcome.total_requests == 1
 
+    def test_concurrent_plans_are_billed_their_own_probes(self):
+        # One engine serves every request thread: two plans selecting
+        # sources at once must each count and bill only the probes they
+        # issued themselves.
+        datasets = {
+            "a": [triple("s1", "p", "o1")],
+            "b": [triple("s2", "q", "o2")],
+            "c": [triple("s3", "r", "o3")],
+        }
+        queries = {"a": f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o }}",
+                   "b": f"SELECT ?s ?o WHERE {{ ?s <{EX}q> ?o }}"}
+
+        def concurrently(action):
+            service = build_federation(datasets)
+            for name in datasets:
+                _opaque(service, name, ask_delay=0.05)
+            barrier = threading.Barrier(len(queries))
+            results = {}
+
+            def worker(name):
+                barrier.wait(timeout=10)
+                results[name] = action(service, queries[name])
+
+            threads = [threading.Thread(target=worker, args=(name,)) for name in queries]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert set(results) == set(queries)
+            return results
+
+        one_probe_each = {URIRef(f"{EX}{name}"): [1, 1] for name in datasets}
+        plans = concurrently(lambda service, query: service.federation.decompose_plan(query))
+        for plan in plans.values():
+            assert plan.probes == len(datasets)
+            assert plan.probe_traffic == one_probe_each
+        outcomes = concurrently(
+            lambda service, query: service.federate(query, strategy="decompose")
+        )
+        for matching, outcome in outcomes.items():
+            # a probe per dataset, plus the sub-query where the pattern matches
+            assert {entry.dataset_uri: entry.requests for entry in outcome.per_dataset} == {
+                URIRef(f"{EX}{name}"): 1 + (name == matching) for name in datasets
+            }
+
     def test_reenabling_probes_invalidates_broadcast_decisions(self):
         service = build_federation({
             "a": [triple("s1", "p", "o1")],
@@ -231,12 +283,12 @@ class TestSourceSelection:
         engine.ask_probes = False
         broadcast = engine.decompose_plan(query)
         [sources] = broadcast.pattern_sources
-        assert sources.decision_for(URIRef(f"{EX}b")).relevant
+        assert _decision(sources, URIRef(f"{EX}b")).relevant
         engine.ask_probes = True
         probed = engine.decompose_plan(query)
         assert probed.probes == 1
         [sources] = probed.pattern_sources
-        assert not sources.decision_for(URIRef(f"{EX}b")).relevant
+        assert not _decision(sources, URIRef(f"{EX}b")).relevant
 
     def test_decisions_cached_until_kb_generation_changes(self):
         service = build_federation({

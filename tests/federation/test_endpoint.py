@@ -75,10 +75,13 @@ class TestQueries:
         endpoint.latency = 0.01
         assert bool(endpoint.ask(PREFIX + 'ASK { ex:alice ex:name "Alice" }', timeout=1.0))
 
-    def test_triple_count_and_load(self, endpoint):
-        assert endpoint.triple_count() == 3
-        endpoint.load([Triple(uri("carol"), RDF.type, uri("Person"))])
-        assert endpoint.triple_count() == 4
+    def test_triple_count_follows_the_graph(self):
+        graph = Graph()
+        graph.add(Triple(uri("alice"), RDF.type, uri("Person")))
+        endpoint = LocalSparqlEndpoint(uri("sparql"), graph)
+        assert endpoint.triple_count() == 1
+        graph.add(Triple(uri("carol"), RDF.type, uri("Person")))
+        assert endpoint.triple_count() == 2
 
     def test_read_only_view(self, endpoint):
         view = endpoint.graph

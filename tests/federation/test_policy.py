@@ -178,19 +178,9 @@ class TestRegistryPolicies:
         assert health[a] == CircuitState.CLOSED
         assert health[b] == CircuitState.OPEN
 
-    def test_unregister_drops_policy_and_breaker(self):
-        registry = DatasetRegistry()
-        dataset = _register(registry, "a")
-        registry.set_policy(dataset, ExecutionPolicy(failure_threshold=1))
-        registry.breaker_for(dataset).record_failure()
-        registry.unregister(dataset)
-        _register(registry, "a")
-        assert registry.policy_for(dataset).failure_threshold == ExecutionPolicy().failure_threshold
-        assert registry.breaker_for(dataset).state == CircuitState.CLOSED
-
-    def test_reset_breakers(self):
+    def test_an_open_breaker_shows_in_health(self):
         registry = DatasetRegistry(default_policy=ExecutionPolicy(failure_threshold=1))
         dataset = _register(registry, "a")
-        registry.breaker_for(dataset).record_failure()
-        registry.reset_breakers()
         assert registry.health()[dataset] == CircuitState.CLOSED
+        registry.breaker_for(dataset).record_failure()
+        assert registry.health()[dataset] == CircuitState.OPEN

@@ -60,16 +60,6 @@ class TestRegistry:
         assert registered.uri in registry
         assert len(registry) == 1
 
-    def test_unregister(self, registry):
-        registry.unregister(URIRef("http://kisti.org/void"))
-        assert len(registry) == 1
-
-    def test_using_ontology(self, registry):
-        found = registry.using_ontology(KISTI_ONT)
-        assert len(found) == 1
-        assert found[0].description.title == "kisti"
-        assert registry.using_ontology(URIRef("http://none.org/")) == []
-
     def test_void_graph_describes_every_dataset(self, registry):
         graph = registry.void_graph()
         datasets = list(graph.subjects(RDF.type, VOID.Dataset))
@@ -197,7 +187,7 @@ class TestVoidRoundTrip:
         registry.register_endpoint(description, endpoint)
         registry.refresh_statistics()
         assert not registry.get(description.uri).description.advertises_vocabulary
-        endpoint.load([
+        data.add_all([
             (URIRef("http://stats.org/id/x"), URIRef("http://stats.org/p"),
              URIRef("http://stats.org/o")),
         ])

@@ -52,11 +52,10 @@ class TestTranslationPipeline:
         assert mediated_values == native_values
 
     def test_every_alignment_kb_target_reachable(self, small_scenario):
-        for info in small_scenario.service.list_datasets():
+        for dataset in small_scenario.registry:
             response = small_scenario.service.translate(
                 FIGURE_1_QUERY,
-                target_dataset=next(d.uri for d in small_scenario.registry
-                                    if str(d.uri) == info.uri),
+                target_dataset=dataset.uri,
                 source_ontology=small_scenario.source_ontology,
             )
             assert response.translated_query

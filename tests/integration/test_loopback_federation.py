@@ -119,7 +119,8 @@ class TestE6LoopbackEquivalence:
             [entry.dataset_uri for entry in in_process.per_dataset]
         assert [entry.row_count for entry in over_http.per_dataset] == \
             [entry.row_count for entry in in_process.per_dataset]
-        assert over_http.successful_datasets() == in_process.successful_datasets()
+        assert [e.dataset_uri for e in over_http.per_dataset if e.succeeded] == \
+            [e.dataset_uri for e in in_process.per_dataset if e.succeeded]
 
 
 class TestDecomposeLoopbackEquivalence:
@@ -282,10 +283,9 @@ class TestE7LoopbackResilience:
     ):
         http_registry, http_service = loopback
         strict = ExecutionPolicy(max_retries=0, failure_threshold=1)
-        scenario.registry.default_policy = strict
-        scenario.registry.reset_breakers()
-        http_registry.default_policy = strict
-        http_registry.reset_breakers()
+        for registry in (scenario.registry, http_registry):
+            for dataset in registry:
+                registry.set_policy(dataset.uri, strict)  # fresh, strict breakers
         query = _coauthor_query(scenario, _subjects(scenario)[0])
 
         scenario.endpoint(scenario.kisti_dataset).fail_next(1)

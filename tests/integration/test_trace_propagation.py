@@ -24,8 +24,9 @@ from repro.federation import (
     MediatorService,
     RegisteredDataset,
 )
-from repro.obs.trace import NOOP_SPAN, Tracer, get_tracer, set_tracer
+from repro.obs.trace import NOOP_SPAN, get_tracer, set_tracer
 from repro.server import EndpointBackend, FederationBackend, SparqlHttpServer
+from tests.tracing import RecordingTracer
 
 QUERY = (
     "PREFIX akt:<http://www.aktors.org/ontology/portal#> "
@@ -41,7 +42,7 @@ def scenario():
 @pytest.fixture()
 def tracing():
     """Install a fresh enabled tracer for the test, restore the old one."""
-    previous = set_tracer(Tracer(enabled=True))
+    previous = set_tracer(RecordingTracer())
     try:
         yield get_tracer()
     finally:
@@ -99,7 +100,7 @@ def _request_trace(tracer):
 
     The outer request span finishes a moment *after* the client has read
     the response body (the handler closes the span once the bytes are
-    out), so poll briefly for the root to land in the ring.
+    out), so poll briefly for the root to be recorded.
     """
     deadline = time.time() + 5.0
     while True:
@@ -208,12 +209,14 @@ class TestRetryVisibility:
 
 class TestDisabledMode:
     def test_disabled_tracing_records_zero_spans(self, stack):
-        tracer = get_tracer()
-        assert not tracer.enabled  # the default state the fixture left alone
-        tracer.clear()
-        _query(stack)
+        assert not get_tracer().enabled  # the default state the fixture left alone
+        tracer = RecordingTracer(enabled=False)
+        previous = set_tracer(tracer)
+        try:
+            _query(stack)
+        finally:
+            set_tracer(previous)
         assert tracer.finished_spans() == []
         # The disabled path hands out the shared singleton: no per-call
         # allocation in any hot path.
         assert tracer.start_span("anything", {"k": "v"}) is NOOP_SPAN
-        assert tracer.current_traceparent() is None

@@ -29,7 +29,7 @@ def _split(graph: Iterable[Triple]) -> tuple[set, list[Triple]]:
     ground = set()
     with_bnodes = []
     for triple in graph:
-        if triple.bnodes():
+        if any(isinstance(term, BNode) for term in triple):
             with_bnodes.append(triple)
         else:
             ground.add(triple)

@@ -27,23 +27,16 @@ class TestConfiguration:
         [line] = path.read_text().splitlines()
         assert json.loads(line) == {"x": 2}
 
-    def test_configure_overrides_environment(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(RUN_EVENTS_ENV, raising=False)
-        path = tmp_path / "direct.jsonl"
-        sink = EventSink()
-        sink.configure(str(path))
-        assert sink.emit({"ok": True}) is True
-        assert json.loads(path.read_text()) == {"ok": True}
 
 
 class TestAtomicWrites:
-    def test_concurrent_emits_never_interleave_lines(self, tmp_path):
+    def test_concurrent_emits_never_interleave_lines(self, tmp_path, monkeypatch):
         """The regression this sink exists for: parallel federation workers
         emitting events concurrently must each produce one intact JSON line,
         not fragments spliced into each other."""
         path = tmp_path / "events.jsonl"
+        monkeypatch.setenv(RUN_EVENTS_ENV, str(path))
         sink = EventSink()
-        sink.configure(str(path))
         # Large payloads make torn writes likely if emit isn't atomic.
         payload = {"blob": "x" * 4096}
 
@@ -66,11 +59,11 @@ class TestAtomicWrites:
             seen.add((record["worker"], record["seq"]))
         assert len(seen) == 8 * 50  # and none were lost or duplicated
 
-    def test_lines_are_appended_not_truncated(self, tmp_path):
+    def test_lines_are_appended_not_truncated(self, tmp_path, monkeypatch):
         path = tmp_path / "events.jsonl"
         path.write_text('{"preexisting": true}\n')
+        monkeypatch.setenv(RUN_EVENTS_ENV, str(path))
         sink = EventSink()
-        sink.configure(str(path))
         sink.emit({"new": 1})
         lines = path.read_text().splitlines()
         assert json.loads(lines[0]) == {"preexisting": True}

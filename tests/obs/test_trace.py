@@ -6,20 +6,20 @@ import threading
 
 import pytest
 
-from repro.obs.export import EventSink
+from repro.obs.export import RUN_EVENTS_ENV, EventSink
 from repro.obs.trace import (
     NOOP_SPAN,
     Span,
-    Tracer,
     format_traceparent,
     parse_traceparent,
 )
 from repro.sparql.exec import QueryRunEvent
+from tests.tracing import RecordingTracer
 
 
 @pytest.fixture()
 def tracer():
-    return Tracer(enabled=True)
+    return RecordingTracer()
 
 
 class TestTraceparent:
@@ -89,13 +89,6 @@ class TestSpanLifecycle:
         assert span.end == end
         assert len(tracer.finished_spans()) == 1
 
-    def test_ring_capacity_bounds_memory(self):
-        tracer = Tracer(enabled=True, capacity=4)
-        for index in range(10):
-            tracer.start_span(f"s{index}").finish()
-        names = [span.name for span in tracer.finished_spans()]
-        assert names == ["s6", "s7", "s8", "s9"]
-
     def test_spans_cross_threads_via_copied_context(self, tracer):
         seen = {}
 
@@ -116,7 +109,7 @@ class TestSpanLifecycle:
 
 class TestDisabledMode:
     def test_start_span_returns_the_shared_noop_singleton(self):
-        tracer = Tracer(enabled=False)
+        tracer = RecordingTracer(enabled=False)
         first = tracer.start_span("a", {"k": "v"})
         second = tracer.start_span("b")
         # Identity, not just equality: the disabled path allocates nothing.
@@ -132,11 +125,11 @@ class TestDisabledMode:
         assert span.recording is False
 
     def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
+        tracer = RecordingTracer(enabled=False)
         with tracer.start_span("invisible"):
             pass
         assert tracer.finished_spans() == []
-        assert tracer.current_traceparent() is None
+        assert tracer.start_span("invisible").traceparent() is None
 
 
 class TestOperatorSpans:
@@ -172,7 +165,7 @@ class TestOperatorSpans:
         assert spans["exec.bgp_scan"].duration == pytest.approx(0.003, abs=1e-5)
 
     def test_disabled_synthesis_is_noop(self):
-        tracer = Tracer(enabled=False)
+        tracer = RecordingTracer(enabled=False)
         assert tracer.add_operator_spans(self.EVENT, 0.005) is NOOP_SPAN
         assert tracer.finished_spans() == []
 
@@ -182,10 +175,10 @@ class TestExport:
         from repro.obs import trace as trace_module
 
         path = tmp_path / "events.jsonl"
+        monkeypatch.setenv(RUN_EVENTS_ENV, str(path))
         sink = EventSink()
-        sink.configure(str(path))
         monkeypatch.setattr(trace_module, "SINK", sink)
-        tracer = Tracer(enabled=True)
+        tracer = RecordingTracer()
         with tracer.start_span("exported", {"layer": "test"}):
             pass
         [line] = path.read_text().splitlines()

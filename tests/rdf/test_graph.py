@@ -54,9 +54,9 @@ class TestMutation:
         sample_graph.discard(Triple(uri("x"), uri("y"), uri("z")))
         assert len(sample_graph) == before
 
-    def test_remove_pattern(self, sample_graph):
-        removed = sample_graph.remove_pattern(uri("paper1"), uri("author"))
-        assert removed == 2
+    def test_discard_every_match(self, sample_graph):
+        for triple in list(sample_graph.triples(uri("paper1"), uri("author"), None)):
+            sample_graph.discard(triple)
         assert not list(sample_graph.triples(uri("paper1"), uri("author"), None))
 
     def test_clear(self, sample_graph):
@@ -93,10 +93,6 @@ class TestPatternMatching:
     def test_variables_act_as_wildcards(self, sample_graph):
         matches = list(sample_graph.triples(Variable("s"), uri("author"), Variable("o")))
         assert len(matches) == 2
-
-    def test_match_pattern_helper(self, sample_graph):
-        pattern = Triple(Variable("s"), uri("author"), Variable("o"))
-        assert len(list(sample_graph.match_pattern(pattern))) == 2
 
     def test_no_match_returns_empty(self, sample_graph):
         assert list(sample_graph.triples(uri("nobody"), None, None)) == []
@@ -138,10 +134,7 @@ class TestStatistics:
         assert histogram[uri("Person")] == 2
         assert histogram[uri("Paper")] == 1
 
-    def test_vocabularies(self, sample_graph):
-        vocabularies = sample_graph.vocabularies()
-        assert EX in vocabularies
-        assert str(RDF) in vocabularies
+
 
 
 class TestSetAlgebra:

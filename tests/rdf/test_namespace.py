@@ -24,11 +24,6 @@ class TestNamespace:
         assert AKT["has-author"] in AKT
         assert KISTI.hasCreator not in AKT
 
-    def test_local_name(self):
-        assert AKT.local_name(AKT["has-author"]) == "has-author"
-        with pytest.raises(ValueError):
-            AKT.local_name(KISTI.hasCreator)
-
     def test_equality(self):
         assert Namespace("http://a/") == Namespace("http://a/")
         assert Namespace("http://a/") != Namespace("http://b/")
@@ -49,20 +44,11 @@ class TestNamespaceManager:
         assert len(manager) == 0
         assert manager.namespace("rdf") is None
 
-    def test_bind_and_expand(self):
+    def test_bind(self):
         manager = NamespaceManager(install_defaults=False)
         manager.bind("ex", "http://example.org/")
-        assert manager.expand("ex:thing") == URIRef("http://example.org/thing")
-
-    def test_expand_unbound_prefix(self):
-        manager = NamespaceManager(install_defaults=False)
-        with pytest.raises(KeyError):
-            manager.expand("nope:thing")
-
-    def test_expand_requires_colon(self):
-        manager = NamespaceManager()
-        with pytest.raises(ValueError):
-            manager.expand("nocolon")
+        assert manager.namespace("ex") == "http://example.org/"
+        assert manager.compact(URIRef("http://example.org/thing")) == "ex:thing"
 
     def test_compact_prefers_longest_namespace(self):
         manager = NamespaceManager(install_defaults=False)

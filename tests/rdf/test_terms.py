@@ -40,10 +40,6 @@ class TestURIRef:
         with pytest.raises(ValueError):
             URIRef("<http://example.org/x>")
 
-    def test_defrag(self):
-        assert URIRef("http://ex.org/onto#Person").defrag() == URIRef("http://ex.org/onto")
-        assert URIRef("http://ex.org/onto").defrag() == URIRef("http://ex.org/onto")
-
     def test_namespace_split_hash(self):
         ns, local = URIRef("http://ex.org/onto#Person").namespace_split()
         assert ns == "http://ex.org/onto#"
@@ -122,10 +118,6 @@ class TestLiteral:
         assert Literal("1") != Literal("1", datatype=XSD.integer)
         assert Literal("a", lang="en") != Literal("a", lang="de")
         assert Literal("a", lang="en") == Literal("a", lang="EN")
-
-    def test_value_equality_across_numeric_datatypes(self):
-        assert Literal("1", datatype=XSD.integer).value_equals(Literal("1", datatype=XSD.int))
-        assert not Literal("1", datatype=XSD.integer).value_equals(Literal("2", datatype=XSD.integer))
 
     def test_malformed_numeric_falls_back_to_string(self):
         literal = Literal("not-a-number", datatype=XSD.integer)

@@ -32,7 +32,7 @@ class TestTripleConstruction:
 
     def test_variable_positions_allowed(self):
         triple = Triple(Variable("s"), Variable("p"), Variable("o"))
-        assert triple.is_pattern()
+        assert triple.variables() == {Variable("s"), Variable("p"), Variable("o")}
 
 
 class TestTripleBehaviour:
@@ -52,15 +52,9 @@ class TestTripleBehaviour:
         assert a != c
         assert a in {b}
 
-    def test_is_ground_and_pattern(self):
-        assert Triple(uri("s"), uri("p"), uri("o")).is_ground()
-        assert Triple(Variable("s"), uri("p"), uri("o")).is_pattern()
-        assert Triple(BNode("s"), uri("p"), uri("o")).is_pattern()
-
-    def test_variables_and_bnodes(self):
+    def test_variables(self):
         triple = Triple(Variable("x"), uri("p"), BNode("b"))
         assert triple.variables() == {Variable("x")}
-        assert triple.bnodes() == {BNode("b")}
 
     def test_map_terms(self):
         triple = Triple(Variable("x"), uri("p"), Variable("y"))

@@ -130,12 +130,7 @@ class TestGroupScopes:
         assert Variable("v") not in certain
         assert Variable("v") in possible
 
-    def test_analysis_result_exposes_the_scopes(self):
-        analysis = analyze_query(parse_query(
-            "SELECT ?s WHERE { ?s <http://e/p> ?o OPTIONAL { ?s <http://e/q> ?x } }"
-        ))
-        assert Variable("x") in analysis.possible_variables
-        assert Variable("x") not in analysis.certain_variables
+
 
 
 # --------------------------------------------------------------------------- #
@@ -173,7 +168,7 @@ class TestLocalDiagnostics:
         analysis = analyze_query(parse_query(
             "SELECT ?s WHERE { ?s <http://e/p> ?unused }"
         ))
-        [info] = [d for d in analysis.infos if d.code == "SQA104"]
+        [info] = [d for d in analysis.diagnostics if d.code == "SQA104"]
         assert "?unused" in info.message
 
     def test_sqa105_and_106_literal_in_illegal_position(self):
@@ -210,7 +205,7 @@ class TestLocalDiagnostics:
         analysis = analyze_query(parse_query(
             "SELECT ?s WHERE { ?s ?p ?o FILTER(1 = 1) }"
         ))
-        assert any(d.code == "SQA109" for d in analysis.infos)
+        assert any(d.code == "SQA109" for d in analysis.diagnostics)
         assert not analysis.provably_empty
 
     def test_sqa110_statically_ill_typed_expression(self):

@@ -233,12 +233,9 @@ class TestResultSet:
         assert not left.compatible(conflicting)
         assert left.merge(right)["y"] == uri("b")
 
-    def test_binding_project_and_substitute(self):
+    def test_binding_project(self):
         binding = Binding({Variable("x"): uri("a"), Variable("y"): uri("b")})
         assert set(binding.project(["x"]).keys()) == {Variable("x")}
-        assert binding.substitute(Variable("x")) == uri("a")
-        assert binding.substitute(Variable("unbound")) == Variable("unbound")
-        assert binding.substitute(uri("c")) == uri("c")
 
 
 class TestSharedEvaluator:

@@ -6,6 +6,7 @@ from repro.alignment import ontology_alignment_to_graph
 from repro.cli import main
 from repro.datasets import KISTI_DATASET_URI, KISTI_URI_PATTERN, akt_to_kisti_alignment
 from repro.turtle import serialize_turtle
+from tests.sameas import sameas_graph
 
 from .conftest import FIGURE_1_QUERY
 
@@ -28,7 +29,7 @@ def alignment_file(tmp_path):
 @pytest.fixture()
 def sameas_file(tmp_path, sameas_service):
     path = tmp_path / "sameas.ttl"
-    path.write_text(serialize_turtle(sameas_service.to_graph()), encoding="utf-8")
+    path.write_text(serialize_turtle(sameas_graph(sameas_service)), encoding="utf-8")
     return path
 
 

@@ -592,12 +592,21 @@ SEEDED_PACKAGE = {
         "\n\n"
         "def _private_helper():\n"
         "    return 0\n"
+        "\n\n"
+        "class Widget:\n"
+        "    def __init__(self):\n"
+        "        self._written_only = 0\n"
+        "\n"
+        "    def member_for_tests(self):\n"
+        "        return 1\n"
     ),
-    "src/repro/cli.py": "from .api import build\n\n\ndef main():\n    return build(size=2)\n",
+    "src/repro/cli.py": (
+        "from .api import Widget, build\n\n\ndef main():\n    return build(size=2), Widget()\n"
+    ),
     "tests/test_api.py": (
-        "from repro.api import build, only_for_tests\n\n\n"
+        "from repro.api import Widget, build, only_for_tests\n\n\n"
         "def helper_in_tests():\n"
-        "    return only_for_tests(), build(verbose=True)\n"
+        "    return only_for_tests(), build(verbose=True), Widget().member_for_tests()\n"
     ),
     "tools/script.py": "def unused_tool_function():\n    return 1\n",
 }
@@ -613,23 +622,29 @@ def _reachability_findings(tmp_path, allowlist=None) -> list[tuple[str, int, str
             for finding in lints.check_reachability(tmp_path, allowlist or {})]
 
 
-def test_inv009_reports_unreached_public_symbols_and_test_only_keywords(tmp_path):
+def test_inv009_reports_unreached_code_unread_fields_and_test_only_keywords(tmp_path):
     advice = "; delete it, move it next to its users or allowlist it in tools/reachability.py"
     assert _reachability_findings(tmp_path) == [
         ("src/repro/api.py", 1, "knob repro.api:build(verbose): no root passes a value "
          "other than its default; tests or benchmarks do" + advice),
         ("src/repro/api.py", 5, "unreached repro.api:only_for_tests: no root reaches it; "
          "named by tests/test_api.py" + advice),
+        ("src/repro/api.py", 15, "unread repro.api:Widget._written_only: stored, but no "
+         "code under src/ or benchmarks/e15/ reads it" + advice),
+        ("src/repro/api.py", 17, "unreached repro.api:Widget.member_for_tests: no root "
+         "reaches it; named by tests/test_api.py" + advice),
     ]
     assert all("[INV009]" in finding.render(tmp_path)
                for finding in lints.check_reachability(tmp_path, {}))
 
 
 def test_inv009_scope(tmp_path):
-    # Private names, tests and tools are outside the audit; an allowlisted
-    # finding is silent, and an allowlist entry that is no finding is stale.
+    # Private functions and methods, tests and tools are outside the audit
+    # (private fields are inside it); an allowlisted finding is silent, and
+    # an allowlist entry that is no finding is stale.
     allowlist = {"seeded": ("repro.api:only_for_tests", "repro.api:build(verbose)",
-                            "repro.api:build")}
+                            "repro.api:Widget._written_only",
+                            "repro.api:Widget.member_for_tests", "repro.api:build")}
     assert _reachability_findings(tmp_path, allowlist) == [
         ("reachability.py", 0,
          "stale allowlist entry repro.api:build: it is no longer a finding"),

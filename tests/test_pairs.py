@@ -326,3 +326,81 @@ def test_group_and_commit_arguments_are_checked(capsys):
     with pytest.raises(SystemExit):
         pairs.main(["HEAD", "--group", "endpoint_memory:15:3", "--out", "unused.json"])
     assert "PARENT and CHANGE" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------- #
+# Calibration report
+# --------------------------------------------------------------------------- #
+
+def _document(*pairs_, workload="endpoint_memory", tool="tools/pairs.py"):
+    """A pairs document of ``(parent_calibration, change_calibration,
+    parent_rss, change_rss)`` pairs, numbered from 1."""
+    runs = []
+    for number, (parent_ms, change_ms, parent_rss, change_rss) in enumerate(pairs_, 1):
+        for side, calibration_ms, rss in (("parent", parent_ms, parent_rss),
+                                          ("change", change_ms, change_rss)):
+            runs.append({"workload": workload, "seed": 15, "pair": number, "side": side,
+                         "correct": True, "calibration_ms": calibration_ms,
+                         "peak_rss_mb": rss})
+    return {"tool": tool, "runs": runs}
+
+
+def test_pearson_r_and_t_by_hand():
+    r, t = pairs.pearson([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0])
+    assert r == pytest.approx(0.8)
+    assert t == pytest.approx(0.8 * (2 / 0.36) ** 0.5)
+    assert pairs.pearson([1.0, 2.0], [1.0, 2.0]) is None   # too few points
+    assert pairs.pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None   # no spread
+
+
+def test_the_report_reads_each_pairs_skew_against_its_relative_gap():
+    # Skews 0, +10%, +20%, +30%; the change's RSS gap is twice the skew.
+    document = _document(*[(20.0, 20.0 * (1 + s), 50.0, 50.0 * (1 + 2 * s))
+                           for s in (0.0, 0.1, 0.2, 0.3)])
+    report = pairs.calibration_report([document], [RSS])
+    assert [(e["metric"], e["workload"], e["pairs"]) for e in report] == [
+        ("peak_rss_mb", "endpoint_memory", 4), ("peak_rss_mb", "*", 4)]
+    assert report[-1]["r"] == pytest.approx(1.0)
+
+
+def test_the_report_pools_documents_and_workloads_and_skips_what_cannot_pair():
+    first = _document((20.0, 22.0, 50.0, 51.0), (20.0, 18.0, 50.0, 49.0),
+                      (20.0, 20.0, 50.0, 50.0))
+    second = _document((20.0, 21.0, 50.0, 52.0), (20.0, 19.0, 50.0, 48.0),
+                       (20.0, 20.0, 50.0, 50.5), workload="endpoint_segment")
+    # A failed run, a missing calibration and a zero parent value leave the pair out.
+    second["runs"].extend(_document((None, 20.0, 50.0, 50.0), (20.0, 20.0, 0.0, 1.0),
+                                    (20.0, 20.0, 50.0, 50.0), workload="shard_decompose")["runs"])
+    second["runs"][-1]["correct"] = False
+    report = {e["workload"]: e for e in pairs.calibration_report([first, second], [RSS])}
+    assert {workload: entry["pairs"] for workload, entry in report.items()} == {
+        "endpoint_memory": 3, "endpoint_segment": 3, "shard_decompose": 0, "*": 6}
+    assert report["shard_decompose"]["r"] is None
+    assert report["endpoint_memory"]["r"] == pytest.approx(1.0)
+
+
+def test_the_calibration_report_command_skips_other_schemas(tmp_path, capsys):
+    ledger = tmp_path / "pairs.json"
+    ledger.write_text(json.dumps(_document((20.0, 22.0, 50.0, 51.0), (20.0, 18.0, 50.0, 49.0),
+                                           (20.0, 20.0, 50.0, 50.5))))
+    other = tmp_path / "groups.json"
+    other.write_text(json.dumps({"groups": []}))
+    assert pairs.main(["--calibration-report", str(ledger), str(other)]) == 0
+    out, err = capsys.readouterr()
+    assert "over 1 document(s)" in out
+    assert "groups.json: not a tools/pairs.py document, skipped" in err
+    [row] = [line for line in out.splitlines() if "peak_rss_mb" in line and " * " in line]
+    assert "pairs    3" in row
+
+
+def test_the_report_reproduces_the_committed_pr46_to_pr49_figures():
+    documents = [json.loads(path.read_text(encoding="utf-8"))
+                 for path in sorted(REPO_ROOT.glob("BENCH_PR4[6-9]*-pairs*.json"))]
+    metrics = pairs.load_metrics(REPO_ROOT / "BENCHMARK.json")
+    pooled = {entry["metric"]: entry for entry in pairs.calibration_report(documents, metrics)
+              if entry["workload"] == "*"}
+    assert {name: (entry["pairs"], round(entry["r"], 2)) for name, entry in pooled.items()
+            if name in {"server_cpu_ms_per_query", "latency_p50_ms", "setup_s"}} == {
+        "server_cpu_ms_per_query": (177, 0.04), "latency_p50_ms": (177, 0.09),
+        "setup_s": (177, 0.12)}
+    assert all(abs(entry["t"]) < 1.7 for entry in pooled.values())

@@ -140,8 +140,8 @@ def test_private_symbols_are_not_audited(tmp_path):
 
 
         class SparqlHttpServer:
-            def start(self):
-                return helper()
+            def __init__(self):
+                helper()
      """, "src/repro/extra.py": "def helper():\n    return 1\n"},
 ])
 def test_a_symbol_a_root_reaches_is_not_reported(tmp_path, files):
@@ -225,7 +225,7 @@ def test_a_constructor_keyword_forwarded_by_super_counts(tmp_path):
 
 
         def build(size=1):
-            return Child(size)
+            return Child(size).size
     """})
     assert report.findings == []
 
@@ -253,6 +253,254 @@ def test_a_stale_allowlist_entry_is_reported(tmp_path):
     report = _audit(tmp_path, {}, {"gone": ("repro.api:build", "repro.api:build(size)")})
     assert report.findings == []
     assert report.stale == ["repro.api:build", "repro.api:build(size)"]
+
+
+# --------------------------------------------------------------------------- #
+# Members and fields
+# --------------------------------------------------------------------------- #
+
+BOX = """
+    class Box:
+        def __init__(self, size):
+            self.size = size
+
+        def total(self):
+            return self.size
+"""
+
+
+def _members(tmp_path, api: str, tests: str = "", allowlist=None):
+    files = {"src/repro/api.py": BOX + api}
+    if tests:
+        files["tests/test_api.py"] = tests
+    return _audit(tmp_path, files, allowlist)
+
+
+def test_a_method_only_tests_call_is_reported(tmp_path):
+    report = _members(tmp_path, """
+        def only_for_tests(self):
+            return self.size + 1
+
+
+    def build(size=1):
+        return [Box(size).total()]
+    """, tests="""
+        from repro.api import Box
+
+
+        def test_it():
+            assert Box(1).only_for_tests() == 2
+    """)
+    (finding,) = report.findings
+    assert (finding.key, finding.kind, finding.line) == (
+        "repro.api:Box.only_for_tests", "unreached", 8)
+    assert finding.message == "no root reaches it; named by tests/test_api.py"
+
+
+def test_a_property_only_tests_read_is_reported(tmp_path):
+    report = _members(tmp_path, """
+        @property
+        def doubled(self):
+            return self.size * 2
+
+
+    def build(size=1):
+        return [Box(size).total()]
+    """, tests="from repro.api import Box\n\nassert Box(1).doubled == 2\n")
+    assert [(f.key, f.kind) for f in report.findings] == [("repro.api:Box.doubled", "unreached")]
+
+
+def test_a_dataclass_field_nothing_reads_is_reported(tmp_path):
+    report = _audit(tmp_path, {"src/repro/api.py": """
+        from dataclasses import dataclass
+
+
+        @dataclass
+        class Record:
+            size: int
+            note: str
+
+
+        def build(size=1):
+            return [Record(size, "x").size]
+    """})
+    (finding,) = report.findings
+    assert (finding.key, finding.kind, finding.line) == ("repro.api:Record.note", "unread", 7)
+
+
+def test_an_attribute_only_ever_written_is_reported(tmp_path):
+    report = _audit(tmp_path, {"src/repro/api.py": """
+        class Box:
+            def __init__(self, size):
+                self.size = size
+                self._calls = 0
+
+            def total(self):
+                self._calls += 1
+                return self.size
+
+
+        def build(size=1):
+            return [Box(size).total()]
+    """})
+    assert [(f.key, f.kind, f.line) for f in report.findings] == [
+        ("repro.api:Box._calls", "unread", 4)]
+
+
+@pytest.mark.parametrize("api", [
+    # through self, from a method a root calls
+    """
+        def twice(self):
+            return self.total() * 2
+
+
+    def build(size=1):
+        box = Box(size)
+        return [box.twice()]
+    """,
+    # through a receiver whose class an annotation gives
+    """
+        def twice(self):
+            return self.size * 2
+
+
+    def measure(box: Box | None):
+        return box.twice()
+
+
+    def build(size=1):
+        return [measure(Box(size)), Box(size).total()]
+    """,
+    # through an attribute a constructor assignment types
+    """
+        def twice(self):
+            return self.size * 2
+
+
+    class Holder:
+        def __init__(self, size):
+            self.box = Box(size)
+
+
+    def build(size=1):
+        holder = Holder(size)
+        return [holder.box.twice(), holder.box.total()]
+    """,
+    # an override of a reached base-class method
+    """
+    class Bigger(Box):
+        def total(self):
+            return self.size + 1
+
+
+    def measure(box: Box):
+        return box.total()
+
+
+    def build(size=1):
+        return [measure(Bigger(size))]
+    """,
+    # what a dunder uses (a dunder is reached with its class)
+    """
+        def __len__(self):
+            return self.twice()
+
+        def twice(self):
+            return self.size * 2
+
+
+    def build(size=1):
+        return [len(Box(size)), Box(size).total()]
+    """,
+])
+def test_a_member_a_root_uses_is_not_reported(tmp_path, api):
+    assert _members(tmp_path, api).findings == []
+
+
+@pytest.mark.parametrize("use", [
+    # an annotated parameter
+    """
+    def measure(box: Box, other: Other):
+        return box.twice()
+
+
+    def build(size=1):
+        return [measure(Box(size), Other())]
+    """,
+    # self, inside the class
+    """
+    def build(size=1):
+        return [Box(size).twice_total(), Other()]
+    """,
+    # a local and an attribute a constructor assignment types
+    """
+    class Holder:
+        def __init__(self, size):
+            self.box = Box(size)
+
+
+    def build(size=1):
+        box = Box(size)
+        holder = Holder(size)
+        return [box.twice(), holder.box.twice(), Other()]
+    """,
+])
+def test_a_receiver_of_known_class_reaches_that_class_only(tmp_path, use):
+    report = _members(tmp_path, """
+        def twice(self):
+            return self.total() * 2
+
+        def twice_total(self):
+            return self.twice()
+
+
+    class Other:
+        def twice(self):
+            return 0
+
+        def total(self):
+            return 0
+    """ + use)
+    assert [f.key for f in report.findings if f.key.startswith("repro.api:Other.")] == [
+        "repro.api:Other.twice", "repro.api:Other.total"]
+
+
+def test_an_object_of_unknown_class_reaches_every_member_of_that_name(tmp_path):
+    report = _members(tmp_path, """
+        def twice(self):
+            return self.size * 2
+
+
+    def build(size=1, box=None):
+        return [box.twice(), Box(size).total()]
+    """)
+    assert [f.key for f in report.findings] == ["repro.api:build(box)"]
+
+
+def test_the_knob_of_a_member_no_root_uses_is_a_stale_entry(tmp_path):
+    report = _members(tmp_path, """
+        def grow(self, step=1):
+            return self.size + step
+
+
+    def build(size=1):
+        return [Box(size).total()]
+    """, allowlist={"kept": ("repro.api:Box.grow(step)",)})
+    assert [f.key for f in report.findings] == ["repro.api:Box.grow"]
+    assert report.stale == ["repro.api:Box.grow(step)"]
+
+
+def test_an_allowlisted_member_keeps_its_knobs_audited(tmp_path):
+    report = _members(tmp_path, """
+        def grow(self, step=1):
+            return self.size + step
+
+
+    def build(size=1):
+        return [Box(size).total()]
+    """, allowlist={"kept": ("repro.api:Box.grow", "repro.api:Box.grow(step)")})
+    assert (report.findings, report.stale) == ([], [])
+    assert [f.key for f in report.allowlisted] == ["repro.api:Box.grow", "repro.api:Box.grow(step)"]
 
 
 def test_the_repository_audit_is_clean_and_every_entry_has_a_reason():

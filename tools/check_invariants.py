@@ -67,9 +67,11 @@ with nothing but the stdlib ``ast`` module:
    finds nothing outside its allowlist: no public module-level symbol of
    ``src/repro`` that only ``tests/`` or the other benchmarks reach from
    the roots (the ``repro`` command, the HTTP server, ``repro.__all__``
-   and what ``benchmarks/e15/`` uses), no keyword parameter to which no
-   root passes a value other than its default, and no stale allowlist
-   entry.  Code and knobs only tests use are deleted or moved next to
+   and what ``benchmarks/e15/`` uses), no public method or property of a
+   reached class that no root uses, no dataclass field or ``__init__``
+   attribute that no code reads, no keyword parameter to which no root
+   passes a value other than its default, and no stale allowlist entry.
+   Code, fields and knobs only tests use are deleted or moved next to
    their users, or allowlisted with a reason.
 
 10. **One federation execution path** — under ``src/repro/``,
@@ -772,7 +774,7 @@ def check_sparql_imports_no_federation(tree: ast.Module, path: Path) -> list[Fin
 
 
 # --------------------------------------------------------------------------- #
-# INV009 — no public symbol or knob that only tests reach
+# INV009 — no public symbol, member, field or knob that only tests reach
 # --------------------------------------------------------------------------- #
 
 REACHABILITY_PATH = REPO_ROOT / "tools" / "reachability.py"

@@ -66,6 +66,13 @@ has the same sign, the group is flagged ``one_sided`` and a warning goes
 to stderr: the machine's speed moved with the side, so a verdict there may
 measure the machine.  The flag does not change any verdict.
 
+``--calibration-report LEDGER...`` runs nothing: over the complete pairs
+of every ``tools/pairs.py`` document given (others are skipped), it prints,
+per metric and per workload and over all workloads, the Pearson r between
+a pair's calibration skew and its relative gap (``change / parent - 1`` of
+the metric) and r's t statistic on ``n - 2`` degrees of freedom.  A signal
+that gates pairs should first show ``|r| >= 0.3`` there.
+
 The tool reads ``benchmarks/e15/`` and ``BENCHMARK.json`` and writes
 neither.
 """
@@ -254,6 +261,48 @@ def calibration(complete: Sequence[dict[str, dict]]) -> dict:
             "one_sided": one_sided}
 
 
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float] | None:
+    """Pearson r of two paired samples and its t statistic (``n - 2``
+    degrees of freedom); ``None`` below 3 points or without spread."""
+    n = len(xs)
+    if n < 3:
+        return None
+    mean_x, mean_y = statistics.fmean(xs), statistics.fmean(ys)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys, strict=True))
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    syy = sum((y - mean_y) ** 2 for y in ys)
+    if not sxx or not syy:
+        return None
+    r = sxy / math.sqrt(sxx * syy)
+    t = math.inf if abs(r) >= 1 else r * math.sqrt((n - 2) / (1 - r * r))
+    return r, t
+
+
+def calibration_report(documents: Sequence[dict], metrics: Sequence[Metric]) -> list[dict]:
+    """Per metric, per workload and then over all (``"*"``): how a complete
+    pair's calibration skew tracks its relative gap (see the module docstring)."""
+    pairs: list[tuple[str, dict[str, dict], float]] = []
+    for payload in documents:
+        by_pair: dict[tuple, dict[str, dict]] = {}
+        for row in payload["runs"]:
+            by_pair.setdefault((row["workload"], row["seed"], row["pair"]), {})[row["side"]] = row
+        for (workload, _, _), pair in sorted(by_pair.items()):
+            if (all(side in pair and pair[side]["correct"] for side in SIDES)
+                    and (value := skew(pair)) is not None):
+                pairs.append((workload, pair, value))
+    report = []
+    for metric in metrics:
+        for workload in [*sorted({w for w, _, _ in pairs}), "*"]:
+            points = [(value, pair["change"][metric.name] / pair["parent"][metric.name] - 1)
+                      for w, pair, value in pairs
+                      if workload in (w, "*") and pair["parent"].get(metric.name)
+                      and pair["change"].get(metric.name) is not None]
+            fit = pearson([x for x, _ in points], [y for _, y in points])
+            report.append({"metric": metric.name, "workload": workload, "pairs": len(points),
+                           "r": fit[0] if fit else None, "t": fit[1] if fit else None})
+    return report
+
+
 def summarise(rows: Sequence[dict], groups: Sequence[Group],
               metrics: Sequence[Metric]) -> list[dict]:
     """Per group: failed runs, complete pairs and one verdict per metric."""
@@ -351,23 +400,49 @@ def _group(text: str) -> Group:
     return group
 
 
+def report_calibration(paths: Sequence[Path], metrics: Sequence[Metric]) -> int:
+    documents = []
+    for path in paths:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if payload.get("tool") != "tools/pairs.py":
+            print(f"pairs.py: {path}: not a tools/pairs.py document, skipped", file=sys.stderr)
+            continue
+        documents.append(payload)
+    report = calibration_report(documents, metrics)
+    print(f"calibration skew vs. relative gap over {len(documents)} document(s): "
+          f"Pearson r, and its t on n - 2 degrees of freedom")
+    for entry in report:
+        fit = ("   r      -   t      -" if entry["r"] is None
+               else f"   r {entry['r']:+.2f}   t {entry['t']:+.2f}")
+        print(f"   {entry['metric']:26s} {entry['workload']:18s} pairs {entry['pairs']:4d}{fit}")
+    return 0
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("commits", nargs="+", metavar="COMMIT",
-                        help="PARENT CHANGE, or one COMMIT with --aa")
+                        help="PARENT CHANGE, one COMMIT with --aa, or the pairs "
+                             "documents with --calibration-report")
     parser.add_argument("--aa", action="store_true", help="pair one commit with itself")
-    parser.add_argument("--group", action="append", type=_group, required=True,
+    parser.add_argument("--calibration-report", action="store_true",
+                        help="run nothing: correlate calibration skew with each "
+                             "pair's gap over the documents given")
+    parser.add_argument("--group", action="append", type=_group,
                         metavar="WORKLOAD:SEED:PAIRS", help="pairs to run (repeatable)")
     parser.add_argument("--seconds", type=float, default=8.0, help="timed window per run")
-    parser.add_argument("--out", type=Path, required=True, help="the pairs document")
+    parser.add_argument("--out", type=Path, help="the pairs document")
     parser.add_argument("--workdir", type=Path, default=None,
                         help="where the temporary worktrees go (default: the system temp dir)")
     args = parser.parse_args(argv)
+    metrics = load_metrics(REPO / "BENCHMARK.json")
+    if args.calibration_report:
+        return report_calibration([Path(name) for name in args.commits], metrics)
+    if not args.group or args.out is None:
+        parser.error("--group and --out are required to run pairs")
     if len(args.commits) != (1 if args.aa else 2):
         parser.error("give PARENT and CHANGE, or one COMMIT with --aa")
     names = args.commits * 2 if args.aa else args.commits
     commits = dict(zip(SIDES, map(resolve, names), strict=True))
-    metrics = load_metrics(REPO / "BENCHMARK.json")
 
     def write(rows: list[dict]) -> None:
         payload = document(rows, args.group, metrics, commits, args.seconds, args.aa)

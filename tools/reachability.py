@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Reachability audit of ``src/repro``: public code and knobs that only tests use.
+"""Reachability audit of ``src/repro``: code, fields and knobs that only tests use.
 
 Usage, from the repository root (standard library only)::
 
@@ -15,27 +15,46 @@ from the roots, the code a user of the product runs:
   E15 ledger drives the product through them;
 * module-level code that runs at import (calls, registering decorators).
 
-A reached module-level function or class reaches every name its body,
-decorators, bases, defaults and annotations resolve to, through imports and
-package re-exports; ``module.name`` resolves through a module.  A reached
-class reaches all of its methods: an attribute on an object is not resolved
-to a type, so the audit is per module-level symbol, not per method.
+A reached module-level function reaches every name its body, decorators,
+defaults and annotations resolve to, through imports and package
+re-exports; ``module.name`` resolves through a module.  A reached class
+reaches its own code (decorators, bases, class attributes), not its
+methods.  A method or property is reached only when reached code uses it:
 
-It reports two kinds of finding:
+* ``Cls.name``, or ``self.name`` (``cls.name``, ``super().name``) inside
+  the class, resolved along the class's package bases;
+* ``obj.name`` where ``obj``'s class is known: from a parameter or
+  variable annotation (``Cls``, ``Cls | None``, ``Optional[Cls]``), a
+  constructor assignment (``x = Cls(...)``, ``self.x = Cls(...)``), a
+  class-level or ``self.x: Cls`` annotation, or a property's return
+  annotation, also along chains such as ``self.x.name``;
+* otherwise ``obj.name`` (or ``getattr(obj, "name")``) reaches ``name`` in
+  every class that defines it, so an object of unknown class is never
+  under-counted.
+
+Whenever its class is reached, a dunder is reached, and so is an override
+of a reached method of a package base class.
+
+It reports three kinds of finding:
 
 * ``unreached``: a public module-level function, class or constant that no
-  root reaches (the files under ``tests/``, ``benchmarks/``, ``examples/``
-  or ``tools/`` that name it are listed);
+  root reaches, or a public method or property of a reached class that no
+  root uses (``module:Class.member``); the files under ``tests/``,
+  ``benchmarks/``, ``examples/`` or ``tools/`` that name it are listed;
+* ``unread``: a dataclass field or an attribute ``__init__`` stores,
+  private ones included (``module:Class.field``), of a reached class, whose
+  name no code under ``src/`` or ``benchmarks/e15/`` ever reads;
 * ``knob``: a parameter with a default, of a reached public function,
-  method or constructor (dataclass fields included), to which no call in
-  root-reached code passes a value other than that default.  A call on an
-  object counts for every method of that name, ``**kwargs`` passes every
-  keyword and ``*args`` every position, so a knob is reported only when no
-  root can be passing it.
+  reached method or constructor (dataclass fields included), to which no
+  call in root-reached code passes a value other than that default.  A call
+  on an object counts for every method of that name, ``**kwargs`` passes
+  every keyword and ``*args`` every position, so a knob is reported only
+  when no root can be passing it.
 
 Each finding is deleted, moved next to its only users, or named in
-``ALLOWLIST`` with a one-line reason.  An allowlist entry that matches no
-finding is reported as stale.  This script only reports (exit status 0);
+``ALLOWLIST`` with a one-line reason.  An allowlisted symbol or member is a
+root, and an allowlisted class keeps all of its members.  An allowlist
+entry that matches no finding is reported as stale.  This script only reports (exit status 0);
 ``tools/check_invariants.py`` INV009 fails on the same findings.
 """
 
@@ -44,6 +63,7 @@ from __future__ import annotations
 import ast
 import functools
 import sys
+import time
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,7 +81,8 @@ ROOT_DIRS = ("benchmarks/e15",)
 USER_DIRS = ("tests", "benchmarks", "examples", "tools")
 
 #: Findings kept on purpose: one-line reason -> ``module:qualname`` (an
-#: unreached symbol) or ``module:qualname(param)`` (a knob) keys.
+#: unreached symbol or member, an unread field) or ``module:qualname(param)``
+#: (a knob) keys.
 ALLOWLIST: dict[str, tuple[str, ...]] = {
     "the paper's alignment toolkit around the mediator: inversion (examples/"
     "data_translation.py), the level builders (E8) and the RDF encoding (E2)": (
@@ -109,6 +130,43 @@ ALLOWLIST: dict[str, tuple[str, ...]] = {
         "repro.federation.endpoint:LocalSparqlEndpoint.ask(timeout)",
         "repro.federation.http_endpoint:HttpSparqlEndpoint.select(timeout)",
         "repro.federation.http_endpoint:HttpSparqlEndpoint.ask(timeout)",
+    ),
+    "calls the README documents: statistics refresh, voiD import, per-dataset "
+    "policies, failure injection, shard placement, tracing on, loading a file": (
+        "repro.federation.registry:DatasetRegistry.refresh_statistics",
+        "repro.federation.registry:DatasetRegistry.load_void_graph",
+        "repro.federation.registry:DatasetRegistry.set_policy",
+        "repro.federation.endpoint:LocalSparqlEndpoint.fail_next",
+        "repro.federation.shard:ShardedGraph.misplaced",
+        "repro.obs.trace:Tracer.enable",
+        "repro.rdf.graph:Graph.load",
+    ),
+    "what the other experiments (E3, E4, E7-E10) and the examples read of the "
+    "mediator's results and knowledge bases": (
+        "repro.alignment.inverse:InversionReport.inverted_count",
+        "repro.alignment.inverse:InversionReport.skipped_count",
+        "repro.alignment.model:EntityAlignment.describe",
+        "repro.alignment.store:AlignmentStore.counts_by_pair",
+        "repro.core.rewriter:RewriteReport.input_size",
+        "repro.core.rewriter:RewriteReport.output_size",
+        "repro.datasets.scenario:IntegrationScenario.kisti_builder",
+        "repro.federation.federator:FederatedResult.failed_datasets",
+        "repro.federation.service:MediatorService.alignment_kb",
+        "repro.federation.service:MediatorService.void_kb",
+        "repro.federation.service:MediatorService.translate_and_run",
+        "repro.federation.service:TranslationResponse.translated_query",
+        "repro.federation.service:TranslationResponse.triples_matched",
+        "repro.federation.service:TranslationResponse.triples_unmatched",
+        "repro.federation.service:ExecutionResponse.translation",
+    ),
+    "protocol methods the standard library calls: socketserver's request loop "
+    "and io.BufferedReader's raw reads": (
+        "repro.server.http:_SparqlHttpd.process_request",
+        "repro.server.http:_SparqlHttpd.shutdown_request",
+        "repro.server.http:_SparqlHttpd.handle_error",
+        "repro.server.http:_SparqlRequestHandler.handle",
+        "repro.federation.http_endpoint:_Connection.readable",
+        "repro.federation.http_endpoint:_Connection.readinto",
     ),
     "passed through a local alias (the server's write = write_graph)": (
         "repro.sparql.formats:write_graph(format)",
@@ -159,8 +217,6 @@ ALLOWLIST: dict[str, tuple[str, ...]] = {
         "repro.rdf.graph:Graph(triples)",
         "repro.rdf.graph:Graph.load(store)",
         "repro.rdf.graph:Graph.predicates(subject)",
-        "repro.rdf.graph:Graph.remove_pattern(subject)",
-        "repro.rdf.graph:Graph.remove_pattern(predicate)",
         "repro.rdf.graph:Graph.value(default)",
         "repro.turtle.parser:TurtleParser.parse(graph)",
         "repro.turtle.parser:parse_turtle(namespace_manager)",
@@ -171,7 +227,6 @@ ALLOWLIST: dict[str, tuple[str, ...]] = {
         "repro.obs.metrics:MetricsRegistry.histogram(buckets)",
         "repro.obs.slowlog:SlowQueryLog(capacity)",
         "repro.obs.slowlog:SlowQueryLog(threshold)",
-        "repro.obs.trace:Tracer(capacity)",
     ),
 }
 
@@ -216,6 +271,43 @@ class Module:
     imports: dict[str, tuple[str, str | None]] = field(default_factory=dict)
 
 
+#: ``(module, qualname)``: a module-level definition, or ``Class.member``.
+Key = tuple[str, str]
+#: The package classes an expression may hold; ``None`` where they are unknown.
+Types = frozenset[Key] | None
+
+#: What :meth:`Graph.lookup` returns for a data attribute, which is no member.
+_DATA = ("", "")
+
+
+@dataclass
+class Klass:
+    """A module-level class of the package."""
+
+    module: Module
+    key: Key
+    node: ast.ClassDef
+    #: the package classes it derives from, in order
+    bases: list[Key] = field(default_factory=list)
+    #: methods and properties by name (a property's setter shares its name)
+    members: dict[str, list[ast.FunctionDef | ast.AsyncFunctionDef]] = field(default_factory=dict)
+    #: data attributes (class-level, or stored on ``self``) -> the classes they hold
+    attributes: dict[str, Types] = field(default_factory=dict)
+    #: dataclass fields and the attributes ``__init__`` stores -> their line
+    fields: dict[str, int] = field(default_factory=dict)
+
+    def member(self, name: str) -> Key:
+        return (self.key[0], f"{self.key[1]}.{name}")
+
+    def body(self) -> list[ast.AST]:
+        """The class's own code, without its members: it runs once the class
+        is reached."""
+        node = self.node
+        return [*node.decorator_list, *node.bases, *(k.value for k in node.keywords),
+                *(s for s in node.body
+                  if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef)))]
+
+
 @functools.cache
 def _nodes(root: ast.AST) -> tuple[ast.AST, ...]:
     """``ast.walk(root)``, walked once: the audit reads the same code often."""
@@ -227,6 +319,10 @@ def _relative(path: Path, root: Path) -> Path:
         return path.relative_to(root)
     except ValueError:
         return path
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _absolute(module: Module, node: ast.ImportFrom) -> str:
@@ -264,8 +360,22 @@ def _load(path: Path, name: str) -> Module:
     return module
 
 
+def _self_name(function: ast.FunctionDef | ast.AsyncFunctionDef) -> str | None:
+    """The name a method calls its instance (or class) by, if it has one."""
+    positional = function.args.posonlyargs + function.args.args
+    if not positional or any(_decorator_name(d) == "staticmethod"
+                             for d in function.decorator_list):
+        return None
+    return positional[0].arg
+
+
+def _merge(known: Types, types: Types) -> Types:
+    return None if known is None or types is None else known | types
+
+
 class Graph:
-    """The package's modules and the root files, with name resolution."""
+    """The package's modules and the root files, with name resolution and,
+    for the package's classes, member lookup and receiver types."""
 
     def __init__(self, repo: Path, package: str) -> None:
         self.repo = repo
@@ -283,6 +393,23 @@ class Graph:
                 name = ".".join(path.relative_to(repo).with_suffix("").parts)
                 self.modules[name] = _load(path, name)
                 self.root_files.append(self.modules[name])
+        self.classes: dict[Key, Klass] = {
+            (module.name, name): Klass(module, (module.name, name), node)
+            for module in self.package for name, node in module.defs.items()
+            if isinstance(node, ast.ClassDef)
+        }
+        self._environments: dict[int, dict[str, Types]] = {}
+        for klass in self.classes.values():
+            self._shape(klass)
+        #: member name -> the classes that define it
+        self.defining: dict[str, list[Key]] = {}
+        #: class -> the package classes that derive from it
+        self.subclasses: dict[Key, list[Key]] = {key: [] for key in self.classes}
+        for key, klass in self.classes.items():
+            for name in klass.members:
+                self.defining.setdefault(name, []).append(key)
+            for ancestor in self.mro(key)[1:]:
+                self.subclasses[ancestor].append(key)
 
     def user_files(self) -> list[Path]:
         return [path for directory in USER_DIRS
@@ -338,6 +465,227 @@ class Graph:
             return None
         return target[0] if target is not None and target[1] is None else None
 
+    # -- classes and their members ------------------------------------------ #
+
+    def class_of(self, module: Module, node: ast.AST) -> Key | None:
+        """The package class ``node`` names, if it names one."""
+        target = None
+        if isinstance(node, ast.Name):
+            target = self.resolve(module.name, node.id)
+        elif isinstance(node, ast.Attribute):
+            base = self._module_of(module, node.value)
+            target = self.resolve(base, node.attr) if base else None
+        return target if target in self.classes else None
+
+    def annotation(self, module: Module, node: ast.expr) -> Types:
+        """The classes an annotation names: ``Cls``, ``Cls | None``,
+        ``Optional[Cls]``, ``Union[A, B]`` or such a string; ``None`` for
+        anything else."""
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, str):
+                try:
+                    return self.annotation(module, ast.parse(node.value, mode="eval").body)
+                except SyntaxError:
+                    return None
+            return frozenset() if node.value is None else None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            return _merge(self.annotation(module, node.left), self.annotation(module, node.right))
+        if isinstance(node, ast.Subscript) and _decorator_name(node.value) in {"Optional", "Union"}:
+            types: Types = frozenset()
+            for element in (node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]):
+                types = _merge(types, self.annotation(module, element))
+            return types
+        key = self.class_of(module, node)
+        return frozenset({key}) if key else None
+
+    def _value(self, module: Module, node: ast.expr, env: Mapping[str, Types]) -> Types:
+        """The classes an assigned value holds: a constructor call, or a name
+        whose classes are known."""
+        if isinstance(node, ast.Call) and (key := self.class_of(module, node.func)):
+            return frozenset({key})
+        if isinstance(node, ast.Name):
+            return env.get(node.id)
+        return None
+
+    def _shape(self, klass: Klass) -> None:
+        """Fill in the class's bases, members, data attributes and fields."""
+        module, node = klass.module, klass.node
+        klass.bases = [key for base in node.bases if (key := self.class_of(module, base))]
+        dataclass_ = any(_decorator_name(d) == "dataclass" for d in node.decorator_list)
+        annotated: set[str] = set()
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                klass.members.setdefault(stmt.name, []).append(stmt)
+            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                name = stmt.target.id
+                klass.attributes[name] = self.annotation(module, stmt.annotation)
+                annotated.add(name)
+                if dataclass_ and "ClassVar" not in ast.unparse(stmt.annotation):
+                    klass.fields.setdefault(name, stmt.lineno)
+            elif isinstance(stmt, ast.Assign):
+                for target in stmt.targets:
+                    if isinstance(target, ast.Name):
+                        klass.attributes[target.id] = None
+        for functions in klass.members.values():
+            for function in functions:
+                me = _self_name(function)
+                env = self.environment(module, function, klass.key)
+                for child in _nodes(function):
+                    if isinstance(child, ast.AnnAssign):
+                        targets, value = [child.target], None
+                    elif isinstance(child, ast.Assign):
+                        targets, value = child.targets, child.value
+                    else:
+                        continue
+                    for target in targets:
+                        stored = [t for t in (target.elts if isinstance(target, ast.Tuple)
+                                              else [target])
+                                  if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                                  and t.value.id == me]
+                        for attribute in stored:
+                            name = attribute.attr
+                            if function.name == "__init__":
+                                klass.fields.setdefault(name, attribute.lineno)
+                            if isinstance(child, ast.AnnAssign):
+                                klass.attributes[name] = self.annotation(module, child.annotation)
+                                annotated.add(name)
+                            elif name not in annotated:
+                                types = (self._value(module, value, env)
+                                         if attribute is target else None)
+                                klass.attributes[name] = (
+                                    types if name not in klass.attributes
+                                    else _merge(klass.attributes[name], types))
+
+    def mro(self, key: Key) -> list[Key]:
+        """The class and its package ancestors, nearest first."""
+        order: list[Key] = []
+        pending = [key]
+        while pending:
+            current = pending.pop(0)
+            if current not in order:
+                order.append(current)
+                pending.extend(self.classes[current].bases)
+        return order
+
+    def lookup(self, owner: Key, name: str) -> Key | None:
+        """The member ``owner.name`` means, ``_DATA`` for a data attribute, or
+        ``None`` where no package class on its MRO defines the name."""
+        for key in self.mro(owner):
+            klass = self.classes[key]
+            if name in klass.members:
+                return klass.member(name)
+            if name in klass.attributes:
+                return _DATA
+        return None
+
+    def _attribute_types(self, owner: Key, name: str) -> Types:
+        for key in self.mro(owner):
+            klass = self.classes[key]
+            if name in klass.members:
+                function = klass.members[name][0]
+                if (function.returns is not None and any(
+                        _decorator_name(d) in {"property", "cached_property"}
+                        for d in function.decorator_list)):
+                    return self.annotation(klass.module, function.returns)
+                return None
+            if name in klass.attributes:
+                return klass.attributes[name]
+        return None
+
+    def environment(self, module: Module, root: ast.AST, owner: Key | None) -> dict[str, Types]:
+        """The classes each local name under ``root`` holds: from parameter
+        annotations, annotated assignments, constructor assignments and, in a
+        method of ``owner``, its ``self``.  A name bound any other way anywhere
+        under ``root`` is unknown."""
+        if id(root) in self._environments:
+            return self._environments[id(root)]
+        env: dict[str, Types] = {}
+        typed: set[int] = set()
+
+        def bind(name: str, types: Types) -> None:
+            env[name] = types if name not in env else _merge(env[name], types)
+
+        for node in _nodes(root):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                me = _self_name(node) if node is root and owner else None
+                for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+                    if arg.arg == me:
+                        bind(arg.arg, frozenset({owner}))
+                    else:
+                        bind(arg.arg, None if arg.annotation is None
+                             else self.annotation(module, arg.annotation))
+                for arg in (args.vararg, args.kwarg):
+                    if arg is not None:
+                        bind(arg.arg, None)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                bind(node.target.id, self.annotation(module, node.annotation))
+                typed.add(id(node.target))
+            elif isinstance(node, ast.Assign):
+                types = self._value(module, node.value, {})
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and types:
+                        bind(target.id, types)
+                        typed.add(id(target))
+        for node in _nodes(root):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and id(node) not in typed):
+                bind(node.id, None)
+        self._environments[id(root)] = env
+        return env
+
+    def receiver(self, module: Module, node: ast.expr, env: Mapping[str, Types],
+                 owner: Key | None) -> Types:
+        """The classes the object ``node`` evaluates to may have."""
+        if isinstance(node, ast.Name):
+            if node.id in env:
+                return env[node.id] or None
+            key = self.class_of(module, node)
+            return frozenset({key}) if key else None
+        if isinstance(node, ast.Call):
+            if (isinstance(node.func, ast.Name) and node.func.id == "super"
+                    and owner is not None):
+                return frozenset(self.classes[owner].bases) or None
+            key = self.class_of(module, node.func)
+            return frozenset({key}) if key else None
+        if isinstance(node, ast.Attribute):
+            if key := self.class_of(module, node):
+                return frozenset({key})
+            owners = self.receiver(module, node.value, env, owner)
+            types: Types = frozenset()
+            for key in owners or ():
+                types = _merge(types, self._attribute_types(key, node.attr))
+            return types or None if owners else None
+        return None
+
+    def uses(self, module: Module, root: ast.AST, owner: Key | None
+             ) -> tuple[set[Key], set[str]]:
+        """The members the code under ``root`` uses where its receivers'
+        classes are known, and the member names it uses on other objects
+        (``obj.name``, ``getattr(obj, "name")``)."""
+        env = self.environment(module, root, owner)
+        members: set[Key] = set()
+        names: set[str] = set()
+        for node in _nodes(root):
+            if isinstance(node, ast.Attribute):
+                if _dunder(node.attr) or self._module_of(module, node.value) is not None:
+                    continue
+                owners = self.receiver(module, node.value, env, owner)
+                for key in owners or ():
+                    target = self.lookup(key, node.attr)
+                    if target is None:
+                        names.add(node.attr)
+                    elif target != _DATA:
+                        members.add(target)
+                if owners is None:
+                    names.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in {"getattr", "setattr", "hasattr"} and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)
+                  and isinstance(node.args[1].value, str)):
+                names.add(node.args[1].value)
+        return members, names
+
 
 def _decorator_name(node: ast.expr) -> str:
     if isinstance(node, ast.Call):
@@ -372,37 +720,90 @@ def _exported(module: Module) -> list[str]:
 # Reachability
 # --------------------------------------------------------------------------- #
 
-def reach(graph: Graph, package: str, roots: Sequence[str]
-          ) -> tuple[set[tuple[str, str]], list[tuple[Module, ast.AST]]]:
-    """The reached definitions, and every piece of code a root runs."""
-    start: set[tuple[str, str]] = set()
-    code: list[tuple[Module, ast.AST]] = []
+#: A piece of code a root runs: its module, its AST and, for a class's own
+#: code or a member, the class.
+Code = tuple[Module, ast.AST, Key | None]
+
+
+def reach(graph: Graph, package: str, roots: Sequence[str], whole: Sequence[str] = ()
+          ) -> tuple[set[Key], list[Code]]:
+    """The reached definitions and members, and every piece of code a root
+    runs.  A class in ``whole`` reaches all of its members."""
+    start: set[Key] = set()
+    code: list[Code] = []
     for module in graph.package:
         for node in module.tree.body:
-            if _runs_at_import(node):
-                code.append((module, node))
+            if not _runs_at_import(node):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                start.add((module.name, node.name))  # registered by its decorator
+            else:
+                code.append((module, node, None))
     for module in graph.root_files:
-        code.append((module, module.tree))
+        code.append((module, module.tree, None))
     init = graph.modules[package]
     for name in _exported(init):
         if (target := graph.resolve(package, name)) and target[1]:
             start.add(target)
-    for root in roots:
+    for root in [*roots, *whole]:
         module, name = root.split(":")
-        if (target := graph.resolve(module, name)) and target[1]:
+        if "." in name:
+            start.add((module, name))
+        elif (target := graph.resolve(module, name)) and target[1]:
             start.add(target)
-    for owner, node in code:
-        start.update(graph.references(owner, node))
-    reached: set[tuple[str, str]] = set()
+            if root in whole and target in graph.classes:
+                klass = graph.classes[target]
+                start.update(klass.member(member) for member in klass.members)
+    reached: set[Key] = set()
+    used: set[str] = set()  # member names used on objects of unknown class
     frontier = list(start)
+
+    def visit(module: Module, node: ast.AST, owner: Key | None) -> None:
+        frontier.extend(graph.references(module, node))
+        members, names = graph.uses(module, node, owner)
+        frontier.extend(members)
+        for name in names - used:
+            used.add(name)
+            frontier.extend(graph.classes[key].member(name)
+                            for key in graph.defining.get(name, ()) if key in reached)
+
+    for module, node, owner in code:
+        visit(module, node, owner)
     while frontier:
         key = frontier.pop()
         if key in reached:
             continue
-        reached.add(key)
         module = graph.modules[key[0]]
-        frontier.extend(graph.references(module, module.defs[key[1]]))
-    code.extend((graph.modules[m], graph.modules[m].defs[n]) for m, n in sorted(reached))
+        if key in graph.classes:
+            reached.add(key)
+            klass = graph.classes[key]
+            # dunders, the members code already uses by name, and overrides
+            # of a reached member of a base class
+            ancestors = graph.mro(key)[1:]
+            frontier.extend(klass.member(name) for name in klass.members
+                            if _dunder(name) or name in used or any(
+                                graph.classes[a].member(name) in reached for a in ancestors))
+            nodes, owner = klass.body(), key
+        elif "." in key[1]:
+            owner = (key[0], key[1].split(".")[0])
+            name = key[1].split(".", 1)[1]
+            if owner not in graph.classes or name not in graph.classes[owner].members:
+                continue
+            if owner not in reached:
+                frontier.extend([key, owner])
+                continue
+            reached.add(key)
+            frontier.extend(graph.classes[sub].member(name) for sub in graph.subclasses[owner]
+                            if sub in reached and name in graph.classes[sub].members)
+            nodes = graph.classes[owner].members[name]
+        elif key[1] in module.defs:
+            reached.add(key)
+            nodes, owner = [module.defs[key[1]]], None
+        else:
+            continue
+        for node in nodes:
+            code.append((module, node, owner))
+            visit(module, node, owner)
     return reached, code
 
 
@@ -421,6 +822,20 @@ def _users(graph: Graph, names: set[str]) -> dict[str, list[str]]:
         for name in names & seen:
             users[name].append(str(path.relative_to(graph.repo)))
     return users
+
+
+def _loaded(graph: Graph) -> set[str]:
+    """Every attribute name code under ``src/`` or a root directory reads."""
+    names: set[str] = set()
+    for module in [*graph.package, *graph.root_files]:
+        for node in _nodes(module.tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in {"getattr", "hasattr"} and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                names.add(node.args[1].value)
+    return names
 
 
 # --------------------------------------------------------------------------- #
@@ -482,9 +897,9 @@ def _dataclass_knobs(prefix: str, path: Path, klass: ast.ClassDef) -> list[Knob]
     return knobs
 
 
-def knobs_of(module: Module, name: str) -> dict[str, list[Knob]]:
-    """The knobs of a public definition, by the name a call uses for them:
-    the function's or class's own name, or a method name."""
+def knobs_of(module: Module, name: str, reached: set[Key]) -> dict[str, list[Knob]]:
+    """The knobs of a public definition and its reached members, by the name a
+    call uses for them: the function's or class's own name, or a method name."""
     node = module.defs[name]
     prefix = f"{module.name}:{name}"
     found: dict[str, list[Knob]] = {}
@@ -498,7 +913,7 @@ def knobs_of(module: Module, name: str) -> dict[str, list[Knob]]:
                 continue
             if item.name == "__init__":
                 constructor = _signature_knobs(prefix, module.path, item, method=True)
-            elif not item.name.startswith("_"):
+            elif not item.name.startswith("_") and (module.name, f"{name}.{item.name}") in reached:
                 found.setdefault("." + item.name, []).extend(_signature_knobs(
                     f"{prefix}.{item.name}", module.path, item, method=True))
         found[name] = constructor
@@ -549,24 +964,21 @@ def _callees(graph: Graph, module: Module, call: ast.Call, bases: list[str]) -> 
     return []
 
 
-def unpassed_knobs(graph: Graph, reached: set[tuple[str, str]],
-                   code: Sequence[tuple[Module, ast.AST]]) -> dict[str, Knob]:
+def unpassed_knobs(graph: Graph, reached: set[Key], code: Sequence[Code]) -> dict[str, Knob]:
     """The knobs of reached public package code that no call in ``code`` passes."""
     by_callee: dict[str, list[Knob]] = {}
     package = {module.name for module in graph.package}
     for module_name, name in sorted(reached):
-        if name.startswith("_") or module_name not in package:
+        if name.startswith("_") or "." in name or module_name not in package:
             continue
-        for callee, knobs in knobs_of(graph.modules[module_name], name).items():
+        for callee, knobs in knobs_of(graph.modules[module_name], name, reached).items():
             by_callee.setdefault(callee, []).extend(knobs)
-    stored = {node.attr for _, root in code for node in _nodes(root)
+    stored = {node.attr for _, root, _ in code for node in _nodes(root)
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
     unpassed = {knob.key: knob for knobs in by_callee.values() for knob in knobs
                 if not (knob.field and _param(knob) in stored)}
-    for module, root in code:
-        bases = [target[1] for base in getattr(root, "bases", ())
-                 if isinstance(base, ast.Name)
-                 and (target := graph.resolve(module.name, base.id)) and target[1]]
+    for module, root, owner in code:
+        bases = [key[1] for key in graph.classes[owner].bases] if owner else []
         for call in (n for n in _nodes(root) if isinstance(n, ast.Call)):
             for callee in _callees(graph, module, call, bases):
                 if callee == "*":
@@ -588,35 +1000,57 @@ def flatten(allowlist: Mapping[str, Sequence[str]]) -> dict[str, str]:
     return {key: reason for reason, keys in allowlist.items() for key in keys}
 
 
+def _unreached(graph: Graph, reached: set[Key]) -> dict[str, tuple[Path, int]]:
+    """The public module-level definitions no root reaches, and the public
+    members of reached classes no root uses: key -> where it is."""
+    found = {f"{module.name}:{name}": (module.path, node.lineno)
+             for module in graph.package for name, node in module.defs.items()
+             if not name.startswith("_") and (module.name, name) not in reached}
+    for key, klass in graph.classes.items():
+        if key in reached:
+            found.update((":".join(klass.member(name)), (klass.module.path, functions[0].lineno))
+                         for name, functions in klass.members.items()
+                         if not name.startswith("_") and klass.member(name) not in reached)
+    return found
+
+
 def audit(repo: Path = REPO_ROOT, package: str = PACKAGE,
           roots: Sequence[str] = ROOT_SYMBOLS,
           allowlist: Mapping[str, Sequence[str]] = ALLOWLIST) -> Report:
-    """Every finding, split by the allowlist; an allowlisted symbol is kept on
-    purpose, so what it reaches counts as reached."""
+    """Every finding, split by the allowlist.  An allowlisted symbol or member
+    is kept on purpose, so it counts as a root: what it reaches counts as
+    reached, and a kept class keeps all of its members."""
     kept = flatten(allowlist)
     graph = Graph(repo, package)
-    reached, _ = reach(graph, package, roots)
-    public = [(module, name) for module in graph.package for name in module.defs
-              if not name.startswith("_")]
-    unreached = [(module, name) for module, name in public
-                 if (module.name, name) not in reached]
-    extra = [f"{module.name}:{name}" for module, name in unreached
-             if f"{module.name}:{name}" in kept]
-    reached, code = reach(graph, package, [*roots, *extra])
-    unreached = [(module, name) for module, name in unreached
-                 if (module.name, name) not in reached or f"{module.name}:{name}" in extra]
-    users = _users(graph, {name for _, name in unreached})
-    findings = [
-        Finding(f"{module.name}:{name}", "unreached", module.path, module.defs[name].lineno,
-                "no root reaches it; " + (
-                    "named by " + ", ".join(users[name][:3])
-                    + (f" (+{len(users[name]) - 3})" if len(users[name]) > 3 else "")
-                    if users[name] else "nothing names it"))
-        for module, name in unreached
+    whole: dict[str, tuple[Path, int]] = {}
+    while True:
+        reached, code = reach(graph, package, roots, list(whole))
+        unreached = _unreached(graph, reached)
+        more = {key: where for key, where in unreached.items() if key in kept}
+        if not more:
+            break
+        whole.update(more)
+    unreached.update(whole)
+    # a symbol's users name it, a member's name the member
+    users = _users(graph, {key.split(":")[1].rpartition(".")[2] for key in unreached})
+    findings = []
+    for key, (path, line) in unreached.items():
+        named = users[key.split(":")[1].rpartition(".")[2]]
+        findings.append(Finding(key, "unreached", path, line, "no root reaches it; " + (
+            "named by " + ", ".join(named[:3])
+            + (f" (+{len(named) - 3})" if len(named) > 3 else "")
+            if named else "nothing names it")))
+    loaded = _loaded(graph)
+    findings += [
+        Finding(":".join(klass.member(name)), "unread", klass.module.path, line,
+                "stored, but no code under src/ or benchmarks/e15/ reads it")
+        for key, klass in graph.classes.items() if key in reached
+        for name, line in klass.fields.items() if name not in loaded
     ]
     knobs = unpassed_knobs(graph, reached, code)
-    users_code = [(graph.load_user(path), None) for path in graph.user_files()]
-    unused = unpassed_knobs(graph, reached, code + [(m, m.tree) for m, _ in users_code])
+    users_code = [(module, module.tree, None)
+                  for module in map(graph.load_user, graph.user_files())]
+    unused = unpassed_knobs(graph, reached, code + users_code)
     findings += [
         Finding(key, "knob", knob.path, knob.line,
                 "no root passes a value other than its default; "
@@ -631,15 +1065,31 @@ def audit(repo: Path = REPO_ROOT, package: str = PACKAGE,
     )
 
 
+def _by_kind(findings: Sequence[Finding]) -> str:
+    """Counts of symbols, members, fields and knobs among ``findings``."""
+    counts = dict.fromkeys(("symbols", "members", "fields", "knobs"), 0)
+    for finding in findings:
+        if finding.kind == "knob":
+            counts["knobs"] += 1
+        elif finding.kind == "unread":
+            counts["fields"] += 1
+        else:
+            counts["members" if "." in finding.key.split(":")[1] else "symbols"] += 1
+    return ", ".join(f"{kind} {count}" for kind, count in counts.items())
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    started = time.perf_counter()
     report = audit()
+    elapsed = time.perf_counter() - started
     for finding in report.findings:
         print(finding.render(REPO_ROOT))
     for key in report.stale:
         print(f"tools/reachability.py: [stale] {key}: allowlisted, but no longer a finding")
-    print(f"{len(report.findings)} finding(s), {len(report.stale)} stale allowlist "
-          f"entr{'y' if len(report.stale) == 1 else 'ies'}, "
-          f"{len(report.allowlisted)} allowlisted", file=sys.stderr)
+    print(f"{len(report.findings)} finding(s) ({_by_kind(report.findings)}), "
+          f"{len(report.stale)} stale allowlist entr{'y' if len(report.stale) == 1 else 'ies'}, "
+          f"{len(report.allowlisted)} allowlisted ({_by_kind(report.allowlisted)}); "
+          f"audited in {elapsed:.1f} s", file=sys.stderr)
     return 0
 
 
